@@ -101,25 +101,6 @@ ActivityTimeline::fromIntervals(Cycles span, std::vector<Interval> active)
     return t;
 }
 
-ActivityTimeline
-ActivityTimeline::fromParts(Cycles span, Cycles active,
-                            std::uint64_t activations,
-                            std::vector<GapGroup> gaps,
-                            Cycles leading_idle, Cycles trailing_idle)
-{
-    ActivityTimeline t;
-    t.span_ = span;
-    t.active_ = active;
-    t.activations_ = activations;
-    t.gaps_ = std::move(gaps);
-    t.leadingIdle_ = leading_idle;
-    t.trailingIdle_ = trailing_idle;
-    t.checkInvariants();
-    REGATE_CHECK(leading_idle <= span && trailing_idle <= span,
-                 "fromParts: leading/trailing idle exceeds span");
-    return t;
-}
-
 void
 ActivityTimeline::insertGap(Cycles length, std::uint64_t count)
 {

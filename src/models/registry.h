@@ -4,8 +4,8 @@
  * codes-workload-method table): each workload family registers one
  * WorkloadGenerator behind the GeneratorRegistry, and everything
  * downstream — the Workload enum shims, the text-spec parser, the
- * figure binaries, the fleet — constructs graphs exclusively through
- * this interface. Adding a scenario family means registering a
+ * figure binaries — constructs graphs exclusively through this
+ * interface. Adding a scenario family means registering a
  * generator in the library; no figure binary changes.
  *
  * The 17 paper workloads are canonical built-in specs replayed

@@ -9,7 +9,7 @@ namespace models {
 
 namespace {
 
-/** Canonical double spelling shared with sim/serialize.cc. */
+/** Canonical (round-trip exact) double spelling. */
 std::string
 canonicalDouble(double v)
 {

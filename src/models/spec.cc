@@ -9,7 +9,6 @@
 #include <sstream>
 
 #include "common/error.h"
-#include "common/hash.h"
 #include "models/registry.h"
 
 namespace regate {
@@ -452,8 +451,6 @@ parseSpecText(const std::string &text, const std::string &source)
                  std::to_string(kMaxScenarios) + " scenarios");
     }
     file.canonicalText = canonicalSpecText(file.scenarios);
-    file.digest = hexDigest64(fnv1a64(file.canonicalText.data(),
-                                      file.canonicalText.size()));
     return file;
 }
 

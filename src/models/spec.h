@@ -1,8 +1,7 @@
 /**
  * @file
- * Dependency-free text parser for workload scenario specs, in the
- * style of the `@regate-worker v1` line protocol: a version header,
- * `[scenario NAME]` sections, and strict `key = value` lines.
+ * Dependency-free text parser for workload scenario specs: a version
+ * header, `[scenario NAME]` sections, and strict `key = value` lines.
  *
  *     @regate-spec v1
  *     # one scenario per section; '#' starts a comment
@@ -24,9 +23,8 @@
  * is a ConfigError naming the offending file:line.
  *
  * The canonical dump (defaults filled, keys in fixed order)
- * round-trips through the parser to identical scenarios, and its
- * digest is the spec identity the fleet cross-checks so one sweep
- * can never mix mismatched spec files.
+ * round-trips through the parser to identical scenarios, so textual
+ * variants of the same scenarios share one canonical text.
  */
 
 #ifndef REGATE_MODELS_SPEC_H
@@ -49,13 +47,6 @@ struct SpecFile
 
     /** Canonical dump; reparses to identical scenarios. */
     std::string canonicalText;
-
-    /**
-     * FNV-1a digest (hex16) of canonicalText — the spec identity
-     * carried in shard headers and the fleet's hello cross-check.
-     * Textual variants of the same scenarios share a digest.
-     */
-    std::string digest;
 };
 
 /** Parse spec text; @p source names it in errors ("file:line: ..."). */

@@ -95,8 +95,7 @@ const ScenarioSpec &builtinSpec(Workload w);
 /**
  * True (and *out set) when @p spec is identical to a paper workload:
  * grid construction normalizes such specs onto the enum identity so
- * spec-driven runs serialize and render byte-identical to
- * enum-driven ones. Display name and gating overrides are ignored
+ * spec-driven runs render byte-identical to enum-driven ones. Display name and gating overrides are ignored
  * (gating rides in the grid's params, not the workload identity).
  */
 bool builtinWorkloadOf(const ScenarioSpec &spec, Workload *out);

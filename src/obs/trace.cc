@@ -1,6 +1,5 @@
 #include "obs/trace.h"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -11,7 +10,6 @@
 #include <thread>
 
 #include "common/error.h"
-#include "obs/flight_recorder.h"
 
 namespace regate {
 namespace obs {
@@ -80,11 +78,8 @@ TraceRecorder::start(const std::string &path)
     {
         std::lock_guard<std::mutex> lock(mu_);
         path_ = path;
-        // Share the flight recorder's origin so flight events and
-        // trace events land on one timeline (pinned at whichever
-        // recorder woke first).
         if (originNs_ == 0)
-            originNs_ = monotonicOriginNs();
+            originNs_ = steadyNowNs();
     }
     enabled_.store(true, std::memory_order_relaxed);
 }
@@ -107,10 +102,7 @@ int
 TraceRecorder::threadLaneLocked()
 {
     // Small stable per-thread lane ids: lane 0 is the first thread
-    // seen (normally main). Explicit lanes from completeLane() use
-    // the same space; the orchestrator offsets its slot lanes so
-    // they read naturally (slot i -> lane i) in a single-threaded
-    // driver.
+    // seen (normally main).
     auto id = std::hash<std::thread::id>{}(
         std::this_thread::get_id());
     for (std::size_t i = 0; i < threadLanes_.size(); ++i)
@@ -124,13 +116,8 @@ void
 TraceRecorder::push(Event ev)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    if (ev.tid < 0)
-        ev.tid = threadLaneLocked();
+    ev.tid = threadLaneLocked();
     events_.push_back(std::move(ev));
-    // Keep the crash-dump scratch sized here, in normal context, so
-    // crashDump() never has to allocate inside a signal handler.
-    if (crashScratch_.capacity() < events_.size())
-        crashScratch_.reserve(events_.size() * 2);
 }
 
 void
@@ -145,24 +132,6 @@ TraceRecorder::instant(const std::string &name,
     ev.cat = cat;
     ev.ph = 'i';
     ev.ts = nowUs();
-    ev.tid = -1;
-    ev.args = std::move(args);
-    push(std::move(ev));
-}
-
-void
-TraceRecorder::instantLane(const std::string &name,
-                           const std::string &cat, int lane,
-                           std::vector<Arg> args)
-{
-    if (!enabled())
-        return;
-    Event ev;
-    ev.name = name;
-    ev.cat = cat;
-    ev.ph = 'i';
-    ev.ts = nowUs();
-    ev.tid = lane;
     ev.args = std::move(args);
     push(std::move(ev));
 }
@@ -182,27 +151,6 @@ TraceRecorder::complete(const std::string &name,
     ev.ph = 'X';
     ev.ts = start_us;
     ev.dur = end > start_us ? end - start_us : 0;
-    ev.tid = -1;
-    ev.args = std::move(args);
-    push(std::move(ev));
-}
-
-void
-TraceRecorder::completeLane(const std::string &name,
-                            const std::string &cat, int lane,
-                            std::uint64_t start_us,
-                            std::uint64_t end_us,
-                            std::vector<Arg> args)
-{
-    if (!enabled())
-        return;
-    Event ev;
-    ev.name = name;
-    ev.cat = cat;
-    ev.ph = 'X';
-    ev.ts = start_us;
-    ev.dur = end_us > start_us ? end_us - start_us : 0;
-    ev.tid = lane;
     ev.args = std::move(args);
     push(std::move(ev));
 }
@@ -272,88 +220,6 @@ TraceRecorder::flush()
                static_cast<std::streamsize>(out.size()));
     file.flush();
     REGATE_CHECK(file.good(), "short write to trace file ", path);
-}
-
-void
-TraceRecorder::crashDump()
-{
-    if (!enabled())
-        return;
-    // try_lock, not lock: the fatal signal may have interrupted a
-    // thread mid-push on this very mutex. Losing the partial trace
-    // in that window beats deadlocking the handler.
-    if (!mu_.try_lock())
-        return;
-    // Sort pointers in the preallocated scratch (events_ itself
-    // holds std::strings — moving those could free() in a handler).
-    crashScratch_.clear();
-    std::size_t limit =
-        std::min(events_.size(), crashScratch_.capacity());
-    for (std::size_t i = 0; i < limit; ++i)
-        crashScratch_.push_back(&events_[i]);
-    detail::signalSafeSort(
-        crashScratch_.data(), crashScratch_.size(),
-        [](const Event *a, const Event *b) {
-            return a->ts != b->ts ? a->ts < b->ts : a < b;
-        });
-
-    int fd = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
-                    0644);
-    if (fd < 0) {
-        mu_.unlock();
-        return;
-    }
-    detail::writeAllFd(fd, "[\n", 2);
-    auto pid = static_cast<std::uint64_t>(::getpid());
-    bool first = true;
-    for (const Event *evp : crashScratch_) {
-        const Event &ev = *evp;
-        char buf[4096];
-        detail::SigsafeBuf b(buf, sizeof buf);
-        if (!first)
-            b.str(",\n");
-        b.str("{\"name\": ");
-        b.jsonStr(ev.name.data(), ev.name.size());
-        b.str(", \"cat\": ");
-        b.jsonStr(ev.cat.data(), ev.cat.size());
-        b.str(", \"ph\": \"");
-        b.ch(ev.ph);
-        b.str("\", \"ts\": ");
-        b.u64(ev.ts);
-        if (ev.ph == 'X') {
-            b.str(", \"dur\": ");
-            b.u64(ev.dur);
-        }
-        if (ev.ph == 'i')
-            b.str(", \"s\": \"t\"");
-        b.str(", \"pid\": ");
-        b.u64(pid);
-        b.str(", \"tid\": ");
-        b.u64(static_cast<std::uint64_t>(
-            ev.tid < 0 ? 0 : ev.tid));
-        if (!ev.args.empty()) {
-            b.str(", \"args\": {");
-            for (std::size_t j = 0; j < ev.args.size(); ++j) {
-                if (j)
-                    b.str(", ");
-                b.jsonStr(ev.args[j].first.data(),
-                          ev.args[j].first.size());
-                b.str(": ");
-                b.jsonStr(ev.args[j].second.data(),
-                          ev.args[j].second.size());
-            }
-            b.str("}");
-        }
-        b.str("}");
-        if (b.overflowed())
-            continue;  // Drop the record rather than break the JSON.
-        if (!detail::writeAllFd(fd, buf, b.size()))
-            break;
-        first = false;
-    }
-    detail::writeAllFd(fd, "\n]\n", 3);
-    ::close(fd);
-    mu_.unlock();
 }
 
 }  // namespace obs

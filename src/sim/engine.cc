@@ -4,7 +4,6 @@
 #include <atomic>
 
 #include "common/error.h"
-#include "obs/metrics.h"
 #include "core/gating_engine.h"
 #include "ici/topology.h"
 
@@ -111,21 +110,10 @@ namespace {
 
 std::atomic<std::uint64_t> g_run_copies{0};
 
-/**
- * Registry mirror of the deep-copy count ("sim.run.copies"); the
- * local atomic stays authoritative for WorkloadRun::copies() so the
- * zero-copy tests are independent of registry state.
- */
 void
 countRunCopy()
 {
     g_run_copies.fetch_add(1, std::memory_order_relaxed);
-    REGATE_OBS({
-        static obs::Counter &copies =
-            obs::MetricsRegistry::instance().counter(
-                "sim.run.copies");
-        copies.add(1);
-    });
 }
 
 }  // namespace

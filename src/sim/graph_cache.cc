@@ -40,11 +40,9 @@ WorkloadRunCache::lookup(const RunKey &key) const
     auto it = map_.find(key);
     if (it == map_.end()) {
         ++misses_;
-        REGATE_OBS(if (obsMisses_) obsMisses_->add(1));
         return nullptr;
     }
     ++hits_;
-    REGATE_OBS(if (obsHits_) obsHits_->add(1));
     // A hit becomes the most-recently-used entry; splice just
     // relinks list nodes, so the iterator in map_ stays valid.
     lru_.splice(lru_.begin(), lru_, it->second);
@@ -78,7 +76,6 @@ WorkloadRunCache::store(const RunKey &key, WorkloadRun run)
     map_.emplace(key, lru_.begin());
     totalBytes_ += bytes;
     evictOverBudgetLocked();
-    REGATE_OBS(updateObsGaugesLocked());
     return entry;
 }
 
@@ -95,7 +92,6 @@ WorkloadRunCache::evictOverBudgetLocked()
         map_.erase(victim.key);
         lru_.pop_back();
         ++evictions_;
-        REGATE_OBS(if (obsEvictions_) obsEvictions_->add(1));
     }
 }
 
@@ -135,29 +131,6 @@ WorkloadRunCache::clear()
     map_.clear();
     lru_.clear();
     totalBytes_ = 0;
-    REGATE_OBS(updateObsGaugesLocked());
-}
-
-void
-WorkloadRunCache::attachObs(const std::string &prefix)
-{
-    auto &reg = obs::MetricsRegistry::instance();
-    std::lock_guard<std::mutex> lock(mu_);
-    obsHits_ = &reg.counter(prefix + ".hits");
-    obsMisses_ = &reg.counter(prefix + ".misses");
-    obsEvictions_ = &reg.counter(prefix + ".evictions");
-    obsBytes_ = &reg.gauge(prefix + ".bytes");
-    obsEntries_ = &reg.gauge(prefix + ".entries");
-    updateObsGaugesLocked();
-}
-
-void
-WorkloadRunCache::updateObsGaugesLocked()
-{
-    if (obsBytes_)
-        obsBytes_->set(static_cast<std::int64_t>(totalBytes_));
-    if (obsEntries_)
-        obsEntries_->set(static_cast<std::int64_t>(map_.size()));
 }
 
 std::uint64_t
@@ -184,14 +157,7 @@ WorkloadRunCache::evictions() const
 CompiledGraphCache &
 sharedGraphCache()
 {
-    // The process-wide instance is the one whose counting the
-    // telemetry registry mirrors ("sim.graph_cache.*"); private
-    // instances stay registry-silent.
-    static CompiledGraphCache &cache = []() -> CompiledGraphCache & {
-        static CompiledGraphCache c;
-        c.attachObs("sim.graph_cache");
-        return c;
-    }();
+    static CompiledGraphCache cache;
     return cache;
 }
 
@@ -222,11 +188,7 @@ runCacheBudgetFromEnv()
 WorkloadRunCache &
 sharedRunCache()
 {
-    static WorkloadRunCache &cache = []() -> WorkloadRunCache & {
-        static WorkloadRunCache c(runCacheBudgetFromEnv());
-        c.attachObs("sim.run_cache");
-        return c;
-    }();
+    static WorkloadRunCache cache(runCacheBudgetFromEnv());
     return cache;
 }
 

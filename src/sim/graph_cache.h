@@ -38,6 +38,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <unordered_map>
 
 #include "arch/gating_params.h"
@@ -45,7 +46,6 @@
 #include "common/hash.h"
 #include "compiler/compiler.h"
 #include "models/workload.h"
-#include "obs/metrics.h"
 #include "sim/engine.h"
 
 namespace regate {
@@ -68,11 +68,9 @@ class MemoCache
         auto it = map_.find(key);
         if (it == map_.end()) {
             ++misses_;
-            REGATE_OBS(if (obsMisses_) obsMisses_->add(1));
             return nullptr;
         }
         ++hits_;
-        REGATE_OBS(if (obsHits_) obsHits_->add(1));
         return it->second;
     }
 
@@ -121,28 +119,10 @@ class MemoCache
         return misses_;
     }
 
-    /**
-     * Mirror this cache's hit/miss counting onto registry counters
-     * (obs::MetricsRegistry). Only the process-wide shared instances
-     * attach; private instances (tests, scratch caches) stay local,
-     * so their exact per-instance counts never mix with another
-     * cache's under the same registry name. The local counters keep
-     * per-instance lifetime semantics either way.
-     */
-    void
-    attachObs(obs::Counter &hits, obs::Counter &misses)
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        obsHits_ = &hits;
-        obsMisses_ = &misses;
-    }
-
   private:
     mutable std::mutex mu_;
     mutable std::uint64_t hits_ = 0;
     mutable std::uint64_t misses_ = 0;
-    obs::Counter *obsHits_ = nullptr;
-    obs::Counter *obsMisses_ = nullptr;
     std::unordered_map<Key, std::shared_ptr<const Value>, Hash> map_;
 };
 
@@ -245,15 +225,6 @@ class CompiledGraphCache
     std::uint64_t hits() const { return cache_.hits(); }
     std::uint64_t misses() const { return cache_.misses(); }
 
-    /** Mirror counting onto "<prefix>.hits"/"<prefix>.misses". */
-    void
-    attachObs(const std::string &prefix)
-    {
-        auto &reg = obs::MetricsRegistry::instance();
-        cache_.attachObs(reg.counter(prefix + ".hits"),
-                         reg.counter(prefix + ".misses"));
-    }
-
   private:
     MemoCache<GraphKey, compiler::CompileResult, GraphKeyHash> cache_;
 };
@@ -323,13 +294,6 @@ class WorkloadRunCache
     /** Lifetime count of LRU evictions (diagnostics; monotonic). */
     std::uint64_t evictions() const;
 
-    /**
-     * Mirror counting onto registry instruments "<prefix>.hits",
-     * ".misses", ".evictions" (counters) and ".bytes", ".entries"
-     * (gauges). Shared-instance only, like MemoCache::attachObs.
-     */
-    void attachObs(const std::string &prefix);
-
   private:
     struct Entry
     {
@@ -343,18 +307,10 @@ class WorkloadRunCache
     /** Drop LRU entries until the budget is met. Caller holds mu_. */
     void evictOverBudgetLocked();
 
-    /** Push current bytes/entries to the gauges. Caller holds mu_. */
-    void updateObsGaugesLocked();
-
     mutable std::mutex mu_;
     mutable std::uint64_t hits_ = 0;
     mutable std::uint64_t misses_ = 0;
     std::uint64_t evictions_ = 0;
-    obs::Counter *obsHits_ = nullptr;
-    obs::Counter *obsMisses_ = nullptr;
-    obs::Counter *obsEvictions_ = nullptr;
-    obs::Gauge *obsBytes_ = nullptr;
-    obs::Gauge *obsEntries_ = nullptr;
     std::size_t byteBudget_ = kDefaultByteBudget;
     std::size_t totalBytes_ = 0;
     mutable LruList lru_;  ///< Front = most recently used.

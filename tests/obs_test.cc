@@ -1,15 +1,10 @@
 /**
  * @file
- * Tests for the obs/ telemetry subsystem (src/obs/): counter /
- * gauge / histogram semantics of obs::MetricsRegistry, the runtime
- * enable gate, resetForTest's keep-registrations contract, the
- * byte-stable canonical snapshot, and the TraceRecorder's
- * Chrome-trace output shape.
+ * Tests for obs::TraceRecorder (src/obs/trace.h): the Chrome-trace
+ * output shape, timestamp ordering, and repeated-flush retention.
  *
- * The registry and the recorder are process-wide singletons, so
- * every test starts from resetForTest() and uses names under a
- * test-local prefix — the same discipline the fixture documents for
- * the rest of the suite.
+ * The recorder is a process-wide singleton; this suite is its only
+ * user in this process.
  */
 
 #include <gtest/gtest.h>
@@ -18,290 +13,12 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace regate {
 namespace obs {
 namespace {
-
-class MetricsTest : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        MetricsRegistry::setEnabled(true);
-        MetricsRegistry::instance().resetForTest();
-    }
-
-    void
-    TearDown() override
-    {
-        // Leave no bleed for whoever runs next in this process.
-        MetricsRegistry::instance().resetForTest();
-        MetricsRegistry::setEnabled(true);
-    }
-};
-
-TEST_F(MetricsTest, CounterAccumulatesAndRelookupAliases)
-{
-    auto &reg = MetricsRegistry::instance();
-    auto &c = reg.counter("test.counter.a");
-    EXPECT_EQ(c.value(), 0u);
-    c.add();
-    c.add(41);
-    EXPECT_EQ(c.value(), 42u);
-
-    // Find-or-create: the same name is the same instrument.
-    EXPECT_EQ(&reg.counter("test.counter.a"), &c);
-    reg.addCounter("test.counter.a", 8);
-    EXPECT_EQ(c.value(), 50u);
-}
-
-TEST_F(MetricsTest, GaugeLastWriterWins)
-{
-    auto &g = MetricsRegistry::instance().gauge("test.gauge.depth");
-    EXPECT_EQ(g.value(), 0);
-    g.set(7);
-    g.set(-3);
-    EXPECT_EQ(g.value(), -3);
-}
-
-TEST_F(MetricsTest, HistogramBucketsAndExactMoments)
-{
-    auto &h = MetricsRegistry::instance().histogram(
-        "test.hist.explicit", {10, 100});
-    // Bounds are inclusive upper bounds; past the last is overflow.
-    h.record(5);     // <= 10
-    h.record(10);    // == bound -> same bucket
-    h.record(50);    // <= 100
-    h.record(1000);  // overflow
-    EXPECT_EQ(h.bucketCounts(),
-              (std::vector<std::uint64_t>{2, 1, 1}));
-    EXPECT_EQ(h.count(), 4u);
-    EXPECT_EQ(h.sum(), 1065u);
-    EXPECT_DOUBLE_EQ(h.mean(), 1065.0 / 4.0);
-
-    // Batch recording: n samples of one value, exact moments.
-    h.record(7, 5);
-    EXPECT_EQ(h.count(), 9u);
-    EXPECT_EQ(h.sum(), 1100u);
-}
-
-TEST_F(MetricsTest, HistogramBoundsApplyOnCreationOnly)
-{
-    auto &reg = MetricsRegistry::instance();
-    auto &h = reg.histogram("test.hist.bounds", {1, 2});
-    auto &again = reg.histogram("test.hist.bounds", {500});
-    EXPECT_EQ(&again, &h);
-    EXPECT_EQ(h.bounds(), (std::vector<std::uint64_t>{1, 2}));
-
-    // Empty bounds mean the fleet-canonical duration buckets, so
-    // agent- and driver-side case histograms align bucket-for-bucket.
-    auto &d = reg.histogram("test.hist.durations");
-    EXPECT_EQ(d.bounds(), durationUsBounds());
-}
-
-TEST_F(MetricsTest, SetEnabledGatesEveryRecordingPath)
-{
-    auto &reg = MetricsRegistry::instance();
-    auto &c = reg.counter("test.gate.counter");
-    auto &g = reg.gauge("test.gate.gauge");
-    auto &h = reg.histogram("test.gate.hist");
-
-    MetricsRegistry::setEnabled(false);
-    EXPECT_FALSE(MetricsRegistry::enabled());
-    c.add(5);
-    g.set(5);
-    h.record(5);
-    reg.addCounter("test.gate.counter", 5);
-    // Reads still work while disabled; nothing was recorded.
-    EXPECT_EQ(c.value(), 0u);
-    EXPECT_EQ(g.value(), 0);
-    EXPECT_EQ(h.count(), 0u);
-
-    MetricsRegistry::setEnabled(true);
-    c.add(5);
-    EXPECT_EQ(c.value(), 5u);
-}
-
-TEST_F(MetricsTest, ResetZeroesButKeepsReferencesValid)
-{
-    auto &reg = MetricsRegistry::instance();
-    auto &c = reg.counter("test.reset.counter");
-    auto &h = reg.histogram("test.reset.hist", {10});
-    c.add(3);
-    h.record(4);
-
-    reg.resetForTest();
-    EXPECT_EQ(c.value(), 0u);
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_EQ(h.sum(), 0u);
-    EXPECT_EQ(h.bucketCounts(),
-              (std::vector<std::uint64_t>{0, 0}));
-
-    // The cached references survive the reset and keep recording —
-    // the hot paths never re-look-up their instruments.
-    c.add(1);
-    h.record(1);
-    EXPECT_EQ(c.value(), 1u);
-    EXPECT_EQ(h.count(), 1u);
-}
-
-TEST_F(MetricsTest, CounterValuesSortedByName)
-{
-    auto &reg = MetricsRegistry::instance();
-    reg.addCounter("test.values.b", 2);
-    reg.addCounter("test.values.a", 1);
-    auto values = reg.counterValues();
-    // The registry may hold other (zeroed) names; ours must appear
-    // in sorted order with the recorded values.
-    std::vector<std::pair<std::string, std::uint64_t>> ours;
-    for (const auto &nv : values) {
-        if (nv.first.rfind("test.values.", 0) == 0)
-            ours.push_back(nv);
-    }
-    ASSERT_EQ(ours.size(), 2u);
-    EXPECT_EQ(ours[0].first, "test.values.a");
-    EXPECT_EQ(ours[0].second, 1u);
-    EXPECT_EQ(ours[1].first, "test.values.b");
-    EXPECT_EQ(ours[1].second, 2u);
-    EXPECT_TRUE(std::is_sorted(values.begin(), values.end()));
-}
-
-TEST_F(MetricsTest, HistogramPercentilesFromBucketBounds)
-{
-    auto &h = MetricsRegistry::instance().histogram(
-        "test.pct.hist", {10, 100, 1000});
-    // 10 samples: 6 in <=10, 3 in <=100, 1 in <=1000. Percentiles
-    // report the inclusive upper bound of the covering bucket.
-    h.record(5, 6);
-    h.record(50, 3);
-    h.record(500, 1);
-    EXPECT_EQ(h.percentile(0.50), 10u);
-    EXPECT_EQ(h.percentile(0.60), 10u);
-    EXPECT_EQ(h.percentile(0.61), 100u);
-    EXPECT_EQ(h.percentile(0.90), 100u);
-    EXPECT_EQ(h.percentile(0.95), 1000u);
-    EXPECT_EQ(h.percentile(0.99), 1000u);
-    EXPECT_EQ(h.percentile(1.0), 1000u);
-    // q clamps; rank floors at the first sample.
-    EXPECT_EQ(h.percentile(0.0), 10u);
-    EXPECT_EQ(h.percentile(-1.0), 10u);
-    EXPECT_EQ(h.percentile(2.0), 1000u);
-}
-
-TEST_F(MetricsTest, HistogramPercentileEdgeCases)
-{
-    // Empty: 0, not a crash.
-    auto &empty =
-        MetricsRegistry::instance().histogram("test.pct.empty");
-    EXPECT_EQ(empty.percentile(0.99), 0u);
-
-    // Overflow-bucket samples report the largest finite bound — a
-    // documented lower bound, still canonical and integer.
-    std::vector<std::uint64_t> bounds = {10, 100};
-    std::vector<std::uint64_t> buckets = {0, 0, 4};
-    EXPECT_EQ(histogramPercentile(bounds, buckets, 4, 0.5), 100u);
-    EXPECT_EQ(histogramPercentile(bounds, buckets, 4, 0.99), 100u);
-    EXPECT_EQ(histogramPercentile(bounds, buckets, 0, 0.5), 0u);
-}
-
-TEST_F(MetricsTest, SnapshotCarriesDerivedQuantiles)
-{
-    auto &reg = MetricsRegistry::instance();
-    auto &h = reg.histogram("test.quant.dur", {10, 100, 1000});
-    h.record(5, 98);
-    h.record(500, 2);
-    auto snapshot = reg.snapshotJson();
-    EXPECT_NE(snapshot.find("\"test.quant.dur\": {\"count\": 100, "
-                            "\"sum\": 1490, \"mean\": 14.9, "
-                            "\"p50\": 10, \"p95\": 10, "
-                            "\"p99\": 1000"),
-              std::string::npos)
-        << snapshot;
-}
-
-TEST_F(MetricsTest, WriteSnapshotIsAtomicAndCanonical)
-{
-    auto &reg = MetricsRegistry::instance();
-    reg.addCounter("test.write.hits", 3);
-    std::string path =
-        ::testing::TempDir() + "obs_write_snapshot.json";
-    auto returned = reg.writeSnapshot(path);
-    EXPECT_EQ(returned, reg.snapshotJson());
-
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    EXPECT_EQ(buffer.str(), returned);
-    // The .part staging file was renamed away, not left behind.
-    EXPECT_FALSE(std::ifstream(path + ".part").good());
-    std::remove(path.c_str());
-}
-
-TEST_F(MetricsTest, SnapshotIsByteStableAndStateSensitive)
-{
-    auto &reg = MetricsRegistry::instance();
-    auto buildState = [&] {
-        reg.addCounter("test.snap.hits", 12);
-        reg.gauge("test.snap.depth").set(-4);
-        reg.recordHistogram("test.snap.dur", 150, 3);
-    };
-    buildState();
-    auto first = reg.snapshotJson();
-
-    // Same state (after a reset rebuild) -> same bytes.
-    reg.resetForTest();
-    buildState();
-    EXPECT_EQ(reg.snapshotJson(), first);
-
-    // Any movement changes the bytes (and the digest footer).
-    reg.addCounter("test.snap.hits", 1);
-    auto moved = reg.snapshotJson();
-    EXPECT_NE(moved, first);
-
-    // Canonical shape: fixed header, a digest footer, our rows.
-    EXPECT_EQ(first.rfind("{\n\"obs\": \"regate-metrics\",\n"
-                          "\"version\": 1,\n", 0), 0u);
-    EXPECT_NE(first.find("\"test.snap.hits\": 12"),
-              std::string::npos);
-    EXPECT_NE(first.find("\"test.snap.depth\": -4"),
-              std::string::npos);
-    EXPECT_NE(first.find("\"test.snap.dur\": {\"count\": 3, "
-                         "\"sum\": 450, \"mean\": 150"),
-              std::string::npos);
-    EXPECT_NE(first.find("\"digest\": \""), std::string::npos);
-}
-
-TEST_F(MetricsTest, ConcurrentRecordingLosesNothing)
-{
-    auto &reg = MetricsRegistry::instance();
-    auto &c = reg.counter("test.mt.counter");
-    auto &h = reg.histogram("test.mt.hist", {100});
-    constexpr int kThreads = 4;
-    constexpr int kPerThread = 10000;
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&] {
-            for (int i = 0; i < kPerThread; ++i) {
-                c.add(1);
-                h.record(1);
-            }
-        });
-    }
-    for (auto &t : threads)
-        t.join();
-    EXPECT_EQ(c.value(),
-              std::uint64_t(kThreads) * kPerThread);
-    EXPECT_EQ(h.count(),
-              std::uint64_t(kThreads) * kPerThread);
-}
 
 // ------------------------- TraceRecorder --------------------------
 
@@ -316,12 +33,11 @@ TEST(TraceRecorderTest, RecordsSpansAndFlushesSortedJson)
     {
         TraceRecorder::Span span("outer", "test");
         trace.instant("tick", "test", {{"k", "v"}});
-        trace.instantLane("slot-tick", "test", 7);
         auto inner_start = trace.nowUs();
         EXPECT_GE(inner_start, t0);
         trace.complete("inner", "test", inner_start);
     }
-    trace.completeLane("lane-span", "test", 9, t0, trace.nowUs());
+    trace.complete("after", "test", t0);
     trace.flush();
 
     std::ifstream in(path);
@@ -336,10 +52,9 @@ TEST(TraceRecorderTest, RecordsSpansAndFlushesSortedJson)
     EXPECT_EQ(text.front(), '[');
     for (const char *needle :
          {"\"name\": \"outer\"", "\"name\": \"inner\"",
-          "\"name\": \"tick\"", "\"name\": \"slot-tick\"",
-          "\"name\": \"lane-span\"", "\"ph\": \"X\"",
-          "\"ph\": \"i\"", "\"s\": \"t\"", "\"tid\": 7",
-          "\"tid\": 9", "\"args\": {\"k\": \"v\"}", "\"dur\": "})
+          "\"name\": \"tick\"", "\"name\": \"after\"",
+          "\"ph\": \"X\"", "\"ph\": \"i\"", "\"s\": \"t\"",
+          "\"tid\": 0", "\"args\": {\"k\": \"v\"}", "\"dur\": "})
         EXPECT_NE(text.find(needle), std::string::npos)
             << "missing " << needle << " in:\n" << text;
 
@@ -355,7 +70,7 @@ TEST(TraceRecorderTest, RecordsSpansAndFlushesSortedJson)
         last_ts = ts;
         ++events;
     }
-    EXPECT_EQ(events, 5);
+    EXPECT_EQ(events, 4);
 
     // Repeated flush retains everything recorded so far.
     trace.flush();
@@ -363,146 +78,6 @@ TEST(TraceRecorderTest, RecordsSpansAndFlushesSortedJson)
     std::stringstream buffer2;
     buffer2 << again.rdbuf();
     EXPECT_EQ(buffer2.str(), text);
-    std::remove(path.c_str());
-}
-
-// ------------------------- FlightRecorder -------------------------
-
-/** Slurp @p path; empty string when unreadable. */
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream in(path);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
-}
-
-class FlightRecorderTest : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        // The rings are process-wide; tests share them via reset.
-        FlightRecorder::instance().resetForTest();
-        FlightRecorder::setEnabled(true);
-    }
-
-    void
-    TearDown() override
-    {
-        FlightRecorder::instance().resetForTest();
-        FlightRecorder::setEnabled(true);
-    }
-};
-
-TEST_F(FlightRecorderTest, DumpEmitsSortedParseableEvents)
-{
-    auto &fr = FlightRecorder::instance();
-    ASSERT_TRUE(fr.enabled());
-    fr.instant("flight.first", "detail-1");
-    auto t0 = fr.nowUs();
-    fr.begin("flight.open");
-    fr.instant("flight.mid", nullptr, 5);
-    fr.complete("flight.span", t0, fr.nowUs(), "k=v", 7);
-    // "flight.open" stays open on purpose: a dump must render the
-    // 'B' without a matching 'E'.
-
-    std::string path =
-        ::testing::TempDir() + "obs_flight_dump.json";
-    ASSERT_TRUE(fr.dump(path));
-    auto text = slurp(path);
-    ASSERT_FALSE(text.empty());
-    EXPECT_EQ(text.front(), '[');
-    for (const char *needle :
-         {"\"name\": \"flight.first\"", "\"ph\": \"i\"",
-          "\"name\": \"flight.open\"", "\"ph\": \"B\"",
-          "\"name\": \"flight.mid\"", "\"tid\": 5",
-          "\"name\": \"flight.span\"", "\"ph\": \"X\"",
-          "\"tid\": 7", "\"cat\": \"flight\"",
-          "\"args\": {\"detail\": \"detail-1\"}",
-          "\"args\": {\"detail\": \"k=v\"}"})
-        EXPECT_NE(text.find(needle), std::string::npos)
-            << "missing " << needle << " in:\n" << text;
-
-    // File order is ts-monotone (the handler's heapsort).
-    std::int64_t last_ts = -1;
-    std::size_t at = 0;
-    int events = 0;
-    while ((at = text.find("\"ts\": ", at)) != std::string::npos) {
-        at += 6;
-        auto ts = std::stoll(text.substr(at));
-        EXPECT_GE(ts, last_ts);
-        last_ts = ts;
-        ++events;
-    }
-    EXPECT_EQ(events, 4);
-    std::remove(path.c_str());
-}
-
-TEST_F(FlightRecorderTest, SetEnabledGatesRecording)
-{
-    auto &fr = FlightRecorder::instance();
-    FlightRecorder::setEnabled(false);
-    EXPECT_FALSE(fr.enabled());
-    fr.instant("flight.gated");
-
-    FlightRecorder::setEnabled(true);
-    fr.instant("flight.ungated");
-
-    std::string path =
-        ::testing::TempDir() + "obs_flight_gate.json";
-    ASSERT_TRUE(fr.dump(path));
-    auto text = slurp(path);
-    EXPECT_EQ(text.find("flight.gated\""), std::string::npos);
-    EXPECT_NE(text.find("flight.ungated"), std::string::npos);
-    std::remove(path.c_str());
-}
-
-TEST_F(FlightRecorderTest, SpanMirrorsBeginEndIntoRings)
-{
-    {
-        TraceRecorder::Span span("flight.mirrored", "test");
-    }
-    std::string path =
-        ::testing::TempDir() + "obs_flight_span.json";
-    ASSERT_TRUE(FlightRecorder::instance().dump(path));
-    auto text = slurp(path);
-    // Both edges landed: the 'B' at construction, the 'E' at scope
-    // exit (so a crash between them leaves the open 'B' only).
-    auto b = text.find("\"name\": \"flight.mirrored\", "
-                       "\"cat\": \"flight\", \"ph\": \"B\"");
-    auto e = text.find("\"name\": \"flight.mirrored\", "
-                       "\"cat\": \"flight\", \"ph\": \"E\"");
-    EXPECT_NE(b, std::string::npos) << text;
-    EXPECT_NE(e, std::string::npos) << text;
-    EXPECT_LT(b, e);
-    std::remove(path.c_str());
-}
-
-TEST_F(FlightRecorderTest, LongNamesAndDetailsTruncateSafely)
-{
-    auto &fr = FlightRecorder::instance();
-    std::string long_name(3 * FlightRecorder::kNameBytes, 'n');
-    std::string long_detail(3 * FlightRecorder::kDetailBytes, 'd');
-    fr.instant(long_name.c_str(), long_detail.c_str());
-
-    std::string path =
-        ::testing::TempDir() + "obs_flight_trunc.json";
-    ASSERT_TRUE(fr.dump(path));
-    auto text = slurp(path);
-    // Truncated to the fixed slot capacity (minus the NUL), never
-    // overflowing into adjacent fields.
-    EXPECT_NE(text.find('"' +
-                        std::string(FlightRecorder::kNameBytes - 1,
-                                    'n') +
-                        '"'),
-              std::string::npos)
-        << text;
-    EXPECT_EQ(text.find(std::string(FlightRecorder::kNameBytes,
-                                    'n')),
-              std::string::npos);
     std::remove(path.c_str());
 }
 

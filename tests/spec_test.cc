@@ -3,7 +3,7 @@
  * Tests for the text workload-spec parser (models/spec.h): the
  * strict error matrix (every violation a named ConfigError carrying
  * the offending source:line), grid expansion, and the canonical
- * round-trip that anchors the fleet's spec digest.
+ * round-trip.
  */
 
 #include <gtest/gtest.h>
@@ -216,9 +216,9 @@ TEST(SpecParser, CanonicalRoundTrip)
         "chips = 64\n");
     auto second = parseSpecText(first.canonicalText);
 
-    // Reparsing the canonical dump yields identical scenarios, an
-    // identical dump, and therefore an identical digest — textual
-    // variants of the same scenarios share one fleet identity.
+    // Reparsing the canonical dump yields identical scenarios and an
+    // identical dump — textual variants of the same scenarios share
+    // one canonical text.
     ASSERT_EQ(second.scenarios.size(), first.scenarios.size());
     for (std::size_t i = 0; i < first.scenarios.size(); ++i) {
         EXPECT_TRUE(first.scenarios[i]->sameScenario(
@@ -229,7 +229,6 @@ TEST(SpecParser, CanonicalRoundTrip)
                   second.scenarios[i]->name);
     }
     EXPECT_EQ(second.canonicalText, first.canonicalText);
-    EXPECT_EQ(second.digest, first.digest);
 }
 
 TEST(SpecParser, DigestIgnoresFormattingButNotContent)
@@ -240,12 +239,12 @@ TEST(SpecParser, DigestIgnoresFormattingButNotContent)
     auto b = parseSpecText(
         "@regate-spec v1\n#hi\n[scenario a]\n  family=dlrm\n"
         "model =s\n\nbatch =  8\nchips = 1   # pod\n");
-    EXPECT_EQ(a.digest, b.digest);
+    EXPECT_EQ(a.canonicalText, b.canonicalText);
 
     auto c = parseSpecText(
         "@regate-spec v1\n[scenario a]\nfamily = dlrm\n"
         "model = s\nbatch = 16\nchips = 1\n");
-    EXPECT_NE(a.digest, c.digest);
+    EXPECT_NE(a.canonicalText, c.canonicalText);
 }
 
 TEST(SpecParser, MissingFileNamed)

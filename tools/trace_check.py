@@ -4,13 +4,11 @@
 Usage:
 
     trace_check.py TRACE.json [TRACE2.json ...]
-    trace_check.py --postmortem DUMP.postmortem.json [...]
     trace_check.py --bin BINARY [--arg EXTRA ...]
 
-The first form validates existing trace files (what the fleet-e2e CI
-job runs on the orchestrator's --trace-out). The second runs
-`BINARY [EXTRA...] --trace-out <tmp>` itself and validates what it
-wrote (the ctest registration).
+The first form validates existing trace files. The second runs
+`BINARY [EXTRA...] --trace-out <tmp>` itself, validates what it wrote,
+and requires the sweep's grid span (the ctest registration).
 
 Checks, per file:
 
@@ -25,14 +23,6 @@ Checks, per file:
    span may end after a still-open enclosing span ends. Partial
    overlap means the instrumentation mis-threaded its lanes and the
    timeline would render as garbage.
-
---postmortem relaxes the grammar to what a crash dump can honestly
-promise (obs/flight_recorder.h): duration events also come as
-begin/end pairs ("ph":"B"/"E"), a span the crash interrupted stays
-open at EOF, and an "E" whose "B" was evicted from the ring buffer
-stands alone. File-order ts monotonicity and the per-event key
-checks still hold — a dump that violates those is torn, not merely
-truncated.
 """
 
 import argparse
@@ -43,14 +33,13 @@ import tempfile
 from pathlib import Path
 
 PHASES = {"X", "i"}
-POSTMORTEM_PHASES = {"X", "i", "B", "E"}
 
 
 def fail(path, msg):
     sys.exit(f"{path}: {msg}")
 
 
-def check_event(path, i, ev, postmortem=False):
+def check_event(path, i, ev):
     if not isinstance(ev, dict):
         fail(path, f"event {i} is not an object")
     for key, kind in (("name", str), ("cat", str), ("ph", str),
@@ -60,7 +49,7 @@ def check_event(path, i, ev, postmortem=False):
                        f"'{key}': {ev}")
     if not ev["name"]:
         fail(path, f"event {i} has an empty name")
-    if ev["ph"] not in (POSTMORTEM_PHASES if postmortem else PHASES):
+    if ev["ph"] not in PHASES:
         fail(path, f"event {i} has unexpected ph {ev['ph']!r}")
     if ev["ts"] < 0:
         fail(path, f"event {i} has negative ts: {ev}")
@@ -94,29 +83,7 @@ def check_nesting(path, events):
     return len(lanes)
 
 
-def check_begin_end(path, events):
-    """B/E discipline a ring-buffer crash dump can promise: an E
-    closes the innermost open B of the same name on its lane when
-    one exists (a lone E had its B evicted); open Bs at EOF are the
-    crash frontier. Returns the open-span names."""
-    stacks = {}
-    for i, ev in enumerate(events):
-        lane = (ev["pid"], ev["tid"])
-        if ev["ph"] == "B":
-            stacks.setdefault(lane, []).append(ev["name"])
-        elif ev["ph"] == "E":
-            stack = stacks.get(lane, [])
-            if ev["name"] in stack:
-                # Close the innermost matching B; anything opened
-                # after it and never closed was evicted or
-                # interrupted, which a dump cannot distinguish.
-                stack.reverse()
-                stack.remove(ev["name"])
-                stack.reverse()
-    return sorted(n for stack in stacks.values() for n in stack)
-
-
-def check_trace(path, postmortem=False):
+def check_trace(path):
     try:
         events = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as e:
@@ -127,22 +94,15 @@ def check_trace(path, postmortem=False):
         fail(path, "trace holds no events")
     last_ts = -1
     for i, ev in enumerate(events):
-        check_event(path, i, ev, postmortem)
+        check_event(path, i, ev)
         if ev["ts"] < last_ts:
             fail(path, f"event {i} breaks ts monotonicity "
                        f"({ev['ts']} after {last_ts})")
         last_ts = ev["ts"]
     lanes = check_nesting(path, events)
     names = sorted({ev["name"] for ev in events})
-    if postmortem:
-        open_spans = check_begin_end(path, events)
-        suffix = (f"; open at crash: {', '.join(open_spans)}"
-                  if open_spans else "")
-        print(f"{path}: postmortem of {len(events)} events on "
-              f"{lanes} lane(s) OK ({', '.join(names)}){suffix}")
-    else:
-        print(f"{path}: {len(events)} events on {lanes} lane(s) OK "
-              f"({', '.join(names)})")
+    print(f"{path}: {len(events)} events on {lanes} lane(s) OK "
+          f"({', '.join(names)})")
     return events
 
 
@@ -155,16 +115,12 @@ def main():
                          "validate what it writes")
     ap.add_argument("--arg", action="append", default=[],
                     help="extra argument for --bin (repeatable)")
-    ap.add_argument("--postmortem", action="store_true",
-                    help="validate flight-recorder crash dumps: "
-                         "accept B/E phases, open spans at EOF, and "
-                         "orphan Es whose B the ring evicted")
     args = ap.parse_args()
     if not args.traces and not args.bin:
         ap.error("give trace files and/or --bin")
 
     for path in args.traces:
-        check_trace(path, postmortem=args.postmortem)
+        check_trace(path)
 
     if args.bin:
         with tempfile.TemporaryDirectory() as tmpdir:
@@ -179,8 +135,7 @@ def main():
                 sys.exit(f"{' '.join(map(str, cmd))} wrote no "
                          f"trace file")
             events = check_trace(trace)
-            # A grid binary's sweep must show up as the grid span
-            # plus one span per completed case.
+            # A grid binary's sweep must show up as the grid span.
             names = {ev["name"] for ev in events}
             if not names & {"grid.run", "grid.search"}:
                 sys.exit(f"{trace}: no grid.run/grid.search span — "
