@@ -62,7 +62,7 @@ struct BenchCli
     /**
      * `--trace-out FILE`: record the run as Chrome/Perfetto
      * trace-event JSON (obs/trace.h) — one span per grid, graph
-     * build/compile and engine phases, cache hits.
+     * build/compile and engine phases.
      */
     std::string traceOut;
 
@@ -327,18 +327,6 @@ simulateAll(const std::vector<Scenario> &axis,
             const arch::GatingParams &params = {})
 {
     return runGrid(makeGrid(axis, gens, params));
-}
-
-/** One case fully re-simulated with every cache disabled (fig16). */
-inline sim::WorkloadReport
-simulateUncached(const sim::SweepCase &c)
-{
-    if (c.scenario)
-        return sim::simulateScenarioUncached(
-            c.scenario, c.gen, c.params,
-            c.hasSetup ? &c.setup : nullptr);
-    return sim::simulateWorkloadUncached(
-        c.workload, c.gen, c.params, c.hasSetup ? &c.setup : nullptr);
 }
 
 /**

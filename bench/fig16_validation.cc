@@ -4,8 +4,8 @@
  * against real TPUv4 chips (R^2 > 0.97). No TPUs exist here, so the
  * substitution (DESIGN.md) validates the analytical tile model
  * against the cycle-accurate systolic-array simulator over random
- * operator shapes, and whole-model op durations against an
- * independent re-simulation, reporting the same R^2 metric.
+ * operator shapes, and whole-model op durations against a second,
+ * independent simulation, reporting the same R^2 metric.
  */
 
 #include "bench/bench_util.h"
@@ -81,28 +81,21 @@ main(int argc, char **argv)
                   "40", TablePrinter::fmt(stats::r2(xs, ys), 4)});
     }
 
-    // Whole-model operator durations across the workload suite: an
-    // independent re-simulation (memoization off, private engine)
-    // must reproduce the memoized run. Both passes fan out on the
-    // sweep pool.
+    // Whole-model operator durations across the workload suite, a
+    // determinism check: two independent simulations of the same
+    // cases, each fanned out on the sweep pool, must agree op for op.
     const std::vector<models::Workload> suite = {
         models::Workload::Prefill13B, models::Workload::Decode13B,
         models::Workload::Prefill70B, models::Workload::Decode70B};
     auto axis = bench::workloadAxis(suite);
-    auto cached = bench::simulateAll(axis, {arch::NpuGeneration::D});
-    std::vector<sim::SweepCase> recheck;
-    for (const auto &s : axis)
-        recheck.push_back(bench::caseFor(s, arch::NpuGeneration::D));
-    auto independent = sim::parallelMapOrdered(
-        bench::sweeper().pool(), recheck,
-        [](const sim::SweepCase &c) {
-            return bench::simulateUncached(c);
-        });
+    auto grid = bench::makeGrid(axis, {arch::NpuGeneration::D});
+    auto first = bench::runGrid(grid);
+    auto second = bench::runGrid(grid);
     for (std::size_t i = 0; i < axis.size(); ++i) {
         std::vector<double> xs, ys;
-        for (const auto &rec : cached[i].run().opRecords)
+        for (const auto &rec : first[i].run().opRecords)
             xs.push_back(static_cast<double>(rec.duration()));
-        for (const auto &rec : independent[i].run().opRecords)
+        for (const auto &rec : second[i].run().opRecords)
             ys.push_back(static_cast<double>(rec.duration()));
         t.addRow({axis[i].name() + " op durations",
                   std::to_string(xs.size()),

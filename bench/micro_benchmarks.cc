@@ -6,8 +6,8 @@
  * Besides the registered google-benchmark cases, main() times the
  * current hot-path implementations against faithful replicas of the
  * seed algorithms (linear-scan gap multisets, O(repeat) seam removal,
- * uncached operator simulation, serial sweeps) on a repeated-block
- * LLM decode workload, verifies the results are identical, and writes
+ * serial sweeps) on a repeated-block LLM decode workload, verifies the
+ * results are identical, and writes
  * the measurements to BENCH_core.json so CI can track the perf
  * trajectory. Run with --benchmark_filter=... to select
  * google-benchmark cases; pass --core-only to skip them entirely.
@@ -32,7 +32,6 @@
 #include "mem/sram_allocator.h"
 #include "sa/sa_analytical.h"
 #include "sa/systolic_array.h"
-#include "sim/graph_cache.h"
 #include "sim/slo.h"
 #include "sim/sweep.h"
 
@@ -192,9 +191,8 @@ struct CoreCase
     double new_ns = 0;
     /**
      * Gated cases enforce the 5x floor here and the >20% slowdown
-     * check in CI; ungated cases (pool scaling, closed-form op
-     * memoization) are machine-dependent and tracked for the
-     * trajectory only.
+     * check in CI; the ungated pool-scaling case is
+     * machine-dependent and tracked for the trajectory only.
      */
     bool gated = false;
     std::vector<std::pair<std::string, double>> extras;
@@ -361,265 +359,6 @@ caseTimelineRepeated()
 }
 
 /**
- * Memoized rerun: re-simulating a grid point whose run is already in
- * the whole-run memo — a warm simulateWorkload, i.e. the steady-state
- * sweep path, which since the zero-copy refactor aliases the cached
- * run instead of deep-copying it — vs the seed behaviour of
- * re-running the engine with memoization disabled. The intermediate
- * warm-engine timing (operator cache hot, but the engine still
- * recomposing timelines/opRecords/policies) is kept as the
- * warm_engine_ns extra for the trajectory. Asserts the warm hits
- * perform zero WorkloadRun deep copies.
- */
-CoreCase
-caseEngineMemoization()
-{
-    CoreCase cc;
-    cc.name = "engine_rerun_memoized";
-    const auto gen = arch::NpuGeneration::D;
-    const auto w = models::Workload::Decode70B;
-    const auto &cfg = arch::npuConfig(gen);
-    auto setup = models::defaultSetup(w, gen);
-    auto compiled =
-        compiler::compileGraph(models::buildGraph(w, setup), cfg);
-
-    // Averaged over enough runs that the µs-scale per-run time is
-    // stable for the CI trajectory check.
-    constexpr int kRuns = 256;
-
-    sim::Engine cold(cfg);
-    cold.setMemoization(false);
-    auto t0 = Clock::now();
-    double sink = 0;
-    for (int i = 0; i < kRuns; ++i) {
-        auto run = cold.run(compiled.graph, setup.chips);
-        sink += run.result(sim::Policy::Full).energy.busyTotal();
-    }
-    cc.seed_ns = elapsedNs(t0) / kRuns;
-
-    sim::Engine warm(cfg);
-    t0 = Clock::now();
-    double sink2 = 0;
-    std::uint64_t hits = 0;
-    for (int i = 0; i < kRuns; ++i) {
-        auto run = warm.run(compiled.graph, setup.chips);
-        sink2 += run.result(sim::Policy::Full).energy.busyTotal();
-        hits += run.opCacheHits;
-    }
-    cc.extras.emplace_back("warm_engine_ns", elapsedNs(t0) / kRuns);
-    cc.extras.emplace_back("cache_hits", static_cast<double>(hits));
-    cc.extras.emplace_back("cache_entries",
-                           static_cast<double>(warm.opCache().size()));
-
-    // The memoized rerun itself: default setup and params, so this
-    // replays the exact point the engine loops above simulate.
-    sim::clearSharedCaches();
-    auto prime = sim::simulateWorkload(w, gen);
-    auto copies_before = sim::WorkloadRun::copies();
-    t0 = Clock::now();
-    double sink3 = 0;
-    for (int i = 0; i < kRuns; ++i) {
-        auto rep = sim::simulateWorkload(w, gen);
-        sink3 +=
-            rep.run().result(sim::Policy::Full).energy.busyTotal();
-    }
-    cc.new_ns = elapsedNs(t0) / kRuns;
-    if (sim::WorkloadRun::copies() != copies_before)
-        throw LogicError("warm simulateWorkload copied the run");
-    cc.extras.emplace_back("run_copies", 0.0);
-
-    if (sink != sink2 || sink != sink3)
-        throw LogicError("memoized rerun changed results");
-    return cc;
-}
-
-/**
- * BM_WarmHitCost: per-hit cost of the warm simulateWorkload path vs
- * a faithful replica of the seed warm hit, which deep-copied the
- * memoized run — array-of-structs opRecords with one heap string per
- * record, six gap-multiset timelines, and the policy table — into
- * every report. Timed per batch of kHits hits so the measurement
- * sits well above CI's clock-resolution noise floor, and asserts the
- * new path performs zero WorkloadRun deep copies.
- */
-CoreCase
-caseWarmHitCost()
-{
-    CoreCase cc;
-    cc.name = "BM_WarmHitCost";
-    const auto w = models::Workload::Decode70B;
-    const auto gen = arch::NpuGeneration::D;
-
-    sim::clearSharedCaches();
-    auto rep = sim::simulateWorkload(w, gen);
-    const auto &run = rep.run();
-
-    // Seed-representation replica of the memoized run: the pre-arena
-    // WorkloadRun stored opRecords as a vector of structs, each with
-    // its own heap-allocated name.
-    struct SeedOpRecord
-    {
-        std::string name;
-        graph::OpKind kind;
-        std::uint64_t count;
-        Cycles duration;
-        double sramDemandBytes;
-        double dynamicJ;
-        double sramUsedFrac;
-        arch::ComponentMap<double> activeFrac;
-    };
-    struct SeedRun
-    {
-        std::string name;
-        Cycles cycles = 0;
-        double seconds = 0;
-        arch::ComponentMap<ActivityTimeline> timeline;
-        double sramUsedIntegral = 0;
-        std::vector<SeedOpRecord> opRecords;
-        std::array<sim::PolicyResult, sim::kNumPolicies> policies;
-    };
-    SeedRun cached;
-    cached.name = run.name;
-    cached.cycles = run.cycles;
-    cached.seconds = run.seconds;
-    cached.timeline = run.timeline;
-    cached.sramUsedIntegral = run.sramUsedIntegral;
-    cached.policies = run.policies;
-    for (auto rec : run.opRecords) {
-        SeedOpRecord s;
-        s.name = rec.name();
-        s.kind = rec.kind();
-        s.count = rec.count();
-        s.duration = rec.duration();
-        s.sramDemandBytes = rec.sramDemandBytes();
-        s.dynamicJ = rec.dynamicJ();
-        s.sramUsedFrac = rec.sramUsedFrac();
-        for (auto c : arch::kAllComponents)
-            s.activeFrac[c] = rec.activeFrac(c);
-        cached.opRecords.push_back(std::move(s));
-    }
-
-    constexpr int kHits = 4096;
-    constexpr int kPasses = 3;
-    cc.extras.emplace_back("hits_per_pass",
-                           static_cast<double>(kHits));
-    cc.extras.emplace_back("op_records",
-                           static_cast<double>(run.opRecords.size()));
-
-    double sink_seed = 0;
-    auto t0 = Clock::now();
-    for (int p = 0; p < kPasses; ++p) {
-        for (int i = 0; i < kHits; ++i) {
-            SeedRun copy = cached;  // The seed warm hit: a deep copy.
-            sink_seed += copy.seconds +
-                         static_cast<double>(copy.opRecords.size());
-        }
-    }
-    cc.seed_ns = elapsedNs(t0) / kPasses;
-
-    auto copies_before = sim::WorkloadRun::copies();
-    double sink_new = 0;
-    t0 = Clock::now();
-    for (int p = 0; p < kPasses; ++p) {
-        for (int i = 0; i < kHits; ++i) {
-            auto hit = sim::simulateWorkload(w, gen);
-            sink_new +=
-                hit.run().seconds +
-                static_cast<double>(hit.run().opRecords.size());
-        }
-    }
-    cc.new_ns = elapsedNs(t0) / kPasses;
-    if (sim::WorkloadRun::copies() != copies_before)
-        throw LogicError("warm simulateWorkload hit copied the run");
-    cc.extras.emplace_back("run_copies", 0.0);
-
-    if (sink_seed != sink_new)
-        throw LogicError("seed-replica / warm-hit results disagree");
-    return cc;
-}
-
-/**
- * Graph/run cache: warm simulateWorkload (memoized run replayed) vs
- * cold (graph + run caches cleared before every run, so the graph is
- * rebuilt, recompiled, and re-run through the engine — the seed
- * behaviour). The operator cache is hot on both sides, isolating the
- * new cache subsystem itself, and the cold/warm reports must be
- * bitwise identical.
- */
-CoreCase
-caseGraphCacheWarmRun()
-{
-    CoreCase cc;
-    cc.name = "simulate_workload_graph_cache";
-    const auto w = models::Workload::Decode70B;
-    const auto gen = arch::NpuGeneration::D;
-
-    // Prime every cache once so both timed paths run with hot
-    // operator memoization.
-    sim::clearSharedCaches();
-    auto warm_ref = sim::simulateWorkload(w, gen);
-
-    auto energySum = [](const sim::WorkloadReport &rep) {
-        double s = 0;
-        for (auto p : sim::allPolicies())
-            s += rep.run().result(p).energy.busyTotal();
-        return s;
-    };
-    auto identicalRuns = [](const sim::WorkloadRun &a,
-                            const sim::WorkloadRun &b) {
-        bool same = a.cycles == b.cycles && a.seconds == b.seconds;
-        for (auto p : sim::allPolicies()) {
-            const auto &ra = a.result(p);
-            const auto &rb = b.result(p);
-            same = same &&
-                   std::memcmp(&ra.energy, &rb.energy,
-                               sizeof(ra.energy)) == 0 &&
-                   ra.overheadCycles == rb.overheadCycles &&
-                   ra.seconds == rb.seconds &&
-                   ra.peakPowerW == rb.peakPowerW;
-        }
-        return same;
-    };
-
-    // Averaged over enough runs that the µs-scale per-run time is
-    // stable for the CI trajectory check.
-    constexpr int kRuns = 64;
-
-    auto t0 = Clock::now();
-    double sink_cold = 0;
-    sim::WorkloadReport cold_rep;
-    for (int i = 0; i < kRuns; ++i) {
-        sim::sharedGraphCache().clear();
-        sim::sharedRunCache().clear();
-        cold_rep = sim::simulateWorkload(w, gen);
-        sink_cold += energySum(cold_rep);
-    }
-    cc.seed_ns = elapsedNs(t0) / kRuns;
-
-    t0 = Clock::now();
-    double sink_warm = 0;
-    sim::WorkloadReport warm_rep;
-    for (int i = 0; i < kRuns; ++i) {
-        warm_rep = sim::simulateWorkload(w, gen);
-        sink_warm += energySum(warm_rep);
-    }
-    cc.new_ns = elapsedNs(t0) / kRuns;
-
-    if (sink_cold != sink_warm ||
-        !identicalRuns(cold_rep.run(), warm_rep.run()) ||
-        !identicalRuns(warm_ref.run(), warm_rep.run()))
-        throw LogicError("graph cache changed simulation results");
-    cc.extras.emplace_back(
-        "graph_cache_entries",
-        static_cast<double>(sim::sharedGraphCache().size()));
-    cc.extras.emplace_back(
-        "run_cache_entries",
-        static_cast<double>(sim::sharedRunCache().size()));
-    cc.extras.emplace_back("identical", 1.0);
-    return cc;
-}
-
-/**
  * Sweep runner: serial loop vs worker pool over a small grid, with a
  * bitwise equality check of the energy/overhead numbers.
  */
@@ -633,17 +372,8 @@ caseParallelSweep()
          models::Workload::DlrmS},
         {arch::NpuGeneration::C, arch::NpuGeneration::D});
 
-    // Untimed warm-up pass to touch every code path once; each timed
-    // pass then starts from cleared run/graph caches (keeping the
-    // operator cache warm) so both genuinely re-simulate every grid
-    // point instead of replaying the whole-run memo, and the
-    // comparison isolates the worker pool.
+    // Untimed warm-up pass to touch every code path once.
     sim::SweepRunner::runSerial(grid);
-
-    auto clearRunLevelCaches = [] {
-        sim::sharedRunCache().clear();
-        sim::sharedGraphCache().clear();
-    };
 
     // Averaged over several passes for a stable CI trajectory.
     constexpr int kPasses = 8;
@@ -651,7 +381,6 @@ caseParallelSweep()
     std::vector<sim::WorkloadReport> serial;
     auto t0 = Clock::now();
     for (int i = 0; i < kPasses; ++i) {
-        clearRunLevelCaches();
         serial = sim::SweepRunner::runSerial(grid);
     }
     cc.seed_ns = elapsedNs(t0) / kPasses;
@@ -660,7 +389,6 @@ caseParallelSweep()
     std::vector<sim::WorkloadReport> parallel;
     t0 = Clock::now();
     for (int i = 0; i < kPasses; ++i) {
-        clearRunLevelCaches();
         parallel = runner.run(grid);
     }
     cc.new_ns = elapsedNs(t0) / kPasses;
@@ -714,9 +442,6 @@ runCoreCases()
     std::vector<CoreCase> cases;
     cases.push_back(caseTimelineRepeated());
     cases.push_back(caseRepeatedBlockCompose());
-    cases.push_back(caseEngineMemoization());
-    cases.push_back(caseWarmHitCost());
-    cases.push_back(caseGraphCacheWarmRun());
     cases.push_back(caseParallelSweep());
 
     std::cout << "==== core speedup cases (seed algorithm vs current) "
@@ -726,22 +451,12 @@ runCoreCases()
         std::cout << "  " << c.name << ": seed " << c.seed_ns / 1e6
                   << " ms, new " << c.new_ns / 1e6 << " ms, speedup "
                   << c.speedup() << "x\n";
-        // The headline timeline-algebra cases, the compiled-graph
-        // cache case, and the zero-copy warm-hit cases regression-
-        // gate CI. The sweep case is reported for the trajectory
-        // only: its scaling depends on the machine's core count.
+        // The timeline-algebra cases regression-gate CI. The sweep
+        // case is reported for the trajectory only: its scaling
+        // depends on the machine's core count.
         c.gated = c.name == "timeline_repeated_64k" ||
-                  c.name == "llm_decode_block_compose" ||
-                  c.name == "engine_rerun_memoized" ||
-                  c.name == "BM_WarmHitCost" ||
-                  c.name == "simulate_workload_graph_cache";
-        // BM_WarmHitCost is exempt from the in-process 5x floor: its
-        // seed baseline is a single deep copy of the cached run, and
-        // the warm hit beating even that ~3x is the point being
-        // pinned — the >=5x whole-path win is enforced through
-        // engine_rerun_memoized (cold re-simulation vs warm replay).
-        bool floor = c.gated && c.name != "BM_WarmHitCost";
-        if (floor && c.speedup() < 5.0) {
+                  c.name == "llm_decode_block_compose";
+        if (c.gated && c.speedup() < 5.0) {
             std::cerr << "FAIL: " << c.name
                       << " speedup below the 5x target\n";
             ok = false;
@@ -872,8 +587,7 @@ BENCHMARK(BM_CollectiveModel);
 void
 BM_WholeWorkloadSimulation(benchmark::State &state)
 {
-    // Steady-state (warm) path: after the first iteration this is a
-    // whole-run cache replay.
+    // Build, compile and simulate one workload end to end.
     for (auto _ : state) {
         benchmark::DoNotOptimize(sim::simulateWorkload(
             models::Workload::Prefill70B, arch::NpuGeneration::D));
@@ -882,42 +596,15 @@ BM_WholeWorkloadSimulation(benchmark::State &state)
 BENCHMARK(BM_WholeWorkloadSimulation);
 
 void
-BM_WholeWorkloadSimulationCold(benchmark::State &state)
-{
-    // Genuinely cold path: every shared cache dropped per iteration,
-    // so build + compile + operator simulation all rerun.
-    for (auto _ : state) {
-        sim::clearSharedCaches();
-        benchmark::DoNotOptimize(sim::simulateWorkload(
-            models::Workload::Prefill70B, arch::NpuGeneration::D));
-    }
-}
-BENCHMARK(BM_WholeWorkloadSimulationCold);
-
-void
 BM_SloSearch(benchmark::State &state)
 {
-    // Steady-state (warm) path: after the first iteration every
-    // candidate evaluation is a whole-run cache replay.
+    // The full SLO search over one workload's candidate setups.
     for (auto _ : state) {
         benchmark::DoNotOptimize(sim::findBestSetup(
             models::Workload::DlrmM, arch::NpuGeneration::D));
     }
 }
 BENCHMARK(BM_SloSearch);
-
-void
-BM_SloSearchCold(benchmark::State &state)
-{
-    // Genuinely cold path: every shared cache dropped per iteration,
-    // so each candidate setup is rebuilt, recompiled, and re-run.
-    for (auto _ : state) {
-        sim::clearSharedCaches();
-        benchmark::DoNotOptimize(sim::findBestSetup(
-            models::Workload::DlrmM, arch::NpuGeneration::D));
-    }
-}
-BENCHMARK(BM_SloSearchCold);
 
 }  // namespace
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "common/hash.h"
 
 namespace regate {
 namespace arch {
@@ -90,17 +89,6 @@ GatingParams::gatedLeakage(GatedUnit unit) const
       default:
         return ratios_.logicOff;
     }
-}
-
-std::size_t
-GatingParams::contentHash() const
-{
-    std::size_t seed = 0;
-    hashField(seed, ratios_.logicOff);
-    hashField(seed, ratios_.sramSleep);
-    hashField(seed, ratios_.sramOff);
-    hashField(seed, delayScale_);
-    return seed;
 }
 
 void

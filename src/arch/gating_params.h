@@ -8,7 +8,6 @@
 #ifndef REGATE_ARCH_GATING_PARAMS_H
 #define REGATE_ARCH_GATING_PARAMS_H
 
-#include <cstddef>
 #include <string>
 
 #include "common/units.h"
@@ -102,9 +101,9 @@ class GatingParams
     void setRatios(const LeakageRatios &r) { ratios_ = r; }
 
     /**
-     * Content equality/hash over everything that influences gating
-     * behaviour (ratios + delay scale), so params can be part of the
-     * simulation-memo cache key: equal params evaluate identically.
+     * Content equality over everything that influences gating
+     * behaviour (ratios + delay scale): equal params evaluate
+     * identically.
      */
     bool
     operator==(const GatingParams &o) const
@@ -112,8 +111,6 @@ class GatingParams
         return ratios_ == o.ratios_ && delayScale_ == o.delayScale_;
     }
     bool operator!=(const GatingParams &o) const { return !(*this == o); }
-
-    std::size_t contentHash() const;
 
   private:
     LeakageRatios ratios_;

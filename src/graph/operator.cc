@@ -1,7 +1,6 @@
 #include "graph/operator.h"
 
 #include "common/error.h"
-#include "common/hash.h"
 
 namespace regate {
 namespace graph {
@@ -41,41 +40,6 @@ double
 Operator::flops() const
 {
     return kind == OpKind::MatMul ? 2.0 * macs() : vuOps;
-}
-
-bool
-Operator::sameWork(const Operator &o) const
-{
-    return kind == o.kind && batch == o.batch && m == o.m && k == o.k &&
-           n == o.n && vuOps == o.vuOps &&
-           hbmReadBytes == o.hbmReadBytes &&
-           hbmWriteBytes == o.hbmWriteBytes && coll == o.coll &&
-           collBytes == o.collBytes && lookups == o.lookups &&
-           bytesPerLookup == o.bytesPerLookup &&
-           fusedIntoPrev == o.fusedIntoPrev &&
-           sramDemandBytes == o.sramDemandBytes && mapToVu == o.mapToVu;
-}
-
-std::size_t
-Operator::workHash() const
-{
-    std::size_t seed = 0;
-    hashField(seed, static_cast<std::uint8_t>(kind));
-    hashField(seed, batch);
-    hashField(seed, m);
-    hashField(seed, k);
-    hashField(seed, n);
-    hashField(seed, vuOps);
-    hashField(seed, hbmReadBytes);
-    hashField(seed, hbmWriteBytes);
-    hashField(seed, static_cast<std::uint8_t>(coll));
-    hashField(seed, collBytes);
-    hashField(seed, lookups);
-    hashField(seed, bytesPerLookup);
-    hashField(seed, fusedIntoPrev);
-    hashField(seed, sramDemandBytes);
-    hashField(seed, mapToVu);
-    return seed;
 }
 
 void

@@ -10,7 +10,6 @@
 #ifndef REGATE_GRAPH_OPERATOR_H
 #define REGATE_GRAPH_OPERATOR_H
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -91,21 +90,6 @@ struct Operator
 
     /** Total HBM bytes. */
     double hbmBytes() const { return hbmReadBytes + hbmWriteBytes; }
-
-    /**
-     * True when @p o describes exactly the same work: every field that
-     * influences simulation is equal. The name is ignored — two ops
-     * named differently but shaped identically simulate identically,
-     * which is what lets the engine memoize per-operator results
-     * (LLM decoder stacks repeat the same handful of shapes).
-     */
-    bool sameWork(const Operator &o) const;
-
-    /**
-     * Content hash over the same fields sameWork compares. Equal-work
-     * operators hash equal; suitable as an unordered_map key.
-     */
-    std::size_t workHash() const;
 
     /** Sanity-check field consistency; throws ConfigError. */
     void validate() const;

@@ -127,6 +127,18 @@ validateScenario(ScenarioSpec &spec)
                      spec.seqLen > 0 || spec.outLen > 0,
                  "scenario '", spec.name,
                  "': unit=token needs seq_len or out_len");
+
+    // Every data-parallel replica needs at least one sample, in the
+    // anchor setup and in its NPU-D HBM fit (the setup fig17 runs and
+    // every SLO target is measured on), which may grow the pod and
+    // with it dp.
+    for (const auto &setup :
+         {gen.anchorSetup(spec),
+          defaultScenarioSetup(spec, arch::NpuGeneration::D)}) {
+        REGATE_CHECK(setup.par.dp <= spec.batch, "scenario '", spec.name,
+                     "': batch ", spec.batch, " too small for dp=",
+                     setup.par.dp, " (chips=", setup.chips, ")");
+    }
 }
 
 RunSetup

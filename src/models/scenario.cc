@@ -2,8 +2,6 @@
 
 #include <cstdio>
 
-#include "common/hash.h"
-
 namespace regate {
 namespace models {
 
@@ -60,14 +58,6 @@ bool
 ScenarioSpec::sameScenario(const ScenarioSpec &o) const
 {
     return identityText() == o.identityText();
-}
-
-std::size_t
-ScenarioSpec::contentHash() const
-{
-    auto text = identityText();
-    return static_cast<std::size_t>(
-        fnv1a64(text.data(), text.size()));
 }
 
 }  // namespace models

@@ -11,9 +11,9 @@
  * (models/spec.h) without recompiling anything.
  *
  * Identity: the `name` is display-only. Everything else — the
- * canonical `identityText()` — keys caches and builtin matching, so
- * two specs that build the same graphs compare equal no matter what
- * their sections were called.
+ * canonical `identityText()` — is the scenario's identity, so two
+ * specs that build the same graphs compare equal (sameScenario) no
+ * matter what their sections were called.
  */
 
 #ifndef REGATE_MODELS_SCENARIO_H
@@ -67,16 +67,12 @@ struct ScenarioSpec
 
     /**
      * Canonical single-line spelling of every identity field (all
-     * but `name`). Keys the scenario-aware caches; equal text means
-     * interchangeable scenarios.
+     * but `name`); equal text means interchangeable scenarios.
      */
     std::string identityText() const;
 
     /** Identity comparison (name excluded). */
     bool sameScenario(const ScenarioSpec &o) const;
-
-    /** Content hash over identityText(). */
-    std::size_t contentHash() const;
 };
 
 }  // namespace models

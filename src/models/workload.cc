@@ -3,7 +3,6 @@
 #include <array>
 
 #include "common/error.h"
-#include "common/hash.h"
 #include "models/diffusion.h"
 #include "models/dlrm.h"
 #include "models/llama.h"
@@ -136,18 +135,6 @@ table4ChipsBatch(Workload w, int *chips, std::int64_t *batch)
 }
 
 }  // namespace
-
-std::size_t
-RunSetup::contentHash() const
-{
-    std::size_t seed = 0;
-    hashField(seed, chips);
-    hashField(seed, batch);
-    hashField(seed, par.dp);
-    hashField(seed, par.tp);
-    hashField(seed, par.pp);
-    return seed;
-}
 
 const std::vector<Workload> &
 allWorkloads()

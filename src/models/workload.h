@@ -9,7 +9,6 @@
 #ifndef REGATE_MODELS_WORKLOAD_H
 #define REGATE_MODELS_WORKLOAD_H
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -52,8 +51,8 @@ struct RunSetup
 
     /**
      * Content equality over every field that influences graph
-     * construction, so a RunSetup can key the compiled-graph cache:
-     * equal setups build and compile to identical graphs.
+     * construction: equal setups build and compile to identical
+     * graphs.
      */
     bool
     operator==(const RunSetup &o) const
@@ -61,9 +60,6 @@ struct RunSetup
         return chips == o.chips && batch == o.batch && par == o.par;
     }
     bool operator!=(const RunSetup &o) const { return !(*this == o); }
-
-    /** Content hash over the fields operator== compares. */
-    std::size_t contentHash() const;
 };
 
 /** Default sequence lengths (Table 1). */

@@ -1,7 +1,6 @@
 #include "sim/engine.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "common/error.h"
 #include "core/gating_engine.h"
@@ -88,72 +87,6 @@ OpRecordArena::seal()
     names_.shrink_to_fit();
 }
 
-std::size_t
-OpRecordArena::heapBytes() const
-{
-    std::size_t bytes =
-        nameId_.capacity() * sizeof(std::uint32_t) +
-        kind_.capacity() * sizeof(graph::OpKind) +
-        count_.capacity() * sizeof(std::uint64_t) +
-        duration_.capacity() * sizeof(Cycles) +
-        sramDemandBytes_.capacity() * sizeof(double) +
-        dynamicJ_.capacity() * sizeof(double) +
-        sramUsedFrac_.capacity() * sizeof(double) +
-        activeFrac_.capacity() * sizeof(double) +
-        names_.capacity() * sizeof(std::string);
-    for (const auto &n : names_)
-        bytes += n.capacity();
-    return bytes;
-}
-
-namespace {
-
-std::atomic<std::uint64_t> g_run_copies{0};
-
-void
-countRunCopy()
-{
-    g_run_copies.fetch_add(1, std::memory_order_relaxed);
-}
-
-}  // namespace
-
-WorkloadRun::WorkloadRun(const WorkloadRun &o)
-    : name(o.name), cycles(o.cycles), seconds(o.seconds),
-      timeline(o.timeline), work(o.work), saStats(o.saStats),
-      sramUsedIntegral(o.sramUsedIntegral), opRecords(o.opRecords),
-      policies(o.policies), opCacheHits(o.opCacheHits),
-      opCacheMisses(o.opCacheMisses)
-{
-    countRunCopy();
-}
-
-WorkloadRun &
-WorkloadRun::operator=(const WorkloadRun &o)
-{
-    if (this != &o) {
-        name = o.name;
-        cycles = o.cycles;
-        seconds = o.seconds;
-        timeline = o.timeline;
-        work = o.work;
-        saStats = o.saStats;
-        sramUsedIntegral = o.sramUsedIntegral;
-        opRecords = o.opRecords;
-        policies = o.policies;
-        opCacheHits = o.opCacheHits;
-        opCacheMisses = o.opCacheMisses;
-    }
-    countRunCopy();
-    return *this;
-}
-
-std::uint64_t
-WorkloadRun::copies()
-{
-    return g_run_copies.load(std::memory_order_relaxed);
-}
-
 const PolicyResult &
 WorkloadRun::result(Policy p) const
 {
@@ -215,24 +148,8 @@ Engine::run(const graph::OperatorGraph &graph, int pod_chips) const
         std::uint64_t prev_used_bytes = 0;
         Cycles base_vu_stalls = 0;
 
-        OpExecutionCache &cache =
-            external_cache_ ? *external_cache_ : own_cache_;
         for (const auto &op : block.ops) {
-            std::shared_ptr<const OpExecution> cached;
-            OpExecution fresh;
-            if (memoize_) {
-                cached = cache.lookup(pod_chips, op);
-                if (cached) {
-                    ++run.opCacheHits;
-                } else {
-                    cached =
-                        cache.store(pod_chips, op, op_sim.simulate(op));
-                    ++run.opCacheMisses;
-                }
-            } else {
-                fresh = op_sim.simulate(op);
-            }
-            const OpExecution &ex = cached ? *cached : fresh;
+            const OpExecution ex = op_sim.simulate(op);
 
             // ReGate-Base cannot hide the per-burst VU wake-ups that
             // drain SA output tiles (§6.4): with the idle-detection

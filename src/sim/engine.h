@@ -65,8 +65,7 @@ struct OpRecord
  * (transformer blocks repeat the same few op names hundreds of
  * times). Figure loops touch one or two fields of every record, so
  * the arena is both cache-friendlier and far smaller than the
- * vector<OpRecord> it replaced — which also keeps the whole-run
- * memo's byte accounting honest (heapBytes()).
+ * vector<OpRecord> it replaced.
  *
  * append() takes the familiar OpRecord value; seal() drops the
  * build-time interner and trims capacity once a run is complete.
@@ -158,16 +157,6 @@ class OpRecordArena
     Iterator begin() const { return Iterator(this, 0); }
     Iterator end() const { return Iterator(this, size()); }
 
-    /** Distinct interned names (diagnostics/tests). */
-    std::size_t nameCount() const { return names_.size(); }
-
-    /**
-     * Approximate heap footprint in bytes, from column and string
-     * capacities. Meaningful after seal() (the interner map is not
-     * charged; sealing empties it).
-     */
-    std::size_t heapBytes() const;
-
   private:
     std::vector<std::uint32_t> nameId_;
     std::vector<graph::OpKind> kind_;
@@ -199,13 +188,6 @@ struct PolicyResult
 /** One workload execution with all policies evaluated. */
 struct WorkloadRun
 {
-    WorkloadRun() = default;
-    WorkloadRun(WorkloadRun &&) = default;
-    WorkloadRun &operator=(WorkloadRun &&) = default;
-    /** Deep copy; counted process-wide (see copies()). */
-    WorkloadRun(const WorkloadRun &);
-    WorkloadRun &operator=(const WorkloadRun &);
-
     std::string name;
     Cycles cycles = 0;      ///< Base runtime (no gating overhead).
     double seconds = 0;
@@ -215,15 +197,6 @@ struct WorkloadRun
     double sramUsedIntegral = 0;  ///< Sum over time of used fraction.
     OpRecordArena opRecords;
     std::array<PolicyResult, kNumPolicies> policies;
-
-    /**
-     * Operator-memoization counters for this run (diagnostics only).
-     * When simulateWorkload replays a run from the whole-run memo
-     * (sim/graph_cache.h), these describe the engine pass that
-     * originally produced the stored run, not the replaying call.
-     */
-    std::uint64_t opCacheHits = 0;
-    std::uint64_t opCacheMisses = 0;
 
     const PolicyResult &result(Policy p) const;
 
@@ -235,15 +208,6 @@ struct WorkloadRun
 
     /** Fractional energy saving of @p p vs NoPG. */
     double savingVsNoPg(Policy p) const;
-
-    /**
-     * Process-wide count of WorkloadRun deep copies since program
-     * start (monotonic, thread-safe). The zero-copy warm-hit
-     * guarantee — a memoized simulateWorkload replay performs no
-     * WorkloadRun copy at all — is pinned by tests and benches that
-     * sample this counter around cache replays.
-     */
-    static std::uint64_t copies();
 };
 
 /** The engine. */
@@ -260,42 +224,8 @@ class Engine
     WorkloadRun run(const graph::OperatorGraph &graph,
                     int pod_chips) const;
 
-    /**
-     * Enable/disable operator memoization (default on). Cached and
-     * uncached runs produce bitwise-identical results; the switch
-     * exists for benchmarking and equivalence tests.
-     */
-    void setMemoization(bool on) { memoize_ = on; }
-    bool memoizationEnabled() const { return memoize_; }
-
-    /**
-     * Share an external operator cache (e.g. the per-generation cache
-     * simulateWorkload keeps) instead of the engine's own. The cache
-     * must outlive the engine and must only be shared between engines
-     * built for the same chip generation; pass nullptr to revert.
-     */
-    void setOpCache(OpExecutionCache *cache) { external_cache_ = cache; }
-
-    /** The active operator cache (persists across run() calls). */
-    const OpExecutionCache &
-    opCache() const
-    {
-        return external_cache_ ? *external_cache_ : own_cache_;
-    }
-
-    /**
-     * Drop every memoized operator result in the active cache (the
-     * shared one if setOpCache was used). For callers that want the
-     * next run() to be a genuinely cold re-simulation; correctness
-     * never requires it. Process-wide caches (the compiled-graph
-     * cache, other generations' op caches) are cleared with
-     * sim::clearSharedCaches() in sim/report.h.
-     */
-    void
-    clearCaches()
-    {
-        (external_cache_ ? *external_cache_ : own_cache_).clear();
-    }
+    /** A no-op, kept only for its caller in perfbench/layer_trace.cc. */
+    void setMemoization(bool) {}
 
     const energy::PowerModel &powerModel() const { return power_; }
     const arch::GatingParams &params() const { return params_; }
@@ -311,9 +241,6 @@ class Engine
     const arch::NpuConfig &cfg_;
     arch::GatingParams params_;
     energy::PowerModel power_;
-    bool memoize_ = true;
-    OpExecutionCache *external_cache_ = nullptr;
-    mutable OpExecutionCache own_cache_;
 };
 
 }  // namespace sim

@@ -42,37 +42,6 @@ burstTimeline(Cycles span, Cycles active, std::uint64_t bursts)
 
 }  // namespace
 
-std::shared_ptr<const OpExecution>
-OpExecutionCache::lookup(int pod_chips, const graph::Operator &op) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = map_.find(KeyRef{pod_chips, op});
-    return it == map_.end() ? nullptr : it->second;
-}
-
-std::shared_ptr<const OpExecution>
-OpExecutionCache::store(int pod_chips, const graph::Operator &op,
-                        OpExecution ex)
-{
-    auto entry = std::make_shared<const OpExecution>(std::move(ex));
-    std::lock_guard<std::mutex> lock(mu_);
-    return map_.emplace(Key{pod_chips, op}, entry).first->second;
-}
-
-std::size_t
-OpExecutionCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return map_.size();
-}
-
-void
-OpExecutionCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    map_.clear();
-}
-
 double
 OpExecution::activeFraction(arch::Component c) const
 {

@@ -10,9 +10,6 @@
 #define REGATE_SIM_OPERATOR_SIM_H
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 
 #include "arch/component.h"
 #include "arch/npu_config.h"
@@ -49,104 +46,6 @@ struct OpExecution
 
     /** Fraction of the op during which component @p c is active. */
     double activeFraction(arch::Component c) const;
-};
-
-/**
- * Memoized per-operator results.
- *
- * OperatorSimulator::simulate is a pure function of the operator
- * shape, the chip generation, and the pod size, so the engine caches
- * each distinct (pod, operator-work) pair and replays the stored
- * OpExecution for the hundreds of byte-identical operators an LLM
- * decoder stack emits. One cache belongs to one chip generation (the
- * owning Engine); the pod size is part of the key because collective
- * latencies depend on the torus.
- *
- * Thread-safe: a cache may be shared by sweep-runner workers.
- * Entries are immutable shared_ptrs, so a hit is a pointer bump under
- * the lock (no deep copy of the timelines), and a hit is bitwise
- * identical to a fresh simulation because simulate() is
- * deterministic.
- */
-class OpExecutionCache
-{
-  public:
-    /** The cached execution, or nullptr on miss. */
-    std::shared_ptr<const OpExecution> lookup(
-        int pod_chips, const graph::Operator &op) const;
-
-    /**
-     * Store a simulated execution and return the canonical entry
-     * (the already-present one if another worker raced this store).
-     */
-    std::shared_ptr<const OpExecution> store(int pod_chips,
-                                             const graph::Operator &op,
-                                             OpExecution ex);
-
-    std::size_t size() const;
-    void clear();
-
-  private:
-    struct Key
-    {
-        int pod = 0;
-        graph::Operator op;
-    };
-    /** Borrowed view for heterogeneous probes (no Operator copy). */
-    struct KeyRef
-    {
-        int pod = 0;
-        const graph::Operator &op;
-    };
-    struct KeyHash
-    {
-        using is_transparent = void;
-
-        std::size_t
-        hash(int pod, const graph::Operator &op) const
-        {
-            return op.workHash() * 31 + static_cast<std::size_t>(pod);
-        }
-
-        std::size_t
-        operator()(const Key &k) const
-        {
-            return hash(k.pod, k.op);
-        }
-
-        std::size_t
-        operator()(const KeyRef &k) const
-        {
-            return hash(k.pod, k.op);
-        }
-    };
-    struct KeyEq
-    {
-        using is_transparent = void;
-
-        bool
-        operator()(const Key &a, const Key &b) const
-        {
-            return a.pod == b.pod && a.op.sameWork(b.op);
-        }
-
-        bool
-        operator()(const KeyRef &a, const Key &b) const
-        {
-            return a.pod == b.pod && a.op.sameWork(b.op);
-        }
-
-        bool
-        operator()(const Key &a, const KeyRef &b) const
-        {
-            return a.pod == b.pod && a.op.sameWork(b.op);
-        }
-    };
-
-    mutable std::mutex mu_;
-    std::unordered_map<Key, std::shared_ptr<const OpExecution>, KeyHash,
-                       KeyEq>
-        map_;
 };
 
 /** The per-operator simulator. */

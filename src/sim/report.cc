@@ -4,7 +4,6 @@
 #include "compiler/compiler.h"
 #include "models/registry.h"
 #include "obs/trace.h"
-#include "sim/graph_cache.h"
 
 namespace regate {
 namespace sim {
@@ -103,187 +102,27 @@ WorkloadReport::config() const
 void
 clearSharedCaches()
 {
-    sharedRunCache().clear();
-    sharedGraphCache().clear();
-    for (auto gen : arch::allGenerations())
-        sharedOpCache(gen).clear();
-}
-
-OpExecutionCache &
-sharedOpCache(arch::NpuGeneration gen)
-{
-    // One process-wide cache per chip generation: an operator's
-    // execution depends only on (generation, pod size, op shape), and
-    // pod size is part of the cache key, so every simulateWorkload
-    // call — SLO searches, figure sweeps, parallel sweep workers —
-    // reuses the same memoized results. The cache is thread-safe.
-    static std::array<OpExecutionCache, arch::kNumGenerations> caches;
-    return caches[static_cast<std::size_t>(gen)];
 }
 
 namespace {
 
 /**
- * Trace hook for the whole-run memo: a warm hit renders as an
- * instant, a miss as nothing here (the build/compile/engine spans
- * below show where the time went instead).
+ * Compile the graph @p build returns for @p gen and run it through the
+ * engine, each step in its own trace span.
  */
-void
-traceRunCacheHit()
+template <typename BuildGraph>
+std::shared_ptr<const WorkloadRun>
+compileAndRun(BuildGraph &&build, arch::NpuGeneration gen,
+              const arch::GatingParams &params, int pod_chips)
 {
-    auto &trace = obs::TraceRecorder::instance();
-    if (trace.enabled())
-        trace.instant("run_cache.hit", "sim");
-}
-
-WorkloadReport
-simulateImpl(models::Workload workload, arch::NpuGeneration gen,
-             const arch::GatingParams &params,
-             const models::RunSetup *setup_override, bool memoize)
-{
-    WorkloadReport rep;
-    rep.workload = workload;
-    rep.gen = gen;
-    rep.setup = setup_override ? *setup_override
-                               : models::defaultSetup(workload, gen);
-
     const auto &cfg = arch::npuConfig(gen);
-
-    // Warmest path: this exact (workload, setup, generation, params)
-    // point has been simulated before — alias the memoized run (a
-    // shared_ptr bump, zero WorkloadRun copies) without building,
-    // compiling, or running the engine.
-    if (memoize) {
-        auto cached = sharedRunCache().lookup(workload, rep.setup,
-                                              gen, params);
-        if (cached) {
-            traceRunCacheHit();
-            ReportSerializeAccess::setRun(rep, std::move(cached));
-            rep.units = models::unitsPerRun(workload, rep.setup);
-            return rep;
-        }
-    }
-
-    // Warm path: reuse the memoized build + compile for this
-    // (workload, setup, generation). Cold path (or memoization off):
-    // build and compile from scratch. compileGraph's TilingOptions are
-    // defaulted here, so the three key fields cover every input.
-    auto buildCompile = [&] {
+    auto compiled = [&] {
         obs::TraceRecorder::Span span("graph.build_compile", "sim");
-        return compiler::compileGraph(
-            models::buildGraph(workload, rep.setup), cfg);
-    };
-    std::shared_ptr<const compiler::CompileResult> compiled;
-    if (memoize) {
-        compiled = sharedGraphCache().lookup(workload, rep.setup, gen);
-        if (!compiled) {
-            compiled = sharedGraphCache().store(
-                workload, rep.setup, gen, buildCompile());
-        }
-    } else {
-        compiled = std::make_shared<const compiler::CompileResult>(
-            buildCompile());
-    }
-
-    Engine engine(cfg, params);
-    auto runEngine = [&] {
-        obs::TraceRecorder::Span span("engine.run", "sim");
-        return engine.run(compiled->graph, rep.setup.chips);
-    };
-    if (memoize) {
-        engine.setOpCache(&sharedOpCache(gen));
-        // Move the fresh run into the memo and alias its canonical
-        // entry: the report shares the cached run instead of owning
-        // a private deep copy.
-        ReportSerializeAccess::setRun(
-            rep, sharedRunCache().store(workload, rep.setup, gen,
-                                        params, runEngine()));
-    } else {
-        // The uncached path must leave every shared cache untouched
-        // (fig16 validates the memo against it), so the run is owned
-        // privately, never routed through sharedRunCache().
-        engine.setMemoization(false);
-        ReportSerializeAccess::setRun(
-            rep,
-            std::make_shared<const WorkloadRun>(runEngine()));
-    }
-    rep.units = models::unitsPerRun(workload, rep.setup);
-    return rep;
-}
-
-/**
- * simulateImpl for a registry-driven scenario. Same cache discipline
- * — the keys carry the scenario's identity text instead of the enum,
- * so enum points and scenario points live side by side in the shared
- * memos without collisions.
- */
-WorkloadReport
-scenarioImpl(std::shared_ptr<const models::ScenarioSpec> spec,
-             arch::NpuGeneration gen,
-             const arch::GatingParams &params,
-             const models::RunSetup *setup_override, bool memoize)
-{
-    REGATE_CHECK(spec, "null scenario spec");
-    WorkloadReport rep;
-    rep.scenario = std::move(spec);
-    rep.gen = gen;
-    rep.setup = setup_override
-                    ? *setup_override
-                    : models::defaultScenarioSetup(*rep.scenario, gen);
-
-    const auto &cfg = arch::npuConfig(gen);
-    GraphKey graph_key{models::Workload{}, gen, rep.setup,
-                       rep.scenario->identityText()};
-
-    if (memoize) {
-        auto cached =
-            sharedRunCache().lookup(RunKey{graph_key, params});
-        if (cached) {
-            traceRunCacheHit();
-            ReportSerializeAccess::setRun(rep, std::move(cached));
-            rep.units = models::scenarioUnitsPerRun(*rep.scenario,
-                                                    rep.setup);
-            return rep;
-        }
-    }
-
-    auto buildCompile = [&] {
-        obs::TraceRecorder::Span span("graph.build_compile", "sim");
-        return compiler::compileGraph(
-            models::buildScenarioGraph(*rep.scenario, rep.setup),
-            cfg);
-    };
-    std::shared_ptr<const compiler::CompileResult> compiled;
-    if (memoize) {
-        compiled = sharedGraphCache().lookup(graph_key);
-        if (!compiled) {
-            compiled =
-                sharedGraphCache().store(graph_key, buildCompile());
-        }
-    } else {
-        compiled = std::make_shared<const compiler::CompileResult>(
-            buildCompile());
-    }
-
-    Engine engine(cfg, params);
-    auto runEngine = [&] {
-        obs::TraceRecorder::Span span("engine.run", "sim");
-        return engine.run(compiled->graph, rep.setup.chips);
-    };
-    if (memoize) {
-        engine.setOpCache(&sharedOpCache(gen));
-        ReportSerializeAccess::setRun(
-            rep, sharedRunCache().store(RunKey{graph_key, params},
-                                        runEngine()));
-    } else {
-        engine.setMemoization(false);
-        ReportSerializeAccess::setRun(
-            rep,
-            std::make_shared<const WorkloadRun>(runEngine()));
-    }
-    rep.units =
-        models::scenarioUnitsPerRun(*rep.scenario, rep.setup);
-    return rep;
+        return compiler::compileGraph(build(), cfg);
+    }();
+    obs::TraceRecorder::Span span("engine.run", "sim");
+    return std::make_shared<const WorkloadRun>(
+        Engine(cfg, params).run(compiled.graph, pod_chips));
 }
 
 }  // namespace
@@ -293,20 +132,16 @@ simulateWorkload(models::Workload workload, arch::NpuGeneration gen,
                  const arch::GatingParams &params,
                  const models::RunSetup *setup_override)
 {
-    auto rep = simulateImpl(workload, gen, params, setup_override, true);
+    WorkloadReport rep;
+    rep.workload = workload;
+    rep.gen = gen;
+    rep.setup = setup_override ? *setup_override
+                               : models::defaultSetup(workload, gen);
+    rep.run_ = compileAndRun(
+        [&] { return models::buildGraph(workload, rep.setup); }, gen,
+        params, rep.setup.chips);
     rep.params_ = params;
-    return rep;
-}
-
-WorkloadReport
-simulateWorkloadUncached(models::Workload workload,
-                         arch::NpuGeneration gen,
-                         const arch::GatingParams &params,
-                         const models::RunSetup *setup_override)
-{
-    auto rep =
-        simulateImpl(workload, gen, params, setup_override, false);
-    rep.params_ = params;
+    rep.units = models::unitsPerRun(workload, rep.setup);
     return rep;
 }
 
@@ -316,21 +151,21 @@ simulateScenario(std::shared_ptr<const models::ScenarioSpec> spec,
                  const arch::GatingParams &params,
                  const models::RunSetup *setup_override)
 {
-    auto rep = scenarioImpl(std::move(spec), gen, params,
-                            setup_override, true);
+    REGATE_CHECK(spec, "null scenario spec");
+    WorkloadReport rep;
+    rep.scenario = std::move(spec);
+    rep.gen = gen;
+    rep.setup = setup_override
+                    ? *setup_override
+                    : models::defaultScenarioSetup(*rep.scenario, gen);
+    rep.run_ = compileAndRun(
+        [&] {
+            return models::buildScenarioGraph(*rep.scenario, rep.setup);
+        },
+        gen, params, rep.setup.chips);
     rep.params_ = params;
-    return rep;
-}
-
-WorkloadReport
-simulateScenarioUncached(
-    std::shared_ptr<const models::ScenarioSpec> spec,
-    arch::NpuGeneration gen, const arch::GatingParams &params,
-    const models::RunSetup *setup_override)
-{
-    auto rep = scenarioImpl(std::move(spec), gen, params,
-                            setup_override, false);
-    rep.params_ = params;
+    rep.units =
+        models::scenarioUnitsPerRun(*rep.scenario, rep.setup);
     return rep;
 }
 

@@ -17,7 +17,9 @@ Checks:
 5. every grid binary's --trace-out file passes trace_check.py;
 6. flags the binaries do not take (including the retired sharding,
    worker and metrics flags) exit 2 with the usage line;
-7. the binaries without a sweep grid reject any argument with exit 2.
+7. the binaries without a sweep grid reject any argument with exit 2;
+8. fig02 and fig17 exit 1, naming dp, on a spec whose batch is smaller
+   than its data parallelism.
 """
 
 import argparse
@@ -59,6 +61,17 @@ REJECTED = (
     ["--" + "metrics" + "-out", "x.json"],
     ["--bogus"],
 )
+
+# Parses, but fitting 64 resident experts into NPU-D's HBM grows the
+# pod to 16 chips (dp=2) for a batch of 1.
+DP_OVER_BATCH_SPEC = """@regate-spec v1
+[scenario moe-dp-over-batch]
+family = moe
+model = 8b
+experts = 64
+batch = 1
+chips = 4
+"""
 
 failures = []
 # Working directory of every child, so a binary that wrongly accepts a
@@ -105,6 +118,15 @@ def check_all(binary, suite_spec, specs, trace_check):
         proc = run([binary("fig02_energy_efficiency"), "--spec", spec])
         expect(proc.returncode == 0,
                f"fig02 --spec {spec.name} failed", proc)
+
+    dp_spec = Path(workdir) / "dp_over_batch.spec"
+    dp_spec.write_text(DP_OVER_BATCH_SPEC)
+    for name in ("fig02_energy_efficiency", "fig17_energy_savings"):
+        proc = run([binary(name), "--spec", dp_spec])
+        expect(proc.returncode == 1 and b"--spec: " in proc.stderr
+               and b"too small for dp=2" in proc.stderr,
+               f"{name} --spec {dp_spec.name}: want exit 1 naming dp",
+               proc)
 
     traces = []
     for name in GRID:

@@ -125,6 +125,20 @@ TEST(SpecParser, InconsistentParallelism)
                 "chips (8) != tp*dp*pp", 6);
 }
 
+TEST(SpecParser, BatchBelowDataParallelism)
+{
+    // An explicit split whose dp exceeds the batch.
+    expectError("@regate-spec v1\n[scenario a]\n"
+                "family = llama-decode\nmodel = 8b\nbatch = 2\n"
+                "chips = 4\ndp = 4\ntp = 1\npp = 1\n",
+                "batch 2 too small for dp=4 (chips=4)", 2);
+    // A heuristic split that is fine as written (tp=4, dp=1), but 64
+    // resident experts grow the pod to 16 chips on NPU-D: tp=8, dp=2.
+    expectError("@regate-spec v1\n[scenario a]\nfamily = moe\n"
+                "model = 8b\nexperts = 64\nbatch = 1\nchips = 4\n",
+                "batch 1 too small for dp=2 (chips=16)", 2);
+}
+
 TEST(SpecParser, EmptySection)
 {
     expectError("@regate-spec v1\n[scenario a]\n[scenario b]\n"

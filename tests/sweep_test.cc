@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the parallel sweep subsystem and operator memoization:
- * the thread pool, deterministic ordered fan-out, cached vs uncached
- * engine equivalence (bitwise), and parallel vs serial sweep
- * equivalence (bitwise).
+ * Tests for the parallel sweep subsystem: the thread pool,
+ * deterministic ordered fan-out, parallel vs serial sweep equivalence
+ * (bitwise) on the enum and the scenario path, and the parallel SLO
+ * search picking the serial winner at any thread count.
  */
 
 #include <gtest/gtest.h>
@@ -12,12 +12,15 @@
 #include <cstring>
 
 #include "common/thread_pool.h"
-#include "compiler/compiler.h"
+#include "models/spec.h"
+#include "sim/slo.h"
 #include "sim/sweep.h"
 
 namespace regate {
 namespace sim {
 namespace {
+
+using models::Workload;
 
 TEST(ThreadPool, RunsAllTasksAndReturnsResults)
 {
@@ -67,6 +70,11 @@ expectRunsIdentical(const WorkloadRun &a, const WorkloadRun &b)
     for (auto c : arch::kAllComponents)
         EXPECT_TRUE(a.timeline[c] == b.timeline[c])
             << "timeline mismatch for " << arch::componentName(c);
+    ASSERT_EQ(a.opRecords.size(), b.opRecords.size());
+    for (std::size_t i = 0; i < a.opRecords.size(); ++i) {
+        EXPECT_EQ(a.opRecords[i].duration(), b.opRecords[i].duration());
+        EXPECT_EQ(a.opRecords[i].dynamicJ(), b.opRecords[i].dynamicJ());
+    }
     for (auto p : allPolicies()) {
         const auto &ra = a.result(p);
         const auto &rb = b.result(p);
@@ -83,99 +91,42 @@ expectRunsIdentical(const WorkloadRun &a, const WorkloadRun &b)
     }
 }
 
-TEST(OpMemoization, CachedRunBitwiseIdenticalToUncached)
-{
-    for (auto w : {models::Workload::Decode13B,
-                   models::Workload::DlrmM,
-                   models::Workload::DiTXL}) {
-        const auto &cfg = arch::npuConfig(arch::NpuGeneration::D);
-        auto setup = models::defaultSetup(w, arch::NpuGeneration::D);
-        auto compiled = compiler::compileGraph(
-            models::buildGraph(w, setup), cfg);
-
-        Engine cached(cfg);
-        Engine uncached(cfg);
-        uncached.setMemoization(false);
-
-        auto a = cached.run(compiled.graph, setup.chips);
-        auto b = uncached.run(compiled.graph, setup.chips);
-        expectRunsIdentical(a, b);
-        EXPECT_EQ(b.opCacheHits, 0u);
-        EXPECT_EQ(b.opCacheMisses, 0u);
-        EXPECT_EQ(a.opCacheHits + a.opCacheMisses,
-                  static_cast<std::uint64_t>([&] {
-                      std::size_t n = 0;
-                      for (const auto &blk : compiled.graph.blocks)
-                          n += blk.ops.size();
-                      return n;
-                  }()));
-
-        // A warm re-run hits for every op and stays identical.
-        auto c = cached.run(compiled.graph, setup.chips);
-        EXPECT_EQ(c.opCacheMisses, 0u);
-        EXPECT_GT(c.opCacheHits, 0u);
-        expectRunsIdentical(a, c);
-    }
-}
-
-TEST(OpMemoization, CacheKeyedByPodSize)
-{
-    // The same collective op on different pod sizes must not share a
-    // cache entry: collective latency depends on the torus.
-    const auto w = models::Workload::Train70B;
-    const auto &cfg = arch::npuConfig(arch::NpuGeneration::D);
-    auto setup = models::defaultSetup(w, arch::NpuGeneration::D);
-    auto compiled =
-        compiler::compileGraph(models::buildGraph(w, setup), cfg);
-
-    Engine engine(cfg);
-    auto small = engine.run(compiled.graph, setup.chips);
-    auto large = engine.run(compiled.graph, setup.chips * 4);
-    // Same engine (same cache): the collective-heavy run must differ.
-    EXPECT_NE(small.cycles, large.cycles);
-
-    Engine fresh(cfg);
-    fresh.setMemoization(false);
-    auto ref = fresh.run(compiled.graph, setup.chips * 4);
-    expectRunsIdentical(large, ref);
-}
-
 TEST(SweepRunner, ParallelBitwiseIdenticalToSerial)
 {
-    auto grid = makeGrid({models::Workload::Prefill8B,
-                          models::Workload::Decode8B,
-                          models::Workload::DlrmS,
-                          models::Workload::DiTXL},
+    // The enum path over a small paper grid, plus the scenario path
+    // over the MoE example spec (registry-only, no enum equivalent).
+    auto grid = makeGrid({Workload::Prefill8B, Workload::Decode8B,
+                          Workload::DlrmS, Workload::DiTXL},
                          {arch::NpuGeneration::B,
                           arch::NpuGeneration::D});
     ASSERT_EQ(grid.size(), 8u);
+    auto moe = scenarioGrid(
+        models::parseSpecFile(REGATE_SPEC_DIR "/moe_mixtral.spec")
+            .scenarios,
+        {arch::NpuGeneration::D});
+    ASSERT_EQ(moe.size(), 3u);
+    for (const auto &c : moe)
+        ASSERT_NE(c.scenario, nullptr);
+    grid.insert(grid.end(), moe.begin(), moe.end());
 
     auto serial = SweepRunner::runSerial(grid);
-    // Clear every shared cache (operator, compiled-graph, whole-run)
-    // so the parallel pass recomputes every simulation instead of
-    // replaying the serial pass's cached results — a genuinely
-    // independent comparison.
-    clearSharedCaches();
-    SweepRunner runner(4);
-    auto parallel = runner.run(grid);
-
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_EQ(serial[i].workload, parallel[i].workload);
-        EXPECT_EQ(serial[i].gen, parallel[i].gen);
-        EXPECT_EQ(serial[i].units, parallel[i].units);
-        expectRunsIdentical(serial[i].run(), parallel[i].run());
+    for (unsigned threads : {1u, 4u}) {
+        SweepRunner runner(threads);
+        auto parallel = runner.run(grid);
+        ASSERT_EQ(serial.size(), parallel.size());
+        for (std::size_t i = 0; i < serial.size(); ++i) {
+            EXPECT_EQ(serial[i].workload, parallel[i].workload);
+            EXPECT_EQ(serial[i].scenario, parallel[i].scenario);
+            EXPECT_EQ(serial[i].gen, parallel[i].gen);
+            EXPECT_EQ(serial[i].units, parallel[i].units);
+            expectRunsIdentical(serial[i].run(), parallel[i].run());
+        }
     }
-
-    // Re-running the sweep (warm shared cache) stays identical too.
-    auto again = runner.run(grid);
-    for (std::size_t i = 0; i < serial.size(); ++i)
-        expectRunsIdentical(serial[i].run(), again[i].run());
 }
 
 TEST(SweepRunner, SearchMatchesSerialSearch)
 {
-    auto grid = makeGrid({models::Workload::DlrmS},
+    auto grid = makeGrid({Workload::DlrmS},
                          {arch::NpuGeneration::C,
                           arch::NpuGeneration::D});
     SweepRunner runner(2);
@@ -192,28 +143,40 @@ TEST(SweepRunner, SearchMatchesSerialSearch)
     }
 }
 
-TEST(OperatorHash, SameWorkIgnoresNameButNotShape)
+TEST(ParallelFindBestSetup, MatchesSerialAtEveryThreadCount)
 {
-    graph::Operator a;
-    a.kind = graph::OpKind::MatMul;
-    a.name = "mm1";
-    a.batch = 2;
-    a.m = 128;
-    a.k = 256;
-    a.n = 512;
-    graph::Operator b = a;
-    b.name = "mm2";
-    EXPECT_TRUE(a.sameWork(b));
-    EXPECT_EQ(a.workHash(), b.workHash());
+    // REGATE_THREADS only sizes the default pool, so passing explicit
+    // pools of 1/2/8 workers exercises exactly the configurations
+    // REGATE_THREADS=1,2,8 would produce.
+    for (auto w : {Workload::DlrmS, Workload::Prefill13B,
+                   Workload::Decode8B}) {
+        for (auto gen :
+             {arch::NpuGeneration::A, arch::NpuGeneration::D}) {
+            auto serial = findBestSetupSerial(w, gen);
+            for (unsigned threads : {1u, 2u, 8u}) {
+                ThreadPool pool(threads);
+                auto par = findBestSetup(w, gen, {}, &pool);
+                EXPECT_TRUE(par.setup == serial.setup)
+                    << models::workloadName(w) << " threads="
+                    << threads;
+                EXPECT_EQ(par.secondsPerUnit, serial.secondsPerUnit);
+                EXPECT_EQ(par.energyPerUnit, serial.energyPerUnit);
+                EXPECT_EQ(par.sloRatio, serial.sloRatio);
+                expectRunsIdentical(par.report.run(),
+                                    serial.report.run());
+            }
+        }
+    }
+}
 
-    b.n = 513;
-    EXPECT_FALSE(a.sameWork(b));
-    b = a;
-    b.mapToVu = true;
-    EXPECT_FALSE(a.sameWork(b));
-    b = a;
-    b.sramDemandBytes = 4096;
-    EXPECT_FALSE(a.sameWork(b));
+TEST(ParallelFindBestSetup, DefaultPoolMatchesSerial)
+{
+    auto serial = findBestSetupSerial(Workload::DlrmM,
+                                      arch::NpuGeneration::C);
+    auto par = findBestSetup(Workload::DlrmM, arch::NpuGeneration::C);
+    EXPECT_TRUE(par.setup == serial.setup);
+    EXPECT_EQ(par.energyPerUnit, serial.energyPerUnit);
+    EXPECT_EQ(par.sloRatio, serial.sloRatio);
 }
 
 }  // namespace

@@ -18,17 +18,11 @@ the ratio. A case regresses when its speedup drops to less than
 
 Only cases marked `"gated": 1` in BENCH_core.json fail the build
 (the same set micro_benchmarks enforces the 5x floor on); ungated
-cases — pool scaling, closed-form memoization — are machine-dependent
-and reported as SLOWER without failing. Cases whose time sits below
+cases — pool scaling — are machine-dependent and reported as SLOWER
+without failing. Cases whose time sits below
 the --min-ns clock-resolution floor are skipped (their ratios are
 dominated by timer noise), as are cases present in only one file (the
 case set is allowed to evolve).
-
-`--require NAME` (repeatable) asserts NAME is present and gated in
-the *current* file, and fails the build otherwise — even when there
-is no previous artifact to diff against. This keeps load-bearing
-cases (engine_rerun_memoized, BM_WarmHitCost) from silently dropping
-out of the bench binary or losing their gate.
 """
 
 import argparse
@@ -54,29 +48,8 @@ def main():
                     help="skip cases whose new_ns sits below this "
                          "floor (clock-resolution noise, default "
                          "2000 ns)")
-    ap.add_argument("--require", action="append", default=[],
-                    metavar="NAME",
-                    help="fail unless NAME is present and gated in "
-                         "the current file (repeatable); checked "
-                         "even without a previous artifact")
     args = ap.parse_args()
-
-    # Required-case presence is a property of the current build alone,
-    # so it is checked before (and regardless of) the previous-artifact
-    # diff below.
     cur = load_cases(args.current)
-    missing = False
-    for name in args.require:
-        if name not in cur:
-            print(f"FAIL: required case {name} missing from "
-                  f"{args.current}")
-            missing = True
-        elif not cur[name].get("gated", 0):
-            print(f"FAIL: required case {name} present but not gated "
-                  f"in {args.current}")
-            missing = True
-    if missing:
-        return 1
 
     # The first run on a branch (or an expired artifact) legitimately
     # has nothing to compare against: say so explicitly and pass,
@@ -116,8 +89,8 @@ def main():
         status = "OK"
         if ratio < 1.0 - args.max_slowdown:
             # Only cases the bench itself gates hard-fail the build;
-            # ungated cases (pool scaling, closed-form memoization)
-            # are machine-dependent and reported for the trajectory.
+            # ungated cases (pool scaling) are machine-dependent and
+            # reported for the trajectory.
             if new.get("gated", 1):
                 status = "REGRESSED"
                 failed = True
