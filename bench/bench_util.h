@@ -12,7 +12,8 @@
  * `--trace-out FILE` records a Chrome/Perfetto timeline. Binaries
  * without a grid call initBenchNoGrid and take no arguments.
  * Exit status: 0 = success, 1 = runtime/config failure (message on
- * stderr), 2 = usage error.
+ * stderr; an SLO search that fails for one case prints an error row
+ * and the rest of the artifact first), 2 = usage error.
  */
 
 #ifndef REGATE_BENCH_BENCH_UTIL_H
@@ -31,6 +32,7 @@
 #include "models/spec.h"
 #include "obs/trace.h"
 #include "sim/report.h"
+#include "sim/slo.h"
 #include "sim/sweep.h"
 
 namespace regate {
@@ -359,8 +361,7 @@ reportFor(const std::vector<sim::WorkloadReport> &reports,
     const auto &rep = reports.at(idx++);
     bool identity_ok =
         s.builtin ? (!rep.scenario && rep.workload == s.workload)
-                  : (rep.scenario &&
-                     rep.scenario->sameScenario(*s.spec));
+                  : rep.scenario == s.spec;
     REGATE_CHECK(identity_ok && rep.gen == gen,
                  "report order mismatch at index ", idx - 1,
                  ": expected ", s.name(), "/",
@@ -368,6 +369,23 @@ reportFor(const std::vector<sim::WorkloadReport> &reports,
                  detail::caseName(rep), "/",
                  arch::generationName(rep.gen));
     return rep;
+}
+
+/**
+ * True when @p res is a failed SLO search (SloResult::error), after
+ * printing the error on stderr with the case's name and generation.
+ * The binary prints an error row in its place, renders the rest and
+ * exits 1.
+ */
+inline bool
+searchFailed(const sim::SloResult &res, const Scenario &s,
+             arch::NpuGeneration gen)
+{
+    if (res.error.empty())
+        return false;
+    std::cerr << "error: " << s.name() << "/"
+              << arch::generationName(gen) << ": " << res.error << "\n";
+    return true;
 }
 
 /** Print the standard bench banner. */

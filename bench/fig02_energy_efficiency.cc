@@ -7,7 +7,6 @@
  */
 
 #include "bench/bench_util.h"
-#include "sim/slo.h"
 
 int
 main(int argc, char **argv)
@@ -28,6 +27,7 @@ main(int argc, char **argv)
     auto results = bench::searchGrid(grid);
 
     std::size_t idx = 0;
+    bool failed = false;
     for (std::size_t i = 0; i < axis.size();) {
         auto family = axis[i].familyLabel();
         std::cout << "\n-- " << family << " --\n";
@@ -37,10 +37,15 @@ main(int argc, char **argv)
              ++i) {
             const auto &s = axis[i];
             for (auto gen : bench::paperGenerations()) {
-                (void)gen;
                 const auto &res = results.at(idx++);
+                if (bench::searchFailed(res, s, gen)) {
+                    failed = true;
+                    t.addRow({s.name(), bench::genLabel(gen), "-", "-",
+                              "error", s.unitLabel()});
+                    continue;
+                }
                 t.addRow({s.name(),
-                          bench::genLabel(res.report.gen),
+                          bench::genLabel(gen),
                           std::to_string(res.setup.chips),
                           TablePrinter::fmt(res.sloRatio, 0) + "x",
                           TablePrinter::eng(res.energyPerUnit, 3),
@@ -50,5 +55,5 @@ main(int argc, char **argv)
         }
         t.print(std::cout);
     }
-    return 0;
+    return failed ? 1 : 0;
 }

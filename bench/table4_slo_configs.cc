@@ -7,7 +7,6 @@
  */
 
 #include "bench/bench_util.h"
-#include "sim/slo.h"
 
 int
 main(int argc, char **argv)
@@ -28,6 +27,7 @@ main(int argc, char **argv)
     auto grid = bench::makeGrid(axis, {arch::NpuGeneration::D});
     auto results = bench::searchGrid(grid);
     std::size_t idx = 0;
+    bool failed = false;
     for (const auto &s : axis) {
         const auto &res = results.at(idx++);
         // The paper column only exists for the 17 paper workloads;
@@ -36,6 +36,12 @@ main(int argc, char **argv)
                          ? models::table4Setup(s.workload)
                          : models::defaultScenarioSetup(
                                *s.spec, arch::NpuGeneration::D);
+        if (bench::searchFailed(res, s, arch::NpuGeneration::D)) {
+            failed = true;
+            t.addRow({s.name(), "-", "-", std::to_string(paper.chips),
+                      std::to_string(paper.batch), "-", "error"});
+            continue;
+        }
         t.addRow({s.name(),
                   std::to_string(res.setup.chips),
                   std::to_string(res.setup.batch),
@@ -47,5 +53,5 @@ main(int argc, char **argv)
     t.print(std::cout);
     std::cout << "Search grid: chips x{1,2,4}, batch /{4,2,1} around "
                  "the Table 4 anchor; SLO = 5x default latency (§3)\n";
-    return 0;
+    return failed ? 1 : 0;
 }

@@ -4,22 +4,27 @@
  *
  * Tasks are arbitrary callables submitted through submit(), which
  * returns a std::future for the callable's result. Work is executed
- * FIFO; result *ordering* is the caller's job (parallelMapOrdered in
- * sim/sweep.h collects futures in input order, which is what makes
- * parallel sweeps deterministic). Exceptions thrown by a task are
- * captured in its future and rethrown at get().
+ * FIFO; result *ordering* is the caller's job. parallelFor and
+ * parallelMapOrdered below fan an index range out with one task per
+ * worker and keep results in input order, which is what makes parallel
+ * sweeps deterministic. Exceptions thrown by a task are captured in
+ * its future and rethrown at get().
  */
 
 #ifndef REGATE_COMMON_THREAD_POOL_H
 #define REGATE_COMMON_THREAD_POOL_H
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstdlib>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -121,16 +126,56 @@ class ThreadPool
 };
 
 /**
- * Apply @p fn to every item, running tasks on @p pool, and return the
- * results in input order. Deterministic regardless of worker count or
- * scheduling; exceptions from @p fn propagate to the caller. Each
- * task owns copies of @p fn and its item, so an exception that
- * unwinds this frame early never leaves queued tasks with dangling
- * references (the pool may outlive the call).
+ * Call @p fn(i) for every i in [0, n) on @p pool: one task per worker
+ * (at most n), each pulling the next index from a shared counter. The
+ * call returns once every worker has stopped. If any fn(i) throws, the
+ * workers take no new indices and the exception of the lowest failing
+ * index is rethrown, the one the serial loop would have thrown.
  *
  * Do not call this from a task already running on @p pool: the outer
- * task would block on futures that need the same workers (give nested
- * fan-outs their own pool instead).
+ * task would wait on workers it occupies itself (give nested fan-outs
+ * their own pool instead).
+ */
+template <typename Fn>
+void
+parallelFor(ThreadPool &pool, std::size_t n, Fn &&fn)
+{
+    std::atomic<std::size_t> next{0};
+    std::atomic<bool> failed{false};
+    std::mutex mu;
+    std::size_t first_failed = n;
+    std::exception_ptr first_error;
+    auto worker = [&] {
+        while (!failed) {
+            std::size_t i = next++;
+            if (i >= n)
+                return;
+            try {
+                fn(i);
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(mu);
+                if (i < first_failed) {
+                    first_failed = i;
+                    first_error = std::current_exception();
+                }
+                failed = true;
+            }
+        }
+    };
+    std::vector<std::future<void>> workers;
+    std::size_t tasks = std::min<std::size_t>(pool.threadCount(), n);
+    workers.reserve(tasks);
+    for (std::size_t t = 0; t < tasks; ++t)
+        workers.push_back(pool.submit(worker));
+    for (auto &w : workers)
+        w.wait();
+    if (first_error)
+        std::rethrow_exception(first_error);
+}
+
+/**
+ * Apply @p fn to every item on @p pool (see parallelFor) and return the
+ * results in input order, whatever the worker count or scheduling.
  */
 template <typename T, typename Fn>
 auto
@@ -138,16 +183,13 @@ parallelMapOrdered(ThreadPool &pool, const std::vector<T> &items, Fn fn)
     -> std::vector<decltype(fn(items.front()))>
 {
     using R = decltype(fn(items.front()));
-    std::vector<std::future<R>> futures;
-    futures.reserve(items.size());
-    for (const T &item : items) {
-        futures.push_back(
-            pool.submit([fn, item] { return fn(item); }));
-    }
+    std::vector<std::optional<R>> slots(items.size());
+    parallelFor(pool, items.size(),
+                [&](std::size_t i) { slots[i].emplace(fn(items[i])); });
     std::vector<R> out;
     out.reserve(items.size());
-    for (auto &fut : futures)
-        out.push_back(fut.get());
+    for (auto &slot : slots)
+        out.push_back(std::move(*slot));
     return out;
 }
 

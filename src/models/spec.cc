@@ -450,7 +450,6 @@ parseSpecText(const std::string &text, const std::string &source)
             fail(source, section.line, "spec expands to more than " +
                  std::to_string(kMaxScenarios) + " scenarios");
     }
-    file.canonicalText = canonicalSpecText(file.scenarios);
     return file;
 }
 

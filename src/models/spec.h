@@ -44,9 +44,6 @@ struct SpecFile
 {
     /** Expanded scenarios, defaults filled, in declaration order. */
     std::vector<std::shared_ptr<const ScenarioSpec>> scenarios;
-
-    /** Canonical dump; reparses to identical scenarios. */
-    std::string canonicalText;
 };
 
 /** Parse spec text; @p source names it in errors ("file:line: ..."). */
@@ -56,7 +53,10 @@ SpecFile parseSpecText(const std::string &text,
 /** Read and parse a spec file; ConfigError on any failure. */
 SpecFile parseSpecFile(const std::string &path);
 
-/** Canonical dump of validated scenarios (see SpecFile). */
+/**
+ * Canonical dump of validated scenarios (defaults filled, keys in
+ * fixed order); it reparses to identical scenarios.
+ */
 std::string canonicalSpecText(
     const std::vector<std::shared_ptr<const ScenarioSpec>> &scenarios);
 

@@ -112,71 +112,56 @@ Engine::Engine(const arch::NpuConfig &cfg,
 {
 }
 
-namespace {
-
-/** Usage window of one component inside a block. */
-struct Usage
-{
-    Cycles start;
-    Cycles end;
-    Component bottleneck;  ///< Bottleneck of the op that used it.
-};
-
-}  // namespace
-
 WorkloadRun
 Engine::run(const graph::OperatorGraph &graph, int pod_chips) const
+{
+    return evaluate(execute(graph, pod_chips));
+}
+
+Execution
+Engine::execute(const graph::OperatorGraph &graph, int pod_chips) const
 {
     graph.validate();
     ici::Torus torus = ici::Torus::forChips(cfg_, pod_chips);
     ici::CollectiveModel coll(cfg_, torus);
     OperatorSimulator op_sim(cfg_, coll);
 
-    WorkloadRun run;
+    Execution exec;
+    WorkloadRun &run = exec.run;
     run.name = graph.name;
-    std::array<Cycles, kNumPolicies> overheads{};
+    exec.blocks.reserve(graph.blocks.size());
 
     for (const auto &block : graph.blocks) {
+        Execution::Block &eb = exec.blocks.emplace_back();
+        eb.repeat = block.repeat;
         arch::ComponentMap<ActivityTimeline> block_tl;
         energy::WorkCounters block_work;
         sa::SaTileStats block_sa;
         double block_sram_integral = 0;
         Cycles block_dur = 0;
-        arch::ComponentMap<std::vector<Usage>> usage;
         std::uint64_t sram_resizes = 0;
         bool have_prev_used = false;
         std::uint64_t prev_used_bytes = 0;
-        Cycles base_vu_stalls = 0;
 
         for (const auto &op : block.ops) {
             const OpExecution ex = op_sim.simulate(op);
 
-            // ReGate-Base cannot hide the per-burst VU wake-ups that
-            // drain SA output tiles (§6.4): with the idle-detection
-            // FSM gating the VU between bursts, a fraction of the
-            // 2-cycle wakes stalls the SA pipeline (the output queue
-            // absorbs the rest). ReGate-HW/Full pre-wake via the
-            // dataflow / setpm and expose nothing.
+            // The VU wake-ups of an SA-bound op can stall the SA
+            // pipeline under ReGate-Base (see wakeOverheads).
             if (ex.active[Component::Sa] > 0 &&
                 ex.active[Component::Vu] > 0 &&
                 ex.bottleneck == Component::Sa) {
-                constexpr double kVuStallShare = 0.15;
-                double stalls =
-                    static_cast<double>(
-                        ex.timeline[Component::Vu].activations()) *
-                    static_cast<double>(
-                        params_.onOffDelay(GatedUnit::Vu)) *
-                    kVuStallShare;
-                base_vu_stalls += static_cast<Cycles>(stalls);
+                eb.vuStallActivations.push_back(
+                    ex.timeline[Component::Vu].activations());
             }
 
             for (auto c : {Component::Sa, Component::Vu, Component::Hbm,
                            Component::Ici}) {
                 block_tl[c].append(ex.timeline[c]);
                 if (ex.active[c] > 0) {
-                    usage[c].push_back({block_dur,
-                                        block_dur + ex.active[c],
-                                        ex.bottleneck});
+                    eb.usage[c].push_back({block_dur,
+                                           block_dur + ex.active[c],
+                                           ex.bottleneck});
                 }
             }
             block_work += ex.work;
@@ -210,18 +195,83 @@ Engine::run(const graph::OperatorGraph &graph, int pod_chips) const
 
             block_dur += ex.duration;
         }
+        eb.duration = block_dur;
 
-        // Inter-use wake overhead per policy: count idle gaps (with
-        // wrap-around between block repeats) that the hardware
-        // idle-detection would have gated before the next use.
+        // Scale the block to its repeat count and append to the run.
+        for (auto c : {Component::Sa, Component::Vu, Component::Hbm,
+                       Component::Ici}) {
+            run.timeline[c].append(block_tl[c].repeated(block.repeat));
+        }
+        double rep = static_cast<double>(block.repeat);
+        run.work.macs += block_work.macs * rep;
+        run.work.vuOps += block_work.vuOps * rep;
+        run.work.sramBytes += block_work.sramBytes * rep;
+        run.work.hbmBytes += block_work.hbmBytes * rep;
+        run.work.iciBytes += block_work.iciBytes * rep;
+        run.saStats += block_sa.scaled(block.repeat);
+        run.sramUsedIntegral += block_sram_integral * rep;
+        run.cycles += block_dur * block.repeat;
+
+        // SRAM resize setpm pairs (Full only; reported in Fig. 20).
+        run.policies[static_cast<std::size_t>(Policy::Full)]
+            .sramSetpmPairs += sram_resizes * block.repeat;
+    }
+    run.seconds = static_cast<double>(run.cycles) * cfg_.cycleTime();
+    run.opRecords.seal();
+    return exec;
+}
+
+WorkloadRun
+Engine::evaluate(const Execution &ex) const
+{
+    WorkloadRun run = ex.run;
+    auto overheads = wakeOverheads(ex.blocks);
+    for (auto p : allPolicies())
+        evaluatePolicy(run, p, overheads);
+    return run;
+}
+
+WorkloadRun
+Engine::evaluate(Execution &&ex) const
+{
+    WorkloadRun run = std::move(ex.run);
+    auto overheads = wakeOverheads(ex.blocks);
+    for (auto p : allPolicies())
+        evaluatePolicy(run, p, overheads);
+    return run;
+}
+
+std::array<Cycles, kNumPolicies>
+Engine::wakeOverheads(const std::vector<Execution::Block> &blocks) const
+{
+    std::array<Cycles, kNumPolicies> overheads{};
+    for (const auto &block : blocks) {
         std::array<Cycles, kNumPolicies> block_ov{};
         auto charge = [&](Policy p, Cycles d) {
             block_ov[static_cast<std::size_t>(p)] += d;
         };
-        charge(Policy::Base, base_vu_stalls);
+
+        // ReGate-Base cannot hide the per-burst VU wake-ups that
+        // drain SA output tiles (§6.4): with the idle-detection FSM
+        // gating the VU between bursts, a fraction of the 2-cycle
+        // wakes stalls the SA pipeline (the output queue absorbs the
+        // rest). ReGate-HW/Full pre-wake via the dataflow / setpm and
+        // expose nothing.
+        constexpr double kVuStallShare = 0.15;
+        for (std::uint64_t activations : block.vuStallActivations) {
+            double stalls =
+                static_cast<double>(activations) *
+                static_cast<double>(params_.onOffDelay(GatedUnit::Vu)) *
+                kVuStallShare;
+            charge(Policy::Base, static_cast<Cycles>(stalls));
+        }
+
+        // Inter-use wake overhead per policy: count idle gaps (with
+        // wrap-around between block repeats) that the hardware
+        // idle-detection would have gated before the next use.
         for (auto c : {Component::Sa, Component::Vu, Component::Hbm,
                        Component::Ici}) {
-            const auto &uses = usage[c];
+            const auto &uses = block.usage[c];
             if (uses.empty())
                 continue;
             GatedUnit unit = c == Component::Sa ? GatedUnit::SaFull
@@ -230,9 +280,9 @@ Engine::run(const graph::OperatorGraph &graph, int pod_chips) const
                                                    : GatedUnit::Ici;
             Cycles window = params_.detectionWindow(unit);
             for (std::size_t i = 0; i < uses.size(); ++i) {
-                Cycles gap =
-                    i == 0 ? block_dur - uses.back().end + uses[0].start
-                           : uses[i].start - uses[i - 1].end;
+                Cycles gap = i == 0 ? block.duration - uses.back().end +
+                                          uses[0].start
+                                    : uses[i].start - uses[i - 1].end;
                 if (gap < window)
                     continue;
                 bool is_bottleneck = uses[i].bottleneck == c;
@@ -279,32 +329,8 @@ Engine::run(const graph::OperatorGraph &graph, int pod_chips) const
 
         for (std::size_t p = 0; p < kNumPolicies; ++p)
             overheads[p] += block_ov[p] * block.repeat;
-
-        // Scale the block to its repeat count and append to the run.
-        for (auto c : {Component::Sa, Component::Vu, Component::Hbm,
-                       Component::Ici}) {
-            run.timeline[c].append(block_tl[c].repeated(block.repeat));
-        }
-        double rep = static_cast<double>(block.repeat);
-        run.work.macs += block_work.macs * rep;
-        run.work.vuOps += block_work.vuOps * rep;
-        run.work.sramBytes += block_work.sramBytes * rep;
-        run.work.hbmBytes += block_work.hbmBytes * rep;
-        run.work.iciBytes += block_work.iciBytes * rep;
-        run.saStats += block_sa.scaled(block.repeat);
-        run.sramUsedIntegral += block_sram_integral * rep;
-        run.cycles += block_dur * block.repeat;
-
-        // SRAM resize setpm pairs (Full only; reported in Fig. 20).
-        run.policies[static_cast<std::size_t>(Policy::Full)]
-            .sramSetpmPairs += sram_resizes * block.repeat;
     }
-    run.seconds = static_cast<double>(run.cycles) * cfg_.cycleTime();
-    run.opRecords.seal();
-
-    for (auto p : allPolicies())
-        evaluatePolicy(run, p, overheads);
-    return run;
+    return overheads;
 }
 
 void

@@ -210,6 +210,37 @@ struct WorkloadRun
     double savingVsNoPg(Policy p) const;
 };
 
+/**
+ * A graph's execution: everything of a run that no GatingParams value
+ * changes. `run` holds the timelines, op records, work/SA/SRAM totals
+ * and ReGate-Full's SRAM setpm pairs, with the policies unevaluated;
+ * `blocks` keeps what the wake-up overheads are charged from. One
+ * execution can be evaluated under any number of gating params.
+ */
+struct Execution
+{
+    /** Usage window of one component inside a block. */
+    struct Usage
+    {
+        Cycles start;
+        Cycles end;
+        arch::Component bottleneck;  ///< Bottleneck of the op using it.
+    };
+
+    /** One graph block, as the wake-up overhead model sees it. */
+    struct Block
+    {
+        std::uint64_t repeat = 1;
+        Cycles duration = 0;  ///< One instance.
+        arch::ComponentMap<std::vector<Usage>> usage;
+        /** VU activations of each SA-bound op that also used the VU. */
+        std::vector<std::uint64_t> vuStallActivations;
+    };
+
+    WorkloadRun run;
+    std::vector<Block> blocks;
+};
+
 /** The engine. */
 class Engine
 {
@@ -220,9 +251,25 @@ class Engine
     /**
      * Run a compiled graph on one chip of a @p pod_chips pod.
      * @p graph must already be compiled (fusion + tiling annotations).
+     * Equal to evaluate(execute(graph, pod_chips)).
      */
     WorkloadRun run(const graph::OperatorGraph &graph,
                     int pod_chips) const;
+
+    /**
+     * Simulate a compiled graph on one chip of a @p pod_chips pod
+     * without reading the gating params.
+     */
+    Execution execute(const graph::OperatorGraph &graph,
+                      int pod_chips) const;
+
+    /**
+     * Charge the wake-up overheads and evaluate every policy under
+     * this engine's gating params. The rvalue overload moves the run
+     * out of @p ex instead of copying it.
+     */
+    WorkloadRun evaluate(const Execution &ex) const;
+    WorkloadRun evaluate(Execution &&ex) const;
 
     /** A no-op, kept only for its caller in perfbench/layer_trace.cc. */
     void setMemoization(bool) {}
@@ -232,7 +279,9 @@ class Engine
     const arch::NpuConfig &config() const { return cfg_; }
 
   private:
-    struct BlockOutcome;
+    /** Wake-up cycles each policy adds over the whole run. */
+    std::array<Cycles, kNumPolicies> wakeOverheads(
+        const std::vector<Execution::Block> &blocks) const;
 
     void evaluatePolicy(WorkloadRun &run, Policy policy,
                         const std::array<Cycles, kNumPolicies>

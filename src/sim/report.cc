@@ -104,25 +104,55 @@ clearSharedCaches()
 {
 }
 
-namespace {
-
-/**
- * Compile the graph @p build returns for @p gen and run it through the
- * engine, each step in its own trace span.
- */
-template <typename BuildGraph>
-std::shared_ptr<const WorkloadRun>
-compileAndRun(BuildGraph &&build, arch::NpuGeneration gen,
-              const arch::GatingParams &params, int pod_chips)
+Execution
+executeCase(models::Workload workload, const models::ScenarioSpec *spec,
+            arch::NpuGeneration gen, const models::RunSetup &setup)
 {
     const auto &cfg = arch::npuConfig(gen);
     auto compiled = [&] {
         obs::TraceRecorder::Span span("graph.build_compile", "sim");
-        return compiler::compileGraph(build(), cfg);
+        return compiler::compileGraph(
+            spec ? models::buildScenarioGraph(*spec, setup)
+                 : models::buildGraph(workload, setup),
+            cfg);
     }();
-    obs::TraceRecorder::Span span("engine.run", "sim");
-    return std::make_shared<const WorkloadRun>(
-        Engine(cfg, params).run(compiled.graph, pod_chips));
+    obs::TraceRecorder::Span span("engine.execute", "sim");
+    return Engine(cfg).execute(compiled.graph, setup.chips);
+}
+
+WorkloadReport
+makeReport(models::Workload workload,
+           std::shared_ptr<const models::ScenarioSpec> spec,
+           arch::NpuGeneration gen, const models::RunSetup &setup,
+           const arch::GatingParams &params, WorkloadRun run)
+{
+    WorkloadReport rep;
+    rep.workload = workload;
+    rep.scenario = std::move(spec);
+    rep.gen = gen;
+    rep.setup = setup;
+    rep.units = rep.scenario
+                    ? models::scenarioUnitsPerRun(*rep.scenario, setup)
+                    : models::unitsPerRun(workload, setup);
+    rep.run_ = std::make_shared<const WorkloadRun>(std::move(run));
+    rep.params_ = params;
+    return rep;
+}
+
+namespace {
+
+/** One case simulated from scratch, each phase in its own span. */
+WorkloadReport
+simulateCase(models::Workload workload,
+             std::shared_ptr<const models::ScenarioSpec> spec,
+             arch::NpuGeneration gen, const models::RunSetup &setup,
+             const arch::GatingParams &params)
+{
+    auto ex = executeCase(workload, spec.get(), gen, setup);
+    obs::TraceRecorder::Span span("engine.evaluate", "sim");
+    auto run = Engine(arch::npuConfig(gen), params).evaluate(std::move(ex));
+    return makeReport(workload, std::move(spec), gen, setup, params,
+                      std::move(run));
 }
 
 }  // namespace
@@ -132,17 +162,9 @@ simulateWorkload(models::Workload workload, arch::NpuGeneration gen,
                  const arch::GatingParams &params,
                  const models::RunSetup *setup_override)
 {
-    WorkloadReport rep;
-    rep.workload = workload;
-    rep.gen = gen;
-    rep.setup = setup_override ? *setup_override
-                               : models::defaultSetup(workload, gen);
-    rep.run_ = compileAndRun(
-        [&] { return models::buildGraph(workload, rep.setup); }, gen,
-        params, rep.setup.chips);
-    rep.params_ = params;
-    rep.units = models::unitsPerRun(workload, rep.setup);
-    return rep;
+    auto setup = setup_override ? *setup_override
+                                : models::defaultSetup(workload, gen);
+    return simulateCase(workload, nullptr, gen, setup, params);
 }
 
 WorkloadReport
@@ -152,21 +174,10 @@ simulateScenario(std::shared_ptr<const models::ScenarioSpec> spec,
                  const models::RunSetup *setup_override)
 {
     REGATE_CHECK(spec, "null scenario spec");
-    WorkloadReport rep;
-    rep.scenario = std::move(spec);
-    rep.gen = gen;
-    rep.setup = setup_override
-                    ? *setup_override
-                    : models::defaultScenarioSetup(*rep.scenario, gen);
-    rep.run_ = compileAndRun(
-        [&] {
-            return models::buildScenarioGraph(*rep.scenario, rep.setup);
-        },
-        gen, params, rep.setup.chips);
-    rep.params_ = params;
-    rep.units =
-        models::scenarioUnitsPerRun(*rep.scenario, rep.setup);
-    return rep;
+    auto setup = setup_override
+                     ? *setup_override
+                     : models::defaultScenarioSetup(*spec, gen);
+    return simulateCase({}, std::move(spec), gen, setup, params);
 }
 
 }  // namespace sim

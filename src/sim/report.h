@@ -5,7 +5,9 @@
  * the duty-cycle/PUE accounting of §3 (60% duty cycle [84], PUE 1.1
  * [32]) and the per-policy idle power of a powered-on but jobless
  * chip. Every call builds, compiles and runs its graph from scratch;
- * nothing is kept between calls.
+ * nothing is kept between calls. executeCase and makeReport are the
+ * two halves of one simulation, for a caller that evaluates one
+ * execution under several gating params (SweepRunner::run).
  */
 
 #ifndef REGATE_SIM_REPORT_H
@@ -78,14 +80,10 @@ struct WorkloadReport
     const arch::GatingParams &gatingParams() const { return params_; }
 
   private:
-    friend WorkloadReport simulateWorkload(models::Workload,
-                                           arch::NpuGeneration,
-                                           const arch::GatingParams &,
-                                           const models::RunSetup *);
-    friend WorkloadReport simulateScenario(
-        std::shared_ptr<const models::ScenarioSpec>,
-        arch::NpuGeneration, const arch::GatingParams &,
-        const models::RunSetup *);
+    friend WorkloadReport makeReport(
+        models::Workload, std::shared_ptr<const models::ScenarioSpec>,
+        arch::NpuGeneration, const models::RunSetup &,
+        const arch::GatingParams &, WorkloadRun);
     std::shared_ptr<const WorkloadRun> run_;
     arch::GatingParams params_;
 };
@@ -110,6 +108,27 @@ WorkloadReport simulateScenario(
     std::shared_ptr<const models::ScenarioSpec> spec,
     arch::NpuGeneration gen, const arch::GatingParams &params = {},
     const models::RunSetup *setup_override = nullptr);
+
+/**
+ * Build and compile the graph of @p spec (or, when @p spec is null, of
+ * the paper @p workload) with @p setup for @p gen, and execute it: the
+ * part of a simulation that no gating parameter changes.
+ */
+Execution executeCase(models::Workload workload,
+                      const models::ScenarioSpec *spec,
+                      arch::NpuGeneration gen,
+                      const models::RunSetup &setup);
+
+/**
+ * The report of one case (@p spec, or the paper @p workload when
+ * @p spec is null) whose @p run was evaluated under @p params.
+ */
+WorkloadReport makeReport(models::Workload workload,
+                          std::shared_ptr<const models::ScenarioSpec> spec,
+                          arch::NpuGeneration gen,
+                          const models::RunSetup &setup,
+                          const arch::GatingParams &params,
+                          WorkloadRun run);
 
 /** Idle power of a jobless chip under a policy (used by Fig. 24). */
 double idleStaticPower(const energy::PowerModel &power,

@@ -150,8 +150,6 @@ findBestSetup(models::Workload workload, arch::NpuGeneration gen,
     auto candidates = candidateSetups(workload, gen);
     REGATE_CHECK(!candidates.empty(), "no candidate setups");
 
-    // Capture by value: queued tasks may outlive this frame if an
-    // earlier future rethrows (see parallelMapOrdered).
     auto reports = parallelMapOrdered(
         pool ? *pool : candidatePool(), candidates,
         [workload, gen, params](const models::RunSetup &setup) {

@@ -10,6 +10,7 @@
 #ifndef REGATE_SIM_SLO_H
 #define REGATE_SIM_SLO_H
 
+#include <string>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -27,6 +28,13 @@ struct SloResult
     double sloRatio = 1;         ///< Attained SLO multiple (1 = meets
                                  ///< 1x; 2 = needed 2x relaxation).
     WorkloadReport report;       ///< The winning simulation.
+
+    /**
+     * Set when SweepRunner::search could not search this case (for
+     * example, no candidate setup fits); the other fields are then
+     * unset except the report's workload/scenario and generation.
+     */
+    std::string error;
 };
 
 /** Seconds-per-unit at the 1x SLO for @p workload. */

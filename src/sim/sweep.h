@@ -4,9 +4,11 @@
  * params x pod setup) grids out across a worker pool and returns
  * results in the exact order of the input grid, so a parallel sweep is
  * a drop-in replacement for the serial loop the figure binaries used
- * to run. Each grid point is simulated by its own Engine instance, so
- * points never share mutable state and the results are bitwise
- * identical to the serial path.
+ * to run. run() groups the points that build the same graph on the
+ * same generation and setup (gating params aside), executes each group
+ * once and evaluates that execution under every point's own gating
+ * params. Groups share nothing, so the results are bitwise identical
+ * to the serial path, which simulates every point from scratch.
  */
 
 #ifndef REGATE_SIM_SWEEP_H
@@ -87,13 +89,20 @@ class SweepRunner
     /** @param threads 0 = REGATE_THREADS env or hardware concurrency. */
     explicit SweepRunner(unsigned threads = 0) : pool_(threads) {}
 
-    /** Simulate every case; results are index-aligned with @p cases. */
+    /**
+     * Simulate every case; results are index-aligned with @p cases.
+     * Cases that build the same graph on the same generation and
+     * resolved setup share one execution and differ only in its
+     * evaluation (their gating params) and in their report identity.
+     */
     std::vector<WorkloadReport> run(const std::vector<SweepCase> &cases);
 
     /**
      * SLO-search every case (the Fig. 2 path); results index-aligned
      * with @p cases. The per-case setup override is ignored — the
-     * search explores its own candidates.
+     * search explores its own candidates. A case whose search fails
+     * with a ConfigError gets a result carrying only that error and
+     * the case's identity (SloResult::error).
      */
     std::vector<SloResult> search(const std::vector<SweepCase> &cases);
 

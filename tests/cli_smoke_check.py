@@ -19,7 +19,9 @@ Checks:
    worker and metrics flags) exit 2 with the usage line;
 7. the binaries without a sweep grid reject any argument with exit 2;
 8. fig02 and fig17 exit 1, naming dp, on a spec whose batch is smaller
-   than its data parallelism.
+   than its data parallelism;
+9. fig02 on a spec that fits NPU-D but has no candidate setup on NPU-A
+   prints an error row for A, renders B..D, and exits 1.
 """
 
 import argparse
@@ -71,6 +73,18 @@ model = 8b
 experts = 64
 batch = 1
 chips = 4
+"""
+
+# Fits NPU-D, but fitting 16 resident experts into NPU-A's HBM needs
+# more data-parallel replicas than the batch of 1, so the SLO search on
+# A has no candidate setup.
+NO_CANDIDATE_ON_A_SPEC = """@regate-spec v1
+[scenario moe-no-candidate-on-a]
+family = moe
+model = 8b
+experts = 16
+batch = 1
+chips = 1
 """
 
 failures = []
@@ -127,6 +141,20 @@ def check_all(binary, suite_spec, specs, trace_check):
                and b"too small for dp=2" in proc.stderr,
                f"{name} --spec {dp_spec.name}: want exit 1 naming dp",
                proc)
+
+    spec = Path(workdir) / "no_candidate_on_a.spec"
+    spec.write_text(NO_CANDIDATE_ON_A_SPEC)
+    proc = run([binary("fig02_energy_efficiency"), "--spec", spec])
+    rows = [line.split("|") for line in proc.stdout.decode().splitlines()
+            if line.startswith("| moe-no-candidate-on-a ")]
+    cells = {row[2].strip(): row[5].strip() for row in rows}
+    expect(proc.returncode == 1
+           and b"moe-no-candidate-on-a/A: " in proc.stderr
+           and b"no candidate setups" in proc.stderr
+           and cells.get("A") == "error"
+           and all(cells.get(g, "error") != "error" for g in "BCD"),
+           f"fig02 --spec {spec.name}: want an error row for A, B..D "
+           "rendered, exit 1", proc)
 
     traces = []
     for name in GRID:

@@ -1,17 +1,23 @@
 /**
  * @file
  * Tests for the parallel sweep subsystem: the thread pool,
- * deterministic ordered fan-out, parallel vs serial sweep equivalence
- * (bitwise) on the enum and the scenario path, and the parallel SLO
- * search picking the serial winner at any thread count.
+ * deterministic ordered fan-out and its error propagation, parallel
+ * vs serial sweep equivalence (bitwise) on the enum and the scenario
+ * path, including cases that share one execution, per-case SLO search
+ * errors, and the parallel SLO search picking the serial winner at any
+ * thread count.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <string>
+#include <thread>
 
 #include "common/thread_pool.h"
+#include "models/registry.h"
 #include "models/spec.h"
 #include "sim/slo.h"
 #include "sim/sweep.h"
@@ -60,6 +66,55 @@ TEST(ParallelMapOrdered, PreservesInputOrder)
         EXPECT_EQ(out[i], 3 * static_cast<int>(i) + 1);
 }
 
+TEST(ParallelMapOrdered, EmptyInput)
+{
+    ThreadPool pool(4);
+    std::vector<int> none;
+    auto out = parallelMapOrdered(pool, none, [](int v) { return v; });
+    EXPECT_TRUE(out.empty());
+}
+
+TEST(ParallelMapOrdered, RethrowsLowestFailureAfterAllWorkersStop)
+{
+    // Items 50 and 70 throw; 50 only after a delay, so 70 usually
+    // fails first in time. The caller must still see item 50's error
+    // (the serial loop's), and only once no item is running any more.
+    ThreadPool pool(4);
+    std::vector<int> items;
+    for (int i = 0; i < 200; ++i)
+        items.push_back(i);
+    std::atomic<int> running{0};
+    std::atomic<int> ran{0};
+    auto fn = [&](int v) {
+        struct Running
+        {
+            std::atomic<int> &n;
+            explicit Running(std::atomic<int> &c) : n(c) { ++n; }
+            ~Running() { --n; }
+        } guard(running);
+        ++ran;
+        if (v == 50) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            throw ConfigError("item 50");
+        }
+        if (v == 70)
+            throw ConfigError("item 70");
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        return v;
+    };
+    try {
+        parallelMapOrdered(pool, items, fn);
+        FAIL() << "no exception propagated";
+    } catch (const ConfigError &e) {
+        EXPECT_EQ(running.load(), 0);
+        EXPECT_NE(std::string(e.what()).find("item 50"),
+                  std::string::npos)
+            << e.what();
+    }
+    // Workers stop taking items once one has failed.
+    EXPECT_LT(ran.load(), 200);
+}
+
 /** Exact comparison of everything a figure reads out of a run. */
 void
 expectRunsIdentical(const WorkloadRun &a, const WorkloadRun &b)
@@ -91,6 +146,30 @@ expectRunsIdentical(const WorkloadRun &a, const WorkloadRun &b)
     }
 }
 
+/** runSerial vs run at 1 and 4 threads, report by report. */
+void
+expectRunMatchesSerial(const std::vector<SweepCase> &grid)
+{
+    auto serial = SweepRunner::runSerial(grid);
+    for (unsigned threads : {1u, 4u}) {
+        SweepRunner runner(threads);
+        auto grouped = runner.run(grid);
+        ASSERT_EQ(serial.size(), grouped.size());
+        for (std::size_t i = 0; i < serial.size(); ++i) {
+            SCOPED_TRACE(testing::Message() << "case " << i
+                                            << " threads=" << threads);
+            EXPECT_EQ(serial[i].workload, grouped[i].workload);
+            EXPECT_EQ(serial[i].scenario, grouped[i].scenario);
+            EXPECT_EQ(serial[i].gen, grouped[i].gen);
+            EXPECT_TRUE(serial[i].setup == grouped[i].setup);
+            EXPECT_EQ(serial[i].units, grouped[i].units);
+            EXPECT_TRUE(serial[i].gatingParams() ==
+                        grouped[i].gatingParams());
+            expectRunsIdentical(serial[i].run(), grouped[i].run());
+        }
+    }
+}
+
 TEST(SweepRunner, ParallelBitwiseIdenticalToSerial)
 {
     // The enum path over a small paper grid, plus the scenario path
@@ -108,20 +187,96 @@ TEST(SweepRunner, ParallelBitwiseIdenticalToSerial)
     for (const auto &c : moe)
         ASSERT_NE(c.scenario, nullptr);
     grid.insert(grid.end(), moe.begin(), moe.end());
+    expectRunMatchesSerial(grid);
+}
 
-    auto serial = SweepRunner::runSerial(grid);
-    for (unsigned threads : {1u, 4u}) {
-        SweepRunner runner(threads);
-        auto parallel = runner.run(grid);
-        ASSERT_EQ(serial.size(), parallel.size());
-        for (std::size_t i = 0; i < serial.size(); ++i) {
-            EXPECT_EQ(serial[i].workload, parallel[i].workload);
-            EXPECT_EQ(serial[i].scenario, parallel[i].scenario);
-            EXPECT_EQ(serial[i].gen, parallel[i].gen);
-            EXPECT_EQ(serial[i].units, parallel[i].units);
-            expectRunsIdentical(serial[i].run(), parallel[i].run());
+TEST(SweepRunner, GatingOverridesShareOneExecutionBitwise)
+{
+    // The §6.5 sensitivity workloads under several delay scales and
+    // leakage ratios, interleaved so each workload's cases are spread
+    // over the grid: every case of one workload shares an execution.
+    std::vector<SweepCase> grid;
+    for (double scale : {1.0, 1.5, 4.0}) {
+        for (double logic_off : {0.03, 0.1}) {
+            arch::LeakageRatios ratios;
+            ratios.logicOff = logic_off;
+            ratios.sramSleep = logic_off * 5;
+            arch::GatingParams params(ratios);
+            params.setDelayScale(scale);
+            auto part = makeGrid({Workload::Train405B,
+                                  Workload::Prefill405B,
+                                  Workload::Decode405B, Workload::DlrmL,
+                                  Workload::DiTXL},
+                                 {arch::NpuGeneration::D}, params);
+            grid.insert(grid.end(), part.begin(), part.end());
         }
     }
+    ASSERT_EQ(grid.size(), 30u);
+    expectRunMatchesSerial(grid);
+
+    // The overrides do change the evaluation.
+    SweepRunner runner(2);
+    auto reports = runner.run(grid);
+    EXPECT_NE(reports[0].run().result(Policy::Base).overheadCycles,
+              reports[25].run().result(Policy::Base).overheadCycles);
+}
+
+TEST(SweepRunner, SpecGatingOverridesShareOneExecutionBitwise)
+{
+    // Scenario-path cases that differ in name, unit and gating
+    // overrides only, the same scenario's HBM fit on NPU-D mapping
+    // chips = 1, 2 and 4 onto one setup, and neighbours on that setup
+    // whose graphs differ (top_k, seq_len).
+    auto spec = models::parseSpecText(
+        "@regate-spec v1\n"
+        "[scenario a]\nfamily = moe\nmodel = 8b\nexperts = 16\n"
+        "batch = 64\nchips = 1,2,4\n"
+        "[scenario b]\nfamily = moe\nmodel = 8b\nexperts = 16\n"
+        "batch = 64\nchips = 2\ndelay_scale = 3\nlogic_off = 0.2\n"
+        "[scenario c]\nfamily = moe\nmodel = 8b\nexperts = 16\n"
+        "batch = 64\nchips = 4\nsram_off = 0.05\nunit = request\n"
+        "[scenario d]\nfamily = dlrm\nmodel = m\nbatch = 256\n"
+        "chips = 4\nsram_sleep = 0.5\n"
+        "[scenario e]\nfamily = moe\nmodel = 8b\nexperts = 16\n"
+        "top_k = 4\nbatch = 64\nchips = 1\n"
+        "[scenario f]\nfamily = moe\nmodel = 8b\nexperts = 16\n"
+        "batch = 64\nchips = 1\nseq_len = 1024\n");
+    auto grid = scenarioGrid(spec.scenarios, {arch::NpuGeneration::D,
+                                              arch::NpuGeneration::B});
+    ASSERT_EQ(grid.size(), 16u);
+    std::size_t moe_d = 0;
+    auto setup_d = models::defaultScenarioSetup(*spec.scenarios[0],
+                                                arch::NpuGeneration::D);
+    for (std::size_t i = 0; i < 5; ++i) {
+        if (models::defaultScenarioSetup(*spec.scenarios[i],
+                                         arch::NpuGeneration::D) ==
+            setup_d)
+            ++moe_d;
+    }
+    ASSERT_EQ(moe_d, 5u) << "the MoE chips values no longer share one "
+                            "NPU-D setup";
+    expectRunMatchesSerial(grid);
+}
+
+TEST(SweepRunner, SearchRecordsPerCaseErrors)
+{
+    // Fits NPU-D; on NPU-A the HBM fit needs more replicas than the
+    // batch of 1, so no candidate setup exists there.
+    auto spec = models::parseSpecText(
+        "@regate-spec v1\n[scenario m]\nfamily = moe\nmodel = 8b\n"
+        "experts = 16\nbatch = 1\nchips = 1\n");
+    auto grid = scenarioGrid(spec.scenarios, {arch::NpuGeneration::A,
+                                              arch::NpuGeneration::D});
+    SweepRunner runner(2);
+    auto results = runner.search(grid);
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_NE(results[0].error.find("no candidate setups"),
+              std::string::npos)
+        << results[0].error;
+    EXPECT_EQ(results[0].report.gen, arch::NpuGeneration::A);
+    EXPECT_EQ(results[0].report.scenario, grid[0].scenario);
+    EXPECT_TRUE(results[1].error.empty()) << results[1].error;
+    EXPECT_GT(results[1].energyPerUnit, 0);
 }
 
 TEST(SweepRunner, SearchMatchesSerialSearch)
