@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "common/error.h"
 
 #include "common/units.h"
@@ -25,6 +29,41 @@ TEST(Torus, ExplicitDims)
     EXPECT_EQ(t.rank(), 2);
     EXPECT_EQ(t.diameterHops(), 4);
     EXPECT_EQ(t.toString(), "4x4");
+}
+
+/** Torus::forChips's factorization, scanning every candidate factor. */
+std::vector<int>
+bruteForceDims(int rank, int chips)
+{
+    std::vector<int> dims(rank, 1);
+    int remaining = chips;
+    for (int i = 0; i < rank; ++i) {
+        int target = static_cast<int>(
+            std::max(1.0, std::round(std::pow(
+                static_cast<double>(remaining), 1.0 / (rank - i)))));
+        int best = 1;
+        for (int f = 1; f <= remaining; ++f) {
+            if (remaining % f == 0 && f <= target)
+                best = f;
+        }
+        dims[i] = i == rank - 1 ? remaining : best;
+        remaining /= dims[i];
+    }
+    std::sort(dims.begin(), dims.end());
+    return dims;
+}
+
+TEST(Torus, FactorizationMatchesBruteForceScan)
+{
+    for (auto gen : {NpuGeneration::A, NpuGeneration::D}) {
+        const auto &cfg = arch::npuConfig(gen);
+        ASSERT_EQ(cfg.torusDims, gen == NpuGeneration::A ? 2 : 3);
+        for (int chips = 1; chips <= 4096; ++chips) {
+            ASSERT_EQ(Torus::forChips(cfg, chips).dims(),
+                      bruteForceDims(cfg.torusDims, chips))
+                << "chips=" << chips << " rank=" << cfg.torusDims;
+        }
+    }
 }
 
 TEST(Torus, FactorizationPreservesChipCount)

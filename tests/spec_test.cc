@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "common/error.h"
 #include "models/spec.h"
@@ -262,6 +263,244 @@ TEST(SpecParser, DigestIgnoresFormattingButNotContent)
         "model = s\nbatch = 16\nchips = 1\n");
     EXPECT_NE(canonicalSpecText(a.scenarios),
               canonicalSpecText(c.scenarios));
+}
+
+/** The full message of the ConfigError parsing @p text raises. */
+std::string
+errorOf(const std::string &text)
+{
+    try {
+        parseSpecText(text, "spec.txt");
+    } catch (const ConfigError &e) {
+        return e.what();
+    }
+    return "(parsed)";
+}
+
+TEST(SpecParser, ErrorMessagesExact)
+{
+    // Every message, with its file:line, byte for byte.
+    const std::string h = "@regate-spec v1\n";
+    const std::string a = h + "[scenario a]\nfamily = dlrm\nmodel = s\n";
+    const std::string p = "config error: spec.txt:";
+    const std::string want =
+        " (want an integer, a comma list, or lo..hi:*K / lo..hi:+K)";
+    const std::pair<std::string, std::string> cases[] = {
+        {"", p + "1: expected '@regate-spec v1' header in an empty spec"},
+        {"# only a comment\n\n",
+         p + "1: expected '@regate-spec v1' header in an empty spec"},
+        {"@regate-spec v2\n",
+         p + "1: expected '@regate-spec v1' header, got "
+             "'@regate-spec v2'"},
+        {h + "[scenario a\n",
+         p + "2: malformed section '[scenario a' (want [scenario NAME])"},
+        {h + "[sc a]\n",
+         p + "2: malformed section '[sc a]' (want [scenario NAME])"},
+        {h + "[scenario ]\n", p + "2: scenario section has no name"},
+        {h + "[scenario a]\n", p + "2: scenario 'a' is empty"},
+        {h + "family = dlrm\n",
+         p + "2: key 'family' outside any [scenario NAME] section"},
+        {h + "[scenario a]\nfamily dlrm\n",
+         p + "3: malformed line 'family dlrm' (want 'key = value')"},
+        {h + "[scenario a]\n= dlrm\n",
+         p + "3: malformed line '= dlrm' (want 'key = value')"},
+        {h + "[scenario a]\nfamily =\n",
+         p + "3: malformed line 'family =' (want 'key = value')"},
+        {h + "[scenario a]\nmodel = s\nbatch = 1\nchips = 1\n",
+         p + "2: scenario 'a' has no 'family' key"},
+        {a + "batch = 1,,2\nchips = 1\n",
+         p + "5: malformed value for 'batch': '1,,2'" + want},
+        {a + "batch = ,1\nchips = 1\n",
+         p + "5: malformed value for 'batch': ',1'" + want},
+        {a + "batch = 0x10\nchips = 1\n",
+         p + "5: malformed value for 'batch': '0x10'" + want},
+        {a + "batch = 99999999999999999999\nchips = 1\n",
+         p + "5: malformed value for 'batch': '99999999999999999999'" +
+             want},
+        {a + "batch = 1..8:/2\nchips = 1\n",
+         p + "5: bad distribution for 'batch': '1..8:/2' "
+             "(want lo..hi:*K or lo..hi:+K)"},
+        {a + "batch = 1..8:*\nchips = 1\n",
+         p + "5: bad distribution for 'batch': '1..8:*' "
+             "(want lo..hi:*K or lo..hi:+K)"},
+        {a + "batch = 1..8:+0\nchips = 1\n",
+         p + "5: bad distribution for 'batch': arithmetic step must "
+             "be > 0"},
+        {a + "batch = 1..5000:+1\nchips = 1\n",
+         p + "5: distribution for 'batch' expands to more than 4096 "
+             "values"},
+        {a + "batch = 1..100:+1\nchips = 1..64:+1\n",
+         p + "2: scenario 'a' expands to more than 4096 combinations"},
+        {a + "batch = 1..3000:+1\nchips = 1\n[scenario b]\n"
+             "family = dlrm\nmodel = s\nbatch = 1..3000:+1\n"
+             "chips = 1\n",
+         p + "7: spec expands to more than 4096 scenarios"},
+        {a + "batch = 1\nchips = 1\nlogic_off = abc\n",
+         p + "7: malformed value for 'logic_off': 'abc' (want a single "
+             "finite number)"},
+        {a + "batch = 1\nchips = 1\nlogic_off = 1e999\n",
+         p + "7: malformed value for 'logic_off': '1e999' (want a "
+             "single finite number)"},
+        {a + "batch = 1\nchips = 1\nlogic_off = nan\n",
+         p + "7: malformed value for 'logic_off': 'nan' (want a single "
+             "finite number)"},
+        {a + "batch = 1\nchips = 1\nlogic_off = 0.1,0.2\n",
+         p + "7: malformed value for 'logic_off': '0.1,0.2' (want a "
+             "single finite number)"},
+        {a + "batch = 1\nchips = 0\n",
+         p + "6: malformed value for 'chips': 0"},
+        {a + "batch = 1\nchips = 1,99999999\n",
+         p + "6: malformed value for 'chips': 99999999"},
+        {a + "chips = 1\n",
+         p + "2: config error: scenario 'a': batch is required (>= 1; "
+             "got 0)"},
+        {a + "batch = 1\nchips = 1\nseq_len = -1\n",
+         p + "2: config error: scenario 'a': negative sequence length"},
+        {a + "batch = 1\nchips = 1\ndelay_scale = 0\n",
+         p + "2: config error: scenario 'a': delay_scale must be > 0"},
+        {a + "batch = 1\nchips = 1\nlogic_off = -0.5\n",
+         p + "2: config error: scenario 'a': bad logic_off value"},
+        {h + "[scenario a]\nfamily = dlrm\nmodel = a=b\nbatch = 1\n"
+             "chips = 1\n",
+         p + "2: config error: scenario 'a': unknown dlrm model 'a=b' "
+             "(want s, m, or l)"},
+    };
+    for (const auto &[text, message] : cases)
+        EXPECT_EQ(errorOf(text), message) << "spec:\n" << text;
+}
+
+TEST(SpecParser, DuplicateMessagesNameBothLines)
+{
+    EXPECT_EQ(errorOf("@regate-spec v1\n[scenario a]\nfamily = dlrm\n"
+                      "model = s\nbatch = 1\nchips = 1\n\n"
+                      "[scenario  a ]\nfamily = dlrm\n"),
+              "config error: spec.txt:8: duplicate scenario section "
+              "'a'");
+    EXPECT_EQ(errorOf("@regate-spec v1\n[scenario a]\nfamily = dlrm\n"
+                      "model = s\nbatch = 1\n# again\n  batch=2\n"
+                      "chips = 1\n"),
+              "config error: spec.txt:7: duplicate key 'batch' in "
+              "scenario 'a' (first set on line 5)");
+}
+
+const char *kLf = "@regate-spec v1\n"
+                  "[scenario a]\n"
+                  "family = dlrm\n"
+                  "model = s\n"
+                  "batch = 16,32\n"
+                  "chips = 2\n"
+                  "logic_off = 0.05\n";
+
+TEST(SpecParser, CrlfLineEndings)
+{
+    std::string crlf;
+    for (char ch : std::string(kLf))
+        crlf += ch == '\n' ? std::string("\r\n") : std::string(1, ch);
+    EXPECT_EQ(canonicalSpecText(parseSpecText(crlf).scenarios),
+              canonicalSpecText(parseSpecText(kLf).scenarios));
+    // Line numbers count CRLF lines; the value is quoted without \r.
+    EXPECT_EQ(errorOf("@regate-spec v1\r\n[scenario a]\r\n"
+                      "family = dlrm\r\nmodel = s\r\nbatch = x\r\n"),
+              "config error: spec.txt:5: malformed value for 'batch': "
+              "'x' (want an integer, a comma list, or lo..hi:*K / "
+              "lo..hi:+K)");
+}
+
+TEST(SpecParser, CommentsAndSurroundingWhitespace)
+{
+    auto plain = canonicalSpecText(parseSpecText(kLf).scenarios);
+    auto messy = parseSpecText(" \t@regate-spec v1   # header\n"
+                               "\t[scenario   a ]# section\n"
+                               "family=dlrm#no space\n"
+                               "  model \t=\t s   \n"
+                               "batch = 16 , 32   # list\n"
+                               "chips =2\t\n"
+                               "logic_off = 0.05 # gating\n"
+                               "   # trailing comment line\n");
+    EXPECT_EQ(canonicalSpecText(messy.scenarios), plain);
+}
+
+TEST(SpecParser, LastLineWithoutNewline)
+{
+    std::string text = kLf;
+    text.pop_back();
+    EXPECT_EQ(canonicalSpecText(parseSpecText(text).scenarios),
+              canonicalSpecText(parseSpecText(kLf).scenarios));
+    // The no-sections error names the last line, with or without a
+    // final newline.
+    EXPECT_EQ(errorOf("@regate-spec v1\n# c"),
+              "config error: spec.txt:2: spec defines no "
+              "[scenario NAME] sections");
+    EXPECT_EQ(errorOf("@regate-spec v1\n# c\n"),
+              "config error: spec.txt:2: spec defines no "
+              "[scenario NAME] sections");
+    EXPECT_EQ(errorOf("@regate-spec v1\n# c\n\n"),
+              "config error: spec.txt:3: spec defines no "
+              "[scenario NAME] sections");
+}
+
+TEST(SpecParser, ExpansionNames)
+{
+    // Only a multi-valued key suffixes the name; single-valued lists
+    // and ranges, strings and gating keys do not.
+    auto file = parseSpecText(
+        "@regate-spec v1\n[scenario s]\nfamily = dlrm\nmodel = s\n"
+        "batch = 16,32\nchips = 4..4:*2\nlogic_off = 0.1\n"
+        "[scenario t]\nfamily = dlrm\nmodel = m\nbatch = 64\n"
+        "chips = 1..8:+3\n");
+    ASSERT_EQ(file.scenarios.size(), 5u);
+    EXPECT_EQ(file.scenarios[0]->name, "s@batch=16");
+    EXPECT_EQ(file.scenarios[1]->name, "s@batch=32");
+    EXPECT_EQ(file.scenarios[1]->chips, 4);
+    EXPECT_EQ(file.scenarios[2]->name, "t@chips=1");
+    EXPECT_EQ(file.scenarios[3]->name, "t@chips=4");
+    EXPECT_EQ(file.scenarios[4]->name, "t@chips=7");
+    ASSERT_EQ(file.scenarios[0]->gating.size(), 1u);
+    EXPECT_EQ(file.scenarios[0]->gating[0].first, "logic_off");
+    EXPECT_EQ(file.scenarios[0]->gating[0].second, 0.1);
+}
+
+TEST(SpecParser, GatingSweepCanonicalRoundTrip)
+{
+    // 150 gating-override points x the five sensitivity workloads:
+    // the shape of the §6.5 sweeps.
+    const char *workloads[][5] = {
+        {"Train-405B", "llama-train", "405b", "32", "16"},
+        {"Prefill-405B", "llama-prefill", "405b", "64", "256"},
+        {"Decode-405B", "llama-decode", "405b", "2048", "64"},
+        {"DLRM-L", "dlrm", "l", "4096", "8"},
+        {"DiT-XL", "diffusion", "dit-xl", "8192", "64"},
+    };
+    const char *scales[] = {"0.5", "1.0", "1.5", "2.5", "4.0"};
+    const char *logic[] = {"0.01", "0.03", "0.1", "0.2", "0.6"};
+    const char *sleep[] = {"0.15", "0.25", "0.4", "0.8", "0.5", "0.3"};
+    std::string text = "@regate-spec v1\n";
+    int point = 0;
+    for (const char *scale : scales) {
+        for (const char *lo : logic) {
+            for (const char *sl : sleep) {
+                for (const auto &w : workloads) {
+                    text += "\n[scenario g" + std::to_string(point) +
+                            "-" + w[0] + "]\nfamily = " + w[1] +
+                            "\nmodel = " + w[2] + "\nbatch = " + w[3] +
+                            "\nchips = " + w[4] +
+                            "\ndelay_scale = " + scale +
+                            "\nlogic_off = " + lo +
+                            "\nsram_sleep = " + sl +
+                            "\nsram_off = 0.002\n";
+                }
+                ++point;
+            }
+        }
+    }
+    auto first = parseSpecText(text);
+    ASSERT_EQ(first.scenarios.size(), 750u);
+    auto dump = canonicalSpecText(first.scenarios);
+    auto second = parseSpecText(dump);
+    ASSERT_EQ(second.scenarios.size(), 750u);
+    EXPECT_EQ(canonicalSpecText(second.scenarios), dump);
+    EXPECT_EQ(second.scenarios[749]->name, "g149-DiT-XL");
+    EXPECT_EQ(second.scenarios[749]->gating.size(), 4u);
 }
 
 TEST(SpecParser, MissingFileNamed)

@@ -127,8 +127,17 @@ expectRunsIdentical(const WorkloadRun &a, const WorkloadRun &b)
             << "timeline mismatch for " << arch::componentName(c);
     ASSERT_EQ(a.opRecords.size(), b.opRecords.size());
     for (std::size_t i = 0; i < a.opRecords.size(); ++i) {
-        EXPECT_EQ(a.opRecords[i].duration(), b.opRecords[i].duration());
-        EXPECT_EQ(a.opRecords[i].dynamicJ(), b.opRecords[i].dynamicJ());
+        auto ra = a.opRecords[i];
+        auto rb = b.opRecords[i];
+        EXPECT_EQ(ra.name(), rb.name());
+        EXPECT_EQ(ra.kind(), rb.kind());
+        EXPECT_EQ(ra.count(), rb.count());
+        EXPECT_EQ(ra.duration(), rb.duration());
+        EXPECT_EQ(ra.sramDemandBytes(), rb.sramDemandBytes());
+        EXPECT_EQ(ra.dynamicJ(), rb.dynamicJ());
+        EXPECT_EQ(ra.sramUsedFrac(), rb.sramUsedFrac());
+        for (auto c : arch::kAllComponents)
+            EXPECT_EQ(ra.activeFrac(c), rb.activeFrac(c));
     }
     for (auto p : allPolicies()) {
         const auto &ra = a.result(p);
