@@ -3,7 +3,7 @@
  * Shared helpers for the figure/table regeneration benches. Each
  * bench binary prints the rows/series of one paper artifact so the
  * output can be compared side by side with the paper (shape, not
- * absolute numbers -- see EXPERIMENTS.md).
+ * absolute numbers; bench/README.md covers the binaries and flags).
  *
  * Every binary is one in-process run. Grid binaries (those that
  * sweep workloads x generations) take three optional flags, parsed by

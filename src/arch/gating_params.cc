@@ -1,7 +1,7 @@
 #include "arch/gating_params.h"
 
+#include <algorithm>
 #include <array>
-#include <cmath>
 
 #include "common/error.h"
 
@@ -91,11 +91,23 @@ GatingParams::gatedLeakage(GatedUnit unit) const
     }
 }
 
+bool
+GatingParams::delayScaleFits(double scale)
+{
+    // The largest Table-3 entry bounds every scaled cycle count; 2^64
+    // is the first double past the range of Cycles.
+    Cycles largest = 0;
+    for (const auto &unit : kTable3)
+        largest = std::max({largest, unit.onOffDelay, unit.breakEven});
+    return scale > 0.0 &&
+           static_cast<double>(largest) * scale < 0x1p64;
+}
+
 void
 GatingParams::setDelayScale(double scale)
 {
-    REGATE_CHECK(scale > 0.0 && std::isfinite(scale),
-                 "delay scale must be positive, got ", scale);
+    REGATE_CHECK(delayScaleFits(scale), "delay scale must be positive "
+                 "and keep the Table-3 cycles in range, got ", scale);
     delayScale_ = scale;
 }
 

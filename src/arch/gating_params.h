@@ -95,8 +95,17 @@ class GatingParams
 
     double delayScale() const { return delayScale_; }
 
-    /** Scale all delays and BETs (Fig. 22: 1x, 1.5x, 2x, 3x, 4x). */
+    /**
+     * Scale all delays and BETs (Fig. 22: 1x, 1.5x, 2x, 3x, 4x).
+     * ConfigError unless delayScaleFits(@p scale).
+     */
     void setDelayScale(double scale);
+
+    /**
+     * True when @p scale is positive and every Table-3 delay and BET
+     * scaled by it still fits in Cycles.
+     */
+    static bool delayScaleFits(double scale);
 
     void setRatios(const LeakageRatios &r) { ratios_ = r; }
 

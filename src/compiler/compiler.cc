@@ -1,15 +1,16 @@
 #include "compiler/compiler.h"
 
+#include <utility>
+
 namespace regate {
 namespace compiler {
 
 CompileResult
-compileGraph(const graph::OperatorGraph &input,
-             const arch::NpuConfig &cfg,
+compileGraph(graph::OperatorGraph input, const arch::NpuConfig &cfg,
              const TilingOptions &tiling_opts)
 {
     CompileResult result;
-    result.graph = input;
+    result.graph = std::move(input);
     result.graph.validate();
     result.fusion = fuseGraph(result.graph, cfg.sramBytes);
     result.tiling = tileGraph(result.graph, cfg, tiling_opts);

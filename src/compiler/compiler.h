@@ -25,13 +25,13 @@ namespace compiler {
 /** Combined result of the graph-level passes. */
 struct CompileResult
 {
-    graph::OperatorGraph graph;  ///< Annotated copy.
+    graph::OperatorGraph graph;  ///< The annotated input.
     FusionStats fusion;
     TilingStats tiling;
 };
 
-/** Run fusion + tiling for @p cfg. */
-CompileResult compileGraph(const graph::OperatorGraph &input,
+/** Run fusion + tiling for @p cfg over @p input, moved into the result. */
+CompileResult compileGraph(graph::OperatorGraph input,
                            const arch::NpuConfig &cfg,
                            const TilingOptions &tiling_opts = {});
 

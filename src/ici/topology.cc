@@ -32,12 +32,10 @@ Torus::forChips(const arch::NpuConfig &cfg, int chips)
         int target = static_cast<int>(
             std::max(1.0, std::round(std::pow(
                 static_cast<double>(remaining), 1.0 / slots))));
-        // Find the largest divisor of `remaining` that is <= target+?
-        int best = 1;
-        for (int f = 1; f <= remaining; ++f) {
-            if (remaining % f == 0 && f <= std::max(target, 1))
-                best = f;
-        }
+        // The largest divisor of `remaining` that is <= target.
+        int best = std::min(target, remaining);
+        while (remaining % best != 0)
+            --best;
         if (i == rank - 1)
             best = remaining;
         dims[i] = best;

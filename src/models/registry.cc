@@ -4,6 +4,7 @@
 #include <cmath>
 #include <mutex>
 
+#include "arch/gating_params.h"
 #include "common/error.h"
 
 namespace regate {
@@ -117,6 +118,14 @@ validateScenario(ScenarioSpec &spec)
                      spec.name, "': bad ", key, " value");
         REGATE_CHECK(key != "delay_scale" || value > 0, "scenario '",
                      spec.name, "': delay_scale must be > 0");
+        // A leakage ratio is a fraction of the active static power.
+        REGATE_CHECK(key == "delay_scale" || value <= 1, "scenario '",
+                     spec.name, "': ", key, " = ", value,
+                     " is not a leakage ratio in [0, 1]");
+        REGATE_CHECK(key != "delay_scale" ||
+                         arch::GatingParams::delayScaleFits(value),
+                     "scenario '", spec.name, "': delay_scale = ", value,
+                     " overflows the scaled Table-3 cycle counts");
     }
 
     gen.validate(spec);

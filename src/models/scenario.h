@@ -10,10 +10,8 @@
  * user-defined scenarios arrive through the text parser
  * (models/spec.h) without recompiling anything.
  *
- * Identity: the `name` is display-only. Everything else — the
- * canonical `identityText()` — is the scenario's identity, so two
- * specs that build the same graphs compare equal (sameScenario) no
- * matter what their sections were called.
+ * The `name` is display-only; models::canonicalSpecText spells every
+ * field in a fixed order.
  */
 
 #ifndef REGATE_MODELS_SCENARIO_H
@@ -64,15 +62,6 @@ struct ScenarioSpec
     /** Value of an extra key, or @p fallback when absent. */
     std::int64_t extraOr(const std::string &key,
                          std::int64_t fallback) const;
-
-    /**
-     * Canonical single-line spelling of every identity field (all
-     * but `name`); equal text means interchangeable scenarios.
-     */
-    std::string identityText() const;
-
-    /** Identity comparison (name excluded). */
-    bool sameScenario(const ScenarioSpec &o) const;
 };
 
 }  // namespace models

@@ -22,6 +22,15 @@
  * distribution, `chips != tp*dp*pp`, empty or duplicate sections —
  * is a ConfigError naming the offending file:line.
  *
+ * Gating keys take one finite number each; validateScenario rejects a
+ * leakage ratio outside [0, 1] and a delay_scale whose scaled
+ * Table-3 cycle counts overflow.
+ *
+ * The parser makes one pass over the text, keeping lines, keys and
+ * values as views into it, and then parses each value once while it
+ * expands the sections in order. Every section is cut before any is
+ * expanded, so a layout error anywhere wins over a value error.
+ *
  * The canonical dump (defaults filled, keys in fixed order)
  * round-trips through the parser to identical scenarios, so textual
  * variants of the same scenarios share one canonical text.

@@ -44,47 +44,56 @@ policyName(Policy p)
 void
 OpRecordArena::append(const OpRecord &rec)
 {
+    REGATE_ASSERT(!sealed_, "append to a sealed OpRecordArena");
+    auto &c = building_;
     auto [it, inserted] = interner_.emplace(
-        rec.name, static_cast<std::uint32_t>(names_.size()));
+        rec.name, static_cast<std::uint32_t>(c.names.size()));
     if (inserted)
-        names_.push_back(rec.name);
-    nameId_.push_back(it->second);
-    kind_.push_back(rec.kind);
-    count_.push_back(rec.count);
-    duration_.push_back(rec.duration);
-    sramDemandBytes_.push_back(rec.sramDemandBytes);
-    dynamicJ_.push_back(rec.dynamicJ);
-    sramUsedFrac_.push_back(rec.sramUsedFrac);
-    for (auto c : arch::kAllComponents)
-        activeFrac_.push_back(rec.activeFrac[c]);
+        c.names.push_back(rec.name);
+    c.nameId.push_back(it->second);
+    c.kind.push_back(rec.kind);
+    c.count.push_back(rec.count);
+    c.duration.push_back(rec.duration);
+    c.sramDemandBytes.push_back(rec.sramDemandBytes);
+    c.dynamicJ.push_back(rec.dynamicJ);
+    c.sramUsedFrac.push_back(rec.sramUsedFrac);
+    for (auto comp : arch::kAllComponents)
+        c.activeFrac.push_back(rec.activeFrac[comp]);
 }
 
 void
 OpRecordArena::reserve(std::size_t n)
 {
-    nameId_.reserve(n);
-    kind_.reserve(n);
-    count_.reserve(n);
-    duration_.reserve(n);
-    sramDemandBytes_.reserve(n);
-    dynamicJ_.reserve(n);
-    sramUsedFrac_.reserve(n);
-    activeFrac_.reserve(n * arch::kNumComponents);
+    REGATE_ASSERT(!sealed_, "reserve on a sealed OpRecordArena");
+    auto &c = building_;
+    c.nameId.reserve(n);
+    c.kind.reserve(n);
+    c.count.reserve(n);
+    c.duration.reserve(n);
+    c.sramDemandBytes.reserve(n);
+    c.dynamicJ.reserve(n);
+    c.sramUsedFrac.reserve(n);
+    c.activeFrac.reserve(n * arch::kNumComponents);
 }
 
 void
 OpRecordArena::seal()
 {
+    if (sealed_)
+        return;
     interner_ = {};
-    nameId_.shrink_to_fit();
-    kind_.shrink_to_fit();
-    count_.shrink_to_fit();
-    duration_.shrink_to_fit();
-    sramDemandBytes_.shrink_to_fit();
-    dynamicJ_.shrink_to_fit();
-    sramUsedFrac_.shrink_to_fit();
-    activeFrac_.shrink_to_fit();
-    names_.shrink_to_fit();
+    auto &c = building_;
+    c.nameId.shrink_to_fit();
+    c.kind.shrink_to_fit();
+    c.count.shrink_to_fit();
+    c.duration.shrink_to_fit();
+    c.sramDemandBytes.shrink_to_fit();
+    c.dynamicJ.shrink_to_fit();
+    c.sramUsedFrac.shrink_to_fit();
+    c.activeFrac.shrink_to_fit();
+    c.names.shrink_to_fit();
+    sealed_ = std::make_shared<const Columns>(std::move(c));
+    building_ = {};
 }
 
 const PolicyResult &
@@ -130,6 +139,10 @@ Engine::execute(const graph::OperatorGraph &graph, int pod_chips) const
     WorkloadRun &run = exec.run;
     run.name = graph.name;
     exec.blocks.reserve(graph.blocks.size());
+    std::size_t num_ops = 0;
+    for (const auto &block : graph.blocks)
+        num_ops += block.ops.size();
+    run.opRecords.reserve(num_ops);
 
     for (const auto &block : graph.blocks) {
         Execution::Block &eb = exec.blocks.emplace_back();
@@ -218,26 +231,32 @@ Engine::execute(const graph::OperatorGraph &graph, int pod_chips) const
     }
     run.seconds = static_cast<double>(run.cycles) * cfg_.cycleTime();
     run.opRecords.seal();
+    // Neither reads a gating parameter, and neither has a wake-up
+    // overhead (wakeOverheads charges Base/HW/Full only).
+    evaluatePolicy(run, Policy::NoPG, 0);
+    evaluatePolicy(run, Policy::Ideal, 0);
     return exec;
 }
 
 WorkloadRun
 Engine::evaluate(const Execution &ex) const
 {
-    WorkloadRun run = ex.run;
-    auto overheads = wakeOverheads(ex.blocks);
-    for (auto p : allPolicies())
-        evaluatePolicy(run, p, overheads);
-    return run;
+    return evaluateGated(ex.run, ex.blocks);
 }
 
 WorkloadRun
 Engine::evaluate(Execution &&ex) const
 {
-    WorkloadRun run = std::move(ex.run);
-    auto overheads = wakeOverheads(ex.blocks);
-    for (auto p : allPolicies())
-        evaluatePolicy(run, p, overheads);
+    return evaluateGated(std::move(ex.run), ex.blocks);
+}
+
+WorkloadRun
+Engine::evaluateGated(WorkloadRun run,
+                      const std::vector<Execution::Block> &blocks) const
+{
+    auto overheads = wakeOverheads(blocks);
+    for (auto p : {Policy::Base, Policy::HW, Policy::Full})
+        evaluatePolicy(run, p, overheads[static_cast<std::size_t>(p)]);
     return run;
 }
 
@@ -335,8 +354,7 @@ Engine::wakeOverheads(const std::vector<Execution::Block> &blocks) const
 
 void
 Engine::evaluatePolicy(WorkloadRun &run, Policy policy,
-                       const std::array<Cycles, kNumPolicies>
-                           &overheads) const
+                       Cycles overhead) const
 {
     auto &res = run.policies[static_cast<std::size_t>(policy)];
     res.policy = policy;
@@ -455,7 +473,7 @@ Engine::evaluatePolicy(WorkloadRun &run, Policy policy,
     e.dynamicJ = power_.dynamicEnergy(run.work);
 
     // ---- Performance overhead ----
-    res.overheadCycles = overheads[static_cast<std::size_t>(policy)];
+    res.overheadCycles = overhead;
     res.perfOverhead =
         run.cycles > 0 ? static_cast<double>(res.overheadCycles) /
                              static_cast<double>(run.cycles)

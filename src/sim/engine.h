@@ -20,6 +20,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -67,44 +68,62 @@ struct OpRecord
  * the arena is both cache-friendlier and far smaller than the
  * vector<OpRecord> it replaced.
  *
- * append() takes the familiar OpRecord value; seal() drops the
- * build-time interner and trims capacity once a run is complete.
- * Indexing and iteration yield lightweight Ref proxies with accessor
- * methods (rec.duration(), rec.name(), rec.activeFrac(c), ...).
+ * append() takes the familiar OpRecord value. seal() drops the
+ * build-time interner and moves the columns behind one shared,
+ * immutable block, so a copy of a sealed arena (a sweep evaluates
+ * one execution into many runs) shares them instead of copying every
+ * record. Indexing and iteration yield lightweight Ref proxies with
+ * accessor methods (rec.duration(), rec.name(), rec.activeFrac(c),
+ * ...).
  */
 class OpRecordArena
 {
+    /** Every record field, one vector per field. */
+    struct Columns
+    {
+        std::vector<std::uint32_t> nameId;
+        std::vector<graph::OpKind> kind;
+        std::vector<std::uint64_t> count;
+        std::vector<Cycles> duration;
+        std::vector<double> sramDemandBytes;
+        std::vector<double> dynamicJ;
+        std::vector<double> sramUsedFrac;
+        /** size() * kNumComponents, record-major. */
+        std::vector<double> activeFrac;
+        std::vector<std::string> names;  ///< Interned name table.
+    };
+
   public:
-    /** Cheap view of one record; valid while the arena lives. */
+    /** Cheap view of one record; valid while its columns live. */
     class Ref
     {
       public:
         const std::string &
         name() const
         {
-            return a_->names_[a_->nameId_[i_]];
+            return c_->names[c_->nameId[i_]];
         }
-        graph::OpKind kind() const { return a_->kind_[i_]; }
-        std::uint64_t count() const { return a_->count_[i_]; }
-        Cycles duration() const { return a_->duration_[i_]; }
+        graph::OpKind kind() const { return c_->kind[i_]; }
+        std::uint64_t count() const { return c_->count[i_]; }
+        Cycles duration() const { return c_->duration[i_]; }
         double
         sramDemandBytes() const
         {
-            return a_->sramDemandBytes_[i_];
+            return c_->sramDemandBytes[i_];
         }
-        double dynamicJ() const { return a_->dynamicJ_[i_]; }
-        double sramUsedFrac() const { return a_->sramUsedFrac_[i_]; }
+        double dynamicJ() const { return c_->dynamicJ[i_]; }
+        double sramUsedFrac() const { return c_->sramUsedFrac[i_]; }
         double
         activeFrac(arch::Component c) const
         {
-            return a_->activeFrac_[i_ * arch::kNumComponents +
-                                   arch::componentIndex(c)];
+            return c_->activeFrac[i_ * arch::kNumComponents +
+                                  arch::componentIndex(c)];
         }
 
       private:
         friend class OpRecordArena;
-        Ref(const OpRecordArena *a, std::size_t i) : a_(a), i_(i) {}
-        const OpRecordArena *a_;
+        Ref(const Columns *c, std::size_t i) : c_(c), i_(i) {}
+        const Columns *c_;
         std::size_t i_;
     };
 
@@ -112,7 +131,7 @@ class OpRecordArena
     class Iterator
     {
       public:
-        Ref operator*() const { return Ref(a_, i_); }
+        Ref operator*() const { return Ref(c_, i_); }
         Iterator &
         operator++()
         {
@@ -132,43 +151,40 @@ class OpRecordArena
 
       private:
         friend class OpRecordArena;
-        Iterator(const OpRecordArena *a, std::size_t i) : a_(a), i_(i)
-        {}
-        const OpRecordArena *a_;
+        Iterator(const Columns *c, std::size_t i) : c_(c), i_(i) {}
+        const Columns *c_;
         std::size_t i_;
     };
 
-    /** Append one record, interning its name. */
+    /** Append one record, interning its name; LogicError once sealed. */
     void append(const OpRecord &rec);
 
-    /** Pre-size every column for @p n records. */
+    /** Pre-size every column for @p n records; LogicError once sealed. */
     void reserve(std::size_t n);
 
     /**
-     * Drop the build-time interner map and trim every column to its
-     * size. Call once the run is complete; append() after seal()
-     * stays correct but no longer dedups new names.
+     * Drop the build-time interner, trim every column to its size and
+     * move the columns into the shared block copies read from. Call
+     * once the run is complete; append() after seal() is a LogicError.
      */
     void seal();
 
-    std::size_t size() const { return duration_.size(); }
-    bool empty() const { return duration_.empty(); }
-    Ref operator[](std::size_t i) const { return Ref(this, i); }
-    Iterator begin() const { return Iterator(this, 0); }
-    Iterator end() const { return Iterator(this, size()); }
+    std::size_t size() const { return columns().duration.size(); }
+    bool empty() const { return size() == 0; }
+    Ref operator[](std::size_t i) const { return Ref(&columns(), i); }
+    Iterator begin() const { return Iterator(&columns(), 0); }
+    Iterator end() const { return Iterator(&columns(), size()); }
 
   private:
-    std::vector<std::uint32_t> nameId_;
-    std::vector<graph::OpKind> kind_;
-    std::vector<std::uint64_t> count_;
-    std::vector<Cycles> duration_;
-    std::vector<double> sramDemandBytes_;
-    std::vector<double> dynamicJ_;
-    std::vector<double> sramUsedFrac_;
-    /** size() * kNumComponents, record-major. */
-    std::vector<double> activeFrac_;
-    std::vector<std::string> names_;  ///< Interned name table.
+    const Columns &
+    columns() const
+    {
+        return sealed_ ? *sealed_ : building_;
+    }
+
+    Columns building_;  ///< Until seal().
     std::unordered_map<std::string, std::uint32_t> interner_;
+    std::shared_ptr<const Columns> sealed_;  ///< After seal().
 };
 
 /** Evaluation of one policy over one run (per chip, busy time). */
@@ -212,10 +228,13 @@ struct WorkloadRun
 
 /**
  * A graph's execution: everything of a run that no GatingParams value
- * changes. `run` holds the timelines, op records, work/SA/SRAM totals
- * and ReGate-Full's SRAM setpm pairs, with the policies unevaluated;
- * `blocks` keeps what the wake-up overheads are charged from. One
- * execution can be evaluated under any number of gating params.
+ * changes. `run` holds the timelines, the sealed op records,
+ * work/SA/SRAM totals, ReGate-Full's SRAM setpm pairs and the NoPG
+ * and Ideal results, which read no gating parameter (NoPG gates
+ * nothing, Ideal gates every idle cycle for free: no overhead, leak
+ * factors fixed at 1 and 0). Base/HW/Full stay unevaluated; `blocks`
+ * keeps what their wake-up overheads are charged from. One execution
+ * can be evaluated under any number of gating params.
  */
 struct Execution
 {
@@ -257,16 +276,17 @@ class Engine
                     int pod_chips) const;
 
     /**
-     * Simulate a compiled graph on one chip of a @p pod_chips pod
-     * without reading the gating params.
+     * Simulate a compiled graph on one chip of a @p pod_chips pod and
+     * evaluate NoPG and Ideal, without reading the gating params.
      */
     Execution execute(const graph::OperatorGraph &graph,
                       int pod_chips) const;
 
     /**
-     * Charge the wake-up overheads and evaluate every policy under
-     * this engine's gating params. The rvalue overload moves the run
-     * out of @p ex instead of copying it.
+     * Charge the wake-up overheads and evaluate ReGate-Base/HW/Full
+     * under this engine's gating params; NoPG and Ideal come from
+     * @p ex. A copy shares @p ex's op records; the rvalue overload
+     * moves the run out of @p ex instead of copying it.
      */
     WorkloadRun evaluate(const Execution &ex) const;
     WorkloadRun evaluate(Execution &&ex) const;
@@ -283,9 +303,14 @@ class Engine
     std::array<Cycles, kNumPolicies> wakeOverheads(
         const std::vector<Execution::Block> &blocks) const;
 
+    /** Evaluate @p policy, which adds @p overhead wake-up cycles. */
     void evaluatePolicy(WorkloadRun &run, Policy policy,
-                        const std::array<Cycles, kNumPolicies>
-                            &overheads) const;
+                        Cycles overhead) const;
+
+    /** evaluate()'s shared tail: Base/HW/Full on @p run. */
+    WorkloadRun evaluateGated(WorkloadRun run,
+                              const std::vector<Execution::Block>
+                                  &blocks) const;
 
     const arch::NpuConfig &cfg_;
     arch::GatingParams params_;

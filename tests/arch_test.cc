@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "arch/component.h"
 #include "arch/gating_params.h"
 #include "arch/npu_config.h"
@@ -116,6 +119,21 @@ TEST(GatingParams, DelayScaleRoundsUp)
     EXPECT_EQ(p.breakEven(GatedUnit::Vu), 48u);
     EXPECT_THROW(p.setDelayScale(0.0), ConfigError);
     EXPECT_THROW(p.setDelayScale(-1.0), ConfigError);
+}
+
+TEST(GatingParams, DelayScaleMustKeepCyclesInRange)
+{
+    // SA full-array BET (469 cycles) is the largest Table-3 entry.
+    EXPECT_TRUE(GatingParams::delayScaleFits(1e16));
+    EXPECT_FALSE(GatingParams::delayScaleFits(0x1p64 / 469 * 1.001));
+    EXPECT_FALSE(GatingParams::delayScaleFits(1e30));
+    EXPECT_FALSE(GatingParams::delayScaleFits(std::nan("")));
+    EXPECT_FALSE(GatingParams::delayScaleFits(
+        std::numeric_limits<double>::infinity()));
+    GatingParams p;
+    EXPECT_THROW(p.setDelayScale(1e30), ConfigError);
+    p.setDelayScale(1e16);
+    EXPECT_EQ(p.breakEven(GatedUnit::SaFull), Cycles{4690000000000000000u});
 }
 
 TEST(GatingParams, CustomRatios)

@@ -21,10 +21,16 @@ Checks:
 8. fig02 and fig17 exit 1, naming dp, on a spec whose batch is smaller
    than its data parallelism;
 9. fig02 on a spec that fits NPU-D but has no candidate setup on NPU-A
-   prints an error row for A, renders B..D, and exits 1.
+   prints an error row for A, renders B..D, and exits 1;
+10. fig17 and fig21 on the example spec with gating overrides print
+    the same bytes with REGATE_THREADS=1 and 4;
+11. fig17 and fig19 exit 1 with a `--spec: file:line` message on
+    gating values the model cannot represent: a leakage ratio above 1
+    and a delay scale whose scaled cycle counts overflow.
 """
 
 import argparse
+import os
 import subprocess
 import sys
 import tempfile
@@ -87,15 +93,27 @@ batch = 1
 chips = 1
 """
 
+# Gating values outside what the model represents, each with the
+# message validation gives for it.
+UNREPRESENTABLE_GATING = (
+    ("logic_off = 1.5", b"logic_off = 1.5 is not a leakage ratio"),
+    ("sram_off = 3", b"sram_off = 3 is not a leakage ratio"),
+    ("delay_scale = 1e30",
+     b"delay_scale = 1e+30 overflows the scaled Table-3 cycle counts"),
+)
+
 failures = []
 # Working directory of every child, so a binary that wrongly accepts a
 # file argument writes into a scratch directory.
 workdir = None
 
 
-def run(argv):
+def run(argv, threads=None):
+    env = None
+    if threads is not None:
+        env = dict(os.environ, REGATE_THREADS=str(threads))
     return subprocess.run([str(a) for a in argv], capture_output=True,
-                          cwd=workdir)
+                          cwd=workdir, env=env)
 
 
 def expect(ok, what, proc=None):
@@ -155,6 +173,30 @@ def check_all(binary, suite_spec, specs, trace_check):
            and all(cells.get(g, "error") != "error" for g in "BCD"),
            f"fig02 --spec {spec.name}: want an error row for A, B..D "
            "rendered, exit 1", proc)
+
+    gating_spec = suite_spec.parent / "gating_overrides.spec"
+    for name in ("fig17_energy_savings", "fig21_sens_leakage"):
+        one = run([binary(name), "--spec", gating_spec], threads=1)
+        four = run([binary(name), "--spec", gating_spec], threads=4)
+        expect(one.returncode == 0 and four.returncode == 0,
+               f"{name} --spec {gating_spec.name} failed", four)
+        expect(one.stdout and one.stdout == four.stdout,
+               f"{name} --spec {gating_spec.name}: output differs "
+               "between REGATE_THREADS=1 and 4")
+
+    for i, (line, message) in enumerate(UNREPRESENTABLE_GATING):
+        spec = Path(workdir) / f"unrepresentable_{i}.spec"
+        spec.write_text("@regate-spec v1\n[scenario bad]\n"
+                        "family = dlrm\nmodel = s\nbatch = 8\n"
+                        f"chips = 1\n{line}\n")
+        at = f"{spec}:2: ".encode()
+        for name in ("fig17_energy_savings", "fig19_perf_overhead"):
+            proc = run([binary(name), "--spec", spec])
+            expect(proc.returncode == 1 and b"--spec: " in proc.stderr
+                   and at in proc.stderr and message in proc.stderr
+                   and not proc.stdout,
+                   f"{name} --spec with '{line}': want exit 1 with a "
+                   "--spec: file:line message", proc)
 
     traces = []
     for name in GRID:

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.h"
 #include "sim/engine.h"
 
 namespace regate {
@@ -189,6 +190,45 @@ TEST(Engine, OpRecordsCoverGraph)
     EXPECT_EQ(run.opRecords[0].count(), 7u);
     EXPECT_GT(run.opRecords[0].duration(), 0u);
     EXPECT_GT(run.opRecords[0].dynamicJ(), 0.0);
+}
+
+TEST(OpRecordArena, AppendAfterSealIsLogicError)
+{
+    OpRecordArena arena;
+    OpRecord rec;
+    rec.name = "mm";
+    arena.append(rec);
+    arena.seal();
+    EXPECT_THROW(arena.append(rec), LogicError);
+    EXPECT_THROW(arena.reserve(4), LogicError);
+    ASSERT_EQ(arena.size(), 1u);
+    EXPECT_EQ(arena[0].name(), "mm");
+}
+
+TEST(OpRecordArena, CopiesOfASealedRunShareRecords)
+{
+    Engine engine(arch::npuConfig(NpuGeneration::D));
+    Execution ex = engine.execute(gemmNormGraph(3), 1);
+    WorkloadRun a = engine.evaluate(ex);
+    WorkloadRun b = a;
+    ASSERT_EQ(a.opRecords.size(), 2u);
+    EXPECT_EQ(&a.opRecords[1].name(), &ex.run.opRecords[1].name());
+    EXPECT_EQ(&b.opRecords[1].name(), &ex.run.opRecords[1].name());
+    EXPECT_EQ(b.opRecords[1].name(), "norm");
+}
+
+TEST(Engine, ExecuteEvaluatesOnlyNoPgAndIdeal)
+{
+    Engine engine(arch::npuConfig(NpuGeneration::D));
+    Execution ex = engine.execute(gemmNormGraph(3), 1);
+    WorkloadRun run = engine.evaluate(ex);
+    for (auto p : allPolicies()) {
+        bool precomputed = p == Policy::NoPG || p == Policy::Ideal;
+        EXPECT_EQ(ex.run.result(p).energy.busyTotal() > 0, precomputed)
+            << policyName(p);
+        EXPECT_EQ(run.result(p).policy, p);
+        EXPECT_GT(run.result(p).energy.busyTotal(), 0) << policyName(p);
+    }
 }
 
 }  // namespace

@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstring>
 #include <map>
 
+#include "compiler/compiler.h"
+#include "models/workload.h"
 #include "sim/report.h"
 
 namespace regate {
@@ -109,6 +112,44 @@ TEST_P(WorkloadSweep, UtilizationsAreFractions)
     }
     EXPECT_GE(r.saSpatialUtil(), 0.0);
     EXPECT_LE(r.saSpatialUtil(), 1.0);
+}
+
+TEST_P(WorkloadSweep, NoPgAndIdealReadNoGatingParams)
+{
+    // NoPG gates nothing and Ideal gates every idle cycle for free,
+    // so neither result may move with any gating parameter.
+    auto setup = models::defaultSetup(GetParam(), NpuGeneration::D);
+    const auto &cfg = arch::npuConfig(NpuGeneration::D);
+    auto graph =
+        compiler::compileGraph(models::buildGraph(GetParam(), setup), cfg)
+            .graph;
+    auto params = [](double logic, double sleep, double off,
+                     double scale) {
+        arch::GatingParams p(arch::LeakageRatios{logic, sleep, off});
+        p.setDelayScale(scale);
+        return p;
+    };
+    const WorkloadRun &ref = run(GetParam());
+    for (const auto &p :
+         {params(0, 0, 0, 0.25), params(1, 1, 1, 4),
+          params(0.4, 0.8, 0.1, 1e6), params(0.03, 0.25, 0.002, 1)}) {
+        auto got = Engine(cfg, p).run(graph, setup.chips);
+        for (auto policy : {Policy::NoPG, Policy::Ideal}) {
+            SCOPED_TRACE(policyName(policy));
+            const auto &a = ref.result(policy);
+            const auto &b = got.result(policy);
+            EXPECT_EQ(a.policy, b.policy);
+            EXPECT_EQ(a.overheadCycles, b.overheadCycles);
+            EXPECT_EQ(a.seconds, b.seconds);
+            EXPECT_EQ(a.perfOverhead, b.perfOverhead);
+            EXPECT_EQ(0, std::memcmp(&a.energy, &b.energy,
+                                     sizeof(a.energy)));
+            EXPECT_EQ(a.avgPowerW, b.avgPowerW);
+            EXPECT_EQ(a.peakPowerW, b.peakPowerW);
+            EXPECT_EQ(a.vuGateEvents, b.vuGateEvents);
+            EXPECT_EQ(a.sramSetpmPairs, b.sramSetpmPairs);
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

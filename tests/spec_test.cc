@@ -237,12 +237,8 @@ TEST(SpecParser, CanonicalRoundTrip)
     // one canonical text.
     ASSERT_EQ(second.scenarios.size(), first.scenarios.size());
     for (std::size_t i = 0; i < first.scenarios.size(); ++i) {
-        EXPECT_TRUE(first.scenarios[i]->sameScenario(
-            *second.scenarios[i]))
-            << first.scenarios[i]->identityText() << "\nvs\n"
-            << second.scenarios[i]->identityText();
-        EXPECT_EQ(first.scenarios[i]->name,
-                  second.scenarios[i]->name);
+        EXPECT_EQ(canonicalSpecText({first.scenarios[i]}),
+                  canonicalSpecText({second.scenarios[i]}));
     }
     EXPECT_EQ(canonicalSpecText(second.scenarios), first_text);
 }
@@ -381,6 +377,31 @@ TEST(SpecParser, DuplicateMessagesNameBothLines)
                       "chips = 1\n"),
               "config error: spec.txt:7: duplicate key 'batch' in "
               "scenario 'a' (first set on line 5)");
+}
+
+TEST(SpecParser, GatingValuesTheModelCannotRepresent)
+{
+    // Leakage ratios are fractions of the active static power, and a
+    // delay scale must keep every scaled Table-3 cycle count in range.
+    const std::string a = "@regate-spec v1\n[scenario a]\nfamily = dlrm\n"
+                          "model = s\nbatch = 1\nchips = 1\n";
+    const std::string p = "config error: spec.txt:2: config error: "
+                          "scenario 'a': ";
+    EXPECT_EQ(errorOf(a + "logic_off = 1.5\n"),
+              p + "logic_off = 1.5 is not a leakage ratio in [0, 1]");
+    EXPECT_EQ(errorOf(a + "sram_sleep = 1.0001\n"),
+              p + "sram_sleep = 1.0001 is not a leakage ratio in "
+                  "[0, 1]");
+    EXPECT_EQ(errorOf(a + "sram_off = 3\n"),
+              p + "sram_off = 3 is not a leakage ratio in [0, 1]");
+    EXPECT_EQ(errorOf(a + "delay_scale = 1e30\n"),
+              p + "delay_scale = 1e+30 overflows the scaled Table-3 "
+                  "cycle counts");
+    // The bounds themselves are representable.
+    EXPECT_EQ(parseSpecText(a + "logic_off = 1\nsram_sleep = 0\n"
+                                "sram_off = 1\ndelay_scale = 1e15\n")
+                  .scenarios.size(),
+              1u);
 }
 
 const char *kLf = "@regate-spec v1\n"
