@@ -20,9 +20,8 @@ main(int argc, char **argv)
     TablePrinter t({"Workload", "Chips (search)", "Batch (search)",
                     "Chips (paper)", "Batch (paper)", "SLO",
                     "J/unit (NoPG)"});
-    // SLO-search every workload in parallel on the shared sweep pool
-    // (each search in turn fans its candidate setups out on the SLO
-    // candidate pool); results come back in workload order.
+    // SLO-search every workload in parallel on the sweep pool, one
+    // task per workload; results come back in workload order.
     auto axis = bench::workloadAxis(models::allWorkloads());
     auto grid = bench::makeGrid(axis, {arch::NpuGeneration::D});
     auto results = bench::searchGrid(grid);

@@ -133,8 +133,8 @@ class ThreadPool
  * index is rethrown, the one the serial loop would have thrown.
  *
  * Do not call this from a task already running on @p pool: the outer
- * task would wait on workers it occupies itself (give nested fan-outs
- * their own pool instead).
+ * task would wait on workers it occupies itself. The sweeps fan out
+ * once, one task per group of cases, and never nest.
  */
 template <typename Fn>
 void

@@ -13,11 +13,12 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "sim/report.h"
 
 namespace regate {
 namespace sim {
+
+struct SweepCase;
 
 /** Outcome of the search for one (workload, generation). */
 struct SloResult
@@ -30,9 +31,10 @@ struct SloResult
     WorkloadReport report;       ///< The winning simulation.
 
     /**
-     * Set when SweepRunner::search could not search this case (for
-     * example, no candidate setup fits); the other fields are then
-     * unset except the report's workload/scenario and generation.
+     * Set when searchSameIdentity (SweepRunner::search) could not
+     * search this case (for example, no candidate setup fits); the
+     * other fields are then unset except the report's
+     * workload/scenario and generation.
      */
     std::string error;
 };
@@ -49,20 +51,17 @@ double sloTargetSecondsPerUnit(
  * batches) on @p gen; returns the most energy-efficient compliant
  * configuration, or the fastest one with its attained (relaxed) SLO
  * ratio if none complies — mirroring the "2x" labels in Fig. 2.
- *
- * The candidate evaluations fan out on @p pool (nullptr picks a
- * process-wide pool sized by REGATE_THREADS / hardware concurrency,
- * separate from the sweep runner's so a SweepRunner::search worker
- * can nest this call without deadlocking). Winner selection replays
- * the serial loop over the input-ordered results, so ties break
- * identically to findBestSetupSerial at any thread count.
+ * searchSameIdentity's steps for the one case; a failed search throws
+ * its ConfigError instead of recording it.
  */
 SloResult findBestSetup(models::Workload workload,
                         arch::NpuGeneration gen,
-                        const arch::GatingParams &params = {},
-                        ThreadPool *pool = nullptr);
+                        const arch::GatingParams &params = {});
 
-/** Serial reference implementation (equivalence tests). */
+/**
+ * Serial reference implementation (equivalence tests): simulates the
+ * SLO anchor and every candidate from scratch under @p params.
+ */
 SloResult findBestSetupSerial(models::Workload workload,
                               arch::NpuGeneration gen,
                               const arch::GatingParams &params = {});
@@ -70,13 +69,33 @@ SloResult findBestSetupSerial(models::Workload workload,
 /** findBestSetup for a registry-driven custom scenario. */
 SloResult findBestSetup(
     std::shared_ptr<const models::ScenarioSpec> spec,
-    arch::NpuGeneration gen, const arch::GatingParams &params = {},
-    ThreadPool *pool = nullptr);
+    arch::NpuGeneration gen, const arch::GatingParams &params = {});
 
 /** Serial reference implementation of the scenario search. */
 SloResult findBestSetupSerial(
     std::shared_ptr<const models::ScenarioSpec> spec,
     arch::NpuGeneration gen, const arch::GatingParams &params = {});
+
+/**
+ * The SLO search behind findBestSetup and SweepRunner::search, over
+ * @p cases that share one scenario identity (the same paper workload,
+ * or specs equal but for their name and gating overrides) on any
+ * generations under any gating params; results are index-aligned with
+ * @p cases, and each case's setup override is ignored.
+ *
+ * The NPU-D default setup is executed once: its NoPG latency is the
+ * 1x target, and the same execution is NPU-D's base candidate. Each
+ * generation's candidates are executed once, in order, for all the
+ * cases on that generation, keeping only the running best and fastest
+ * execution; the selection reads only NoPG, which no gating parameter
+ * changes. ReGate-Base/HW/Full are evaluated on each case's winner
+ * alone, under that case's params. The results are bitwise those of
+ * findBestSetupSerial. A ConfigError is recorded in SloResult::error
+ * of every case it stops: the anchor's stops them all, a
+ * generation's stops that generation's cases.
+ */
+std::vector<SloResult> searchSameIdentity(
+    const std::vector<const SweepCase *> &cases);
 
 /** Candidate setups the search explores (exposed for tests). */
 std::vector<models::RunSetup> candidateSetups(models::Workload workload,

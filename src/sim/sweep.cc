@@ -75,6 +75,53 @@ executesBefore(const ExecutionKey &a, const ExecutionKey &b)
                                           sb.par.pp);
 }
 
+/**
+ * Strict weak order over what an SLO search reads of a case besides
+ * its generation and gating params: the paper workload, or every spec
+ * field but the display name and the gating overrides.
+ */
+bool
+identityBefore(const SweepCase &a, const SweepCase &b)
+{
+    if (a.scenario && b.scenario) {
+        if (a.scenario == b.scenario)
+            return false;
+        const auto &x = *a.scenario;
+        const auto &y = *b.scenario;
+        return std::tie(x.family, x.model, x.batch, x.chips, x.seqLen,
+                        x.outLen, x.parSet, x.par.dp, x.par.tp, x.par.pp,
+                        x.unit, x.extra) <
+               std::tie(y.family, y.model, y.batch, y.chips, y.seqLen,
+                        y.outLen, y.parSet, y.par.dp, y.par.tp, y.par.pp,
+                        y.unit, y.extra);
+    }
+    if (a.scenario || b.scenario)
+        return !a.scenario;  // Enum-path cases sort first.
+    return a.workload < b.workload;
+}
+
+/**
+ * Sort the indices of @p n cases stably by @p before (so each group
+ * lists its cases in input order) and cut where the order changes:
+ * returns the sorted indices and each group's first position in them,
+ * followed by @p n.
+ */
+template <typename Before>
+std::pair<std::vector<std::size_t>, std::vector<std::size_t>>
+groupCases(std::size_t n, Before before)
+{
+    std::vector<std::size_t> order(n);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(), before);
+    std::vector<std::size_t> group_start;
+    for (std::size_t m = 0; m < n; ++m) {
+        if (m == 0 || before(order[m - 1], order[m]))
+            group_start.push_back(m);
+    }
+    group_start.push_back(n);
+    return {std::move(order), std::move(group_start)};
+}
+
 }  // namespace
 
 std::vector<SweepCase>
@@ -157,25 +204,15 @@ scenarioGrid(
 std::vector<WorkloadReport>
 SweepRunner::run(const std::vector<SweepCase> &cases)
 {
-    // Group the cases that share one execution: sort case indices by
-    // execution key (stably, so each group lists its cases in input
-    // order) and cut where the key changes.
+    // Group the cases that share one execution.
     std::vector<ExecutionKey> keys;
     keys.reserve(cases.size());
     for (const auto &c : cases)
         keys.push_back(executionKey(c));
-    std::vector<std::size_t> order(cases.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         return executesBefore(keys[a], keys[b]);
-                     });
-    std::vector<std::size_t> group_start;
-    for (std::size_t m = 0; m < order.size(); ++m) {
-        if (m == 0 || executesBefore(keys[order[m - 1]], keys[order[m]]))
-            group_start.push_back(m);
-    }
-    group_start.push_back(order.size());
+    auto [order, group_start] =
+        groupCases(cases.size(), [&](std::size_t a, std::size_t b) {
+            return executesBefore(keys[a], keys[b]);
+        });
 
     // One task per group: build, compile and execute once, then
     // evaluate every case under its own gating params. The last case
@@ -204,20 +241,22 @@ SweepRunner::run(const std::vector<SweepCase> &cases)
 std::vector<SloResult>
 SweepRunner::search(const std::vector<SweepCase> &cases)
 {
-    return parallelMapOrdered(pool_, cases, [](const SweepCase &c) {
-        try {
-            if (c.scenario)
-                return findBestSetup(c.scenario, c.gen, c.params);
-            return findBestSetup(c.workload, c.gen, c.params);
-        } catch (const ConfigError &e) {
-            SloResult failed;
-            failed.error = e.what();
-            failed.report.workload = c.workload;
-            failed.report.scenario = c.scenario;
-            failed.report.gen = c.gen;
-            return failed;
-        }
+    // One task per scenario identity: searchSameIdentity executes its
+    // anchor and each generation's candidates once for all its cases.
+    auto [order, group_start] =
+        groupCases(cases.size(), [&](std::size_t a, std::size_t b) {
+            return identityBefore(cases[a], cases[b]);
+        });
+    std::vector<SloResult> out(cases.size());
+    parallelFor(pool_, group_start.size() - 1, [&](std::size_t g) {
+        std::vector<const SweepCase *> group;
+        for (std::size_t m = group_start[g]; m < group_start[g + 1]; ++m)
+            group.push_back(&cases[order[m]]);
+        auto results = searchSameIdentity(group);
+        for (std::size_t k = 0; k < results.size(); ++k)
+            out[order[group_start[g] + k]] = std::move(results[k]);
     });
+    return out;
 }
 
 std::vector<WorkloadReport>

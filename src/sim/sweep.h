@@ -7,8 +7,10 @@
  * to run. run() groups the points that build the same graph on the
  * same generation and setup (gating params aside), executes each group
  * once and evaluates that execution under every point's own gating
- * params. Groups share nothing, so the results are bitwise identical
- * to the serial path, which simulates every point from scratch.
+ * params. search() groups the points of one scenario identity and runs
+ * one SLO search over each group (searchSameIdentity). Groups share
+ * nothing, so the results are bitwise identical to the serial path,
+ * which simulates every point from scratch.
  */
 
 #ifndef REGATE_SIM_SWEEP_H
@@ -43,7 +45,7 @@ struct SweepCase
     /**
      * Registry-driven custom scenario; null = enum workload path.
      * When set, `workload` is ignored and the case is simulated (or
-     * SLO-searched) through simulateScenario/findBestSetup over the
+     * SLO-searched) through simulateScenario/searchSameIdentity over the
      * spec. scenarioCase() normalizes specs that are identical to a
      * paper workload back onto the enum, so spec-driven grids of
      * built-in scenarios render byte-identical to enum grids.
@@ -99,10 +101,12 @@ class SweepRunner
 
     /**
      * SLO-search every case (the Fig. 2 path); results index-aligned
-     * with @p cases. The per-case setup override is ignored — the
-     * search explores its own candidates. A case whose search fails
-     * with a ConfigError gets a result carrying only that error and
-     * the case's identity (SloResult::error).
+     * with @p cases. One task per scenario identity runs
+     * searchSameIdentity over that identity's cases. The per-case
+     * setup override is ignored — the search explores its own
+     * candidates. A case whose search fails with a ConfigError gets a
+     * result carrying only that error and the case's identity
+     * (SloResult::error).
      */
     std::vector<SloResult> search(const std::vector<SweepCase> &cases);
 
@@ -111,8 +115,6 @@ class SweepRunner
         const std::vector<SweepCase> &cases);
 
     unsigned threadCount() const { return pool_.threadCount(); }
-
-    ThreadPool &pool() { return pool_; }
 
   private:
     ThreadPool pool_;

@@ -26,10 +26,16 @@ Checks:
     the same bytes with REGATE_THREADS=1 and 4;
 11. fig17 and fig19 exit 1 with a `--spec: file:line` message on
     gating values the model cannot represent: a leakage ratio above 1
-    and a delay scale whose scaled cycle counts overflow.
+    and a delay scale whose scaled cycle counts overflow;
+12. fig02's trace holds exactly FIG02_SPANS engine spans: its 68 SLO
+    searches execute each distinct candidate once and evaluate only
+    the winners; scenarios that differ only in gating keys add
+    evaluations to fig02 but no executions.
 """
 
 import argparse
+import collections
+import json
 import os
 import subprocess
 import sys
@@ -102,6 +108,24 @@ UNREPRESENTABLE_GATING = (
      b"delay_scale = 1e+30 overflows the scaled Table-3 cycle counts"),
 )
 
+# fig02's 17 workloads x 4 generations: 17 NPU-D anchors (each reused
+# as NPU-D's base candidate) and the 507 other candidates are executed
+# once; each of the 68 winners is evaluated once.
+FIG02_SPANS = {"engine.execute": 524, "engine.evaluate": 68}
+
+# A custom scenario, then two that differ from it only in name and
+# gating keys: one SLO search identity.
+MOE_SECTION = """[scenario moe-{name}]
+family = moe
+model = 8b
+experts = 16
+batch = 64
+chips = 2
+{gating}
+"""
+GATING_VARIANTS = ("", "logic_off = 0.2\nsram_off = 0.3",
+                   "delay_scale = 4")
+
 failures = []
 # Working directory of every child, so a binary that wrongly accepts a
 # file argument writes into a scratch directory.
@@ -123,6 +147,12 @@ def expect(ok, what, proc=None):
         what += (f" (exit {proc.returncode}; stderr: "
                  f"{proc.stderr.decode(errors='replace').strip()[:300]})")
     failures.append(what)
+
+
+def span_counts(trace):
+    """Occurrences of each event name in a --trace-out file."""
+    return collections.Counter(
+        event.get("name") for event in json.loads(trace.read_text()))
 
 
 def check_all(binary, suite_spec, specs, trace_check):
@@ -184,6 +214,27 @@ def check_all(binary, suite_spec, specs, trace_check):
                f"{name} --spec {gating_spec.name}: output differs "
                "between REGATE_THREADS=1 and 4")
 
+    counts = []
+    for variants in (GATING_VARIANTS[:1], GATING_VARIANTS):
+        spec = Path(workdir) / f"moe_{len(variants)}_variants.spec"
+        spec.write_text("@regate-spec v1\n" + "".join(
+            MOE_SECTION.format(name=i, gating=gating)
+            for i, gating in enumerate(variants)))
+        trace = spec.with_suffix(".trace.json")
+        proc = run([binary("fig02_energy_efficiency"), "--spec", spec,
+                    "--trace-out", trace])
+        expect(proc.returncode == 0 and trace.exists(),
+               f"fig02 --spec {spec.name} --trace-out failed", proc)
+        spans = span_counts(trace) if trace.exists() else {}
+        counts.append((spans.get("engine.execute"),
+                       spans.get("engine.evaluate")))
+    (one_ex, one_ev), (all_ex, all_ev) = counts
+    expect(one_ex and one_ex == all_ex and one_ev == 4
+           and all_ev == 4 * len(GATING_VARIANTS),
+           "fig02: gating variants must add only evaluations, want "
+           f"equal executions and 4 evaluations per scenario, got "
+           f"{counts}")
+
     for i, (line, message) in enumerate(UNREPRESENTABLE_GATING):
         spec = Path(workdir) / f"unrepresentable_{i}.spec"
         spec.write_text("@regate-spec v1\n[scenario bad]\n"
@@ -208,6 +259,12 @@ def check_all(binary, suite_spec, specs, trace_check):
                f"{name} --trace-out changed the figure output")
         if trace.exists():
             traces.append(trace)
+        if name == "fig02_energy_efficiency" and trace.exists():
+            counts = span_counts(trace)
+            spans = {key: counts[key] for key in FIG02_SPANS}
+            expect(spans == FIG02_SPANS,
+                   f"fig02 --trace-out: want spans {FIG02_SPANS}, "
+                   f"got {spans}")
     if traces:
         proc = run([sys.executable, trace_check, *traces])
         expect(proc.returncode == 0, "trace_check rejected a "

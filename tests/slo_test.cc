@@ -19,8 +19,7 @@ TEST(Slo, TargetIsFiveTimesDefaultLatency)
     auto rep = simulateWorkload(Workload::DlrmS, NpuGeneration::D);
     double default_spu =
         rep.run().result(Policy::NoPG).seconds / rep.units;
-    EXPECT_NEAR(sloTargetSecondsPerUnit(Workload::DlrmS),
-                5.0 * default_spu, default_spu * 0.01);
+    EXPECT_EQ(sloTargetSecondsPerUnit(Workload::DlrmS), 5.0 * default_spu);
 }
 
 TEST(Slo, CandidatesNonEmptyAndConsistent)

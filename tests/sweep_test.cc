@@ -3,9 +3,9 @@
  * Tests for the parallel sweep subsystem: the thread pool,
  * deterministic ordered fan-out and its error propagation, parallel
  * vs serial sweep equivalence (bitwise) on the enum and the scenario
- * path, including cases that share one execution, per-case SLO search
- * errors, and the parallel SLO search picking the serial winner at any
- * thread count.
+ * path, including cases that share one execution, and the SLO search
+ * against its serial reference at any thread count: per-case and
+ * per-identity errors, and gating variants sharing one selection.
  */
 
 #include <gtest/gtest.h>
@@ -288,59 +288,145 @@ TEST(SweepRunner, SearchRecordsPerCaseErrors)
     EXPECT_GT(results[1].energyPerUnit, 0);
 }
 
-TEST(SweepRunner, SearchMatchesSerialSearch)
+/** An SLO search result against the serial reference, bitwise. */
+void
+expectSearchesIdentical(const SloResult &a, const SloResult &b)
 {
-    auto grid = makeGrid({Workload::DlrmS},
-                         {arch::NpuGeneration::C,
-                          arch::NpuGeneration::D});
-    SweepRunner runner(2);
-    auto results = runner.search(grid);
-    ASSERT_EQ(results.size(), 2u);
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-        auto ref = findBestSetup(grid[i].workload, grid[i].gen,
-                                 grid[i].params);
-        EXPECT_EQ(results[i].setup.chips, ref.setup.chips);
-        EXPECT_EQ(results[i].setup.batch, ref.setup.batch);
-        EXPECT_EQ(results[i].secondsPerUnit, ref.secondsPerUnit);
-        EXPECT_EQ(results[i].energyPerUnit, ref.energyPerUnit);
-        EXPECT_EQ(results[i].sloRatio, ref.sloRatio);
-    }
+    EXPECT_TRUE(a.error.empty()) << a.error;
+    EXPECT_TRUE(a.setup == b.setup);
+    EXPECT_EQ(a.secondsPerUnit, b.secondsPerUnit);
+    EXPECT_EQ(a.energyPerUnit, b.energyPerUnit);
+    EXPECT_EQ(a.sloRatio, b.sloRatio);
+    EXPECT_EQ(a.report.workload, b.report.workload);
+    EXPECT_EQ(a.report.scenario, b.report.scenario);
+    EXPECT_EQ(a.report.gen, b.report.gen);
+    EXPECT_TRUE(a.report.gatingParams() == b.report.gatingParams());
+    expectRunsIdentical(a.report.run(), b.report.run());
 }
 
-TEST(ParallelFindBestSetup, MatchesSerialAtEveryThreadCount)
+const std::vector<arch::NpuGeneration> kFig2Generations = {
+    arch::NpuGeneration::A, arch::NpuGeneration::B,
+    arch::NpuGeneration::C, arch::NpuGeneration::D};
+
+/** findBestSetupSerial over one grid case. */
+SloResult
+searchSerially(const SweepCase &c)
 {
-    // REGATE_THREADS only sizes the default pool, so passing explicit
-    // pools of 1/2/8 workers exercises exactly the configurations
-    // REGATE_THREADS=1,2,8 would produce.
-    for (auto w : {Workload::DlrmS, Workload::Prefill13B,
-                   Workload::Decode8B}) {
-        for (auto gen :
-             {arch::NpuGeneration::A, arch::NpuGeneration::D}) {
-            auto serial = findBestSetupSerial(w, gen);
-            for (unsigned threads : {1u, 2u, 8u}) {
-                ThreadPool pool(threads);
-                auto par = findBestSetup(w, gen, {}, &pool);
-                EXPECT_TRUE(par.setup == serial.setup)
-                    << models::workloadName(w) << " threads="
-                    << threads;
-                EXPECT_EQ(par.secondsPerUnit, serial.secondsPerUnit);
-                EXPECT_EQ(par.energyPerUnit, serial.energyPerUnit);
-                EXPECT_EQ(par.sloRatio, serial.sloRatio);
-                expectRunsIdentical(par.report.run(),
-                                    serial.report.run());
-            }
+    return c.scenario ? findBestSetupSerial(c.scenario, c.gen, c.params)
+                      : findBestSetupSerial(c.workload, c.gen, c.params);
+}
+
+TEST(SweepRunner, SearchMatchesSerialAtEveryThreadCount)
+{
+    // Fig. 2's grid: every paper workload on NPU-A to NPU-D.
+    auto grid = makeGrid(models::allWorkloads(), kFig2Generations);
+    ASSERT_EQ(grid.size(), 68u);
+    std::vector<SloResult> serial;
+    for (const auto &c : grid) {
+        serial.push_back(searchSerially(c));
+        SCOPED_TRACE(testing::Message()
+                     << models::workloadName(c.workload) << "/"
+                     << arch::generationName(c.gen) << " findBestSetup");
+        expectSearchesIdentical(findBestSetup(c.workload, c.gen),
+                                serial.back());
+    }
+    for (unsigned threads : {1u, 2u, 8u}) {
+        SweepRunner runner(threads);
+        auto results = runner.search(grid);
+        ASSERT_EQ(results.size(), grid.size());
+        for (std::size_t i = 0; i < grid.size(); ++i) {
+            SCOPED_TRACE(testing::Message()
+                         << models::workloadName(grid[i].workload) << "/"
+                         << arch::generationName(grid[i].gen)
+                         << " threads=" << threads);
+            expectSearchesIdentical(results[i], serial[i]);
         }
     }
 }
 
-TEST(ParallelFindBestSetup, DefaultPoolMatchesSerial)
+TEST(SweepRunner, SearchAnchorErrorStopsEveryCaseOfItsIdentity)
 {
-    auto serial = findBestSetupSerial(Workload::DlrmM,
-                                      arch::NpuGeneration::C);
-    auto par = findBestSetup(Workload::DlrmM, arch::NpuGeneration::C);
-    EXPECT_TRUE(par.setup == serial.setup);
-    EXPECT_EQ(par.energyPerUnit, serial.energyPerUnit);
-    EXPECT_EQ(par.sloRatio, serial.sloRatio);
+    // Passes spec validation, then loses its sequence length, so the
+    // NPU-D anchor's graph fails validation: every generation and
+    // every gating variant of the scenario carries the anchor's error,
+    // the one the serial search throws, while a healthy scenario in
+    // the same grid still searches.
+    auto spec = models::parseSpecText(
+        "@regate-spec v1\n"
+        "[scenario broken]\nfamily = llama-prefill\nmodel = 8b\n"
+        "batch = 8\nchips = 1\n"
+        "[scenario broken-gated]\nfamily = llama-prefill\n"
+        "model = 8b\nbatch = 8\nchips = 1\nlogic_off = 0.2\n"
+        "[scenario fine]\nfamily = dlrm\nmodel = s\nbatch = 64\n"
+        "chips = 1\nsram_off = 0.05\n");
+    for (std::size_t i : {0u, 1u}) {
+        auto broken =
+            std::make_shared<models::ScenarioSpec>(*spec.scenarios[i]);
+        broken->seqLen = -1;
+        spec.scenarios[i] = broken;
+    }
+    std::string serial_error;
+    try {
+        findBestSetupSerial(spec.scenarios[0], arch::NpuGeneration::B);
+        FAIL() << "the serial search did not throw";
+    } catch (const ConfigError &e) {
+        serial_error = e.what();
+    }
+    auto grid = scenarioGrid(spec.scenarios, kFig2Generations);
+    ASSERT_EQ(grid.size(), 12u);
+    SweepRunner runner(2);
+    auto results = runner.search(grid);
+    ASSERT_EQ(results.size(), grid.size());
+    for (std::size_t i = 0; i < 8; ++i) {
+        SCOPED_TRACE(testing::Message() << "case " << i);
+        EXPECT_EQ(results[i].error, serial_error);
+        EXPECT_EQ(results[i].report.scenario, grid[i].scenario);
+        EXPECT_EQ(results[i].report.gen, grid[i].gen);
+    }
+    for (std::size_t i = 8; i < grid.size(); ++i)
+        expectSearchesIdentical(results[i], searchSerially(grid[i]));
+}
+
+TEST(SweepRunner, SearchGatingOverridesShareOneSelection)
+{
+    // Two scenarios that differ only in name and gating overrides
+    // share one selection per generation, but each winner is evaluated
+    // under its own case's params. A third that differs in its batch
+    // too searches on its own.
+    auto spec = models::parseSpecText(
+        "@regate-spec v1\n"
+        "[scenario plain]\nfamily = moe\nmodel = 8b\nexperts = 16\n"
+        "batch = 64\nchips = 2\n"
+        "[scenario gated]\nfamily = moe\nmodel = 8b\nexperts = 16\n"
+        "batch = 64\nchips = 2\nlogic_off = 0.2\nsram_off = 0.3\n"
+        "delay_scale = 4\n"
+        "[scenario half-batch]\nfamily = moe\nmodel = 8b\n"
+        "experts = 16\nbatch = 32\nchips = 2\nlogic_off = 0.2\n");
+    auto grid = scenarioGrid(spec.scenarios, {arch::NpuGeneration::B,
+                                              arch::NpuGeneration::D});
+    ASSERT_EQ(grid.size(), 6u);
+    for (unsigned threads : {1u, 4u}) {
+        SweepRunner runner(threads);
+        auto results = runner.search(grid);
+        ASSERT_EQ(results.size(), grid.size());
+        for (std::size_t i = 0; i < grid.size(); ++i) {
+            SCOPED_TRACE(testing::Message() << "case " << i
+                                            << " threads=" << threads);
+            auto serial = searchSerially(grid[i]);
+            expectSearchesIdentical(results[i], serial);
+            EXPECT_EQ(results[i].report.run()
+                          .result(Policy::Full)
+                          .energy.busyTotal(),
+                      serial.report.run()
+                          .result(Policy::Full)
+                          .energy.busyTotal());
+        }
+        // Same winner, different evaluation.
+        EXPECT_TRUE(results[0].setup == results[2].setup);
+        EXPECT_NE(
+            results[0].report.run().result(Policy::Full).energy.busyTotal(),
+            results[2].report.run().result(Policy::Full).energy.busyTotal());
+    }
 }
 
 }  // namespace
