@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <limits>
+#include <string_view>
 
 #include "common/error.h"
 
@@ -58,54 +60,92 @@ TablePrinter::print(std::ostream &os) const
             widths[i] = std::max(widths[i], row[i].size());
     }
 
-    auto print_line = [&](const std::vector<std::string> &cells,
-                          bool numeric_align) {
-        os << "|";
+    // Every line, cells or separator, is "|" + (w + 3) per column +
+    // "\n", so the whole table is built in one exactly sized string
+    // and written at once.
+    std::size_t line_len = 2;
+    for (std::size_t w : widths)
+        line_len += w + 3;
+    std::string out;
+    out.reserve(line_len * (rows_.size() + 2));
+
+    auto append_line = [&](const std::vector<std::string> &cells,
+                           bool numeric_align) {
+        out += '|';
         for (std::size_t i = 0; i < headers_.size(); ++i) {
             const std::string &cell = i < cells.size() ? cells[i] : "";
             std::size_t pad = widths[i] - cell.size();
             bool right = numeric_align && looksNumeric(cell);
-            os << ' ';
-            if (right)
-                os << std::string(pad, ' ') << cell;
-            else
-                os << cell << std::string(pad, ' ');
-            os << " |";
+            out += ' ';
+            if (right) {
+                out.append(pad, ' ');
+                out += cell;
+            } else {
+                out += cell;
+                out.append(pad, ' ');
+            }
+            out += " |";
         }
-        os << '\n';
+        out += '\n';
     };
 
-    auto print_sep = [&]() {
-        os << "|";
-        for (std::size_t w : widths)
-            os << std::string(w + 2, '-') << "|";
-        os << '\n';
+    auto append_sep = [&]() {
+        out += '|';
+        for (std::size_t w : widths) {
+            out.append(w + 2, '-');
+            out += '|';
+        }
+        out += '\n';
     };
 
-    print_line(headers_, false);
-    print_sep();
+    append_line(headers_, false);
+    append_sep();
     for (const auto &row : rows_) {
         if (!row.empty() && row[0] == kSeparatorTag)
-            print_sep();
+            append_sep();
         else
-            print_line(row, true);
+            append_line(row, true);
     }
+    os.write(out.data(), static_cast<std::streamsize>(out.size()));
 }
+
+namespace {
+
+// The longest fixed-format double: a sign, the 309 integer digits of
+// DBL_MAX, the point and the fraction digits.
+constexpr std::size_t kMaxFixedChars =
+    1 + (std::numeric_limits<double>::max_exponent10 + 1) + 1 +
+    TablePrinter::kMaxPrecision;
+
+// @p v with @p precision digits after the point, as printf's "%.*f"
+// prints it (exact value, ties to even), followed by @p suffix.
+std::string
+fixed(double v, int precision, std::string_view suffix)
+{
+    REGATE_ASSERT(precision >= 0 && precision <= TablePrinter::kMaxPrecision,
+                  "table precision ", precision, " outside [0, ",
+                  TablePrinter::kMaxPrecision, "]");
+    char buf[kMaxFixedChars];
+    auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v,
+                                   std::chars_format::fixed, precision);
+    REGATE_ASSERT(ec == std::errc(), "fixed-format buffer too small");
+    std::string out(buf, end);
+    out += suffix;
+    return out;
+}
+
+}  // namespace
 
 std::string
 TablePrinter::fmt(double v, int precision)
 {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
-    return buf;
+    return fixed(v, precision, "");
 }
 
 std::string
 TablePrinter::pct(double fraction, int precision)
 {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.*f%%", precision, fraction * 100.0);
-    return buf;
+    return fixed(fraction * 100.0, precision, "%");
 }
 
 std::string
@@ -135,9 +175,7 @@ TablePrinter::eng(double v, int precision)
         v *= 1e3;
         suffix = "m";
     }
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.*f%s", precision, v, suffix);
-    return buf;
+    return fixed(v, precision, suffix);
 }
 
 }  // namespace regate

@@ -33,13 +33,19 @@ class TablePrinter
     /** Append a horizontal separator line. */
     void addSeparator();
 
-    /** Render the table to @p os. */
+    /** Render the table to @p os in a single write. */
     void print(std::ostream &os) const;
 
     /** Number of data rows added so far. */
     std::size_t rowCount() const { return rows_.size(); }
 
-    /** Format a double with @p precision digits after the point. */
+    /** Largest @p precision the formatters accept. */
+    static constexpr int kMaxPrecision = 64;
+
+    /**
+     * Format a double with @p precision digits after the point,
+     * byte for byte as printf's "%.*f".
+     */
     static std::string fmt(double v, int precision = 2);
 
     /** Format a value as a percentage ("12.3%"). */

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/error.h"
 #include "common/prng.h"
@@ -125,6 +129,74 @@ TEST(Table, RejectsOversizedRows)
     EXPECT_THROW(t.addRow({"a", "b"}), ConfigError);
 }
 
+TEST(Table, PrintsExactBytes)
+{
+    TablePrinter t({"name", "value", "note"});
+    t.addRow({"alpha", "1.0", "ok"});
+    t.addRow({"b", "-22.5"});  // missing last cell
+    t.addSeparator();
+    t.addRow({"-x", "n/a", "3"});
+    std::ostringstream os;
+    t.print(os);
+    // Headers and text cells left-aligned, numeric cells (a leading
+    // digit, sign or point) right-aligned, missing cells blank.
+    EXPECT_EQ(os.str(),
+              "| name  | value | note |\n"
+              "|-------|-------|------|\n"
+              "| alpha |   1.0 | ok   |\n"
+              "| b     | -22.5 |      |\n"
+              "|-------|-------|------|\n"
+              "|    -x | n/a   |    3 |\n");
+}
+
+namespace {
+
+// printf with a buffer as long as the output: the reference the
+// formatters must reproduce byte for byte.
+template <typename... Args>
+std::string
+printfString(const char *format, Args... args)
+{
+    int n = std::snprintf(nullptr, 0, format, args...);
+    std::string out(static_cast<std::size_t>(n) + 1, '\0');
+    std::snprintf(out.data(), out.size(), format, args...);
+    out.pop_back();
+    return out;
+}
+
+// TablePrinter::eng's scaling, printed with printf.
+std::string
+printfEng(double v, int precision)
+{
+    const char *suffix = "";
+    double a = std::fabs(v);
+    if (a >= 1e12) {
+        v /= 1e12;
+        suffix = "T";
+    } else if (a >= 1e9) {
+        v /= 1e9;
+        suffix = "G";
+    } else if (a >= 1e6) {
+        v /= 1e6;
+        suffix = "M";
+    } else if (a >= 1e3) {
+        v /= 1e3;
+        suffix = "K";
+    } else if (a > 0 && a < 1e-6) {
+        v *= 1e9;
+        suffix = "n";
+    } else if (a > 0 && a < 1e-3) {
+        v *= 1e6;
+        suffix = "u";
+    } else if (a > 0 && a < 1.0) {
+        v *= 1e3;
+        suffix = "m";
+    }
+    return printfString("%.*f%s", precision, v, suffix);
+}
+
+}  // namespace
+
 TEST(Table, Formatting)
 {
     EXPECT_EQ(TablePrinter::fmt(1.2345, 2), "1.23");
@@ -135,6 +207,50 @@ TEST(Table, Formatting)
     EXPECT_EQ(TablePrinter::eng(2.5e-6, 1), "2.5u");
     EXPECT_EQ(TablePrinter::eng(2.5e-9, 1), "2.5n");
     EXPECT_EQ(TablePrinter::eng(0.0, 1), "0.0");
+
+    // Differential against printf: exact ties, signed zero,
+    // non-finite values, the extremes, then a seeded spread of
+    // magnitudes and exactly representable halves.
+    std::vector<double> values = {
+        0.125, 0.25, 2.5, -2.5, 0.5, 1.5, 0.0, -0.0,
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN(),
+        5e-324, 1e300, -1e300, std::numeric_limits<double>::max(),
+        0.155, 0.0005, 999.9995, 1e-7, 1e15};
+    Prng rng(17);
+    for (int i = 0; i < 500; ++i) {
+        int exp10 = static_cast<int>(rng.uniform(0, 30)) - 12;
+        double v = rng.uniform01() * std::pow(10.0, exp10);
+        values.push_back(rng.uniform(0, 1) ? v : -v);
+        // k / 2^j: a tie at some precision.
+        double half = static_cast<double>(rng.uniform(0, 1u << 20)) /
+                      static_cast<double>(1u << rng.uniform(1, 12));
+        values.push_back(rng.uniform(0, 1) ? half : -half);
+    }
+    for (double v : values) {
+        for (int p = 0; p <= 6; ++p) {
+            EXPECT_EQ(TablePrinter::fmt(v, p), printfString("%.*f", p, v))
+                << printfString("v=%a", v);
+            EXPECT_EQ(TablePrinter::pct(v, p),
+                      printfString("%.*f%%", p, v * 100.0))
+                << printfString("v=%a", v);
+            EXPECT_EQ(TablePrinter::eng(v, p), printfEng(v, p))
+                << printfString("v=%a", v);
+        }
+    }
+
+    // The whole number, where a 64-byte buffer kept 63 characters.
+    std::string big = TablePrinter::fmt(1e300, 2);
+    EXPECT_EQ(big.size(), 304u);  // 301 integer digits, point, 2 places
+    EXPECT_EQ(big, printfString("%.2f", 1e300));
+    EXPECT_EQ(TablePrinter::fmt(-std::numeric_limits<double>::max(), 0)
+                  .size(),
+              310u);
+    EXPECT_THROW(TablePrinter::fmt(1.0, -1), LogicError);
+    EXPECT_THROW(TablePrinter::fmt(1.0, TablePrinter::kMaxPrecision + 1),
+                 LogicError);
 }
 
 TEST(Prng, Deterministic)
