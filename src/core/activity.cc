@@ -20,7 +20,48 @@ findGroup(std::vector<GapGroup> &gaps, Cycles length)
                             });
 }
 
+/** A burst shape's geometry: @c reps bursts of @c len every @c period. */
+struct BurstGeometry
+{
+    Cycles len;
+    Cycles period;
+    std::uint64_t reps;
+};
+
+/** Geometry of a shape with 0 < @p active < @p span. */
+BurstGeometry
+burstGeometry(Cycles span, Cycles active, std::uint64_t bursts)
+{
+    bursts = std::clamp<std::uint64_t>(bursts, 1, active);
+    Cycles len = std::max<Cycles>(1, active / bursts);
+    Cycles period = std::max<Cycles>(len + 1, span / bursts);
+    return {len, period, (span - len) / period + 1};
+}
+
 }  // namespace
+
+ActivityTimeline
+ActivityTimeline::fromBursts(Cycles span, Cycles active,
+                             std::uint64_t bursts)
+{
+    if (span == 0)
+        return ActivityTimeline();
+    if (active == 0)
+        return allIdle(span);
+    if (active >= span)
+        return allActive(span);
+    auto g = burstGeometry(span, active, bursts);
+    return periodic(span, 0, g.len, g.period);
+}
+
+std::uint64_t
+ActivityTimeline::burstActivations(Cycles span, Cycles active,
+                                   std::uint64_t bursts)
+{
+    if (span == 0 || active == 0)
+        return 0;
+    return active >= span ? 1 : burstGeometry(span, active, bursts).reps;
+}
 
 ActivityTimeline
 ActivityTimeline::allActive(Cycles span)
@@ -206,6 +247,43 @@ ActivityTimeline::append(const ActivityTimeline &next)
     active_ += next.active_;
     leadingIdle_ = a_all_idle ? seam : leadingIdle_;
     trailingIdle_ = b_all_idle ? seam : next.trailingIdle_;
+}
+
+void
+ActivityTimeline::appendBursts(Cycles span, Cycles active,
+                               std::uint64_t bursts)
+{
+    if (span == 0)
+        return;
+    bool was_idle = active_ == 0;
+    span_ += span;
+
+    if (active == 0) {
+        // All idle: the shape lengthens this timeline's trailing gap.
+        Cycles seam = trailingIdle_ + span;
+        removeGaps(trailingIdle_, 1);
+        insertGap(seam, 1);
+        if (was_idle)
+            leadingIdle_ = seam;
+        trailingIdle_ = seam;
+        return;
+    }
+
+    // The shape starts active, so the seam gap is this timeline's
+    // trailing gap as it stands; only the shape's own gaps are added.
+    // All active is one burst spanning the whole shape.
+    auto g = active >= span ? BurstGeometry{span, span, 1}
+                            : burstGeometry(span, active, bursts);
+    Cycles trailing = span - ((g.reps - 1) * g.period + g.len);
+    if (g.reps > 1)
+        insertGap(g.period - g.len, g.reps - 1);
+    insertGap(trailing, 1);
+
+    // The first burst fuses with an activation running up to the seam.
+    // An all-idle prefix keeps its leading gap: it equals the seam.
+    activations_ += g.reps - (!was_idle && trailingIdle_ == 0 ? 1 : 0);
+    active_ += g.len * g.reps;
+    trailingIdle_ = trailing;
 }
 
 ActivityTimeline

@@ -16,6 +16,15 @@
  * invariant, so membership updates are binary searches, concatenation
  * is an ordered merge, and repetition is O(log G) seam arithmetic
  * rather than a loop over the repeat count.
+ *
+ * Inside one operator a unit's activity is a burst shape
+ * (fromBursts): about `bursts` equal bursts covering about `active` of
+ * `span` cycles, starting at the operator's first cycle. That is the
+ * per-operator form the simulator records. appendBursts() composes a
+ * shape onto a block in place, equal to append(fromBursts(...)) but
+ * with no temporary: a shape starts active, so the block's trailing
+ * gap survives the seam unchanged and the append costs at most two
+ * O(log G) gap insertions plus O(1) bookkeeping, not an O(G) merge.
  */
 
 #ifndef REGATE_CORE_ACTIVITY_H
@@ -72,12 +81,31 @@ class ActivityTimeline
     static ActivityTimeline periodic(Cycles span, Cycles offset,
                                      Cycles active_len, Cycles period);
 
+    /**
+     * A burst shape: about @p bursts bursts covering about @p active
+     * of @p span cycles, the first starting at cycle 0. All idle when
+     * @p active is 0, all active when it reaches @p span, empty when
+     * @p span is 0; @p bursts is clamped to [1, @p active].
+     */
+    static ActivityTimeline fromBursts(Cycles span, Cycles active,
+                                       std::uint64_t bursts);
+
+    /** fromBursts(span, active, bursts).activations(), in O(1). */
+    static std::uint64_t burstActivations(Cycles span, Cycles active,
+                                          std::uint64_t bursts);
+
     /** From an explicit (normalized or not) interval list. */
     static ActivityTimeline fromIntervals(Cycles span,
                                           std::vector<Interval> active);
 
     /** Append another timeline after this one, merging seam gaps. */
     void append(const ActivityTimeline &next);
+
+    /**
+     * append(fromBursts(span, active, bursts)), in place: at most two
+     * O(log G) gap insertions and no temporary timeline.
+     */
+    void appendBursts(Cycles span, Cycles active, std::uint64_t bursts);
 
     /** Scale the number of repetitions (e.g., one layer -> N layers). */
     ActivityTimeline repeated(std::uint64_t times) const;

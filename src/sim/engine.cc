@@ -46,10 +46,16 @@ OpRecordArena::append(const OpRecord &rec)
 {
     REGATE_ASSERT(!sealed_, "append to a sealed OpRecordArena");
     auto &c = building_;
-    auto [it, inserted] = interner_.emplace(
-        rec.name, static_cast<std::uint32_t>(c.names.size()));
-    if (inserted)
+    // Look up first: most names repeat, and emplace would allocate a
+    // node and copy the name only to discard both.
+    auto it = interner_.find(rec.name);
+    if (it == interner_.end()) {
+        it = interner_
+                 .emplace(rec.name,
+                          static_cast<std::uint32_t>(c.names.size()))
+                 .first;
         c.names.push_back(rec.name);
+    }
     c.nameId.push_back(it->second);
     c.kind.push_back(rec.kind);
     c.count.push_back(rec.count);
@@ -143,6 +149,7 @@ Engine::execute(const graph::OperatorGraph &graph, int pod_chips) const
     for (const auto &block : graph.blocks)
         num_ops += block.ops.size();
     run.opRecords.reserve(num_ops);
+    OpRecord rec;  // Reused, so rec.name keeps its buffer.
 
     for (const auto &block : graph.blocks) {
         Execution::Block &eb = exec.blocks.emplace_back();
@@ -159,18 +166,23 @@ Engine::execute(const graph::OperatorGraph &graph, int pod_chips) const
         for (const auto &op : block.ops) {
             const OpExecution ex = op_sim.simulate(op);
 
+            const OpBursts &shape = ex.timeline;
+
             // The VU wake-ups of an SA-bound op can stall the SA
             // pipeline under ReGate-Base (see wakeOverheads).
             if (ex.active[Component::Sa] > 0 &&
                 ex.active[Component::Vu] > 0 &&
                 ex.bottleneck == Component::Sa) {
                 eb.vuStallActivations.push_back(
-                    ex.timeline[Component::Vu].activations());
+                    ActivityTimeline::burstActivations(
+                        shape.span, shape.active[Component::Vu],
+                        shape.bursts[Component::Vu]));
             }
 
             for (auto c : {Component::Sa, Component::Vu, Component::Hbm,
                            Component::Ici}) {
-                block_tl[c].append(ex.timeline[c]);
+                block_tl[c].appendBursts(shape.span, shape.active[c],
+                                         shape.bursts[c]);
                 if (ex.active[c] > 0) {
                     eb.usage[c].push_back({block_dur,
                                            block_dur + ex.active[c],
@@ -194,7 +206,6 @@ Engine::execute(const graph::OperatorGraph &graph, int pod_chips) const
             prev_used_bytes = used_bytes;
             have_prev_used = true;
 
-            OpRecord rec;
             rec.name = op.name;
             rec.kind = op.kind;
             rec.count = block.repeat;
@@ -493,30 +504,34 @@ Engine::evaluatePolicy(WorkloadRun &run, Policy policy,
     res.avgPowerW = e.busyTotal() / res.seconds;
 
     // ---- Peak power: most power-hungry operator (Fig. 18) ----
+    // Everything but the record's own fractions is fixed per policy.
+    constexpr std::array<Component, 4> kLogic = {
+        Component::Sa, Component::Vu, Component::Hbm, Component::Ici};
+    const double leak_c = policy == Policy::NoPG    ? 1.0
+                          : policy == Policy::Ideal ? 0.0
+                                                    : ratios.logicOff;
+    const double sram_leak = policy == Policy::NoPG ? 1.0
+                             : policy == Policy::Ideal
+                                 ? 0.0
+                                 : (policy == Policy::Full
+                                        ? ratios.sramOff
+                                        : ratios.sramSleep);
+    std::array<double, kLogic.size()> p_logic;
+    for (std::size_t i = 0; i < kLogic.size(); ++i)
+        p_logic[i] = power_.staticPower(kLogic[i]);
+    const double p_sram = power_.staticPower(Component::Sram);
+    const double p_other = power_.staticPower(Component::Other);
     double peak = 0;
     for (const auto &rec : run.opRecords) {
         double dur_s = static_cast<double>(rec.duration()) * tau;
         double p_static = 0;
-        for (auto c : {Component::Sa, Component::Vu, Component::Hbm,
-                       Component::Ici}) {
-            double leak_c =
-                policy == Policy::NoPG ? 1.0
-                : policy == Policy::Ideal ? 0.0
-                                          : ratios.logicOff;
-            double pc = power_.staticPower(c);
-            p_static += pc * (rec.activeFrac(c) +
-                              (1.0 - rec.activeFrac(c)) * leak_c);
+        for (std::size_t i = 0; i < kLogic.size(); ++i) {
+            double f = rec.activeFrac(kLogic[i]);
+            p_static += p_logic[i] * (f + (1.0 - f) * leak_c);
         }
-        double sram_leak = policy == Policy::NoPG ? 1.0
-                           : policy == Policy::Ideal
-                               ? 0.0
-                               : (policy == Policy::Full
-                                      ? ratios.sramOff
-                                      : ratios.sramSleep);
-        p_static += power_.staticPower(Component::Sram) *
-                    (rec.sramUsedFrac() +
-                     (1.0 - rec.sramUsedFrac()) * sram_leak);
-        p_static += power_.staticPower(Component::Other);
+        p_static += p_sram * (rec.sramUsedFrac() +
+                              (1.0 - rec.sramUsedFrac()) * sram_leak);
+        p_static += p_other;
         peak = std::max(peak, p_static + rec.dynamicJ() / dur_s);
     }
     res.peakPowerW = peak;

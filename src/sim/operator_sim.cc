@@ -20,27 +20,15 @@ constexpr Cycles kMinOpCycles = 64;
 /** Random-access efficiency of embedding gathers. */
 constexpr double kGatherEfficiency = 0.5;
 
-/**
- * Build a bursty timeline: ~@p bursts bursts covering ~@p active of
- * @p span cycles. Falls back to all-active / all-idle at the
- * extremes.
- */
-ActivityTimeline
-burstTimeline(Cycles span, Cycles active, std::uint64_t bursts)
-{
-    if (span == 0)
-        return ActivityTimeline();
-    if (active == 0)
-        return ActivityTimeline::allIdle(span);
-    if (active >= span)
-        return ActivityTimeline::allActive(span);
-    bursts = std::clamp<std::uint64_t>(bursts, 1, active);
-    Cycles burst_len = std::max<Cycles>(1, active / bursts);
-    Cycles period = std::max<Cycles>(burst_len + 1, span / bursts);
-    return ActivityTimeline::periodic(span, 0, burst_len, period);
-}
-
 }  // namespace
+
+ActivityTimeline
+OpBursts::operator[](Component c) const
+{
+    if (c == Component::Sram || c == Component::Other)
+        return ActivityTimeline();
+    return ActivityTimeline::fromBursts(span, active[c], bursts[c]);
+}
 
 double
 OpExecution::activeFraction(arch::Component c) const
@@ -159,18 +147,17 @@ OperatorSimulator::simulate(const graph::Operator &op) const
     ex.sramUsedBytes = std::min(op.sramDemandBytes,
                                 static_cast<double>(cfg_.sramBytes));
 
-    // ---- Activity timelines ----
+    // ---- Activity burst shapes ----
     std::uint64_t chunks = std::max<std::uint64_t>(
         1, static_cast<std::uint64_t>(hbm_bytes / (4 << 20)));
-    ex.timeline[Component::Sa] =
-        burstTimeline(ex.duration, ex.active[Component::Sa], 1);
-    ex.timeline[Component::Vu] = burstTimeline(
-        ex.duration, ex.active[Component::Vu],
-        op.kind == OpKind::MatMul && !op.mapToVu ? tiles : chunks);
-    ex.timeline[Component::Hbm] =
-        burstTimeline(ex.duration, ex.active[Component::Hbm], chunks);
-    ex.timeline[Component::Ici] =
-        burstTimeline(ex.duration, ex.active[Component::Ici], 1);
+    OpBursts &shape = ex.timeline;
+    shape.span = ex.duration;
+    shape.active = ex.active;
+    shape.bursts[Component::Sa] = 1;
+    shape.bursts[Component::Vu] =
+        op.kind == OpKind::MatMul && !op.mapToVu ? tiles : chunks;
+    shape.bursts[Component::Hbm] = chunks;
+    shape.bursts[Component::Ici] = 1;
     return ex;
 }
 

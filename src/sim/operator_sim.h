@@ -1,9 +1,15 @@
 /**
  * @file
  * Per-operator tile-level simulation (§4.4): derives each component's
- * active time, activity timeline, and work counters for one tensor
+ * active time, activity burst shape, and work counters for one tensor
  * operator on one chip. Operator latency is the max over overlapped
  * components (the compiler double-buffers DMA against compute).
+ *
+ * A gated unit's activity inside an operator is recorded as a burst
+ * shape (core::ActivityTimeline::fromBursts), not a built timeline:
+ * the engine composes shapes straight into its block timelines with
+ * appendBursts, and OpExecution::timeline builds a unit's timeline
+ * only when someone asks for it.
  */
 
 #ifndef REGATE_SIM_OPERATOR_SIM_H
@@ -23,6 +29,21 @@
 namespace regate {
 namespace sim {
 
+/**
+ * Burst shapes of the gated units (SA/VU/HBM/ICI) over one operator:
+ * unit c is active for about active[c] of span cycles in about
+ * bursts[c] bursts. SRAM is capacity-based and has no shape.
+ */
+struct OpBursts
+{
+    Cycles span = 0;
+    arch::ComponentMap<Cycles> active;
+    arch::ComponentMap<std::uint64_t> bursts;
+
+    /** Unit @p c's timeline over the operator; empty for SRAM/Other. */
+    core::ActivityTimeline operator[](arch::Component c) const;
+};
+
 /** Result of simulating one operator instance. */
 struct OpExecution
 {
@@ -32,8 +53,8 @@ struct OpExecution
     /** Active cycles per component within the operator. */
     arch::ComponentMap<Cycles> active;
 
-    /** Activity timelines (SA/VU/HBM/ICI; SRAM is capacity-based). */
-    arch::ComponentMap<core::ActivityTimeline> timeline;
+    /** Activity of SA/VU/HBM/ICI; timeline[c] builds one timeline. */
+    OpBursts timeline;
 
     /** Dynamic-energy work counters. */
     energy::WorkCounters work;

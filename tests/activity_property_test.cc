@@ -2,7 +2,8 @@
  * @file
  * Property tests for the timeline gap algebra overhaul: the O(log G)
  * seam arithmetic in repeated() must match n-fold append(), the
- * ordered-merge append() must match a naive re-sort reference, and
+ * ordered-merge append() must match a naive re-sort reference, the
+ * in-place appendBursts() must match append() of the burst shape, and
  * the sorted-gap-multiset invariant must hold after every operation.
  */
 
@@ -155,6 +156,96 @@ TEST(ActivityProperty, GapsAlwaysSortedStrictlyAscending)
                 EXPECT_GT(g.length, prev);
                 EXPECT_GT(g.count, 0u);
                 prev = g.length;
+            }
+        }
+    }
+}
+
+/** Prefix kinds for appendBursts: empty, all idle, ending active/idle. */
+enum class Prefix { Empty, AllIdle, EndsActive, EndsIdle };
+
+ActivityTimeline
+randomPrefix(Prng &rng, Prefix kind)
+{
+    if (kind == Prefix::Empty)
+        return ActivityTimeline();
+    if (kind == Prefix::AllIdle)
+        return ActivityTimeline::allIdle(1 + rng.uniform(0, 60));
+    for (;;) {
+        auto t = randomTimeline(rng);
+        if (t.activeCycles() > 0 &&
+            (t.trailingIdle() == 0) == (kind == Prefix::EndsActive))
+            return t;
+    }
+}
+
+/** A burst shape's arguments, covering every fromBursts edge case. */
+struct Shape
+{
+    Cycles span;
+    Cycles active;
+    std::uint64_t bursts;
+};
+
+Shape
+randomShape(Prng &rng)
+{
+    Cycles span = rng.uniform(0, 7) == 0 ? 0 : 1 + rng.uniform(0, 300);
+    Cycles active;
+    switch (rng.uniform(0, 4)) {
+      case 0:
+        active = 0;
+        break;
+      case 1:
+        active = span + rng.uniform(0, 3);  // At or beyond the span.
+        break;
+      default:
+        active = span > 1 ? rng.uniform(1, span - 1) : 0;
+        break;
+    }
+    std::uint64_t bursts;
+    switch (rng.uniform(0, 3)) {
+      case 0:
+        bursts = 0;
+        break;
+      case 1:
+        bursts = active + 1 + rng.uniform(0, 20);  // More than active.
+        break;
+      default:
+        bursts = 1 + rng.uniform(0, 40);
+        break;
+    }
+    return {span, active, bursts};
+}
+
+TEST(ActivityProperty, AppendBurstsMatchesAppendOfShape)
+{
+    Prng rng(2718);
+    for (auto kind : {Prefix::Empty, Prefix::AllIdle, Prefix::EndsActive,
+                      Prefix::EndsIdle}) {
+        for (int iter = 0; iter < 300; ++iter) {
+            auto fast = randomPrefix(rng, kind);
+            auto general = fast;
+            // A chain of shapes, so later appends also start from
+            // prefixes that appendBursts itself built.
+            for (int step = 0; step < 4; ++step) {
+                Shape sh = randomShape(rng);
+                auto shape =
+                    ActivityTimeline::fromBursts(sh.span, sh.active,
+                                                 sh.bursts);
+                shape.checkInvariants();
+                EXPECT_EQ(shape.span(), sh.span);
+                EXPECT_EQ(ActivityTimeline::burstActivations(
+                              sh.span, sh.active, sh.bursts),
+                          shape.activations());
+
+                general.append(shape);
+                fast.appendBursts(sh.span, sh.active, sh.bursts);
+                fast.checkInvariants();
+                ASSERT_TRUE(fast == general)
+                    << "prefix " << static_cast<int>(kind) << " iter "
+                    << iter << " step " << step << " shape (" << sh.span
+                    << ", " << sh.active << ", " << sh.bursts << ")";
             }
         }
     }

@@ -1,12 +1,21 @@
 /**
  * @file
  * Tests for the workload engine: policy evaluation on hand-built
- * graphs with known structure.
+ * graphs with known structure, and execute()'s burst-shape composition
+ * against the general timeline algebra on every paper workload and
+ * example spec.
  */
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "common/error.h"
+#include "compiler/compiler.h"
+#include "ici/topology.h"
+#include "models/registry.h"
+#include "models/spec.h"
+#include "models/workload.h"
 #include "sim/engine.h"
 
 namespace regate {
@@ -229,6 +238,87 @@ TEST(Engine, ExecuteEvaluatesOnlyNoPgAndIdeal)
         EXPECT_EQ(run.result(p).policy, p);
         EXPECT_GT(run.result(p).energy.busyTotal(), 0) << policyName(p);
     }
+}
+
+/**
+ * Compose @p graph's timelines the general way, from each operator's
+ * built timeline through append() and repeated(), and expect exactly
+ * what Engine::execute composes from the burst shapes.
+ */
+void
+expectGeneralComposition(const graph::OperatorGraph &graph,
+                         arch::NpuGeneration gen, int chips,
+                         const std::string &what)
+{
+    const auto &cfg = arch::npuConfig(gen);
+    Execution ex = Engine(cfg).execute(graph, chips);
+
+    ici::CollectiveModel coll(cfg, ici::Torus::forChips(cfg, chips));
+    OperatorSimulator op_sim(cfg, coll);
+    arch::ComponentMap<core::ActivityTimeline> expect;
+    ASSERT_EQ(ex.blocks.size(), graph.blocks.size()) << what;
+    for (std::size_t b = 0; b < graph.blocks.size(); ++b) {
+        const auto &block = graph.blocks[b];
+        arch::ComponentMap<core::ActivityTimeline> block_tl;
+        std::vector<std::uint64_t> vu_stalls;
+        for (const auto &op : block.ops) {
+            OpExecution op_ex = op_sim.simulate(op);
+            for (auto c : {Component::Sa, Component::Vu, Component::Hbm,
+                           Component::Ici})
+                block_tl[c].append(op_ex.timeline[c]);
+            if (op_ex.active[Component::Sa] > 0 &&
+                op_ex.active[Component::Vu] > 0 &&
+                op_ex.bottleneck == Component::Sa) {
+                vu_stalls.push_back(
+                    op_ex.timeline[Component::Vu].activations());
+            }
+        }
+        EXPECT_EQ(ex.blocks[b].vuStallActivations, vu_stalls)
+            << what << " block " << b;
+        for (auto c : {Component::Sa, Component::Vu, Component::Hbm,
+                       Component::Ici})
+            expect[c].append(block_tl[c].repeated(block.repeat));
+    }
+    for (auto c : arch::kAllComponents) {
+        EXPECT_TRUE(ex.run.timeline[c] == expect[c])
+            << what << " " << arch::componentName(c);
+    }
+}
+
+TEST(Engine, ExecuteMatchesGeneralComposition)
+{
+    for (auto w : models::allWorkloads()) {
+        for (auto gen : {NpuGeneration::A, NpuGeneration::B,
+                         NpuGeneration::C, NpuGeneration::D}) {
+            auto setup = models::defaultSetup(w, gen);
+            auto compiled = compiler::compileGraph(
+                models::buildGraph(w, setup), arch::npuConfig(gen));
+            expectGeneralComposition(
+                compiled.graph, gen, setup.chips,
+                models::workloadName(w) + " on " +
+                    arch::generationName(gen));
+        }
+    }
+
+    std::size_t scenarios = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(REGATE_SPEC_DIR)) {
+        if (entry.path().extension() != ".spec")
+            continue;
+        auto file = models::parseSpecFile(entry.path().string());
+        for (const auto &spec : file.scenarios) {
+            auto gen = NpuGeneration::D;
+            auto setup = models::defaultScenarioSetup(*spec, gen);
+            auto compiled = compiler::compileGraph(
+                models::buildScenarioGraph(*spec, setup),
+                arch::npuConfig(gen));
+            expectGeneralComposition(
+                compiled.graph, gen, setup.chips,
+                entry.path().filename().string() + ": " + spec->name);
+            ++scenarios;
+        }
+    }
+    EXPECT_GT(scenarios, 0u);
 }
 
 }  // namespace
