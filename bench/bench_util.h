@@ -6,14 +6,19 @@
  * absolute numbers; bench/README.md covers the binaries and flags).
  *
  * Every binary is one in-process run. Grid binaries (those that
- * sweep workloads x generations) take three optional flags, parsed by
- * initBench: `--spec FILE` replaces the default workload axis,
+ * sweep scenarios x generations) take three optional flags, parsed by
+ * initBench: `--spec FILE` replaces the default scenario axis,
  * `--list-generators` prints the spec vocabulary, and
  * `--trace-out FILE` records a Chrome/Perfetto timeline. Binaries
  * without a grid call initBenchNoGrid and take no arguments.
  * Exit status: 0 = success, 1 = runtime/config failure (message on
  * stderr; an SLO search that fails for one case prints an error row
  * and the rest of the artifact first), 2 = usage error.
+ *
+ * A binary's axis is a list of scenario specs: built-in paper rows
+ * (models::builtinScenario) by default, the `--spec` file's scenarios
+ * otherwise. Spec scenarios that duplicate a paper workload become its
+ * row, so either way a binary renders only from the spec.
  */
 
 #ifndef REGATE_BENCH_BENCH_UTIL_H
@@ -38,6 +43,8 @@
 namespace regate {
 namespace bench {
 
+using ScenarioPtr = std::shared_ptr<const models::ScenarioSpec>;
+
 /**
  * The shared sweep runner used by the figure binaries. One pool per
  * process; worker count follows REGATE_THREADS / hardware
@@ -55,11 +62,12 @@ sweeper()
 struct BenchCli
 {
     /**
-     * `--spec FILE`: the user-defined scenarios that replace the
-     * binary's default workload axis (workloadAxis).
+     * `--spec FILE`: the scenarios that replace the binary's default
+     * axis (workloadAxis), duplicates of paper workloads replaced by
+     * their built-in rows.
      */
     std::string specPath;
-    std::vector<std::shared_ptr<const models::ScenarioSpec>> scenarios;
+    std::vector<ScenarioPtr> scenarios;
 
     /**
      * `--trace-out FILE`: record the run as Chrome/Perfetto
@@ -132,6 +140,10 @@ initBench(int argc, char **argv)
     if (!cli.specPath.empty()) {
         try {
             cli.scenarios = models::parseSpecFile(cli.specPath).scenarios;
+            for (auto &spec : cli.scenarios) {
+                if (auto row = models::builtinScenarioOf(*spec))
+                    spec = std::move(row);
+            }
         } catch (const ConfigError &e) {
             std::cerr << argv[0] << ": --spec: " << e.what() << "\n";
             std::exit(1);
@@ -159,14 +171,6 @@ initBenchNoGrid(int argc, char **argv)
 }
 
 namespace detail {
-
-/** Display name of a report's case (scenario name or enum name). */
-inline std::string
-caseName(const sim::WorkloadReport &rep)
-{
-    return rep.scenario ? rep.scenario->name
-                        : models::workloadName(rep.workload);
-}
 
 /** Record the grid span and persist the trace (no-op when off). */
 inline void
@@ -203,171 +207,53 @@ searchGrid(const std::vector<sim::SweepCase> &grid)
     return results;
 }
 
-/** Simulate (workload, gen) pairs in parallel, input-ordered. */
-inline std::vector<sim::WorkloadReport>
-simulateAll(const std::vector<models::Workload> &workloads,
-            const std::vector<arch::NpuGeneration> &gens,
-            const arch::GatingParams &params = {})
+/** All 17 paper workloads, in paper (family) order. */
+inline std::vector<ScenarioPtr>
+paperSuite()
 {
-    return runGrid(sim::makeGrid(workloads, gens, params));
-}
-
-/**
- * One entry of a binary's workload axis: a paper workload (default
- * axis, or a `--spec` scenario identical to one) or a registry-driven
- * custom scenario. The figure binaries iterate this instead of the
- * Workload enum, so `--spec FILE` swaps the whole axis without
- * touching any rendering code.
- */
-struct Scenario
-{
-    /** The paper workload; authoritative only when builtin. */
-    models::Workload workload{};
-
-    /** The spec scenario; null on the default (enum) axis. */
-    std::shared_ptr<const models::ScenarioSpec> spec;
-
-    /**
-     * True when the identity is `workload` — the default axis, or a
-     * spec scenario normalized onto the paper workload it duplicates
-     * (models::builtinWorkloadOf), which keeps spec-driven output of
-     * built-in scenarios byte-identical to the enum-driven run.
-     */
-    bool builtin = true;
-
-    std::string
-    name() const
-    {
-        return builtin ? models::workloadName(workload) : spec->name;
-    }
-
-    std::string
-    familyLabel() const
-    {
-        return builtin
-                   ? models::workloadFamilyName(
-                         models::familyOf(workload))
-                   : models::scenarioFamilyLabel(*spec);
-    }
-
-    models::WorkUnit
-    unit() const
-    {
-        return builtin ? models::workUnitOf(workload)
-                       : models::scenarioWorkUnit(*spec);
-    }
-
-    std::string unitLabel() const
-    {
-        return models::workUnitName(unit());
-    }
-};
-
-/**
- * The binary's workload axis: @p defaults wrapped as builtin
- * scenarios, or — under `--spec FILE` — the spec's scenarios (those
- * identical to a paper workload normalized onto it).
- */
-inline std::vector<Scenario>
-workloadAxis(const std::vector<models::Workload> &defaults)
-{
-    const auto &cli = benchCli();
-    std::vector<Scenario> axis;
-    if (!cli.hasSpec()) {
-        axis.reserve(defaults.size());
-        for (auto w : defaults)
-            axis.push_back(Scenario{w, nullptr, true});
-        return axis;
-    }
-    axis.reserve(cli.scenarios.size());
-    for (const auto &spec : cli.scenarios) {
-        Scenario s;
-        s.spec = spec;
-        s.builtin = models::builtinWorkloadOf(*spec, &s.workload);
-        axis.push_back(std::move(s));
-    }
+    std::vector<ScenarioPtr> axis;
+    for (auto w : models::allWorkloads())
+        axis.push_back(models::builtinScenario(w));
     return axis;
 }
 
 /**
- * The sweep case of one axis entry on @p gen: spec-backed entries go
- * through sim::scenarioCase (gating overlays + builtin
- * normalization); default-axis entries are the plain enum case.
+ * The binary's scenario axis: @p defaults, or the `--spec` file's
+ * scenarios under `--spec FILE`.
  */
-inline sim::SweepCase
-caseFor(const Scenario &s, arch::NpuGeneration gen,
-        const arch::GatingParams &params = {})
+inline std::vector<ScenarioPtr>
+workloadAxis(std::vector<ScenarioPtr> defaults)
 {
-    if (s.spec)
-        return sim::scenarioCase(s.spec, gen, params);
-    sim::SweepCase c;
-    c.workload = s.workload;
-    c.gen = gen;
-    c.params = params;
-    return c;
+    const auto &cli = benchCli();
+    return cli.hasSpec() ? cli.scenarios : defaults;
 }
 
-/** Dense (axis x generations) grid, axis-major (see sim::makeGrid). */
-inline std::vector<sim::SweepCase>
-makeGrid(const std::vector<Scenario> &axis,
-         const std::vector<arch::NpuGeneration> &gens,
-         const arch::GatingParams &params = {})
-{
-    std::vector<sim::SweepCase> grid;
-    grid.reserve(axis.size() * gens.size());
-    for (const auto &s : axis) {
-        for (auto gen : gens)
-            grid.push_back(caseFor(s, gen, params));
-    }
-    return grid;
-}
-
-/** simulateAll over a workload axis (the `--spec`-aware spelling). */
+/** Simulate the (axis x generations) grid in parallel, axis-major. */
 inline std::vector<sim::WorkloadReport>
-simulateAll(const std::vector<Scenario> &axis,
+simulateAll(const std::vector<ScenarioPtr> &axis,
             const std::vector<arch::NpuGeneration> &gens,
             const arch::GatingParams &params = {})
 {
-    return runGrid(makeGrid(axis, gens, params));
+    return runGrid(sim::scenarioGrid(axis, gens, params));
 }
 
 /**
  * Walk simulateAll results in consumption order: returns the report
  * at @p idx and advances it, checking the report really is the
- * (workload, gen) the caller's loop expects — so a consumption loop
- * that falls out of step with makeGrid's workload-major grid order
- * fails loudly instead of silently showing another case's numbers.
+ * (scenario, gen) the caller's loop expects — so a consumption loop
+ * that falls out of step with the grid's axis-major order fails
+ * loudly instead of silently showing another case's numbers.
  */
 inline const sim::WorkloadReport &
 reportFor(const std::vector<sim::WorkloadReport> &reports,
-          std::size_t &idx, models::Workload w,
-          arch::NpuGeneration gen)
+          std::size_t &idx, const ScenarioPtr &s, arch::NpuGeneration gen)
 {
     const auto &rep = reports.at(idx++);
-    REGATE_CHECK(rep.workload == w && rep.gen == gen,
+    REGATE_CHECK(rep.scenario == s && rep.gen == gen,
                  "report order mismatch at index ", idx - 1,
-                 ": expected ", models::workloadName(w), "/",
-                 arch::generationName(gen), ", got ",
-                 models::workloadName(rep.workload), "/",
-                 arch::generationName(rep.gen));
-    return rep;
-}
-
-/** reportFor over a workload-axis entry (enum or custom scenario). */
-inline const sim::WorkloadReport &
-reportFor(const std::vector<sim::WorkloadReport> &reports,
-          std::size_t &idx, const Scenario &s, arch::NpuGeneration gen)
-{
-    const auto &rep = reports.at(idx++);
-    bool identity_ok =
-        s.builtin ? (!rep.scenario && rep.workload == s.workload)
-                  : rep.scenario == s.spec;
-    REGATE_CHECK(identity_ok && rep.gen == gen,
-                 "report order mismatch at index ", idx - 1,
-                 ": expected ", s.name(), "/",
-                 arch::generationName(gen), ", got ",
-                 detail::caseName(rep), "/",
-                 arch::generationName(rep.gen));
+                 ": expected ", s->name, "/", arch::generationName(gen),
+                 ", got ", rep.scenario ? rep.scenario->name : "none",
+                 "/", arch::generationName(rep.gen));
     return rep;
 }
 
@@ -378,12 +264,12 @@ reportFor(const std::vector<sim::WorkloadReport> &reports,
  * exits 1.
  */
 inline bool
-searchFailed(const sim::SloResult &res, const Scenario &s,
+searchFailed(const sim::SloResult &res, const models::ScenarioSpec &s,
              arch::NpuGeneration gen)
 {
     if (res.error.empty())
         return false;
-    std::cerr << "error: " << s.name() << "/"
+    std::cerr << "error: " << s.name << "/"
               << arch::generationName(gen) << ": " << res.error << "\n";
     return true;
 }
@@ -408,12 +294,16 @@ paperGenerations()
 }
 
 /** The §6.5 sensitivity workload set. */
-inline std::vector<models::Workload>
+inline std::vector<ScenarioPtr>
 sensitivityWorkloads()
 {
-    return {models::Workload::Train405B, models::Workload::Prefill405B,
-            models::Workload::Decode405B, models::Workload::DlrmL,
-            models::Workload::DiTXL};
+    using models::builtinScenario;
+    using models::Workload;
+    return {builtinScenario(Workload::Train405B),
+            builtinScenario(Workload::Prefill405B),
+            builtinScenario(Workload::Decode405B),
+            builtinScenario(Workload::DlrmL),
+            builtinScenario(Workload::DiTXL)};
 }
 
 /** Short generation label ("A".."E"). */

@@ -22,34 +22,36 @@ main(int argc, char **argv)
     // family exactly as the serial loop produced it. The axis is the
     // 17 paper workloads (already in family order), or the scenarios
     // of a `--spec` file.
-    auto axis = bench::workloadAxis(models::allWorkloads());
-    auto grid = bench::makeGrid(axis, bench::paperGenerations());
+    auto axis = bench::workloadAxis(bench::paperSuite());
+    auto grid = sim::scenarioGrid(axis, bench::paperGenerations());
     auto results = bench::searchGrid(grid);
 
     std::size_t idx = 0;
     bool failed = false;
     for (std::size_t i = 0; i < axis.size();) {
-        auto family = axis[i].familyLabel();
+        auto family = models::scenarioFamilyLabel(*axis[i]);
         std::cout << "\n-- " << family << " --\n";
         TablePrinter t({"Workload", "Gen", "Chips", "SLO",
                         "J/unit", "Unit"});
-        for (; i < axis.size() && axis[i].familyLabel() == family;
+        for (; i < axis.size() &&
+               models::scenarioFamilyLabel(*axis[i]) == family;
              ++i) {
             const auto &s = axis[i];
+            auto unit = models::workUnitName(models::scenarioWorkUnit(*s));
             for (auto gen : bench::paperGenerations()) {
                 const auto &res = results.at(idx++);
-                if (bench::searchFailed(res, s, gen)) {
+                if (bench::searchFailed(res, *s, gen)) {
                     failed = true;
-                    t.addRow({s.name(), bench::genLabel(gen), "-", "-",
-                              "error", s.unitLabel()});
+                    t.addRow({s->name, bench::genLabel(gen), "-", "-",
+                              "error", unit});
                     continue;
                 }
-                t.addRow({s.name(),
+                t.addRow({s->name,
                           bench::genLabel(gen),
                           std::to_string(res.setup.chips),
                           TablePrinter::fmt(res.sloRatio, 0) + "x",
                           TablePrinter::eng(res.energyPerUnit, 3),
-                          s.unitLabel()});
+                          unit});
             }
             t.addSeparator();
         }

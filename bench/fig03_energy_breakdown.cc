@@ -22,7 +22,7 @@ main(int argc, char **argv)
                     "Dyn ICI", "Sta ICI", "Dyn HBM", "Sta HBM",
                     "Dyn Oth", "Sta Oth", "StaticShareBusy"});
 
-    auto axis = bench::workloadAxis(models::allWorkloads());
+    auto axis = bench::workloadAxis(bench::paperSuite());
     auto reports = bench::simulateAll(axis, bench::paperGenerations());
     std::size_t idx = 0;
     for (const auto &s : axis) {
@@ -38,7 +38,7 @@ main(int argc, char **argv)
             auto pct = [&](double j) {
                 return TablePrinter::pct(j * busy_scale, 1);
             };
-            t.addRow({s.name(), bench::genLabel(gen),
+            t.addRow({s->name, bench::genLabel(gen),
                       TablePrinter::pct(
                           rep.idleShare(sim::Policy::NoPG), 1),
                       pct(e.dynamicJ[Component::Sa]),

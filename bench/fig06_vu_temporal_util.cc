@@ -13,11 +13,11 @@ main(int argc, char **argv)
     bench::banner("Figure 6", "VU temporal utilization");
 
     TablePrinter t({"Workload", "A", "B", "C", "D"});
-    auto axis = bench::workloadAxis(models::allWorkloads());
+    auto axis = bench::workloadAxis(bench::paperSuite());
     auto reports = bench::simulateAll(axis, bench::paperGenerations());
     std::size_t idx = 0;
     for (const auto &s : axis) {
-        std::vector<std::string> cells = {s.name()};
+        std::vector<std::string> cells = {s->name};
         for (auto gen : bench::paperGenerations()) {
             const auto &rep = bench::reportFor(reports, idx, s, gen);
             cells.push_back(TablePrinter::pct(rep.run().temporalUtil(arch::Component::Vu), 1));

@@ -19,7 +19,7 @@ main(int argc, char **argv)
 
     TablePrinter t({"Workload", "p10 (MB)", "p25", "p50", "p75",
                     "p90", "p100", "<=8MB", "<=128MB"});
-    auto axis = bench::workloadAxis(models::allWorkloads());
+    auto axis = bench::workloadAxis(bench::paperSuite());
     auto reports =
         bench::simulateAll(axis, {arch::NpuGeneration::D});
     std::size_t idx = 0;
@@ -43,7 +43,7 @@ main(int argc, char **argv)
             }
             return cdf.back().first / (1 << 20);
         };
-        t.addRow({s.name(),
+        t.addRow({s->name,
                   TablePrinter::fmt(at(0.10), 2),
                   TablePrinter::fmt(at(0.25), 2),
                   TablePrinter::fmt(at(0.50), 2),

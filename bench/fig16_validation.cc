@@ -84,11 +84,14 @@ main(int argc, char **argv)
     // Whole-model operator durations across the workload suite, a
     // determinism check: two independent simulations of the same
     // cases, each fanned out on the sweep pool, must agree op for op.
-    const std::vector<models::Workload> suite = {
-        models::Workload::Prefill13B, models::Workload::Decode13B,
-        models::Workload::Prefill70B, models::Workload::Decode70B};
-    auto axis = bench::workloadAxis(suite);
-    auto grid = bench::makeGrid(axis, {arch::NpuGeneration::D});
+    using models::builtinScenario;
+    using models::Workload;
+    auto axis = bench::workloadAxis(
+        {builtinScenario(Workload::Prefill13B),
+         builtinScenario(Workload::Decode13B),
+         builtinScenario(Workload::Prefill70B),
+         builtinScenario(Workload::Decode70B)});
+    auto grid = sim::scenarioGrid(axis, {arch::NpuGeneration::D});
     auto first = bench::runGrid(grid);
     auto second = bench::runGrid(grid);
     for (std::size_t i = 0; i < axis.size(); ++i) {
@@ -97,7 +100,7 @@ main(int argc, char **argv)
             xs.push_back(static_cast<double>(rec.duration()));
         for (const auto &rec : second[i].run().opRecords)
             ys.push_back(static_cast<double>(rec.duration()));
-        t.addRow({axis[i].name() + " op durations",
+        t.addRow({axis[i]->name + " op durations",
                   std::to_string(xs.size()),
                   TablePrinter::fmt(stats::r2(xs, ys), 4)});
     }

@@ -21,7 +21,7 @@ main(int argc, char **argv)
                     "Full:SA", "Full:VU", "Full:SRAM", "Full:ICI",
                     "Full:HBM"});
     double sum_full = 0;
-    auto axis = bench::workloadAxis(models::allWorkloads());
+    auto axis = bench::workloadAxis(bench::paperSuite());
     auto reports =
         bench::simulateAll(axis, {arch::NpuGeneration::D});
     std::size_t idx = 0;
@@ -37,7 +37,7 @@ main(int argc, char **argv)
             return TablePrinter::pct(saved / nopg, 1);
         };
         sum_full += run.savingVsNoPg(Policy::Full);
-        t.addRow({s.name(),
+        t.addRow({s->name,
                   TablePrinter::pct(run.savingVsNoPg(Policy::Base), 1),
                   TablePrinter::pct(run.savingVsNoPg(Policy::HW), 1),
                   TablePrinter::pct(run.savingVsNoPg(Policy::Full), 1),

@@ -19,7 +19,7 @@ main(int argc, char **argv)
     TablePrinter t({"Workload", "NoPG avg", "Base avg", "HW avg",
                     "Full avg", "Ideal avg", "NoPG peak",
                     "Full peak"});
-    auto axis = bench::workloadAxis(models::allWorkloads());
+    auto axis = bench::workloadAxis(bench::paperSuite());
     auto reports =
         bench::simulateAll(axis, {arch::NpuGeneration::D});
     std::size_t idx = 0;
@@ -29,7 +29,7 @@ main(int argc, char **argv)
         auto avg = [&](Policy p) {
             return TablePrinter::fmt(rep.run().result(p).avgPowerW, 0);
         };
-        t.addRow({s.name(), avg(Policy::NoPG),
+        t.addRow({s->name, avg(Policy::NoPG),
                   avg(Policy::Base), avg(Policy::HW),
                   avg(Policy::Full), avg(Policy::Ideal),
                   TablePrinter::fmt(

@@ -19,7 +19,7 @@ main(int argc, char **argv)
     TablePrinter t(
         {"Workload", "ReGate-Base", "ReGate-HW", "ReGate-Full"});
     double worst_base = 0, worst_full = 0;
-    auto axis = bench::workloadAxis(models::allWorkloads());
+    auto axis = bench::workloadAxis(bench::paperSuite());
     auto reports =
         bench::simulateAll(axis, {arch::NpuGeneration::D});
     std::size_t idx = 0;
@@ -34,7 +34,7 @@ main(int argc, char **argv)
             worst_base, rep.run().result(Policy::Base).perfOverhead);
         worst_full = std::max(
             worst_full, rep.run().result(Policy::Full).perfOverhead);
-        t.addRow({s.name(), pct(Policy::Base),
+        t.addRow({s->name, pct(Policy::Base),
                   pct(Policy::HW), pct(Policy::Full)});
     }
     t.print(std::cout);

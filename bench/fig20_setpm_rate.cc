@@ -19,7 +19,7 @@ main(int argc, char **argv)
                   "NPU-D)");
 
     TablePrinter t({"Workload", "VU setpm/1Kcyc", "SRAM setpm/1Kcyc"});
-    auto axis = bench::workloadAxis(models::allWorkloads());
+    auto axis = bench::workloadAxis(bench::paperSuite());
     auto reports =
         bench::simulateAll(axis, {arch::NpuGeneration::D});
     std::size_t idx = 0;
@@ -35,7 +35,7 @@ main(int argc, char **argv)
         double sram_rate =
             2.0 * static_cast<double>(full.sramSetpmPairs) / cycles *
             1000.0;
-        t.addRow({s.name(),
+        t.addRow({s->name,
                   TablePrinter::fmt(vu_rate, 3),
                   TablePrinter::fmt(sram_rate, 4)});
     }

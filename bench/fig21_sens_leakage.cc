@@ -32,15 +32,15 @@ main(int argc, char **argv)
             r.logicOff = s[0];
             r.sramSleep = s[1];
             r.sramOff = s[2];
-            grid.push_back(bench::caseFor(sc, arch::NpuGeneration::D,
-                                          arch::GatingParams(r)));
+            grid.push_back(sim::scenarioCase(sc, arch::NpuGeneration::D,
+                                             arch::GatingParams(r)));
         }
     }
     auto reports = bench::runGrid(grid);
 
     std::size_t idx = 0;
     for (const auto &sc : axis) {
-        std::cout << "\n-- " << sc.name() << " --\n";
+        std::cout << "\n-- " << sc->name << " --\n";
         TablePrinter t({"LogicOff/SramSleep/SramOff", "Base", "HW",
                         "Full"});
         for (const auto &s : settings) {

@@ -28,14 +28,14 @@ main(int argc, char **argv)
             arch::GatingParams params;
             params.setDelayScale(scale);
             grid.push_back(
-                bench::caseFor(s, arch::NpuGeneration::D, params));
+                sim::scenarioCase(s, arch::NpuGeneration::D, params));
         }
     }
     auto reports = bench::runGrid(grid);
 
     std::size_t idx = 0;
     for (const auto &s : axis) {
-        std::cout << "\n-- " << s.name() << " --\n";
+        std::cout << "\n-- " << s->name << " --\n";
         TablePrinter t({"Delay scale", "Base sav", "HW sav",
                         "Full sav", "Base ovh", "HW ovh",
                         "Full ovh"});

@@ -20,7 +20,7 @@ main(int argc, char **argv)
     auto reports = bench::simulateAll(axis, arch::allGenerations());
     std::size_t idx = 0;
     for (const auto &s : axis) {
-        std::cout << "\n-- " << s.name() << " --\n";
+        std::cout << "\n-- " << s->name << " --\n";
         TablePrinter t({"Gen", "Base", "HW", "Full", "Ideal"});
         for (auto gen : arch::allGenerations()) {
             const auto &rep =

@@ -31,7 +31,7 @@ main(int argc, char **argv)
             return TablePrinter::pct(
                 carbon::operationalCarbonReduction(rep, p), 1);
         };
-        t.addRow({s.name(), red(Policy::Base),
+        t.addRow({s->name, red(Policy::Base),
                   red(Policy::HW), red(Policy::Full),
                   red(Policy::Ideal),
                   TablePrinter::pct(

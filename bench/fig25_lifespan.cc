@@ -26,13 +26,11 @@ main(int argc, char **argv)
     for (const auto &s : axis) {
         const auto &rep = bench::reportFor(
             reports, idx, s, arch::NpuGeneration::D);
-        double factor =
-            s.builtin ? carbon::annualEfficiencyFactor(s.workload)
-                      : carbon::annualEfficiencyFactor(s.spec);
+        double factor = carbon::annualEfficiencyFactor(s);
         auto nopg = carbon::analyzeLifespan(rep, Policy::NoPG, factor);
         auto full = carbon::analyzeLifespan(rep, Policy::Full, factor);
 
-        std::cout << "\n-- " << s.name()
+        std::cout << "\n-- " << s->name
                   << " (annual efficiency factor "
                   << TablePrinter::fmt(factor, 3) << ") --\n";
         TablePrinter t({"Lifespan (yr)", "Embodied/unit",

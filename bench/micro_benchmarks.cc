@@ -30,6 +30,7 @@
 #include "ici/collective.h"
 #include "ici/topology.h"
 #include "mem/sram_allocator.h"
+#include "models/registry.h"
 #include "sa/sa_analytical.h"
 #include "sa/systolic_array.h"
 #include "sim/slo.h"
@@ -219,13 +220,13 @@ struct BlockTimelines
 };
 
 std::vector<BlockTimelines>
-decodeBlockTimelines(models::Workload w, arch::NpuGeneration gen,
-                     std::uint64_t min_repeat)
+decodeBlockTimelines(const models::ScenarioSpec &spec,
+                     arch::NpuGeneration gen, std::uint64_t min_repeat)
 {
     const auto &cfg = arch::npuConfig(gen);
-    auto setup = models::defaultSetup(w, gen);
-    auto compiled =
-        compiler::compileGraph(models::buildGraph(w, setup), cfg);
+    auto setup = models::defaultScenarioSetup(spec, gen);
+    auto compiled = compiler::compileGraph(
+        models::buildScenarioGraph(spec, setup), cfg);
 
     ici::Torus torus = ici::Torus::forChips(cfg, setup.chips);
     ici::CollectiveModel coll(cfg, torus);
@@ -304,8 +305,9 @@ caseRepeatedBlockCompose()
 {
     CoreCase cc;
     cc.name = "llm_decode_block_compose";
-    auto blocks = decodeBlockTimelines(models::Workload::Decode70B,
-                                       arch::NpuGeneration::D, 1024);
+    auto blocks = decodeBlockTimelines(
+        *models::builtinScenario(models::Workload::Decode70B),
+        arch::NpuGeneration::D, 1024);
     std::uint64_t max_repeat = 0;
     for (const auto &b : blocks)
         max_repeat = std::max(max_repeat, b.repeat);
@@ -367,9 +369,10 @@ caseParallelSweep()
 {
     CoreCase cc;
     cc.name = "sweep_parallel_vs_serial";
-    auto grid = sim::makeGrid(
-        {models::Workload::Prefill8B, models::Workload::Decode8B,
-         models::Workload::DlrmS},
+    auto grid = sim::scenarioGrid(
+        {models::builtinScenario(models::Workload::Prefill8B),
+         models::builtinScenario(models::Workload::Decode8B),
+         models::builtinScenario(models::Workload::DlrmS)},
         {arch::NpuGeneration::C, arch::NpuGeneration::D});
 
     // Untimed warm-up pass to touch every code path once.
@@ -589,8 +592,9 @@ BM_WholeWorkloadSimulation(benchmark::State &state)
 {
     // Build, compile and simulate one workload end to end.
     for (auto _ : state) {
-        benchmark::DoNotOptimize(sim::simulateWorkload(
-            models::Workload::Prefill70B, arch::NpuGeneration::D));
+        benchmark::DoNotOptimize(sim::simulateScenario(
+            models::builtinScenario(models::Workload::Prefill70B),
+            arch::NpuGeneration::D));
     }
 }
 BENCHMARK(BM_WholeWorkloadSimulation);
@@ -601,7 +605,8 @@ BM_SloSearch(benchmark::State &state)
     // The full SLO search over one workload's candidate setups.
     for (auto _ : state) {
         benchmark::DoNotOptimize(sim::findBestSetup(
-            models::Workload::DlrmM, arch::NpuGeneration::D));
+            models::builtinScenario(models::Workload::DlrmM),
+            arch::NpuGeneration::D));
     }
 }
 BENCHMARK(BM_SloSearch);

@@ -17,8 +17,8 @@ main()
     using namespace regate;
     using sim::Policy;
 
-    auto workload = models::Workload::DlrmL;
-    auto rep = sim::simulateWorkload(workload, arch::NpuGeneration::D);
+    auto scenario = models::builtinScenario(models::Workload::DlrmL);
+    auto rep = sim::simulateScenario(scenario, arch::NpuGeneration::D);
     carbon::CarbonParams params;
 
     std::cout << "DLRM-L fleet: " << rep.setup.chips
@@ -42,7 +42,7 @@ main()
     }
     t.print(std::cout);
 
-    double factor = carbon::annualEfficiencyFactor(workload);
+    double factor = carbon::annualEfficiencyFactor(scenario);
     auto nopg = carbon::analyzeLifespan(rep, Policy::NoPG, factor, 10,
                                         params);
     auto full = carbon::analyzeLifespan(rep, Policy::Full, factor, 10,

@@ -24,12 +24,13 @@ main()
 
     for (auto workload : {models::Workload::Prefill70B,
                           models::Workload::Decode70B}) {
-        std::cout << "== " << models::workloadName(workload)
+        const auto &scenario = models::builtinScenario(workload);
+        std::cout << "== " << scenario->name
                   << " ==\n";
         TablePrinter t({"Gen", "Chips", "Batch", "SLO", "mJ/token "
                         "(NoPG)", "mJ/token (ReGate)", "Saving"});
         for (auto gen : arch::allGenerations()) {
-            auto res = sim::findBestSetup(workload, gen);
+            auto res = sim::findBestSetup(scenario, gen);
             double nopg = res.report.energyPerUnit(Policy::NoPG);
             double full = res.report.energyPerUnit(Policy::Full);
             t.addRow({arch::generationName(gen),

@@ -12,7 +12,7 @@
 #include "common/units.h"
 #include "compiler/compiler.h"
 #include "energy/power_model.h"
-#include "models/workload.h"
+#include "models/registry.h"
 #include "sim/engine.h"
 
 int
@@ -40,18 +40,18 @@ main()
     arch::NpuConfig future = arch::npuConfig(arch::NpuGeneration::E);
     designs.push_back(future);
 
-    auto workload = models::Workload::Decode405B;
-    auto setup = models::table4Setup(workload);
+    const auto &scenario =
+        models::builtinScenario(models::Workload::Decode405B);
+    auto setup = models::scenarioSetup(*scenario);
 
-    std::cout << "Design explorer: "
-              << models::workloadName(workload) << ", "
+    std::cout << "Design explorer: " << scenario->name << ", "
               << setup.chips << " chips\n\n";
 
     TablePrinter t({"Design", "Static (W)", "SA spatial util",
                     "Saving (Full)", "J/run/chip (Full)"});
     for (const auto &cfg : designs) {
         cfg.validate();
-        auto graph = models::buildGraph(workload, setup);
+        auto graph = models::buildScenarioGraph(*scenario, setup);
         auto compiled = compiler::compileGraph(graph, cfg);
         sim::Engine engine(cfg);
         auto run = engine.run(compiled.graph, setup.chips);

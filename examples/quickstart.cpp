@@ -19,17 +19,18 @@ main()
     using namespace regate;
     using sim::Policy;
 
-    // 1. Pick a workload and a chip generation. The registry covers
-    //    the paper's whole Table 1 suite.
-    auto workload = models::Workload::Decode70B;
+    // 1. Pick a scenario and a chip generation. The built-in rows
+    //    cover the paper's whole Table 1 suite; a spec file
+    //    (models/spec.h) describes any other scenario.
+    auto scenario = models::builtinScenario(models::Workload::Decode70B);
     auto gen = arch::NpuGeneration::D;
 
     // 2. Simulate. This builds the per-chip operator graph, runs the
     //    compiler (fusion + tiling), executes the tile-level
     //    simulator, and evaluates all five designs on the same run.
-    auto report = sim::simulateWorkload(workload, gen);
+    auto report = sim::simulateScenario(scenario, gen);
 
-    std::cout << "Workload: " << models::workloadName(workload)
+    std::cout << "Workload: " << scenario->name
               << " on " << report.config().name << " ("
               << report.setup.chips << " chips, batch "
               << report.setup.batch << ", "

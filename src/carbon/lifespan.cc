@@ -8,14 +8,13 @@
 namespace regate {
 namespace carbon {
 
-namespace {
-
 double
-annualFactorFrom(const sim::WorkloadReport &rep_c,
-                 const sim::WorkloadReport &rep_d)
+annualEfficiencyFactor(std::shared_ptr<const models::ScenarioSpec> spec)
 {
-    double e_c = rep_c.energyPerUnit(sim::Policy::NoPG);
-    double e_d = rep_d.energyPerUnit(sim::Policy::NoPG);
+    double e_c = sim::simulateScenario(spec, arch::NpuGeneration::C)
+                     .energyPerUnit(sim::Policy::NoPG);
+    double e_d = sim::simulateScenario(spec, arch::NpuGeneration::D)
+                     .energyPerUnit(sim::Policy::NoPG);
     int years = arch::npuConfig(arch::NpuGeneration::D).deploymentYear -
                 arch::npuConfig(arch::NpuGeneration::C).deploymentYear;
     REGATE_ASSERT(years > 0, "generation years out of order");
@@ -25,22 +24,10 @@ annualFactorFrom(const sim::WorkloadReport &rep_c,
     return std::pow(total, 1.0 / years);
 }
 
-}  // namespace
-
 double
 annualEfficiencyFactor(models::Workload workload)
 {
-    return annualFactorFrom(
-        sim::simulateWorkload(workload, arch::NpuGeneration::C),
-        sim::simulateWorkload(workload, arch::NpuGeneration::D));
-}
-
-double
-annualEfficiencyFactor(std::shared_ptr<const models::ScenarioSpec> spec)
-{
-    return annualFactorFrom(
-        sim::simulateScenario(spec, arch::NpuGeneration::C),
-        sim::simulateScenario(spec, arch::NpuGeneration::D));
+    return annualEfficiencyFactor(models::builtinScenario(workload));
 }
 
 LifespanAnalysis

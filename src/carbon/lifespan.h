@@ -40,12 +40,9 @@ struct LifespanAnalysis
 
 /**
  * Annual per-unit energy improvement factor implied by the NPU-C ->
- * NPU-D transition for @p workload (3 deployment years apart).
- * Returns f < 1 such that next year's energy/unit = f * this year's.
+ * NPU-D transition for @p spec (3 deployment years apart). Returns
+ * f < 1 such that next year's energy/unit = f * this year's.
  */
-double annualEfficiencyFactor(models::Workload workload);
-
-/** The custom-scenario spelling (fig25 under `--spec`). */
 double annualEfficiencyFactor(
     std::shared_ptr<const models::ScenarioSpec> spec);
 
@@ -58,6 +55,13 @@ LifespanAnalysis analyzeLifespan(const sim::WorkloadReport &rep,
                                  double annual_factor,
                                  int horizon_years = 10,
                                  const CarbonParams &params = {});
+
+// Kept only because perfbench/layer_trace.cc calls it; it goes when
+// that tracer becomes a driver over library spans (ROADMAP, "One
+// benchmark").
+
+/** annualEfficiencyFactor of models::builtinScenario(@p workload). */
+double annualEfficiencyFactor(models::Workload workload);
 
 }  // namespace carbon
 }  // namespace regate

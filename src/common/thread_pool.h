@@ -16,8 +16,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <condition_variable>
 #include <cstdlib>
+#include <cstring>
 #include <deque>
 #include <exception>
 #include <functional>
@@ -86,14 +88,21 @@ class ThreadPool
         return static_cast<unsigned>(workers_.size());
     }
 
-    /** Worker count an argument of 0 resolves to. */
+    /**
+     * Worker count an argument of 0 resolves to: REGATE_THREADS when
+     * its whole value is a positive count that fits an unsigned,
+     * otherwise (a sign, a trailing character, overflow, zero) the
+     * hardware concurrency.
+     */
     static unsigned
     defaultThreadCount()
     {
         if (const char *env = std::getenv("REGATE_THREADS")) {
-            int n = std::atoi(env);
-            if (n > 0)
-                return static_cast<unsigned>(n);
+            const char *end = env + std::strlen(env);
+            unsigned n = 0;
+            auto [stop, ec] = std::from_chars(env, end, n);
+            if (ec == std::errc() && stop == end && n > 0)
+                return n;
         }
         unsigned hw = std::thread::hardware_concurrency();
         return hw > 0 ? hw : 1;

@@ -418,7 +418,7 @@ class DiffusionGenerator : public WorkloadGenerator
     }
 };
 
-// ---- MoE inference (registry-only; no enum equivalent) ----
+// ---- MoE inference (registry-only; no paper workload row) ----
 
 /**
  * Sparse mixture-of-experts inference on a llama-architecture base:

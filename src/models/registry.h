@@ -3,15 +3,14 @@
  * The pluggable workload-generator API (in the spirit of CODES's
  * codes-workload-method table): each workload family registers one
  * WorkloadGenerator behind the GeneratorRegistry, and everything
- * downstream — the Workload enum shims, the text-spec parser, the
+ * downstream — the paper's built-in rows, the text-spec parser, the
  * figure binaries — constructs graphs exclusively through this
  * interface. Adding a scenario family means registering a
  * generator in the library; no figure binary changes.
  *
- * The 17 paper workloads are canonical built-in specs replayed
- * through the same generators (models/workload.h), so the enum path
- * and the spec path are one code path, byte-identical by
- * construction.
+ * The 17 paper workloads are built-in spec rows (models/workload.h)
+ * replayed through the same generators as any user spec: there is
+ * one scenario path.
  */
 
 #ifndef REGATE_MODELS_REGISTRY_H
@@ -144,7 +143,7 @@ RunSetup scenarioSetup(const ScenarioSpec &spec);
 
 /**
  * Anchor configuration scaled up when the model state does not fit
- * @p gen's HBM — the scenario-path spelling of defaultSetup().
+ * @p gen's HBM (larger HBM -> fewer chips, §3).
  */
 RunSetup defaultScenarioSetup(const ScenarioSpec &spec,
                               arch::NpuGeneration gen);

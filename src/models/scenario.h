@@ -4,11 +4,11 @@
  * consumes: family, model size, sequence lengths, batch, chips,
  * parallelism split, gating-parameter overrides, and work unit.
  *
- * A ScenarioSpec is the registry-era replacement for the Workload
- * enum's baked-in constructor arguments: the 17 paper workloads are
- * canonical built-in specs (models/workload.h builtinSpec()), and
- * user-defined scenarios arrive through the text parser
- * (models/spec.h) without recompiling anything.
+ * A ScenarioSpec is the one identity of a simulated scenario: the 17
+ * paper workloads are built-in spec rows (models/workload.h
+ * builtinScenario), user-defined scenarios arrive through the text
+ * parser (models/spec.h) without recompiling anything, and the
+ * simulator's entry points take only specs.
  *
  * The `name` is display-only; models::canonicalSpecText spells every
  * field in a fixed order.

@@ -1,11 +1,10 @@
 #include "models/workload.h"
 
+#include <algorithm>
 #include <array>
+#include <iterator>
 
 #include "common/error.h"
-#include "models/diffusion.h"
-#include "models/dlrm.h"
-#include "models/llama.h"
 #include "models/registry.h"
 
 namespace regate {
@@ -13,125 +12,80 @@ namespace models {
 
 namespace {
 
-/** Llama variant behind an LLM workload. */
-LlamaModel
-llamaOf(Workload w)
+/** One paper workload: Table 1's identity at Table 4's NPU-D setup. */
+struct BuiltinRow
 {
-    switch (w) {
-      case Workload::Train8B:
-      case Workload::Prefill8B:
-      case Workload::Decode8B:
-        return LlamaModel::L8B;
-      case Workload::Train13B:
-      case Workload::Prefill13B:
-      case Workload::Decode13B:
-        return LlamaModel::L13B;
-      case Workload::Train70B:
-      case Workload::Prefill70B:
-      case Workload::Decode70B:
-        return LlamaModel::L70B;
-      case Workload::Train405B:
-      case Workload::Prefill405B:
-      case Workload::Decode405B:
-        return LlamaModel::L405B;
-      default:
-        throw LogicError("not an LLM workload");
-    }
-}
+    Workload workload;
+    const char *name;    ///< Display name.
+    const char *family;  ///< Generator key.
+    const char *model;   ///< Model key within the family.
+    int chips;
+    std::int64_t batch;
+};
 
-DlrmModel
-dlrmOf(Workload w)
-{
-    switch (w) {
-      case Workload::DlrmS:
-        return DlrmModel::S;
-      case Workload::DlrmM:
-        return DlrmModel::M;
-      case Workload::DlrmL:
-        return DlrmModel::L;
-      default:
-        throw LogicError("not a DLRM workload");
-    }
-}
+/** The paper's workload table, in Workload (paper) order. */
+constexpr BuiltinRow kRows[] = {
+    {Workload::Train8B, "Llama3-8B-Train", "llama-train", "8b", 4, 32},
+    {Workload::Train13B, "Llama2-13B-Train", "llama-train", "13b", 4, 32},
+    {Workload::Train70B, "Llama3-70B-Train", "llama-train", "70b", 8, 32},
+    {Workload::Train405B, "Llama3.1-405B-Train", "llama-train", "405b",
+     16, 32},
+    {Workload::Prefill8B, "Llama3-8B-Prefill", "llama-prefill", "8b", 1,
+     4},
+    {Workload::Prefill13B, "Llama2-13B-Prefill", "llama-prefill", "13b",
+     1, 4},
+    {Workload::Prefill70B, "Llama3-70B-Prefill", "llama-prefill", "70b",
+     4096, 8192},
+    {Workload::Prefill405B, "Llama3.1-405B-Prefill", "llama-prefill",
+     "405b", 256, 64},
+    {Workload::Decode8B, "Llama3-8B-Decode", "llama-decode", "8b", 1, 8},
+    {Workload::Decode13B, "Llama2-13B-Decode", "llama-decode", "13b", 1,
+     4},
+    {Workload::Decode70B, "Llama3-70B-Decode", "llama-decode", "70b", 128,
+     4096},
+    {Workload::Decode405B, "Llama3.1-405B-Decode", "llama-decode", "405b",
+     64, 2048},
+    {Workload::DlrmS, "DLRM-S", "dlrm", "s", 8, 4096},
+    {Workload::DlrmM, "DLRM-M", "dlrm", "m", 8, 4096},
+    {Workload::DlrmL, "DLRM-L", "dlrm", "l", 8, 4096},
+    {Workload::DiTXL, "DiT-XL", "diffusion", "dit-xl", 64, 8192},
+    {Workload::Gligen, "GLIGEN", "diffusion", "gligen", 64, 256},
+};
+constexpr std::size_t kNumRows = std::size(kRows);
+static_assert(
+    [] {
+        for (std::size_t i = 0; i < kNumRows; ++i)
+            if (static_cast<std::size_t>(kRows[i].workload) != i)
+                return false;
+        return true;
+    }(),
+    "kRows must list the workloads in enum order");
 
-/** Registry family key of a paper workload. */
-std::string
-familyKeyOf(Workload w)
-{
-    switch (familyOf(w)) {
-      case WorkloadFamily::LlmTraining:
-        return "llama-train";
-      case WorkloadFamily::LlmPrefill:
-        return "llama-prefill";
-      case WorkloadFamily::LlmDecode:
-        return "llama-decode";
-      case WorkloadFamily::DlrmInference:
-        return "dlrm";
-      case WorkloadFamily::StableDiffusion:
-        return "diffusion";
-    }
-    throw LogicError("unknown workload");
-}
+/** Generator key of each WorkloadFamily, in enum order. */
+constexpr const char *kFamilyKeys[] = {
+    "llama-train", "llama-prefill", "llama-decode", "dlrm", "diffusion",
+};
 
-/** Spec model key of a paper workload. */
-std::string
-modelKeyOf(Workload w)
+/** The rows, validated once into shared specs. */
+const std::array<std::shared_ptr<const ScenarioSpec>, kNumRows> &
+builtinScenarios()
 {
-    switch (familyOf(w)) {
-      case WorkloadFamily::LlmTraining:
-      case WorkloadFamily::LlmPrefill:
-      case WorkloadFamily::LlmDecode:
-        switch (llamaOf(w)) {
-          case LlamaModel::L8B:
-            return "8b";
-          case LlamaModel::L13B:
-            return "13b";
-          case LlamaModel::L70B:
-            return "70b";
-          case LlamaModel::L405B:
-            return "405b";
+    static const auto specs = [] {
+        std::array<std::shared_ptr<const ScenarioSpec>, kNumRows> out;
+        for (std::size_t i = 0; i < kNumRows; ++i) {
+            const auto &row = kRows[i];
+            ScenarioSpec s;
+            s.name = row.name;
+            s.family = row.family;
+            s.model = row.model;
+            s.chips = row.chips;
+            s.batch = row.batch;
+            validateScenario(s);
+            out[i] = std::make_shared<const ScenarioSpec>(std::move(s));
         }
-        break;
-      case WorkloadFamily::DlrmInference:
-        switch (dlrmOf(w)) {
-          case DlrmModel::S:
-            return "s";
-          case DlrmModel::M:
-            return "m";
-          case DlrmModel::L:
-            return "l";
-        }
-        break;
-      case WorkloadFamily::StableDiffusion:
-        return w == Workload::DiTXL ? "dit-xl" : "gligen";
-    }
-    throw LogicError("unknown workload");
-}
-
-/** Table 4 of the paper: chips / batch per workload on NPU-D. */
-void
-table4ChipsBatch(Workload w, int *chips, std::int64_t *batch)
-{
-    switch (w) {
-      case Workload::Train8B:    *chips = 4;    *batch = 32;   return;
-      case Workload::Train13B:   *chips = 4;    *batch = 32;   return;
-      case Workload::Train70B:   *chips = 8;    *batch = 32;   return;
-      case Workload::Train405B:  *chips = 16;   *batch = 32;   return;
-      case Workload::Prefill8B:  *chips = 1;    *batch = 4;    return;
-      case Workload::Prefill13B: *chips = 1;    *batch = 4;    return;
-      case Workload::Prefill70B: *chips = 4096; *batch = 8192; return;
-      case Workload::Prefill405B:*chips = 256;  *batch = 64;   return;
-      case Workload::Decode8B:   *chips = 1;    *batch = 8;    return;
-      case Workload::Decode13B:  *chips = 1;    *batch = 4;    return;
-      case Workload::Decode70B:  *chips = 128;  *batch = 4096; return;
-      case Workload::Decode405B: *chips = 64;   *batch = 2048; return;
-      case Workload::DlrmS:      *chips = 8;    *batch = 4096; return;
-      case Workload::DlrmM:      *chips = 8;    *batch = 4096; return;
-      case Workload::DlrmL:      *chips = 8;    *batch = 4096; return;
-      case Workload::DiTXL:      *chips = 64;   *batch = 8192; return;
-      case Workload::Gligen:     *chips = 64;   *batch = 256;  return;
-    }
-    throw LogicError("unknown workload");
+        return out;
+    }();
+    return specs;
 }
 
 }  // namespace
@@ -139,100 +93,13 @@ table4ChipsBatch(Workload w, int *chips, std::int64_t *batch)
 const std::vector<Workload> &
 allWorkloads()
 {
-    static const std::vector<Workload> all = {
-        Workload::Train8B,    Workload::Train13B,  Workload::Train70B,
-        Workload::Train405B,  Workload::Prefill8B, Workload::Prefill13B,
-        Workload::Prefill70B, Workload::Prefill405B, Workload::Decode8B,
-        Workload::Decode13B,  Workload::Decode70B, Workload::Decode405B,
-        Workload::DlrmS,      Workload::DlrmM,     Workload::DlrmL,
-        Workload::DiTXL,      Workload::Gligen,
-    };
+    static const std::vector<Workload> all = [] {
+        std::vector<Workload> out;
+        for (const auto &row : kRows)
+            out.push_back(row.workload);
+        return out;
+    }();
     return all;
-}
-
-std::vector<Workload>
-workloadsOf(WorkloadFamily family)
-{
-    std::vector<Workload> out;
-    for (auto w : allWorkloads()) {
-        if (familyOf(w) == family)
-            out.push_back(w);
-    }
-    return out;
-}
-
-WorkloadFamily
-familyOf(Workload w)
-{
-    switch (w) {
-      case Workload::Train8B:
-      case Workload::Train13B:
-      case Workload::Train70B:
-      case Workload::Train405B:
-        return WorkloadFamily::LlmTraining;
-      case Workload::Prefill8B:
-      case Workload::Prefill13B:
-      case Workload::Prefill70B:
-      case Workload::Prefill405B:
-        return WorkloadFamily::LlmPrefill;
-      case Workload::Decode8B:
-      case Workload::Decode13B:
-      case Workload::Decode70B:
-      case Workload::Decode405B:
-        return WorkloadFamily::LlmDecode;
-      case Workload::DlrmS:
-      case Workload::DlrmM:
-      case Workload::DlrmL:
-        return WorkloadFamily::DlrmInference;
-      case Workload::DiTXL:
-      case Workload::Gligen:
-        return WorkloadFamily::StableDiffusion;
-    }
-    throw LogicError("unknown workload");
-}
-
-std::string
-workloadName(Workload w)
-{
-    switch (familyOf(w)) {
-      case WorkloadFamily::LlmTraining:
-        return llamaConfig(llamaOf(w)).name + "-Train";
-      case WorkloadFamily::LlmPrefill:
-        return llamaConfig(llamaOf(w)).name + "-Prefill";
-      case WorkloadFamily::LlmDecode:
-        return llamaConfig(llamaOf(w)).name + "-Decode";
-      case WorkloadFamily::DlrmInference:
-        return dlrmConfig(dlrmOf(w)).name;
-      case WorkloadFamily::StableDiffusion:
-        return diffusionModelName(w == Workload::DiTXL
-                                      ? DiffusionModel::DiTXL
-                                      : DiffusionModel::GLIGEN);
-    }
-    throw LogicError("unknown workload");
-}
-
-std::string
-workloadFamilyName(WorkloadFamily family)
-{
-    switch (family) {
-      case WorkloadFamily::LlmTraining:
-        return "LLM Training";
-      case WorkloadFamily::LlmPrefill:
-        return "LLM Prefill";
-      case WorkloadFamily::LlmDecode:
-        return "LLM Decode";
-      case WorkloadFamily::DlrmInference:
-        return "DLRM Inference";
-      case WorkloadFamily::StableDiffusion:
-        return "Stable Diffusion";
-    }
-    throw LogicError("unknown family");
-}
-
-WorkUnit
-workUnitOf(Workload w)
-{
-    return scenarioWorkUnit(builtinSpec(w));
 }
 
 std::string
@@ -251,77 +118,73 @@ workUnitName(WorkUnit unit)
     throw LogicError("unknown unit");
 }
 
-const ScenarioSpec &
-builtinSpec(Workload w)
+const std::shared_ptr<const ScenarioSpec> &
+builtinScenario(Workload w)
 {
-    static const std::array<ScenarioSpec, 17> specs = [] {
-        std::array<ScenarioSpec, 17> out;
-        for (auto workload : allWorkloads()) {
-            ScenarioSpec s;
-            s.name = workloadName(workload);
-            s.family = familyKeyOf(workload);
-            s.model = modelKeyOf(workload);
-            table4ChipsBatch(workload, &s.chips, &s.batch);
-            validateScenario(s);
-            out[static_cast<std::size_t>(workload)] = std::move(s);
-        }
-        return out;
-    }();
     auto index = static_cast<std::size_t>(w);
-    REGATE_CHECK(index < specs.size(), "unknown workload");
-    return specs[index];
+    REGATE_CHECK(index < kNumRows, "unknown workload");
+    return builtinScenarios()[index];
 }
 
-bool
-builtinWorkloadOf(const ScenarioSpec &spec, Workload *out)
+std::shared_ptr<const ScenarioSpec>
+builtinScenarioOf(const ScenarioSpec &spec)
 {
     // An explicit parallelism split, extra keys, or gating overrides
     // always mean a custom scenario, even if the spec happens to
     // reproduce a paper configuration: the overrides are part of its
     // identity and its grid rows must keep the scenario's own name.
     if (spec.parSet || !spec.extra.empty() || !spec.gating.empty())
-        return false;
-    for (auto w : allWorkloads()) {
-        const auto &b = builtinSpec(w);
-        if (spec.family == b.family && spec.model == b.model &&
-            spec.batch == b.batch && spec.chips == b.chips &&
-            spec.seqLen == b.seqLen && spec.outLen == b.outLen &&
-            spec.unit == b.unit) {
-            *out = w;
-            return true;
-        }
+        return nullptr;
+    for (const auto &b : builtinScenarios()) {
+        if (spec.family == b->family && spec.model == b->model &&
+            spec.batch == b->batch && spec.chips == b->chips &&
+            spec.seqLen == b->seqLen && spec.outLen == b->outLen &&
+            spec.unit == b->unit)
+            return b;
     }
-    return false;
+    return nullptr;
 }
 
-RunSetup
-table4Setup(Workload w)
+std::string
+workloadName(Workload w)
 {
-    return scenarioSetup(builtinSpec(w));
+    return builtinScenario(w)->name;
 }
 
-double
-modelStateBytes(Workload w)
+WorkloadFamily
+familyOf(Workload w)
 {
-    return scenarioModelStateBytes(builtinSpec(w));
+    const auto &key = builtinScenario(w)->family;
+    auto it = std::find(std::begin(kFamilyKeys), std::end(kFamilyKeys), key);
+    return static_cast<WorkloadFamily>(it - std::begin(kFamilyKeys));
+}
+
+std::string
+workloadFamilyName(WorkloadFamily family)
+{
+    auto index = static_cast<std::size_t>(family);
+    REGATE_CHECK(index < std::size(kFamilyKeys), "unknown family");
+    return GeneratorRegistry::instance()
+        .require(kFamilyKeys[index])
+        .familyLabel();
+}
+
+WorkUnit
+workUnitOf(Workload w)
+{
+    return scenarioWorkUnit(*builtinScenario(w));
 }
 
 RunSetup
 defaultSetup(Workload w, arch::NpuGeneration gen)
 {
-    return defaultScenarioSetup(builtinSpec(w), gen);
+    return defaultScenarioSetup(*builtinScenario(w), gen);
 }
 
 graph::OperatorGraph
 buildGraph(Workload w, const RunSetup &setup)
 {
-    return buildScenarioGraph(builtinSpec(w), setup);
-}
-
-double
-unitsPerRun(Workload w, const RunSetup &setup)
-{
-    return scenarioUnitsPerRun(builtinSpec(w), setup);
+    return buildScenarioGraph(*builtinScenario(w), setup);
 }
 
 }  // namespace models

@@ -1,15 +1,18 @@
 /**
  * @file
- * The paper's benchmark suite (Table 1) as a flat registry of 17
- * workload instances, with the Table 4 most-energy-efficient
- * SLO-compliant configurations for NPU-D and heuristic scaling for
- * the other generations (larger HBM -> fewer chips, §3).
+ * The paper's workload table (Table 1's 17 instances at their Table 4
+ * NPU-D chips/batch) as built-in scenario rows. Each row is validated
+ * once into a shared ScenarioSpec (builtinScenario), and from there it
+ * replays through the same generator registry as any user spec: the
+ * simulator's entry points take only specs. The Workload enum names a
+ * row of the table; nothing downstream branches on it.
  */
 
 #ifndef REGATE_MODELS_WORKLOAD_H
 #define REGATE_MODELS_WORKLOAD_H
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -63,57 +66,41 @@ struct RunSetup
 };
 
 /** Default sequence lengths (Table 1). */
-constexpr std::int64_t kTrainSeqLen = 4096;
 constexpr std::int64_t kPrefillSeqLen = 4096;
 constexpr std::int64_t kDecodeOutLen = 512;
 
 /** All 17 workloads in paper order. */
 const std::vector<Workload> &allWorkloads();
 
-/** Workloads of one family, in paper order. */
-std::vector<Workload> workloadsOf(WorkloadFamily family);
-
-std::string workloadName(Workload w);
-std::string workloadFamilyName(WorkloadFamily family);
-WorkloadFamily familyOf(Workload w);
-WorkUnit workUnitOf(Workload w);
 std::string workUnitName(WorkUnit unit);
 
 /**
- * The canonical built-in ScenarioSpec of a paper workload (Table 1
- * identity + Table 4 chips/batch, defaults filled). Every enum-keyed
- * function below is a thin shim replaying this spec through the
- * GeneratorRegistry — the enum path and the spec path are one code
- * path.
+ * The built-in scenario of a paper workload: its table row (canonical
+ * name, family and model keys, Table 4 chips/batch), validated with
+ * defaults filled. One shared spec per row for the whole process.
  */
-const ScenarioSpec &builtinSpec(Workload w);
+const std::shared_ptr<const ScenarioSpec> &builtinScenario(Workload w);
 
 /**
- * True (and *out set) when @p spec is identical to a paper workload:
- * grid construction normalizes such specs onto the enum identity so
- * spec-driven runs render byte-identical to enum-driven ones. Display name and gating overrides are ignored
- * (gating rides in the grid's params, not the workload identity).
+ * The built-in row @p spec duplicates, or null. Everything that builds
+ * or searches a scenario is compared, the display name is not; a spec
+ * with an explicit parallelism split, extra keys or gating overrides
+ * is always custom. A duplicate comes back as the row, canonical name
+ * included, so a `--spec` file of paper workloads renders exactly the
+ * default run.
  */
-bool builtinWorkloadOf(const ScenarioSpec &spec, Workload *out);
+std::shared_ptr<const ScenarioSpec> builtinScenarioOf(
+    const ScenarioSpec &spec);
 
-/** Table 4 configuration (defined for NPU-D). */
-RunSetup table4Setup(Workload w);
-
-/**
- * Configuration for an arbitrary generation: Table 4 chips scaled up
- * if the model (weights + optimizer state + KV cache) does not fit
- * the generation's HBM.
- */
+// Workload-keyed forwards through builtinScenario(w), kept only because
+// perfbench/layer_trace.cc calls them. They go when that tracer becomes
+// a driver over library spans (ROADMAP, "One benchmark").
+std::string workloadName(Workload w);
+WorkloadFamily familyOf(Workload w);
+std::string workloadFamilyName(WorkloadFamily family);
+WorkUnit workUnitOf(Workload w);
 RunSetup defaultSetup(Workload w, arch::NpuGeneration gen);
-
-/** Build the per-chip operator graph for one run. */
 graph::OperatorGraph buildGraph(Workload w, const RunSetup &setup);
-
-/** Work units produced by one run (tokens, requests, ...). */
-double unitsPerRun(Workload w, const RunSetup &setup);
-
-/** Per-chip model-state bytes that must fit in HBM. */
-double modelStateBytes(Workload w);
 
 }  // namespace models
 }  // namespace regate

@@ -99,72 +99,33 @@ WorkloadReport::config() const
     return arch::npuConfig(gen);
 }
 
-void
-clearSharedCaches()
-{
-}
-
 Execution
-executeCase(models::Workload workload, const models::ScenarioSpec *spec,
-            arch::NpuGeneration gen, const models::RunSetup &setup)
+executeCase(const models::ScenarioSpec &spec, arch::NpuGeneration gen,
+            const models::RunSetup &setup)
 {
     const auto &cfg = arch::npuConfig(gen);
     auto compiled = [&] {
         obs::TraceRecorder::Span span("graph.build_compile", "sim");
         return compiler::compileGraph(
-            spec ? models::buildScenarioGraph(*spec, setup)
-                 : models::buildGraph(workload, setup),
-            cfg);
+            models::buildScenarioGraph(spec, setup), cfg);
     }();
     obs::TraceRecorder::Span span("engine.execute", "sim");
     return Engine(cfg).execute(compiled.graph, setup.chips);
 }
 
 WorkloadReport
-makeReport(models::Workload workload,
-           std::shared_ptr<const models::ScenarioSpec> spec,
+makeReport(std::shared_ptr<const models::ScenarioSpec> spec,
            arch::NpuGeneration gen, const models::RunSetup &setup,
            const arch::GatingParams &params, WorkloadRun run)
 {
     WorkloadReport rep;
-    rep.workload = workload;
     rep.scenario = std::move(spec);
     rep.gen = gen;
     rep.setup = setup;
-    rep.units = rep.scenario
-                    ? models::scenarioUnitsPerRun(*rep.scenario, setup)
-                    : models::unitsPerRun(workload, setup);
+    rep.units = models::scenarioUnitsPerRun(*rep.scenario, setup);
     rep.run_ = std::make_shared<const WorkloadRun>(std::move(run));
     rep.params_ = params;
     return rep;
-}
-
-namespace {
-
-/** One case simulated from scratch, each phase in its own span. */
-WorkloadReport
-simulateCase(models::Workload workload,
-             std::shared_ptr<const models::ScenarioSpec> spec,
-             arch::NpuGeneration gen, const models::RunSetup &setup,
-             const arch::GatingParams &params)
-{
-    auto ex = executeCase(workload, spec.get(), gen, setup);
-    obs::TraceRecorder::Span span("engine.evaluate", "sim");
-    auto run = Engine(arch::npuConfig(gen), params).evaluate(std::move(ex));
-    return makeReport(workload, std::move(spec), gen, setup, params,
-                      std::move(run));
-}
-
-}  // namespace
-
-WorkloadReport
-simulateWorkload(models::Workload workload, arch::NpuGeneration gen,
-                 const arch::GatingParams &params,
-                 const models::RunSetup *setup_override)
-{
-    auto setup = setup_override ? *setup_override
-                                : models::defaultSetup(workload, gen);
-    return simulateCase(workload, nullptr, gen, setup, params);
 }
 
 WorkloadReport
@@ -177,7 +138,26 @@ simulateScenario(std::shared_ptr<const models::ScenarioSpec> spec,
     auto setup = setup_override
                      ? *setup_override
                      : models::defaultScenarioSetup(*spec, gen);
-    return simulateCase({}, std::move(spec), gen, setup, params);
+    auto ex = executeCase(*spec, gen, setup);
+    obs::TraceRecorder::Span span("engine.evaluate", "sim");
+    auto run = Engine(arch::npuConfig(gen), params).evaluate(std::move(ex));
+    return makeReport(std::move(spec), gen, setup, params, std::move(run));
+}
+
+void
+clearSharedCaches()
+{
+}
+
+WorkloadReport
+simulateWorkload(models::Workload workload, arch::NpuGeneration gen,
+                 const arch::GatingParams &params,
+                 const models::RunSetup *setup_override)
+{
+    auto rep = simulateScenario(models::builtinScenario(workload), gen,
+                                params, setup_override);
+    rep.workload = workload;
+    return rep;
 }
 
 }  // namespace sim

@@ -1,13 +1,14 @@
 /**
  * @file
- * High-level facade: simulate one of the paper's workloads on one NPU
- * generation and expose the quantities the figures need, including
- * the duty-cycle/PUE accounting of §3 (60% duty cycle [84], PUE 1.1
- * [32]) and the per-policy idle power of a powered-on but jobless
- * chip. Every call builds, compiles and runs its graph from scratch;
- * nothing is kept between calls. executeCase and makeReport are the
- * two halves of one simulation, for a caller that evaluates one
- * execution under several gating params (SweepRunner::run).
+ * High-level facade: simulate one scenario (a built-in paper row or a
+ * user spec) on one NPU generation and expose the quantities the
+ * figures need, including the duty-cycle/PUE accounting of §3 (60%
+ * duty cycle [84], PUE 1.1 [32]) and the per-policy idle power of a
+ * powered-on but jobless chip. Every call builds, compiles and runs
+ * its graph from scratch; nothing is kept between calls. executeCase
+ * and makeReport are the two halves of one simulation, for a caller
+ * that evaluates one execution under several gating params
+ * (SweepRunner::run).
  */
 
 #ifndef REGATE_SIM_REPORT_H
@@ -29,22 +30,20 @@ struct FleetParams
     double pue = 1.1;        ///< Power usage efficiency.
 };
 
-/** One simulated workload on one generation. */
+/** One simulated scenario on one generation. */
 struct WorkloadReport
 {
+    /**
+     * The simulated scenario; set on every simulated report. Shared,
+     * immutable — a report copy is still a pointer bump.
+     */
+    std::shared_ptr<const models::ScenarioSpec> scenario;
+
+    /** Label set only by the simulateWorkload forward; never read. */
     models::Workload workload{};
     arch::NpuGeneration gen{};
     models::RunSetup setup;
     double units = 0;  ///< Work units per run (tokens, images, ...).
-
-    /**
-     * Custom-scenario identity: null on the enum workload path (and
-     * `workload` is authoritative); set when the report came from
-     * simulateScenario over a registry-driven ScenarioSpec (and
-     * `workload` is a meaningless default). Shared, immutable — a
-     * report copy is still a pointer bump.
-     */
-    std::shared_ptr<const models::ScenarioSpec> scenario;
 
     /**
      * The simulated run. Copies of a report share one immutable run
@@ -81,28 +80,18 @@ struct WorkloadReport
 
   private:
     friend WorkloadReport makeReport(
-        models::Workload, std::shared_ptr<const models::ScenarioSpec>,
-        arch::NpuGeneration, const models::RunSetup &,
-        const arch::GatingParams &, WorkloadRun);
+        std::shared_ptr<const models::ScenarioSpec>, arch::NpuGeneration,
+        const models::RunSetup &, const arch::GatingParams &,
+        WorkloadRun);
     std::shared_ptr<const WorkloadRun> run_;
     arch::GatingParams params_;
 };
 
 /**
- * Build, compile, and simulate @p workload on @p gen. Uses
- * defaultSetup unless @p setup_override is given.
- */
-WorkloadReport simulateWorkload(models::Workload workload,
-                                arch::NpuGeneration gen,
-                                const arch::GatingParams &params = {},
-                                const models::RunSetup *setup_override =
-                                    nullptr);
-
-/**
- * simulateWorkload for a registry-driven custom scenario: build,
- * compile, and simulate @p spec on @p gen, with defaultScenarioSetup
- * unless @p setup_override is given. @p spec must be a validated spec
- * (parseSpecText/validateScenario have run).
+ * Build, compile, and simulate @p spec on @p gen, with
+ * defaultScenarioSetup unless @p setup_override is given. @p spec must
+ * be a validated spec (parseSpecText/validateScenario have run, or a
+ * models::builtinScenario row).
  */
 WorkloadReport simulateScenario(
     std::shared_ptr<const models::ScenarioSpec> spec,
@@ -110,21 +99,16 @@ WorkloadReport simulateScenario(
     const models::RunSetup *setup_override = nullptr);
 
 /**
- * Build and compile the graph of @p spec (or, when @p spec is null, of
- * the paper @p workload) with @p setup for @p gen, and execute it: the
- * part of a simulation that no gating parameter changes.
+ * Build and compile the graph of @p spec with @p setup for @p gen, and
+ * execute it: the part of a simulation that no gating parameter
+ * changes.
  */
-Execution executeCase(models::Workload workload,
-                      const models::ScenarioSpec *spec,
+Execution executeCase(const models::ScenarioSpec &spec,
                       arch::NpuGeneration gen,
                       const models::RunSetup &setup);
 
-/**
- * The report of one case (@p spec, or the paper @p workload when
- * @p spec is null) whose @p run was evaluated under @p params.
- */
-WorkloadReport makeReport(models::Workload workload,
-                          std::shared_ptr<const models::ScenarioSpec> spec,
+/** The report of @p spec whose @p run was evaluated under @p params. */
+WorkloadReport makeReport(std::shared_ptr<const models::ScenarioSpec> spec,
                           arch::NpuGeneration gen,
                           const models::RunSetup &setup,
                           const arch::GatingParams &params,
@@ -134,8 +118,19 @@ WorkloadReport makeReport(models::Workload workload,
 double idleStaticPower(const energy::PowerModel &power,
                        const arch::GatingParams &params, Policy policy);
 
-/** A no-op, kept only for its caller in perfbench/layer_trace.cc. */
+// Kept only because perfbench/layer_trace.cc calls them; they go when
+// that tracer becomes a driver over library spans (ROADMAP, "One
+// benchmark").
+
+/** A no-op. */
 void clearSharedCaches();
+
+/** simulateScenario of models::builtinScenario(@p workload), labeled. */
+WorkloadReport simulateWorkload(models::Workload workload,
+                                arch::NpuGeneration gen,
+                                const arch::GatingParams &params = {},
+                                const models::RunSetup *setup_override =
+                                    nullptr);
 
 }  // namespace sim
 }  // namespace regate

@@ -14,8 +14,10 @@ namespace regate {
 namespace sim {
 
 std::vector<models::RunSetup>
-candidateSetupsFrom(const models::RunSetup &base)
+candidateSetups(const models::ScenarioSpec &spec,
+                arch::NpuGeneration gen)
 {
+    const auto base = models::defaultScenarioSetup(spec, gen);
     std::vector<models::RunSetup> out;
     for (int chip_mul : {1, 2, 4}) {
         for (int batch_div : {4, 2, 1}) {
@@ -38,19 +40,6 @@ candidateSetupsFrom(const models::RunSetup &base)
         }
     }
     return out;
-}
-
-std::vector<models::RunSetup>
-candidateSetups(models::Workload workload, arch::NpuGeneration gen)
-{
-    return candidateSetupsFrom(models::defaultSetup(workload, gen));
-}
-
-std::vector<models::RunSetup>
-candidateSetups(const models::ScenarioSpec &spec,
-                arch::NpuGeneration gen)
-{
-    return candidateSetupsFrom(models::defaultScenarioSetup(spec, gen));
 }
 
 namespace {
@@ -142,26 +131,19 @@ class Selector
     Candidate<Run> fastest_;
 };
 
-models::RunSetup
-defaultSetupOf(const SweepCase &c, arch::NpuGeneration gen)
-{
-    return c.scenario ? models::defaultScenarioSetup(*c.scenario, gen)
-                      : models::defaultSetup(c.workload, gen);
-}
-
 /** Execute @p setup of @p c's scenario on @p gen, as a candidate. */
 Candidate<ExecutionPtr>
 executeCandidate(const SweepCase &c, arch::NpuGeneration gen,
                  const models::RunSetup &setup)
 {
     auto ex = std::make_shared<const Execution>(
-        executeCase(c.workload, c.scenario.get(), gen, setup));
+        executeCase(*c.scenario, gen, setup));
     // The selection reads only the NoPG result, so a report over a run
     // that holds nothing but the policy results measures a candidate
     // with WorkloadReport's own arithmetic, without copying the run.
     WorkloadRun results;
     results.policies = ex->run.policies;
-    return measured(makeReport(c.workload, c.scenario, gen, setup, {},
+    return measured(makeReport(c.scenario, gen, setup, {},
                                std::move(results)),
                     std::move(ex));
 }
@@ -170,8 +152,9 @@ executeCandidate(const SweepCase &c, arch::NpuGeneration gen,
 Candidate<ExecutionPtr>
 executeAnchor(const SweepCase &c)
 {
-    return executeCandidate(c, arch::NpuGeneration::D,
-                            defaultSetupOf(c, arch::NpuGeneration::D));
+    return executeCandidate(
+        c, arch::NpuGeneration::D,
+        models::defaultScenarioSetup(*c.scenario, arch::NpuGeneration::D));
 }
 
 /** The 1x SLO: 5x the anchor's latency (§3). */
@@ -188,7 +171,7 @@ targetOf(const Candidate<ExecutionPtr> &anchor)
 Selector<ExecutionPtr>
 selectOn(const SweepCase &c, const Candidate<ExecutionPtr> &anchor)
 {
-    auto setups = candidateSetupsFrom(defaultSetupOf(c, c.gen));
+    auto setups = candidateSetups(*c.scenario, c.gen);
     REGATE_CHECK(!setups.empty(), "no candidate setups");
     Selector<ExecutionPtr> sel(targetOf(anchor));
     for (const auto &setup : setups) {
@@ -206,9 +189,8 @@ evaluateWinner(const Selector<ExecutionPtr> &sel, const SweepCase &c)
     const auto &winner = sel.winner();
     obs::TraceRecorder::Span span("engine.evaluate", "sim");
     Engine engine(arch::npuConfig(c.gen), c.params);
-    return sel.result(makeReport(c.workload, c.scenario, c.gen,
-                                 winner.setup, c.params,
-                                 engine.evaluate(*winner.run)));
+    return sel.result(makeReport(c.scenario, c.gen, winner.setup,
+                                 c.params, engine.evaluate(*winner.run)));
 }
 
 /** The search of one case; a ConfigError propagates. */
@@ -225,14 +207,11 @@ searchSerial(const SweepCase &c)
 {
     auto simulate = [&](arch::NpuGeneration gen,
                         const models::RunSetup *setup) {
-        return c.scenario
-                   ? simulateScenario(c.scenario, gen, c.params, setup)
-                   : simulateWorkload(c.workload, gen, c.params, setup);
+        return simulateScenario(c.scenario, gen, c.params, setup);
     };
     double target =
         5.0 * secondsPerUnit(simulate(arch::NpuGeneration::D, nullptr));
-    auto setups = c.scenario ? candidateSetups(*c.scenario, c.gen)
-                             : candidateSetups(c.workload, c.gen);
+    auto setups = candidateSetups(*c.scenario, c.gen);
     REGATE_CHECK(!setups.empty(), "no candidate setups");
     Selector<WorkloadReport> sel(target);
     for (const auto &setup : setups) {
@@ -240,17 +219,6 @@ searchSerial(const SweepCase &c)
         sel.offer(measured(rep, rep));
     }
     return sel.result(sel.winner().run);
-}
-
-SweepCase
-workloadCase(models::Workload workload, arch::NpuGeneration gen,
-             const arch::GatingParams &params)
-{
-    SweepCase c;
-    c.workload = workload;
-    c.gen = gen;
-    c.params = params;
-    return c;
 }
 
 SweepCase
@@ -268,30 +236,10 @@ specCase(std::shared_ptr<const models::ScenarioSpec> spec,
 }  // namespace
 
 double
-sloTargetSecondsPerUnit(models::Workload workload)
-{
-    return targetOf(executeAnchor(workloadCase(workload, {}, {})));
-}
-
-double
 sloTargetSecondsPerUnit(
     const std::shared_ptr<const models::ScenarioSpec> &spec)
 {
     return targetOf(executeAnchor(specCase(spec, {}, {})));
-}
-
-SloResult
-findBestSetup(models::Workload workload, arch::NpuGeneration gen,
-              const arch::GatingParams &params)
-{
-    return searchOne(workloadCase(workload, gen, params));
-}
-
-SloResult
-findBestSetupSerial(models::Workload workload, arch::NpuGeneration gen,
-                    const arch::GatingParams &params)
-{
-    return searchSerial(workloadCase(workload, gen, params));
 }
 
 SloResult
@@ -315,7 +263,6 @@ searchSameIdentity(const std::vector<const SweepCase *> &cases)
     std::vector<SloResult> out(cases.size());
     auto fail = [&](std::size_t i, const ConfigError &e) {
         out[i].error = e.what();
-        out[i].report.workload = cases[i]->workload;
         out[i].report.scenario = cases[i]->scenario;
         out[i].report.gen = cases[i]->gen;
     };
@@ -354,6 +301,27 @@ searchSameIdentity(const std::vector<const SweepCase *> &cases)
         }
     }
     return out;
+}
+
+SloResult
+findBestSetup(models::Workload workload, arch::NpuGeneration gen,
+              const arch::GatingParams &params)
+{
+    return findBestSetup(models::builtinScenario(workload), gen, params);
+}
+
+SloResult
+findBestSetupSerial(models::Workload workload, arch::NpuGeneration gen,
+                    const arch::GatingParams &params)
+{
+    return findBestSetupSerial(models::builtinScenario(workload), gen,
+                               params);
+}
+
+std::vector<models::RunSetup>
+candidateSetups(models::Workload workload, arch::NpuGeneration gen)
+{
+    return candidateSetups(*models::builtinScenario(workload), gen);
 }
 
 }  // namespace sim

@@ -1,6 +1,6 @@
 /**
  * @file
- * SLO-compliant configuration search (§3, Table 4): for each workload
+ * SLO-compliant configuration search (§3, Table 4): for each scenario
  * and NPU generation, find the most energy-efficient pod
  * configuration whose per-unit latency (or training throughput) meets
  * the SLO. The 1x SLO is defined as 5x the latency (1/5 the
@@ -20,7 +20,7 @@ namespace sim {
 
 struct SweepCase;
 
-/** Outcome of the search for one (workload, generation). */
+/** Outcome of the search for one (scenario, generation). */
 struct SloResult
 {
     models::RunSetup setup;
@@ -33,55 +33,42 @@ struct SloResult
     /**
      * Set when searchSameIdentity (SweepRunner::search) could not
      * search this case (for example, no candidate setup fits); the
-     * other fields are then unset except the report's
-     * workload/scenario and generation.
+     * other fields are then unset except the report's scenario and
+     * generation.
      */
     std::string error;
 };
 
-/** Seconds-per-unit at the 1x SLO for @p workload. */
-double sloTargetSecondsPerUnit(models::Workload workload);
-
-/** The 1x SLO of a registry-driven custom scenario (same rule). */
+/** Seconds per work unit at the 1x SLO of @p spec. */
 double sloTargetSecondsPerUnit(
     const std::shared_ptr<const models::ScenarioSpec> &spec);
 
 /**
- * Search candidate setups (chip counts around Table 4, halved/doubled
- * batches) on @p gen; returns the most energy-efficient compliant
- * configuration, or the fastest one with its attained (relaxed) SLO
- * ratio if none complies — mirroring the "2x" labels in Fig. 2.
- * searchSameIdentity's steps for the one case; a failed search throws
- * its ConfigError instead of recording it.
+ * Search candidate setups (chip counts around the spec's default
+ * setup, halved/quartered batches) on @p gen; returns the most
+ * energy-efficient compliant configuration, or the fastest one with
+ * its attained (relaxed) SLO ratio if none complies — mirroring the
+ * "2x" labels in Fig. 2. searchSameIdentity's steps for the one case;
+ * a failed search throws its ConfigError instead of recording it.
  */
-SloResult findBestSetup(models::Workload workload,
-                        arch::NpuGeneration gen,
-                        const arch::GatingParams &params = {});
+SloResult findBestSetup(
+    std::shared_ptr<const models::ScenarioSpec> spec,
+    arch::NpuGeneration gen, const arch::GatingParams &params = {});
 
 /**
  * Serial reference implementation (equivalence tests): simulates the
  * SLO anchor and every candidate from scratch under @p params.
  */
-SloResult findBestSetupSerial(models::Workload workload,
-                              arch::NpuGeneration gen,
-                              const arch::GatingParams &params = {});
-
-/** findBestSetup for a registry-driven custom scenario. */
-SloResult findBestSetup(
-    std::shared_ptr<const models::ScenarioSpec> spec,
-    arch::NpuGeneration gen, const arch::GatingParams &params = {});
-
-/** Serial reference implementation of the scenario search. */
 SloResult findBestSetupSerial(
     std::shared_ptr<const models::ScenarioSpec> spec,
     arch::NpuGeneration gen, const arch::GatingParams &params = {});
 
 /**
  * The SLO search behind findBestSetup and SweepRunner::search, over
- * @p cases that share one scenario identity (the same paper workload,
- * or specs equal but for their name and gating overrides) on any
- * generations under any gating params; results are index-aligned with
- * @p cases, and each case's setup override is ignored.
+ * @p cases that share one scenario identity (specs equal but for
+ * their name and gating overrides) on any generations under any
+ * gating params; results are index-aligned with @p cases, and each
+ * case's setup override is ignored.
  *
  * The NPU-D default setup is executed once: its NoPG latency is the
  * 1x target, and the same execution is NPU-D's base candidate. Each
@@ -97,21 +84,27 @@ SloResult findBestSetupSerial(
 std::vector<SloResult> searchSameIdentity(
     const std::vector<const SweepCase *> &cases);
 
-/** Candidate setups the search explores (exposed for tests). */
-std::vector<models::RunSetup> candidateSetups(models::Workload workload,
-                                              arch::NpuGeneration gen);
-
-/** Scenario-path candidates (around defaultScenarioSetup). */
+/**
+ * Candidate setups the search explores: chip counts around @p spec's
+ * default setup on @p gen (1x/2x/4x), batches halved/quartered,
+ * parallelism re-split by growing dp with the extra chips, dp > batch
+ * candidates skipped.
+ */
 std::vector<models::RunSetup> candidateSetups(
     const models::ScenarioSpec &spec, arch::NpuGeneration gen);
 
-/**
- * The one candidate enumerator both paths share: chip counts around
- * @p base (1x/2x/4x), batches halved/quartered, parallelism re-split
- * by growing dp with the extra chips, dp > batch candidates skipped.
- */
-std::vector<models::RunSetup> candidateSetupsFrom(
-    const models::RunSetup &base);
+// Workload-keyed forwards through models::builtinScenario, kept only
+// because perfbench/layer_trace.cc calls them. They go when that
+// tracer becomes a driver over library spans (ROADMAP, "One
+// benchmark").
+SloResult findBestSetup(models::Workload workload,
+                        arch::NpuGeneration gen,
+                        const arch::GatingParams &params = {});
+SloResult findBestSetupSerial(models::Workload workload,
+                              arch::NpuGeneration gen,
+                              const arch::GatingParams &params = {});
+std::vector<models::RunSetup> candidateSetups(models::Workload workload,
+                                              arch::NpuGeneration gen);
 
 }  // namespace sim
 }  // namespace regate

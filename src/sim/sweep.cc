@@ -14,21 +14,10 @@ namespace sim {
 
 namespace {
 
-WorkloadReport
-simulateCase(const SweepCase &c)
-{
-    if (c.scenario)
-        return simulateScenario(c.scenario, c.gen, c.params,
-                                c.hasSetup ? &c.setup : nullptr);
-    return simulateWorkload(c.workload, c.gen, c.params,
-                            c.hasSetup ? &c.setup : nullptr);
-}
-
 /** What a case's graph build, compile and execution read. */
 struct ExecutionKey
 {
-    const models::ScenarioSpec *spec;  ///< Null on the enum path.
-    models::Workload workload;
+    const models::ScenarioSpec *spec;
     arch::NpuGeneration gen;
     models::RunSetup setup;  ///< Resolved: the override or default.
 };
@@ -38,9 +27,8 @@ executionKey(const SweepCase &c)
 {
     models::RunSetup setup =
         c.hasSetup ? c.setup
-        : c.scenario ? models::defaultScenarioSetup(*c.scenario, c.gen)
-                     : models::defaultSetup(c.workload, c.gen);
-    return {c.scenario.get(), c.workload, c.gen, setup};
+                   : models::defaultScenarioSetup(*c.scenario, c.gen);
+    return {c.scenario.get(), c.gen, setup};
 }
 
 /**
@@ -51,21 +39,15 @@ executionKey(const SweepCase &c)
 bool
 executesBefore(const ExecutionKey &a, const ExecutionKey &b)
 {
-    if (a.spec && b.spec) {
-        if (a.spec != b.spec) {
-            const auto &x = *a.spec;
-            const auto &y = *b.spec;
-            auto order = std::tie(x.family, x.model, x.seqLen, x.outLen,
-                                  x.extra) <=>
-                         std::tie(y.family, y.model, y.seqLen, y.outLen,
-                                  y.extra);
-            if (order != 0)
-                return order < 0;
-        }
-    } else if (a.spec || b.spec) {
-        return !a.spec;  // Enum-path cases sort first.
-    } else if (a.workload != b.workload) {
-        return a.workload < b.workload;
+    if (a.spec != b.spec) {
+        const auto &x = *a.spec;
+        const auto &y = *b.spec;
+        auto order = std::tie(x.family, x.model, x.seqLen, x.outLen,
+                              x.extra) <=>
+                     std::tie(y.family, y.model, y.seqLen, y.outLen,
+                              y.extra);
+        if (order != 0)
+            return order < 0;
     }
     const auto &sa = a.setup;
     const auto &sb = b.setup;
@@ -77,27 +59,31 @@ executesBefore(const ExecutionKey &a, const ExecutionKey &b)
 
 /**
  * Strict weak order over what an SLO search reads of a case besides
- * its generation and gating params: the paper workload, or every spec
- * field but the display name and the gating overrides.
+ * its generation and gating params: every spec field but the display
+ * name and the gating overrides.
  */
 bool
 identityBefore(const SweepCase &a, const SweepCase &b)
 {
-    if (a.scenario && b.scenario) {
-        if (a.scenario == b.scenario)
-            return false;
-        const auto &x = *a.scenario;
-        const auto &y = *b.scenario;
-        return std::tie(x.family, x.model, x.batch, x.chips, x.seqLen,
-                        x.outLen, x.parSet, x.par.dp, x.par.tp, x.par.pp,
-                        x.unit, x.extra) <
-               std::tie(y.family, y.model, y.batch, y.chips, y.seqLen,
-                        y.outLen, y.parSet, y.par.dp, y.par.tp, y.par.pp,
-                        y.unit, y.extra);
-    }
-    if (a.scenario || b.scenario)
-        return !a.scenario;  // Enum-path cases sort first.
-    return a.workload < b.workload;
+    if (a.scenario == b.scenario)
+        return false;
+    const auto &x = *a.scenario;
+    const auto &y = *b.scenario;
+    return std::tie(x.family, x.model, x.batch, x.chips, x.seqLen,
+                    x.outLen, x.parSet, x.par.dp, x.par.tp, x.par.pp,
+                    x.unit, x.extra) <
+           std::tie(y.family, y.model, y.batch, y.chips, y.seqLen,
+                    y.outLen, y.parSet, y.par.dp, y.par.tp, y.par.pp,
+                    y.unit, y.extra);
+}
+
+/** LogicError naming the first case of @p cases without a scenario. */
+void
+requireScenarios(const std::vector<SweepCase> &cases)
+{
+    for (std::size_t i = 0; i < cases.size(); ++i)
+        REGATE_ASSERT(cases[i].scenario, "sweep case ", i,
+                      " has no scenario");
 }
 
 /**
@@ -123,25 +109,6 @@ groupCases(std::size_t n, Before before)
 }
 
 }  // namespace
-
-std::vector<SweepCase>
-makeGrid(const std::vector<models::Workload> &workloads,
-         const std::vector<arch::NpuGeneration> &gens,
-         const arch::GatingParams &params)
-{
-    std::vector<SweepCase> grid;
-    grid.reserve(workloads.size() * gens.size());
-    for (auto w : workloads) {
-        for (auto gen : gens) {
-            SweepCase c;
-            c.workload = w;
-            c.gen = gen;
-            c.params = params;
-            grid.push_back(std::move(c));
-        }
-    }
-    return grid;
-}
 
 void
 applyScenarioGating(arch::GatingParams *params,
@@ -172,16 +139,11 @@ scenarioCase(std::shared_ptr<const models::ScenarioSpec> spec,
     c.gen = gen;
     c.params = params;
     applyScenarioGating(&c.params, *spec);
-    // A spec identical to a paper workload runs as that workload:
-    // the case (and therefore any golden comparison) is
-    // byte-identical to the enum-driven grid. Gating overrides ride
+    // A spec identical to a paper workload runs as that workload's
+    // row, so its output is the default run's. Gating overrides ride
     // in c.params either way.
-    models::Workload w;
-    if (models::builtinWorkloadOf(*spec, &w)) {
-        c.workload = w;
-        return c;
-    }
-    c.scenario = std::move(spec);
+    auto row = models::builtinScenarioOf(*spec);
+    c.scenario = row ? std::move(row) : std::move(spec);
     return c;
 }
 
@@ -204,6 +166,7 @@ scenarioGrid(
 std::vector<WorkloadReport>
 SweepRunner::run(const std::vector<SweepCase> &cases)
 {
+    requireScenarios(cases);
     // Group the cases that share one execution.
     std::vector<ExecutionKey> keys;
     keys.reserve(cases.size());
@@ -222,15 +185,14 @@ SweepRunner::run(const std::vector<SweepCase> &cases)
         std::size_t first = group_start[g];
         std::size_t last = group_start[g + 1];
         const ExecutionKey &key = keys[order[first]];
-        Execution ex =
-            executeCase(key.workload, key.spec, key.gen, key.setup);
+        Execution ex = executeCase(*key.spec, key.gen, key.setup);
         const auto &cfg = arch::npuConfig(key.gen);
         for (std::size_t m = first; m < last; ++m) {
             const SweepCase &c = cases[order[m]];
             obs::TraceRecorder::Span span("engine.evaluate", "sim");
             Engine engine(cfg, c.params);
             out[order[m]] = makeReport(
-                c.workload, c.scenario, c.gen, key.setup, c.params,
+                c.scenario, c.gen, key.setup, c.params,
                 m + 1 < last ? engine.evaluate(ex)
                              : engine.evaluate(std::move(ex)));
         }
@@ -241,6 +203,7 @@ SweepRunner::run(const std::vector<SweepCase> &cases)
 std::vector<SloResult>
 SweepRunner::search(const std::vector<SweepCase> &cases)
 {
+    requireScenarios(cases);
     // One task per scenario identity: searchSameIdentity executes its
     // anchor and each generation's candidates once for all its cases.
     auto [order, group_start] =
@@ -265,8 +228,29 @@ SweepRunner::runSerial(const std::vector<SweepCase> &cases)
     std::vector<WorkloadReport> out;
     out.reserve(cases.size());
     for (const auto &c : cases)
-        out.push_back(simulateCase(c));
+        out.push_back(simulateScenario(c.scenario, c.gen, c.params,
+                                       c.hasSetup ? &c.setup : nullptr));
     return out;
+}
+
+std::vector<SweepCase>
+makeGrid(const std::vector<models::Workload> &workloads,
+         const std::vector<arch::NpuGeneration> &gens,
+         const arch::GatingParams &params)
+{
+    std::vector<SweepCase> grid;
+    grid.reserve(workloads.size() * gens.size());
+    for (auto w : workloads) {
+        for (auto gen : gens) {
+            SweepCase c;
+            c.scenario = models::builtinScenario(w);
+            c.workload = w;
+            c.gen = gen;
+            c.params = params;
+            grid.push_back(std::move(c));
+        }
+    }
+    return grid;
 }
 
 }  // namespace sim

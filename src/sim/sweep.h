@@ -1,16 +1,18 @@
 /**
  * @file
- * Parallel sweep runner: fans (workload x NPU generation x gating
+ * Parallel sweep runner: fans (scenario x NPU generation x gating
  * params x pod setup) grids out across a worker pool and returns
  * results in the exact order of the input grid, so a parallel sweep is
  * a drop-in replacement for the serial loop the figure binaries used
- * to run. run() groups the points that build the same graph on the
- * same generation and setup (gating params aside), executes each group
- * once and evaluates that execution under every point's own gating
- * params. search() groups the points of one scenario identity and runs
- * one SLO search over each group (searchSameIdentity). Groups share
- * nothing, so the results are bitwise identical to the serial path,
- * which simulates every point from scratch.
+ * to run. Every case carries its scenario spec, a built-in paper row
+ * or a user spec alike. run() groups the points that build the same
+ * graph on the same generation and setup (gating params aside),
+ * executes each group once and evaluates that execution under every
+ * point's own gating params. search() groups the points of one
+ * scenario identity and runs one SLO search over each group
+ * (searchSameIdentity). Groups share nothing, so the results are
+ * bitwise identical to the serial path, which simulates every point
+ * from scratch.
  */
 
 #ifndef REGATE_SIM_SWEEP_H
@@ -26,38 +28,25 @@
 namespace regate {
 namespace sim {
 
-// parallelMapOrdered lives in common/thread_pool.h now; re-exported
-// here because the sweep users (figure binaries, tests) spell it
-// sim::parallelMapOrdered.
-using ::regate::parallelMapOrdered;
-
 /** One grid point of a sweep. */
 struct SweepCase
 {
+    /**
+     * The scenario, required: run() and search() reject a null one.
+     * scenarioCase() turns a spec identical to a paper workload into
+     * that workload's built-in row (models::builtinScenarioOf).
+     */
+    std::shared_ptr<const models::ScenarioSpec> scenario;
+
+    /** Label set only by the makeGrid forward; never read. */
     models::Workload workload{};
     arch::NpuGeneration gen{};
     arch::GatingParams params;
 
-    /** Pod/batch override; defaultSetup(workload, gen) when unset. */
+    /** Pod/batch override; defaultScenarioSetup when unset. */
     bool hasSetup = false;
     models::RunSetup setup;
-
-    /**
-     * Registry-driven custom scenario; null = enum workload path.
-     * When set, `workload` is ignored and the case is simulated (or
-     * SLO-searched) through simulateScenario/searchSameIdentity over the
-     * spec. scenarioCase() normalizes specs that are identical to a
-     * paper workload back onto the enum, so spec-driven grids of
-     * built-in scenarios render byte-identical to enum grids.
-     */
-    std::shared_ptr<const models::ScenarioSpec> scenario;
 };
-
-/** Dense (workloads x generations) grid in row-major workload order. */
-std::vector<SweepCase> makeGrid(
-    const std::vector<models::Workload> &workloads,
-    const std::vector<arch::NpuGeneration> &gens,
-    const arch::GatingParams &params = {});
 
 /**
  * Overlay a scenario's gating overrides (logic_off, sram_sleep,
@@ -69,9 +58,9 @@ void applyScenarioGating(arch::GatingParams *params,
 
 /**
  * One grid point for @p spec on @p gen: @p params plus the spec's
- * gating overrides. A spec whose identity matches a paper workload
- * (models::builtinWorkloadOf) comes back as a plain enum case, so
- * running a built-in spec is bitwise the enum run.
+ * gating overrides. A spec that duplicates a paper workload runs as
+ * its built-in row (models::builtinScenarioOf), canonical name
+ * included.
  */
 SweepCase scenarioCase(std::shared_ptr<const models::ScenarioSpec> spec,
                        arch::NpuGeneration gen,
@@ -92,7 +81,8 @@ class SweepRunner
     explicit SweepRunner(unsigned threads = 0) : pool_(threads) {}
 
     /**
-     * Simulate every case; results are index-aligned with @p cases.
+     * Simulate every case; results are index-aligned with @p cases. A
+     * case without a scenario is a LogicError naming its index.
      * Cases that build the same graph on the same generation and
      * resolved setup share one execution and differ only in its
      * evaluation (their gating params) and in their report identity.
@@ -106,7 +96,8 @@ class SweepRunner
      * setup override is ignored — the search explores its own
      * candidates. A case whose search fails with a ConfigError gets a
      * result carrying only that error and the case's identity
-     * (SloResult::error).
+     * (SloResult::error). A case without a scenario is a LogicError
+     * naming its index.
      */
     std::vector<SloResult> search(const std::vector<SweepCase> &cases);
 
@@ -119,6 +110,19 @@ class SweepRunner
   private:
     ThreadPool pool_;
 };
+
+// Kept only because perfbench/layer_trace.cc calls it; it goes when
+// that tracer becomes a driver over library spans (ROADMAP, "One
+// benchmark").
+
+/**
+ * Dense (workloads x generations) grid of the built-in rows,
+ * workload-major, each case labeled with its workload.
+ */
+std::vector<SweepCase> makeGrid(
+    const std::vector<models::Workload> &workloads,
+    const std::vector<arch::NpuGeneration> &gens,
+    const arch::GatingParams &params = {});
 
 }  // namespace sim
 }  // namespace regate

@@ -17,12 +17,13 @@ namespace carbon {
 namespace {
 
 using arch::NpuGeneration;
+using models::builtinScenario;
 using models::Workload;
 using sim::Policy;
 
 TEST(Carbon, OperationalCarbonPositive)
 {
-    auto rep = sim::simulateWorkload(Workload::DlrmL,
+    auto rep = sim::simulateScenario(builtinScenario(Workload::DlrmL),
                                      NpuGeneration::D);
     EXPECT_GT(operationalCarbonPerRun(rep, Policy::NoPG), 0.0);
     EXPECT_GT(operationalCarbonPerUnit(rep, Policy::NoPG), 0.0);
@@ -32,7 +33,7 @@ TEST(Carbon, ReductionExceedsBusySavings)
 {
     // Fig. 24: carbon reductions (31%-63%) are much higher than the
     // energy savings because idle chips are almost pure static power.
-    auto rep = sim::simulateWorkload(Workload::Prefill405B,
+    auto rep = sim::simulateScenario(builtinScenario(Workload::Prefill405B),
                                      NpuGeneration::D);
     double busy_saving = rep.run().savingVsNoPg(Policy::Full);
     double carbon_red =
@@ -44,7 +45,7 @@ TEST(Carbon, ReductionExceedsBusySavings)
 
 TEST(Carbon, ReductionOrderingAcrossPolicies)
 {
-    auto rep = sim::simulateWorkload(Workload::DiTXL,
+    auto rep = sim::simulateScenario(builtinScenario(Workload::DiTXL),
                                      NpuGeneration::D);
     double base = operationalCarbonReduction(rep, Policy::Base);
     double full = operationalCarbonReduction(rep, Policy::Full);
@@ -56,14 +57,14 @@ TEST(Carbon, ReductionOrderingAcrossPolicies)
 
 TEST(Carbon, AnnualEfficiencyFactorInRange)
 {
-    double f = annualEfficiencyFactor(Workload::Prefill8B);
+    double f = annualEfficiencyFactor(builtinScenario(Workload::Prefill8B));
     EXPECT_GT(f, 0.5);
     EXPECT_LT(f, 1.0);
 }
 
 TEST(Lifespan, EmbodiedAmortizesWithLongerLife)
 {
-    auto rep = sim::simulateWorkload(Workload::DlrmL,
+    auto rep = sim::simulateScenario(builtinScenario(Workload::DlrmL),
                                      NpuGeneration::D);
     auto an = analyzeLifespan(rep, Policy::NoPG, 0.9);
     ASSERT_EQ(an.points.size(), 10u);
@@ -78,7 +79,7 @@ TEST(Lifespan, EmbodiedAmortizesWithLongerLife)
 
 TEST(Lifespan, OptimumIsInterior)
 {
-    auto rep = sim::simulateWorkload(Workload::Train405B,
+    auto rep = sim::simulateScenario(builtinScenario(Workload::Train405B),
                                      NpuGeneration::D);
     auto an = analyzeLifespan(rep, Policy::NoPG, 0.85);
     EXPECT_GE(an.optimalYears, 1);
@@ -91,7 +92,7 @@ TEST(Lifespan, GatingExtendsOptimalLifespan)
     // least never shortens it) because the operational term shrinks.
     for (auto w : {Workload::Train405B, Workload::DlrmL,
                    Workload::DiTXL}) {
-        auto rep = sim::simulateWorkload(w, NpuGeneration::D);
+        auto rep = sim::simulateScenario(builtinScenario(w), NpuGeneration::D);
         auto nopg = analyzeLifespan(rep, Policy::NoPG, 0.85);
         auto full = analyzeLifespan(rep, Policy::Full, 0.85);
         EXPECT_GE(full.optimalYears, nopg.optimalYears)
@@ -101,7 +102,7 @@ TEST(Lifespan, GatingExtendsOptimalLifespan)
 
 TEST(Lifespan, TotalIsSumOfParts)
 {
-    auto rep = sim::simulateWorkload(Workload::DlrmS,
+    auto rep = sim::simulateScenario(builtinScenario(Workload::DlrmS),
                                      NpuGeneration::D);
     auto an = analyzeLifespan(rep, Policy::Full, 0.9, 5);
     for (const auto &pt : an.points) {
@@ -113,7 +114,7 @@ TEST(Lifespan, TotalIsSumOfParts)
 
 TEST(Lifespan, Validation)
 {
-    auto rep = sim::simulateWorkload(Workload::DlrmS,
+    auto rep = sim::simulateScenario(builtinScenario(Workload::DlrmS),
                                      NpuGeneration::D);
     EXPECT_THROW(analyzeLifespan(rep, Policy::NoPG, 1.5),
                  ConfigError);

@@ -12,7 +12,10 @@ Checks:
 2. every grid binary exits 0 with --list-generators;
 3. on the binaries whose default workload axis is all 17 paper
    workloads, --spec paper_suite.spec prints the same bytes as the
-   no-argument run;
+   no-argument run; on fig16 and fig21-fig25, a spec of the
+   paper_suite.spec sections of their default axis does too; table4's
+   paper column shows Llama3.1-405B-Decode's Table 4 anchor of 64
+   chips in both runs;
 4. fig02 exits 0 on every examples/specs/*.spec;
 5. every grid binary's --trace-out file passes trace_check.py;
 6. flags the binaries do not take (including the retired sharding,
@@ -27,10 +30,11 @@ Checks:
 11. fig17 and fig19 exit 1 with a `--spec: file:line` message on
     gating values the model cannot represent: a leakage ratio above 1
     and a delay scale whose scaled cycle counts overflow;
-12. fig02's trace holds exactly FIG02_SPANS engine spans: its 68 SLO
-    searches execute each distinct candidate once and evaluate only
-    the winners; scenarios that differ only in gating keys add
-    evaluations to fig02 but no executions.
+12. fig02's trace holds exactly FIG02_SPANS engine spans, with and
+    without --spec paper_suite.spec: its 68 SLO searches execute each
+    distinct candidate once and evaluate only the winners; scenarios
+    that differ only in gating keys add evaluations to fig02 but no
+    executions.
 """
 
 import argparse
@@ -64,6 +68,21 @@ SUITE_AXIS = (
     "fig17_energy_savings", "fig18_power", "fig19_perf_overhead",
     "fig20_setpm_rate", "table4_slo_configs",
 )
+# Binaries whose default axis is a subset of the paper workloads, with
+# the paper_suite.spec sections of that axis in its order.
+SUBSET_AXIS = {
+    "fig16_validation": ("Prefill-13B", "Decode-13B", "Prefill-70B",
+                         "Decode-70B"),
+}
+SUBSET_AXIS.update(dict.fromkeys(
+    ("fig21_sens_leakage", "fig22_sens_delay", "fig23_generations",
+     "fig24_carbon_reduction", "fig25_lifespan"),
+    ("Train-405B", "Prefill-405B", "Decode-405B", "DLRM-L", "DiT-XL")))
+
+# table4's paper column for the one workload whose NPU-D HBM fit grows
+# the pod (64 -> 128 chips): the column keeps the Table 4 anchor.
+TABLE4_PAPER_ROW = ("Llama3.1-405B-Decode", "64", "2048")
+
 # Retired sharding/worker/metrics flags and an unknown one. The names
 # are spelled in pieces so a search of the tree for the retired flags
 # finds no live use of them.
@@ -155,6 +174,27 @@ def span_counts(trace):
         event.get("name") for event in json.loads(trace.read_text()))
 
 
+def spec_sections(text):
+    """The `[scenario NAME]` sections of a spec, by name."""
+    sections, name = {}, None
+    for line in text.splitlines(keepends=True):
+        if line.startswith("[scenario "):
+            name = line.strip()[len("[scenario "):-1]
+            sections[name] = ""
+        if name is not None:
+            sections[name] += line
+    return sections
+
+
+def table4_paper_cells(stdout, workload):
+    """table4's (Chips, Batch) paper cells on @p workload's row."""
+    for line in stdout.decode().splitlines():
+        cells = [c.strip() for c in line.split("|")]
+        if len(cells) > 5 and cells[1] == workload:
+            return cells[4], cells[5]
+    return None
+
+
 def check_all(binary, suite_spec, specs, trace_check):
     """Run every check, recording failures."""
     default_out = {}
@@ -175,6 +215,26 @@ def check_all(binary, suite_spec, specs, trace_check):
         expect(proc.stdout == default_out[name],
                f"{name} --spec {suite_spec.name} output differs from "
                "the no-argument run")
+        if name == "table4_slo_configs":
+            workload, chips, batch = TABLE4_PAPER_ROW
+            for what, out in (("default", default_out[name]),
+                              ("--spec", proc.stdout)):
+                cells = table4_paper_cells(out, workload)
+                expect(cells == (chips, batch),
+                       f"table4 {what}: want {workload}'s paper column "
+                       f"at {chips} chips / {batch} batch, got {cells}")
+
+    sections = spec_sections(suite_spec.read_text())
+    for name, axis in SUBSET_AXIS.items():
+        spec = Path(workdir) / f"{name}_axis.spec"
+        spec.write_text("@regate-spec v1\n" +
+                        "".join(sections[s] for s in axis))
+        proc = run([binary(name), "--spec", spec])
+        expect(proc.returncode == 0, f"{name} --spec {spec.name} failed",
+               proc)
+        expect(proc.stdout == default_out[name],
+               f"{name} --spec {spec.name} output differs from the "
+               "no-argument run")
 
     for spec in specs:
         proc = run([binary("fig02_energy_efficiency"), "--spec", spec])
@@ -265,6 +325,17 @@ def check_all(binary, suite_spec, specs, trace_check):
             expect(spans == FIG02_SPANS,
                    f"fig02 --trace-out: want spans {FIG02_SPANS}, "
                    f"got {spans}")
+            suite_trace = Path(workdir) / "fig02_suite.trace.json"
+            proc = run([binary(name), "--spec", suite_spec,
+                        "--trace-out", suite_trace])
+            expect(proc.returncode == 0 and suite_trace.exists(),
+                   "fig02 --spec --trace-out wrote no trace", proc)
+            if suite_trace.exists():
+                counts = span_counts(suite_trace)
+                spans = {key: counts[key] for key in FIG02_SPANS}
+                expect(spans == FIG02_SPANS,
+                       f"fig02 --spec {suite_spec.name} --trace-out: "
+                       f"want spans {FIG02_SPANS}, got {spans}")
     if traces:
         proc = run([sys.executable, trace_check, *traces])
         expect(proc.returncode == 0, "trace_check rejected a "

@@ -24,6 +24,7 @@ namespace {
 
 using arch::Component;
 using arch::NpuGeneration;
+using models::builtinScenario;
 using graph::Block;
 using graph::Operator;
 using graph::OperatorGraph;
@@ -290,9 +291,11 @@ TEST(Engine, ExecuteMatchesGeneralComposition)
     for (auto w : models::allWorkloads()) {
         for (auto gen : {NpuGeneration::A, NpuGeneration::B,
                          NpuGeneration::C, NpuGeneration::D}) {
-            auto setup = models::defaultSetup(w, gen);
+            const auto &spec = *builtinScenario(w);
+            auto setup = models::defaultScenarioSetup(spec, gen);
             auto compiled = compiler::compileGraph(
-                models::buildGraph(w, setup), arch::npuConfig(gen));
+                models::buildScenarioGraph(spec, setup),
+                arch::npuConfig(gen));
             expectGeneralComposition(
                 compiled.graph, gen, setup.chips,
                 models::workloadName(w) + " on " +

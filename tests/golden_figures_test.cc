@@ -38,6 +38,7 @@ namespace sim {
 namespace {
 
 using arch::Component;
+using models::builtinScenario;
 
 /**
  * Round-trip double formatting (%.17g reproduces every bit of an
@@ -67,7 +68,7 @@ renderFig03Small()
     for (auto w :
          {models::Workload::Prefill8B, models::Workload::Decode8B,
           models::Workload::DlrmS, models::Workload::DiTXL}) {
-        auto rep = simulateWorkload(w, arch::NpuGeneration::D);
+        auto rep = simulateScenario(builtinScenario(w), arch::NpuGeneration::D);
         const auto &e = rep.run().result(Policy::NoPG).energy;
         double total =
             rep.podTotalEnergy(Policy::NoPG) / rep.setup.chips;
@@ -103,7 +104,8 @@ renderFig21Small()
             r.logicOff = s[0];
             r.sramSleep = s[1];
             r.sramOff = s[2];
-            auto rep = simulateWorkload(w, arch::NpuGeneration::D,
+            auto rep = simulateScenario(builtinScenario(w),
+                                        arch::NpuGeneration::D,
                                         arch::GatingParams(r));
             out << models::workloadName(w) << ',' << num(s[0]) << ','
                 << num(s[1]) << ',' << num(s[2]) << ','
@@ -177,7 +179,7 @@ renderFig04Small()
           models::Workload::DlrmS, models::Workload::DiTXL}) {
         for (auto gen :
              {arch::NpuGeneration::B, arch::NpuGeneration::D}) {
-            auto rep = simulateWorkload(w, gen);
+            auto rep = simulateScenario(builtinScenario(w), gen);
             out << models::workloadName(w) << ','
                 << arch::generationName(gen) << ','
                 << num(rep.run().temporalUtil(Component::Sa)) << '\n';
@@ -199,7 +201,7 @@ renderFig18Small()
     for (auto w : {models::Workload::Prefill8B,
                    models::Workload::DlrmS,
                    models::Workload::DiTXL}) {
-        auto rep = simulateWorkload(w, arch::NpuGeneration::D);
+        auto rep = simulateScenario(builtinScenario(w), arch::NpuGeneration::D);
         out << models::workloadName(w);
         for (auto p : allPolicies())
             out << ',' << num(rep.run().result(p).avgPowerW);
@@ -224,7 +226,7 @@ renderFig24Small()
     for (auto w : {models::Workload::Prefill8B,
                    models::Workload::DlrmS,
                    models::Workload::DiTXL}) {
-        auto rep = simulateWorkload(w, arch::NpuGeneration::D);
+        auto rep = simulateScenario(builtinScenario(w), arch::NpuGeneration::D);
         out << models::workloadName(w);
         for (auto p : {Policy::Base, Policy::HW, Policy::Full,
                        Policy::Ideal}) {

@@ -10,6 +10,7 @@
 #include "carbon/carbon_model.h"
 #include "common/stats.h"
 #include "compiler/compiler.h"
+#include "models/registry.h"
 #include "sim/report.h"
 
 namespace regate {
@@ -17,6 +18,7 @@ namespace {
 
 using arch::Component;
 using arch::NpuGeneration;
+using models::builtinScenario;
 using models::Workload;
 using sim::Policy;
 
@@ -26,7 +28,7 @@ TEST(Integration, AverageFullSavingsNearPaper)
     // Our substrate differs; require the suite average in 10%-30%.
     std::vector<double> savings;
     for (auto w : models::allWorkloads()) {
-        auto rep = sim::simulateWorkload(w, NpuGeneration::D);
+        auto rep = sim::simulateScenario(builtinScenario(w), NpuGeneration::D);
         savings.push_back(rep.run().savingVsNoPg(Policy::Full));
     }
     double avg = stats::mean(savings);
@@ -37,8 +39,9 @@ TEST(Integration, AverageFullSavingsNearPaper)
 TEST(Integration, CompilerAnnotationsReachEngine)
 {
     const auto &cfg = arch::npuConfig(NpuGeneration::D);
-    auto setup = models::table4Setup(Workload::Decode8B);
-    auto raw = models::buildGraph(Workload::Decode8B, setup);
+    const auto &spec = *builtinScenario(Workload::Decode8B);
+    auto setup = models::scenarioSetup(spec);
+    auto raw = models::buildScenarioGraph(spec, setup);
     auto compiled = compiler::compileGraph(raw, cfg);
 
     // Decode GEMMs get VU-mapped; fusion removes vector-op traffic.
@@ -54,8 +57,9 @@ TEST(Integration, CompilerAnnotationsReachEngine)
 TEST(Integration, FusionReducesEnergy)
 {
     const auto &cfg = arch::npuConfig(NpuGeneration::D);
-    auto setup = models::table4Setup(Workload::Prefill8B);
-    auto raw = models::buildGraph(Workload::Prefill8B, setup);
+    const auto &spec = *builtinScenario(Workload::Prefill8B);
+    auto setup = models::scenarioSetup(spec);
+    auto raw = models::buildScenarioGraph(spec, setup);
 
     auto compiled = compiler::compileGraph(raw, cfg);
     graph::OperatorGraph unfused = raw;
@@ -74,7 +78,7 @@ TEST(Integration, GenerationSweepRunsEverywhere)
     // Fig. 23: every generation, including the projected NPU-E, runs
     // and saves energy under ReGate-Full.
     for (auto gen : arch::allGenerations()) {
-        auto rep = sim::simulateWorkload(Workload::DlrmL, gen);
+        auto rep = sim::simulateScenario(builtinScenario(Workload::DlrmL), gen);
         EXPECT_GT(rep.run().savingVsNoPg(Policy::Full), 0.05)
             << arch::npuConfig(gen).name;
     }
@@ -84,9 +88,9 @@ TEST(Integration, NpuELargerUnitsSaveMoreOnDecode)
 {
     // §6.5: NPU-E's larger SAs/SRAM are *less* utilized by decode,
     // so gating saves relatively more than on NPU-D.
-    auto d = sim::simulateWorkload(Workload::Decode405B,
+    auto d = sim::simulateScenario(builtinScenario(Workload::Decode405B),
                                    NpuGeneration::D);
-    auto e = sim::simulateWorkload(Workload::Decode405B,
+    auto e = sim::simulateScenario(builtinScenario(Workload::Decode405B),
                                    NpuGeneration::E);
     EXPECT_GT(e.run().savingVsNoPg(Policy::Full),
               d.run().savingVsNoPg(Policy::Full) * 0.9);
@@ -96,7 +100,7 @@ TEST(Integration, LeakageSensitivityMonotonic)
 {
     // Fig. 21: savings shrink as gated-state leakage grows, but
     // ReGate-Full keeps saving even at the worst setting.
-    auto setup = models::table4Setup(Workload::DlrmL);
+    auto setup = models::scenarioSetup(*builtinScenario(Workload::DlrmL));
     double prev = 1.0;
     for (auto [logic, sleep, off] :
          {std::tuple{0.03, 0.25, 0.002}, std::tuple{0.2, 0.4, 0.1},
@@ -106,7 +110,7 @@ TEST(Integration, LeakageSensitivityMonotonic)
         r.sramSleep = sleep;
         r.sramOff = off;
         arch::GatingParams params(r);
-        auto rep = sim::simulateWorkload(Workload::DlrmL,
+        auto rep = sim::simulateScenario(builtinScenario(Workload::DlrmL),
                                          NpuGeneration::D, params,
                                          &setup);
         double saving = rep.run().savingVsNoPg(Policy::Full);
@@ -121,13 +125,13 @@ TEST(Integration, DelaySensitivity)
     // Fig. 22: 4x slower gating transitions reduce (but do not
     // eliminate) savings and never break the overhead bound for
     // ReGate-Full.
-    auto setup = models::table4Setup(Workload::Decode70B);
+    auto setup = models::scenarioSetup(*builtinScenario(Workload::Decode70B));
     arch::GatingParams fast;
     arch::GatingParams slow;
     slow.setDelayScale(4.0);
-    auto f = sim::simulateWorkload(Workload::Decode70B,
+    auto f = sim::simulateScenario(builtinScenario(Workload::Decode70B),
                                    NpuGeneration::D, fast, &setup);
-    auto s = sim::simulateWorkload(Workload::Decode70B,
+    auto s = sim::simulateScenario(builtinScenario(Workload::Decode70B),
                                    NpuGeneration::D, slow, &setup);
     EXPECT_GE(f.run().savingVsNoPg(Policy::Full),
               s.run().savingVsNoPg(Policy::Full) - 1e-9);
@@ -142,7 +146,7 @@ TEST(Integration, CarbonHeadline)
     for (auto w : {Workload::Train405B, Workload::Prefill405B,
                    Workload::Decode405B, Workload::DlrmL,
                    Workload::DiTXL}) {
-        auto rep = sim::simulateWorkload(w, NpuGeneration::D);
+        auto rep = sim::simulateScenario(builtinScenario(w), NpuGeneration::D);
         reductions.push_back(
             carbon::operationalCarbonReduction(rep, Policy::Full));
     }
@@ -157,13 +161,13 @@ TEST(Integration, SimulatorInternalValidationR2)
     // independent paths (engine op records vs a re-simulation)
     // correlate perfectly; and SA analytical matches cycle-accurate
     // elsewhere (sa_property_test).
-    auto rep = sim::simulateWorkload(Workload::Prefill8B,
+    auto rep = sim::simulateScenario(builtinScenario(Workload::Prefill8B),
                                      NpuGeneration::D);
     std::vector<double> xs, ys;
     for (const auto &rec : rep.run().opRecords) {
         xs.push_back(static_cast<double>(rec.duration()));
     }
-    auto rep2 = sim::simulateWorkload(Workload::Prefill8B,
+    auto rep2 = sim::simulateScenario(builtinScenario(Workload::Prefill8B),
                                       NpuGeneration::D);
     for (const auto &rec : rep2.run().opRecords)
         ys.push_back(static_cast<double>(rec.duration()));

@@ -12,6 +12,7 @@
 #include <map>
 
 #include "compiler/compiler.h"
+#include "models/registry.h"
 #include "models/workload.h"
 #include "sim/report.h"
 
@@ -21,6 +22,7 @@ namespace {
 
 using arch::Component;
 using arch::NpuGeneration;
+using models::builtinScenario;
 using models::Workload;
 
 class WorkloadSweep : public ::testing::TestWithParam<Workload>
@@ -32,7 +34,8 @@ class WorkloadSweep : public ::testing::TestWithParam<Workload>
         static std::map<Workload, WorkloadReport> cache;
         auto it = cache.find(w);
         if (it == cache.end()) {
-            it = cache.emplace(w, simulateWorkload(w, NpuGeneration::D))
+            it = cache.emplace(w, simulateScenario(builtinScenario(w),
+                                                   NpuGeneration::D))
                      .first;
         }
         return it->second.run();
@@ -118,10 +121,11 @@ TEST_P(WorkloadSweep, NoPgAndIdealReadNoGatingParams)
 {
     // NoPG gates nothing and Ideal gates every idle cycle for free,
     // so neither result may move with any gating parameter.
-    auto setup = models::defaultSetup(GetParam(), NpuGeneration::D);
+    const auto &spec = *builtinScenario(GetParam());
+    auto setup = models::defaultScenarioSetup(spec, NpuGeneration::D);
     const auto &cfg = arch::npuConfig(NpuGeneration::D);
     auto graph =
-        compiler::compileGraph(models::buildGraph(GetParam(), setup), cfg)
+        compiler::compileGraph(models::buildScenarioGraph(spec, setup), cfg)
             .graph;
     auto params = [](double logic, double sleep, double off,
                      double scale) {
@@ -168,32 +172,37 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(PolicyShape, DlrmSavesMost)
 {
-    auto dlrm = simulateWorkload(Workload::DlrmL, NpuGeneration::D);
+    auto dlrm = simulateScenario(builtinScenario(Workload::DlrmL),
+                                 NpuGeneration::D);
     auto prefill =
-        simulateWorkload(Workload::Prefill8B, NpuGeneration::D);
+        simulateScenario(builtinScenario(Workload::Prefill8B),
+                         NpuGeneration::D);
     EXPECT_GT(dlrm.run().savingVsNoPg(Policy::Full),
               prefill.run().savingVsNoPg(Policy::Full));
 }
 
 TEST(PolicyShape, PrefillSaUtilHigherThanDlrm)
 {
-    auto dlrm = simulateWorkload(Workload::DlrmL, NpuGeneration::D);
+    auto dlrm = simulateScenario(builtinScenario(Workload::DlrmL),
+                                 NpuGeneration::D);
     auto prefill =
-        simulateWorkload(Workload::Prefill8B, NpuGeneration::D);
+        simulateScenario(builtinScenario(Workload::Prefill8B),
+                         NpuGeneration::D);
     EXPECT_GT(prefill.run().temporalUtil(Component::Sa), 0.7);
     EXPECT_LT(dlrm.run().temporalUtil(Component::Sa), 0.3);
 }
 
 TEST(PolicyShape, DlrmIsIciHeavy)
 {
-    auto dlrm = simulateWorkload(Workload::DlrmL, NpuGeneration::D);
+    auto dlrm = simulateScenario(builtinScenario(Workload::DlrmL),
+                                 NpuGeneration::D);
     EXPECT_GT(dlrm.run().temporalUtil(Component::Ici),
               dlrm.run().temporalUtil(Component::Sa));
 }
 
 TEST(PolicyShape, DecodeMapsSmallGemmsToVu)
 {
-    auto decode = simulateWorkload(Workload::Decode8B,
+    auto decode = simulateScenario(builtinScenario(Workload::Decode8B),
                                    NpuGeneration::D);
     // Single-chip, batch-8 decode: SA unused (Fig. 4 pattern).
     EXPECT_LT(decode.run().temporalUtil(Component::Sa), 0.05);
@@ -202,9 +211,9 @@ TEST(PolicyShape, DecodeMapsSmallGemmsToVu)
 
 TEST(PolicyShape, SpatialUtilPrefillVsDiffusion)
 {
-    auto prefill = simulateWorkload(Workload::Prefill70B,
+    auto prefill = simulateScenario(builtinScenario(Workload::Prefill70B),
                                     NpuGeneration::D);
-    auto gligen = simulateWorkload(Workload::Gligen,
+    auto gligen = simulateScenario(builtinScenario(Workload::Gligen),
                                    NpuGeneration::D);
     // Fig. 5: prefill ~0.9+, GLIGEN ~0.5 (head sizes < SA width).
     EXPECT_GT(prefill.run().saSpatialUtil(), 0.85);

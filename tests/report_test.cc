@@ -15,6 +15,7 @@ namespace sim {
 namespace {
 
 using arch::NpuGeneration;
+using models::builtinScenario;
 using models::Workload;
 
 TEST(Report, IdlePowerOrdering)
@@ -40,7 +41,8 @@ TEST(Report, IdleShareInPaperBand)
 {
     // §3: the idle portion is 17%-32% of total energy at 60% duty
     // cycle without power gating.
-    auto rep = simulateWorkload(Workload::Prefill8B, NpuGeneration::D);
+    auto rep = simulateScenario(builtinScenario(Workload::Prefill8B),
+                                NpuGeneration::D);
     double share = rep.idleShare(Policy::NoPG);
     EXPECT_GE(share, 0.15);
     EXPECT_LE(share, 0.35);
@@ -48,7 +50,8 @@ TEST(Report, IdleShareInPaperBand)
 
 TEST(Report, TotalEnergyIncludesIdleAndPue)
 {
-    auto rep = simulateWorkload(Workload::DlrmS, NpuGeneration::D);
+    auto rep = simulateScenario(builtinScenario(Workload::DlrmS),
+                                NpuGeneration::D);
     FleetParams fleet;
     double busy = rep.podBusyEnergy(Policy::NoPG);
     double total = rep.podTotalEnergy(Policy::NoPG, fleet);
@@ -62,7 +65,8 @@ TEST(Report, TotalEnergyIncludesIdleAndPue)
 
 TEST(Report, EnergyPerUnitDecreasesWithGating)
 {
-    auto rep = simulateWorkload(Workload::DlrmM, NpuGeneration::D);
+    auto rep = simulateScenario(builtinScenario(Workload::DlrmM),
+                                NpuGeneration::D);
     EXPECT_LT(rep.energyPerUnit(Policy::Full),
               rep.energyPerUnit(Policy::NoPG));
 }
@@ -70,8 +74,10 @@ TEST(Report, EnergyPerUnitDecreasesWithGating)
 TEST(Report, NewerGenerationsMoreEfficient)
 {
     // Fig. 2 trend: NPU-D beats NPU-A on energy per token.
-    auto a = simulateWorkload(Workload::Prefill8B, NpuGeneration::A);
-    auto d = simulateWorkload(Workload::Prefill8B, NpuGeneration::D);
+    auto a = simulateScenario(builtinScenario(Workload::Prefill8B),
+                              NpuGeneration::A);
+    auto d = simulateScenario(builtinScenario(Workload::Prefill8B),
+                              NpuGeneration::D);
     EXPECT_LT(d.energyPerUnit(Policy::NoPG),
               a.energyPerUnit(Policy::NoPG));
 }
@@ -82,7 +88,8 @@ TEST(Report, SetupOverrideRespected)
     setup.chips = 1;
     setup.batch = 2;
     setup.par = {1, 1, 1};
-    auto rep = simulateWorkload(Workload::Prefill8B, NpuGeneration::D,
+    auto rep = simulateScenario(builtinScenario(Workload::Prefill8B),
+                                NpuGeneration::D,
                                 {}, &setup);
     EXPECT_EQ(rep.setup.chips, 1);
     EXPECT_DOUBLE_EQ(rep.units, 2.0 * models::kPrefillSeqLen);
@@ -90,7 +97,8 @@ TEST(Report, SetupOverrideRespected)
 
 TEST(Report, InvalidFleetParamsRejected)
 {
-    auto rep = simulateWorkload(Workload::DlrmS, NpuGeneration::D);
+    auto rep = simulateScenario(builtinScenario(Workload::DlrmS),
+                                NpuGeneration::D);
     FleetParams bad;
     bad.dutyCycle = 0.0;
     EXPECT_THROW(rep.idleSeconds(Policy::NoPG, bad), ConfigError);

@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for the declarative scenario engine (models/registry.h +
- * models/scenario.h): the enum path and the spec path must be ONE
- * code path — every paper workload simulated through its built-in
- * spec is bitwise-identical to the enum-driven run — and
- * registry-only scenarios (MoE) run end to end without any enum
+ * models/scenario.h): the paper's workload table as built-in spec
+ * rows, the normalization of spec duplicates onto those rows, the
+ * Workload-keyed forwards against their spec calls, and
+ * registry-only scenarios (MoE) running end to end without any enum
  * value existing for them.
  */
 
@@ -15,6 +15,7 @@
 #include <memory>
 #include <string>
 
+#include "carbon/lifespan.h"
 #include "common/error.h"
 #include "models/registry.h"
 #include "models/spec.h"
@@ -27,6 +28,8 @@ namespace sim {
 namespace {
 
 using arch::NpuGeneration;
+using models::builtinScenario;
+using models::builtinScenarioOf;
 using models::ScenarioSpec;
 using models::Workload;
 
@@ -81,62 +84,120 @@ expectReportsIdentical(const WorkloadReport &a, const WorkloadReport &b)
     }
 }
 
-TEST(Scenario, EnumPathBitwiseEqualsSpecPathForAllWorkloads)
+TEST(Scenario, BuiltinRowsRoundTripThroughTheirCanonicalText)
 {
-    // The ISSUE acceptance bar: for every one of the 17 paper
-    // workloads, forcing the scenario path (spec kept, no builtin
-    // normalization) produces a report bitwise-identical to the enum
-    // path — same setup, same energy, same op records, same value of
-    // every number.
     for (auto w : models::allWorkloads()) {
-        auto spec = std::make_shared<const ScenarioSpec>(
-            models::builtinSpec(w));
-        auto rep = simulateScenario(spec, NpuGeneration::D);
-        ASSERT_TRUE(rep.scenario) << models::workloadName(w);
-
-        auto ref = simulateWorkload(w, NpuGeneration::D);
-        ASSERT_FALSE(ref.scenario);
-
-        SCOPED_TRACE(models::workloadName(w));
-        expectReportsIdentical(rep, ref);
+        const auto &row = builtinScenario(w);
+        SCOPED_TRACE(row->name);
+        EXPECT_EQ(builtinScenario(w), row) << "one spec per row";
+        auto text = models::canonicalSpecText({row});
+        auto file = models::parseSpecText(text);
+        ASSERT_EQ(file.scenarios.size(), 1u);
+        EXPECT_EQ(models::canonicalSpecText(file.scenarios), text);
+        EXPECT_EQ(builtinScenarioOf(*file.scenarios[0]), row);
+        EXPECT_EQ(builtinScenarioOf(*row), row);
     }
 }
 
-TEST(Scenario, BuiltinSpecsRoundTripToTheirWorkload)
+TEST(Scenario, RenamedDuplicateBecomesTheRow)
 {
-    for (auto w : models::allWorkloads()) {
-        Workload back{};
-        EXPECT_TRUE(
-            models::builtinWorkloadOf(models::builtinSpec(w), &back))
-            << models::workloadName(w);
-        EXPECT_EQ(back, w);
+    auto file = models::parseSpecText("@regate-spec v1\n"
+                                      "[scenario my-dlrm]\n"
+                                      "family = dlrm\n"
+                                      "model = m\n"
+                                      "batch = 4096\n"
+                                      "chips = 8\n");
+    ASSERT_EQ(file.scenarios.size(), 1u);
+    const auto &row = builtinScenario(Workload::DlrmM);
+    EXPECT_EQ(builtinScenarioOf(*file.scenarios[0]), row);
+    auto c = scenarioCase(file.scenarios[0], NpuGeneration::C);
+    EXPECT_EQ(c.scenario, row);
+    EXPECT_EQ(c.scenario->name, "DLRM-M");
+    EXPECT_EQ(c.gen, NpuGeneration::C);
+}
+
+TEST(Scenario, SpecThatDiffersFromEveryRowStaysCustom)
+{
+    const auto &row = *builtinScenario(Workload::Decode70B);
+    std::vector<std::pair<std::string, ScenarioSpec>> variants;
+    auto variant = [&](const std::string &what) -> ScenarioSpec & {
+        variants.emplace_back(what, row);
+        variants.back().second.name = "custom";
+        return variants.back().second;
+    };
+    // The same split the heuristic picks, spelled out.
+    auto &par = variant("parSet");
+    par.parSet = true;
+    par.par = models::scenarioSetup(row).par;
+    variant("extra").extra.emplace_back("experts", 8);
+    variant("gating").gating.emplace_back("logic_off", 0.2);
+    variant("unit").unit = "request";
+    variant("batch").batch = row.batch / 2;
+    for (const auto &[what, spec] : variants) {
+        EXPECT_EQ(builtinScenarioOf(spec), nullptr) << what;
+        auto ptr = std::make_shared<const ScenarioSpec>(spec);
+        auto c = scenarioCase(ptr, NpuGeneration::D);
+        EXPECT_EQ(c.scenario, ptr) << what;
+        EXPECT_EQ(c.scenario->name, "custom") << what;
     }
 }
 
-TEST(Scenario, ScenarioCaseNormalizesBuiltinDuplicates)
+TEST(Scenario, WorkloadForwardsEqualTheirSpecCalls)
 {
-    // A spec identical to a paper workload becomes a plain enum case
-    // (so its output stays byte-identical to enum grids)...
-    auto builtin = std::make_shared<const ScenarioSpec>(
-        models::builtinSpec(Workload::DlrmM));
-    auto c = scenarioCase(builtin, NpuGeneration::C);
-    EXPECT_FALSE(c.scenario);
-    EXPECT_EQ(c.workload, Workload::DlrmM);
+    // The Workload-keyed entry points the benchmark's layer tracer
+    // still calls, each against its spec spelling on the same row.
+    for (auto w : {Workload::DlrmS, Workload::Decode70B}) {
+        const auto &row = builtinScenario(w);
+        SCOPED_TRACE(row->name);
 
-    // ...while a genuinely custom scenario keeps its spec identity.
-    auto custom = *builtin;
-    custom.batch = 64;
-    models::validateScenario(custom);
-    auto cc = scenarioCase(
-        std::make_shared<const ScenarioSpec>(custom),
-        NpuGeneration::C);
-    ASSERT_TRUE(cc.scenario);
-    EXPECT_EQ(cc.scenario->batch, 64);
+        auto rep = simulateWorkload(w, NpuGeneration::D);
+        EXPECT_EQ(rep.workload, w);
+        EXPECT_EQ(rep.scenario, row);
+        expectReportsIdentical(rep, simulateScenario(row, NpuGeneration::D));
+
+        for (auto gen : {NpuGeneration::A, NpuGeneration::D}) {
+            EXPECT_EQ(candidateSetups(w, gen), candidateSetups(*row, gen));
+            EXPECT_TRUE(models::defaultSetup(w, gen) ==
+                        models::defaultScenarioSetup(*row, gen));
+        }
+
+        auto expectSameSearch = [](const SloResult &a, const SloResult &b) {
+            EXPECT_TRUE(a.setup == b.setup);
+            EXPECT_EQ(a.secondsPerUnit, b.secondsPerUnit);
+            EXPECT_EQ(a.energyPerUnit, b.energyPerUnit);
+            EXPECT_EQ(a.sloRatio, b.sloRatio);
+            EXPECT_EQ(a.report.scenario, b.report.scenario);
+            expectReportsIdentical(a.report, b.report);
+        };
+        expectSameSearch(findBestSetup(w, NpuGeneration::C),
+                         findBestSetup(row, NpuGeneration::C));
+        expectSameSearch(findBestSetupSerial(w, NpuGeneration::C),
+                         findBestSetupSerial(row, NpuGeneration::C));
+
+        auto grid = makeGrid({w}, {NpuGeneration::C, NpuGeneration::D});
+        ASSERT_EQ(grid.size(), 2u);
+        for (const auto &c : grid) {
+            EXPECT_EQ(c.scenario, row);
+            EXPECT_EQ(c.workload, w);
+            EXPECT_FALSE(c.hasSetup);
+        }
+        EXPECT_EQ(grid[1].gen, NpuGeneration::D);
+
+        EXPECT_EQ(carbon::annualEfficiencyFactor(w),
+                  carbon::annualEfficiencyFactor(row));
+
+        auto setup = models::scenarioSetup(*row);
+        auto g = models::buildGraph(w, setup);
+        auto ref = models::buildScenarioGraph(*row, setup);
+        EXPECT_EQ(g.name, ref.name);
+        EXPECT_EQ(g.opCount(), ref.opCount());
+        EXPECT_EQ(g.blocks.size(), ref.blocks.size());
+    }
 }
 
 TEST(Scenario, GatingOverridesOverlayTheBaseParams)
 {
-    ScenarioSpec spec = models::builtinSpec(Workload::DiTXL);
+    ScenarioSpec spec = *builtinScenario(Workload::DiTXL);
     spec.gating.emplace_back("delay_scale", 2.0);
     spec.gating.emplace_back("sram_sleep", 0.5);
     std::sort(spec.gating.begin(), spec.gating.end());
@@ -145,9 +206,10 @@ TEST(Scenario, GatingOverridesOverlayTheBaseParams)
     auto c = scenarioCase(
         std::make_shared<const ScenarioSpec>(spec),
         NpuGeneration::D);
-    // Overrides force the case off the builtin fast path and ride in
+    // Overrides keep the case custom, not the DiT-XL row, and ride in
     // the case's params; keys the spec does not set keep the base.
     ASSERT_TRUE(c.scenario);
+    EXPECT_NE(c.scenario, builtinScenario(Workload::DiTXL));
     arch::GatingParams base;
     EXPECT_DOUBLE_EQ(c.params.ratios().sramSleep, 0.5);
     EXPECT_DOUBLE_EQ(c.params.ratios().logicOff,
@@ -169,8 +231,7 @@ TEST(Scenario, MoeScenarioRunsWithoutAnEnumValue)
     auto spec = file.scenarios[0];
     EXPECT_EQ(spec->extraOr("top_k", 0), 2);  // Default filled.
 
-    Workload back{};
-    EXPECT_FALSE(models::builtinWorkloadOf(*spec, &back));
+    EXPECT_EQ(builtinScenarioOf(*spec), nullptr);
 
     auto rep = simulateScenario(spec, NpuGeneration::D);
     ASSERT_TRUE(rep.scenario);

@@ -12,20 +12,22 @@ namespace sim {
 namespace {
 
 using arch::NpuGeneration;
+using models::builtinScenario;
 using models::Workload;
 
 TEST(Slo, TargetIsFiveTimesDefaultLatency)
 {
-    auto rep = simulateWorkload(Workload::DlrmS, NpuGeneration::D);
+    const auto &dlrm = builtinScenario(Workload::DlrmS);
+    auto rep = simulateScenario(dlrm, NpuGeneration::D);
     double default_spu =
         rep.run().result(Policy::NoPG).seconds / rep.units;
-    EXPECT_EQ(sloTargetSecondsPerUnit(Workload::DlrmS), 5.0 * default_spu);
+    EXPECT_EQ(sloTargetSecondsPerUnit(dlrm), 5.0 * default_spu);
 }
 
 TEST(Slo, CandidatesNonEmptyAndConsistent)
 {
     for (auto w : {Workload::DlrmS, Workload::Prefill8B}) {
-        auto cands = candidateSetups(w, NpuGeneration::D);
+        auto cands = candidateSetups(*builtinScenario(w), NpuGeneration::D);
         EXPECT_FALSE(cands.empty());
         for (const auto &s : cands) {
             EXPECT_GE(s.chips, 1);
@@ -37,22 +39,22 @@ TEST(Slo, CandidatesNonEmptyAndConsistent)
 
 TEST(Slo, NpuDMeetsItsOwnSlo)
 {
+    const auto &dlrm = builtinScenario(Workload::DlrmS);
     // The SLO is defined from NPU-D's default config at 5x latency:
     // NPU-D itself must comply with ratio 1.
-    auto res = findBestSetup(Workload::DlrmS, NpuGeneration::D);
+    auto res = findBestSetup(dlrm, NpuGeneration::D);
     EXPECT_DOUBLE_EQ(res.sloRatio, 1.0);
     EXPECT_LE(res.secondsPerUnit,
-              sloTargetSecondsPerUnit(Workload::DlrmS) * 1.0001);
+              sloTargetSecondsPerUnit(dlrm) * 1.0001);
 }
 
 TEST(Slo, PicksMostEfficientCompliant)
 {
-    auto res = findBestSetup(Workload::DlrmS, NpuGeneration::D);
-    double target = sloTargetSecondsPerUnit(Workload::DlrmS);
-    for (const auto &s : candidateSetups(Workload::DlrmS,
-                                         NpuGeneration::D)) {
-        auto rep = simulateWorkload(Workload::DlrmS, NpuGeneration::D,
-                                    {}, &s);
+    const auto &dlrm = builtinScenario(Workload::DlrmS);
+    auto res = findBestSetup(dlrm, NpuGeneration::D);
+    double target = sloTargetSecondsPerUnit(dlrm);
+    for (const auto &s : candidateSetups(*dlrm, NpuGeneration::D)) {
+        auto rep = simulateScenario(dlrm, NpuGeneration::D, {}, &s);
         double spu = rep.run().result(Policy::NoPG).seconds / rep.units;
         if (spu <= target) {
             EXPECT_LE(res.energyPerUnit,
@@ -65,7 +67,8 @@ TEST(Slo, OlderGenerationMayRelax)
 {
     // NPU-A on a big model: either compliant or reports a >= 2x
     // relaxed ratio like Fig. 2's bar labels.
-    auto res = findBestSetup(Workload::Prefill13B, NpuGeneration::A);
+    auto res = findBestSetup(builtinScenario(Workload::Prefill13B),
+                             NpuGeneration::A);
     EXPECT_GE(res.sloRatio, 1.0);
     EXPECT_GT(res.energyPerUnit, 0.0);
 }

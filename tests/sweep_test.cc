@@ -2,16 +2,19 @@
  * @file
  * Tests for the parallel sweep subsystem: the thread pool,
  * deterministic ordered fan-out and its error propagation, parallel
- * vs serial sweep equivalence (bitwise) on the enum and the scenario
- * path, including cases that share one execution, and the SLO search
- * against its serial reference at any thread count: per-case and
- * per-identity errors, and gating variants sharing one selection.
+ * vs serial sweep equivalence (bitwise) over built-in rows and user
+ * specs, including cases that share one execution, the SLO search
+ * against its serial reference at any thread count (per-case and
+ * per-identity errors, gating variants sharing one selection), and
+ * the rejection of a case without a scenario.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -28,6 +31,18 @@ namespace {
 
 using models::Workload;
 
+using ScenarioPtr = std::shared_ptr<const models::ScenarioSpec>;
+
+/** The built-in rows of @p workloads. */
+std::vector<ScenarioPtr>
+rows(const std::vector<Workload> &workloads)
+{
+    std::vector<ScenarioPtr> out;
+    for (auto w : workloads)
+        out.push_back(models::builtinScenario(w));
+    return out;
+}
+
 TEST(ThreadPool, RunsAllTasksAndReturnsResults)
 {
     ThreadPool pool(4);
@@ -43,6 +58,26 @@ TEST(ThreadPool, RunsAllTasksAndReturnsResults)
     for (int i = 0; i < 64; ++i)
         EXPECT_EQ(futs[static_cast<std::size_t>(i)].get(), i * i);
     EXPECT_EQ(ran.load(), 64);
+}
+
+TEST(ThreadPool, DefaultThreadCountParsesTheWholeValue)
+{
+    const char *saved = std::getenv("REGATE_THREADS");
+    std::string restore = saved ? saved : "";
+    unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+    for (const auto &[value, want] :
+         std::vector<std::pair<std::string, unsigned>>{
+             {"3", 3},           {"8x", hw},  {"0", hw},
+             {"-2", hw},         {"abc", hw}, {"", hw},
+             {"99999999999", hw}, {"4294967297", hw}}) {
+        ASSERT_EQ(setenv("REGATE_THREADS", value.c_str(), 1), 0);
+        EXPECT_EQ(ThreadPool::defaultThreadCount(), want)
+            << "REGATE_THREADS='" << value << "'";
+    }
+    if (saved)
+        setenv("REGATE_THREADS", restore.c_str(), 1);
+    else
+        unsetenv("REGATE_THREADS");
 }
 
 TEST(ThreadPool, PropagatesExceptions)
@@ -167,7 +202,6 @@ expectRunMatchesSerial(const std::vector<SweepCase> &grid)
         for (std::size_t i = 0; i < serial.size(); ++i) {
             SCOPED_TRACE(testing::Message() << "case " << i
                                             << " threads=" << threads);
-            EXPECT_EQ(serial[i].workload, grouped[i].workload);
             EXPECT_EQ(serial[i].scenario, grouped[i].scenario);
             EXPECT_EQ(serial[i].gen, grouped[i].gen);
             EXPECT_TRUE(serial[i].setup == grouped[i].setup);
@@ -181,12 +215,12 @@ expectRunMatchesSerial(const std::vector<SweepCase> &grid)
 
 TEST(SweepRunner, ParallelBitwiseIdenticalToSerial)
 {
-    // The enum path over a small paper grid, plus the scenario path
-    // over the MoE example spec (registry-only, no enum equivalent).
-    auto grid = makeGrid({Workload::Prefill8B, Workload::Decode8B,
-                          Workload::DlrmS, Workload::DiTXL},
-                         {arch::NpuGeneration::B,
-                          arch::NpuGeneration::D});
+    // A small paper grid, plus the MoE example spec (registry-only,
+    // no paper workload).
+    auto grid = scenarioGrid(rows({Workload::Prefill8B, Workload::Decode8B,
+                                   Workload::DlrmS, Workload::DiTXL}),
+                             {arch::NpuGeneration::B,
+                              arch::NpuGeneration::D});
     ASSERT_EQ(grid.size(), 8u);
     auto moe = scenarioGrid(
         models::parseSpecFile(REGATE_SPEC_DIR "/moe_mixtral.spec")
@@ -212,11 +246,11 @@ TEST(SweepRunner, GatingOverridesShareOneExecutionBitwise)
             ratios.sramSleep = logic_off * 5;
             arch::GatingParams params(ratios);
             params.setDelayScale(scale);
-            auto part = makeGrid({Workload::Train405B,
-                                  Workload::Prefill405B,
-                                  Workload::Decode405B, Workload::DlrmL,
-                                  Workload::DiTXL},
-                                 {arch::NpuGeneration::D}, params);
+            auto part = scenarioGrid(
+                rows({Workload::Train405B, Workload::Prefill405B,
+                      Workload::Decode405B, Workload::DlrmL,
+                      Workload::DiTXL}),
+                {arch::NpuGeneration::D}, params);
             grid.insert(grid.end(), part.begin(), part.end());
         }
     }
@@ -297,7 +331,6 @@ expectSearchesIdentical(const SloResult &a, const SloResult &b)
     EXPECT_EQ(a.secondsPerUnit, b.secondsPerUnit);
     EXPECT_EQ(a.energyPerUnit, b.energyPerUnit);
     EXPECT_EQ(a.sloRatio, b.sloRatio);
-    EXPECT_EQ(a.report.workload, b.report.workload);
     EXPECT_EQ(a.report.scenario, b.report.scenario);
     EXPECT_EQ(a.report.gen, b.report.gen);
     EXPECT_TRUE(a.report.gatingParams() == b.report.gatingParams());
@@ -312,22 +345,22 @@ const std::vector<arch::NpuGeneration> kFig2Generations = {
 SloResult
 searchSerially(const SweepCase &c)
 {
-    return c.scenario ? findBestSetupSerial(c.scenario, c.gen, c.params)
-                      : findBestSetupSerial(c.workload, c.gen, c.params);
+    return findBestSetupSerial(c.scenario, c.gen, c.params);
 }
 
 TEST(SweepRunner, SearchMatchesSerialAtEveryThreadCount)
 {
     // Fig. 2's grid: every paper workload on NPU-A to NPU-D.
-    auto grid = makeGrid(models::allWorkloads(), kFig2Generations);
+    auto grid = scenarioGrid(rows(models::allWorkloads()),
+                             kFig2Generations);
     ASSERT_EQ(grid.size(), 68u);
     std::vector<SloResult> serial;
     for (const auto &c : grid) {
         serial.push_back(searchSerially(c));
         SCOPED_TRACE(testing::Message()
-                     << models::workloadName(c.workload) << "/"
+                     << c.scenario->name << "/"
                      << arch::generationName(c.gen) << " findBestSetup");
-        expectSearchesIdentical(findBestSetup(c.workload, c.gen),
+        expectSearchesIdentical(findBestSetup(c.scenario, c.gen),
                                 serial.back());
     }
     for (unsigned threads : {1u, 2u, 8u}) {
@@ -336,7 +369,7 @@ TEST(SweepRunner, SearchMatchesSerialAtEveryThreadCount)
         ASSERT_EQ(results.size(), grid.size());
         for (std::size_t i = 0; i < grid.size(); ++i) {
             SCOPED_TRACE(testing::Message()
-                         << models::workloadName(grid[i].workload) << "/"
+                         << grid[i].scenario->name << "/"
                          << arch::generationName(grid[i].gen)
                          << " threads=" << threads);
             expectSearchesIdentical(results[i], serial[i]);
@@ -426,6 +459,29 @@ TEST(SweepRunner, SearchGatingOverridesShareOneSelection)
         EXPECT_NE(
             results[0].report.run().result(Policy::Full).energy.busyTotal(),
             results[2].report.run().result(Policy::Full).energy.busyTotal());
+    }
+}
+
+TEST(SweepRunner, CaseWithoutScenarioIsALogicError)
+{
+    auto grid = scenarioGrid(rows({Workload::DlrmS}),
+                             {arch::NpuGeneration::C,
+                              arch::NpuGeneration::D});
+    grid.push_back(grid.front());
+    grid[1].scenario = nullptr;
+    SweepRunner runner(2);
+    for (bool search : {false, true}) {
+        try {
+            if (search)
+                runner.search(grid);
+            else
+                runner.run(grid);
+            FAIL() << "no LogicError, search=" << search;
+        } catch (const LogicError &e) {
+            EXPECT_NE(std::string(e.what()).find("sweep case 1 "),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }
 
