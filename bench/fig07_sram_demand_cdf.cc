@@ -27,12 +27,12 @@ main(int argc, char **argv)
         const auto &rep = bench::reportFor(
             reports, idx, s, arch::NpuGeneration::D);
         std::vector<std::pair<double, double>> samples;
-        for (const auto &rec : rep.run().opRecords) {
-            if (rec.sramDemandBytes() <= 0)
+        for (const auto &rec : *rep.run().opRecords) {
+            if (rec.sramDemandBytes <= 0)
                 continue;  // Fused ops live inside their producer.
-            samples.emplace_back(rec.sramDemandBytes(),
-                                 static_cast<double>(rec.duration()) *
-                                     static_cast<double>(rec.count()));
+            samples.emplace_back(rec.sramDemandBytes,
+                                 static_cast<double>(rec.duration) *
+                                     static_cast<double>(rec.count));
         }
         auto cdf = stats::weightedCdf(samples);
         auto at = [&](double frac) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 
 #include "common/error.h"
 
@@ -250,6 +251,17 @@ ActivityTimeline::append(const ActivityTimeline &next)
 }
 
 void
+ActivityTimeline::append(ActivityTimeline &&next)
+{
+    if (span_ != 0 || next.span_ == 0) {
+        append(static_cast<const ActivityTimeline &>(next));
+        return;
+    }
+    *this = std::move(next);
+    gaps_.shrink_to_fit();
+}
+
+void
 ActivityTimeline::appendBursts(Cycles span, Cycles active,
                                std::uint64_t bursts)
 {
@@ -289,20 +301,31 @@ ActivityTimeline::appendBursts(Cycles span, Cycles active,
 ActivityTimeline
 ActivityTimeline::repeated(std::uint64_t times) const
 {
-    if (times == 0)
-        return ActivityTimeline();
+    ActivityTimeline t = *this;
+    t.repeat(times);
+    return t;
+}
+
+void
+ActivityTimeline::repeat(std::uint64_t times)
+{
+    if (times == 0) {
+        *this = ActivityTimeline();
+        return;
+    }
     if (times == 1 || span_ == 0)
-        return *this;
+        return;
 
-    ActivityTimeline t;
-    t.span_ = span_ * times;
+    span_ *= times;
+    if (active_ == 0) {
+        // All idle: the one gap is the whole span.
+        gaps_.front() = {span_, 1};
+        leadingIdle_ = trailingIdle_ = span_;
+        return;
+    }
 
-    if (active_ == 0)
-        return allIdle(t.span_);
-
-    t.active_ = active_ * times;
-    t.gaps_ = gaps_;
-    for (auto &g : t.gaps_)
+    active_ *= times;
+    for (auto &g : gaps_)
         g.count *= times;
 
     // Each of the times-1 seams fuses one trailing and one leading gap
@@ -310,15 +333,12 @@ ActivityTimeline::repeated(std::uint64_t times) const
     // multiset updates instead of a loop over the repeat count.
     Cycles seam = trailingIdle_ + leadingIdle_;
     std::uint64_t seams = times - 1;
-    t.removeGaps(trailingIdle_, seams);
-    t.removeGaps(leadingIdle_, seams);
-    t.insertGap(seam, seams);
+    removeGaps(trailingIdle_, seams);
+    removeGaps(leadingIdle_, seams);
+    insertGap(seam, seams);
 
-    t.activations_ = activations_ * times - (seam == 0 ? seams : 0);
-    t.leadingIdle_ = leadingIdle_;
-    t.trailingIdle_ = trailingIdle_;
-    t.checkInvariants();
-    return t;
+    activations_ = activations_ * times - (seam == 0 ? seams : 0);
+    checkInvariants();
 }
 
 bool

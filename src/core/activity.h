@@ -25,6 +25,11 @@
  * with no temporary: a shape starts active, so the block's trailing
  * gap survives the seam unchanged and the append costs at most two
  * O(log G) gap insertions plus O(1) bookkeeping, not an O(G) merge.
+ *
+ * A block timeline is then scaled and handed over without a copy:
+ * repeat() is repeated() in place, and append() of an rvalue takes the
+ * appended timeline's storage when this one is still empty (trimmed to
+ * its size, so a stored run timeline keeps no spare capacity).
  */
 
 #ifndef REGATE_CORE_ACTIVITY_H
@@ -102,6 +107,12 @@ class ActivityTimeline
     void append(const ActivityTimeline &next);
 
     /**
+     * append(next), taking @p next's gap storage (trimmed to its size)
+     * when this timeline is empty instead of copying it.
+     */
+    void append(ActivityTimeline &&next);
+
+    /**
      * append(fromBursts(span, active, bursts)), in place: at most two
      * O(log G) gap insertions and no temporary timeline.
      */
@@ -109,6 +120,9 @@ class ActivityTimeline
 
     /** Scale the number of repetitions (e.g., one layer -> N layers). */
     ActivityTimeline repeated(std::uint64_t times) const;
+
+    /** *this = repeated(times), in place: O(log G), no copy. */
+    void repeat(std::uint64_t times);
 
     Cycles span() const { return span_; }
     Cycles activeCycles() const { return active_; }

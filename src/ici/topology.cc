@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <utility>
 
 #include "common/error.h"
 
@@ -42,7 +43,7 @@ Torus::forChips(const arch::NpuConfig &cfg, int chips)
         remaining /= best;
     }
     std::sort(dims.begin(), dims.end());
-    Torus t(dims);
+    Torus t(std::move(dims));
     REGATE_ASSERT(t.numChips() == chips, "factorization lost chips: ",
                   t.numChips(), " != ", chips);
     return t;

@@ -14,6 +14,14 @@ using arch::GatedUnit;
 using core::ActivityTimeline;
 using core::GatingMode;
 
+namespace {
+
+/** The units with activity timelines; SRAM and Other have none. */
+constexpr std::array<Component, 4> kGated = {
+    Component::Sa, Component::Vu, Component::Hbm, Component::Ici};
+
+}  // namespace
+
 const std::array<Policy, kNumPolicies> &
 allPolicies()
 {
@@ -39,67 +47,6 @@ policyName(Policy p)
         return "Ideal";
     }
     throw LogicError("unknown Policy");
-}
-
-void
-OpRecordArena::append(const OpRecord &rec)
-{
-    REGATE_ASSERT(!sealed_, "append to a sealed OpRecordArena");
-    auto &c = building_;
-    // Look up first: most names repeat, and emplace would allocate a
-    // node and copy the name only to discard both.
-    auto it = interner_.find(rec.name);
-    if (it == interner_.end()) {
-        it = interner_
-                 .emplace(rec.name,
-                          static_cast<std::uint32_t>(c.names.size()))
-                 .first;
-        c.names.push_back(rec.name);
-    }
-    c.nameId.push_back(it->second);
-    c.kind.push_back(rec.kind);
-    c.count.push_back(rec.count);
-    c.duration.push_back(rec.duration);
-    c.sramDemandBytes.push_back(rec.sramDemandBytes);
-    c.dynamicJ.push_back(rec.dynamicJ);
-    c.sramUsedFrac.push_back(rec.sramUsedFrac);
-    for (auto comp : arch::kAllComponents)
-        c.activeFrac.push_back(rec.activeFrac[comp]);
-}
-
-void
-OpRecordArena::reserve(std::size_t n)
-{
-    REGATE_ASSERT(!sealed_, "reserve on a sealed OpRecordArena");
-    auto &c = building_;
-    c.nameId.reserve(n);
-    c.kind.reserve(n);
-    c.count.reserve(n);
-    c.duration.reserve(n);
-    c.sramDemandBytes.reserve(n);
-    c.dynamicJ.reserve(n);
-    c.sramUsedFrac.reserve(n);
-    c.activeFrac.reserve(n * arch::kNumComponents);
-}
-
-void
-OpRecordArena::seal()
-{
-    if (sealed_)
-        return;
-    interner_ = {};
-    auto &c = building_;
-    c.nameId.shrink_to_fit();
-    c.kind.shrink_to_fit();
-    c.count.shrink_to_fit();
-    c.duration.shrink_to_fit();
-    c.sramDemandBytes.shrink_to_fit();
-    c.dynamicJ.shrink_to_fit();
-    c.sramUsedFrac.shrink_to_fit();
-    c.activeFrac.shrink_to_fit();
-    c.names.shrink_to_fit();
-    sealed_ = std::make_shared<const Columns>(std::move(c));
-    building_ = {};
 }
 
 const PolicyResult &
@@ -143,17 +90,44 @@ Engine::execute(const graph::OperatorGraph &graph, int pod_chips) const
 
     Execution exec;
     WorkloadRun &run = exec.run;
-    run.name = graph.name;
     exec.blocks.reserve(graph.blocks.size());
-    std::size_t num_ops = 0;
-    for (const auto &block : graph.blocks)
+    std::size_t num_ops = 0, max_block_ops = 0;
+    for (const auto &block : graph.blocks) {
         num_ops += block.ops.size();
-    run.opRecords.reserve(num_ops);
-    OpRecord rec;  // Reused, so rec.name keeps its buffer.
+        max_block_ops = std::max(max_block_ops, block.ops.size());
+    }
+    auto records = std::make_shared<std::vector<OpRecord>>();
+    records->reserve(num_ops);
+    // One block's operator executions, simulated before the block is
+    // composed so that its usage lists are sized exactly, once.
+    std::vector<OpExecution> exs;
+    exs.reserve(max_block_ops);
+
+    // The VU wake-ups of an SA-bound op can stall the SA pipeline
+    // under ReGate-Base (see wakeOverheads).
+    auto stallsSa = [](const OpExecution &ex) {
+        return ex.active[Component::Sa] > 0 &&
+               ex.active[Component::Vu] > 0 &&
+               ex.bottleneck == Component::Sa;
+    };
 
     for (const auto &block : graph.blocks) {
         Execution::Block &eb = exec.blocks.emplace_back();
         eb.repeat = block.repeat;
+
+        exs.clear();
+        arch::ComponentMap<std::size_t> uses{};
+        std::size_t stalls = 0;
+        for (const auto &op : block.ops) {
+            const OpExecution &ex = exs.emplace_back(op_sim.simulate(op));
+            for (auto c : kGated)
+                uses[c] += ex.active[c] > 0;
+            stalls += stallsSa(ex);
+        }
+        for (auto c : kGated)
+            eb.usage[c].reserve(uses[c]);
+        eb.vuStallActivations.reserve(stalls);
+
         arch::ComponentMap<ActivityTimeline> block_tl;
         energy::WorkCounters block_work;
         sa::SaTileStats block_sa;
@@ -163,24 +137,18 @@ Engine::execute(const graph::OperatorGraph &graph, int pod_chips) const
         bool have_prev_used = false;
         std::uint64_t prev_used_bytes = 0;
 
-        for (const auto &op : block.ops) {
-            const OpExecution ex = op_sim.simulate(op);
-
+        for (std::size_t i = 0; i < exs.size(); ++i) {
+            const OpExecution &ex = exs[i];
             const OpBursts &shape = ex.timeline;
 
-            // The VU wake-ups of an SA-bound op can stall the SA
-            // pipeline under ReGate-Base (see wakeOverheads).
-            if (ex.active[Component::Sa] > 0 &&
-                ex.active[Component::Vu] > 0 &&
-                ex.bottleneck == Component::Sa) {
+            if (stallsSa(ex)) {
                 eb.vuStallActivations.push_back(
                     ActivityTimeline::burstActivations(
                         shape.span, shape.active[Component::Vu],
                         shape.bursts[Component::Vu]));
             }
 
-            for (auto c : {Component::Sa, Component::Vu, Component::Hbm,
-                           Component::Ici}) {
+            for (auto c : kGated) {
                 block_tl[c].appendBursts(shape.span, shape.active[c],
                                          shape.bursts[c]);
                 if (ex.active[c] > 0) {
@@ -206,25 +174,23 @@ Engine::execute(const graph::OperatorGraph &graph, int pod_chips) const
             prev_used_bytes = used_bytes;
             have_prev_used = true;
 
-            rec.name = op.name;
-            rec.kind = op.kind;
+            OpRecord &rec = records->emplace_back();
             rec.count = block.repeat;
             rec.duration = ex.duration;
-            rec.sramDemandBytes = op.sramDemandBytes;
+            rec.sramDemandBytes = block.ops[i].sramDemandBytes;
             rec.dynamicJ = power_.dynamicEnergy(ex.work).sum();
             rec.sramUsedFrac = used_frac;
             for (auto c : arch::kAllComponents)
                 rec.activeFrac[c] = ex.activeFraction(c);
-            run.opRecords.append(rec);
 
             block_dur += ex.duration;
         }
         eb.duration = block_dur;
 
         // Scale the block to its repeat count and append to the run.
-        for (auto c : {Component::Sa, Component::Vu, Component::Hbm,
-                       Component::Ici}) {
-            run.timeline[c].append(block_tl[c].repeated(block.repeat));
+        for (auto c : kGated) {
+            block_tl[c].repeat(block.repeat);
+            run.timeline[c].append(std::move(block_tl[c]));
         }
         double rep = static_cast<double>(block.repeat);
         run.work.macs += block_work.macs * rep;
@@ -241,7 +207,7 @@ Engine::execute(const graph::OperatorGraph &graph, int pod_chips) const
             .sramSetpmPairs += sram_resizes * block.repeat;
     }
     run.seconds = static_cast<double>(run.cycles) * cfg_.cycleTime();
-    run.opRecords.seal();
+    run.opRecords = std::move(records);
     // Neither reads a gating parameter, and neither has a wake-up
     // overhead (wakeOverheads charges Base/HW/Full only).
     evaluatePolicy(run, Policy::NoPG, 0);
@@ -299,8 +265,7 @@ Engine::wakeOverheads(const std::vector<Execution::Block> &blocks) const
         // Inter-use wake overhead per policy: count idle gaps (with
         // wrap-around between block repeats) that the hardware
         // idle-detection would have gated before the next use.
-        for (auto c : {Component::Sa, Component::Vu, Component::Hbm,
-                       Component::Ici}) {
+        for (auto c : kGated) {
             const auto &uses = block.usage[c];
             if (uses.empty())
                 continue;
@@ -505,8 +470,6 @@ Engine::evaluatePolicy(WorkloadRun &run, Policy policy,
 
     // ---- Peak power: most power-hungry operator (Fig. 18) ----
     // Everything but the record's own fractions is fixed per policy.
-    constexpr std::array<Component, 4> kLogic = {
-        Component::Sa, Component::Vu, Component::Hbm, Component::Ici};
     const double leak_c = policy == Policy::NoPG    ? 1.0
                           : policy == Policy::Ideal ? 0.0
                                                     : ratios.logicOff;
@@ -516,23 +479,23 @@ Engine::evaluatePolicy(WorkloadRun &run, Policy policy,
                                  : (policy == Policy::Full
                                         ? ratios.sramOff
                                         : ratios.sramSleep);
-    std::array<double, kLogic.size()> p_logic;
-    for (std::size_t i = 0; i < kLogic.size(); ++i)
-        p_logic[i] = power_.staticPower(kLogic[i]);
+    std::array<double, kGated.size()> p_logic;
+    for (std::size_t i = 0; i < kGated.size(); ++i)
+        p_logic[i] = power_.staticPower(kGated[i]);
     const double p_sram = power_.staticPower(Component::Sram);
     const double p_other = power_.staticPower(Component::Other);
     double peak = 0;
-    for (const auto &rec : run.opRecords) {
-        double dur_s = static_cast<double>(rec.duration()) * tau;
+    for (const auto &rec : *run.opRecords) {
+        double dur_s = static_cast<double>(rec.duration) * tau;
         double p_static = 0;
-        for (std::size_t i = 0; i < kLogic.size(); ++i) {
-            double f = rec.activeFrac(kLogic[i]);
+        for (std::size_t i = 0; i < kGated.size(); ++i) {
+            double f = rec.activeFrac[kGated[i]];
             p_static += p_logic[i] * (f + (1.0 - f) * leak_c);
         }
-        p_static += p_sram * (rec.sramUsedFrac() +
-                              (1.0 - rec.sramUsedFrac()) * sram_leak);
+        p_static += p_sram * (rec.sramUsedFrac +
+                              (1.0 - rec.sramUsedFrac) * sram_leak);
         p_static += p_other;
-        peak = std::max(peak, p_static + rec.dynamicJ() / dur_s);
+        peak = std::max(peak, p_static + rec.dynamicJ / dur_s);
     }
     res.peakPowerW = peak;
 }

@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "arch/gating_params.h"
@@ -46,145 +45,20 @@ const std::array<Policy, kNumPolicies> &allPolicies();
 /** Printable name ("NoPG", "ReGate-Base", ...). */
 std::string policyName(Policy p);
 
-/** Per-operator record kept for figure generation. */
+/**
+ * Per-operator record kept for figure generation. A run's records
+ * follow the compiled graph in block order: record i is the i-th
+ * operator of graph.blocks[0].ops, graph.blocks[1].ops, ... in turn,
+ * so an operator's name and kind are read from the graph.
+ */
 struct OpRecord
 {
-    std::string name;
-    graph::OpKind kind = graph::OpKind::Elementwise;
     std::uint64_t count = 0;   ///< Instances (block repeat).
     Cycles duration = 0;       ///< Cycles per instance.
     double sramDemandBytes = 0;
     double dynamicJ = 0;       ///< Dynamic energy per instance.
     double sramUsedFrac = 0;
     arch::ComponentMap<double> activeFrac;
-};
-
-/**
- * Struct-of-arrays storage for a run's per-operator records, with an
- * interned name table: one parallel vector per field plus a flattened
- * active-fraction matrix, and each distinct operator name stored once
- * (transformer blocks repeat the same few op names hundreds of
- * times). Figure loops touch one or two fields of every record, so
- * the arena is both cache-friendlier and far smaller than the
- * vector<OpRecord> it replaced.
- *
- * append() takes the familiar OpRecord value. seal() drops the
- * build-time interner and moves the columns behind one shared,
- * immutable block, so a copy of a sealed arena (a sweep evaluates
- * one execution into many runs) shares them instead of copying every
- * record. Indexing and iteration yield lightweight Ref proxies with
- * accessor methods (rec.duration(), rec.name(), rec.activeFrac(c),
- * ...).
- */
-class OpRecordArena
-{
-    /** Every record field, one vector per field. */
-    struct Columns
-    {
-        std::vector<std::uint32_t> nameId;
-        std::vector<graph::OpKind> kind;
-        std::vector<std::uint64_t> count;
-        std::vector<Cycles> duration;
-        std::vector<double> sramDemandBytes;
-        std::vector<double> dynamicJ;
-        std::vector<double> sramUsedFrac;
-        /** size() * kNumComponents, record-major. */
-        std::vector<double> activeFrac;
-        std::vector<std::string> names;  ///< Interned name table.
-    };
-
-  public:
-    /** Cheap view of one record; valid while its columns live. */
-    class Ref
-    {
-      public:
-        const std::string &
-        name() const
-        {
-            return c_->names[c_->nameId[i_]];
-        }
-        graph::OpKind kind() const { return c_->kind[i_]; }
-        std::uint64_t count() const { return c_->count[i_]; }
-        Cycles duration() const { return c_->duration[i_]; }
-        double
-        sramDemandBytes() const
-        {
-            return c_->sramDemandBytes[i_];
-        }
-        double dynamicJ() const { return c_->dynamicJ[i_]; }
-        double sramUsedFrac() const { return c_->sramUsedFrac[i_]; }
-        double
-        activeFrac(arch::Component c) const
-        {
-            return c_->activeFrac[i_ * arch::kNumComponents +
-                                  arch::componentIndex(c)];
-        }
-
-      private:
-        friend class OpRecordArena;
-        Ref(const Columns *c, std::size_t i) : c_(c), i_(i) {}
-        const Columns *c_;
-        std::size_t i_;
-    };
-
-    /** Forward iterator yielding Ref values (range-for support). */
-    class Iterator
-    {
-      public:
-        Ref operator*() const { return Ref(c_, i_); }
-        Iterator &
-        operator++()
-        {
-            ++i_;
-            return *this;
-        }
-        bool
-        operator==(const Iterator &o) const
-        {
-            return i_ == o.i_;
-        }
-        bool
-        operator!=(const Iterator &o) const
-        {
-            return i_ != o.i_;
-        }
-
-      private:
-        friend class OpRecordArena;
-        Iterator(const Columns *c, std::size_t i) : c_(c), i_(i) {}
-        const Columns *c_;
-        std::size_t i_;
-    };
-
-    /** Append one record, interning its name; LogicError once sealed. */
-    void append(const OpRecord &rec);
-
-    /** Pre-size every column for @p n records; LogicError once sealed. */
-    void reserve(std::size_t n);
-
-    /**
-     * Drop the build-time interner, trim every column to its size and
-     * move the columns into the shared block copies read from. Call
-     * once the run is complete; append() after seal() is a LogicError.
-     */
-    void seal();
-
-    std::size_t size() const { return columns().duration.size(); }
-    bool empty() const { return size() == 0; }
-    Ref operator[](std::size_t i) const { return Ref(&columns(), i); }
-    Iterator begin() const { return Iterator(&columns(), 0); }
-    Iterator end() const { return Iterator(&columns(), size()); }
-
-  private:
-    const Columns &
-    columns() const
-    {
-        return sealed_ ? *sealed_ : building_;
-    }
-
-    Columns building_;  ///< Until seal().
-    std::unordered_map<std::string, std::uint32_t> interner_;
-    std::shared_ptr<const Columns> sealed_;  ///< After seal().
 };
 
 /** Evaluation of one policy over one run (per chip, busy time). */
@@ -201,17 +75,25 @@ struct PolicyResult
     std::uint64_t sramSetpmPairs = 0; ///< SRAM resize setpm pairs.
 };
 
-/** One workload execution with all policies evaluated. */
+/**
+ * One workload execution with all policies evaluated. Names of the
+ * graph and its operators stay in the graph: opRecords[i] is its i-th
+ * operator in block order.
+ */
 struct WorkloadRun
 {
-    std::string name;
     Cycles cycles = 0;      ///< Base runtime (no gating overhead).
     double seconds = 0;
     arch::ComponentMap<core::ActivityTimeline> timeline;
     energy::WorkCounters work;
     sa::SaTileStats saStats;
     double sramUsedIntegral = 0;  ///< Sum over time of used fraction.
-    OpRecordArena opRecords;
+    /**
+     * One record per operator of the executed graph, in block order
+     * (see OpRecord). Built once per execution and immutable, so every
+     * run evaluated from one execution shares the same array.
+     */
+    std::shared_ptr<const std::vector<OpRecord>> opRecords;
     std::array<PolicyResult, kNumPolicies> policies;
 
     const PolicyResult &result(Policy p) const;
@@ -228,9 +110,10 @@ struct WorkloadRun
 
 /**
  * A graph's execution: everything of a run that no GatingParams value
- * changes. `run` holds the timelines, the sealed op records,
- * work/SA/SRAM totals, ReGate-Full's SRAM setpm pairs and the NoPG
- * and Ideal results, which read no gating parameter (NoPG gates
+ * changes. `run` holds the timelines, the op records (one per graph
+ * operator, in block order, shared by every run evaluated from this
+ * execution), work/SA/SRAM totals, ReGate-Full's SRAM setpm pairs and
+ * the NoPG and Ideal results, which read no gating parameter (NoPG gates
  * nothing, Ideal gates every idle cycle for free: no overhead, leak
  * factors fixed at 1 and 0). Base/HW/Full stay unevaluated; `blocks`
  * keeps what their wake-up overheads are charged from. One execution

@@ -1,10 +1,13 @@
 /**
  * @file
  * Tests for the compressed activity timelines: construction, gap
- * multisets, concatenation with seam merging, and repetition.
+ * multisets, concatenation with seam merging (copy and move), and
+ * repetition (copy and in place).
  */
 
 #include <gtest/gtest.h>
+
+#include <utility>
 
 #include "common/error.h"
 #include "common/prng.h"
@@ -193,6 +196,40 @@ TEST(Activity, RepeatedPropertyRandomized)
         EXPECT_EQ(gapTotal(fast), gapTotal(manual));
         fast.checkInvariants();
         manual.checkInvariants();
+    }
+}
+
+TEST(Activity, RepeatInPlaceEqualsRepeated)
+{
+    const ActivityTimeline shapes[] = {
+        ActivityTimeline(),
+        ActivityTimeline::allIdle(9),
+        ActivityTimeline::allActive(8),
+        ActivityTimeline::fromIntervals(16, {{5, 7}}),
+        ActivityTimeline::fromIntervals(20, {{0, 3}, {9, 12}}),
+    };
+    for (const auto &unit : shapes) {
+        for (std::uint64_t times : {0, 1, 2, 7}) {
+            auto t = unit;
+            t.repeat(times);
+            EXPECT_TRUE(t == unit.repeated(times))
+                << "span " << unit.span() << " x" << times;
+        }
+    }
+}
+
+TEST(Activity, MoveAppendEqualsCopyAppend)
+{
+    const auto a = ActivityTimeline::fromIntervals(16, {{5, 7}});
+    const auto b = ActivityTimeline::fromIntervals(12, {{0, 2}, {8, 9}});
+    for (const auto &head : {ActivityTimeline(), a}) {
+        auto copied = head;
+        copied.append(b);
+        auto moved = head;
+        auto tail = b;
+        moved.append(std::move(tail));
+        EXPECT_TRUE(moved == copied);
+        moved.checkInvariants();
     }
 }
 

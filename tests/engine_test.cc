@@ -1,16 +1,15 @@
 /**
  * @file
  * Tests for the workload engine: policy evaluation on hand-built
- * graphs with known structure, and execute()'s burst-shape composition
- * against the general timeline algebra on every paper workload and
- * example spec.
+ * graphs with known structure, the op records' order and sharing, and
+ * execute()'s burst-shape composition against the general timeline
+ * algebra on every paper workload and example spec.
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 
-#include "common/error.h"
 #include "compiler/compiler.h"
 #include "ici/topology.h"
 #include "models/registry.h"
@@ -196,35 +195,55 @@ TEST(Engine, OpRecordsCoverGraph)
 {
     Engine engine(arch::npuConfig(NpuGeneration::D));
     auto run = engine.run(gemmNormGraph(7), 1);
-    ASSERT_EQ(run.opRecords.size(), 2u);
-    EXPECT_EQ(run.opRecords[0].count(), 7u);
-    EXPECT_GT(run.opRecords[0].duration(), 0u);
-    EXPECT_GT(run.opRecords[0].dynamicJ(), 0.0);
+    ASSERT_EQ(run.opRecords->size(), 2u);
+    const auto &mm = (*run.opRecords)[0];
+    EXPECT_EQ(mm.count, 7u);
+    EXPECT_GT(mm.duration, 0u);
+    EXPECT_GT(mm.dynamicJ, 0.0);
 }
 
-TEST(OpRecordArena, AppendAfterSealIsLogicError)
-{
-    OpRecordArena arena;
-    OpRecord rec;
-    rec.name = "mm";
-    arena.append(rec);
-    arena.seal();
-    EXPECT_THROW(arena.append(rec), LogicError);
-    EXPECT_THROW(arena.reserve(4), LogicError);
-    ASSERT_EQ(arena.size(), 1u);
-    EXPECT_EQ(arena[0].name(), "mm");
-}
-
-TEST(OpRecordArena, CopiesOfASealedRunShareRecords)
+TEST(Engine, EvaluatedRunsShareOneRecordArray)
 {
     Engine engine(arch::npuConfig(NpuGeneration::D));
     Execution ex = engine.execute(gemmNormGraph(3), 1);
     WorkloadRun a = engine.evaluate(ex);
     WorkloadRun b = a;
-    ASSERT_EQ(a.opRecords.size(), 2u);
-    EXPECT_EQ(&a.opRecords[1].name(), &ex.run.opRecords[1].name());
-    EXPECT_EQ(&b.opRecords[1].name(), &ex.run.opRecords[1].name());
-    EXPECT_EQ(b.opRecords[1].name(), "norm");
+    ASSERT_EQ(a.opRecords->size(), 2u);
+    EXPECT_EQ(a.opRecords->data(), ex.run.opRecords->data());
+    EXPECT_EQ(b.opRecords->data(), ex.run.opRecords->data());
+}
+
+TEST(Engine, RecordIIsTheGraphsIthOpInBlockOrder)
+{
+    const auto gen = NpuGeneration::D;
+    const auto &cfg = arch::npuConfig(gen);
+    for (auto w : {models::Workload::Decode70B, models::Workload::DlrmS}) {
+        const auto &spec = *builtinScenario(w);
+        auto setup = models::defaultScenarioSetup(spec, gen);
+        auto compiled = compiler::compileGraph(
+            models::buildScenarioGraph(spec, setup), cfg);
+        const auto &graph = compiled.graph;
+        auto run = Engine(cfg).run(graph, setup.chips);
+
+        ici::CollectiveModel coll(cfg,
+                                  ici::Torus::forChips(cfg, setup.chips));
+        OperatorSimulator op_sim(cfg, coll);
+        const auto &records = *run.opRecords;
+        std::size_t i = 0;
+        for (const auto &block : graph.blocks) {
+            for (const auto &op : block.ops) {
+                ASSERT_LT(i, records.size()) << spec.name;
+                const auto &rec = records[i++];
+                EXPECT_EQ(rec.count, block.repeat) << spec.name << " " << op.name;
+                EXPECT_EQ(rec.duration, op_sim.simulate(op).duration)
+                    << spec.name << " " << op.name;
+                EXPECT_EQ(rec.sramDemandBytes, op.sramDemandBytes)
+                    << spec.name << " " << op.name;
+            }
+        }
+        EXPECT_EQ(i, records.size()) << spec.name;
+        EXPECT_GT(i, 0u) << spec.name;
+    }
 }
 
 TEST(Engine, ExecuteEvaluatesOnlyNoPgAndIdeal)

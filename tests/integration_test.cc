@@ -164,13 +164,13 @@ TEST(Integration, SimulatorInternalValidationR2)
     auto rep = sim::simulateScenario(builtinScenario(Workload::Prefill8B),
                                      NpuGeneration::D);
     std::vector<double> xs, ys;
-    for (const auto &rec : rep.run().opRecords) {
-        xs.push_back(static_cast<double>(rec.duration()));
+    for (const auto &rec : *rep.run().opRecords) {
+        xs.push_back(static_cast<double>(rec.duration));
     }
     auto rep2 = sim::simulateScenario(builtinScenario(Workload::Prefill8B),
                                       NpuGeneration::D);
-    for (const auto &rec : rep2.run().opRecords)
-        ys.push_back(static_cast<double>(rec.duration()));
+    for (const auto &rec : *rep2.run().opRecords)
+        ys.push_back(static_cast<double>(rec.duration));
     ASSERT_EQ(xs.size(), ys.size());
     EXPECT_GT(stats::r2(xs, ys), 0.999);
 }
