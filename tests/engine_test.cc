@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 
 #include "compiler/compiler.h"
@@ -320,6 +321,22 @@ TEST(Engine, ExecuteMatchesGeneralComposition)
                 models::workloadName(w) + " on " +
                     arch::generationName(gen));
         }
+    }
+
+    // A real decode graph with every block repeated at least 1024
+    // times, so repeated() runs its seam arithmetic at large counts on
+    // real operator shapes, not only on the default repeats.
+    {
+        const auto &spec = *builtinScenario(models::Workload::Decode70B);
+        auto setup = models::defaultScenarioSetup(spec, NpuGeneration::D);
+        auto compiled = compiler::compileGraph(
+            models::buildScenarioGraph(spec, setup),
+            arch::npuConfig(NpuGeneration::D));
+        for (auto &block : compiled.graph.blocks)
+            block.repeat = std::max<std::uint64_t>(block.repeat, 1024);
+        expectGeneralComposition(compiled.graph, NpuGeneration::D,
+                                 setup.chips,
+                                 "Llama3-70B-Decode, repeats >= 1024");
     }
 
     std::size_t scenarios = 0;

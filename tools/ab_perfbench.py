@@ -15,10 +15,22 @@ end-to-end metric BENCHMARK.json declares and each workload, each
 side's median and quartiles, the change's median relative to the
 parent's, and the pairs the change won (ties count for neither).
 
-A metric counts as a gain when the change wins at least nine tenths of
-the pairs and the medians differ, in the better direction, by more
-than the parent's interquartile range. A run whose result is not
-"correct" is reported and its pair left out of the comparison.
+Each metric x workload row gets one label:
+
+  gain        the change wins at least nine tenths of the pairs and the
+              medians differ, in the better direction, by more than the
+              parent's interquartile range;
+  regression  the change's median is worse than the parent's by more
+              than the metric's `bound` in BENCHMARK.json (relative);
+  unresolved  neither, and the parent's interquartile range exceeds
+              `bound` of its median: its runs spread too widely to
+              tell a regression of that size;
+  -           none of these.
+
+A run whose result is not "correct" is reported and its pair left out
+of the comparison. The exit status is 1 on any incorrect run or any
+regression row, else 0. The workloads and metrics are those
+BENCHMARK.json declares.
 
 Nothing under perfbench/ is modified; the tool only reads run.py's
 last stdout line (one JSON object).
@@ -33,7 +45,16 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WORKLOADS = ("paper_suite", "moe_sweep", "gating_sweep")
+
+
+def load_benchmark():
+    """BENCHMARK.json's workload names and its end-to-end metrics as
+    (name, better, bound) triples."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        bench = json.load(f)
+    return ([w["name"] for w in bench["workloads"]],
+            [(m["name"], m["better"], m["bound"])
+             for m in bench["end_to_end"]])
 
 
 def export_parent(ref, dest):
@@ -74,9 +95,26 @@ def quartiles(values):
     return q1, q3
 
 
-def summarize(metric, better, workload, pairs):
-    """One report line for `metric` on `workload`; pairs holds
-    (parent, change) values."""
+def classify(pairs, better, bound):
+    """The label of one metric x workload row (see the module doc);
+    pairs holds (parent, change) values."""
+    parent = [p for p, _ in pairs]
+    sign = 1 if better == "lower" else -1
+    wins = sum(1 for p, c in pairs if sign * (p - c) > 0)
+    pm = statistics.median(parent)
+    cm = statistics.median(c for _, c in pairs)
+    pq1, pq3 = quartiles(parent)
+    if wins >= 0.9 * len(pairs) and sign * (pm - cm) > pq3 - pq1:
+        return "gain"
+    if sign * (cm - pm) > bound * abs(pm):
+        return "regression"
+    if pq3 - pq1 > bound * abs(pm):
+        return "unresolved"
+    return "-"
+
+
+def summarize(metric, better, bound, workload, pairs):
+    """One report line for `metric` on `workload`, and its label."""
     parent = [p for p, _ in pairs]
     change = [c for _, c in pairs]
     sign = 1 if better == "lower" else -1
@@ -84,13 +122,12 @@ def summarize(metric, better, workload, pairs):
     pm, cm = statistics.median(parent), statistics.median(change)
     pq1, pq3 = quartiles(parent)
     cq1, cq3 = quartiles(change)
-    gap = sign * (pm - cm)
-    gain = wins >= 0.9 * len(pairs) and gap > pq3 - pq1
+    label = classify(pairs, better, bound)
     ratio = f"{cm / pm - 1:+.1%}" if pm else "n/a"
     return (f"{metric:<12} {workload:<13} "
             f"parent {pm:.6f} [{pq1:.6f}, {pq3:.6f}]  "
             f"change {cm:.6f} [{cq1:.6f}, {cq3:.6f}]  {ratio:>7}  "
-            f"wins {wins}/{len(pairs)}  {'gain' if gain else '-'}")
+            f"wins {wins}/{len(pairs)}  {label}"), label
 
 
 def main():
@@ -99,12 +136,10 @@ def main():
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=10)
-    ap.add_argument("--workload", action="append", choices=WORKLOADS)
+    all_workloads, metrics = load_benchmark()
+    ap.add_argument("--workload", action="append", choices=all_workloads)
     args = ap.parse_args()
-    workloads = args.workload or list(WORKLOADS)
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        metrics = [(m["name"], m["better"])
-                   for m in json.load(f)["end_to_end"]]
+    workloads = args.workload or all_workloads
 
     results = {w: [] for w in workloads}  # (parent, change) result pairs
     with tempfile.TemporaryDirectory() as tmp:
@@ -119,7 +154,7 @@ def main():
                                           args.seconds)
                     values = " ".join(
                         f"{m}={got[side]['metrics'][m]['value']:.6f}"
-                        for m, _ in metrics
+                        for m, _, _ in metrics
                         if m in got[side]["metrics"])
                     print(f"pair {i} {w:<13} {side:<6} "
                           f"correct={got[side]['correct']} {values}",
@@ -127,20 +162,25 @@ def main():
                 results[w].append((got["parent"], got["change"]))
 
     print("-- medians [quartiles], change vs parent, pairs won --")
-    for metric, better in metrics:
+    regressions = []
+    for metric, better, bound in metrics:
         for w in workloads:
             pairs = [(p["metrics"][metric]["value"],
                       c["metrics"][metric]["value"])
                      for p, c in results[w]
                      if p["correct"] and c["correct"]]
-            if pairs:
-                print(summarize(metric, better, w, pairs))
-            else:
+            if not pairs:
                 print(f"{metric:<12} {w:<13} no correct pair")
+                continue
+            line, label = summarize(metric, better, bound, w, pairs)
+            print(line)
+            if label == "regression":
+                regressions.append(f"{metric} on {w}")
     incorrect = sum(1 for w in workloads for p, c in results[w]
                     if not (p["correct"] and c["correct"]))
     print(f"pairs with an incorrect run: {incorrect}")
-    return 1 if incorrect else 0
+    print(f"regressions: {', '.join(regressions) or 'none'}")
+    return 1 if incorrect or regressions else 0
 
 
 if __name__ == "__main__":
