@@ -87,19 +87,16 @@ benchCli()
 }
 
 /**
- * `--list-generators`: print every registered workload generator and
- * the spec keys it accepts, then exit 0. The output is the reference
- * for writing `--spec` files (and the smoke test that the registry
- * self-registration ran).
+ * `--list-generators`: print every workload family in the family table
+ * and the spec keys it accepts, then exit 0. The output is the
+ * reference for writing `--spec` files.
  */
 inline void
 listGeneratorsAndExit()
 {
-    const auto &registry = models::GeneratorRegistry::instance();
-    for (const auto &family : registry.families()) {
-        const auto *gen = registry.find(family);
-        std::cout << family << " — " << gen->familyLabel() << "\n";
-        for (const auto &key : gen->specKeys())
+    for (const auto &row : models::familyTable()) {
+        std::cout << row.key << " — " << row.label << "\n";
+        for (const auto &key : models::specKeys(row))
             std::cout << "  " << key.key << ": " << key.doc << "\n";
     }
     std::exit(0);

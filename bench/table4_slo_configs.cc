@@ -32,7 +32,7 @@ main(int argc, char **argv)
         // The paper column shows a paper workload's Table 4 anchor,
         // not its NPU-D HBM refit (Llama3.1-405B-Decode: 64 chips,
         // where defaultScenarioSetup gives 128). Custom scenarios show
-        // their registry default setup.
+        // their default setup.
         auto paper = models::builtinScenarioOf(*s) == s
                          ? models::scenarioSetup(*s)
                          : models::defaultScenarioSetup(

@@ -1,8 +1,8 @@
 /**
  * @file
- * Software-visible power modes and the per-unit power-state manager
- * the NPU core pipeline uses to treat gated units as structural
- * hazards (§4.1 "Power state management in NPU core pipeline", §4.2).
+ * The software-visible power modes of §4.2, which setpm instructions
+ * carry (isa/instruction.h). The core model tracks each unit's
+ * physical power state itself (isa::VliwCore).
  */
 
 #ifndef REGATE_CORE_POWER_STATE_H
@@ -10,9 +10,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
-
-#include "common/units.h"
 
 namespace regate {
 namespace core {
@@ -25,71 +22,6 @@ enum class PowerMode : std::uint8_t { Auto, On, Off, Sleep };
 
 /** Printable mode name. */
 std::string powerModeName(PowerMode mode);
-
-/**
- * Tracks the physical power state and readiness of one gateable unit.
- *
- * An instruction that needs the unit checks ready(); if the unit is
- * waking, the pipeline stalls until wakeCompleteCycle(). Operations
- * dispatched to a powered-off unit trigger a wake-up (the wake-up
- * signal has no effect if the unit is already on).
- */
-class UnitPowerState
-{
-  public:
-    /** @param wake_delay Cycles to power the unit back on. */
-    explicit UnitPowerState(Cycles wake_delay)
-        : wakeDelay_(wake_delay)
-    {}
-
-    PowerMode mode() const { return mode_; }
-
-    /** True if the unit is physically powered (not gated/waking). */
-    bool poweredOn() const { return poweredOn_ && wakeDone_ == 0; }
-
-    /** True if an instruction can dispatch to the unit at @p now. */
-    bool
-    ready(Cycles now) const
-    {
-        return poweredOn_ && now >= wakeDone_;
-    }
-
-    /**
-     * Software setpm or hardware policy changes the mode at @p now.
-     * Switching to Off/Sleep gates the unit; switching to On starts a
-     * wake-up if it was gated. Auto leaves the physical state to the
-     * hardware policy (gateNow/wake below).
-     */
-    void setMode(PowerMode mode, Cycles now);
-
-    /** Hardware idle-detection decision to gate at @p now (Auto). */
-    void gateNow(Cycles now);
-
-    /**
-     * An operation arrived needing the unit at @p now. If gated, a
-     * wake starts; returns the cycle at which the unit is usable
-     * (now if already on).
-     */
-    Cycles wake(Cycles now);
-
-    /** Cycle at which an in-progress wake completes (0 if none). */
-    Cycles wakeCompleteCycle() const { return wakeDone_; }
-
-    /** Cumulative cycles the unit spent gated. */
-    Cycles gatedCycles(Cycles now) const;
-
-    /** Number of gate events so far. */
-    std::uint64_t gateEvents() const { return gateEvents_; }
-
-  private:
-    Cycles wakeDelay_;
-    PowerMode mode_ = PowerMode::Auto;
-    bool poweredOn_ = true;
-    Cycles wakeDone_ = 0;
-    Cycles gatedSince_ = 0;
-    Cycles gatedAccum_ = 0;
-    std::uint64_t gateEvents_ = 0;
-};
 
 }  // namespace core
 }  // namespace regate

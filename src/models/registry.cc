@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
 
 #include "arch/gating_params.h"
 #include "common/error.h"
@@ -21,8 +20,7 @@ roundUpPow2(int v)
     return p;
 }
 
-}  // namespace
-
+/** The tp-first split of the LLM families: tp up to @p max_tp. */
 Parallelism
 splitChips(int chips, int max_tp)
 {
@@ -34,66 +32,60 @@ splitChips(int chips, int max_tp)
     return par;
 }
 
-GeneratorRegistry &
-GeneratorRegistry::instance()
+/** The llama tp-first split with the Table-4 dp<=batch fixup. */
+Parallelism
+llamaAnchorSplit(int chips, std::int64_t batch)
 {
-    static GeneratorRegistry registry;
-    static std::once_flag builtins;
-    std::call_once(builtins,
-                   [] { registerBuiltinGenerators(registry); });
-    return registry;
-}
-
-void
-GeneratorRegistry::add(std::unique_ptr<WorkloadGenerator> gen)
-{
-    REGATE_CHECK(gen, "null generator");
-    auto family = gen->family();
-    REGATE_CHECK(!gens_.count(family), "workload generator '", family,
-                 "' is already registered");
-    gens_.emplace(std::move(family), std::move(gen));
-}
-
-const WorkloadGenerator *
-GeneratorRegistry::find(const std::string &family) const
-{
-    auto it = gens_.find(family);
-    return it == gens_.end() ? nullptr : it->second.get();
-}
-
-const WorkloadGenerator &
-GeneratorRegistry::require(const std::string &family) const
-{
-    const auto *gen = find(family);
-    if (gen)
-        return *gen;
-    std::string known;
-    for (const auto &[key, value] : gens_) {
-        (void)value;
-        known += known.empty() ? key : ", " + key;
+    Parallelism par = splitChips(chips, 8);
+    // Keep dp <= batch so every replica has work.
+    while (par.dp > batch && par.tp < chips) {
+        par.tp *= 2;
+        par.dp = chips / par.tp;
     }
-    throw ConfigError("unknown workload family '" + family +
-                      "' (registered: " + known + ")");
+    return par;
 }
 
-std::vector<std::string>
-GeneratorRegistry::families() const
+/** Canonical spec spelling of a work unit ("iteration", "token"...). */
+std::string
+workUnitKey(WorkUnit unit)
 {
-    std::vector<std::string> out;
-    for (const auto &[key, value] : gens_) {
-        (void)value;
-        out.push_back(key);
+    switch (unit) {
+      case WorkUnit::Iteration:
+        return "iteration";
+      case WorkUnit::Token:
+        return "token";
+      case WorkUnit::Request:
+        return "request";
+      case WorkUnit::Image:
+        return "image";
     }
-    return out;  // std::map iteration is already sorted.
+    throw LogicError("unknown unit");
 }
+
+/** Explicit split if the spec set one, else the row's heuristic. */
+RunSetup
+anchorSetup(const FamilyRow &row, const ScenarioSpec &spec)
+{
+    RunSetup s;
+    s.chips = spec.chips;
+    s.batch = spec.batch;
+    if (spec.parSet)
+        s.par = spec.par;
+    else if (row.tpFirst)
+        s.par = llamaAnchorSplit(spec.chips, spec.batch);
+    else
+        s.par = {spec.chips, 1, 1};
+    return s;
+}
+
+}  // namespace
 
 void
 validateScenario(ScenarioSpec &spec)
 {
-    const auto &gen =
-        GeneratorRegistry::instance().require(spec.family);
+    const auto &row = familyRow(spec.family);
 
-    // Family-independent invariants first, so every generator gets a
+    // Family-independent invariants first, so every row gets a
     // structurally sound spec.
     REGATE_CHECK(spec.batch >= 1, "scenario '", spec.name,
                  "': batch is required (>= 1; got ", spec.batch, ")");
@@ -128,11 +120,27 @@ validateScenario(ScenarioSpec &spec)
                      " overflows the scaled Table-3 cycle counts");
     }
 
-    gen.validate(spec);
-    gen.fillDefaults(spec);
+    row.validate(spec);
+
+    // Family defaults.
+    if (spec.seqLen == 0)
+        spec.seqLen = row.seqLen;
+    if (spec.outLen == 0)
+        spec.outLen = row.outLen;
+    if (spec.unit.empty())
+        spec.unit = workUnitKey(row.unit);
+    bool filled = false;
+    for (const auto &extra : row.extras) {
+        if (extra.fallback != 0 && spec.extraOr(extra.key, 0) == 0) {
+            spec.extra.emplace_back(extra.key, extra.fallback);
+            filled = true;
+        }
+    }
+    if (filled)
+        std::sort(spec.extra.begin(), spec.extra.end());
 
     // A token-normalized scenario must have a token count.
-    REGATE_CHECK(gen.workUnit(spec) != WorkUnit::Token ||
+    REGATE_CHECK(scenarioWorkUnit(spec) != WorkUnit::Token ||
                      spec.seqLen > 0 || spec.outLen > 0,
                  "scenario '", spec.name,
                  "': unit=token needs seq_len or out_len");
@@ -141,36 +149,38 @@ validateScenario(ScenarioSpec &spec)
     // anchor setup and in its NPU-D HBM fit (the setup fig17 runs and
     // every SLO target is measured on), which may grow the pod and
     // with it dp.
-    for (const auto &setup :
-         {gen.anchorSetup(spec),
-          defaultScenarioSetup(spec, arch::NpuGeneration::D)}) {
+    auto check_dp = [&](const RunSetup &setup) {
         REGATE_CHECK(setup.par.dp <= spec.batch, "scenario '", spec.name,
                      "': batch ", spec.batch, " too small for dp=",
                      setup.par.dp, " (chips=", setup.chips, ")");
-    }
+    };
+    check_dp(anchorSetup(row, spec));
+    check_dp(defaultScenarioSetup(spec, arch::NpuGeneration::D));
 }
 
 RunSetup
 scenarioSetup(const ScenarioSpec &spec)
 {
-    return GeneratorRegistry::instance()
-        .require(spec.family)
-        .anchorSetup(spec);
+    return anchorSetup(familyRow(spec.family), spec);
 }
 
 RunSetup
 defaultScenarioSetup(const ScenarioSpec &spec, arch::NpuGeneration g)
 {
-    const auto &gen =
-        GeneratorRegistry::instance().require(spec.family);
-    RunSetup s = gen.anchorSetup(spec);
+    const auto &row = familyRow(spec.family);
+    RunSetup s = anchorSetup(row, spec);
     const auto &cfg = arch::npuConfig(g);
     double per_chip_hbm = static_cast<double>(cfg.hbmBytes) * 0.85;
-    int min_chips = static_cast<int>(
-        std::ceil(gen.modelStateBytes(spec) / per_chip_hbm));
+    double state = row.stateBytes(spec);
+    double min_chips = std::ceil(state / per_chip_hbm);
     if (min_chips > s.chips) {
-        s.chips = roundUpPow2(min_chips);
-        s.par = gen.scaleSplit(spec, s.chips);
+        REGATE_CHECK(min_chips <= kMaxChips, "scenario '", spec.name,
+                     "': ", state, " bytes of model state need ",
+                     min_chips, " ", cfg.name, " chips (at most ",
+                     kMaxChips, ")");
+        s.chips = roundUpPow2(static_cast<int>(min_chips));
+        s.par = row.tpFirst ? splitChips(s.chips, 8)
+                            : Parallelism{s.chips, 1, 1};
     }
     return s;
 }
@@ -178,41 +188,50 @@ defaultScenarioSetup(const ScenarioSpec &spec, arch::NpuGeneration g)
 graph::OperatorGraph
 buildScenarioGraph(const ScenarioSpec &spec, const RunSetup &setup)
 {
-    return GeneratorRegistry::instance()
-        .require(spec.family)
-        .build(spec, setup);
+    return familyRow(spec.family).build(spec, setup);
 }
 
 double
 scenarioUnitsPerRun(const ScenarioSpec &spec, const RunSetup &setup)
 {
-    return GeneratorRegistry::instance()
-        .require(spec.family)
-        .unitsPerRun(spec, setup);
+    // Fig.2-style normalization: the unit the spec asked for, over the
+    // setup's batch.
+    switch (scenarioWorkUnit(spec)) {
+      case WorkUnit::Iteration:
+        return 1.0;
+      case WorkUnit::Token:
+        return static_cast<double>(setup.batch) *
+               static_cast<double>(spec.outLen > 0 ? spec.outLen
+                                                   : spec.seqLen);
+      case WorkUnit::Request:
+      case WorkUnit::Image:
+        return static_cast<double>(setup.batch);
+    }
+    throw LogicError("unknown unit");
 }
 
 double
 scenarioModelStateBytes(const ScenarioSpec &spec)
 {
-    return GeneratorRegistry::instance()
-        .require(spec.family)
-        .modelStateBytes(spec);
+    return familyRow(spec.family).stateBytes(spec);
 }
 
 WorkUnit
 scenarioWorkUnit(const ScenarioSpec &spec)
 {
-    return GeneratorRegistry::instance()
-        .require(spec.family)
-        .workUnit(spec);
+    familyRow(spec.family);  // An unknown family wins over the unit.
+    for (auto unit : {WorkUnit::Iteration, WorkUnit::Token,
+                      WorkUnit::Request, WorkUnit::Image})
+        if (spec.unit == workUnitKey(unit))
+            return unit;
+    throw ConfigError("scenario '" + spec.name + "': unknown unit '" +
+                      spec.unit + "'");
 }
 
 std::string
 scenarioFamilyLabel(const ScenarioSpec &spec)
 {
-    return GeneratorRegistry::instance()
-        .require(spec.family)
-        .familyLabel();
+    return familyRow(spec.family).label;
 }
 
 }  // namespace models

@@ -1,24 +1,27 @@
 /**
  * @file
- * The pluggable workload-generator API (in the spirit of CODES's
- * codes-workload-method table): each workload family registers one
- * WorkloadGenerator behind the GeneratorRegistry, and everything
- * downstream — the paper's built-in rows, the text-spec parser, the
- * figure binaries — constructs graphs exclusively through this
- * interface. Adding a scenario family means registering a
- * generator in the library; no figure binary changes.
+ * The workload-family table (in the spirit of CODES's
+ * codes-workload-method table): one const row per family, holding
+ * what is plain data across families (key, label, models, default
+ * unit and sequence lengths, parallelism split, extra spec keys) and
+ * three entry points for what differs in code (validation, model-state
+ * bytes, graph build). Everything downstream — the paper's built-in
+ * rows, the text-spec parser, the figure binaries — reaches a family
+ * through the free functions below, which look its row up by the
+ * spec's `family` key. Adding a family means adding a row in
+ * models/generators.cc; no figure binary changes.
  *
  * The 17 paper workloads are built-in spec rows (models/workload.h)
- * replayed through the same generators as any user spec: there is
- * one scenario path.
+ * replayed through the same table as any user spec: there is one
+ * scenario path.
  */
 
 #ifndef REGATE_MODELS_REGISTRY_H
 #define REGATE_MODELS_REGISTRY_H
 
-#include <map>
-#include <memory>
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "arch/npu_config.h"
@@ -30,112 +33,61 @@ namespace regate {
 namespace models {
 
 /** One accepted spec key with its one-line doc (--list-generators). */
-struct SpecKeyInfo
+struct SpecKey
 {
     std::string key;
     std::string doc;
+    /** Value filled in when the spec leaves the key out; 0: none. */
+    std::int64_t fallback = 0;
 };
 
-/**
- * One workload family's construction logic. Implementations are
- * stateless: every method is a pure function of the spec (already
- * validated + defaults filled) and the setup.
- */
-class WorkloadGenerator
+/** One workload family. */
+struct FamilyRow
 {
-  public:
-    virtual ~WorkloadGenerator() = default;
-
-    /** Registry key ("llama-train", "dlrm", "moe", ...). */
-    virtual std::string family() const = 0;
-
-    /** Display label for figure grouping ("LLM Training", ...). */
-    virtual std::string familyLabel() const = 0;
-
-    /** Every spec key this family accepts, with docs. */
-    virtual std::vector<SpecKeyInfo> specKeys() const = 0;
+    std::string key;     ///< The spec's `family` value ("llama-train").
+    std::string label;   ///< Figure-grouping label ("LLM Training").
+    std::string models;  ///< Accepted `model` values, for the docs.
+    WorkUnit unit;       ///< Default work unit.
+    std::int64_t seqLen; ///< Default seq_len; 0: none.
+    std::int64_t outLen; ///< Default out_len; 0: none.
+    /** Tensor-parallel-first anchor split and HBM refit; else all-dp. */
+    bool tpFirst;
+    /** Integer keys beyond the shared ones (MoE "experts"). */
+    std::vector<SpecKey> extras;
 
     /**
-     * Reject invalid specs with a named ConfigError: unknown model,
-     * missing batch/chips, inconsistent parallelism
-     * (chips != dp*tp*pp), bad extra values.
+     * Reject an unknown model and extra keys outside `extras` (then
+     * bad extra values) with a named ConfigError.
      */
-    virtual void validate(const ScenarioSpec &spec) const = 0;
-
-    /** Fill family defaults (seq lens, unit) in place; idempotent. */
-    virtual void fillDefaults(ScenarioSpec &spec) const = 0;
-
-    /** Work unit of the (defaults-filled) spec. */
-    virtual WorkUnit workUnit(const ScenarioSpec &spec) const = 0;
-
+    void (*validate)(const ScenarioSpec &spec);
     /** Per-chip model-state bytes that must fit in HBM. */
-    virtual double modelStateBytes(const ScenarioSpec &spec) const = 0;
-
-    /**
-     * The spec's anchor configuration (the Table-4 equivalent):
-     * explicit parallelism if the spec set one, else the family's
-     * heuristic split.
-     */
-    virtual RunSetup anchorSetup(const ScenarioSpec &spec) const = 0;
-
-    /**
-     * Re-split parallelism after an HBM capacity refit grew the pod
-     * to @p chips (defaultScenarioSetup). Families without tensor
-     * parallelism go all-dp.
-     */
-    virtual Parallelism scaleSplit(const ScenarioSpec &spec,
-                                   int chips) const = 0;
-
-    /** Build the per-chip operator graph for one run. */
-    virtual graph::OperatorGraph build(const ScenarioSpec &spec,
-                                       const RunSetup &setup) const = 0;
-
-    /** Work units produced by one run. */
-    virtual double unitsPerRun(const ScenarioSpec &spec,
-                               const RunSetup &setup) const = 0;
+    double (*stateBytes)(const ScenarioSpec &spec);
+    /** The per-chip operator graph for one run. */
+    graph::OperatorGraph (*build)(const ScenarioSpec &spec,
+                                  const RunSetup &setup);
 };
 
-/**
- * Process-wide generator table. The built-in families self-register
- * on first access (registerBuiltinGenerators), so a static-lib link
- * can never dead-strip them.
- */
-class GeneratorRegistry
-{
-  public:
-    static GeneratorRegistry &instance();
+/** Every family, sorted by key. */
+const std::vector<FamilyRow> &familyTable();
 
-    /** Register a generator; throws ConfigError on a duplicate. */
-    void add(std::unique_ptr<WorkloadGenerator> gen);
+/** The row of @p family, or nullptr. */
+const FamilyRow *findFamily(std::string_view family);
 
-    /** Generator for @p family, or nullptr. */
-    const WorkloadGenerator *find(const std::string &family) const;
+/** "unknown workload family '...' (registered: ...)". */
+std::string unknownFamilyMessage(std::string_view family);
 
-    /** Generator for @p family; ConfigError listing the registered
-     *  families when unknown. */
-    const WorkloadGenerator &require(const std::string &family) const;
+/** The row of @p family; ConfigError when there is none. */
+const FamilyRow &familyRow(std::string_view family);
 
-    /** Registered family keys, sorted. */
-    std::vector<std::string> families() const;
+/** Whether @p row accepts spec key @p key (without allocating). */
+bool acceptsKey(const FamilyRow &row, std::string_view key);
 
-  private:
-    GeneratorRegistry() = default;
-    std::map<std::string, std::unique_ptr<WorkloadGenerator>> gens_;
-};
+/** Every key @p row accepts with its doc: the shared keys, then its
+ *  extras. */
+std::vector<SpecKey> specKeys(const FamilyRow &row);
 
-/** Register the built-in families (idempotent; generators.cc). */
-void registerBuiltinGenerators(GeneratorRegistry &registry);
-
-/** Shared tp-first parallelism split used by the LLM setups. */
-Parallelism splitChips(int chips, int max_tp);
-
-/** Canonical spec spelling of a work unit ("iteration", "token"...). */
-std::string workUnitKey(WorkUnit unit);
-
-/** Parse a spec unit key; false (out untouched) when unknown. */
-bool parseWorkUnitKey(const std::string &key, WorkUnit *out);
-
-/** validate() + fillDefaults() through the spec's generator. */
+/** Check the family-independent fields, fill the family defaults
+ *  and validate through the spec's row. */
 void validateScenario(ScenarioSpec &spec);
 
 /** Anchor configuration of a validated spec (Table-4 equivalent). */
@@ -143,12 +95,13 @@ RunSetup scenarioSetup(const ScenarioSpec &spec);
 
 /**
  * Anchor configuration scaled up when the model state does not fit
- * @p gen's HBM (larger HBM -> fewer chips, §3).
+ * @p gen's HBM (larger HBM -> fewer chips, §3). ConfigError when the
+ * fit needs more than kMaxChips chips.
  */
 RunSetup defaultScenarioSetup(const ScenarioSpec &spec,
                               arch::NpuGeneration gen);
 
-/** Build the per-chip operator graph through the registry. */
+/** Build the per-chip operator graph through the spec's row. */
 graph::OperatorGraph buildScenarioGraph(const ScenarioSpec &spec,
                                         const RunSetup &setup);
 

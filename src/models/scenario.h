@@ -1,7 +1,7 @@
 /**
  * @file
- * The structured scenario description every workload generator
- * consumes: family, model size, sequence lengths, batch, chips,
+ * The structured scenario description every workload family
+ * (models/registry.h) consumes: family, model size, sequence lengths, batch, chips,
  * parallelism split, gating-parameter overrides, and work unit.
  *
  * A ScenarioSpec is the one identity of a simulated scenario: the 17
@@ -27,18 +27,22 @@
 namespace regate {
 namespace models {
 
+/** Largest pod a spec may ask for or an HBM refit may grow to; also
+ *  the bound on each of dp, tp and pp. */
+constexpr int kMaxChips = 1 << 24;
+
 struct ScenarioSpec
 {
     /** Section name from the spec file; display-only, NOT identity. */
     std::string name;
 
-    std::string family;  ///< Generator key ("llama-train", "dlrm"...).
+    std::string family;  ///< Family key ("llama-train", "dlrm"...).
     std::string model;   ///< Model size within the family ("8b", "l").
 
     std::int64_t batch = 0;  ///< Global batch size (required).
     int chips = 0;           ///< Pod size (required).
 
-    /** Sequence lengths; 0 = family default (fillDefaults fills). */
+    /** Sequence lengths; 0 = family default (validateScenario fills). */
     std::int64_t seqLen = 0;
     std::int64_t outLen = 0;
 
@@ -47,10 +51,10 @@ struct ScenarioSpec
     Parallelism par;
 
     /** Work-unit name ("iteration", "token", "request", "image");
-     *  empty = family default (fillDefaults fills). */
+     *  empty = family default (validateScenario fills). */
     std::string unit;
 
-    /** Generator-specific integer keys (e.g. MoE "experts"), sorted
+    /** Family-specific integer keys (e.g. MoE "experts"), sorted
      *  by key. */
     std::vector<std::pair<std::string, std::int64_t>> extra;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -276,18 +277,10 @@ splitSections(string_view text, const std::string &source)
     return out;
 }
 
-/** A family's generator and accepted keys, fetched once per parse. */
-struct Family
-{
-    string_view name;
-    const WorkloadGenerator *generator;
-    std::vector<SpecKeyInfo> keys;
-};
-
 /** Expand one section into validated scenarios. */
 void
 expandSection(const Section &section, const Entry *entries,
-              std::vector<Family> &families, const std::string &source,
+              const std::string &source,
               std::vector<std::shared_ptr<const ScenarioSpec>> *out)
 {
     const Entry *end = entries + section.count;
@@ -299,35 +292,16 @@ expandSection(const Section &section, const Entry *entries,
         fail(source, section.line, "scenario '" + str(section.name) +
              "' has no 'family' key");
     string_view family_name = family_entry->value;
-    auto family =
-        std::find_if(families.begin(), families.end(),
-                     [&](const Family &f) { return f.name == family_name; });
-    if (family == families.end()) {
-        const auto &registry = GeneratorRegistry::instance();
-        const auto *generator = registry.find(str(family_name));
-        if (!generator) {
-            std::string known;
-            for (const auto &f : registry.families())
-                known += known.empty() ? f : ", " + f;
-            fail(source, family_entry->line,
-                 "unknown workload family '" + str(family_name) +
-                 "' (registered: " + known + ")");
-        }
-        families.push_back(
-            {family_name, generator, generator->specKeys()});
-        family = families.end() - 1;
-    }
+    const FamilyRow *family = findFamily(family_name);
+    if (!family)
+        fail(source, family_entry->line,
+             unknownFamilyMessage(family_name));
 
     // Every key must be one the family documents.
-    const auto &keys = family->keys;
     for (const Entry *e = entries; e != end; ++e) {
-        bool known = std::any_of(keys.begin(), keys.end(),
-                                 [&](const SpecKeyInfo &k) {
-                                     return k.key == e->key;
-                                 });
-        if (!known) {
+        if (!acceptsKey(*family, e->key)) {
             std::string accepted;
-            for (const auto &k : keys)
+            for (const auto &k : specKeys(*family))
                 accepted += accepted.empty() ? k.key : ", " + k.key;
             fail(source, e->line, "unknown key '" + str(e->key) +
                  "' for family '" + str(family_name) +
@@ -400,22 +374,24 @@ expandSection(const Section &section, const Entry *entries,
             std::int64_t value = picked[a];
             if (key == "batch") {
                 spec.batch = value;
-            } else if (key == "chips") {
-                if (value < 1 || value > 1 << 24)
-                    fail(source, axes[a].line,
-                         "malformed value for 'chips': " +
-                         std::to_string(value));
-                spec.chips = static_cast<int>(value);
-                chips_line = axes[a].line;
+            } else if (key == "chips" || key == "dp" || key == "tp" ||
+                       key == "pp") {
+                if (value < 1 || value > kMaxChips)
+                    fail(source, axes[a].line, "malformed value for '" +
+                         str(key) + "': " + std::to_string(value));
+                int v = static_cast<int>(value);
+                if (key == "chips") {
+                    spec.chips = v;
+                    chips_line = axes[a].line;
+                } else {
+                    par_given = true;
+                    (key == "dp" ? par.dp : key == "tp" ? par.tp
+                                                        : par.pp) = v;
+                }
             } else if (key == "seq_len") {
                 spec.seqLen = value;
             } else if (key == "out_len") {
                 spec.outLen = value;
-            } else if (key == "dp" || key == "tp" || key == "pp") {
-                par_given = true;
-                int v = static_cast<int>(value);
-                (key == "dp" ? par.dp : key == "tp" ? par.tp
-                                                    : par.pp) = v;
             } else {
                 spec.extra.emplace_back(key, value);
             }
@@ -424,7 +400,11 @@ expandSection(const Section &section, const Entry *entries,
         if (par_given) {
             spec.parSet = true;
             spec.par = par;
-            if (spec.chips != par.dp * par.tp * par.pp)
+            // Each degree is at most kMaxChips, so dp*tp fits an
+            // int64_t; only all three near the bound pass 2^63.
+            std::int64_t dp_tp = std::int64_t{par.dp} * par.tp;
+            bool past_int64 = dp_tp > INT64_MAX / par.pp;
+            if (past_int64 || spec.chips != dp_tp * par.pp)
                 fail(source, chips_line, "scenario '" +
                      str(section.name) +
                      "': inconsistent parallelism: chips (" +
@@ -432,7 +412,9 @@ expandSection(const Section &section, const Entry *entries,
                      std::to_string(par.tp) + "*" +
                      std::to_string(par.dp) + "*" +
                      std::to_string(par.pp) + " = " +
-                     std::to_string(par.dp * par.tp * par.pp) + ")");
+                     (past_int64 ? "more than 2^63"
+                                 : std::to_string(dp_tp * par.pp)) +
+                     ")");
         }
 
         // Multi-valued keys tag the expanded name so every grid row
@@ -490,10 +472,9 @@ parseSpecText(const std::string &text, const std::string &source)
 {
     SpecFile file;
     auto layout = splitSections(text, source);
-    std::vector<Family> families;
     for (const auto &section : layout.sections) {
         expandSection(section, layout.entries.data() + section.first,
-                      families, source, &file.scenarios);
+                      source, &file.scenarios);
         if (file.scenarios.size() > kMaxScenarios)
             fail(source, section.line, "spec expands to more than " +
                  std::to_string(kMaxScenarios) + " scenarios");

@@ -17,7 +17,7 @@ struct BuiltinRow
 {
     Workload workload;
     const char *name;    ///< Display name.
-    const char *family;  ///< Generator key.
+    const char *family;  ///< Family key.
     const char *model;   ///< Model key within the family.
     int chips;
     std::int64_t batch;
@@ -61,7 +61,7 @@ static_assert(
     }(),
     "kRows must list the workloads in enum order");
 
-/** Generator key of each WorkloadFamily, in enum order. */
+/** Family key of each WorkloadFamily, in enum order. */
 constexpr const char *kFamilyKeys[] = {
     "llama-train", "llama-prefill", "llama-decode", "dlrm", "diffusion",
 };
@@ -164,9 +164,7 @@ workloadFamilyName(WorkloadFamily family)
 {
     auto index = static_cast<std::size_t>(family);
     REGATE_CHECK(index < std::size(kFamilyKeys), "unknown family");
-    return GeneratorRegistry::instance()
-        .require(kFamilyKeys[index])
-        .familyLabel();
+    return familyRow(kFamilyKeys[index]).label;
 }
 
 WorkUnit

@@ -3,7 +3,7 @@
  * The paper's workload table (Table 1's 17 instances at their Table 4
  * NPU-D chips/batch) as built-in scenario rows. Each row is validated
  * once into a shared ScenarioSpec (builtinScenario), and from there it
- * replays through the same generator registry as any user spec: the
+ * replays through the same family table as any user spec: the
  * simulator's entry points take only specs. The Workload enum names a
  * row of the table; nothing downstream branches on it.
  */

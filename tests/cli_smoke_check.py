@@ -9,7 +9,8 @@ Usage:
 Checks:
 
 1. every binary exits 0 with no arguments;
-2. every grid binary exits 0 with --list-generators;
+2. every grid binary exits 0 with --list-generators and prints
+   golden/list_generators.txt (next to this script) byte for byte;
 3. on the binaries whose default workload axis is all 17 paper
    workloads, --spec paper_suite.spec prints the same bytes as the
    no-argument run; on fig16 and fig21-fig25, a spec of the
@@ -78,6 +79,10 @@ SUBSET_AXIS.update(dict.fromkeys(
     ("fig21_sens_leakage", "fig22_sens_delay", "fig23_generations",
      "fig24_carbon_reduction", "fig25_lifespan"),
     ("Train-405B", "Prefill-405B", "Decode-405B", "DLRM-L", "DiT-XL")))
+
+# What every grid binary's --list-generators prints.
+LIST_GENERATORS_GOLDEN = (Path(__file__).resolve().parent / "golden" /
+                          "list_generators.txt")
 
 # table4's paper column for the one workload whose NPU-D HBM fit grows
 # the pod (64 -> 128 chips): the column keeps the Table 4 anchor.
@@ -204,10 +209,12 @@ def check_all(binary, suite_spec, specs, trace_check):
                f"{name}: no-argument run failed", proc)
         default_out[name] = proc.stdout
 
+    families = LIST_GENERATORS_GOLDEN.read_bytes()
     for name in GRID:
         proc = run([binary(name), "--list-generators"])
-        expect(proc.returncode == 0 and b"moe" in proc.stdout,
-               f"{name} --list-generators failed", proc)
+        expect(proc.returncode == 0 and proc.stdout == families,
+               f"{name} --list-generators differs from "
+               f"{LIST_GENERATORS_GOLDEN.name}", proc)
 
     for name in SUITE_AXIS:
         proc = run([binary(name), "--spec", suite_spec])

@@ -1,7 +1,6 @@
 /**
  * @file
- * Tests for the per-unit power-state manager used by the NPU core
- * pipeline (§4.1/§4.2).
+ * Tests for the §4.2 power-mode names.
  */
 
 #include <gtest/gtest.h>
@@ -18,80 +17,6 @@ TEST(PowerState, ModeNames)
     EXPECT_EQ(powerModeName(PowerMode::On), "on");
     EXPECT_EQ(powerModeName(PowerMode::Off), "off");
     EXPECT_EQ(powerModeName(PowerMode::Sleep), "sleep");
-}
-
-TEST(PowerState, StartsPoweredAndReady)
-{
-    UnitPowerState u(10);
-    EXPECT_TRUE(u.poweredOn());
-    EXPECT_TRUE(u.ready(0));
-    EXPECT_EQ(u.gatedCycles(100), 0u);
-}
-
-TEST(PowerState, OffGatesAndTracksCycles)
-{
-    UnitPowerState u(10);
-    u.setMode(PowerMode::Off, 100);
-    EXPECT_FALSE(u.poweredOn());
-    EXPECT_FALSE(u.ready(150));
-    EXPECT_EQ(u.gatedCycles(150), 50u);
-    EXPECT_EQ(u.gateEvents(), 1u);
-}
-
-TEST(PowerState, WakeOnDispatch)
-{
-    UnitPowerState u(10);
-    u.setMode(PowerMode::Off, 100);
-    Cycles usable = u.wake(160);
-    EXPECT_EQ(usable, 170u);
-    EXPECT_FALSE(u.ready(165));
-    EXPECT_TRUE(u.ready(170));
-    EXPECT_EQ(u.gatedCycles(200), 60u);
-}
-
-TEST(PowerState, WakeWhenAlreadyOnIsFree)
-{
-    UnitPowerState u(10);
-    EXPECT_EQ(u.wake(42), 42u);
-    EXPECT_EQ(u.gateEvents(), 0u);
-}
-
-TEST(PowerState, SetModeOnWakes)
-{
-    UnitPowerState u(5);
-    u.setMode(PowerMode::Off, 10);
-    u.setMode(PowerMode::On, 30);
-    EXPECT_TRUE(u.ready(35));
-    EXPECT_FALSE(u.ready(34));
-    EXPECT_EQ(u.gatedCycles(100), 20u);
-}
-
-TEST(PowerState, RepeatedGateAccumulates)
-{
-    UnitPowerState u(2);
-    u.gateNow(0);
-    u.wake(10);
-    u.gateNow(20);
-    u.wake(25);
-    EXPECT_EQ(u.gatedCycles(100), 15u);
-    EXPECT_EQ(u.gateEvents(), 2u);
-}
-
-TEST(PowerState, DoubleGateIsIdempotent)
-{
-    UnitPowerState u(2);
-    u.gateNow(5);
-    u.gateNow(8);
-    EXPECT_EQ(u.gateEvents(), 1u);
-}
-
-TEST(PowerState, AutoDoesNotChangePhysicalState)
-{
-    UnitPowerState u(2);
-    u.setMode(PowerMode::Off, 0);
-    u.setMode(PowerMode::Auto, 10);
-    EXPECT_FALSE(u.poweredOn());
-    EXPECT_EQ(u.mode(), PowerMode::Auto);
 }
 
 }  // namespace

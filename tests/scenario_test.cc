@@ -4,7 +4,7 @@
  * models/scenario.h): the paper's workload table as built-in spec
  * rows, the normalization of spec duplicates onto those rows, the
  * Workload-keyed forwards against their spec calls, and
- * registry-only scenarios (MoE) running end to end without any enum
+ * spec-only scenarios (MoE) running end to end without any enum
  * value existing for them.
  */
 
@@ -14,6 +14,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "carbon/lifespan.h"
 #include "common/error.h"
@@ -234,14 +235,16 @@ TEST(Scenario, MoeScenarioRunsWithoutAnEnumValue)
     ASSERT_TRUE(rep.scenario);
     EXPECT_GT(rep.units, 0.0);
     EXPECT_GT(rep.energyPerUnit(Policy::NoPG), 0.0);
-    // ReGate must still save energy on a registry-only scenario.
+    // ReGate must still save energy on a spec-only scenario.
     EXPECT_LT(rep.energyPerUnit(Policy::Full),
               rep.energyPerUnit(Policy::NoPG));
 }
 
 TEST(Scenario, RegistryListsTheBuiltinFamilies)
 {
-    auto families = models::GeneratorRegistry::instance().families();
+    std::vector<std::string> families;
+    for (const auto &row : models::familyTable())
+        families.push_back(row.key);
     for (const char *family :
          {"llama-train", "llama-prefill", "llama-decode", "dlrm",
           "diffusion", "moe"}) {
@@ -250,9 +253,10 @@ TEST(Scenario, RegistryListsTheBuiltinFamilies)
                   families.end())
             << family << " is not registered";
     }
+    EXPECT_TRUE(std::is_sorted(families.begin(), families.end()));
     // Unknown families fail by name, listing what exists.
     try {
-        models::GeneratorRegistry::instance().require("quantum");
+        models::familyRow("quantum");
         FAIL() << "expected ConfigError";
     } catch (const ConfigError &e) {
         std::string what = e.what();

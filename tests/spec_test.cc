@@ -347,6 +347,17 @@ TEST(SpecParser, ErrorMessagesExact)
          p + "6: malformed value for 'chips': 0"},
         {a + "batch = 1\nchips = 1,99999999\n",
          p + "6: malformed value for 'chips': 99999999"},
+        {a + "batch = 1\nchips = 1\ndp = 4294967297\n",
+         p + "7: malformed value for 'dp': 4294967297"},
+        {a + "batch = 1\nchips = 1\ntp = 0\n",
+         p + "7: malformed value for 'tp': 0"},
+        {a + "batch = 1\nchips = 1\ndp = 65536\ntp = 65536\npp = 16\n",
+         p + "6: scenario 'a': inconsistent parallelism: chips (1) != "
+             "tp*dp*pp (65536*65536*16 = 68719476736)"},
+        {a + "batch = 1\nchips = 1\ndp = 16777216\ntp = 16777216\n"
+             "pp = 16777216\n",
+         p + "6: scenario 'a': inconsistent parallelism: chips (1) != "
+             "tp*dp*pp (16777216*16777216*16777216 = more than 2^63)"},
         {a + "chips = 1\n",
          p + "2: config error: scenario 'a': batch is required (>= 1; "
              "got 0)"},
@@ -360,6 +371,16 @@ TEST(SpecParser, ErrorMessagesExact)
              "chips = 1\n",
          p + "2: config error: scenario 'a': unknown dlrm model 'a=b' "
              "(want s, m, or l)"},
+        // KV caches no pod can hold: the NPU-D HBM refit names the
+        // chip count instead of overflowing it.
+        {h + "[scenario a]\nfamily = llama-decode\nmodel = 405b\n"
+             "batch = 240000000\nchips = 64\nseq_len = 1000000\n",
+         p + "2: config error: scenario 'a': 1.23926e+20 bytes of model "
+             "state need 1.42929e+09 NPU-D chips (at most 16777216)"},
+        {h + "[scenario a]\nfamily = llama-decode\nmodel = 405b\n"
+             "batch = 1000000000000\nchips = 64\nseq_len = 1000000\n",
+         p + "2: config error: scenario 'a': 5.1636e+23 bytes of model "
+             "state need 5.95539e+12 NPU-D chips (at most 16777216)"},
     };
     for (const auto &[text, message] : cases)
         EXPECT_EQ(errorOf(text), message) << "spec:\n" << text;

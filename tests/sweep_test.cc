@@ -213,7 +213,7 @@ expectRunMatchesSerial(const std::vector<SweepCase> &grid)
 
 TEST(SweepRunner, ParallelBitwiseIdenticalToSerial)
 {
-    // A small paper grid, plus the MoE example spec (registry-only,
+    // A small paper grid, plus the MoE example spec (spec-only,
     // no paper workload).
     auto grid = scenarioGrid(rows({Workload::Prefill8B, Workload::Decode8B,
                                    Workload::DlrmS, Workload::DiTXL}),
