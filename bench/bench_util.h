@@ -184,12 +184,22 @@ traceGridDone(const char *kind, std::uint64_t sweep_start,
 
 }  // namespace detail
 
-/** Run the binary's sweep grid in process, traced under --trace-out. */
+/**
+ * Run the binary's sweep grid in process, traced under --trace-out. A
+ * case that cannot be simulated (a ConfigError) ends the binary with
+ * exit 1 and the message on stderr.
+ */
 inline std::vector<sim::WorkloadReport>
 runGrid(const std::vector<sim::SweepCase> &grid)
 {
     auto sweep_start = obs::TraceRecorder::instance().nowUs();
-    auto results = sweeper().run(grid);
+    std::vector<sim::WorkloadReport> results;
+    try {
+        results = sweeper().run(grid);
+    } catch (const ConfigError &e) {
+        std::cerr << "error: " << e.what() << "\n";
+        std::exit(1);
+    }
     detail::traceGridDone("grid.run", sweep_start, grid.size());
     return results;
 }

@@ -30,7 +30,7 @@ main(int argc, char **argv)
             const auto &rep =
                 bench::reportFor(reports, idx, s, gen);
             const auto &e =
-                rep.run().result(sim::Policy::NoPG).energy;
+                rep.result(sim::Policy::NoPG).energy;
             double total = rep.podTotalEnergy(sim::Policy::NoPG) /
                            rep.setup.chips;
             double busy_scale =

@@ -27,7 +27,7 @@ main(int argc, char **argv)
         const auto &rep = bench::reportFor(
             reports, idx, s, arch::NpuGeneration::D);
         std::vector<std::pair<double, double>> samples;
-        for (const auto &rec : *rep.run().opRecords) {
+        for (const auto &rec : rep.opRecords()) {
             if (rec.sramDemandBytes <= 0)
                 continue;  // Fused ops live inside their producer.
             samples.emplace_back(rec.sramDemandBytes,

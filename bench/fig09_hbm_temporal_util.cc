@@ -20,7 +20,7 @@ main(int argc, char **argv)
         std::vector<std::string> cells = {s->name};
         for (auto gen : bench::paperGenerations()) {
             const auto &rep = bench::reportFor(reports, idx, s, gen);
-            cells.push_back(TablePrinter::pct(rep.run().temporalUtil(arch::Component::Hbm), 1));
+            cells.push_back(TablePrinter::pct(rep.temporalUtil(arch::Component::Hbm), 1));
         }
         t.addRow(cells);
     }

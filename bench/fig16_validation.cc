@@ -96,9 +96,9 @@ main(int argc, char **argv)
     auto second = bench::runGrid(grid);
     for (std::size_t i = 0; i < axis.size(); ++i) {
         std::vector<double> xs, ys;
-        for (const auto &rec : *first[i].run().opRecords)
+        for (const auto &rec : first[i].opRecords())
             xs.push_back(static_cast<double>(rec.duration));
-        for (const auto &rec : *second[i].run().opRecords)
+        for (const auto &rec : second[i].opRecords())
             ys.push_back(static_cast<double>(rec.duration));
         t.addRow({axis[i]->name + " op durations",
                   std::to_string(xs.size()),

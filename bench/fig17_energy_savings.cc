@@ -28,20 +28,19 @@ main(int argc, char **argv)
     for (const auto &s : axis) {
         const auto &rep = bench::reportFor(
             reports, idx, s, arch::NpuGeneration::D);
-        const auto &run = rep.run();
-        double nopg = run.result(Policy::NoPG).energy.busyTotal();
+        double nopg = rep.result(Policy::NoPG).energy.busyTotal();
         auto comp_saving = [&](Component c) {
             double saved =
-                run.result(Policy::NoPG).energy.staticJ[c] -
-                run.result(Policy::Full).energy.staticJ[c];
+                rep.result(Policy::NoPG).energy.staticJ[c] -
+                rep.result(Policy::Full).energy.staticJ[c];
             return TablePrinter::pct(saved / nopg, 1);
         };
-        sum_full += run.savingVsNoPg(Policy::Full);
+        sum_full += rep.savingVsNoPg(Policy::Full);
         t.addRow({s->name,
-                  TablePrinter::pct(run.savingVsNoPg(Policy::Base), 1),
-                  TablePrinter::pct(run.savingVsNoPg(Policy::HW), 1),
-                  TablePrinter::pct(run.savingVsNoPg(Policy::Full), 1),
-                  TablePrinter::pct(run.savingVsNoPg(Policy::Ideal),
+                  TablePrinter::pct(rep.savingVsNoPg(Policy::Base), 1),
+                  TablePrinter::pct(rep.savingVsNoPg(Policy::HW), 1),
+                  TablePrinter::pct(rep.savingVsNoPg(Policy::Full), 1),
+                  TablePrinter::pct(rep.savingVsNoPg(Policy::Ideal),
                                     1),
                   comp_saving(Component::Sa),
                   comp_saving(Component::Vu),

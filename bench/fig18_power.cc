@@ -27,15 +27,15 @@ main(int argc, char **argv)
         const auto &rep = bench::reportFor(
             reports, idx, s, arch::NpuGeneration::D);
         auto avg = [&](Policy p) {
-            return TablePrinter::fmt(rep.run().result(p).avgPowerW, 0);
+            return TablePrinter::fmt(rep.result(p).avgPowerW, 0);
         };
         t.addRow({s->name, avg(Policy::NoPG),
                   avg(Policy::Base), avg(Policy::HW),
                   avg(Policy::Full), avg(Policy::Ideal),
                   TablePrinter::fmt(
-                      rep.run().result(Policy::NoPG).peakPowerW, 0),
+                      rep.result(Policy::NoPG).peakPowerW, 0),
                   TablePrinter::fmt(
-                      rep.run().result(Policy::Full).peakPowerW, 0)});
+                      rep.result(Policy::Full).peakPowerW, 0)});
     }
     t.print(std::cout);
 
@@ -44,8 +44,8 @@ main(int argc, char **argv)
     // redundant warm re-run of identical cases.
     double saved = 0;
     for (const auto &rep : reports) {
-        saved += rep.run().result(Policy::NoPG).peakPowerW -
-                 rep.run().result(Policy::Full).peakPowerW;
+        saved += rep.result(Policy::NoPG).peakPowerW -
+                 rep.result(Policy::Full).peakPowerW;
     }
     saved /= reports.size();
     std::cout << "Average peak-power reduction: "

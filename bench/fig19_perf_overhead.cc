@@ -27,13 +27,13 @@ main(int argc, char **argv)
         const auto &rep = bench::reportFor(
             reports, idx, s, arch::NpuGeneration::D);
         auto pct = [&](Policy p) {
-            return TablePrinter::pct(rep.run().result(p).perfOverhead,
+            return TablePrinter::pct(rep.result(p).perfOverhead,
                                      3);
         };
         worst_base = std::max(
-            worst_base, rep.run().result(Policy::Base).perfOverhead);
+            worst_base, rep.result(Policy::Base).perfOverhead);
         worst_full = std::max(
-            worst_full, rep.run().result(Policy::Full).perfOverhead);
+            worst_full, rep.result(Policy::Full).perfOverhead);
         t.addRow({s->name, pct(Policy::Base),
                   pct(Policy::HW), pct(Policy::Full)});
     }

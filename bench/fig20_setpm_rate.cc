@@ -26,8 +26,8 @@ main(int argc, char **argv)
     for (const auto &s : axis) {
         const auto &rep = bench::reportFor(
             reports, idx, s, arch::NpuGeneration::D);
-        const auto &full = rep.run().result(Policy::Full);
-        double cycles = static_cast<double>(rep.run().cycles);
+        const auto &full = rep.result(Policy::Full);
+        double cycles = static_cast<double>(rep.cycles());
         // Each gated interval needs an off and an on setpm.
         double vu_rate = 2.0 *
                          static_cast<double>(full.vuGateEvents) /

@@ -49,11 +49,11 @@ main(int argc, char **argv)
                           TablePrinter::fmt(s[1], 2) + "/" +
                           TablePrinter::fmt(s[2], 3),
                       TablePrinter::pct(
-                          rep.run().savingVsNoPg(Policy::Base), 1),
+                          rep.savingVsNoPg(Policy::Base), 1),
                       TablePrinter::pct(
-                          rep.run().savingVsNoPg(Policy::HW), 1),
+                          rep.savingVsNoPg(Policy::HW), 1),
                       TablePrinter::pct(
-                          rep.run().savingVsNoPg(Policy::Full), 1)});
+                          rep.savingVsNoPg(Policy::Full), 1)});
         }
         t.print(std::cout);
     }

@@ -42,11 +42,11 @@ main(int argc, char **argv)
         for (double scale : scales) {
             const auto &rep = reports.at(idx++);
             auto sav = [&](Policy p) {
-                return TablePrinter::pct(rep.run().savingVsNoPg(p), 1);
+                return TablePrinter::pct(rep.savingVsNoPg(p), 1);
             };
             auto ovh = [&](Policy p) {
                 return TablePrinter::pct(
-                    rep.run().result(p).perfOverhead, 3);
+                    rep.result(p).perfOverhead, 3);
             };
             t.addRow({TablePrinter::fmt(scale, 1) + "x",
                       sav(Policy::Base), sav(Policy::HW),

@@ -26,7 +26,7 @@ main(int argc, char **argv)
             const auto &rep =
                 bench::reportFor(reports, idx, s, gen);
             auto sav = [&](Policy p) {
-                return TablePrinter::pct(rep.run().savingVsNoPg(p), 1);
+                return TablePrinter::pct(rep.savingVsNoPg(p), 1);
             };
             t.addRow({bench::genLabel(gen), sav(Policy::Base),
                       sav(Policy::HW), sav(Policy::Full),

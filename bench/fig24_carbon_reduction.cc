@@ -35,7 +35,7 @@ main(int argc, char **argv)
                   red(Policy::HW), red(Policy::Full),
                   red(Policy::Ideal),
                   TablePrinter::pct(
-                      rep.run().savingVsNoPg(Policy::Full), 1)});
+                      rep.savingVsNoPg(Policy::Full), 1)});
     }
     t.print(std::cout);
     std::cout << "Paper: 31.1%-62.9% operational carbon reduction "

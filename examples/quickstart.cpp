@@ -36,7 +36,7 @@ main()
               << report.setup.batch << ", "
               << report.setup.par.toString() << ")\n"
               << "Runtime: "
-              << TablePrinter::fmt(report.run().seconds * 1e3, 2)
+              << TablePrinter::fmt(report.seconds() * 1e3, 2)
               << " ms for " << TablePrinter::eng(report.units, 0)
               << " tokens\n\n";
 
@@ -47,9 +47,9 @@ main()
         t.addRow({sim::policyName(p),
                   TablePrinter::fmt(
                       report.energyPerUnit(p) * 1e3, 2),
-                  TablePrinter::pct(report.run().savingVsNoPg(p), 1),
-                  TablePrinter::fmt(report.run().result(p).avgPowerW, 0),
-                  TablePrinter::pct(report.run().result(p).perfOverhead,
+                  TablePrinter::pct(report.savingVsNoPg(p), 1),
+                  TablePrinter::fmt(report.result(p).avgPowerW, 0),
+                  TablePrinter::pct(report.result(p).perfOverhead,
                                     2)});
     }
     t.print(std::cout);
@@ -60,11 +60,11 @@ main()
         if (c == arch::Component::Other)
             continue;
         std::cout << arch::componentName(c) << "="
-                  << TablePrinter::pct(report.run().temporalUtil(c), 0)
+                  << TablePrinter::pct(report.temporalUtil(c), 0)
                   << " ";
     }
     std::cout << "\nSA spatial utilization: "
-              << TablePrinter::pct(report.run().saSpatialUtil(), 0)
+              << TablePrinter::pct(report.saSpatialUtil(), 0)
               << "\n";
     return 0;
 }

@@ -41,7 +41,7 @@ analyzeLifespan(const sim::WorkloadReport &rep, sim::Policy policy,
     REGATE_CHECK(horizon_years >= 1, "empty horizon");
 
     // Work delivered per year by the pod at the configured duty cycle.
-    double run_seconds = rep.run().result(policy).seconds;
+    double run_seconds = rep.result(policy).seconds;
     double runs_per_year = 365.25 * 86400.0 *
                            params.fleet.dutyCycle / run_seconds;
     double units_per_year = runs_per_year * rep.units;

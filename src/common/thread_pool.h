@@ -89,13 +89,12 @@ class ThreadPool
     }
 
     /**
-     * Worker count an argument of 0 resolves to: REGATE_THREADS when
-     * its whole value is a positive count that fits an unsigned,
-     * otherwise (a sign, a trailing character, overflow, zero) the
-     * hardware concurrency.
+     * REGATE_THREADS when its whole value is a positive count that
+     * fits an unsigned; 0 when it is unset or anything else (a sign, a
+     * trailing character, overflow, zero).
      */
     static unsigned
-    defaultThreadCount()
+    envThreadCount()
     {
         if (const char *env = std::getenv("REGATE_THREADS")) {
             const char *end = env + std::strlen(env);
@@ -104,6 +103,18 @@ class ThreadPool
             if (ec == std::errc() && stop == end && n > 0)
                 return n;
         }
+        return 0;
+    }
+
+    /**
+     * Worker count an argument of 0 resolves to: envThreadCount() when
+     * set, otherwise the hardware concurrency.
+     */
+    static unsigned
+    defaultThreadCount()
+    {
+        if (unsigned n = envThreadCount())
+            return n;
         unsigned hw = std::thread::hardware_concurrency();
         return hw > 0 ? hw : 1;
     }

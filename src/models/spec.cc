@@ -98,18 +98,26 @@ parseIntValues(string_view key, string_view text,
         if (op == '*' && step <= 1)
             fail(source, line, "bad distribution for '" + str(key) +
                  "': geometric step must be > 1");
+        if (op == '*' && lo < 1)
+            fail(source, line, "bad distribution for '" + str(key) +
+                 "': geometric lower bound must be >= 1");
         if (op == '+' && step <= 0)
             fail(source, line, "bad distribution for '" + str(key) +
                  "': arithmetic step must be > 0");
-        for (std::int64_t v = lo; v <= hi;
-             v = op == '*' ? v * step : v + step) {
+        for (std::int64_t v = lo;;) {
             out.push_back(v);
             if (out.size() > kMaxScenarios)
                 fail(source, line, "distribution for '" + str(key) +
                      "' expands to more than " +
                      std::to_string(kMaxScenarios) + " values");
-            if (op == '*' && v > hi / step)
-                break;  // Next multiply would overflow past hi.
+            // Stop before the next value would pass hi (or overflow);
+            // hi - v, taken unsigned, is exact for any v <= hi.
+            if (op == '*' ? v > hi / step
+                          : static_cast<std::uint64_t>(hi) -
+                                    static_cast<std::uint64_t>(v) <
+                                static_cast<std::uint64_t>(step))
+                break;
+            v = op == '*' ? v * step : v + step;
         }
         return out;
     }

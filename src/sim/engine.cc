@@ -49,10 +49,20 @@ policyName(Policy p)
     throw LogicError("unknown Policy");
 }
 
+double
+savingVs(const PolicyResult &nopg, const PolicyResult &p)
+{
+    double base = nopg.energy.busyTotal();
+    return base > 0 ? 1.0 - p.energy.busyTotal() / base : 0.0;
+}
+
 const PolicyResult &
 WorkloadRun::result(Policy p) const
 {
-    return policies[static_cast<std::size_t>(p)];
+    const PolicyResult &res = policies[static_cast<std::size_t>(p)];
+    REGATE_ASSERT(res.policy == p, policyName(p),
+                  " was not evaluated on this run");
+    return res;
 }
 
 double
@@ -64,8 +74,7 @@ WorkloadRun::temporalUtil(arch::Component c) const
 double
 WorkloadRun::savingVsNoPg(Policy p) const
 {
-    double base = result(Policy::NoPG).energy.busyTotal();
-    return base > 0 ? 1.0 - result(p).energy.busyTotal() / base : 0.0;
+    return savingVs(result(Policy::NoPG), result(p));
 }
 
 Engine::Engine(const arch::NpuConfig &cfg,
@@ -96,8 +105,7 @@ Engine::execute(const graph::OperatorGraph &graph, int pod_chips) const
         num_ops += block.ops.size();
         max_block_ops = std::max(max_block_ops, block.ops.size());
     }
-    auto records = std::make_shared<std::vector<OpRecord>>();
-    records->reserve(num_ops);
+    run.opRecords.reserve(num_ops);
     // One block's operator executions, simulated before the block is
     // composed so that its usage lists are sized exactly, once.
     std::vector<OpExecution> exs;
@@ -174,7 +182,7 @@ Engine::execute(const graph::OperatorGraph &graph, int pod_chips) const
             prev_used_bytes = used_bytes;
             have_prev_used = true;
 
-            OpRecord &rec = records->emplace_back();
+            OpRecord &rec = run.opRecords.emplace_back();
             rec.count = block.repeat;
             rec.duration = ex.duration;
             rec.sramDemandBytes = block.ops[i].sramDemandBytes;
@@ -207,34 +215,36 @@ Engine::execute(const graph::OperatorGraph &graph, int pod_chips) const
             .sramSetpmPairs += sram_resizes * block.repeat;
     }
     run.seconds = static_cast<double>(run.cycles) * cfg_.cycleTime();
-    run.opRecords = std::move(records);
     // Neither reads a gating parameter, and neither has a wake-up
     // overhead (wakeOverheads charges Base/HW/Full only).
-    evaluatePolicy(run, Policy::NoPG, 0);
-    evaluatePolicy(run, Policy::Ideal, 0);
+    for (auto p : {Policy::NoPG, Policy::Ideal})
+        evaluatePolicy(run, p, 0, run.policies[static_cast<std::size_t>(p)]);
     return exec;
 }
 
-WorkloadRun
-Engine::evaluate(const Execution &ex) const
-{
-    return evaluateGated(ex.run, ex.blocks);
-}
-
-WorkloadRun
-Engine::evaluate(Execution &&ex) const
-{
-    return evaluateGated(std::move(ex.run), ex.blocks);
-}
-
-WorkloadRun
-Engine::evaluateGated(WorkloadRun run,
+GatedResults
+Engine::evaluateGated(const WorkloadRun &run,
                       const std::vector<Execution::Block> &blocks) const
 {
     auto overheads = wakeOverheads(blocks);
-    for (auto p : {Policy::Base, Policy::HW, Policy::Full})
-        evaluatePolicy(run, p, overheads[static_cast<std::size_t>(p)]);
-    return run;
+    GatedResults out;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        auto slot = static_cast<std::size_t>(kGatedPolicies[i]);
+        // Full's slot carries the execution's SRAM setpm pairs.
+        out[i] = run.policies[slot];
+        evaluatePolicy(run, kGatedPolicies[i], overheads[slot], out[i]);
+    }
+    return out;
+}
+
+WorkloadRun
+Engine::evaluate(Execution ex) const
+{
+    auto gated = evaluateGated(ex.run, ex.blocks);
+    for (std::size_t i = 0; i < gated.size(); ++i)
+        ex.run.policies[static_cast<std::size_t>(kGatedPolicies[i])] =
+            gated[i];
+    return std::move(ex.run);
 }
 
 std::array<Cycles, kNumPolicies>
@@ -329,10 +339,9 @@ Engine::wakeOverheads(const std::vector<Execution::Block> &blocks) const
 }
 
 void
-Engine::evaluatePolicy(WorkloadRun &run, Policy policy,
-                       Cycles overhead) const
+Engine::evaluatePolicy(const WorkloadRun &run, Policy policy,
+                       Cycles overhead, PolicyResult &res) const
 {
-    auto &res = run.policies[static_cast<std::size_t>(policy)];
     res.policy = policy;
     const double tau = cfg_.cycleTime();
     const auto &ratios = params_.ratios();
@@ -485,7 +494,7 @@ Engine::evaluatePolicy(WorkloadRun &run, Policy policy,
     const double p_sram = power_.staticPower(Component::Sram);
     const double p_other = power_.staticPower(Component::Other);
     double peak = 0;
-    for (const auto &rec : *run.opRecords) {
+    for (const auto &rec : run.opRecords) {
         double dur_s = static_cast<double>(rec.duration) * tau;
         double p_static = 0;
         for (std::size_t i = 0; i < kGated.size(); ++i) {

@@ -20,7 +20,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -75,10 +74,20 @@ struct PolicyResult
     std::uint64_t sramSetpmPairs = 0; ///< SRAM resize setpm pairs.
 };
 
+/** The policies whose evaluation reads the gating params. */
+constexpr std::array<Policy, 3> kGatedPolicies = {Policy::Base, Policy::HW,
+                                                  Policy::Full};
+
+/** One result per kGatedPolicies entry, in its order. */
+using GatedResults = std::array<PolicyResult, kGatedPolicies.size()>;
+
+/** Fractional busy-energy saving of @p p relative to @p nopg. */
+double savingVs(const PolicyResult &nopg, const PolicyResult &p);
+
 /**
- * One workload execution with all policies evaluated. Names of the
- * graph and its operators stay in the graph: opRecords[i] is its i-th
- * operator in block order.
+ * One workload execution and its policy results. Names of the graph
+ * and its operators stay in the graph: opRecords[i] is its i-th
+ * operator in block order. A slot never evaluated keeps policy NoPG.
  */
 struct WorkloadRun
 {
@@ -88,14 +97,11 @@ struct WorkloadRun
     energy::WorkCounters work;
     sa::SaTileStats saStats;
     double sramUsedIntegral = 0;  ///< Sum over time of used fraction.
-    /**
-     * One record per operator of the executed graph, in block order
-     * (see OpRecord). Built once per execution and immutable, so every
-     * run evaluated from one execution shares the same array.
-     */
-    std::shared_ptr<const std::vector<OpRecord>> opRecords;
+    /** One record per operator of the executed graph, in block order. */
+    std::vector<OpRecord> opRecords;
     std::array<PolicyResult, kNumPolicies> policies;
 
+    /** @p p's result; a LogicError if @p p was never evaluated. */
     const PolicyResult &result(Policy p) const;
 
     /** Fig. 4/6/8/9 metric. */
@@ -111,13 +117,15 @@ struct WorkloadRun
 /**
  * A graph's execution: everything of a run that no GatingParams value
  * changes. `run` holds the timelines, the op records (one per graph
- * operator, in block order, shared by every run evaluated from this
- * execution), work/SA/SRAM totals, ReGate-Full's SRAM setpm pairs and
- * the NoPG and Ideal results, which read no gating parameter (NoPG gates
- * nothing, Ideal gates every idle cycle for free: no overhead, leak
- * factors fixed at 1 and 0). Base/HW/Full stay unevaluated; `blocks`
- * keeps what their wake-up overheads are charged from. One execution
- * can be evaluated under any number of gating params.
+ * operator, in block order), work/SA/SRAM totals, ReGate-Full's SRAM
+ * setpm pairs (in its otherwise unevaluated slot) and the NoPG and
+ * Ideal results, which read no gating parameter (NoPG gates nothing,
+ * Ideal gates every idle cycle for free: no overhead, leak factors
+ * fixed at 1 and 0). Base/HW/Full stay unevaluated, so reading them off
+ * `run` is a LogicError; `blocks` keeps what their wake-up overheads
+ * are charged from. One execution can be evaluated under any number of
+ * gating params (Engine::evaluateGated) without copying `run`, and
+ * reports share `run` alone: the blocks die with the execution.
  */
 struct Execution
 {
@@ -153,7 +161,8 @@ class Engine
     /**
      * Run a compiled graph on one chip of a @p pod_chips pod.
      * @p graph must already be compiled (fusion + tiling annotations).
-     * Equal to evaluate(execute(graph, pod_chips)).
+     * Equal to evaluate(execute(graph, pod_chips)): every policy
+     * evaluated.
      */
     WorkloadRun run(const graph::OperatorGraph &graph,
                     int pod_chips) const;
@@ -166,13 +175,16 @@ class Engine
                       int pod_chips) const;
 
     /**
-     * Charge the wake-up overheads and evaluate ReGate-Base/HW/Full
-     * under this engine's gating params; NoPG and Ideal come from
-     * @p ex. A copy shares @p ex's op records; the rvalue overload
-     * moves the run out of @p ex instead of copying it.
+     * Charge the wake-up overheads of @p blocks and evaluate
+     * ReGate-Base/HW/Full over @p run (an Execution's) under this
+     * engine's gating params, leaving @p run as it is.
      */
-    WorkloadRun evaluate(const Execution &ex) const;
-    WorkloadRun evaluate(Execution &&ex) const;
+    GatedResults evaluateGated(
+        const WorkloadRun &run,
+        const std::vector<Execution::Block> &blocks) const;
+
+    /** @p ex's run with Base/HW/Full evaluated into it (Engine::run). */
+    WorkloadRun evaluate(Execution ex) const;
 
     /** A no-op, kept only for its caller in perfbench/layer_trace.cc. */
     void setMemoization(bool) {}
@@ -186,14 +198,13 @@ class Engine
     std::array<Cycles, kNumPolicies> wakeOverheads(
         const std::vector<Execution::Block> &blocks) const;
 
-    /** Evaluate @p policy, which adds @p overhead wake-up cycles. */
-    void evaluatePolicy(WorkloadRun &run, Policy policy,
-                        Cycles overhead) const;
-
-    /** evaluate()'s shared tail: Base/HW/Full on @p run. */
-    WorkloadRun evaluateGated(WorkloadRun run,
-                              const std::vector<Execution::Block>
-                                  &blocks) const;
+    /**
+     * Evaluate @p policy over @p run into @p res, adding @p overhead
+     * wake-up cycles. Reads no policy result of @p run, so @p res may
+     * be one of its slots.
+     */
+    void evaluatePolicy(const WorkloadRun &run, Policy policy,
+                        Cycles overhead, PolicyResult &res) const;
 
     const arch::NpuConfig &cfg_;
     arch::GatingParams params_;

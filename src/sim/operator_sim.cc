@@ -64,8 +64,10 @@ OperatorSimulator::simulate(const graph::Operator &op) const
         Cycles serial = ex.saStats.computeCycles;
         ex.active[Component::Sa] =
             serial / cfg_.numSa +
-            sa::analyzeTile(1, std::min<int>(op.k, cfg_.saWidth), 1,
-                            cfg_.saWidth)
+            sa::analyzeTile(1,
+                            static_cast<int>(std::min<std::int64_t>(
+                                op.k, cfg_.saWidth)),
+                            1, cfg_.saWidth)
                 .weightLoadCycles;
         ex.work.macs = ex.saStats.macs;
         // The VUs drain/accumulate SA outputs (Fig. 15).

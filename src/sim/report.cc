@@ -41,18 +41,35 @@ idleStaticPower(const energy::PowerModel &power,
 }
 
 const WorkloadRun &
-WorkloadReport::run() const
+WorkloadReport::execution() const
 {
-    // A default-constructed report (no simulation attached yet) reads
-    // as an empty run rather than dereferencing null.
-    static const WorkloadRun kEmptyRun;
-    return run_ ? *run_ : kEmptyRun;
+    REGATE_ASSERT(run_, "report has no simulation");
+    return *run_;
+}
+
+const PolicyResult &
+WorkloadReport::result(Policy p) const
+{
+    if (p == Policy::NoPG || p == Policy::Ideal)
+        return execution().result(p);
+    const PolicyResult &res =
+        gated_[static_cast<std::size_t>(p) -
+               static_cast<std::size_t>(Policy::Base)];
+    REGATE_ASSERT(res.policy == p, policyName(p),
+                  " was not evaluated on this report");
+    return res;
+}
+
+double
+WorkloadReport::savingVsNoPg(Policy p) const
+{
+    return savingVs(result(Policy::NoPG), result(p));
 }
 
 double
 WorkloadReport::podBusyEnergy(Policy p) const
 {
-    return run().result(p).energy.busyTotal() * setup.chips;
+    return result(p).energy.busyTotal() * setup.chips;
 }
 
 double
@@ -60,7 +77,7 @@ WorkloadReport::idleSeconds(Policy p, const FleetParams &fleet) const
 {
     REGATE_CHECK(fleet.dutyCycle > 0 && fleet.dutyCycle <= 1,
                  "duty cycle out of (0, 1]: ", fleet.dutyCycle);
-    return run().result(p).seconds * (1.0 - fleet.dutyCycle) /
+    return result(p).seconds * (1.0 - fleet.dutyCycle) /
            fleet.dutyCycle;
 }
 
@@ -116,14 +133,17 @@ executeCase(const models::ScenarioSpec &spec, arch::NpuGeneration gen,
 WorkloadReport
 makeReport(std::shared_ptr<const models::ScenarioSpec> spec,
            arch::NpuGeneration gen, const models::RunSetup &setup,
-           const arch::GatingParams &params, WorkloadRun run)
+           const arch::GatingParams &params,
+           std::shared_ptr<const WorkloadRun> run,
+           const GatedResults &gated)
 {
     WorkloadReport rep;
     rep.scenario = std::move(spec);
     rep.gen = gen;
     rep.setup = setup;
     rep.units = models::scenarioUnitsPerRun(*rep.scenario, setup);
-    rep.run_ = std::make_shared<const WorkloadRun>(std::move(run));
+    rep.run_ = std::move(run);
+    rep.gated_ = gated;
     rep.params_ = params;
     return rep;
 }
@@ -139,9 +159,12 @@ simulateScenario(std::shared_ptr<const models::ScenarioSpec> spec,
                      ? *setup_override
                      : models::defaultScenarioSetup(*spec, gen);
     auto ex = executeCase(*spec, gen, setup);
+    auto run = std::make_shared<const WorkloadRun>(std::move(ex.run));
     obs::TraceRecorder::Span span("engine.evaluate", "sim");
-    auto run = Engine(arch::npuConfig(gen), params).evaluate(std::move(ex));
-    return makeReport(std::move(spec), gen, setup, params, std::move(run));
+    auto gated =
+        Engine(arch::npuConfig(gen), params).evaluateGated(*run, ex.blocks);
+    return makeReport(std::move(spec), gen, setup, params, std::move(run),
+                      gated);
 }
 
 void

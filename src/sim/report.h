@@ -8,7 +8,10 @@
  * its graph from scratch; nothing is kept between calls. executeCase
  * and makeReport are the two halves of one simulation, for a caller
  * that evaluates one execution under several gating params
- * (SweepRunner::run).
+ * (SweepRunner::run, the SLO search): a report shares its execution's
+ * run (timelines, totals, op records, NoPG and Ideal) with every other
+ * report of that execution and owns only its own ReGate-Base/HW/Full
+ * results, so a gating variant costs one evaluation and no copy.
  */
 
 #ifndef REGATE_SIM_REPORT_H
@@ -46,11 +49,36 @@ struct WorkloadReport
     double units = 0;  ///< Work units per run (tokens, images, ...).
 
     /**
-     * The simulated run. Copies of a report share one immutable run
-     * (SLO searches and sweeps copy reports freely). A
-     * default-constructed report reads as an empty run.
+     * The shared execution this report was evaluated from. Its
+     * Base/HW/Full slots are unevaluated (reading them is a
+     * LogicError); result() reads this report's own. A LogicError on a
+     * report that was never simulated.
      */
-    const WorkloadRun &run() const;
+    const WorkloadRun &execution() const;
+
+    /** @p p's result: NoPG/Ideal from the execution, the rest own. */
+    const PolicyResult &result(Policy p) const;
+
+    /** Fractional energy saving of @p p vs NoPG. */
+    double savingVsNoPg(Policy p) const;
+
+    Cycles cycles() const { return execution().cycles; }
+    double seconds() const { return execution().seconds; }
+
+    /** Fig. 4/6/8/9 metric. */
+    double temporalUtil(arch::Component c) const
+    {
+        return execution().temporalUtil(c);
+    }
+
+    /** Fig. 5 metric. */
+    double saSpatialUtil() const { return execution().saSpatialUtil(); }
+
+    /** One record per graph operator, in block order (OpRecord). */
+    const std::vector<OpRecord> &opRecords() const
+    {
+        return execution().opRecords;
+    }
 
     /** Busy energy per run across the whole pod, joules. */
     double podBusyEnergy(Policy p) const;
@@ -82,8 +110,9 @@ struct WorkloadReport
     friend WorkloadReport makeReport(
         std::shared_ptr<const models::ScenarioSpec>, arch::NpuGeneration,
         const models::RunSetup &, const arch::GatingParams &,
-        WorkloadRun);
+        std::shared_ptr<const WorkloadRun>, const GatedResults &);
     std::shared_ptr<const WorkloadRun> run_;
+    GatedResults gated_;
     arch::GatingParams params_;
 };
 
@@ -101,18 +130,24 @@ WorkloadReport simulateScenario(
 /**
  * Build and compile the graph of @p spec with @p setup for @p gen, and
  * execute it: the part of a simulation that no gating parameter
- * changes.
+ * changes. Move its run into a shared pointer to give it to reports.
  */
 Execution executeCase(const models::ScenarioSpec &spec,
                       arch::NpuGeneration gen,
                       const models::RunSetup &setup);
 
-/** The report of @p spec whose @p run was evaluated under @p params. */
+/**
+ * The report of @p spec over the executed @p run, whose Base/HW/Full
+ * evaluation under @p params is @p gated (Engine::evaluateGated). A
+ * report whose @p gated was never evaluated (default slots) reads only
+ * NoPG and Ideal; the others are a LogicError.
+ */
 WorkloadReport makeReport(std::shared_ptr<const models::ScenarioSpec> spec,
                           arch::NpuGeneration gen,
                           const models::RunSetup &setup,
                           const arch::GatingParams &params,
-                          WorkloadRun run);
+                          std::shared_ptr<const WorkloadRun> run,
+                          const GatedResults &gated);
 
 /** Idle power of a jobless chip under a policy (used by Fig. 24). */
 double idleStaticPower(const energy::PowerModel &power,

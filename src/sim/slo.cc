@@ -44,12 +44,22 @@ candidateSetups(const models::ScenarioSpec &spec,
 
 namespace {
 
-using ExecutionPtr = std::shared_ptr<const Execution>;
+/**
+ * A candidate's execution, split so that reports can share its run
+ * without keeping its blocks alive.
+ */
+struct Executed
+{
+    std::shared_ptr<const WorkloadRun> run;
+    std::vector<Execution::Block> blocks;
+};
+
+using ExecutionPtr = std::shared_ptr<const Executed>;
 
 double
 secondsPerUnit(const WorkloadReport &rep)
 {
-    return rep.run().result(Policy::NoPG).seconds / rep.units;
+    return rep.result(Policy::NoPG).seconds / rep.units;
 }
 
 /**
@@ -136,16 +146,14 @@ Candidate<ExecutionPtr>
 executeCandidate(const SweepCase &c, arch::NpuGeneration gen,
                  const models::RunSetup &setup)
 {
-    auto ex = std::make_shared<const Execution>(
-        executeCase(*c.scenario, gen, setup));
-    // The selection reads only the NoPG result, so a report over a run
-    // that holds nothing but the policy results measures a candidate
-    // with WorkloadReport's own arithmetic, without copying the run.
-    WorkloadRun results;
-    results.policies = ex->run.policies;
-    return measured(makeReport(c.scenario, gen, setup, {},
-                               std::move(results)),
-                    std::move(ex));
+    Execution ex = executeCase(*c.scenario, gen, setup);
+    auto run = std::make_shared<const WorkloadRun>(std::move(ex.run));
+    // The selection reads only the NoPG result, so a report with no
+    // gated results measures a candidate with WorkloadReport's own
+    // arithmetic.
+    auto rep = makeReport(c.scenario, gen, setup, {}, run, {});
+    return measured(rep, std::make_shared<const Executed>(Executed{
+                             std::move(run), std::move(ex.blocks)}));
 }
 
 /** The SLO anchor: @p c's NPU-D default setup, executed. */
@@ -189,8 +197,9 @@ evaluateWinner(const Selector<ExecutionPtr> &sel, const SweepCase &c)
     const auto &winner = sel.winner();
     obs::TraceRecorder::Span span("engine.evaluate", "sim");
     Engine engine(arch::npuConfig(c.gen), c.params);
-    return sel.result(makeReport(c.scenario, c.gen, winner.setup,
-                                 c.params, engine.evaluate(*winner.run)));
+    return sel.result(makeReport(
+        c.scenario, c.gen, winner.setup, c.params, winner.run->run,
+        engine.evaluateGated(*winner.run->run, winner.run->blocks)));
 }
 
 /** The search of one case; a ConfigError propagates. */

@@ -76,10 +76,11 @@ SloResult findBestSetupSerial(
  * cases on that generation, keeping only the running best and fastest
  * execution; the selection reads only NoPG, which no gating parameter
  * changes. ReGate-Base/HW/Full are evaluated on each case's winner
- * alone, under that case's params. The results are bitwise those of
- * findBestSetupSerial. A ConfigError is recorded in SloResult::error
- * of every case it stops: the anchor's stops them all, a
- * generation's stops that generation's cases.
+ * alone, under that case's params; the cases that share a winner
+ * share its run (WorkloadReport::execution()). The results are
+ * bitwise those of findBestSetupSerial. A ConfigError is recorded in
+ * SloResult::error of every case it stops: the anchor's stops them
+ * all, a generation's stops that generation's cases.
  */
 std::vector<SloResult> searchSameIdentity(
     const std::vector<const SweepCase *> &cases);

@@ -4,6 +4,7 @@
 #include <compare>
 #include <numeric>
 #include <tuple>
+#include <utility>
 
 #include "common/error.h"
 #include "models/registry.h"
@@ -163,6 +164,29 @@ scenarioGrid(
     return grid;
 }
 
+SweepRunner::SweepRunner(unsigned threads)
+    : threads_(threads ? threads : ThreadPool::envThreadCount()),
+      automatic_(threads_ == 0)
+{
+    if (automatic_)
+        threads_ = ThreadPool::defaultThreadCount();
+}
+
+template <typename Fn>
+void
+SweepRunner::forEachGroup(std::size_t groups, std::size_t cases, Fn &&fn)
+{
+    if (automatic_ && cases < kMinParallelCases) {
+        for (std::size_t g = 0; g < groups; ++g)
+            fn(g);
+        return;
+    }
+    std::call_once(poolStarted_, [this] {
+        pool_ = std::make_unique<ThreadPool>(threads_);
+    });
+    parallelFor(*pool_, groups, std::forward<Fn>(fn));
+}
+
 std::vector<WorkloadReport>
 SweepRunner::run(const std::vector<SweepCase> &cases)
 {
@@ -178,23 +202,22 @@ SweepRunner::run(const std::vector<SweepCase> &cases)
         });
 
     // One task per group: build, compile and execute once, then
-    // evaluate every case under its own gating params. The last case
-    // takes the execution's run instead of a copy.
+    // evaluate every case under its own gating params. Every report of
+    // the group shares the one run; the blocks die with the task.
     std::vector<WorkloadReport> out(cases.size());
-    parallelFor(pool_, group_start.size() - 1, [&](std::size_t g) {
+    forEachGroup(group_start.size() - 1, cases.size(), [&](std::size_t g) {
         std::size_t first = group_start[g];
         std::size_t last = group_start[g + 1];
         const ExecutionKey &key = keys[order[first]];
         Execution ex = executeCase(*key.spec, key.gen, key.setup);
+        auto run = std::make_shared<const WorkloadRun>(std::move(ex.run));
         const auto &cfg = arch::npuConfig(key.gen);
         for (std::size_t m = first; m < last; ++m) {
             const SweepCase &c = cases[order[m]];
             obs::TraceRecorder::Span span("engine.evaluate", "sim");
-            Engine engine(cfg, c.params);
             out[order[m]] = makeReport(
-                c.scenario, c.gen, key.setup, c.params,
-                m + 1 < last ? engine.evaluate(ex)
-                             : engine.evaluate(std::move(ex)));
+                c.scenario, c.gen, key.setup, c.params, run,
+                Engine(cfg, c.params).evaluateGated(*run, ex.blocks));
         }
     });
     return out;
@@ -211,7 +234,7 @@ SweepRunner::search(const std::vector<SweepCase> &cases)
             return identityBefore(cases[a], cases[b]);
         });
     std::vector<SloResult> out(cases.size());
-    parallelFor(pool_, group_start.size() - 1, [&](std::size_t g) {
+    forEachGroup(group_start.size() - 1, cases.size(), [&](std::size_t g) {
         std::vector<const SweepCase *> group;
         for (std::size_t m = group_start[g]; m < group_start[g + 1]; ++m)
             group.push_back(&cases[order[m]]);

@@ -8,17 +8,23 @@
  * or a user spec alike. run() groups the points that build the same
  * graph on the same generation and setup (gating params aside),
  * executes each group once and evaluates that execution under every
- * point's own gating params. search() groups the points of one
- * scenario identity and runs one SLO search over each group
- * (searchSameIdentity). Groups share nothing, so the results are
- * bitwise identical to the serial path, which simulates every point
- * from scratch.
+ * point's own gating params; the group's reports share its one run
+ * and each owns only its ReGate-Base/HW/Full results, so a gating
+ * variant costs one evaluation and no copy of the run. search()
+ * groups the points of one scenario identity and runs one SLO search
+ * over each group (searchSameIdentity). Groups share nothing, so the
+ * results are bitwise identical to the serial path, which simulates
+ * every point from scratch. Unless told a worker count, the runner
+ * keeps a small sweep (SweepRunner::kMinParallelCases) on the calling
+ * thread.
  */
 
 #ifndef REGATE_SIM_SWEEP_H
 #define REGATE_SIM_SWEEP_H
 
+#include <cstddef>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -73,19 +79,43 @@ std::vector<SweepCase> scenarioGrid(
     const std::vector<arch::NpuGeneration> &gens,
     const arch::GatingParams &params = {});
 
-/** The runner. One instance owns one worker pool and can be reused. */
+/**
+ * The runner. One instance owns one worker pool, started by its first
+ * parallel sweep, and can be reused.
+ */
 class SweepRunner
 {
   public:
-    /** @param threads 0 = REGATE_THREADS env or hardware concurrency. */
-    explicit SweepRunner(unsigned threads = 0) : pool_(threads) {}
+    /**
+     * A runner whose worker count is not given (0 here and
+     * REGATE_THREADS unset) runs sweeps of fewer than this many cases
+     * on the calling thread. The paper's grids have at most 68 cases,
+     * a few milliseconds of work: on 4 cores, running them there
+     * rather than on four workers cut the CPU time of the 22 figure
+     * binaries by about a quarter, and made the peak RSS the kernel
+     * reports for each repeatable (with workers it moved from run to
+     * run in 128 KiB steps). Spec sweeps of thousands of cases stay
+     * parallel.
+     */
+    static constexpr std::size_t kMinParallelCases = 256;
+
+    /**
+     * @param threads  Worker count of a parallel sweep; 0 =
+     *                 REGATE_THREADS, or else the hardware concurrency
+     *                 for sweeps of at least kMinParallelCases cases
+     *                 and the calling thread for smaller ones. A
+     *                 given count is used for every sweep.
+     */
+    explicit SweepRunner(unsigned threads = 0);
 
     /**
      * Simulate every case; results are index-aligned with @p cases. A
      * case without a scenario is a LogicError naming its index.
      * Cases that build the same graph on the same generation and
-     * resolved setup share one execution and differ only in its
-     * evaluation (their gating params) and in their report identity.
+     * resolved setup share one execution, whose run their reports
+     * point at (WorkloadReport::execution() is one object), and
+     * differ only in its evaluation (their gating params) and in
+     * their report identity.
      */
     std::vector<WorkloadReport> run(const std::vector<SweepCase> &cases);
 
@@ -105,10 +135,23 @@ class SweepRunner
     static std::vector<WorkloadReport> runSerial(
         const std::vector<SweepCase> &cases);
 
-    unsigned threadCount() const { return pool_.threadCount(); }
+    /** Worker count of a parallel sweep. */
+    unsigned threadCount() const { return threads_; }
 
   private:
-    ThreadPool pool_;
+    /**
+     * Call @p fn(g) for every group g in [0, @p groups) of a sweep of
+     * @p cases cases, on the pool or, for a small sweep of an
+     * automatic runner, in order on the calling thread; parallelFor's
+     * error contract either way.
+     */
+    template <typename Fn>
+    void forEachGroup(std::size_t groups, std::size_t cases, Fn &&fn);
+
+    unsigned threads_;
+    bool automatic_;  ///< No worker count given.
+    std::once_flag poolStarted_;
+    std::unique_ptr<ThreadPool> pool_;
 };
 
 // Kept only because perfbench/layer_trace.cc calls it; it goes when

@@ -35,7 +35,7 @@ TEST(Carbon, ReductionExceedsBusySavings)
     // energy savings because idle chips are almost pure static power.
     auto rep = sim::simulateScenario(builtinScenario(Workload::Prefill405B),
                                      NpuGeneration::D);
-    double busy_saving = rep.run().savingVsNoPg(Policy::Full);
+    double busy_saving = rep.savingVsNoPg(Policy::Full);
     double carbon_red =
         operationalCarbonReduction(rep, Policy::Full);
     EXPECT_GT(carbon_red, busy_saving);

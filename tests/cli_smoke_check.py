@@ -35,7 +35,12 @@ Checks:
     without --spec paper_suite.spec: its 68 SLO searches execute each
     distinct candidate once and evaluate only the winners; scenarios
     that differ only in gating keys add evaluations to fig02 but no
-    executions.
+    executions;
+13. every grid binary exits 0 on a llama-prefill spec whose seq_len
+    does not fit in 32 bits;
+14. the grid binaries that simulate the spec of check 9 on NPU-A
+    (fig03-fig06, fig08, fig09, fig23) exit 1 with its ConfigError on
+    stderr, and the others besides fig02 exit 0.
 """
 
 import argparse
@@ -122,6 +127,24 @@ experts = 16
 batch = 1
 chips = 1
 """
+
+# A GEMM reduction dimension of 2^31: simulated in 64 bits, not
+# truncated to a negative tile size.
+SEQ_LEN_2_31_SPEC = """@regate-spec v1
+[scenario prefill-seq-2-31]
+family = llama-prefill
+model = 8b
+batch = 8
+chips = 8
+seq_len = 2147483648
+"""
+
+# The grid binaries that simulate NO_CANDIDATE_ON_A_SPEC's default
+# setup on NPU-A, where it has more replicas than its batch.
+RUN_ON_A = ("fig03_energy_breakdown", "fig04_sa_temporal_util",
+            "fig05_sa_spatial_util", "fig06_vu_temporal_util",
+            "fig08_ici_temporal_util", "fig09_hbm_temporal_util",
+            "fig23_generations")
 
 # Gating values outside what the model represents, each with the
 # message validation gives for it.
@@ -270,6 +293,27 @@ def check_all(binary, suite_spec, specs, trace_check):
            and all(cells.get(g, "error") != "error" for g in "BCD"),
            f"fig02 --spec {spec.name}: want an error row for A, B..D "
            "rendered, exit 1", proc)
+
+    for name in GRID:
+        if name == "fig02_energy_efficiency":
+            continue  # Its error row is checked above.
+        proc = run([binary(name), "--spec", spec])
+        if name in RUN_ON_A:
+            expect(proc.returncode == 1
+                   and b"error: " in proc.stderr
+                   and b"too small for dp=2" in proc.stderr,
+                   f"{name} --spec {spec.name}: want exit 1 with the "
+                   "ConfigError on stderr", proc)
+        else:
+            expect(proc.returncode == 0,
+                   f"{name} --spec {spec.name}: want exit 0", proc)
+
+    spec = Path(workdir) / "seq_len_2_31.spec"
+    spec.write_text(SEQ_LEN_2_31_SPEC)
+    for name in GRID:
+        proc = run([binary(name), "--spec", spec])
+        expect(proc.returncode == 0 and proc.stdout,
+               f"{name} --spec {spec.name}: want exit 0", proc)
 
     gating_spec = suite_spec.parent / "gating_overrides.spec"
     for name in ("fig17_energy_savings", "fig21_sens_leakage"):

@@ -6,8 +6,10 @@
  *
  * Pins that execute's allocation count does not grow with the number
  * of operators in a block (records, usage lists and block timelines
- * are each sized once), and prints the mean count per execute over
- * the paper grid (17 workloads x 4 generations).
+ * are each sized once), that a sweep's gating variants of one
+ * execution allocate nothing per variant (their reports share the
+ * execution's run), and prints the mean count per execute over the
+ * paper grid (17 workloads x 4 generations).
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +23,7 @@
 #include "models/registry.h"
 #include "models/workload.h"
 #include "sim/engine.h"
+#include "sim/sweep.h"
 
 namespace {
 
@@ -35,6 +38,15 @@ operator new(std::size_t n)
     if (void *p = std::malloc(n ? n : 1))
         return p;
     throw std::bad_alloc();
+}
+
+// std::stable_sort's buffer comes from the nothrow form; it must be
+// malloc'd too, since the replaced delete frees it.
+void *
+operator new(std::size_t n, const std::nothrow_t &) noexcept
+{
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(n ? n : 1);
 }
 
 void
@@ -63,7 +75,7 @@ executeAllocations(const Engine &engine, const graph::OperatorGraph &graph,
     std::size_t before = g_allocs.load();
     Execution ex = engine.execute(graph, chips);
     std::size_t n = g_allocs.load() - before;
-    EXPECT_FALSE(ex.run.opRecords->empty());
+    EXPECT_FALSE(ex.run.opRecords.empty());
     return n;
 }
 
@@ -101,6 +113,42 @@ TEST(EngineAllocations, DoNotGrowWithOpsPerBlock)
     EXPECT_EQ(at8, at64);
     std::printf("execute allocations, one block: %zu at 8 ops, %zu at "
                 "64 ops\n",
+                at8, at64);
+}
+
+/** @p n gating variants (delay scales) of DLRM-L on NPU-D. */
+std::vector<SweepCase>
+gatingVariants(std::size_t n)
+{
+    std::vector<SweepCase> grid;
+    auto spec = models::builtinScenario(models::Workload::DlrmL);
+    for (std::size_t i = 0; i < n; ++i) {
+        arch::GatingParams params;
+        params.setDelayScale(1.0 + 0.25 * static_cast<double>(i));
+        grid.push_back(scenarioCase(spec, NpuGeneration::D, params));
+    }
+    return grid;
+}
+
+TEST(EngineAllocations, DoNotGrowWithGatingVariants)
+{
+    SweepRunner runner(1);
+    auto sweepAllocations = [&](const std::vector<SweepCase> &grid) {
+        std::size_t before = g_allocs.load();
+        auto reports = runner.run(grid);
+        std::size_t n = g_allocs.load() - before;
+        EXPECT_EQ(&reports.front().execution(),
+                  &reports.back().execution());
+        return n;
+    };
+    auto small = gatingVariants(8);
+    auto large = gatingVariants(64);
+    sweepAllocations(small);  // Settle one-time statics.
+    std::size_t at8 = sweepAllocations(small);
+    std::size_t at64 = sweepAllocations(large);
+    EXPECT_EQ(at8, at64);
+    std::printf("sweep allocations, one execution: %zu at 8 gating "
+                "variants, %zu at 64\n",
                 at8, at64);
 }
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 
 #include "compiler/compiler.h"
@@ -196,22 +197,56 @@ TEST(Engine, OpRecordsCoverGraph)
 {
     Engine engine(arch::npuConfig(NpuGeneration::D));
     auto run = engine.run(gemmNormGraph(7), 1);
-    ASSERT_EQ(run.opRecords->size(), 2u);
-    const auto &mm = (*run.opRecords)[0];
+    ASSERT_EQ(run.opRecords.size(), 2u);
+    const auto &mm = run.opRecords[0];
     EXPECT_EQ(mm.count, 7u);
     EXPECT_GT(mm.duration, 0u);
     EXPECT_GT(mm.dynamicJ, 0.0);
 }
 
-TEST(Engine, EvaluatedRunsShareOneRecordArray)
+/** Field-by-field equality of two policy results. */
+void
+expectResultsEqual(const PolicyResult &a, const PolicyResult &b)
+{
+    EXPECT_EQ(a.policy, b.policy);
+    EXPECT_EQ(a.overheadCycles, b.overheadCycles);
+    EXPECT_EQ(a.seconds, b.seconds);
+    EXPECT_EQ(a.perfOverhead, b.perfOverhead);
+    EXPECT_EQ(0, std::memcmp(&a.energy, &b.energy, sizeof(a.energy)));
+    EXPECT_EQ(a.avgPowerW, b.avgPowerW);
+    EXPECT_EQ(a.peakPowerW, b.peakPowerW);
+    EXPECT_EQ(a.vuGateEvents, b.vuGateEvents);
+    EXPECT_EQ(a.sramSetpmPairs, b.sramSetpmPairs);
+}
+
+TEST(Engine, EvaluateGatedEqualsEvaluateAndLeavesTheRun)
+{
+    arch::GatingParams params(arch::LeakageRatios{0.1, 0.4, 0.05});
+    params.setDelayScale(3);
+    Engine engine(arch::npuConfig(NpuGeneration::D), params);
+    Execution ex = engine.execute(gemmNormGraph(3), 1);
+    auto before = ex.run.policies;
+    GatedResults gated = engine.evaluateGated(ex.run, ex.blocks);
+    for (std::size_t i = 0; i < before.size(); ++i)
+        expectResultsEqual(before[i], ex.run.policies[i]);
+    WorkloadRun run = engine.evaluate(ex);
+    for (std::size_t i = 0; i < gated.size(); ++i) {
+        Policy p = kGatedPolicies[i];
+        SCOPED_TRACE(policyName(p));
+        EXPECT_EQ(gated[i].policy, p);
+        expectResultsEqual(gated[i], run.result(p));
+    }
+    EXPECT_EQ(gated[2].sramSetpmPairs,
+              ex.run.policies[static_cast<std::size_t>(Policy::Full)]
+                  .sramSetpmPairs);
+}
+
+TEST(Engine, UnevaluatedResultIsALogicError)
 {
     Engine engine(arch::npuConfig(NpuGeneration::D));
     Execution ex = engine.execute(gemmNormGraph(3), 1);
-    WorkloadRun a = engine.evaluate(ex);
-    WorkloadRun b = a;
-    ASSERT_EQ(a.opRecords->size(), 2u);
-    EXPECT_EQ(a.opRecords->data(), ex.run.opRecords->data());
-    EXPECT_EQ(b.opRecords->data(), ex.run.opRecords->data());
+    EXPECT_THROW(ex.run.result(Policy::Full), LogicError);
+    EXPECT_THROW(WorkloadRun{}.result(Policy::Ideal), LogicError);
 }
 
 TEST(Engine, RecordIIsTheGraphsIthOpInBlockOrder)
@@ -229,7 +264,7 @@ TEST(Engine, RecordIIsTheGraphsIthOpInBlockOrder)
         ici::CollectiveModel coll(cfg,
                                   ici::Torus::forChips(cfg, setup.chips));
         OperatorSimulator op_sim(cfg, coll);
-        const auto &records = *run.opRecords;
+        const auto &records = run.opRecords;
         std::size_t i = 0;
         for (const auto &block : graph.blocks) {
             for (const auto &op : block.ops) {
@@ -254,7 +289,8 @@ TEST(Engine, ExecuteEvaluatesOnlyNoPgAndIdeal)
     WorkloadRun run = engine.evaluate(ex);
     for (auto p : allPolicies()) {
         bool precomputed = p == Policy::NoPG || p == Policy::Ideal;
-        EXPECT_EQ(ex.run.result(p).energy.busyTotal() > 0, precomputed)
+        const auto &slot = ex.run.policies[static_cast<std::size_t>(p)];
+        EXPECT_EQ(slot.energy.busyTotal() > 0, precomputed)
             << policyName(p);
         EXPECT_EQ(run.result(p).policy, p);
         EXPECT_GT(run.result(p).energy.busyTotal(), 0) << policyName(p);

@@ -69,7 +69,7 @@ renderFig03Small()
          {models::Workload::Prefill8B, models::Workload::Decode8B,
           models::Workload::DlrmS, models::Workload::DiTXL}) {
         auto rep = simulateScenario(builtinScenario(w), arch::NpuGeneration::D);
-        const auto &e = rep.run().result(Policy::NoPG).energy;
+        const auto &e = rep.result(Policy::NoPG).energy;
         double total =
             rep.podTotalEnergy(Policy::NoPG) / rep.setup.chips;
         out << models::workloadName(w) << ','
@@ -109,9 +109,9 @@ renderFig21Small()
                                         arch::GatingParams(r));
             out << models::workloadName(w) << ',' << num(s[0]) << ','
                 << num(s[1]) << ',' << num(s[2]) << ','
-                << num(rep.run().savingVsNoPg(Policy::Base)) << ','
-                << num(rep.run().savingVsNoPg(Policy::HW)) << ','
-                << num(rep.run().savingVsNoPg(Policy::Full)) << '\n';
+                << num(rep.savingVsNoPg(Policy::Base)) << ','
+                << num(rep.savingVsNoPg(Policy::HW)) << ','
+                << num(rep.savingVsNoPg(Policy::Full)) << '\n';
         }
     }
     return out.str();
@@ -182,7 +182,7 @@ renderFig04Small()
             auto rep = simulateScenario(builtinScenario(w), gen);
             out << models::workloadName(w) << ','
                 << arch::generationName(gen) << ','
-                << num(rep.run().temporalUtil(Component::Sa)) << '\n';
+                << num(rep.temporalUtil(Component::Sa)) << '\n';
         }
     }
     return out.str();
@@ -204,9 +204,9 @@ renderFig18Small()
         auto rep = simulateScenario(builtinScenario(w), arch::NpuGeneration::D);
         out << models::workloadName(w);
         for (auto p : allPolicies())
-            out << ',' << num(rep.run().result(p).avgPowerW);
-        out << ',' << num(rep.run().result(Policy::NoPG).peakPowerW)
-            << ',' << num(rep.run().result(Policy::Full).peakPowerW)
+            out << ',' << num(rep.result(p).avgPowerW);
+        out << ',' << num(rep.result(Policy::NoPG).peakPowerW)
+            << ',' << num(rep.result(Policy::Full).peakPowerW)
             << '\n';
     }
     return out.str();
@@ -233,7 +233,7 @@ renderFig24Small()
             out << ','
                 << num(carbon::operationalCarbonReduction(rep, p));
         }
-        out << ',' << num(rep.run().savingVsNoPg(Policy::Full))
+        out << ',' << num(rep.savingVsNoPg(Policy::Full))
             << '\n';
     }
     return out.str();

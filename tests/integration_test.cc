@@ -29,7 +29,7 @@ TEST(Integration, AverageFullSavingsNearPaper)
     std::vector<double> savings;
     for (auto w : models::allWorkloads()) {
         auto rep = sim::simulateScenario(builtinScenario(w), NpuGeneration::D);
-        savings.push_back(rep.run().savingVsNoPg(Policy::Full));
+        savings.push_back(rep.savingVsNoPg(Policy::Full));
     }
     double avg = stats::mean(savings);
     EXPECT_GE(avg, 0.10);
@@ -79,7 +79,7 @@ TEST(Integration, GenerationSweepRunsEverywhere)
     // and saves energy under ReGate-Full.
     for (auto gen : arch::allGenerations()) {
         auto rep = sim::simulateScenario(builtinScenario(Workload::DlrmL), gen);
-        EXPECT_GT(rep.run().savingVsNoPg(Policy::Full), 0.05)
+        EXPECT_GT(rep.savingVsNoPg(Policy::Full), 0.05)
             << arch::npuConfig(gen).name;
     }
 }
@@ -92,8 +92,8 @@ TEST(Integration, NpuELargerUnitsSaveMoreOnDecode)
                                    NpuGeneration::D);
     auto e = sim::simulateScenario(builtinScenario(Workload::Decode405B),
                                    NpuGeneration::E);
-    EXPECT_GT(e.run().savingVsNoPg(Policy::Full),
-              d.run().savingVsNoPg(Policy::Full) * 0.9);
+    EXPECT_GT(e.savingVsNoPg(Policy::Full),
+              d.savingVsNoPg(Policy::Full) * 0.9);
 }
 
 TEST(Integration, LeakageSensitivityMonotonic)
@@ -113,7 +113,7 @@ TEST(Integration, LeakageSensitivityMonotonic)
         auto rep = sim::simulateScenario(builtinScenario(Workload::DlrmL),
                                          NpuGeneration::D, params,
                                          &setup);
-        double saving = rep.run().savingVsNoPg(Policy::Full);
+        double saving = rep.savingVsNoPg(Policy::Full);
         EXPECT_LT(saving, prev);
         EXPECT_GT(saving, 0.02);
         prev = saving;
@@ -133,9 +133,9 @@ TEST(Integration, DelaySensitivity)
                                    NpuGeneration::D, fast, &setup);
     auto s = sim::simulateScenario(builtinScenario(Workload::Decode70B),
                                    NpuGeneration::D, slow, &setup);
-    EXPECT_GE(f.run().savingVsNoPg(Policy::Full),
-              s.run().savingVsNoPg(Policy::Full) - 1e-9);
-    EXPECT_LE(s.run().result(Policy::Full).perfOverhead, 0.01);
+    EXPECT_GE(f.savingVsNoPg(Policy::Full),
+              s.savingVsNoPg(Policy::Full) - 1e-9);
+    EXPECT_LE(s.result(Policy::Full).perfOverhead, 0.01);
 }
 
 TEST(Integration, CarbonHeadline)
@@ -164,12 +164,12 @@ TEST(Integration, SimulatorInternalValidationR2)
     auto rep = sim::simulateScenario(builtinScenario(Workload::Prefill8B),
                                      NpuGeneration::D);
     std::vector<double> xs, ys;
-    for (const auto &rec : *rep.run().opRecords) {
+    for (const auto &rec : rep.opRecords()) {
         xs.push_back(static_cast<double>(rec.duration));
     }
     auto rep2 = sim::simulateScenario(builtinScenario(Workload::Prefill8B),
                                       NpuGeneration::D);
-    for (const auto &rec : *rep2.run().opRecords)
+    for (const auto &rec : rep2.opRecords())
         ys.push_back(static_cast<double>(rec.duration));
     ASSERT_EQ(xs.size(), ys.size());
     EXPECT_GT(stats::r2(xs, ys), 0.999);

@@ -28,8 +28,8 @@ using models::Workload;
 class WorkloadSweep : public ::testing::TestWithParam<Workload>
 {
   protected:
-    static const WorkloadRun &
-    run(Workload w)
+    static const WorkloadReport &
+    report(Workload w)
     {
         static std::map<Workload, WorkloadReport> cache;
         auto it = cache.find(w);
@@ -38,13 +38,13 @@ class WorkloadSweep : public ::testing::TestWithParam<Workload>
                                                    NpuGeneration::D))
                      .first;
         }
-        return it->second.run();
+        return it->second;
     }
 };
 
 TEST_P(WorkloadSweep, SavingsOrdering)
 {
-    const auto &r = run(GetParam());
+    const auto &r = report(GetParam());
     EXPECT_GE(r.savingVsNoPg(Policy::Base), 0.0);
     EXPECT_GE(r.savingVsNoPg(Policy::HW),
               r.savingVsNoPg(Policy::Base) - 1e-9);
@@ -60,7 +60,7 @@ TEST_P(WorkloadSweep, FullSavingsInPaperBallpark)
     // Paper: 8.5%-32.8% across the suite; we allow a wider envelope
     // since the substrate differs, but every workload must save
     // meaningfully and none implausibly much.
-    const auto &r = run(GetParam());
+    const auto &r = report(GetParam());
     EXPECT_GT(r.savingVsNoPg(Policy::Full), 0.05);
     EXPECT_LT(r.savingVsNoPg(Policy::Full), 0.45);
 }
@@ -68,7 +68,7 @@ TEST_P(WorkloadSweep, FullSavingsInPaperBallpark)
 TEST_P(WorkloadSweep, FullNearIdeal)
 {
     // §6.2: ReGate-Full is within a fraction of a percent of Ideal.
-    const auto &r = run(GetParam());
+    const auto &r = report(GetParam());
     EXPECT_LT(r.savingVsNoPg(Policy::Ideal) -
                   r.savingVsNoPg(Policy::Full),
               0.03);
@@ -77,7 +77,7 @@ TEST_P(WorkloadSweep, FullNearIdeal)
 TEST_P(WorkloadSweep, OverheadBounds)
 {
     // Fig. 19: Base <= ~5%, HW < ~1%, Full <= 0.5%.
-    const auto &r = run(GetParam());
+    const auto &r = report(GetParam());
     EXPECT_LE(r.result(Policy::Base).perfOverhead, 0.05);
     EXPECT_LE(r.result(Policy::HW).perfOverhead, 0.01);
     EXPECT_LE(r.result(Policy::Full).perfOverhead, 0.005);
@@ -86,7 +86,7 @@ TEST_P(WorkloadSweep, OverheadBounds)
 TEST_P(WorkloadSweep, StaticShareInPaperBand)
 {
     // §3: when the chip is busy, static power is 30%-72% of energy.
-    const auto &r = run(GetParam());
+    const auto &r = report(GetParam());
     double share = r.result(Policy::NoPG).energy.staticShareBusy();
     EXPECT_GE(share, 0.30);
     EXPECT_LE(share, 0.78);
@@ -94,7 +94,7 @@ TEST_P(WorkloadSweep, StaticShareInPaperBand)
 
 TEST_P(WorkloadSweep, EnergyBreakdownConsistent)
 {
-    const auto &r = run(GetParam());
+    const auto &r = report(GetParam());
     for (auto p : allPolicies()) {
         const auto &e = r.result(p).energy;
         for (auto c : arch::kAllComponents) {
@@ -107,7 +107,7 @@ TEST_P(WorkloadSweep, EnergyBreakdownConsistent)
 
 TEST_P(WorkloadSweep, UtilizationsAreFractions)
 {
-    const auto &r = run(GetParam());
+    const auto &r = report(GetParam());
     for (auto c : arch::kAllComponents) {
         double u = r.temporalUtil(c);
         EXPECT_GE(u, 0.0);
@@ -133,7 +133,7 @@ TEST_P(WorkloadSweep, NoPgAndIdealReadNoGatingParams)
         p.setDelayScale(scale);
         return p;
     };
-    const WorkloadRun &ref = run(GetParam());
+    const WorkloadReport &ref = report(GetParam());
     for (const auto &p :
          {params(0, 0, 0, 0.25), params(1, 1, 1, 4),
           params(0.4, 0.8, 0.1, 1e6), params(0.03, 0.25, 0.002, 1)}) {
@@ -177,8 +177,8 @@ TEST(PolicyShape, DlrmSavesMost)
     auto prefill =
         simulateScenario(builtinScenario(Workload::Prefill8B),
                          NpuGeneration::D);
-    EXPECT_GT(dlrm.run().savingVsNoPg(Policy::Full),
-              prefill.run().savingVsNoPg(Policy::Full));
+    EXPECT_GT(dlrm.savingVsNoPg(Policy::Full),
+              prefill.savingVsNoPg(Policy::Full));
 }
 
 TEST(PolicyShape, PrefillSaUtilHigherThanDlrm)
@@ -188,16 +188,16 @@ TEST(PolicyShape, PrefillSaUtilHigherThanDlrm)
     auto prefill =
         simulateScenario(builtinScenario(Workload::Prefill8B),
                          NpuGeneration::D);
-    EXPECT_GT(prefill.run().temporalUtil(Component::Sa), 0.7);
-    EXPECT_LT(dlrm.run().temporalUtil(Component::Sa), 0.3);
+    EXPECT_GT(prefill.temporalUtil(Component::Sa), 0.7);
+    EXPECT_LT(dlrm.temporalUtil(Component::Sa), 0.3);
 }
 
 TEST(PolicyShape, DlrmIsIciHeavy)
 {
     auto dlrm = simulateScenario(builtinScenario(Workload::DlrmL),
                                  NpuGeneration::D);
-    EXPECT_GT(dlrm.run().temporalUtil(Component::Ici),
-              dlrm.run().temporalUtil(Component::Sa));
+    EXPECT_GT(dlrm.temporalUtil(Component::Ici),
+              dlrm.temporalUtil(Component::Sa));
 }
 
 TEST(PolicyShape, DecodeMapsSmallGemmsToVu)
@@ -205,8 +205,8 @@ TEST(PolicyShape, DecodeMapsSmallGemmsToVu)
     auto decode = simulateScenario(builtinScenario(Workload::Decode8B),
                                    NpuGeneration::D);
     // Single-chip, batch-8 decode: SA unused (Fig. 4 pattern).
-    EXPECT_LT(decode.run().temporalUtil(Component::Sa), 0.05);
-    EXPECT_GT(decode.run().temporalUtil(Component::Hbm), 0.9);
+    EXPECT_LT(decode.temporalUtil(Component::Sa), 0.05);
+    EXPECT_GT(decode.temporalUtil(Component::Hbm), 0.9);
 }
 
 TEST(PolicyShape, SpatialUtilPrefillVsDiffusion)
@@ -216,8 +216,8 @@ TEST(PolicyShape, SpatialUtilPrefillVsDiffusion)
     auto gligen = simulateScenario(builtinScenario(Workload::Gligen),
                                    NpuGeneration::D);
     // Fig. 5: prefill ~0.9+, GLIGEN ~0.5 (head sizes < SA width).
-    EXPECT_GT(prefill.run().saSpatialUtil(), 0.85);
-    EXPECT_LT(gligen.run().saSpatialUtil(), 0.7);
+    EXPECT_GT(prefill.saSpatialUtil(), 0.85);
+    EXPECT_LT(gligen.saSpatialUtil(), 0.7);
 }
 
 }  // namespace

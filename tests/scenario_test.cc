@@ -43,10 +43,10 @@ expectReportsIdentical(const WorkloadReport &a, const WorkloadReport &b)
     EXPECT_EQ(a.units, b.units);
     EXPECT_TRUE(a.gatingParams() == b.gatingParams());
 
-    const auto &ra = a.run();
-    const auto &rb = b.run();
-    EXPECT_EQ(ra.cycles, rb.cycles);
-    EXPECT_EQ(ra.seconds, rb.seconds);
+    const auto &ra = a.execution();
+    const auto &rb = b.execution();
+    EXPECT_EQ(a.cycles(), b.cycles());
+    EXPECT_EQ(a.seconds(), b.seconds());
     for (auto c : arch::kAllComponents)
         EXPECT_TRUE(ra.timeline[c] == rb.timeline[c])
             << "timeline " << static_cast<int>(c);
@@ -54,10 +54,10 @@ expectReportsIdentical(const WorkloadReport &a, const WorkloadReport &b)
     EXPECT_EQ(0,
               std::memcmp(&ra.saStats, &rb.saStats, sizeof(ra.saStats)));
     EXPECT_EQ(ra.sramUsedIntegral, rb.sramUsedIntegral);
-    ASSERT_EQ(ra.opRecords->size(), rb.opRecords->size());
-    for (std::size_t i = 0; i < ra.opRecords->size(); ++i) {
-        const auto &oa = (*ra.opRecords)[i];
-        const auto &ob = (*rb.opRecords)[i];
+    ASSERT_EQ(a.opRecords().size(), b.opRecords().size());
+    for (std::size_t i = 0; i < a.opRecords().size(); ++i) {
+        const auto &oa = a.opRecords()[i];
+        const auto &ob = b.opRecords()[i];
         EXPECT_EQ(oa.count, ob.count);
         EXPECT_EQ(oa.duration, ob.duration);
         EXPECT_EQ(oa.sramDemandBytes, ob.sramDemandBytes);
@@ -67,8 +67,8 @@ expectReportsIdentical(const WorkloadReport &a, const WorkloadReport &b)
             EXPECT_EQ(oa.activeFrac[c], ob.activeFrac[c]);
     }
     for (auto p : allPolicies()) {
-        const auto &pa = ra.result(p);
-        const auto &pb = rb.result(p);
+        const auto &pa = a.result(p);
+        const auto &pb = b.result(p);
         EXPECT_EQ(pa.overheadCycles, pb.overheadCycles);
         EXPECT_EQ(pa.seconds, pb.seconds);
         EXPECT_EQ(pa.perfOverhead, pb.perfOverhead);

@@ -20,7 +20,7 @@ TEST(Slo, TargetIsFiveTimesDefaultLatency)
     const auto &dlrm = builtinScenario(Workload::DlrmS);
     auto rep = simulateScenario(dlrm, NpuGeneration::D);
     double default_spu =
-        rep.run().result(Policy::NoPG).seconds / rep.units;
+        rep.result(Policy::NoPG).seconds / rep.units;
     EXPECT_EQ(sloTargetSecondsPerUnit(dlrm), 5.0 * default_spu);
 }
 
@@ -55,7 +55,7 @@ TEST(Slo, PicksMostEfficientCompliant)
     double target = sloTargetSecondsPerUnit(dlrm);
     for (const auto &s : candidateSetups(*dlrm, NpuGeneration::D)) {
         auto rep = simulateScenario(dlrm, NpuGeneration::D, {}, &s);
-        double spu = rep.run().result(Policy::NoPG).seconds / rep.units;
+        double spu = rep.result(Policy::NoPG).seconds / rep.units;
         if (spu <= target) {
             EXPECT_LE(res.energyPerUnit,
                       rep.energyPerUnit(Policy::NoPG) * 1.0001);

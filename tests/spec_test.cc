@@ -204,6 +204,16 @@ TEST(SpecParser, ArithmeticRange)
     EXPECT_EQ(file.scenarios[0]->chips, 2);
     EXPECT_EQ(file.scenarios[1]->chips, 4);
     EXPECT_EQ(file.scenarios[2]->chips, 6);
+
+    // The walk stops before a step would pass hi, so a range that ends
+    // near INT64_MAX neither overflows nor runs on.
+    file = parseSpecText(
+        "@regate-spec v1\n[scenario top]\nfamily = dlrm\nmodel = s\n"
+        "batch = 9223372036854775800..9223372036854775807:+5\n"
+        "chips = 1\n");
+    ASSERT_EQ(file.scenarios.size(), 2u);
+    EXPECT_EQ(file.scenarios[0]->batch, 9223372036854775800);
+    EXPECT_EQ(file.scenarios[1]->batch, 9223372036854775805);
 }
 
 TEST(SpecParser, CanonicalRoundTrip)
@@ -319,6 +329,12 @@ TEST(SpecParser, ErrorMessagesExact)
         {a + "batch = 1..8:*\nchips = 1\n",
          p + "5: bad distribution for 'batch': '1..8:*' "
              "(want lo..hi:*K or lo..hi:+K)"},
+        {a + "batch = -5..5:*2\nchips = 1\n",
+         p + "5: bad distribution for 'batch': geometric lower bound "
+             "must be >= 1"},
+        {a + "batch = 0..4:*2\nchips = 1\n",
+         p + "5: bad distribution for 'batch': geometric lower bound "
+             "must be >= 1"},
         {a + "batch = 1..8:+0\nchips = 1\n",
          p + "5: bad distribution for 'batch': arithmetic step must "
              "be > 0"},

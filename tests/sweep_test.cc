@@ -5,8 +5,9 @@
  * vs serial sweep equivalence (bitwise) over built-in rows and user
  * specs, including cases that share one execution, the SLO search
  * against its serial reference at any thread count (per-case and
- * per-identity errors, gating variants sharing one selection), and
- * the rejection of a case without a scenario.
+ * per-identity errors, gating variants sharing one selection), the
+ * rejection of a case without a scenario, and the automatic runner
+ * keeping small sweeps on the calling thread.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,8 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 
@@ -73,7 +76,12 @@ TEST(ThreadPool, DefaultThreadCountParsesTheWholeValue)
         ASSERT_EQ(setenv("REGATE_THREADS", value.c_str(), 1), 0);
         EXPECT_EQ(ThreadPool::defaultThreadCount(), want)
             << "REGATE_THREADS='" << value << "'";
+        EXPECT_EQ(ThreadPool::envThreadCount(), value == "3" ? 3u : 0u)
+            << "REGATE_THREADS='" << value << "'";
     }
+    ASSERT_EQ(unsetenv("REGATE_THREADS"), 0);
+    EXPECT_EQ(ThreadPool::envThreadCount(), 0u);
+    EXPECT_EQ(ThreadPool::defaultThreadCount(), hw);
     if (saved)
         setenv("REGATE_THREADS", restore.c_str(), 1);
     else
@@ -150,20 +158,21 @@ TEST(ParallelMapOrdered, RethrowsLowestFailureAfterAllWorkersStop)
     EXPECT_LT(ran.load(), 200);
 }
 
-/** Exact comparison of everything a figure reads out of a run. */
+/** Exact comparison of everything a figure reads out of a report. */
 void
-expectRunsIdentical(const WorkloadRun &a, const WorkloadRun &b)
+expectRunsIdentical(const WorkloadReport &a, const WorkloadReport &b)
 {
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.seconds, b.seconds);
-    EXPECT_EQ(a.sramUsedIntegral, b.sramUsedIntegral);
+    EXPECT_EQ(a.cycles(), b.cycles());
+    EXPECT_EQ(a.seconds(), b.seconds());
+    EXPECT_EQ(a.execution().sramUsedIntegral,
+              b.execution().sramUsedIntegral);
     for (auto c : arch::kAllComponents)
-        EXPECT_TRUE(a.timeline[c] == b.timeline[c])
+        EXPECT_TRUE(a.execution().timeline[c] == b.execution().timeline[c])
             << "timeline mismatch for " << arch::componentName(c);
-    ASSERT_EQ(a.opRecords->size(), b.opRecords->size());
-    for (std::size_t i = 0; i < a.opRecords->size(); ++i) {
-        const auto &ra = (*a.opRecords)[i];
-        const auto &rb = (*b.opRecords)[i];
+    ASSERT_EQ(a.opRecords().size(), b.opRecords().size());
+    for (std::size_t i = 0; i < a.opRecords().size(); ++i) {
+        const auto &ra = a.opRecords()[i];
+        const auto &rb = b.opRecords()[i];
         EXPECT_EQ(ra.count, rb.count);
         EXPECT_EQ(ra.duration, rb.duration);
         EXPECT_EQ(ra.sramDemandBytes, rb.sramDemandBytes);
@@ -206,7 +215,7 @@ expectRunMatchesSerial(const std::vector<SweepCase> &grid)
             EXPECT_EQ(serial[i].units, grouped[i].units);
             EXPECT_TRUE(serial[i].gatingParams() ==
                         grouped[i].gatingParams());
-            expectRunsIdentical(serial[i].run(), grouped[i].run());
+            expectRunsIdentical(serial[i], grouped[i]);
         }
     }
 }
@@ -255,11 +264,19 @@ TEST(SweepRunner, GatingOverridesShareOneExecutionBitwise)
     ASSERT_EQ(grid.size(), 30u);
     expectRunMatchesSerial(grid);
 
-    // The overrides do change the evaluation.
+    // One run object per workload, shared by its six variants.
     SweepRunner runner(2);
     auto reports = runner.run(grid);
-    EXPECT_NE(reports[0].run().result(Policy::Base).overheadCycles,
-              reports[25].run().result(Policy::Base).overheadCycles);
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        SCOPED_TRACE(testing::Message() << "case " << i);
+        for (std::size_t j = 0; j < 5; ++j)
+            EXPECT_EQ(&reports[i].execution() == &reports[j].execution(),
+                      i % 5 == j);
+    }
+
+    // The overrides do change the evaluation.
+    EXPECT_NE(reports[0].result(Policy::Base).overheadCycles,
+              reports[25].result(Policy::Base).overheadCycles);
 }
 
 TEST(SweepRunner, SpecGatingOverridesShareOneExecutionBitwise)
@@ -332,7 +349,7 @@ expectSearchesIdentical(const SloResult &a, const SloResult &b)
     EXPECT_EQ(a.report.scenario, b.report.scenario);
     EXPECT_EQ(a.report.gen, b.report.gen);
     EXPECT_TRUE(a.report.gatingParams() == b.report.gatingParams());
-    expectRunsIdentical(a.report.run(), b.report.run());
+    expectRunsIdentical(a.report, b.report);
 }
 
 const std::vector<arch::NpuGeneration> kFig2Generations = {
@@ -445,18 +462,16 @@ TEST(SweepRunner, SearchGatingOverridesShareOneSelection)
                                             << " threads=" << threads);
             auto serial = searchSerially(grid[i]);
             expectSearchesIdentical(results[i], serial);
-            EXPECT_EQ(results[i].report.run()
-                          .result(Policy::Full)
+            EXPECT_EQ(results[i].report.result(Policy::Full)
                           .energy.busyTotal(),
-                      serial.report.run()
-                          .result(Policy::Full)
+                      serial.report.result(Policy::Full)
                           .energy.busyTotal());
         }
         // Same winner, different evaluation.
         EXPECT_TRUE(results[0].setup == results[2].setup);
         EXPECT_NE(
-            results[0].report.run().result(Policy::Full).energy.busyTotal(),
-            results[2].report.run().result(Policy::Full).energy.busyTotal());
+            results[0].report.result(Policy::Full).energy.busyTotal(),
+            results[2].report.result(Policy::Full).energy.busyTotal());
     }
 }
 
@@ -481,6 +496,77 @@ TEST(SweepRunner, CaseWithoutScenarioIsALogicError)
                 << e.what();
         }
     }
+}
+
+/** Threads of this process (/proc/self/status); 0 if unreadable. */
+unsigned
+liveThreads()
+{
+    std::ifstream status("/proc/self/status");
+    std::string key;
+    while (status >> key) {
+        if (key == "Threads:") {
+            unsigned n = 0;
+            status >> n;
+            return n;
+        }
+        status.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+    }
+    return 0;
+}
+
+/** @p n delay-scale variants of DLRM-S on NPU-D: one execution. */
+std::vector<SweepCase>
+delayVariants(std::size_t n)
+{
+    std::vector<SweepCase> grid;
+    for (std::size_t i = 0; i < n; ++i) {
+        arch::GatingParams params;
+        params.setDelayScale(1.0 + 0.01 * static_cast<double>(i));
+        auto part = scenarioGrid(rows({Workload::DlrmS}),
+                                 {arch::NpuGeneration::D}, params);
+        grid.push_back(part.front());
+    }
+    return grid;
+}
+
+TEST(SweepRunner, AutomaticRunnerKeepsSmallSweepsOnTheCallingThread)
+{
+    const unsigned before = liveThreads();
+    if (before == 0)
+        GTEST_SKIP() << "no thread count in /proc/self/status";
+    const char *saved = std::getenv("REGATE_THREADS");
+    std::string restore = saved ? saved : "";
+    ASSERT_EQ(unsetenv("REGATE_THREADS"), 0);
+    SweepRunner automatic;
+    if (saved)
+        setenv("REGATE_THREADS", restore.c_str(), 1);
+    EXPECT_EQ(automatic.threadCount(), ThreadPool::defaultThreadCount());
+
+    // Below the threshold: no worker starts, and the reports are the
+    // serial path's.
+    auto small = delayVariants(SweepRunner::kMinParallelCases - 1);
+    auto serial = SweepRunner::runSerial(small);
+    auto reports = automatic.run(small);
+    EXPECT_EQ(liveThreads(), before);
+    ASSERT_EQ(reports.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+        SCOPED_TRACE(testing::Message() << "case " << i);
+        expectRunsIdentical(serial[i], reports[i]);
+    }
+    automatic.search(small);
+    EXPECT_EQ(liveThreads(), before);
+
+    // At the threshold the pool starts, once.
+    automatic.run(delayVariants(SweepRunner::kMinParallelCases));
+    EXPECT_EQ(liveThreads(), before + automatic.threadCount());
+    automatic.run(delayVariants(SweepRunner::kMinParallelCases));
+    EXPECT_EQ(liveThreads(), before + automatic.threadCount());
+
+    // A given worker count is used for every sweep, however small.
+    SweepRunner given(2);
+    given.run(delayVariants(2));
+    EXPECT_EQ(liveThreads(), before + automatic.threadCount() + 2);
 }
 
 }  // namespace
