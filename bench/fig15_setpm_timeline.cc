@@ -14,7 +14,7 @@ int
 main(int argc, char **argv)
 {
     using namespace regate;
-    using core::PowerMode;
+    using isa::PowerMode;
     using isa::FuType;
     bench::initBenchNoGrid(argc, argv);
     bench::banner("Figure 15",

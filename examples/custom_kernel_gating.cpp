@@ -1,24 +1,21 @@
 /**
  * @file
  * Kernel-level power gating with the setpm ISA: hand-write a VLIW
- * kernel (the paper's Fig. 15), let the compiler instrument a larger
- * one automatically, and drive the segment-gated SRAM scratchpad —
- * the full §4.2/§4.3 software stack at instruction granularity.
+ * kernel (the paper's Fig. 15) and let the compiler instrument a
+ * larger one automatically — the §4.2/§4.3 software stack at
+ * instruction granularity.
  */
 
 #include <iostream>
 
-#include "common/table.h"
-#include "common/units.h"
 #include "compiler/compiler.h"
 #include "isa/vliw_core.h"
-#include "mem/sram.h"
 
 int
 main()
 {
     using namespace regate;
-    using core::PowerMode;
+    using isa::PowerMode;
     using isa::FuType;
 
     // --- 1. Hand-written setpm, exactly like the paper's Fig. 15 ---
@@ -67,26 +64,5 @@ main()
               << gated.totalCycles() << " cycles, stalls "
               << gated.wakeStallCycles() << "\n";
 
-    // --- 3. SRAM capacity gating with setpm-sram semantics ---
-    arch::GatingParams params;
-    mem::SramScratchpad pad(units::MiB(128), units::KiB(4), params);
-    // Operator needs 24 MB: shrink the rest to OFF (compiler knows
-    // the allocation map, so no live data is lost).
-    pad.setRange(units::MiB(24), units::MiB(128), PowerMode::Off, 0);
-    std::cout << "\nSRAM after setpm %24MB,%128MB,sram,off: "
-              << pad.countInState(mem::SegmentState::On)
-              << " segments on, "
-              << pad.countInState(mem::SegmentState::Off)
-              << " off; leakage at "
-              << TablePrinter::pct(pad.leakageFraction(params), 1)
-              << " of all-on\n";
-
-    // Touching a gated segment wakes it (10-cycle stall) and the
-    // model flags the data loss -- the §4.1 safety property.
-    pad.write(units::MiB(30), units::KiB(4), 100);
-    std::cout << "Write into gated region: "
-              << pad.stats().wakeEvents << " wake, "
-              << pad.stats().wakeStallCycles << " stall cycles, "
-              << pad.stats().dataLossReads << " unsafe reads\n";
     return 0;
 }

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "arch/tech_node.h"
+#include "common/checked.h"
 #include "common/units.h"
 
 namespace regate {
@@ -71,12 +72,15 @@ struct NpuConfig
     /** Seconds per core cycle. */
     double cycleTime() const { return 1.0 / frequencyHz; }
 
-    /** Cycles for a given duration, rounded up. */
+    /**
+     * Cycles for a given duration, rounded up; an OverflowError
+     * (common/checked.h) past 64 bits.
+     */
     Cycles
     cyclesFor(double seconds) const
     {
         double c = seconds * frequencyHz;
-        auto w = static_cast<Cycles>(c);
+        Cycles w = checkedCount(c, "cycle count");
         return c > static_cast<double>(w) ? w + 1 : w;
     }
 

@@ -14,7 +14,7 @@ namespace {
  * holds a compatible VU setpm (same mode).
  */
 bool
-mergeSetpm(isa::Bundle &bundle, int unit, core::PowerMode mode)
+mergeSetpm(isa::Bundle &bundle, int unit, isa::PowerMode mode)
 {
     std::uint8_t bit = static_cast<std::uint8_t>(1u << unit);
     if (!bundle.misc.has_value()) {
@@ -72,11 +72,11 @@ instrumentVuGating(isa::Program &program,
             continue;  // No room to wake without stalling.
 
         if (!mergeSetpm(bundles[idle.lastUseBundle], idle.unit,
-                        core::PowerMode::Off)) {
+                        isa::PowerMode::Off)) {
             continue;
         }
         if (!mergeSetpm(bundles[on_bundle], idle.unit,
-                        core::PowerMode::On)) {
+                        isa::PowerMode::On)) {
             // Roll back the off-bitmap bit we just set.
             auto &misc = bundles[idle.lastUseBundle].misc;
             misc->bitmap &=

@@ -8,6 +8,22 @@ namespace regate {
 namespace isa {
 
 std::string
+powerModeName(PowerMode mode)
+{
+    switch (mode) {
+      case PowerMode::Auto:
+        return "auto";
+      case PowerMode::On:
+        return "on";
+      case PowerMode::Off:
+        return "off";
+      case PowerMode::Sleep:
+        return "sleep";
+    }
+    throw LogicError("unknown PowerMode");
+}
+
+std::string
 fuTypeName(FuType t)
 {
     switch (t) {
@@ -51,7 +67,7 @@ SetpmInstr::toString() const
         os << "%r" << int{bitmapReg};
     }
     os << "," << fuTypeName(fuType) << ","
-       << core::powerModeName(mode);
+       << powerModeName(mode);
     return os.str();
 }
 
@@ -60,7 +76,7 @@ namespace {
 void
 validate(const SetpmInstr &instr)
 {
-    REGATE_CHECK(instr.mode != core::PowerMode::Sleep ||
+    REGATE_CHECK(instr.mode != PowerMode::Sleep ||
                      instr.fuType == FuType::Sram,
                  "sleep mode is only defined for SRAM (§4.2)");
     if (instr.fuType != FuType::Sram && instr.immediate) {
@@ -102,7 +118,7 @@ decodeSetpm(std::uint32_t word)
     REGATE_CHECK(fu <= static_cast<std::uint32_t>(FuType::Dma),
                  "malformed setpm: unknown functional unit type ", fu);
     instr.fuType = static_cast<FuType>(fu);
-    instr.mode = static_cast<core::PowerMode>((word >> 3) & 0x3u);
+    instr.mode = static_cast<PowerMode>((word >> 3) & 0x3u);
     bool imm = (word >> 5) & 1u;
     if (instr.fuType == FuType::Sram) {
         instr.startAddrReg = static_cast<std::uint8_t>((word >> 14) & 0xffu);

@@ -1,15 +1,17 @@
 /**
  * @file
- * The NPU VLIW ISA subset needed by ReGate, including the setpm
- * power-management instruction (§4.2, Fig. 14).
+ * The NPU VLIW ISA subset needed by ReGate: the §4.2 power modes and
+ * the setpm power-management instruction (Fig. 14).
  *
- * A VLIW bundle has one slot per functional-unit class (SA, VU, DMA)
- * plus a miscellaneous slot. setpm lives in the misc slot and comes in
- * three variants:
+ * A VLIW bundle has one slot per functional-unit class plus a
+ * miscellaneous slot. setpm lives in the misc slot and comes in three
+ * variants:
  *   1. SRAM: two scalar registers give the [start, end) address range
  *      whose segments change power mode.
  *   2. Functional units, bitmap in a scalar register.
  *   3. Functional units, bitmap as an 8-bit immediate.
+ * The encoding covers SA, VU, SRAM and DMA targets; the core model
+ * (isa/vliw_core.h) executes only SA and VU setpm.
  */
 
 #ifndef REGATE_ISA_INSTRUCTION_H
@@ -19,10 +21,18 @@
 #include <string>
 
 #include "common/units.h"
-#include "core/power_state.h"
 
 namespace regate {
 namespace isa {
+
+/**
+ * The §4.2 power modes. `Auto` delegates to the hardware-managed
+ * policy; `On`/`Off`/`Sleep` are software overrides set via setpm.
+ */
+enum class PowerMode : std::uint8_t { Auto, On, Off, Sleep };
+
+/** Printable mode name. */
+std::string powerModeName(PowerMode mode);
 
 /** Functional-unit classes addressable by setpm (3-bit field). */
 enum class FuType : std::uint8_t { Sa = 0, Vu = 1, Sram = 2, Dma = 3 };
@@ -34,7 +44,7 @@ std::string fuTypeName(FuType t);
 struct SetpmInstr
 {
     FuType fuType = FuType::Vu;
-    core::PowerMode mode = core::PowerMode::Auto;
+    PowerMode mode = PowerMode::Auto;
 
     /** Unit bitmap (variants 2/3); bit i targets unit i. */
     std::uint8_t bitmap = 0;

@@ -6,13 +6,6 @@ namespace regate {
 namespace isa {
 
 Program::BundleBuilder &
-Program::BundleBuilder::saPush(int unit, Cycles cycles)
-{
-    b_.ops.push_back({SlotOp::Kind::SaPush, unit, cycles});
-    return *this;
-}
-
-Program::BundleBuilder &
 Program::BundleBuilder::saPop(int unit, Cycles cycles)
 {
     b_.ops.push_back({SlotOp::Kind::SaPop, unit, cycles});
@@ -27,15 +20,8 @@ Program::BundleBuilder::vuOp(int unit, Cycles cycles)
 }
 
 Program::BundleBuilder &
-Program::BundleBuilder::dmaOp(int unit, Cycles cycles)
-{
-    b_.ops.push_back({SlotOp::Kind::DmaOp, unit, cycles});
-    return *this;
-}
-
-Program::BundleBuilder &
 Program::BundleBuilder::setpm(std::uint8_t bitmap, FuType type,
-                              core::PowerMode mode)
+                              PowerMode mode)
 {
     REGATE_CHECK(!b_.misc.has_value(),
                  "bundle already has a misc-slot instruction; only one "
@@ -53,7 +39,7 @@ Program::BundleBuilder::setpm(std::uint8_t bitmap, FuType type,
 Program::BundleBuilder &
 Program::BundleBuilder::setpmSram(std::uint8_t start_reg,
                                   std::uint8_t end_reg,
-                                  core::PowerMode mode)
+                                  PowerMode mode)
 {
     REGATE_CHECK(!b_.misc.has_value(),
                  "bundle already has a misc-slot instruction");

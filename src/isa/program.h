@@ -23,7 +23,7 @@ namespace isa {
 /** One operation in a bundle slot. */
 struct SlotOp
 {
-    enum class Kind { SaPush, SaPop, VuOp, DmaOp };
+    enum class Kind { SaPop, VuOp };
 
     Kind kind = Kind::VuOp;
     int unit = 0;       ///< Functional unit index.
@@ -33,7 +33,7 @@ struct SlotOp
 /** One VLIW instruction bundle. */
 struct Bundle
 {
-    std::vector<SlotOp> ops;         ///< SA/VU/DMA slots in use.
+    std::vector<SlotOp> ops;         ///< SA/VU slots in use.
     std::optional<SetpmInstr> misc;  ///< setpm in the misc slot.
     Cycles nopCycles = 0;            ///< `nop N`: delay the next issue.
 };
@@ -48,26 +48,20 @@ class Program
       public:
         explicit BundleBuilder(Bundle &b) : b_(b) {}
 
-        /** push: feed a tile into SA @p unit (default 8 cycles). */
-        BundleBuilder &saPush(int unit, Cycles cycles = 8);
-
         /** pop: drain a tile from SA @p unit (default 8 cycles). */
         BundleBuilder &saPop(int unit, Cycles cycles = 8);
 
         /** A vector op on VU @p unit (default 1 cycle). */
         BundleBuilder &vuOp(int unit, Cycles cycles = 1);
 
-        /** A DMA operation (default 1 cycle of issue occupancy). */
-        BundleBuilder &dmaOp(int unit, Cycles cycles = 1);
-
         /** setpm with an immediate unit bitmap. */
         BundleBuilder &setpm(std::uint8_t bitmap, FuType type,
-                             core::PowerMode mode);
+                             PowerMode mode);
 
         /** setpm for an SRAM address range. */
         BundleBuilder &setpmSram(std::uint8_t start_reg,
                                  std::uint8_t end_reg,
-                                 core::PowerMode mode);
+                                 PowerMode mode);
 
         /** `nop N`: hold issue for @p cycles after this bundle. */
         BundleBuilder &nop(Cycles cycles);

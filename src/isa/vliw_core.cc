@@ -19,7 +19,7 @@ UnitTrace::gatedCycles() const
 VliwCore::VliwCore(const VliwCoreConfig &cfg)
     : cfg_(cfg)
 {
-    REGATE_CHECK(cfg.numSa > 0 && cfg.numVu > 0 && cfg.numDma > 0,
+    REGATE_CHECK(cfg.numSa > 0 && cfg.numVu > 0,
                  "core needs at least one of each unit class");
     auto make = [](int n, Cycles wake, Cycles window) {
         std::vector<Unit> v(n);
@@ -31,14 +31,12 @@ VliwCore::VliwCore(const VliwCoreConfig &cfg)
     };
     sa_ = make(cfg.numSa, cfg.saWakeDelay, cfg.saIdleWindow);
     vu_ = make(cfg.numVu, cfg.vuWakeDelay, cfg.vuIdleWindow);
-    dma_ = make(cfg.numDma, cfg.dmaWakeDelay, Cycles{1000});
 }
 
 VliwCore::Unit &
 VliwCore::unitFor(const SlotOp &op)
 {
     switch (op.kind) {
-      case SlotOp::Kind::SaPush:
       case SlotOp::Kind::SaPop:
         REGATE_CHECK(op.unit >= 0 && op.unit < cfg_.numSa,
                      "SA index ", op.unit, " out of range");
@@ -47,10 +45,6 @@ VliwCore::unitFor(const SlotOp &op)
         REGATE_CHECK(op.unit >= 0 && op.unit < cfg_.numVu,
                      "VU index ", op.unit, " out of range");
         return vu_[op.unit];
-      case SlotOp::Kind::DmaOp:
-        REGATE_CHECK(op.unit >= 0 && op.unit < cfg_.numDma,
-                     "DMA index ", op.unit, " out of range");
-        return dma_[op.unit];
     }
     throw LogicError("unknown SlotOp kind");
 }
@@ -64,7 +58,7 @@ VliwCore::resolveReady(Unit &unit, Cycles t)
     // long enough, the FSM gated it at lastBusyEnd + window and this
     // op now pays the wake-up.
     if (!unit.gatedNow && cfg_.autoIdleDetect &&
-        unit.mode == core::PowerMode::Auto &&
+        unit.mode == PowerMode::Auto &&
         avail >= unit.lastBusyEnd + unit.idleWindow &&
         avail > unit.lastBusyEnd) {
         unit.gatedNow = true;
@@ -88,41 +82,29 @@ VliwCore::applySetpm(const SetpmInstr &instr, Cycles now)
 {
     ++setpmExecuted_;
     REGATE_CHECK(instr.fuType == FuType::Sa ||
-                     instr.fuType == FuType::Vu ||
-                     instr.fuType == FuType::Dma,
-                 "core model handles SA/VU/DMA setpm; SRAM setpm is "
-                 "modeled by the memory subsystem");
+                     instr.fuType == FuType::Vu,
+                 "the core model executes SA/VU setpm only, got ",
+                 instr.toString(), ": SRAM capacity gating is charged "
+                 "by sim::Engine, and HBM/DMA gating is "
+                 "hardware-managed");
 
-    std::vector<Unit> *units = nullptr;
-    switch (instr.fuType) {
-      case FuType::Sa:
-        units = &sa_;
-        break;
-      case FuType::Vu:
-        units = &vu_;
-        break;
-      case FuType::Dma:
-        units = &dma_;
-        break;
-      default:
-        throw LogicError("unreachable");
-    }
+    std::vector<Unit> *units = instr.fuType == FuType::Sa ? &sa_ : &vu_;
 
     for (std::size_t i = 0; i < units->size() && i < 8; ++i) {
         if (!((instr.bitmap >> i) & 1))
             continue;
         Unit &u = (*units)[i];
         switch (instr.mode) {
-          case core::PowerMode::Off:
+          case PowerMode::Off:
             if (!u.gatedNow) {
                 u.gatedNow = true;
                 // Powering off starts once the unit drains and takes
                 // one on/off delay before leakage actually stops.
                 u.gateStart = std::max(now, u.busyUntil) + u.wakeDelay;
             }
-            u.mode = core::PowerMode::Off;
+            u.mode = PowerMode::Off;
             break;
-          case core::PowerMode::On:
+          case PowerMode::On:
             if (u.gatedNow) {
                 if (u.gateStart < now)
                     u.trace.gated.push_back({u.gateStart, now});
@@ -130,12 +112,12 @@ VliwCore::applySetpm(const SetpmInstr &instr, Cycles now)
                 ++u.trace.wakeEvents;
                 u.busyUntil = std::max(u.busyUntil, now + u.wakeDelay);
             }
-            u.mode = core::PowerMode::On;
+            u.mode = PowerMode::On;
             break;
-          case core::PowerMode::Auto:
-            u.mode = core::PowerMode::Auto;
+          case PowerMode::Auto:
+            u.mode = PowerMode::Auto;
             break;
-          case core::PowerMode::Sleep:
+          case PowerMode::Sleep:
             throw ConfigError("sleep mode is SRAM-only");
         }
     }
@@ -189,7 +171,6 @@ VliwCore::run(const Program &program)
     };
     close(sa_);
     close(vu_);
-    close(dma_);
 }
 
 const UnitTrace &
@@ -204,13 +185,6 @@ VliwCore::vuTrace(int unit) const
 {
     REGATE_CHECK(unit >= 0 && unit < cfg_.numVu, "bad VU index");
     return vu_[unit].trace;
-}
-
-const UnitTrace &
-VliwCore::dmaTrace(int unit) const
-{
-    REGATE_CHECK(unit >= 0 && unit < cfg_.numDma, "bad DMA index");
-    return dma_[unit].trace;
 }
 
 core::ActivityTimeline

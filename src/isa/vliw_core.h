@@ -1,19 +1,25 @@
 /**
  * @file
  * In-order VLIW NPU core timing model with power-state structural
- * hazards (§4.1 "Power state management in NPU core pipeline").
+ * hazards (§4.1 "Power state management in NPU core pipeline"). The
+ * core has SAs and VUs; it is the cycle-level reference for how the
+ * engine (sim::Engine) gates them.
  *
  * The core issues one bundle per cycle unless a required functional
  * unit is busy, powering off, or waking up. A power-gated unit is
  * simply "not ready": dispatching an operation to it triggers a
  * wake-up and the bundle stalls until the wake completes. setpm in the
- * misc slot changes unit power modes; `setpm ... on` wakes units ahead
- * of their next use so no stall is exposed (the Fig. 15 pattern).
+ * misc slot changes SA/VU power modes; `setpm ... on` wakes units
+ * ahead of their next use so no stall is exposed (the Fig. 15
+ * pattern). SRAM and DMA setpm are encodable (isa/instruction.h) but
+ * not executed here: sim::Engine charges SRAM capacity gating, and
+ * HBM/DMA gating is hardware-managed.
  *
  * Optionally the core emulates the hardware auto-gating policy: a unit
  * in `auto` mode that stays idle for the detection window is gated,
  * and the next operation pays the exposed wake-up delay (ReGate-Base
- * behaviour on VUs/SAs).
+ * behaviour on VUs/SAs). cross_validation_test checks this mode
+ * against the engine's HwDetect gating.
  */
 
 #ifndef REGATE_ISA_VLIW_CORE_H
@@ -24,7 +30,6 @@
 
 #include "core/activity.h"
 #include "core/interval.h"
-#include "core/power_state.h"
 #include "isa/program.h"
 
 namespace regate {
@@ -35,11 +40,9 @@ struct VliwCoreConfig
 {
     int numSa = 2;
     int numVu = 2;
-    int numDma = 1;
 
     Cycles saWakeDelay = 10;  ///< Full-SA on/off delay (Table 3).
     Cycles vuWakeDelay = 2;   ///< VU on/off delay (Table 3).
-    Cycles dmaWakeDelay = 60; ///< HBM/DMA on/off delay (Table 3).
 
     /** Emulate hardware idle-detection on auto-mode units. */
     bool autoIdleDetect = false;
@@ -71,7 +74,6 @@ class VliwCore
 
     const UnitTrace &saTrace(int unit) const;
     const UnitTrace &vuTrace(int unit) const;
-    const UnitTrace &dmaTrace(int unit) const;
 
     /** setpm instructions executed. */
     std::uint64_t setpmExecuted() const { return setpmExecuted_; }
@@ -95,7 +97,7 @@ class VliwCore
     {
         Cycles busyUntil = 0;
         Cycles lastBusyEnd = 0;
-        core::PowerMode mode = core::PowerMode::Auto;
+        PowerMode mode = PowerMode::Auto;
         bool gatedNow = false;
         Cycles gateStart = 0;
         Cycles wakeDelay = 0;
@@ -114,7 +116,7 @@ class VliwCore
     Cycles resolveReady(Unit &unit, Cycles t);
 
     VliwCoreConfig cfg_;
-    std::vector<Unit> sa_, vu_, dma_;
+    std::vector<Unit> sa_, vu_;
     std::vector<Cycles> bundleDispatch_;
     Cycles nextIssue_ = 0;
     Cycles totalCycles_ = 0;

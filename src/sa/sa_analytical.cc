@@ -1,5 +1,6 @@
 #include "sa/sa_analytical.h"
 
+#include "common/checked.h"
 #include "common/error.h"
 
 namespace regate {
@@ -16,25 +17,32 @@ SaTileStats::spatialUtilization() const
 SaTileStats &
 SaTileStats::operator+=(const SaTileStats &o)
 {
-    computeCycles += o.computeCycles;
-    weightLoadCycles += o.weightLoadCycles;
-    peOnCycles += o.peOnCycles;
-    peWOnCycles += o.peWOnCycles;
-    peOffCycles += o.peOffCycles;
-    macs += o.macs;
+    computeCycles = checkedAdd(computeCycles, o.computeCycles,
+                               "SA compute cycle count");
+    weightLoadCycles = checkedAdd(weightLoadCycles, o.weightLoadCycles,
+                                  "SA weight-load cycle count");
+    peOnCycles = checkedAdd(peOnCycles, o.peOnCycles,
+                            "SA PE-on cycle count");
+    peWOnCycles = checkedAdd(peWOnCycles, o.peWOnCycles,
+                             "SA PE W_on cycle count");
+    peOffCycles = checkedAdd(peOffCycles, o.peOffCycles,
+                             "SA PE-off cycle count");
+    macs = checkedAdd(macs, o.macs, "SA MAC count");
     return *this;
 }
 
 SaTileStats
 SaTileStats::scaled(std::uint64_t n) const
 {
-    SaTileStats s = *this;
-    s.computeCycles *= n;
-    s.weightLoadCycles *= n;
-    s.peOnCycles *= n;
-    s.peWOnCycles *= n;
-    s.peOffCycles *= n;
-    s.macs *= n;
+    SaTileStats s;
+    s.computeCycles = checkedMul(computeCycles, n,
+                                 "SA compute cycle count");
+    s.weightLoadCycles = checkedMul(weightLoadCycles, n,
+                                    "SA weight-load cycle count");
+    s.peOnCycles = checkedMul(peOnCycles, n, "SA PE-on cycle count");
+    s.peWOnCycles = checkedMul(peWOnCycles, n, "SA PE W_on cycle count");
+    s.peOffCycles = checkedMul(peOffCycles, n, "SA PE-off cycle count");
+    s.macs = checkedMul(macs, n, "SA MAC count");
     return s;
 }
 
@@ -49,14 +57,18 @@ analyzeTile(std::int64_t m, int k, int n, int width)
                  width, "]");
 
     SaTileStats s;
-    s.computeCycles = static_cast<Cycles>(m) + k + n - 1;
+    // k, n <= width, so only the terms with m can leave 64 bits.
+    s.computeCycles = checkedAdd(static_cast<Cycles>(m), k + n - 1,
+                                 "SA compute cycle count");
     s.weightLoadCycles = static_cast<Cycles>(k);
     auto active_pes = static_cast<std::uint64_t>(k) * n;
     auto total_pes = static_cast<std::uint64_t>(width) * width;
-    s.macs = static_cast<std::uint64_t>(m) * k * n;
+    s.macs = checkedMul(static_cast<std::uint64_t>(m), active_pes,
+                        "SA MAC count");
     s.peOnCycles = s.macs;
     s.peWOnCycles = active_pes * (s.computeCycles - m);
-    s.peOffCycles = (total_pes - active_pes) * s.computeCycles;
+    s.peOffCycles = checkedMul(total_pes - active_pes, s.computeCycles,
+                               "SA PE-off cycle count");
     return s;
 }
 

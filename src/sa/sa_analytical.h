@@ -45,6 +45,10 @@ struct SaTileStats
         return peOnCycles + peWOnCycles + peOffCycles;
     }
 
+    /**
+     * Sum and scale the counters; a counter past 64 bits is an
+     * OverflowError (common/checked.h), not a wrap.
+     */
     SaTileStats &operator+=(const SaTileStats &o);
 
     /** Multiply all counters by @p n (n identical tiles). */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/checked.h"
 #include "common/error.h"
 #include "core/gating_engine.h"
 #include "ici/topology.h"
@@ -45,6 +46,23 @@ policyName(Policy p)
         return "ReGate-Full";
       case Policy::Ideal:
         return "Ideal";
+    }
+    throw LogicError("unknown Policy");
+}
+
+LeakFactors
+leakFactors(Policy p, const arch::LeakageRatios &ratios)
+{
+    switch (p) {
+      case Policy::NoPG:
+        return {1.0, 1.0};
+      case Policy::Base:
+      case Policy::HW:
+        return {ratios.logicOff, ratios.sramSleep};
+      case Policy::Full:
+        return {ratios.logicOff, ratios.sramOff};
+      case Policy::Ideal:
+        return {0.0, 0.0};
     }
     throw LogicError("unknown Policy");
 }
@@ -191,11 +209,23 @@ Engine::execute(const graph::OperatorGraph &graph, int pod_chips) const
             for (auto c : arch::kAllComponents)
                 rec.activeFrac[c] = ex.activeFraction(c);
 
-            block_dur += ex.duration;
+            block_dur =
+                checkedAdd(block_dur, ex.duration, "block cycle count");
         }
         eb.duration = block_dur;
 
         // Scale the block to its repeat count and append to the run.
+        // The run's cycles bound every timeline count, so they are
+        // checked first.
+        try {
+            run.cycles = checkedAdd(
+                run.cycles,
+                checkedMul(block_dur, block.repeat, "cycle count"),
+                "run cycle count");
+            run.saStats += block_sa.scaled(block.repeat);
+        } catch (const OverflowError &e) {
+            throw e.within("block '" + block.name + "'");
+        }
         for (auto c : kGated) {
             block_tl[c].repeat(block.repeat);
             run.timeline[c].append(std::move(block_tl[c]));
@@ -206,9 +236,7 @@ Engine::execute(const graph::OperatorGraph &graph, int pod_chips) const
         run.work.sramBytes += block_work.sramBytes * rep;
         run.work.hbmBytes += block_work.hbmBytes * rep;
         run.work.iciBytes += block_work.iciBytes * rep;
-        run.saStats += block_sa.scaled(block.repeat);
         run.sramUsedIntegral += block_sram_integral * rep;
-        run.cycles += block_dur * block.repeat;
 
         // SRAM resize setpm pairs (Full only; reported in Fig. 20).
         run.policies[static_cast<std::size_t>(Policy::Full)]
@@ -254,7 +282,8 @@ Engine::wakeOverheads(const std::vector<Execution::Block> &blocks) const
     for (const auto &block : blocks) {
         std::array<Cycles, kNumPolicies> block_ov{};
         auto charge = [&](Policy p, Cycles d) {
-            block_ov[static_cast<std::size_t>(p)] += d;
+            auto &ov = block_ov[static_cast<std::size_t>(p)];
+            ov = checkedAdd(ov, d, "wake-up overhead cycle count");
         };
 
         // ReGate-Base cannot hide the per-burst VU wake-ups that
@@ -269,7 +298,8 @@ Engine::wakeOverheads(const std::vector<Execution::Block> &blocks) const
                 static_cast<double>(activations) *
                 static_cast<double>(params_.onOffDelay(GatedUnit::Vu)) *
                 kVuStallShare;
-            charge(Policy::Base, static_cast<Cycles>(stalls));
+            charge(Policy::Base,
+                   checkedCount(stalls, "wake-up stall cycle count"));
         }
 
         // Inter-use wake overhead per policy: count idle gaps (with
@@ -332,8 +362,13 @@ Engine::wakeOverheads(const std::vector<Execution::Block> &blocks) const
             }
         }
 
-        for (std::size_t p = 0; p < kNumPolicies; ++p)
-            overheads[p] += block_ov[p] * block.repeat;
+        for (std::size_t p = 0; p < kNumPolicies; ++p) {
+            overheads[p] = checkedAdd(
+                overheads[p],
+                checkedMul(block_ov[p], block.repeat,
+                           "wake-up overhead cycle count"),
+                "wake-up overhead cycle count");
+        }
     }
     return overheads;
 }
@@ -344,7 +379,7 @@ Engine::evaluatePolicy(const WorkloadRun &run, Policy policy,
 {
     res.policy = policy;
     const double tau = cfg_.cycleTime();
-    const auto &ratios = params_.ratios();
+    const LeakFactors leak = leakFactors(policy, params_.ratios());
 
     auto modeFor = [&](Component c) -> GatingMode {
         if (policy == Policy::NoPG)
@@ -373,8 +408,6 @@ Engine::evaluatePolicy(const WorkloadRun &run, Policy policy,
             double flat = power_.staticPower(Component::Sa) * tau *
                           static_cast<double>(
                               run.timeline[Component::Sa].activeCycles());
-            double off_leak =
-                policy == Policy::Ideal ? 0.0 : ratios.logicOff;
             // The per-SA analytical totals already cover all PEs of
             // one array; numSa arrays ran the serial tile stream in
             // parallel, so PE-cycle totals are unchanged.
@@ -383,8 +416,8 @@ Engine::evaluatePolicy(const WorkloadRun &run, Policy policy,
                             sa::kWOnPowerFraction *
                                 static_cast<double>(
                                     run.saStats.peWOnCycles) +
-                            off_leak * static_cast<double>(
-                                           run.saStats.peOffCycles));
+                            leak.logic * static_cast<double>(
+                                             run.saStats.peOffCycles));
             if (gated < flat)
                 e_sa += gated - flat;
         }
@@ -428,25 +461,8 @@ Engine::evaluatePolicy(const WorkloadRun &run, Policy policy,
         double p_sram = power_.staticPower(Component::Sram);
         double used = run.sramUsedIntegral;
         double unused = static_cast<double>(run.cycles) - used;
-        double leak;
-        switch (policy) {
-          case Policy::NoPG:
-            leak = 1.0;
-            break;
-          case Policy::Base:
-          case Policy::HW:
-            leak = ratios.sramSleep;
-            break;
-          case Policy::Full:
-            leak = ratios.sramOff;
-            break;
-          case Policy::Ideal:
-            leak = 0.0;
-            break;
-          default:
-            throw LogicError("unknown policy");
-        }
-        e.staticJ[Component::Sram] = p_sram * tau * (used + leak * unused);
+        e.staticJ[Component::Sram] =
+            p_sram * tau * (used + leak.sram * unused);
     }
 
     // ---- Other: never gated ----
@@ -463,7 +479,9 @@ Engine::evaluatePolicy(const WorkloadRun &run, Policy policy,
         run.cycles > 0 ? static_cast<double>(res.overheadCycles) /
                              static_cast<double>(run.cycles)
                        : 0.0;
-    res.seconds = static_cast<double>(run.cycles + res.overheadCycles) *
+    res.seconds = static_cast<double>(checkedAdd(
+                      run.cycles, res.overheadCycles,
+                      "run cycle count with wake-up overhead")) *
                   tau;
     // The chip burns (policy-reduced) static power during the extra
     // cycles; charge it at the post-gating average static power.
@@ -479,15 +497,6 @@ Engine::evaluatePolicy(const WorkloadRun &run, Policy policy,
 
     // ---- Peak power: most power-hungry operator (Fig. 18) ----
     // Everything but the record's own fractions is fixed per policy.
-    const double leak_c = policy == Policy::NoPG    ? 1.0
-                          : policy == Policy::Ideal ? 0.0
-                                                    : ratios.logicOff;
-    const double sram_leak = policy == Policy::NoPG ? 1.0
-                             : policy == Policy::Ideal
-                                 ? 0.0
-                                 : (policy == Policy::Full
-                                        ? ratios.sramOff
-                                        : ratios.sramSleep);
     std::array<double, kGated.size()> p_logic;
     for (std::size_t i = 0; i < kGated.size(); ++i)
         p_logic[i] = power_.staticPower(kGated[i]);
@@ -499,10 +508,10 @@ Engine::evaluatePolicy(const WorkloadRun &run, Policy policy,
         double p_static = 0;
         for (std::size_t i = 0; i < kGated.size(); ++i) {
             double f = rec.activeFrac[kGated[i]];
-            p_static += p_logic[i] * (f + (1.0 - f) * leak_c);
+            p_static += p_logic[i] * (f + (1.0 - f) * leak.logic);
         }
         p_static += p_sram * (rec.sramUsedFrac +
-                              (1.0 - rec.sramUsedFrac) * sram_leak);
+                              (1.0 - rec.sramUsedFrac) * leak.sram);
         p_static += p_other;
         peak = std::max(peak, p_static + rec.dynamicJ / dur_s);
     }

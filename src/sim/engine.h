@@ -45,6 +45,20 @@ const std::array<Policy, kNumPolicies> &allPolicies();
 std::string policyName(Policy p);
 
 /**
+ * Residual leakage, as a fraction of active static power, that a
+ * policy leaves in idle logic (SA/VU/HBM/ICI) and in unused SRAM:
+ * none gated under NoPG, drowsy SRAM under Base/HW, SRAM off under
+ * Full, and no leakage at all under Ideal.
+ */
+struct LeakFactors
+{
+    double logic;
+    double sram;
+};
+
+LeakFactors leakFactors(Policy p, const arch::LeakageRatios &ratios);
+
+/**
  * Per-operator record kept for figure generation. A run's records
  * follow the compiled graph in block order: record i is the i-th
  * operator of graph.blocks[0].ops, graph.blocks[1].ops, ... in turn,

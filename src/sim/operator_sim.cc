@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/checked.h"
 #include "common/error.h"
 
 namespace regate {
@@ -44,9 +45,10 @@ OperatorSimulator::OperatorSimulator(const arch::NpuConfig &cfg,
 {
 }
 
+// A function-try-block, so that every count below names the operator.
 OpExecution
 OperatorSimulator::simulate(const graph::Operator &op) const
-{
+try {
     op.validate();
     OpExecution ex;
 
@@ -62,13 +64,14 @@ OperatorSimulator::simulate(const graph::Operator &op) const
         // first weight load is exposed, later ones are
         // double-buffered behind compute.
         Cycles serial = ex.saStats.computeCycles;
-        ex.active[Component::Sa] =
-            serial / cfg_.numSa +
+        ex.active[Component::Sa] = checkedAdd(
+            serial / cfg_.numSa,
             sa::analyzeTile(1,
                             static_cast<int>(std::min<std::int64_t>(
                                 op.k, cfg_.saWidth)),
                             1, cfg_.saWidth)
-                .weightLoadCycles;
+                .weightLoadCycles,
+            "SA cycle count");
         ex.work.macs = ex.saStats.macs;
         // The VUs drain/accumulate SA outputs (Fig. 15).
         ex.work.vuOps += static_cast<double>(op.batch) * op.m * op.n;
@@ -83,19 +86,18 @@ OperatorSimulator::simulate(const graph::Operator &op) const
 
     // ---- VU work ----
     ex.work.vuOps += op.vuOps;
-    ex.active[Component::Vu] = static_cast<Cycles>(
-        std::ceil(ex.work.vuOps / lanes_total));
+    ex.active[Component::Vu] = checkedCount(
+        std::ceil(ex.work.vuOps / lanes_total), "VU cycle count");
 
     // ---- HBM ----
     double hbm_bytes = op.hbmBytes();
+    std::uint64_t hbm_count = checkedCount(hbm_bytes, "HBM byte count");
     double hbm_seconds = 0;
     if (op.kind == OpKind::Embedding) {
-        hbm_seconds = hbm_.transferSeconds(
-                          static_cast<std::uint64_t>(hbm_bytes)) /
-                      kGatherEfficiency;
+        hbm_seconds =
+            hbm_.transferSeconds(hbm_count) / kGatherEfficiency;
     } else if (hbm_bytes > 0) {
-        hbm_seconds = hbm_.transferSeconds(
-            static_cast<std::uint64_t>(hbm_bytes));
+        hbm_seconds = hbm_.transferSeconds(hbm_count);
     }
     ex.active[Component::Hbm] = cfg_.cyclesFor(hbm_seconds);
     ex.work.hbmBytes = hbm_bytes;
@@ -118,11 +120,11 @@ OperatorSimulator::simulate(const graph::Operator &op) const
                 throw LogicError("collective without kind");
             }
         }();
-        double secs = coll_.seconds(
-            kind, static_cast<std::uint64_t>(op.collBytes));
-        ex.active[Component::Ici] = cfg_.cyclesFor(secs);
-        ex.work.iciBytes = coll_.wireBytes(
-            kind, static_cast<std::uint64_t>(op.collBytes));
+        std::uint64_t coll_bytes =
+            checkedCount(op.collBytes, "collective byte count");
+        ex.active[Component::Ici] =
+            cfg_.cyclesFor(coll_.seconds(kind, coll_bytes));
+        ex.work.iciBytes = coll_.wireBytes(kind, coll_bytes);
     }
 
     // ---- Latency: components overlap; the slowest one wins ----
@@ -161,6 +163,8 @@ OperatorSimulator::simulate(const graph::Operator &op) const
     shape.bursts[Component::Hbm] = chunks;
     shape.bursts[Component::Ici] = 1;
     return ex;
+} catch (const OverflowError &e) {
+    throw e.within("operator '" + op.name + "'");
 }
 
 }  // namespace sim

@@ -80,7 +80,10 @@ class OperatorSimulator
     OperatorSimulator(const arch::NpuConfig &cfg,
                       const ici::CollectiveModel &coll);
 
-    /** Simulate one (compiled) operator. */
+    /**
+     * Simulate one (compiled) operator. A cycle or MAC count past 64
+     * bits is an OverflowError that names the operator.
+     */
     OpExecution simulate(const graph::Operator &op) const;
 
   private:

@@ -1,5 +1,6 @@
 #include "sim/report.h"
 
+#include "common/checked.h"
 #include "common/error.h"
 #include "compiler/compiler.h"
 #include "models/registry.h"
@@ -10,34 +11,33 @@ namespace sim {
 
 using arch::Component;
 
+namespace {
+
+/** @p e prefixed with the case it occurred in. */
+OverflowError
+inCase(const OverflowError &e, const models::ScenarioSpec &spec,
+       arch::NpuGeneration gen)
+{
+    return e.within("scenario '" + spec.name + "' on " +
+                    arch::npuConfig(gen).name);
+}
+
+}  // namespace
+
 double
 idleStaticPower(const energy::PowerModel &power,
                 const arch::GatingParams &params, Policy policy)
 {
-    const auto &ratios = params.ratios();
     // "Other" (management, control) stays powered even on an idle
     // chip (§3); everything else gates according to the policy.
-    double p = power.staticPower(Component::Other);
     double logic = power.staticPower(Component::Sa) +
                    power.staticPower(Component::Vu) +
                    power.staticPower(Component::Hbm) +
                    power.staticPower(Component::Ici);
-    double sram = power.staticPower(Component::Sram);
-    switch (policy) {
-      case Policy::NoPG:
-        p += logic + sram;
-        break;
-      case Policy::Base:
-      case Policy::HW:
-        p += logic * ratios.logicOff + sram * ratios.sramSleep;
-        break;
-      case Policy::Full:
-        p += logic * ratios.logicOff + sram * ratios.sramOff;
-        break;
-      case Policy::Ideal:
-        break;
-    }
-    return p;
+    auto leak = leakFactors(policy, params.ratios());
+    return power.staticPower(Component::Other) +
+           (logic * leak.logic +
+            power.staticPower(Component::Sram) * leak.sram);
 }
 
 const WorkloadRun &
@@ -127,7 +127,25 @@ executeCase(const models::ScenarioSpec &spec, arch::NpuGeneration gen,
             models::buildScenarioGraph(spec, setup), cfg);
     }();
     obs::TraceRecorder::Span span("engine.execute", "sim");
-    return Engine(cfg).execute(compiled.graph, setup.chips);
+    try {
+        return Engine(cfg).execute(compiled.graph, setup.chips);
+    } catch (const OverflowError &e) {
+        throw inCase(e, spec, gen);
+    }
+}
+
+GatedResults
+evaluateCase(const models::ScenarioSpec &spec, arch::NpuGeneration gen,
+             const arch::GatingParams &params, const WorkloadRun &run,
+             const std::vector<Execution::Block> &blocks)
+{
+    obs::TraceRecorder::Span span("engine.evaluate", "sim");
+    try {
+        return Engine(arch::npuConfig(gen), params)
+            .evaluateGated(run, blocks);
+    } catch (const OverflowError &e) {
+        throw inCase(e, spec, gen);
+    }
 }
 
 WorkloadReport
@@ -160,9 +178,7 @@ simulateScenario(std::shared_ptr<const models::ScenarioSpec> spec,
                      : models::defaultScenarioSetup(*spec, gen);
     auto ex = executeCase(*spec, gen, setup);
     auto run = std::make_shared<const WorkloadRun>(std::move(ex.run));
-    obs::TraceRecorder::Span span("engine.evaluate", "sim");
-    auto gated =
-        Engine(arch::npuConfig(gen), params).evaluateGated(*run, ex.blocks);
+    auto gated = evaluateCase(*spec, gen, params, *run, ex.blocks);
     return makeReport(std::move(spec), gen, setup, params, std::move(run),
                       gated);
 }

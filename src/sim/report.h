@@ -131,10 +131,23 @@ WorkloadReport simulateScenario(
  * Build and compile the graph of @p spec with @p setup for @p gen, and
  * execute it: the part of a simulation that no gating parameter
  * changes. Move its run into a shared pointer to give it to reports.
+ * A count past 64 bits is an OverflowError naming the scenario, the
+ * generation and the operator or block.
  */
 Execution executeCase(const models::ScenarioSpec &spec,
                       arch::NpuGeneration gen,
                       const models::RunSetup &setup);
+
+/**
+ * Evaluate Base/HW/Full of @p spec's executed @p run on @p gen under
+ * @p params (Engine::evaluateGated), naming the scenario and the
+ * generation in an OverflowError as executeCase does.
+ */
+GatedResults evaluateCase(const models::ScenarioSpec &spec,
+                          arch::NpuGeneration gen,
+                          const arch::GatingParams &params,
+                          const WorkloadRun &run,
+                          const std::vector<Execution::Block> &blocks);
 
 /**
  * The report of @p spec over the executed @p run, whose Base/HW/Full

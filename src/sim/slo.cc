@@ -7,7 +7,6 @@
 
 #include "common/error.h"
 #include "models/registry.h"
-#include "obs/trace.h"
 #include "sim/sweep.h"
 
 namespace regate {
@@ -195,11 +194,10 @@ SloResult
 evaluateWinner(const Selector<ExecutionPtr> &sel, const SweepCase &c)
 {
     const auto &winner = sel.winner();
-    obs::TraceRecorder::Span span("engine.evaluate", "sim");
-    Engine engine(arch::npuConfig(c.gen), c.params);
     return sel.result(makeReport(
         c.scenario, c.gen, winner.setup, c.params, winner.run->run,
-        engine.evaluateGated(*winner.run->run, winner.run->blocks)));
+        evaluateCase(*c.scenario, c.gen, c.params, *winner.run->run,
+                     winner.run->blocks)));
 }
 
 /** The search of one case; a ConfigError propagates. */

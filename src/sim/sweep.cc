@@ -8,7 +8,6 @@
 
 #include "common/error.h"
 #include "models/registry.h"
-#include "obs/trace.h"
 
 namespace regate {
 namespace sim {
@@ -211,13 +210,12 @@ SweepRunner::run(const std::vector<SweepCase> &cases)
         const ExecutionKey &key = keys[order[first]];
         Execution ex = executeCase(*key.spec, key.gen, key.setup);
         auto run = std::make_shared<const WorkloadRun>(std::move(ex.run));
-        const auto &cfg = arch::npuConfig(key.gen);
         for (std::size_t m = first; m < last; ++m) {
             const SweepCase &c = cases[order[m]];
-            obs::TraceRecorder::Span span("engine.evaluate", "sim");
             out[order[m]] = makeReport(
                 c.scenario, c.gen, key.setup, c.params, run,
-                Engine(cfg, c.params).evaluateGated(*run, ex.blocks));
+                evaluateCase(*c.scenario, c.gen, c.params, *run,
+                             ex.blocks));
         }
     });
     return out;

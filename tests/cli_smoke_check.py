@@ -36,8 +36,11 @@ Checks:
     distinct candidate once and evaluate only the winners; scenarios
     that differ only in gating keys add evaluations to fig02 but no
     executions;
-13. every grid binary exits 0 on a llama-prefill spec whose seq_len
-    does not fit in 32 bits;
+13. every grid binary exits 1, not on a signal, on a llama-prefill
+    spec whose seq_len does not fit in 32 bits and on one whose
+    seq_len is 1e12: a MAC count of each leaves 64 bits, and stderr
+    names the scenario and the operator; fig02 and table4 print an
+    error row first;
 14. the grid binaries that simulate the spec of check 9 on NPU-A
     (fig03-fig06, fig08, fig09, fig23) exit 1 with its ConfigError on
     stderr, and the others besides fig02 exit 0.
@@ -128,15 +131,22 @@ batch = 1
 chips = 1
 """
 
-# A GEMM reduction dimension of 2^31: simulated in 64 bits, not
-# truncated to a negative tile size.
-SEQ_LEN_2_31_SPEC = """@regate-spec v1
-[scenario prefill-seq-2-31]
+# Shapes whose counts leave 64 bits, each with the operator whose
+# count does first. A GEMM reduction dimension of 2^31 is simulated in
+# 64 bits, not truncated to a negative tile size, but the attention's
+# MAC count is past 2^64. Wrapped, the seq_len 1e12 counts print 0.0%
+# in every fig17 column.
+OVERFLOW_SPECS = (
+    ("prefill-seq-2-31", "2147483648", b"operator 'attn.scores'"),
+    ("prefill-seq-1e12", "1000000000000", b"operator 'qkv_proj'"),
+)
+OVERFLOW_SPEC = """@regate-spec v1
+[scenario {name}]
 family = llama-prefill
 model = 8b
 batch = 8
 chips = 8
-seq_len = 2147483648
+seq_len = {seq_len}
 """
 
 # The grid binaries that simulate NO_CANDIDATE_ON_A_SPEC's default
@@ -308,12 +318,23 @@ def check_all(binary, suite_spec, specs, trace_check):
             expect(proc.returncode == 0,
                    f"{name} --spec {spec.name}: want exit 0", proc)
 
-    spec = Path(workdir) / "seq_len_2_31.spec"
-    spec.write_text(SEQ_LEN_2_31_SPEC)
-    for name in GRID:
-        proc = run([binary(name), "--spec", spec])
-        expect(proc.returncode == 0 and proc.stdout,
-               f"{name} --spec {spec.name}: want exit 0", proc)
+    for scenario, seq_len, operator in OVERFLOW_SPECS:
+        spec = Path(workdir) / f"{scenario}.spec"
+        spec.write_text(OVERFLOW_SPEC.format(name=scenario,
+                                             seq_len=seq_len))
+        for name in GRID:
+            proc = run([binary(name), "--spec", spec])
+            error_row = name not in ("fig02_energy_efficiency",
+                                     "table4_slo_configs") or any(
+                line.startswith(f"| {scenario} ")
+                and "error" in (cell.strip() for cell in line.split("|"))
+                for line in proc.stdout.decode().splitlines())
+            expect(proc.returncode == 1 and error_row
+                   and f"scenario '{scenario}'".encode() in proc.stderr
+                   and operator in proc.stderr
+                   and b"does not fit in 64 bits" in proc.stderr,
+                   f"{name} --spec {spec.name}: want exit 1 naming the "
+                   "scenario and the operator", proc)
 
     gating_spec = suite_spec.parent / "gating_overrides.spec"
     for name in ("fig17_energy_savings", "fig21_sens_leakage"):

@@ -11,7 +11,9 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <string>
 
+#include "common/checked.h"
 #include "compiler/compiler.h"
 #include "ici/topology.h"
 #include "models/registry.h"
@@ -99,6 +101,31 @@ TEST(Engine, RepeatScalesLinearly)
         r4.result(Policy::NoPG).energy.busyTotal(),
         4 * r1.result(Policy::NoPG).energy.busyTotal(),
         r1.result(Policy::NoPG).energy.busyTotal() * 0.01);
+}
+
+TEST(Engine, RunCyclesPast64BitsAreAnOverflowError)
+{
+    Engine engine(arch::npuConfig(NpuGeneration::D));
+    try {
+        engine.execute(gemmNormGraph(std::uint64_t{1} << 62), 1);
+        ADD_FAILURE() << "2^62 repeats of a block executed";
+    } catch (const OverflowError &e) {
+        EXPECT_EQ(std::string(e.what()).rfind(
+                      "config error: block 'layer': cycle count ", 0),
+                  0u)
+            << e.what();
+    }
+}
+
+TEST(Engine, WakeOverheadPast64BitsIsAnOverflowError)
+{
+    // The params accept this scale (each Table-3 count still fits),
+    // but four repeats of the GEMM's VU wake stalls add up past 2^64.
+    arch::GatingParams params;
+    params.setDelayScale(1e16);
+    Engine engine(arch::npuConfig(NpuGeneration::D), params);
+    auto ex = engine.execute(gemmNormGraph(4), 1);
+    EXPECT_THROW(engine.evaluateGated(ex.run, ex.blocks), OverflowError);
 }
 
 TEST(Engine, TimelineAccountingConsistent)

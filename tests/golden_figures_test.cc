@@ -251,7 +251,7 @@ renderFig24Small()
 std::string
 renderFig15Small()
 {
-    using core::PowerMode;
+    using isa::PowerMode;
     using isa::FuType;
 
     // The paper's program: 2 SAs, 2 VUs, 8-cycle pops, 2-cycle VU

@@ -80,7 +80,7 @@ TEST(Instrument, LongGapsGetSetpmPairs)
     bool merged = false;
     for (const auto &b : result.program.bundles()) {
         if (b.misc.has_value() &&
-            b.misc->mode == core::PowerMode::Off) {
+            b.misc->mode == isa::PowerMode::Off) {
             EXPECT_EQ(b.misc->bitmap, 0b11);
             merged = true;
         }

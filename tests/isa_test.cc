@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the setpm ISA extension (Fig. 14): encoding, decoding,
- * round-trips, malformed-word rejection, and program building.
+ * round-trips, malformed-word rejection, program building, and the
+ * power-mode and unit names.
  */
 
 #include <gtest/gtest.h>
@@ -14,8 +15,6 @@
 namespace regate {
 namespace isa {
 namespace {
-
-using core::PowerMode;
 
 TEST(Setpm, PaperExampleEncoding)
 {
@@ -129,6 +128,14 @@ TEST(Program, SramSetpmInBundle)
     Program p;
     p.bundle().setpmSram(1, 2, PowerMode::Off);
     EXPECT_EQ(p.bundles()[0].misc->fuType, FuType::Sram);
+}
+
+TEST(PowerMode, Names)
+{
+    EXPECT_EQ(powerModeName(PowerMode::Auto), "auto");
+    EXPECT_EQ(powerModeName(PowerMode::On), "on");
+    EXPECT_EQ(powerModeName(PowerMode::Off), "off");
+    EXPECT_EQ(powerModeName(PowerMode::Sleep), "sleep");
 }
 
 TEST(FuType, Names)

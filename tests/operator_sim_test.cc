@@ -1,11 +1,16 @@
 /**
  * @file
  * Tests for the per-operator tile-level simulator: bottleneck
- * selection, component activity, and work counters.
+ * selection, component activity, work counters, and counts that do
+ * not fit in 64 bits.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
+#include "common/checked.h"
 #include "sim/operator_sim.h"
 
 namespace regate {
@@ -171,6 +176,63 @@ TEST_F(OpSimFixture, SmallHeadDimLowersSpatialUtil)
     op.n = 1024;
     auto ex = sim_.simulate(op);
     EXPECT_LT(ex.saStats.spatialUtilization(), 0.6);
+}
+
+/** The message of the OverflowError @p fn throws, or "" if none. */
+template <typename Fn>
+std::string
+overflowMessage(Fn &&fn)
+{
+    try {
+        fn();
+    } catch (const OverflowError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(SaAnalytical, MacsPast64BitsAreAnOverflowError)
+{
+    // 1e12 x 128 x 1e12 is 1.28e26 MACs; wrapped, it would be 1.67e19.
+    EXPECT_THROW(sa::analyzeMatmul(1000000000000, 128, 1000000000000, 128),
+                 OverflowError);
+    // Counts that fit stay exact: 2^40 rows through one full tile.
+    auto s = sa::analyzeMatmul(std::int64_t{1} << 40, 128, 128, 128);
+    EXPECT_EQ(s.macs, std::uint64_t{1} << 54);
+    EXPECT_EQ(s.computeCycles, (std::uint64_t{1} << 40) + 255);
+}
+
+TEST_F(OpSimFixture, CountsPast64BitsNameTheOperator)
+{
+    Operator gemm;
+    gemm.kind = OpKind::MatMul;
+    gemm.name = "qkv_proj";
+    gemm.m = 1000000000000;
+    gemm.k = 4096;
+    gemm.n = 1000000000000;
+    EXPECT_EQ(overflowMessage([&] { sim_.simulate(gemm); })
+                  .rfind("config error: operator 'qkv_proj': SA ", 0),
+              0u);
+
+    Operator vu;
+    vu.kind = OpKind::Elementwise;
+    vu.name = "huge_add";
+    vu.vuOps = 1e40;
+    EXPECT_NE(overflowMessage([&] { sim_.simulate(vu); })
+                  .find("operator 'huge_add': VU cycle count"),
+              std::string::npos);
+
+    Operator copy;
+    copy.kind = OpKind::Elementwise;
+    copy.name = "huge_copy";
+    copy.hbmReadBytes = 1e20;
+    EXPECT_NE(overflowMessage([&] { sim_.simulate(copy); })
+                  .find("operator 'huge_copy': HBM byte count"),
+              std::string::npos);
+
+    // 1e20 s is more than 2^64 cycles at any clock here.
+    EXPECT_THROW(cfg_.cyclesFor(1e20), OverflowError);
+    EXPECT_THROW(cfg_.cyclesFor(std::nan("")), OverflowError);
 }
 
 }  // namespace

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.h"
 
+#include "models/spec.h"
 #include "sim/report.h"
 
 namespace regate {
@@ -102,6 +105,28 @@ TEST(Report, InvalidFleetParamsRejected)
     FleetParams bad;
     bad.dutyCycle = 0.0;
     EXPECT_THROW(rep.idleSeconds(Policy::NoPG, bad), ConfigError);
+}
+
+TEST(Report, OverflowNamesTheScenarioAndTheOperator)
+{
+    // Wrapped, its counters print 0.0% for every saving.
+    auto spec = models::parseSpecText("@regate-spec v1\n"
+                                      "[scenario prefill-seq-1e12]\n"
+                                      "family = llama-prefill\n"
+                                      "model = 8b\nbatch = 8\n"
+                                      "chips = 8\n"
+                                      "seq_len = 1000000000000\n")
+                    .scenarios.at(0);
+    try {
+        simulateScenario(spec, NpuGeneration::D);
+        ADD_FAILURE() << "seq_len 1e12 simulated";
+    } catch (const ConfigError &e) {
+        EXPECT_EQ(std::string(e.what()).rfind(
+                      "config error: scenario 'prefill-seq-1e12' on "
+                      "NPU-D: operator 'qkv_proj': SA ", 0),
+                  0u)
+            << e.what();
+    }
 }
 
 }  // namespace

@@ -15,8 +15,6 @@ namespace regate {
 namespace isa {
 namespace {
 
-using core::PowerMode;
-
 VliwCoreConfig
 fig15Core()
 {
@@ -175,6 +173,31 @@ TEST(VliwCore, RejectsBadUnitIndices)
     p.bundle().vuOp(5);
     EXPECT_THROW(core.run(p), ConfigError);
     EXPECT_THROW(core.vuTrace(9), ConfigError);
+}
+
+TEST(VliwCore, RejectsSramAndDmaSetpm)
+{
+    // The core executes SA/VU setpm only: the engine charges SRAM
+    // capacity gating, and HBM/DMA gating is hardware-managed.
+    Program sram;
+    sram.bundle().setpmSram(1, 2, PowerMode::Off);
+    Program dma;
+    dma.bundle().setpm(0b1, FuType::Dma, PowerMode::Off);
+    for (const Program *p : {&sram, &dma}) {
+        VliwCore core(fig15Core());
+        try {
+            core.run(*p);
+            ADD_FAILURE() << p->bundles()[0].misc->toString()
+                          << " executed";
+        } catch (const ConfigError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "SRAM capacity gating is charged by "
+                          "sim::Engine, and HBM/DMA gating is "
+                          "hardware-managed"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 }  // namespace
