@@ -2,7 +2,7 @@
  * @file
  * Tests for the setpm ISA extension (Fig. 14): encoding, decoding,
  * round-trips, malformed-word rejection, program building, and the
- * power-mode and unit names.
+ * unit names.
  */
 
 #include <gtest/gtest.h>
@@ -128,14 +128,6 @@ TEST(Program, SramSetpmInBundle)
     Program p;
     p.bundle().setpmSram(1, 2, PowerMode::Off);
     EXPECT_EQ(p.bundles()[0].misc->fuType, FuType::Sram);
-}
-
-TEST(PowerMode, Names)
-{
-    EXPECT_EQ(powerModeName(PowerMode::Auto), "auto");
-    EXPECT_EQ(powerModeName(PowerMode::On), "on");
-    EXPECT_EQ(powerModeName(PowerMode::Off), "off");
-    EXPECT_EQ(powerModeName(PowerMode::Sleep), "sleep");
 }
 
 TEST(FuType, Names)

@@ -5,10 +5,10 @@
 
 #include <gtest/gtest.h>
 
-#include "core/power_state.h"
+#include "isa/instruction.h"
 
 namespace regate {
-namespace core {
+namespace isa {
 namespace {
 
 TEST(PowerState, ModeNames)
@@ -20,5 +20,5 @@ TEST(PowerState, ModeNames)
 }
 
 }  // namespace
-}  // namespace core
+}  // namespace isa
 }  // namespace regate
