@@ -82,14 +82,6 @@ class ComponentMap
         return s;
     }
 
-    ComponentMap &
-    operator+=(const ComponentMap &o)
-    {
-        for (std::size_t i = 0; i < kNumComponents; ++i)
-            data_[i] = data_[i] + o.data_[i];
-        return *this;
-    }
-
   private:
     std::array<T, kNumComponents> data_{};
 };

@@ -1,8 +1,6 @@
 #include "arch/npu_config.h"
 
-#include <algorithm>
 #include <array>
-#include <cctype>
 
 #include "common/error.h"
 
@@ -111,21 +109,6 @@ npuConfig(NpuGeneration gen)
     const auto &cfg = kConfigs[static_cast<std::size_t>(gen)];
     REGATE_ASSERT(cfg.generation == gen, "config table out of order");
     return cfg;
-}
-
-const NpuConfig &
-npuConfigByName(const std::string &name)
-{
-    std::string upper = name;
-    std::transform(upper.begin(), upper.end(), upper.begin(),
-                   [](unsigned char c) { return std::toupper(c); });
-    for (const auto &cfg : kConfigs) {
-        if (upper == cfg.name || (upper.size() == 1 &&
-                                  upper[0] == cfg.name.back())) {
-            return cfg;
-        }
-    }
-    throw ConfigError("unknown NPU generation: " + name);
 }
 
 }  // namespace arch

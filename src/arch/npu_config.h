@@ -123,9 +123,6 @@ struct NpuConfig
 /** Table 2 configuration for one generation. */
 const NpuConfig &npuConfig(NpuGeneration gen);
 
-/** Look up by name ("NPU-A", "A", case-insensitive); throws if unknown. */
-const NpuConfig &npuConfigByName(const std::string &name);
-
 }  // namespace arch
 }  // namespace regate
 

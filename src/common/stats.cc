@@ -20,18 +20,6 @@ mean(const std::vector<double> &xs)
 }
 
 double
-geomean(const std::vector<double> &xs)
-{
-    REGATE_CHECK(!xs.empty(), "geomean of empty sample");
-    double s = 0.0;
-    for (double x : xs) {
-        REGATE_CHECK(x > 0.0, "geomean requires positive values, got ", x);
-        s += std::log(x);
-    }
-    return std::exp(s / static_cast<double>(xs.size()));
-}
-
-double
 minOf(const std::vector<double> &xs)
 {
     REGATE_CHECK(!xs.empty(), "min of empty sample");
@@ -43,21 +31,6 @@ maxOf(const std::vector<double> &xs)
 {
     REGATE_CHECK(!xs.empty(), "max of empty sample");
     return *std::max_element(xs.begin(), xs.end());
-}
-
-double
-percentile(std::vector<double> xs, double p)
-{
-    REGATE_CHECK(!xs.empty(), "percentile of empty sample");
-    REGATE_CHECK(p >= 0.0 && p <= 100.0, "percentile out of range: ", p);
-    std::sort(xs.begin(), xs.end());
-    if (xs.size() == 1)
-        return xs[0];
-    double rank = p / 100.0 * static_cast<double>(xs.size() - 1);
-    std::size_t lo = static_cast<std::size_t>(rank);
-    std::size_t hi = std::min(lo + 1, xs.size() - 1);
-    double frac = rank - static_cast<double>(lo);
-    return xs[lo] * (1.0 - frac) + xs[hi] * frac;
 }
 
 double
@@ -75,7 +48,7 @@ r2(const std::vector<double> &xs, const std::vector<double> &ys)
         syy += dy * dy;
     }
     if (sxx == 0.0 || syy == 0.0)
-        return 1.0;
+        return sxx == 0.0 && syy == 0.0 && mx == my ? 1.0 : 0.0;
     double r = sxy / std::sqrt(sxx * syy);
     return r * r;
 }

@@ -1,8 +1,6 @@
 /**
  * @file
- * Small statistics helpers: summaries, CDFs, weighted CDFs, and the
- * coefficient of determination (R^2) used by the Fig. 16 validation
- * bench.
+ * Small statistics helpers for the figure binaries.
  */
 
 #ifndef REGATE_COMMON_STATS_H
@@ -18,22 +16,16 @@ namespace stats {
 /** Arithmetic mean; 0 for an empty vector. */
 double mean(const std::vector<double> &xs);
 
-/** Population geometric mean; requires all values > 0. */
-double geomean(const std::vector<double> &xs);
-
 /** Minimum / maximum; throw on empty input. */
 double minOf(const std::vector<double> &xs);
 double maxOf(const std::vector<double> &xs);
 
 /**
- * Percentile via linear interpolation on the sorted sample,
- * p in [0, 100].
- */
-double percentile(std::vector<double> xs, double p);
-
-/**
  * Pearson correlation coefficient squared (R^2) between two equal-length
  * samples, as used for simulator validation in the paper's Fig. 16.
+ * A constant sample has no correlation: R^2 is 1 only when both samples
+ * are constant and equal, and 0 when one of them varies or the two
+ * constants differ.
  */
 double r2(const std::vector<double> &xs, const std::vector<double> &ys);
 

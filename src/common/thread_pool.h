@@ -4,11 +4,11 @@
  *
  * Tasks are arbitrary callables submitted through submit(), which
  * returns a std::future for the callable's result. Work is executed
- * FIFO; result *ordering* is the caller's job. parallelFor and
- * parallelMapOrdered below fan an index range out with one task per
- * worker and keep results in input order, which is what makes parallel
- * sweeps deterministic. Exceptions thrown by a task are captured in
- * its future and rethrown at get().
+ * FIFO; result *ordering* is the caller's job. parallelFor below fans
+ * an index range out with one task per worker; callers write result i
+ * to slot i, which is what makes parallel sweeps deterministic.
+ * Exceptions thrown by a task are captured in its future and rethrown
+ * at get().
  */
 
 #ifndef REGATE_COMMON_THREAD_POOL_H
@@ -26,7 +26,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -191,26 +190,6 @@ parallelFor(ThreadPool &pool, std::size_t n, Fn &&fn)
         w.wait();
     if (first_error)
         std::rethrow_exception(first_error);
-}
-
-/**
- * Apply @p fn to every item on @p pool (see parallelFor) and return the
- * results in input order, whatever the worker count or scheduling.
- */
-template <typename T, typename Fn>
-auto
-parallelMapOrdered(ThreadPool &pool, const std::vector<T> &items, Fn fn)
-    -> std::vector<decltype(fn(items.front()))>
-{
-    using R = decltype(fn(items.front()));
-    std::vector<std::optional<R>> slots(items.size());
-    parallelFor(pool, items.size(),
-                [&](std::size_t i) { slots[i].emplace(fn(items[i])); });
-    std::vector<R> out;
-    out.reserve(items.size());
-    for (auto &slot : slots)
-        out.push_back(std::move(*slot));
-    return out;
 }
 
 }  // namespace regate

@@ -20,14 +20,8 @@ using Cycles = std::uint64_t;
 
 namespace units {
 
-constexpr double kKilo = 1e3;
 constexpr double kMega = 1e6;
 constexpr double kGiga = 1e9;
-constexpr double kTera = 1e12;
-
-constexpr double kMilli = 1e-3;
-constexpr double kMicro = 1e-6;
-constexpr double kNano = 1e-9;
 constexpr double kPico = 1e-12;
 
 /** Bytes from KiB/MiB/GiB (the paper uses binary sizes for SRAM/HBM). */
@@ -40,10 +34,6 @@ constexpr double GBps(double n) { return n * kGiga; }
 
 /** Frequency in Hz from MHz. */
 constexpr double MHz(double n) { return n * kMega; }
-
-/** Seconds from microseconds / nanoseconds. */
-constexpr double usec(double n) { return n * kMicro; }
-constexpr double nsec(double n) { return n * kNano; }
 
 /** Energy from picojoules. */
 constexpr double pJ(double n) { return n * kPico; }

@@ -6,14 +6,13 @@ namespace regate {
 namespace compiler {
 
 CompileResult
-compileGraph(graph::OperatorGraph input, const arch::NpuConfig &cfg,
-             const TilingOptions &tiling_opts)
+compileGraph(graph::OperatorGraph input, const arch::NpuConfig &cfg)
 {
     CompileResult result;
     result.graph = std::move(input);
     result.graph.validate();
     result.fusion = fuseGraph(result.graph, cfg.sramBytes);
-    result.tiling = tileGraph(result.graph, cfg, tiling_opts);
+    result.tiling = tileGraph(result.graph, cfg);
     return result;
 }
 

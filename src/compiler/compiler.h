@@ -32,8 +32,7 @@ struct CompileResult
 
 /** Run fusion + tiling for @p cfg over @p input, moved into the result. */
 CompileResult compileGraph(graph::OperatorGraph input,
-                           const arch::NpuConfig &cfg,
-                           const TilingOptions &tiling_opts = {});
+                           const arch::NpuConfig &cfg);
 
 /**
  * Compile a VLIW kernel with software-managed VU power gating:

@@ -5,6 +5,22 @@
 namespace regate {
 namespace compiler {
 
+namespace {
+
+/** Issue hold before the reserved pm slot. */
+Cycles
+pmSlotNop(const KernelSpec &spec)
+{
+    // Bundles issued since the pop bundle: vuOpsPerTile - 1 VU
+    // bundles at one cycle each; hold issue so the pm slot lands two
+    // cycles (the VU on/off delay) before the next pop.
+    Cycles consumed = static_cast<Cycles>(spec.vuOpsPerTile - 1);
+    Cycles target = spec.popCycles > 2 ? spec.popCycles - 2 : 1;
+    return target > consumed ? target - consumed : 1;
+}
+
+}  // namespace
+
 isa::Program
 buildMatmulKernel(const KernelSpec &spec)
 {
@@ -42,17 +58,6 @@ buildMatmulKernel(const KernelSpec &spec)
         prog.bundle();
     }
     return prog;
-}
-
-Cycles
-pmSlotNop(const KernelSpec &spec)
-{
-    // Bundles issued since the pop bundle: vuOpsPerTile - 1 VU
-    // bundles at one cycle each; hold issue so the pm slot lands two
-    // cycles (the VU on/off delay) before the next pop.
-    Cycles consumed = static_cast<Cycles>(spec.vuOpsPerTile - 1);
-    Cycles target = spec.popCycles > 2 ? spec.popCycles - 2 : 1;
-    return target > consumed ? target - consumed : 1;
 }
 
 }  // namespace compiler

@@ -34,9 +34,6 @@ struct KernelSpec
  */
 isa::Program buildMatmulKernel(const KernelSpec &spec);
 
-/** Issue hold before the reserved pm slot (exposed for tests). */
-Cycles pmSlotNop(const KernelSpec &spec);
-
 }  // namespace compiler
 }  // namespace regate
 

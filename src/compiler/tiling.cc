@@ -13,6 +13,11 @@ namespace {
 
 constexpr double kDtypeBytes = 2.0;  // bf16 compute path.
 
+// GEMMs whose per-replica row count is below this are mapped to the
+// VU: the tensors are too small to amortize the SA warm-up (§3, LLM
+// decode).
+constexpr std::int64_t kVuRowThreshold = 32;
+
 // HBM latency assumed by the streaming double-buffer sizing; matches
 // mem/hbm.cc.
 constexpr double kHbmLatency = 400e-9;
@@ -69,8 +74,7 @@ operatorSramDemand(const graph::Operator &op, const arch::NpuConfig &cfg)
 }
 
 TilingStats
-tileGraph(graph::OperatorGraph &graph, const arch::NpuConfig &cfg,
-          const TilingOptions &opts)
+tileGraph(graph::OperatorGraph &graph, const arch::NpuConfig &cfg)
 {
     TilingStats stats;
     for (auto &block : graph.blocks) {
@@ -80,7 +84,7 @@ tileGraph(graph::OperatorGraph &graph, const arch::NpuConfig &cfg,
             stats.maxDemandBytes =
                 std::max(stats.maxDemandBytes, op.sramDemandBytes);
             if (op.kind == OpKind::MatMul &&
-                op.m < opts.vuRowThreshold) {
+                op.m < kVuRowThreshold) {
                 op.mapToVu = true;
                 stats.vuMappedGemms += block.repeat;
             }

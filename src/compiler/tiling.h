@@ -1,7 +1,8 @@
 /**
  * @file
  * Tiling pass: computes each operator's SRAM working-set demand (the
- * Fig. 7 metric) and routes undersized GEMMs to the VU.
+ * Fig. 7 metric) and routes GEMMs of fewer than 32 rows per replica
+ * to the VU.
  *
  * Demand follows the paper's definition (§3): "the minimum tile size
  * that maximizes the on-chip data reuse". For a GEMM the cheapest
@@ -21,17 +22,6 @@
 namespace regate {
 namespace compiler {
 
-/** Tuning knobs. */
-struct TilingOptions
-{
-    /**
-     * GEMMs whose per-replica row count is below this are mapped to
-     * the VU: the tensors are too small to amortize the SA warm-up
-     * (§3, LLM decode).
-     */
-    std::int64_t vuRowThreshold = 32;
-};
-
 /** What the pass did. */
 struct TilingStats
 {
@@ -41,8 +31,7 @@ struct TilingStats
 
 /** Annotate every operator in place. */
 TilingStats tileGraph(graph::OperatorGraph &graph,
-                      const arch::NpuConfig &cfg,
-                      const TilingOptions &opts = {});
+                      const arch::NpuConfig &cfg);
 
 /** Demand of a single operator (exposed for tests). */
 double operatorSramDemand(const graph::Operator &op,

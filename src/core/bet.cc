@@ -30,14 +30,5 @@ wouldGateHw(Cycles idle_len, Cycles detection_window)
     return idle_len >= detection_window;
 }
 
-double
-gatingSaving(Cycles gated_cycles, double unit_static_power,
-             double gated_leakage, double transition_j, double cycle_time)
-{
-    return (1.0 - gated_leakage) * unit_static_power * cycle_time *
-               static_cast<double>(gated_cycles) -
-           transition_j;
-}
-
 }  // namespace core
 }  // namespace regate

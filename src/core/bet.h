@@ -48,20 +48,6 @@ bool shouldGateSw(Cycles idle_len, Cycles bet, Cycles on_off_delay);
  */
 bool wouldGateHw(Cycles idle_len, Cycles detection_window);
 
-/**
- * Net static-energy saving of gating one idle interval, joules. May
- * be negative for a hardware policy that gated a too-short interval.
- *
- * @param gated_cycles       Cycles actually spent in the gated state.
- * @param unit_static_power  Active-state static power of the unit, W.
- * @param gated_leakage      Residual leakage fraction when gated.
- * @param transition_j       Energy of the off+on transition pair, J.
- * @param cycle_time         Seconds per cycle.
- */
-double gatingSaving(Cycles gated_cycles, double unit_static_power,
-                    double gated_leakage, double transition_j,
-                    double cycle_time);
-
 }  // namespace core
 }  // namespace regate
 

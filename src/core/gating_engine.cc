@@ -6,36 +6,6 @@
 namespace regate {
 namespace core {
 
-std::string
-gatingModeName(GatingMode mode)
-{
-    switch (mode) {
-      case GatingMode::None:
-        return "none";
-      case GatingMode::HwDetect:
-        return "hw-detect";
-      case GatingMode::SwExact:
-        return "sw-exact";
-      case GatingMode::Ideal:
-        return "ideal";
-    }
-    throw LogicError("unknown GatingMode");
-}
-
-GatingResult &
-GatingResult::operator+=(const GatingResult &o)
-{
-    span += o.span;
-    activeCycles += o.activeCycles;
-    gatedCycles += o.gatedCycles;
-    staticEnergyNoPg += o.staticEnergyNoPg;
-    staticEnergy += o.staticEnergy;
-    transitionEnergy += o.transitionEnergy;
-    gateEvents += o.gateEvents;
-    exposedDelay += o.exposedDelay;
-    return *this;
-}
-
 GatingResult
 evaluateTimeline(const ActivityTimeline &timeline, const UnitSpec &spec,
                  GatingMode mode, const arch::GatingParams &params)

@@ -34,9 +34,6 @@ namespace core {
 /** How a unit's idleness is exploited. */
 enum class GatingMode { None, HwDetect, SwExact, Ideal };
 
-/** Printable mode name. */
-std::string gatingModeName(GatingMode mode);
-
 /** Static description of the unit being gated. */
 struct UnitSpec
 {
@@ -60,9 +57,6 @@ struct GatingResult
 
     /** Net static energy saved (can be negative for HwDetect). */
     double saved() const { return staticEnergyNoPg - staticEnergy; }
-
-    /** Merge results of independent units. */
-    GatingResult &operator+=(const GatingResult &o);
 };
 
 /**

@@ -59,25 +59,5 @@ complementWithin(const std::vector<Interval> &intervals, Cycles span)
     return out;
 }
 
-std::vector<Interval>
-intervalsFromTrace(const std::vector<bool> &trace)
-{
-    std::vector<Interval> out;
-    Cycles start = 0;
-    bool in_run = false;
-    for (Cycles i = 0; i < trace.size(); ++i) {
-        if (trace[i] && !in_run) {
-            start = i;
-            in_run = true;
-        } else if (!trace[i] && in_run) {
-            out.push_back({start, i});
-            in_run = false;
-        }
-    }
-    if (in_run)
-        out.push_back({start, trace.size()});
-    return out;
-}
-
 }  // namespace core
 }  // namespace regate

@@ -48,9 +48,6 @@ Cycles coveredLength(const std::vector<Interval> &intervals);
 std::vector<Interval> complementWithin(
     const std::vector<Interval> &intervals, Cycles span);
 
-/** Build intervals from a boolean per-cycle trace (true = active). */
-std::vector<Interval> intervalsFromTrace(const std::vector<bool> &trace);
-
 }  // namespace core
 }  // namespace regate
 

@@ -23,26 +23,5 @@ EnergyBreakdown::staticShare(arch::Component c) const
     return s > 0 ? staticJ[c] / s : 0.0;
 }
 
-EnergyBreakdown &
-EnergyBreakdown::operator+=(const EnergyBreakdown &o)
-{
-    staticJ += o.staticJ;
-    dynamicJ += o.dynamicJ;
-    idleJ += o.idleJ;
-    return *this;
-}
-
-EnergyBreakdown
-EnergyBreakdown::scaled(double f) const
-{
-    EnergyBreakdown out = *this;
-    for (auto c : arch::kAllComponents) {
-        out.staticJ[c] *= f;
-        out.dynamicJ[c] *= f;
-    }
-    out.idleJ *= f;
-    return out;
-}
-
 }  // namespace energy
 }  // namespace regate

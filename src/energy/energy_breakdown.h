@@ -31,11 +31,6 @@ struct EnergyBreakdown
 
     /** Static share of one component within chip static energy. */
     double staticShare(arch::Component c) const;
-
-    EnergyBreakdown &operator+=(const EnergyBreakdown &o);
-
-    /** Scale all entries (e.g., per-iteration -> per-job). */
-    EnergyBreakdown scaled(double f) const;
 };
 
 }  // namespace energy

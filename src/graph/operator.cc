@@ -5,28 +5,6 @@
 namespace regate {
 namespace graph {
 
-std::string
-opKindName(OpKind kind)
-{
-    switch (kind) {
-      case OpKind::MatMul:
-        return "MatMul";
-      case OpKind::Elementwise:
-        return "Elementwise";
-      case OpKind::Softmax:
-        return "Softmax";
-      case OpKind::Normalization:
-        return "Normalization";
-      case OpKind::Embedding:
-        return "Embedding";
-      case OpKind::Collective:
-        return "Collective";
-      case OpKind::Transfer:
-        return "Transfer";
-    }
-    throw LogicError("unknown OpKind");
-}
-
 double
 Operator::macs() const
 {

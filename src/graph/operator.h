@@ -13,8 +13,6 @@
 #include <cstdint>
 #include <string>
 
-#include "graph/tensor.h"
-
 namespace regate {
 namespace graph {
 
@@ -29,10 +27,7 @@ enum class OpKind : std::uint8_t {
     Transfer,     ///< Pure HBM copy (weight prefetch, KV-cache IO).
 };
 
-/** Printable name. */
-std::string opKindName(OpKind kind);
-
-/** Collective kinds (mirrors ici::CollectiveKind to avoid a cycle). */
+/** Collective kinds (ici::CollectiveModel prices them). */
 enum class CollKind : std::uint8_t {
     None,
     AllReduce,

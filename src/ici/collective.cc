@@ -8,6 +8,8 @@
 namespace regate {
 namespace ici {
 
+using graph::CollKind;
+
 namespace {
 
 // Software launch overhead per collective and per-hop wire latency.
@@ -19,24 +21,6 @@ constexpr double kLinkEfficiency = 0.85;
 
 }  // namespace
 
-std::string
-collectiveKindName(CollectiveKind kind)
-{
-    switch (kind) {
-      case CollectiveKind::AllReduce:
-        return "AllReduce";
-      case CollectiveKind::ReduceScatter:
-        return "ReduceScatter";
-      case CollectiveKind::AllGather:
-        return "AllGather";
-      case CollectiveKind::AllToAll:
-        return "AllToAll";
-      case CollectiveKind::P2PSendRecv:
-        return "P2PSendRecv";
-    }
-    throw LogicError("unknown CollectiveKind");
-}
-
 CollectiveModel::CollectiveModel(const arch::NpuConfig &cfg,
                                  const Torus &torus)
     : cfg_(cfg), torus_(torus),
@@ -45,24 +29,22 @@ CollectiveModel::CollectiveModel(const arch::NpuConfig &cfg,
 }
 
 double
-CollectiveModel::seconds(CollectiveKind kind, std::uint64_t bytes) const
+CollectiveModel::seconds(CollKind kind, std::uint64_t bytes) const
 {
     const double n = torus_.numChips();
-    if (n <= 1.0)
-        return 0.0;
     const double frac = (n - 1.0) / n;
     const double b = static_cast<double>(bytes);
 
     double bw_term = 0.0;
     switch (kind) {
-      case CollectiveKind::AllReduce:
+      case CollKind::AllReduce:
         bw_term = 2.0 * frac * b / chipBandwidth_;
         break;
-      case CollectiveKind::ReduceScatter:
-      case CollectiveKind::AllGather:
+      case CollKind::ReduceScatter:
+      case CollKind::AllGather:
         bw_term = frac * b / chipBandwidth_;
         break;
-      case CollectiveKind::AllToAll: {
+      case CollKind::AllToAll: {
         // All-to-all is bisection-limited on a torus: unlike ring
         // collectives, traffic must cross the bisection, which scales
         // as the per-dimension ring length. This is what makes DLRM
@@ -72,32 +54,41 @@ CollectiveModel::seconds(CollectiveKind kind, std::uint64_t bytes) const
         bw_term = frac * b / chipBandwidth_ * penalty;
         break;
       }
-      case CollectiveKind::P2PSendRecv:
+      case CollKind::P2P:
         bw_term = b / (cfg_.iciBandwidthPerLink * kLinkEfficiency);
         break;
+      case CollKind::None:
+        throw LogicError("collective without kind");
     }
+    if (n <= 1.0)
+        return 0.0;
     return kLaunchSeconds + torus_.diameterHops() * kHopSeconds + bw_term;
 }
 
 double
-CollectiveModel::wireBytes(CollectiveKind kind, std::uint64_t bytes) const
+CollectiveModel::wireBytes(CollKind kind, std::uint64_t bytes) const
 {
     const double n = torus_.numChips();
-    if (n <= 1.0)
-        return 0.0;
     const double frac = (n - 1.0) / n;
     const double b = static_cast<double>(bytes);
+
+    double wire = 0.0;
     switch (kind) {
-      case CollectiveKind::AllReduce:
-        return 2.0 * frac * b;
-      case CollectiveKind::ReduceScatter:
-      case CollectiveKind::AllGather:
-      case CollectiveKind::AllToAll:
-        return frac * b;
-      case CollectiveKind::P2PSendRecv:
-        return b;
+      case CollKind::AllReduce:
+        wire = 2.0 * frac * b;
+        break;
+      case CollKind::ReduceScatter:
+      case CollKind::AllGather:
+      case CollKind::AllToAll:
+        wire = frac * b;
+        break;
+      case CollKind::P2P:
+        wire = b;
+        break;
+      case CollKind::None:
+        throw LogicError("collective without kind");
     }
-    throw LogicError("unknown CollectiveKind");
+    return n <= 1.0 ? 0.0 : wire;
 }
 
 }  // namespace ici

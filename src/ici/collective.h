@@ -17,25 +17,13 @@
 #define REGATE_ICI_COLLECTIVE_H
 
 #include <cstdint>
-#include <string>
 
 #include "arch/npu_config.h"
+#include "graph/operator.h"
 #include "ici/topology.h"
 
 namespace regate {
 namespace ici {
-
-/** Collective kinds the paper's workloads use (§3). */
-enum class CollectiveKind {
-    AllReduce,
-    ReduceScatter,
-    AllGather,
-    AllToAll,
-    P2PSendRecv,
-};
-
-/** Printable name. */
-std::string collectiveKindName(CollectiveKind kind);
 
 /** Cost model bound to one chip generation and pod shape. */
 class CollectiveModel
@@ -45,12 +33,13 @@ class CollectiveModel
 
     /**
      * Wall-clock seconds for a collective moving @p bytes per chip.
-     * Single-chip pods cost 0 (no communication).
+     * Single-chip pods cost 0 (no communication). CollKind::None is
+     * a LogicError.
      */
-    double seconds(CollectiveKind kind, std::uint64_t bytes) const;
+    double seconds(graph::CollKind kind, std::uint64_t bytes) const;
 
     /** Bytes that actually cross this chip's links. */
-    double wireBytes(CollectiveKind kind, std::uint64_t bytes) const;
+    double wireBytes(graph::CollKind kind, std::uint64_t bytes) const;
 
     const Torus &torus() const { return torus_; }
 

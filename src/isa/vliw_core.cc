@@ -174,13 +174,6 @@ VliwCore::run(const Program &program)
 }
 
 const UnitTrace &
-VliwCore::saTrace(int unit) const
-{
-    REGATE_CHECK(unit >= 0 && unit < cfg_.numSa, "bad SA index");
-    return sa_[unit].trace;
-}
-
-const UnitTrace &
 VliwCore::vuTrace(int unit) const
 {
     REGATE_CHECK(unit >= 0 && unit < cfg_.numVu, "bad VU index");
@@ -197,8 +190,9 @@ VliwCore::vuActivity(int unit) const
 core::ActivityTimeline
 VliwCore::saActivity(int unit) const
 {
+    REGATE_CHECK(unit >= 0 && unit < cfg_.numSa, "bad SA index");
     return core::ActivityTimeline::fromIntervals(totalCycles_,
-                                                 saTrace(unit).busy);
+                                                 sa_[unit].trace.busy);
 }
 
 }  // namespace isa

@@ -72,7 +72,6 @@ class VliwCore
     /** Total execution cycles. */
     Cycles totalCycles() const { return totalCycles_; }
 
-    const UnitTrace &saTrace(int unit) const;
     const UnitTrace &vuTrace(int unit) const;
 
     /** setpm instructions executed. */

@@ -17,7 +17,7 @@ constexpr double kBandwidthEfficiency = 0.9;
 }  // namespace
 
 HbmModel::HbmModel(const arch::NpuConfig &cfg)
-    : cfg_(cfg), bandwidth_(cfg.hbmBandwidth * kBandwidthEfficiency),
+    : bandwidth_(cfg.hbmBandwidth * kBandwidthEfficiency),
       latency_(kHbmLatencySeconds)
 {
     REGATE_CHECK(bandwidth_ > 0, "HBM bandwidth must be positive");
@@ -29,12 +29,6 @@ HbmModel::transferSeconds(std::uint64_t bytes) const
     if (bytes == 0)
         return 0.0;
     return latency_ + static_cast<double>(bytes) / bandwidth_;
-}
-
-Cycles
-HbmModel::transferCycles(std::uint64_t bytes) const
-{
-    return cfg_.cyclesFor(transferSeconds(bytes));
 }
 
 }  // namespace mem

@@ -17,7 +17,6 @@
 #include <cstdint>
 
 #include "arch/npu_config.h"
-#include "common/units.h"
 
 namespace regate {
 namespace mem {
@@ -31,9 +30,6 @@ class HbmModel
     /** Seconds to move @p bytes (one direction). */
     double transferSeconds(std::uint64_t bytes) const;
 
-    /** Same, in core cycles (rounded up). */
-    Cycles transferCycles(std::uint64_t bytes) const;
-
     /** Sustained bandwidth, bytes/s. */
     double bandwidth() const { return bandwidth_; }
 
@@ -44,7 +40,6 @@ class HbmModel
     static constexpr double kRefreshInterval = 3.9e-6;
 
   private:
-    const arch::NpuConfig &cfg_;
     double bandwidth_;
     double latency_;
 };

@@ -160,12 +160,6 @@ localBatch(std::int64_t batch, const Parallelism &par)
 
 }  // namespace
 
-std::string
-diffusionModelName(DiffusionModel model)
-{
-    return model == DiffusionModel::DiTXL ? "DiT-XL" : "GLIGEN";
-}
-
 graph::OperatorGraph
 ditInference(std::int64_t batch, const Parallelism &par)
 {

@@ -16,7 +16,6 @@
 #define REGATE_MODELS_DIFFUSION_H
 
 #include <cstdint>
-#include <string>
 
 #include "graph/graph.h"
 #include "models/parallelism.h"
@@ -45,9 +44,6 @@ graph::OperatorGraph gligenInference(std::int64_t batch,
 graph::OperatorGraph diffusionInference(DiffusionModel model,
                                         std::int64_t batch,
                                         const Parallelism &par);
-
-/** Printable name. */
-std::string diffusionModelName(DiffusionModel model);
 
 }  // namespace models
 }  // namespace regate

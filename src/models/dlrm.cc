@@ -70,14 +70,6 @@ dlrmConfig(DlrmModel model)
     return kConfigs[static_cast<std::size_t>(model)];
 }
 
-const std::vector<DlrmModel> &
-allDlrmModels()
-{
-    static const std::vector<DlrmModel> all = {DlrmModel::S, DlrmModel::M,
-                                               DlrmModel::L};
-    return all;
-}
-
 graph::OperatorGraph
 dlrmInference(const DlrmConfig &cfg, std::int64_t batch, int chips)
 {

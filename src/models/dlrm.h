@@ -41,9 +41,6 @@ struct DlrmConfig
 /** Model card. */
 const DlrmConfig &dlrmConfig(DlrmModel model);
 
-/** All sizes in order. */
-const std::vector<DlrmModel> &allDlrmModels();
-
 /**
  * One inference batch on @p chips chips (table-parallel embeddings +
  * data-parallel MLPs), per chip.

@@ -262,15 +262,6 @@ llamaConfig(LlamaModel model)
     return kLlamaConfigs[static_cast<std::size_t>(model)];
 }
 
-const std::vector<LlamaModel> &
-allLlamaModels()
-{
-    static const std::vector<LlamaModel> all = {
-        LlamaModel::L8B, LlamaModel::L13B, LlamaModel::L70B,
-        LlamaModel::L405B};
-    return all;
-}
-
 graph::OperatorGraph
 llamaPrefill(const LlamaConfig &cfg, std::int64_t batch,
              std::int64_t seq_len, const Parallelism &par)

@@ -52,9 +52,6 @@ struct LlamaConfig
 /** Model card for a variant. */
 const LlamaConfig &llamaConfig(LlamaModel model);
 
-/** All variants in paper order. */
-const std::vector<LlamaModel> &allLlamaModels();
-
 /**
  * One training iteration (forward + backward + optimizer + gradient
  * AllReduce), per chip. @p batch is the global batch size.

@@ -121,22 +121,6 @@ TraceRecorder::push(Event ev)
 }
 
 void
-TraceRecorder::instant(const std::string &name,
-                       const std::string &cat,
-                       std::vector<Arg> args)
-{
-    if (!enabled())
-        return;
-    Event ev;
-    ev.name = name;
-    ev.cat = cat;
-    ev.ph = 'i';
-    ev.ts = nowUs();
-    ev.args = std::move(args);
-    push(std::move(ev));
-}
-
-void
 TraceRecorder::complete(const std::string &name,
                         const std::string &cat,
                         std::uint64_t start_us,
@@ -148,7 +132,6 @@ TraceRecorder::complete(const std::string &name,
     Event ev;
     ev.name = name;
     ev.cat = cat;
-    ev.ph = 'X';
     ev.ts = start_us;
     ev.dur = end > start_us ? end - start_us : 0;
     ev.args = std::move(args);
@@ -185,16 +168,10 @@ TraceRecorder::flush()
         appendJsonString(out, ev.name);
         out += ", \"cat\": ";
         appendJsonString(out, ev.cat);
-        out += ", \"ph\": \"";
-        out += ev.ph;
-        out += "\", \"ts\": ";
+        out += ", \"ph\": \"X\", \"ts\": ";
         out += std::to_string(ev.ts);
-        if (ev.ph == 'X') {
-            out += ", \"dur\": ";
-            out += std::to_string(ev.dur);
-        }
-        if (ev.ph == 'i')
-            out += ", \"s\": \"t\"";
+        out += ", \"dur\": ";
+        out += std::to_string(ev.dur);
         out += ", \"pid\": ";
         out += std::to_string(pid);
         out += ", \"tid\": ";

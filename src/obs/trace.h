@@ -1,9 +1,8 @@
 /**
  * @file
- * obs::TraceRecorder — scoped spans and instant events emitted as
- * Chrome/Perfetto `trace_event` JSON, so a simulation run or a sweep
- * renders as one openable timeline (chrome://tracing or
- * https://ui.perfetto.dev).
+ * obs::TraceRecorder — scoped spans emitted as Chrome/Perfetto
+ * `trace_event` JSON, so a simulation run or a sweep renders as one
+ * openable timeline (chrome://tracing or https://ui.perfetto.dev).
  *
  * Off by default: recording is gated on one relaxed atomic flag, so
  * binaries run without `--trace-out` pay a single predictable branch
@@ -59,10 +58,6 @@ class TraceRecorder
     /** Microseconds since recorder start (0 when disabled). */
     std::uint64_t nowUs() const;
 
-    /** Instant event ("ph":"i") on the calling thread's lane. */
-    void instant(const std::string &name, const std::string &cat,
-                 std::vector<Arg> args = {});
-
     /**
      * Complete span ("ph":"X") on the calling thread's lane, from
      * @p start_us (a prior nowUs()) to now.
@@ -114,7 +109,6 @@ class TraceRecorder
     {
         std::string name;
         std::string cat;
-        char ph = 'i';
         std::uint64_t ts = 0;
         std::uint64_t dur = 0;
         int tid = 0;

@@ -391,69 +391,38 @@ Engine::evaluatePolicy(const WorkloadRun &run, Policy policy,
         return GatingMode::HwDetect;
     };
 
+    // ---- SA, VU, HBM, ICI: one timeline walk each ----
+    const std::array<core::UnitSpec, kGated.size()> specs = {{
+        {GatedUnit::SaFull, power_.staticPower(Component::Sa), tau},
+        {GatedUnit::Vu, power_.staticPower(Component::Vu), tau},
+        {GatedUnit::Hbm, power_.hbmStaticPower(), tau},
+        {GatedUnit::Ici, power_.iciStaticPower(), tau},
+    }};
     energy::EnergyBreakdown e;
-
-    // ---- SA ----
-    {
-        core::UnitSpec spec{GatedUnit::SaFull,
-                            power_.staticPower(Component::Sa), tau};
-        auto r = core::evaluateTimeline(run.timeline[Component::Sa],
-                                        spec, modeFor(Component::Sa),
-                                        params_);
-        double e_sa = r.staticEnergy;
-        if (policy == Policy::HW || policy == Policy::Full ||
-            policy == Policy::Ideal) {
-            // Replace the flat active-period energy with the
-            // PE-granularity split from the analytical SA model.
-            double flat = power_.staticPower(Component::Sa) * tau *
-                          static_cast<double>(
-                              run.timeline[Component::Sa].activeCycles());
-            // The per-SA analytical totals already cover all PEs of
-            // one array; numSa arrays ran the serial tile stream in
-            // parallel, so PE-cycle totals are unchanged.
-            double gated = power_.peStaticPower() * tau *
-                           (static_cast<double>(run.saStats.peOnCycles) +
-                            sa::kWOnPowerFraction *
-                                static_cast<double>(
-                                    run.saStats.peWOnCycles) +
-                            leak.logic * static_cast<double>(
-                                             run.saStats.peOffCycles));
-            if (gated < flat)
-                e_sa += gated - flat;
-        }
-        e.staticJ[Component::Sa] = e_sa;
-    }
-
-    // ---- VU ----
-    {
-        core::UnitSpec spec{GatedUnit::Vu,
-                            power_.staticPower(Component::Vu), tau};
-        auto r = core::evaluateTimeline(run.timeline[Component::Vu],
-                                        spec, modeFor(Component::Vu),
-                                        params_);
-        e.staticJ[Component::Vu] = r.staticEnergy;
-        if (policy == Policy::Full)
+    for (std::size_t i = 0; i < kGated.size(); ++i) {
+        const Component c = kGated[i];
+        auto r = core::evaluateTimeline(run.timeline[c], specs[i],
+                                        modeFor(c), params_);
+        e.staticJ[c] = r.staticEnergy;
+        if (c == Component::Vu && policy == Policy::Full)
             res.vuGateEvents = r.gateEvents;
     }
 
-    // ---- HBM ----
-    {
-        core::UnitSpec spec{GatedUnit::Hbm, power_.hbmStaticPower(),
-                            tau};
-        auto r = core::evaluateTimeline(run.timeline[Component::Hbm],
-                                        spec, modeFor(Component::Hbm),
-                                        params_);
-        e.staticJ[Component::Hbm] = r.staticEnergy;
-    }
-
-    // ---- ICI ----
-    {
-        core::UnitSpec spec{GatedUnit::Ici, power_.iciStaticPower(),
-                            tau};
-        auto r = core::evaluateTimeline(run.timeline[Component::Ici],
-                                        spec, modeFor(Component::Ici),
-                                        params_);
-        e.staticJ[Component::Ici] = r.staticEnergy;
+    // PE-level SA gating (HW and up) replaces the flat active-period
+    // energy with the PE-granularity split from the analytical SA
+    // model. The per-SA analytical totals already cover all PEs of
+    // one array; numSa arrays ran the serial tile stream in parallel,
+    // so PE-cycle totals are unchanged.
+    if (policy == Policy::HW || policy == Policy::Full ||
+        policy == Policy::Ideal) {
+        double flat = power_.staticPower(Component::Sa) * tau *
+                      static_cast<double>(
+                          run.timeline[Component::Sa].activeCycles());
+        double gated = sa::saStaticEnergyGated(
+            run.saStats, power_.peStaticPower(), tau,
+            sa::kWOnPowerFraction, leak.logic);
+        if (gated < flat)
+            e.staticJ[Component::Sa] += gated - flat;
     }
 
     // ---- SRAM: capacity-based (§4.1) ----

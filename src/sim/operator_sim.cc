@@ -104,27 +104,11 @@ try {
 
     // ---- ICI ----
     if (op.kind == OpKind::Collective) {
-        auto kind = [&] {
-            switch (op.coll) {
-              case graph::CollKind::AllReduce:
-                return ici::CollectiveKind::AllReduce;
-              case graph::CollKind::ReduceScatter:
-                return ici::CollectiveKind::ReduceScatter;
-              case graph::CollKind::AllGather:
-                return ici::CollectiveKind::AllGather;
-              case graph::CollKind::AllToAll:
-                return ici::CollectiveKind::AllToAll;
-              case graph::CollKind::P2P:
-                return ici::CollectiveKind::P2PSendRecv;
-              default:
-                throw LogicError("collective without kind");
-            }
-        }();
         std::uint64_t coll_bytes =
             checkedCount(op.collBytes, "collective byte count");
         ex.active[Component::Ici] =
-            cfg_.cyclesFor(coll_.seconds(kind, coll_bytes));
-        ex.work.iciBytes = coll_.wireBytes(kind, coll_bytes);
+            cfg_.cyclesFor(coll_.seconds(op.coll, coll_bytes));
+        ex.work.iciBytes = coll_.wireBytes(op.coll, coll_bytes);
     }
 
     // ---- Latency: components overlap; the slowest one wins ----

@@ -47,28 +47,11 @@ TEST(Stats, Mean)
     EXPECT_DOUBLE_EQ(stats::mean({}), 0.0);
 }
 
-TEST(Stats, Geomean)
-{
-    EXPECT_NEAR(stats::geomean({1, 4}), 2.0, 1e-12);
-    EXPECT_THROW(stats::geomean({1, -1}), ConfigError);
-    EXPECT_THROW(stats::geomean({}), ConfigError);
-}
-
 TEST(Stats, MinMax)
 {
     EXPECT_DOUBLE_EQ(stats::minOf({3, 1, 2}), 1.0);
     EXPECT_DOUBLE_EQ(stats::maxOf({3, 1, 2}), 3.0);
     EXPECT_THROW(stats::minOf({}), ConfigError);
-}
-
-TEST(Stats, Percentile)
-{
-    std::vector<double> xs = {1, 2, 3, 4, 5};
-    EXPECT_DOUBLE_EQ(stats::percentile(xs, 0), 1.0);
-    EXPECT_DOUBLE_EQ(stats::percentile(xs, 50), 3.0);
-    EXPECT_DOUBLE_EQ(stats::percentile(xs, 100), 5.0);
-    EXPECT_DOUBLE_EQ(stats::percentile(xs, 25), 2.0);
-    EXPECT_THROW(stats::percentile(xs, 101), ConfigError);
 }
 
 TEST(Stats, R2PerfectCorrelation)
@@ -83,6 +66,18 @@ TEST(Stats, R2Uncorrelated)
     std::vector<double> xs = {1, 2, 3, 4};
     std::vector<double> ys = {1, -1, 1, -1};
     EXPECT_LT(stats::r2(xs, ys), 0.5);
+}
+
+TEST(Stats, R2ConstantSamples)
+{
+    // A constant sample explains none of a varying one, and two
+    // different constants do not agree: only equal constants score 1.
+    std::vector<double> varying = {1, 2, 3, 4};
+    std::vector<double> flat = {5, 5, 5, 5};
+    EXPECT_DOUBLE_EQ(stats::r2(flat, varying), 0.0);
+    EXPECT_DOUBLE_EQ(stats::r2(varying, flat), 0.0);
+    EXPECT_DOUBLE_EQ(stats::r2(flat, {7, 7, 7, 7}), 0.0);
+    EXPECT_DOUBLE_EQ(stats::r2(flat, flat), 1.0);
 }
 
 TEST(Stats, R2SizeMismatch)

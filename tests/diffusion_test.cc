@@ -82,7 +82,7 @@ TEST(Diffusion, ComputeBound)
     for (auto m : {DiffusionModel::DiTXL, DiffusionModel::GLIGEN}) {
         auto g = diffusionInference(m, 64, {1, 1, 1});
         EXPECT_GT(g.totalFlops() / g.totalHbmBytes(), 50.0)
-            << diffusionModelName(m);
+            << g.name;
     }
 }
 
@@ -90,12 +90,6 @@ TEST(Diffusion, DataParallelOnly)
 {
     EXPECT_THROW(ditInference(64, {1, 2, 1}), ConfigError);
     EXPECT_THROW(gligenInference(64, {1, 1, 2}), ConfigError);
-}
-
-TEST(Diffusion, Names)
-{
-    EXPECT_EQ(diffusionModelName(DiffusionModel::DiTXL), "DiT-XL");
-    EXPECT_EQ(diffusionModelName(DiffusionModel::GLIGEN), "GLIGEN");
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/error.h"
 
 #include "models/dlrm.h"
@@ -20,10 +22,12 @@ using graph::OpKind;
 
 TEST(Dlrm, ConfigsMatchTable1Sizes)
 {
-    EXPECT_NEAR(dlrmConfig(DlrmModel::S).tableBytes / 1e9, 20.0, 0.1);
-    EXPECT_NEAR(dlrmConfig(DlrmModel::M).tableBytes / 1e9, 45.0, 0.1);
-    EXPECT_NEAR(dlrmConfig(DlrmModel::L).tableBytes / 1e9, 98.0, 0.1);
-    EXPECT_EQ(allDlrmModels().size(), 3u);
+    // Table 1's three sizes, in order: embedding storage in GB.
+    const std::pair<DlrmModel, double> sizes[] = {
+        {DlrmModel::S, 20.0}, {DlrmModel::M, 45.0}, {DlrmModel::L, 98.0}};
+    for (auto [model, gb] : sizes)
+        EXPECT_NEAR(dlrmConfig(model).tableBytes / 1e9, gb, 0.1)
+            << dlrmConfig(model).name;
 }
 
 TEST(Dlrm, GraphHasAllStages)

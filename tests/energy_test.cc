@@ -137,7 +137,7 @@ TEST(WorkCounters, Accumulate)
     EXPECT_DOUBLE_EQ(a.vuOps, 3.0);
 }
 
-TEST(EnergyBreakdown, SharesAndScaling)
+TEST(EnergyBreakdown, Shares)
 {
     EnergyBreakdown e;
     e.staticJ[Component::Sa] = 30;
@@ -149,14 +149,6 @@ TEST(EnergyBreakdown, SharesAndScaling)
     EXPECT_DOUBLE_EQ(e.total(), 200.0);
     EXPECT_DOUBLE_EQ(e.staticShareBusy(), 0.4);
     EXPECT_DOUBLE_EQ(e.staticShare(Component::Sa), 0.75);
-
-    auto s = e.scaled(0.5);
-    EXPECT_DOUBLE_EQ(s.busyTotal(), 50.0);
-    EXPECT_DOUBLE_EQ(s.idleJ, 50.0);
-
-    EnergyBreakdown sum = e;
-    sum += e;
-    EXPECT_DOUBLE_EQ(sum.total(), 400.0);
 }
 
 }  // namespace

@@ -166,18 +166,6 @@ TEST(GatingEngine, LeakageRatioSweep)
     }
 }
 
-TEST(GatingEngine, ResultAccumulation)
-{
-    GatingParams p;
-    auto t = ActivityTimeline::periodic(1000, 0, 10, 200);
-    auto a = evaluateTimeline(t, vuSpec(), GatingMode::SwExact, p);
-    GatingResult sum = a;
-    sum += a;
-    EXPECT_EQ(sum.span, 2 * a.span);
-    EXPECT_NEAR(sum.staticEnergy, 2 * a.staticEnergy, 1e-15);
-    EXPECT_EQ(sum.gateEvents, 2 * a.gateEvents);
-}
-
 TEST(GatingEngine, RejectsBadSpec)
 {
     GatingParams p;

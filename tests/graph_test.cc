@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the tensor/operator IR.
+ * Tests for the operator IR.
  */
 
 #include <gtest/gtest.h>
@@ -8,29 +8,10 @@
 #include "common/error.h"
 
 #include "graph/graph.h"
-#include "graph/tensor.h"
 
 namespace regate {
 namespace graph {
 namespace {
-
-TEST(Tensor, NumelAndBytes)
-{
-    Tensor t{"x", {4, 8, 2}, DType::BF16};
-    EXPECT_EQ(t.numel(), 64);
-    EXPECT_EQ(t.bytes(), 128);
-    Tensor f{"y", {3}, DType::FP32};
-    EXPECT_EQ(f.bytes(), 12);
-    Tensor scalar{"s", {}, DType::INT8};
-    EXPECT_EQ(scalar.numel(), 1);
-}
-
-TEST(Tensor, DtypeHelpers)
-{
-    EXPECT_EQ(dtypeBytes(DType::BF16), 2);
-    EXPECT_EQ(dtypeBytes(DType::INT32), 4);
-    EXPECT_EQ(dtypeName(DType::FP32), "fp32");
-}
 
 TEST(Operator, MacsAndFlops)
 {
@@ -101,13 +82,6 @@ TEST(OperatorGraph, ValidationCatchesEmpties)
     b.name = "empty";
     g.blocks.push_back(b);
     EXPECT_THROW(g.validate(), ConfigError);
-}
-
-TEST(OpKindNames, AllDistinct)
-{
-    EXPECT_EQ(opKindName(OpKind::MatMul), "MatMul");
-    EXPECT_EQ(opKindName(OpKind::Collective), "Collective");
-    EXPECT_EQ(opKindName(OpKind::Transfer), "Transfer");
 }
 
 }  // namespace

@@ -34,12 +34,6 @@ TEST(Hbm, BandwidthBelowPeak)
     EXPECT_GT(hbm.bandwidth(), 0.8 * cfg.hbmBandwidth);
 }
 
-TEST(Hbm, CyclesRoundUp)
-{
-    HbmModel hbm(arch::npuConfig(NpuGeneration::D));
-    EXPECT_GT(hbm.transferCycles(1), 0u);
-}
-
 TEST(Hbm, FasterGenerationsMoveDataFaster)
 {
     HbmModel a(arch::npuConfig(NpuGeneration::A));

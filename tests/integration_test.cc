@@ -63,8 +63,7 @@ TEST(Integration, FusionReducesEnergy)
 
     auto compiled = compiler::compileGraph(raw, cfg);
     graph::OperatorGraph unfused = raw;
-    compiler::TilingOptions opts;
-    compiler::tileGraph(unfused, cfg, opts);  // Tiling, no fusion.
+    compiler::tileGraph(unfused, cfg);  // Tiling, no fusion.
 
     sim::Engine engine(cfg);
     auto with_fusion = engine.run(compiled.graph, setup.chips);

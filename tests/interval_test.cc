@@ -72,27 +72,6 @@ TEST(Interval, ComplementRejectsOverrun)
     EXPECT_THROW(complementWithin({{0, 11}}, 10), ConfigError);
 }
 
-TEST(Interval, FromTrace)
-{
-    auto ivs = intervalsFromTrace(
-        {false, true, true, false, true, false});
-    ASSERT_EQ(ivs.size(), 2u);
-    EXPECT_EQ(ivs[0], (Interval{1, 3}));
-    EXPECT_EQ(ivs[1], (Interval{4, 5}));
-}
-
-TEST(Interval, FromTraceOpenEnd)
-{
-    auto ivs = intervalsFromTrace({true, true});
-    ASSERT_EQ(ivs.size(), 1u);
-    EXPECT_EQ(ivs[0], (Interval{0, 2}));
-}
-
-TEST(Interval, FromTraceAllIdle)
-{
-    EXPECT_TRUE(intervalsFromTrace({false, false}).empty());
-}
-
 }  // namespace
 }  // namespace core
 }  // namespace regate

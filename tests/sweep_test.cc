@@ -96,39 +96,39 @@ TEST(ThreadPool, PropagatesExceptions)
     EXPECT_THROW(fut.get(), ConfigError);
 }
 
-TEST(ParallelMapOrdered, PreservesInputOrder)
+TEST(ParallelFor, CallsEveryIndexOnce)
 {
     ThreadPool pool(8);
-    std::vector<int> items;
-    for (int i = 0; i < 200; ++i)
-        items.push_back(i);
-    auto out = parallelMapOrdered(pool, items,
-                                  [](int v) { return 3 * v + 1; });
-    ASSERT_EQ(out.size(), items.size());
-    for (std::size_t i = 0; i < out.size(); ++i)
+    constexpr std::size_t n = 200;
+    std::vector<std::atomic<int>> calls(n);
+    std::vector<int> out(n, -1);
+    parallelFor(pool, n, [&](std::size_t i) {
+        ++calls[i];
+        out[i] = 3 * static_cast<int>(i) + 1;
+    });
+    for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(calls[i].load(), 1) << i;
         EXPECT_EQ(out[i], 3 * static_cast<int>(i) + 1);
+    }
 }
 
-TEST(ParallelMapOrdered, EmptyInput)
+TEST(ParallelFor, EmptyRange)
 {
     ThreadPool pool(4);
-    std::vector<int> none;
-    auto out = parallelMapOrdered(pool, none, [](int v) { return v; });
-    EXPECT_TRUE(out.empty());
+    std::atomic<int> calls{0};
+    parallelFor(pool, 0, [&](std::size_t) { ++calls; });
+    EXPECT_EQ(calls.load(), 0);
 }
 
-TEST(ParallelMapOrdered, RethrowsLowestFailureAfterAllWorkersStop)
+TEST(ParallelFor, RethrowsLowestFailureAfterAllWorkersStop)
 {
-    // Items 50 and 70 throw; 50 only after a delay, so 70 usually
-    // fails first in time. The caller must still see item 50's error
-    // (the serial loop's), and only once no item is running any more.
+    // Indices 50 and 70 throw; 50 only after a delay, so 70 usually
+    // fails first in time. The caller must still see index 50's error
+    // (the serial loop's), and only once no index is running any more.
     ThreadPool pool(4);
-    std::vector<int> items;
-    for (int i = 0; i < 200; ++i)
-        items.push_back(i);
     std::atomic<int> running{0};
     std::atomic<int> ran{0};
-    auto fn = [&](int v) {
+    auto fn = [&](std::size_t i) {
         struct Running
         {
             std::atomic<int> &n;
@@ -136,25 +136,24 @@ TEST(ParallelMapOrdered, RethrowsLowestFailureAfterAllWorkersStop)
             ~Running() { --n; }
         } guard(running);
         ++ran;
-        if (v == 50) {
+        if (i == 50) {
             std::this_thread::sleep_for(std::chrono::milliseconds(20));
-            throw ConfigError("item 50");
+            throw ConfigError("index 50");
         }
-        if (v == 70)
-            throw ConfigError("item 70");
+        if (i == 70)
+            throw ConfigError("index 70");
         std::this_thread::sleep_for(std::chrono::microseconds(200));
-        return v;
     };
     try {
-        parallelMapOrdered(pool, items, fn);
+        parallelFor(pool, 200, fn);
         FAIL() << "no exception propagated";
     } catch (const ConfigError &e) {
         EXPECT_EQ(running.load(), 0);
-        EXPECT_NE(std::string(e.what()).find("item 50"),
+        EXPECT_NE(std::string(e.what()).find("index 50"),
                   std::string::npos)
             << e.what();
     }
-    // Workers stop taking items once one has failed.
+    // Workers stop taking indices once one has failed.
     EXPECT_LT(ran.load(), 200);
 }
 

@@ -122,22 +122,6 @@ TEST(Tiling, CollectiveDemandCapped)
               4.0 * units::MiB(4));
 }
 
-TEST(Tiling, ThresholdConfigurable)
-{
-    const auto &cfg = arch::npuConfig(NpuGeneration::D);
-    graph::OperatorGraph g;
-    g.name = "t";
-    graph::Block b;
-    b.name = "b";
-    b.ops.push_back(gemm(100, 512, 512));
-    g.blocks.push_back(b);
-
-    TilingOptions opts;
-    opts.vuRowThreshold = 128;
-    tileGraph(g, cfg, opts);
-    EXPECT_TRUE(g.blocks[0].ops[0].mapToVu);
-}
-
 TEST(Tiling, TracksMaxDemand)
 {
     const auto &cfg = arch::npuConfig(NpuGeneration::D);

@@ -13,10 +13,10 @@ and requires the sweep's grid span (the ctest registration).
 Checks, per file:
 
 1. the file is a non-empty JSON array of event objects;
-2. every event carries the trace_event keys the viewers rely on —
-   name, cat, ph, ts, pid, tid — with the right types; complete
-   events ("ph":"X") also carry a non-negative dur, instants
-   ("ph":"i") a scope "s";
+2. every event is a complete span ("ph":"X", the only kind the
+   recorder writes) and carries the trace_event keys the viewers rely
+   on — name, cat, ph, ts, dur, pid, tid — with the right types and a
+   non-negative dur;
 3. timestamps are monotone in file order (flush() writes sorted);
 4. complete spans nest properly per (pid, tid) lane: sorted by
    (ts, -dur) — the enclosing span first on a start-time tie — no
@@ -31,8 +31,6 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-
-PHASES = {"X", "i"}
 
 
 def fail(path, msg):
@@ -49,25 +47,20 @@ def check_event(path, i, ev):
                        f"'{key}': {ev}")
     if not ev["name"]:
         fail(path, f"event {i} has an empty name")
-    if ev["ph"] not in PHASES:
+    if ev["ph"] != "X":
         fail(path, f"event {i} has unexpected ph {ev['ph']!r}")
     if ev["ts"] < 0:
         fail(path, f"event {i} has negative ts: {ev}")
-    if ev["ph"] == "X":
-        if not isinstance(ev.get("dur"), int) or ev["dur"] < 0:
-            fail(path, f"complete event {i} lacks a non-negative "
-                       f"dur: {ev}")
-    elif ev["ph"] == "i" and ev.get("s") != "t":
-        fail(path, f"instant event {i} lacks scope \"s\":\"t\": {ev}")
+    if not isinstance(ev.get("dur"), int) or ev["dur"] < 0:
+        fail(path, f"complete event {i} lacks a non-negative dur: {ev}")
 
 
 def check_nesting(path, events):
     """Complete spans per lane must nest (no partial overlap)."""
     lanes = {}
     for ev in events:
-        if ev["ph"] == "X":
-            lanes.setdefault((ev["pid"], ev["tid"]), []).append(
-                (ev["ts"], ev["ts"] + ev["dur"], ev["name"]))
+        lanes.setdefault((ev["pid"], ev["tid"]), []).append(
+            (ev["ts"], ev["ts"] + ev["dur"], ev["name"]))
     for lane, spans in sorted(lanes.items()):
         stack = []  # end times of the currently open spans
         for ts, end, name in sorted(spans,
