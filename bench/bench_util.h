@@ -45,19 +45,6 @@ namespace bench {
 
 using ScenarioPtr = std::shared_ptr<const models::ScenarioSpec>;
 
-/**
- * The shared sweep runner used by the figure binaries. One pool per
- * process; worker count follows REGATE_THREADS / hardware
- * concurrency. Results are deterministic (input-ordered) regardless
- * of the worker count.
- */
-inline sim::SweepRunner &
-sweeper()
-{
-    static sim::SweepRunner runner;
-    return runner;
-}
-
 /** The grid binaries' command line (see the file comment). */
 struct BenchCli
 {
@@ -195,7 +182,7 @@ runGrid(const std::vector<sim::SweepCase> &grid)
     auto sweep_start = obs::TraceRecorder::instance().nowUs();
     std::vector<sim::WorkloadReport> results;
     try {
-        results = sweeper().run(grid);
+        results = sim::SweepRunner().run(grid);
     } catch (const ConfigError &e) {
         std::cerr << "error: " << e.what() << "\n";
         std::exit(1);
@@ -209,7 +196,7 @@ inline std::vector<sim::SloResult>
 searchGrid(const std::vector<sim::SweepCase> &grid)
 {
     auto sweep_start = obs::TraceRecorder::instance().nowUs();
-    auto results = sweeper().search(grid);
+    auto results = sim::SweepRunner().search(grid);
     detail::traceGridDone("grid.search", sweep_start, grid.size());
     return results;
 }

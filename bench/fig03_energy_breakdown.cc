@@ -33,8 +33,8 @@ main(int argc, char **argv)
                 rep.result(sim::Policy::NoPG).energy;
             double total = rep.podTotalEnergy(sim::Policy::NoPG) /
                            rep.setup.chips;
-            double busy_scale =
-                1.1 / total;  // PUE applied to busy shares too.
+            // The PUE applies to the busy shares too.
+            double busy_scale = sim::FleetParams{}.pue / total;
             auto pct = [&](double j) {
                 return TablePrinter::pct(j * busy_scale, 1);
             };

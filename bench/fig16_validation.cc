@@ -83,7 +83,7 @@ main(int argc, char **argv)
 
     // Whole-model operator durations across the workload suite, a
     // determinism check: two independent simulations of the same
-    // cases, each fanned out on the sweep pool, must agree op for op.
+    // cases, each fanned out by a sweep runner, must agree op for op.
     using models::builtinScenario;
     using models::Workload;
     auto axis = bench::workloadAxis(

@@ -23,7 +23,7 @@ main(int argc, char **argv)
     };
 
     // (workload x leakage setting) grid with per-case gating params;
-    // fanned out on the shared sweep pool, results in grid order.
+    // fanned out by the sweep runner, results in grid order.
     auto axis = bench::workloadAxis(bench::sensitivityWorkloads());
     std::vector<sim::SweepCase> grid;
     for (const auto &sc : axis) {

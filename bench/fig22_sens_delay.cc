@@ -20,7 +20,7 @@ main(int argc, char **argv)
     const std::vector<double> scales = {1.0, 1.5, 2.0, 3.0, 4.0};
 
     // (workload x delay scale) grid with per-case gating params;
-    // fanned out on the shared sweep pool, results in grid order.
+    // fanned out by the sweep runner, results in grid order.
     auto axis = bench::workloadAxis(bench::sensitivityWorkloads());
     std::vector<sim::SweepCase> grid;
     for (const auto &s : axis) {

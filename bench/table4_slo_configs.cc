@@ -20,8 +20,8 @@ main(int argc, char **argv)
     TablePrinter t({"Workload", "Chips (search)", "Batch (search)",
                     "Chips (paper)", "Batch (paper)", "SLO",
                     "J/unit (NoPG)"});
-    // SLO-search every workload in parallel on the sweep pool, one
-    // task per workload; results come back in workload order.
+    // SLO-search every workload with the sweep runner, one task per
+    // workload; results come back in workload order.
     auto axis = bench::workloadAxis(bench::paperSuite());
     auto grid = sim::scenarioGrid(axis, {arch::NpuGeneration::D});
     auto results = bench::searchGrid(grid);

@@ -1,5 +1,6 @@
 #include "compiler/scheduler.h"
 
+#include "arch/gating_params.h"
 #include "common/error.h"
 
 namespace regate {
@@ -12,10 +13,12 @@ Cycles
 pmSlotNop(const KernelSpec &spec)
 {
     // Bundles issued since the pop bundle: vuOpsPerTile - 1 VU
-    // bundles at one cycle each; hold issue so the pm slot lands two
-    // cycles (the VU on/off delay) before the next pop.
+    // bundles at one cycle each; hold issue so the pm slot lands the
+    // VU on/off delay before the next pop.
+    const Cycles delay =
+        arch::GatingParams{}.onOffDelay(arch::GatedUnit::Vu);
     Cycles consumed = static_cast<Cycles>(spec.vuOpsPerTile - 1);
-    Cycles target = spec.popCycles > 2 ? spec.popCycles - 2 : 1;
+    Cycles target = spec.popCycles > delay ? spec.popCycles - delay : 1;
     return target > consumed ? target - consumed : 1;
 }
 

@@ -16,12 +16,5 @@ EnergyBreakdown::staticShareBusy() const
     return busy > 0 ? staticJ.sum() / busy : 0.0;
 }
 
-double
-EnergyBreakdown::staticShare(arch::Component c) const
-{
-    double s = staticJ.sum();
-    return s > 0 ? staticJ[c] / s : 0.0;
-}
-
 }  // namespace energy
 }  // namespace regate

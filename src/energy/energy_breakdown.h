@@ -28,9 +28,6 @@ struct EnergyBreakdown
 
     /** Static share of busy energy (paper: 30%-72% across gens). */
     double staticShareBusy() const;
-
-    /** Static share of one component within chip static energy. */
-    double staticShare(arch::Component c) const;
 };
 
 }  // namespace energy

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <utility>
 
 #include "common/error.h"
@@ -65,15 +64,6 @@ Torus::diameterHops() const
     for (int d : dims_)
         hops += d / 2;
     return hops;
-}
-
-std::string
-Torus::toString() const
-{
-    std::ostringstream os;
-    for (std::size_t i = 0; i < dims_.size(); ++i)
-        os << (i ? "x" : "") << dims_[i];
-    return os.str();
 }
 
 }  // namespace ici

@@ -7,7 +7,6 @@
 #ifndef REGATE_ICI_TOPOLOGY_H
 #define REGATE_ICI_TOPOLOGY_H
 
-#include <string>
 #include <vector>
 
 #include "arch/npu_config.h"
@@ -34,9 +33,6 @@ class Torus
 
     /** Torus diameter in hops (sum of dim/2). */
     int diameterHops() const;
-
-    /** Printable form, e.g. "4x4x2". */
-    std::string toString() const;
 
   private:
     std::vector<int> dims_;

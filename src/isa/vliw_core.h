@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "arch/gating_params.h"
 #include "core/activity.h"
 #include "core/interval.h"
 #include "isa/program.h"
@@ -41,13 +42,21 @@ struct VliwCoreConfig
     int numSa = 2;
     int numVu = 2;
 
-    Cycles saWakeDelay = 10;  ///< Full-SA on/off delay (Table 3).
-    Cycles vuWakeDelay = 2;   ///< VU on/off delay (Table 3).
+    /** Full-SA on/off delay (Table 3). */
+    Cycles saWakeDelay =
+        arch::GatingParams{}.onOffDelay(arch::GatedUnit::SaFull);
+    /** VU on/off delay (Table 3). */
+    Cycles vuWakeDelay =
+        arch::GatingParams{}.onOffDelay(arch::GatedUnit::Vu);
 
     /** Emulate hardware idle-detection on auto-mode units. */
     bool autoIdleDetect = false;
-    Cycles saIdleWindow = 156;  ///< BET(SA full)/3.
-    Cycles vuIdleWindow = 10;   ///< max(BET(VU)/3, 8) (§4.1).
+    /** BET(SA full)/3, the hardware detection window (§6.1). */
+    Cycles saIdleWindow =
+        arch::GatingParams{}.detectionWindow(arch::GatedUnit::SaFull);
+    /** BET(VU)/3, the hardware detection window (§6.1). */
+    Cycles vuIdleWindow =
+        arch::GatingParams{}.detectionWindow(arch::GatedUnit::Vu);
 };
 
 /** Per-unit results after a run. */

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/error.h"
+#include "common/parallel_for.h"
 #include "models/registry.h"
 
 namespace regate {
@@ -164,26 +165,17 @@ scenarioGrid(
 }
 
 SweepRunner::SweepRunner(unsigned threads)
-    : threads_(threads ? threads : ThreadPool::envThreadCount()),
+    : threads_(threads ? threads : envThreadCount()),
       automatic_(threads_ == 0)
 {
     if (automatic_)
-        threads_ = ThreadPool::defaultThreadCount();
+        threads_ = defaultThreadCount();
 }
 
-template <typename Fn>
-void
-SweepRunner::forEachGroup(std::size_t groups, std::size_t cases, Fn &&fn)
+unsigned
+SweepRunner::workersFor(std::size_t cases) const
 {
-    if (automatic_ && cases < kMinParallelCases) {
-        for (std::size_t g = 0; g < groups; ++g)
-            fn(g);
-        return;
-    }
-    std::call_once(poolStarted_, [this] {
-        pool_ = std::make_unique<ThreadPool>(threads_);
-    });
-    parallelFor(*pool_, groups, std::forward<Fn>(fn));
+    return automatic_ && cases < kMinParallelCases ? 1 : threads_;
 }
 
 std::vector<WorkloadReport>
@@ -204,7 +196,8 @@ SweepRunner::run(const std::vector<SweepCase> &cases)
     // evaluate every case under its own gating params. Every report of
     // the group shares the one run; the blocks die with the task.
     std::vector<WorkloadReport> out(cases.size());
-    forEachGroup(group_start.size() - 1, cases.size(), [&](std::size_t g) {
+    std::size_t groups = group_start.size() - 1;
+    parallelFor(workersFor(cases.size()), groups, [&](std::size_t g) {
         std::size_t first = group_start[g];
         std::size_t last = group_start[g + 1];
         const ExecutionKey &key = keys[order[first]];
@@ -232,7 +225,8 @@ SweepRunner::search(const std::vector<SweepCase> &cases)
             return identityBefore(cases[a], cases[b]);
         });
     std::vector<SloResult> out(cases.size());
-    forEachGroup(group_start.size() - 1, cases.size(), [&](std::size_t g) {
+    std::size_t groups = group_start.size() - 1;
+    parallelFor(workersFor(cases.size()), groups, [&](std::size_t g) {
         std::vector<const SweepCase *> group;
         for (std::size_t m = group_start[g]; m < group_start[g + 1]; ++m)
             group.push_back(&cases[order[m]]);

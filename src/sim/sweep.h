@@ -1,7 +1,7 @@
 /**
  * @file
  * Parallel sweep runner: fans (scenario x NPU generation x gating
- * params x pod setup) grids out across a worker pool and returns
+ * params x pod setup) grids out across worker threads and returns
  * results in the exact order of the input grid, so a parallel sweep is
  * a drop-in replacement for the serial loop the figure binaries used
  * to run. Every case carries its scenario spec, a built-in paper row
@@ -14,9 +14,10 @@
  * groups the points of one scenario identity and runs one SLO search
  * over each group (searchSameIdentity). Groups share nothing, so the
  * results are bitwise identical to the serial path, which simulates
- * every point from scratch. Unless told a worker count, the runner
- * keeps a small sweep (SweepRunner::kMinParallelCases) on the calling
- * thread.
+ * every point from scratch. Each parallel sweep starts its workers
+ * and joins them before it returns (parallelFor), so a runner holds no
+ * thread between sweeps. Unless told a worker count, the runner keeps
+ * a small sweep (SweepRunner::kMinParallelCases) on the calling thread.
  */
 
 #ifndef REGATE_SIM_SWEEP_H
@@ -24,10 +25,8 @@
 
 #include <cstddef>
 #include <memory>
-#include <mutex>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "sim/report.h"
 #include "sim/slo.h"
 
@@ -79,10 +78,7 @@ std::vector<SweepCase> scenarioGrid(
     const std::vector<arch::NpuGeneration> &gens,
     const arch::GatingParams &params = {});
 
-/**
- * The runner. One instance owns one worker pool, started by its first
- * parallel sweep, and can be reused.
- */
+/** The runner: a worker count, reusable for any number of sweeps. */
 class SweepRunner
 {
   public:
@@ -100,11 +96,12 @@ class SweepRunner
     static constexpr std::size_t kMinParallelCases = 256;
 
     /**
-     * @param threads  Worker count of a parallel sweep; 0 =
-     *                 REGATE_THREADS, or else the hardware concurrency
-     *                 for sweeps of at least kMinParallelCases cases
-     *                 and the calling thread for smaller ones. A
-     *                 given count is used for every sweep.
+     * @param threads  Worker count of a parallel sweep, the calling
+     *                 thread included; 0 = REGATE_THREADS, or else the
+     *                 hardware concurrency for sweeps of at least
+     *                 kMinParallelCases cases and the calling thread
+     *                 alone for smaller ones. A given count is used
+     *                 for every sweep.
      */
     explicit SweepRunner(unsigned threads = 0);
 
@@ -135,23 +132,16 @@ class SweepRunner
     static std::vector<WorkloadReport> runSerial(
         const std::vector<SweepCase> &cases);
 
-    /** Worker count of a parallel sweep. */
-    unsigned threadCount() const { return threads_; }
+    /**
+     * Threads that work on a sweep of @p cases cases, the calling
+     * thread included: 1 for a small sweep of an automatic runner
+     * (below kMinParallelCases), the runner's worker count otherwise.
+     */
+    unsigned workersFor(std::size_t cases) const;
 
   private:
-    /**
-     * Call @p fn(g) for every group g in [0, @p groups) of a sweep of
-     * @p cases cases, on the pool or, for a small sweep of an
-     * automatic runner, in order on the calling thread; parallelFor's
-     * error contract either way.
-     */
-    template <typename Fn>
-    void forEachGroup(std::size_t groups, std::size_t cases, Fn &&fn);
-
     unsigned threads_;
     bool automatic_;  ///< No worker count given.
-    std::once_flag poolStarted_;
-    std::unique_ptr<ThreadPool> pool_;
 };
 
 // Kept only because perfbench/layer_trace.cc calls it; it goes when

@@ -148,7 +148,6 @@ TEST(EnergyBreakdown, Shares)
     EXPECT_DOUBLE_EQ(e.busyTotal(), 100.0);
     EXPECT_DOUBLE_EQ(e.total(), 200.0);
     EXPECT_DOUBLE_EQ(e.staticShareBusy(), 0.4);
-    EXPECT_DOUBLE_EQ(e.staticShare(Component::Sa), 0.75);
 }
 
 }  // namespace

@@ -72,13 +72,14 @@ renderFig03Small()
         const auto &e = rep.result(Policy::NoPG).energy;
         double total =
             rep.podTotalEnergy(Policy::NoPG) / rep.setup.chips;
+        const double pue = FleetParams{}.pue;
         out << models::workloadName(w) << ','
             << num(rep.idleShare(Policy::NoPG));
         for (auto c : {Component::Sa, Component::Vu, Component::Sram,
                        Component::Ici, Component::Hbm,
                        Component::Other}) {
-            out << ',' << num(e.dynamicJ[c] * 1.1 / total) << ','
-                << num(e.staticJ[c] * 1.1 / total);
+            out << ',' << num(e.dynamicJ[c] * pue / total) << ','
+                << num(e.staticJ[c] * pue / total);
         }
         out << ',' << num(e.staticShareBusy()) << '\n';
     }

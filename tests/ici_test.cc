@@ -29,7 +29,6 @@ TEST(Torus, ExplicitDims)
     EXPECT_EQ(t.numChips(), 16);
     EXPECT_EQ(t.rank(), 2);
     EXPECT_EQ(t.diameterHops(), 4);
-    EXPECT_EQ(t.toString(), "4x4");
 }
 
 /** Torus::forChips's factorization, scanning every candidate factor. */
@@ -73,7 +72,7 @@ TEST(Torus, FactorizationPreservesChipCount)
         const auto &cfg = arch::npuConfig(gen);
         for (int chips : {1, 2, 4, 8, 16, 64, 128, 4096}) {
             Torus t = Torus::forChips(cfg, chips);
-            EXPECT_EQ(t.numChips(), chips) << t.toString();
+            EXPECT_EQ(t.numChips(), chips) << "chips=" << chips;
             EXPECT_EQ(t.rank(), cfg.torusDims);
         }
     }

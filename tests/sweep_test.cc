@@ -1,13 +1,14 @@
 /**
  * @file
- * Tests for the parallel sweep subsystem: the thread pool,
+ * Tests for the parallel sweep subsystem: the worker count,
  * deterministic ordered fan-out and its error propagation, parallel
  * vs serial sweep equivalence (bitwise) over built-in rows and user
  * specs, including cases that share one execution, the SLO search
  * against its serial reference at any thread count (per-case and
  * per-identity errors, gating variants sharing one selection), the
- * rejection of a case without a scenario, and the automatic runner
- * keeping small sweeps on the calling thread.
+ * rejection of a case without a scenario, the automatic runner
+ * keeping small sweeps on the calling thread, and no worker outliving
+ * a sweep.
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +23,7 @@
 #include <string>
 #include <thread>
 
-#include "common/thread_pool.h"
+#include "common/parallel_for.h"
 #include "models/registry.h"
 #include "models/spec.h"
 #include "sim/slo.h"
@@ -46,24 +47,7 @@ rows(const std::vector<Workload> &workloads)
     return out;
 }
 
-TEST(ThreadPool, RunsAllTasksAndReturnsResults)
-{
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.threadCount(), 4u);
-    std::atomic<int> ran{0};
-    std::vector<std::future<int>> futs;
-    for (int i = 0; i < 64; ++i) {
-        futs.push_back(pool.submit([i, &ran] {
-            ++ran;
-            return i * i;
-        }));
-    }
-    for (int i = 0; i < 64; ++i)
-        EXPECT_EQ(futs[static_cast<std::size_t>(i)].get(), i * i);
-    EXPECT_EQ(ran.load(), 64);
-}
-
-TEST(ThreadPool, DefaultThreadCountParsesTheWholeValue)
+TEST(ThreadCount, DefaultThreadCountParsesTheWholeValue)
 {
     const char *saved = std::getenv("REGATE_THREADS");
     std::string restore = saved ? saved : "";
@@ -74,50 +58,57 @@ TEST(ThreadPool, DefaultThreadCountParsesTheWholeValue)
              {"-2", hw},         {"abc", hw}, {"", hw},
              {"99999999999", hw}, {"4294967297", hw}}) {
         ASSERT_EQ(setenv("REGATE_THREADS", value.c_str(), 1), 0);
-        EXPECT_EQ(ThreadPool::defaultThreadCount(), want)
+        EXPECT_EQ(defaultThreadCount(), want)
             << "REGATE_THREADS='" << value << "'";
-        EXPECT_EQ(ThreadPool::envThreadCount(), value == "3" ? 3u : 0u)
+        EXPECT_EQ(envThreadCount(), value == "3" ? 3u : 0u)
             << "REGATE_THREADS='" << value << "'";
     }
     ASSERT_EQ(unsetenv("REGATE_THREADS"), 0);
-    EXPECT_EQ(ThreadPool::envThreadCount(), 0u);
-    EXPECT_EQ(ThreadPool::defaultThreadCount(), hw);
+    EXPECT_EQ(envThreadCount(), 0u);
+    EXPECT_EQ(defaultThreadCount(), hw);
     if (saved)
         setenv("REGATE_THREADS", restore.c_str(), 1);
     else
         unsetenv("REGATE_THREADS");
 }
 
-TEST(ThreadPool, PropagatesExceptions)
-{
-    ThreadPool pool(2);
-    auto fut = pool.submit(
-        []() -> int { throw ConfigError("boom"); });
-    EXPECT_THROW(fut.get(), ConfigError);
-}
-
 TEST(ParallelFor, CallsEveryIndexOnce)
 {
-    ThreadPool pool(8);
     constexpr std::size_t n = 200;
-    std::vector<std::atomic<int>> calls(n);
-    std::vector<int> out(n, -1);
-    parallelFor(pool, n, [&](std::size_t i) {
-        ++calls[i];
-        out[i] = 3 * static_cast<int>(i) + 1;
-    });
-    for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(calls[i].load(), 1) << i;
-        EXPECT_EQ(out[i], 3 * static_cast<int>(i) + 1);
+    for (unsigned workers : {1u, 3u, 8u}) {
+        std::vector<std::atomic<int>> calls(n);
+        std::vector<int> out(n, -1);
+        parallelFor(workers, n, [&](std::size_t i) {
+            ++calls[i];
+            out[i] = 3 * static_cast<int>(i) + 1;
+        });
+        for (std::size_t i = 0; i < n; ++i) {
+            EXPECT_EQ(calls[i].load(), 1) << i << " workers=" << workers;
+            EXPECT_EQ(out[i], 3 * static_cast<int>(i) + 1);
+        }
     }
 }
 
 TEST(ParallelFor, EmptyRange)
 {
-    ThreadPool pool(4);
     std::atomic<int> calls{0};
-    parallelFor(pool, 0, [&](std::size_t) { ++calls; });
+    parallelFor(4, 0, [&](std::size_t) { ++calls; });
     EXPECT_EQ(calls.load(), 0);
+}
+
+TEST(ParallelFor, OneWorkerIsTheSerialLoopOnTheCallingThread)
+{
+    const auto caller = std::this_thread::get_id();
+    std::vector<std::size_t> order;
+    bool on_caller = true;
+    parallelFor(1, 50, [&](std::size_t i) {
+        on_caller = on_caller && std::this_thread::get_id() == caller;
+        order.push_back(i);
+    });
+    EXPECT_TRUE(on_caller);
+    ASSERT_EQ(order.size(), 50u);
+    for (std::size_t i = 0; i < order.size(); ++i)
+        EXPECT_EQ(order[i], i);
 }
 
 TEST(ParallelFor, RethrowsLowestFailureAfterAllWorkersStop)
@@ -125,7 +116,6 @@ TEST(ParallelFor, RethrowsLowestFailureAfterAllWorkersStop)
     // Indices 50 and 70 throw; 50 only after a delay, so 70 usually
     // fails first in time. The caller must still see index 50's error
     // (the serial loop's), and only once no index is running any more.
-    ThreadPool pool(4);
     std::atomic<int> running{0};
     std::atomic<int> ran{0};
     auto fn = [&](std::size_t i) {
@@ -145,7 +135,7 @@ TEST(ParallelFor, RethrowsLowestFailureAfterAllWorkersStop)
         std::this_thread::sleep_for(std::chrono::microseconds(200));
     };
     try {
-        parallelFor(pool, 200, fn);
+        parallelFor(4, 200, fn);
         FAIL() << "no exception propagated";
     } catch (const ConfigError &e) {
         EXPECT_EQ(running.load(), 0);
@@ -514,6 +504,24 @@ liveThreads()
     return 0;
 }
 
+/**
+ * liveThreads() once it is down to @p want, or after a second. The
+ * kernel wakes a joining thread before it stops counting the joined
+ * one, so a thread joined a moment ago may still be counted.
+ */
+unsigned
+settledThreads(unsigned want)
+{
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(1);
+    unsigned n = liveThreads();
+    while (n > want && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        n = liveThreads();
+    }
+    return n;
+}
+
 /** @p n delay-scale variants of DLRM-S on NPU-D: one execution. */
 std::vector<SweepCase>
 delayVariants(std::size_t n)
@@ -538,34 +546,47 @@ TEST(SweepRunner, AutomaticRunnerKeepsSmallSweepsOnTheCallingThread)
     std::string restore = saved ? saved : "";
     ASSERT_EQ(unsetenv("REGATE_THREADS"), 0);
     SweepRunner automatic;
+    const unsigned hw = defaultThreadCount();
     if (saved)
         setenv("REGATE_THREADS", restore.c_str(), 1);
-    EXPECT_EQ(automatic.threadCount(), ThreadPool::defaultThreadCount());
 
-    // Below the threshold: no worker starts, and the reports are the
-    // serial path's.
-    auto small = delayVariants(SweepRunner::kMinParallelCases - 1);
+    // One worker below the threshold, the default count at it; a
+    // given count for a sweep of any size.
+    constexpr std::size_t threshold = SweepRunner::kMinParallelCases;
+    EXPECT_EQ(automatic.workersFor(0), 1u);
+    EXPECT_EQ(automatic.workersFor(threshold - 1), 1u);
+    EXPECT_EQ(automatic.workersFor(threshold), hw);
+    EXPECT_EQ(automatic.workersFor(10 * threshold), hw);
+    SweepRunner given(2);
+    for (std::size_t cases : {std::size_t{0}, std::size_t{1}, threshold})
+        EXPECT_EQ(given.workersFor(cases), 2u) << cases << " cases";
+
+    // Below the threshold the reports are the serial path's.
+    auto small = delayVariants(threshold - 1);
     auto serial = SweepRunner::runSerial(small);
     auto reports = automatic.run(small);
-    EXPECT_EQ(liveThreads(), before);
+    EXPECT_EQ(settledThreads(before), before);
     ASSERT_EQ(reports.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
         SCOPED_TRACE(testing::Message() << "case " << i);
         expectRunsIdentical(serial[i], reports[i]);
     }
     automatic.search(small);
-    EXPECT_EQ(liveThreads(), before);
+    EXPECT_EQ(settledThreads(before), before);
 
-    // At the threshold the pool starts, once.
-    automatic.run(delayVariants(SweepRunner::kMinParallelCases));
-    EXPECT_EQ(liveThreads(), before + automatic.threadCount());
-    automatic.run(delayVariants(SweepRunner::kMinParallelCases));
-    EXPECT_EQ(liveThreads(), before + automatic.threadCount());
-
-    // A given worker count is used for every sweep, however small.
-    SweepRunner given(2);
-    given.run(delayVariants(2));
-    EXPECT_EQ(liveThreads(), before + automatic.threadCount() + 2);
+    // No worker outlives a sweep, however many it started.
+    auto large = delayVariants(threshold);
+    automatic.run(large);
+    EXPECT_EQ(settledThreads(before), before);
+    automatic.search(large);
+    EXPECT_EQ(settledThreads(before), before);
+    auto grid = scenarioGrid(rows({Workload::DlrmS, Workload::DiTXL}),
+                             {arch::NpuGeneration::C,
+                              arch::NpuGeneration::D});
+    given.run(grid);
+    EXPECT_EQ(settledThreads(before), before);
+    given.search(grid);
+    EXPECT_EQ(settledThreads(before), before);
 }
 
 }  // namespace
