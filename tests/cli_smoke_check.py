@@ -43,11 +43,15 @@ Checks:
     error row first;
 14. the grid binaries that simulate the spec of check 9 on NPU-A
     (fig03-fig06, fig08, fig09, fig23) exit 1 with its ConfigError on
-    stderr, and the others besides fig02 exit 0.
+    stderr, and the others besides fig02 exit 0;
+15. every binary's no-argument stdout hashes (SHA-256) to its
+    paper_suite entry in perfbench/digests.json, which the benchmark
+    checks its runs against.
 """
 
 import argparse
 import collections
+import hashlib
 import json
 import os
 import subprocess
@@ -91,6 +95,10 @@ SUBSET_AXIS.update(dict.fromkeys(
 # What every grid binary's --list-generators prints.
 LIST_GENERATORS_GOLDEN = (Path(__file__).resolve().parent / "golden" /
                           "list_generators.txt")
+
+# The benchmark's recorded stdout digests; check 15 only reads them.
+DIGESTS = (Path(__file__).resolve().parent.parent / "perfbench" /
+           "digests.json")
 
 # table4's paper column for the one workload whose NPU-D HBM fit grows
 # the pod (64 -> 128 chips): the column keeps the Table 4 anchor.
@@ -241,6 +249,15 @@ def check_all(binary, suite_spec, specs, trace_check):
         expect(proc.returncode == 0 and proc.stdout,
                f"{name}: no-argument run failed", proc)
         default_out[name] = proc.stdout
+
+    recorded = json.loads(DIGESTS.read_text())["paper_suite"]
+    expect(sorted(recorded) == sorted(GRID + NO_GRID),
+           f"{DIGESTS.name}: paper_suite lists {sorted(recorded)}")
+    for name in GRID + NO_GRID:
+        got = hashlib.sha256(default_out[name]).hexdigest()
+        expect(got == recorded.get(name),
+               f"{name}: stdout digest {got[:16]} is not its "
+               f"{DIGESTS.name} paper_suite entry")
 
     families = LIST_GENERATORS_GOLDEN.read_bytes()
     for name in GRID:

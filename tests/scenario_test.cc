@@ -215,6 +215,23 @@ TEST(Scenario, GatingOverridesOverlayTheBaseParams)
     EXPECT_DOUBLE_EQ(c.params.delayScale(), 2.0);
 }
 
+TEST(Scenario, ValidationRejectsAnUnknownGatingKey)
+{
+    // A spec built in code skips the parser's key check; validation
+    // still names the key.
+    ScenarioSpec spec = *builtinScenario(Workload::DlrmS);
+    spec.name = "coded";
+    spec.gating.emplace_back("x", 0.5);
+    try {
+        models::validateScenario(spec);
+        FAIL() << "expected ConfigError";
+    } catch (const ConfigError &e) {
+        EXPECT_STREQ(e.what(),
+                     "config error: scenario 'coded': unknown gating "
+                     "key 'x'");
+    }
+}
+
 TEST(Scenario, MoeScenarioRunsWithoutAnEnumValue)
 {
     auto file = models::parseSpecText(

@@ -387,6 +387,16 @@ TEST(SpecParser, ErrorMessagesExact)
              "chips = 1\n",
          p + "2: config error: scenario 'a': unknown dlrm model 'a=b' "
              "(want s, m, or l)"},
+        {h + "[scenario a]\nfamily = llama-train\nmodel = 7b\n"
+             "batch = 1\nchips = 1\n",
+         p + "2: config error: scenario 'a': unknown llama model '7b' "
+             "(want 8b, 13b, 70b, or 405b)"},
+        {h + "[scenario a]\nfamily = diffusion\nmodel = sd\n"
+             "batch = 1\nchips = 1\n",
+         p + "2: config error: scenario 'a': unknown diffusion model "
+             "'sd' (want dit-xl or gligen)"},
+        {a + "batch = 1\nchips = 1\nunit = bogus\n",
+         p + "2: config error: scenario 'a': unknown unit 'bogus'"},
         // KV caches no pod can hold: the NPU-D HBM refit names the
         // chip count instead of overflowing it.
         {h + "[scenario a]\nfamily = llama-decode\nmodel = 405b\n"
