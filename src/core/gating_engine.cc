@@ -69,9 +69,10 @@ evaluateTimeline(const ActivityTimeline &timeline, const UnitSpec &spec,
                 energy += n * full_gap_j;
                 continue;
             }
-            // The detection window is wasted at full power, the rest
-            // of the interval is gated, and the next access eats the
-            // wake-up delay as a runtime stall.
+            // The detection window is wasted at full power and the
+            // rest of the interval is gated. The next access eats the
+            // wake-up delay as a runtime stall, which
+            // sim::Engine::wakeOverheads charges.
             const Cycles gated = len - window;
             energy += n * (p * tau * static_cast<double>(window) +
                            leak * p * tau * static_cast<double>(gated) +
@@ -79,7 +80,6 @@ evaluateTimeline(const ActivityTimeline &timeline, const UnitSpec &spec,
             r.transitionEnergy += n * e_tr;
             r.gatedCycles += gated * gap.count;
             r.gateEvents += gap.count;
-            r.exposedDelay += delay * gap.count;
             continue;
           }
         }

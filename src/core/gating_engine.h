@@ -53,7 +53,6 @@ struct GatingResult
                                 ///< (includes transition overheads).
     double transitionEnergy = 0;///< Energy of on/off transitions, J.
     std::uint64_t gateEvents = 0;  ///< Number of gated intervals.
-    Cycles exposedDelay = 0;    ///< Wake-up cycles added to runtime.
 
     /** Net static energy saved (can be negative for HwDetect). */
     double saved() const { return staticEnergyNoPg - staticEnergy; }

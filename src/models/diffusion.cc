@@ -227,13 +227,5 @@ gligenInference(std::int64_t batch, const Parallelism &par)
     return g;
 }
 
-graph::OperatorGraph
-diffusionInference(DiffusionModel model, std::int64_t batch,
-                   const Parallelism &par)
-{
-    return model == DiffusionModel::DiTXL ? ditInference(batch, par)
-                                          : gligenInference(batch, par);
-}
-
 }  // namespace models
 }  // namespace regate

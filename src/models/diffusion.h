@@ -23,9 +23,6 @@
 namespace regate {
 namespace models {
 
-/** The two diffusion models. */
-enum class DiffusionModel { DiTXL, GLIGEN };
-
 /** Denoising steps per image (standard sampler setting). */
 constexpr int kDiffusionSteps = 50;
 
@@ -39,11 +36,6 @@ graph::OperatorGraph ditInference(std::int64_t batch,
 /** GLIGEN (U-Net) inference for @p batch images, per chip. */
 graph::OperatorGraph gligenInference(std::int64_t batch,
                                      const Parallelism &par);
-
-/** Dispatch on model. */
-graph::OperatorGraph diffusionInference(DiffusionModel model,
-                                        std::int64_t batch,
-                                        const Parallelism &par);
 
 }  // namespace models
 }  // namespace regate

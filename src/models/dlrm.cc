@@ -20,19 +20,6 @@ constexpr int kFp32 = 4;
 constexpr double kOpsRelu = 1;
 constexpr double kOpsInteraction = 3;  // mul + add + gather shuffle.
 
-// Pooling factors are small (most production tables are one-hot or
-// lightly multi-hot), which keeps the HBM gather traffic comparable
-// to the AllToAll payload; the torus-penalized AllToAll then
-// dominates, matching the paper's 98-99% ICI utilization (Fig. 8).
-const std::array<DlrmConfig, 3> kConfigs = {{
-    {"DLRM-S", 26, 64, 1, 20.0 * 1e9, {13, 512, 256, 64},
-     {512, 1024, 1024, 512, 256, 1}},
-    {"DLRM-M", 40, 128, 1, 45.0 * 1e9, {13, 512, 256, 128},
-     {1024, 1024, 1024, 512, 256, 1}},
-    {"DLRM-L", 64, 128, 2, 98.0 * 1e9, {13, 512, 256, 128},
-     {2048, 2048, 1024, 512, 256, 1}},
-}};
-
 /** Emit an MLP stack as per-layer GEMM + ReLU. */
 void
 emitMlp(std::vector<Operator> &ops, const std::string &prefix,
@@ -64,10 +51,23 @@ emitMlp(std::vector<Operator> &ops, const std::string &prefix,
 
 }  // namespace
 
-const DlrmConfig &
-dlrmConfig(DlrmModel model)
+std::span<const DlrmConfig>
+dlrmConfigs()
 {
-    return kConfigs[static_cast<std::size_t>(model)];
+    // Pooling factors are small (most production tables are one-hot
+    // or lightly multi-hot), which keeps the HBM gather traffic
+    // comparable to the AllToAll payload; the torus-penalized AllToAll
+    // then dominates, matching the paper's 98-99% ICI utilization
+    // (Fig. 8).
+    static const std::array<DlrmConfig, 3> cards = {{
+        {"s", "DLRM-S", 26, 64, 1, 20.0 * 1e9, {13, 512, 256, 64},
+         {512, 1024, 1024, 512, 256, 1}},
+        {"m", "DLRM-M", 40, 128, 1, 45.0 * 1e9, {13, 512, 256, 128},
+         {1024, 1024, 1024, 512, 256, 1}},
+        {"l", "DLRM-L", 64, 128, 2, 98.0 * 1e9, {13, 512, 256, 128},
+         {2048, 2048, 1024, 512, 256, 1}},
+    }};
+    return cards;
 }
 
 graph::OperatorGraph

@@ -1,7 +1,8 @@
 /**
  * @file
  * DLRM recommendation-model workload generator (Table 1: DLRM-S/M/L
- * with 20/45/98 GB embedding tables [57, 5, 70]).
+ * with 20/45/98 GB embedding tables [57, 5, 70]). Each card row
+ * carries the spec `model` key that names it.
  *
  * Deployment follows production practice: embedding tables are
  * model-parallel (sharded by table across the pod) while the MLPs are
@@ -15,6 +16,7 @@
 #define REGATE_MODELS_DLRM_H
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,12 +25,10 @@
 namespace regate {
 namespace models {
 
-/** The three sizes studied. */
-enum class DlrmModel { S, M, L };
-
 /** Architecture parameters. */
 struct DlrmConfig
 {
+    std::string key;            ///< Spec `model` value ("s").
     std::string name;
     int tables = 0;             ///< Number of embedding tables.
     std::int64_t embDim = 0;    ///< Embedding vector width.
@@ -38,8 +38,8 @@ struct DlrmConfig
     std::vector<std::int64_t> topMlp;     ///< Interaction MLP dims.
 };
 
-/** Model card. */
-const DlrmConfig &dlrmConfig(DlrmModel model);
+/** The cards of the three sizes studied. */
+std::span<const DlrmConfig> dlrmConfigs();
 
 /**
  * One inference batch on @p chips chips (table-parallel embeddings +

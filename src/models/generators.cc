@@ -5,6 +5,10 @@
  * canonical built-in specs), and an MoE inference family that exists
  * only as a spec family — it shows a new family needs a row here and
  * a spec file, never a figure-binary edit.
+ *
+ * A family's `model` values are the keys of its model cards
+ * (llamaConfigs, dlrmConfigs, kDiffusionCards), which modelCard looks
+ * a spec up in and keysDoc lists for --list-generators.
  */
 
 #include <algorithm>
@@ -40,29 +44,51 @@ checkExtras(const ScenarioSpec &spec)
     }
 }
 
+/** Reject an unknown model through @p card, then undeclared extras. */
+template <auto card>
+void
+validateCard(const ScenarioSpec &spec)
+{
+    card(spec);
+    checkExtras(spec);
+}
+
+/** The keys of @p rows as "a | b | c". */
+template <typename Rows>
+std::string
+keysDoc(const Rows &rows)
+{
+    std::string out;
+    for (const auto &row : rows)
+        (out += out.empty() ? "" : " | ") += row.key;
+    return out;
+}
+
+/** The row of @p rows keyed by the spec's model; otherwise a
+ *  ConfigError that names @p family and lists the keys. */
+template <typename Rows>
+const auto &
+modelCard(const Rows &rows, const char *family, const ScenarioSpec &spec)
+{
+    std::string want;
+    for (std::size_t i = 0, n = std::size(rows); i < n; ++i) {
+        if (rows[i].key == spec.model)
+            return rows[i];
+        if (i > 0)
+            want += i + 1 < n ? ", " : n > 2 ? ", or " : " or ";
+        want += rows[i].key;
+    }
+    throw ConfigError("scenario '" + spec.name + "': unknown " + family +
+                      " model '" + spec.model + "' (want " + want +
+                      ")");
+}
+
 // ---- Llama train / prefill / decode, and MoE on a llama base ----
 
 const LlamaConfig &
 llamaCard(const ScenarioSpec &spec)
 {
-    if (spec.model == "8b")
-        return llamaConfig(LlamaModel::L8B);
-    if (spec.model == "13b")
-        return llamaConfig(LlamaModel::L13B);
-    if (spec.model == "70b")
-        return llamaConfig(LlamaModel::L70B);
-    if (spec.model == "405b")
-        return llamaConfig(LlamaModel::L405B);
-    throw ConfigError("scenario '" + spec.name +
-                      "': unknown llama model '" + spec.model +
-                      "' (want 8b, 13b, 70b, or 405b)");
-}
-
-void
-validateLlama(const ScenarioSpec &spec)
-{
-    llamaCard(spec);
-    checkExtras(spec);
+    return modelCard(llamaConfigs(), "llama", spec);
 }
 
 double
@@ -123,7 +149,7 @@ buildDecode(const ScenarioSpec &spec, const RunSetup &setup)
 void
 validateMoe(const ScenarioSpec &spec)
 {
-    validateLlama(spec);
+    validateCard<llamaCard>(spec);
     std::int64_t experts = spec.extraOr("experts", 0);
     REGATE_CHECK(experts >= 2, "scenario '", spec.name,
                  "': moe requires experts >= 2 (got ", experts, ")");
@@ -157,22 +183,7 @@ buildMoe(const ScenarioSpec &spec, const RunSetup &setup)
 const DlrmConfig &
 dlrmCard(const ScenarioSpec &spec)
 {
-    if (spec.model == "s")
-        return dlrmConfig(DlrmModel::S);
-    if (spec.model == "m")
-        return dlrmConfig(DlrmModel::M);
-    if (spec.model == "l")
-        return dlrmConfig(DlrmModel::L);
-    throw ConfigError("scenario '" + spec.name +
-                      "': unknown dlrm model '" + spec.model +
-                      "' (want s, m, or l)");
-}
-
-void
-validateDlrm(const ScenarioSpec &spec)
-{
-    dlrmCard(spec);
-    checkExtras(spec);
+    return modelCard(dlrmConfigs(), "dlrm", spec);
 }
 
 double
@@ -189,23 +200,20 @@ buildDlrm(const ScenarioSpec &spec, const RunSetup &setup)
 
 // ---- Stable diffusion ----
 
-DiffusionModel
-diffusionModel(const ScenarioSpec &spec)
+/** The diffusion models: a spec `model` value and its builder each. */
+constexpr struct DiffusionCard
 {
-    if (spec.model == "dit-xl")
-        return DiffusionModel::DiTXL;
-    if (spec.model == "gligen")
-        return DiffusionModel::GLIGEN;
-    throw ConfigError("scenario '" + spec.name +
-                      "': unknown diffusion model '" + spec.model +
-                      "' (want dit-xl or gligen)");
-}
+    const char *key;
+    graph::OperatorGraph (*build)(std::int64_t, const Parallelism &);
+} kDiffusionCards[] = {
+    {"dit-xl", ditInference},
+    {"gligen", gligenInference},
+};
 
-void
-validateDiffusion(const ScenarioSpec &spec)
+const DiffusionCard &
+diffusionCard(const ScenarioSpec &spec)
 {
-    diffusionModel(spec);
-    checkExtras(spec);
+    return modelCard(kDiffusionCards, "diffusion", spec);
 }
 
 double
@@ -217,17 +225,15 @@ diffusionStateBytes(const ScenarioSpec &)
 graph::OperatorGraph
 buildDiffusion(const ScenarioSpec &spec, const RunSetup &setup)
 {
-    return diffusionInference(diffusionModel(spec), setup.batch,
-                              setup.par);
+    return diffusionCard(spec).build(setup.batch, setup.par);
 }
 
-constexpr const char *kLlamaModels = "8b | 13b | 70b | 405b";
-
-/** The keys every family accepts, in documented order. */
+/** The keys every family accepts besides the gating keys, in
+ *  documented order. */
 constexpr struct
 {
     const char *key;
-    const char *doc;  ///< `model`'s doc ends with the row's models.
+    const char *doc;  ///< `model`'s and `unit`'s end with their values.
 } kSharedKeys[] = {
     {"family", "workload family (this generator)"},
     {"model", "model size: "},
@@ -238,11 +244,7 @@ constexpr struct
     {"dp", "data-parallel replicas (with tp/pp: chips = dp*tp*pp)"},
     {"tp", "tensor-parallel shards"},
     {"pp", "pipeline-parallel stages"},
-    {"unit", "work unit: iteration | token | request | image"},
-    {"logic_off", "gated-logic leakage ratio override"},
-    {"sram_sleep", "SRAM sleep leakage ratio override"},
-    {"sram_off", "SRAM off leakage ratio override"},
-    {"delay_scale", "gating delay/BET scale override"},
+    {"unit", "work unit: "},
 };
 
 }  // namespace
@@ -250,24 +252,25 @@ constexpr struct
 const std::vector<FamilyRow> &
 familyTable()
 {
+    static const std::string llama = keysDoc(llamaConfigs());
     static const std::vector<FamilyRow> table = {
-        {"diffusion", "Stable Diffusion", "dit-xl | gligen",
-         WorkUnit::Image, 0, 0, false, {}, validateDiffusion,
+        {"diffusion", "Stable Diffusion", keysDoc(kDiffusionCards),
+         WorkUnit::Image, 0, 0, false, {}, validateCard<diffusionCard>,
          diffusionStateBytes, buildDiffusion},
-        {"dlrm", "DLRM Inference", "s | m | l", WorkUnit::Request, 0,
-         0, false, {}, validateDlrm, dlrmStateBytes, buildDlrm},
-        {"llama-decode", "LLM Decode", kLlamaModels, WorkUnit::Token,
-         kPrefillSeqLen, kDecodeOutLen, true, {}, validateLlama,
-         decodeStateBytes, buildDecode},
-        {"llama-prefill", "LLM Prefill", kLlamaModels, WorkUnit::Token,
-         kPrefillSeqLen, 0, true, {}, validateLlama, prefillStateBytes,
-         buildPrefill},
-        {"llama-train", "LLM Training", kLlamaModels,
-         WorkUnit::Iteration, kPrefillSeqLen, 0, true, {},
-         validateLlama, trainStateBytes, buildTrain},
-        {"moe", "MoE Inference",
-         std::string(kLlamaModels) + " (dense base)", WorkUnit::Token,
-         kPrefillSeqLen, 0, true,
+        {"dlrm", "DLRM Inference", keysDoc(dlrmConfigs()),
+         WorkUnit::Request, 0, 0, false, {}, validateCard<dlrmCard>,
+         dlrmStateBytes, buildDlrm},
+        {"llama-decode", "LLM Decode", llama, WorkUnit::Token,
+         kPrefillSeqLen, kDecodeOutLen, true, {},
+         validateCard<llamaCard>, decodeStateBytes, buildDecode},
+        {"llama-prefill", "LLM Prefill", llama, WorkUnit::Token,
+         kPrefillSeqLen, 0, true, {}, validateCard<llamaCard>,
+         prefillStateBytes, buildPrefill},
+        {"llama-train", "LLM Training", llama, WorkUnit::Iteration,
+         kPrefillSeqLen, 0, true, {}, validateCard<llamaCard>,
+         trainStateBytes, buildTrain},
+        {"moe", "MoE Inference", llama + " (dense base)",
+         WorkUnit::Token, kPrefillSeqLen, 0, true,
          {{"experts", "expert FFNs per layer (required, >= 2)"},
           {"top_k", "experts active per token (default 2)", 2}},
          validateMoe, moeStateBytes, buildMoe},
@@ -311,6 +314,7 @@ acceptsKey(const FamilyRow &row, std::string_view key)
     auto named = [&](const auto &k) { return k.key == key; };
     return std::any_of(std::begin(kSharedKeys), std::end(kSharedKeys),
                        named) ||
+           findGatingKey(key) ||
            std::any_of(row.extras.begin(), row.extras.end(), named);
 }
 
@@ -322,8 +326,12 @@ specKeys(const FamilyRow &row)
         std::string doc = shared.doc;
         if (shared.key == std::string_view("model"))
             doc += row.models;
+        else if (shared.key == std::string_view("unit"))
+            doc += keysDoc(kWorkUnits);
         keys.push_back({shared.key, std::move(doc)});
     }
+    for (const auto &gating : kGatingKeys)
+        keys.push_back({gating.key, gating.doc});
     keys.insert(keys.end(), row.extras.begin(), row.extras.end());
     return keys;
 }

@@ -30,15 +30,21 @@ LlamaConfig::kvBytesPerToken() const
     return 2.0 * layers * kvHeads * headDim * 2.0;  // K+V, bf16.
 }
 
-namespace {
+std::span<const LlamaConfig>
+llamaConfigs()
+{
+    static const std::array<LlamaConfig, 4> cards = {{
+        // key, name, layers, hidden, heads, kvHeads, headDim, ffn, vocab
+        {"8b", "Llama3-8B", 32, 4096, 32, 8, 128, 14336, 128256},
+        {"13b", "Llama2-13B", 40, 5120, 40, 40, 128, 13824, 32000},
+        {"70b", "Llama3-70B", 80, 8192, 64, 8, 128, 28672, 128256},
+        {"405b", "Llama3.1-405B", 126, 16384, 128, 8, 128, 53248,
+         128256},
+    }};
+    return cards;
+}
 
-const std::array<LlamaConfig, 4> kLlamaConfigs = {{
-    // name, layers, hidden, heads, kvHeads, headDim, ffn, vocab
-    {"Llama3-8B", 32, 4096, 32, 8, 128, 14336, 128256},
-    {"Llama2-13B", 40, 5120, 40, 40, 128, 13824, 32000},
-    {"Llama3-70B", 80, 8192, 64, 8, 128, 28672, 128256},
-    {"Llama3.1-405B", 126, 16384, 128, 8, 128, 53248, 128256},
-}};
+namespace {
 
 /** VU lane-op costs per element for the vector operators. */
 constexpr double kOpsSoftmax = 6;   // max, sub, exp, sum, div.
@@ -255,12 +261,6 @@ localBatch(std::int64_t batch, const Parallelism &par,
 }
 
 }  // namespace
-
-const LlamaConfig &
-llamaConfig(LlamaModel model)
-{
-    return kLlamaConfigs[static_cast<std::size_t>(model)];
-}
 
 graph::OperatorGraph
 llamaPrefill(const LlamaConfig &cfg, std::int64_t batch,

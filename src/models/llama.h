@@ -3,7 +3,9 @@
  * Llama-family workload generators (Table 1): Llama3-8B, Llama2-13B,
  * Llama3-70B, Llama3.1-405B, for training, inference prefill, and
  * inference decode. Architecture parameters come from the public
- * model cards [33, 82].
+ * model cards [33, 82]; each card row carries the spec `model` key
+ * that names it, and the family table (models/generators.cc) reads
+ * the accepted keys off these rows.
  *
  * Graphs are emitted per chip under a (dp, tp, pp) parallelism split:
  * tensor parallelism shards heads and FFN columns and inserts two
@@ -16,6 +18,7 @@
 #define REGATE_MODELS_LLAMA_H
 
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "graph/graph.h"
@@ -24,12 +27,10 @@
 namespace regate {
 namespace models {
 
-/** The four Llama variants studied in the paper. */
-enum class LlamaModel { L8B, L13B, L70B, L405B };
-
 /** Architecture parameters of one variant. */
 struct LlamaConfig
 {
+    std::string key;  ///< Spec `model` value ("8b").
     std::string name;
     int layers = 0;
     std::int64_t hidden = 0;
@@ -49,8 +50,8 @@ struct LlamaConfig
     double kvBytesPerToken() const;
 };
 
-/** Model card for a variant. */
-const LlamaConfig &llamaConfig(LlamaModel model);
+/** The cards of the four variants studied in the paper. */
+std::span<const LlamaConfig> llamaConfigs();
 
 /**
  * One training iteration (forward + backward + optimizer + gradient

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "arch/gating_params.h"
 #include "common/error.h"
 
 namespace regate {
@@ -45,23 +44,6 @@ llamaAnchorSplit(int chips, std::int64_t batch)
     return par;
 }
 
-/** Canonical spec spelling of a work unit ("iteration", "token"...). */
-std::string
-workUnitKey(WorkUnit unit)
-{
-    switch (unit) {
-      case WorkUnit::Iteration:
-        return "iteration";
-      case WorkUnit::Token:
-        return "token";
-      case WorkUnit::Request:
-        return "request";
-      case WorkUnit::Image:
-        return "image";
-    }
-    throw LogicError("unknown unit");
-}
-
 /** Explicit split if the spec set one, else the row's heuristic. */
 RunSetup
 anchorSetup(const FamilyRow &row, const ScenarioSpec &spec)
@@ -79,6 +61,15 @@ anchorSetup(const FamilyRow &row, const ScenarioSpec &spec)
 }
 
 }  // namespace
+
+const GatingKey *
+findGatingKey(std::string_view key)
+{
+    for (const auto &row : kGatingKeys)
+        if (row.key == key)
+            return &row;
+    return nullptr;
+}
 
 void
 validateScenario(ScenarioSpec &spec)
@@ -102,21 +93,20 @@ validateScenario(ScenarioSpec &spec)
             spec.par.pp, " = ", spec.par.chips(), ")");
     }
     for (const auto &[key, value] : spec.gating) {
-        REGATE_CHECK(key == "logic_off" || key == "sram_sleep" ||
-                         key == "sram_off" || key == "delay_scale",
-                     "scenario '", spec.name, "': unknown gating key '",
-                     key, "'");
+        const auto *gating = findGatingKey(key);
+        REGATE_CHECK(gating, "scenario '", spec.name,
+                     "': unknown gating key '", key, "'");
         REGATE_CHECK(std::isfinite(value) && value >= 0, "scenario '",
                      spec.name, "': bad ", key, " value");
-        REGATE_CHECK(key != "delay_scale" || value > 0, "scenario '",
-                     spec.name, "': delay_scale must be > 0");
+        REGATE_CHECK(gating->ratio || value > 0, "scenario '",
+                     spec.name, "': ", key, " must be > 0");
         // A leakage ratio is a fraction of the active static power.
-        REGATE_CHECK(key == "delay_scale" || value <= 1, "scenario '",
+        REGATE_CHECK(!gating->ratio || value <= 1, "scenario '",
                      spec.name, "': ", key, " = ", value,
                      " is not a leakage ratio in [0, 1]");
-        REGATE_CHECK(key != "delay_scale" ||
+        REGATE_CHECK(gating->ratio ||
                          arch::GatingParams::delayScaleFits(value),
-                     "scenario '", spec.name, "': delay_scale = ", value,
+                     "scenario '", spec.name, "': ", key, " = ", value,
                      " overflows the scaled Table-3 cycle counts");
     }
 
@@ -128,7 +118,7 @@ validateScenario(ScenarioSpec &spec)
     if (spec.outLen == 0)
         spec.outLen = row.outLen;
     if (spec.unit.empty())
-        spec.unit = workUnitKey(row.unit);
+        spec.unit = kWorkUnits[static_cast<std::size_t>(row.unit)].key;
     bool filled = false;
     for (const auto &extra : row.extras) {
         if (extra.fallback != 0 && spec.extraOr(extra.key, 0) == 0) {
@@ -220,10 +210,9 @@ WorkUnit
 scenarioWorkUnit(const ScenarioSpec &spec)
 {
     familyRow(spec.family);  // An unknown family wins over the unit.
-    for (auto unit : {WorkUnit::Iteration, WorkUnit::Token,
-                      WorkUnit::Request, WorkUnit::Image})
-        if (spec.unit == workUnitKey(unit))
-            return unit;
+    for (std::size_t i = 0; i < std::size(kWorkUnits); ++i)
+        if (spec.unit == kWorkUnits[i].key)
+            return static_cast<WorkUnit>(i);
     throw ConfigError("scenario '" + spec.name + "': unknown unit '" +
                       spec.unit + "'");
 }

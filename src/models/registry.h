@@ -11,6 +11,11 @@
  * spec's `family` key. Adding a family means adding a row in
  * models/generators.cc; no figure binary changes.
  *
+ * The rest of the spec vocabulary is one table each too: a family's
+ * `model` values are its model cards' keys (models/generators.cc),
+ * `unit` values are kWorkUnits' (models/workload.h), and the gating
+ * overrides are kGatingKeys below.
+ *
  * The 17 paper workloads are built-in spec rows (models/workload.h)
  * replayed through the same table as any user spec: there is one
  * scenario path.
@@ -24,6 +29,7 @@
 #include <string_view>
 #include <vector>
 
+#include "arch/gating_params.h"
 #include "arch/npu_config.h"
 #include "graph/graph.h"
 #include "models/scenario.h"
@@ -41,12 +47,36 @@ struct SpecKey
     std::int64_t fallback = 0;
 };
 
+/** One gating-override spec key: a §6.5 sensitivity parameter. */
+struct GatingKey
+{
+    const char *key;
+    const char *doc;
+    /** The leakage ratio it sets, in [0, 1]; null: the delay scale,
+     *  which scales every Table-3 delay and BET. */
+    double arch::LeakageRatios::*ratio;
+};
+
+/** Every gating-override key, in documented order. */
+inline constexpr GatingKey kGatingKeys[] = {
+    {"logic_off", "gated-logic leakage ratio override",
+     &arch::LeakageRatios::logicOff},
+    {"sram_sleep", "SRAM sleep leakage ratio override",
+     &arch::LeakageRatios::sramSleep},
+    {"sram_off", "SRAM off leakage ratio override",
+     &arch::LeakageRatios::sramOff},
+    {"delay_scale", "gating delay/BET scale override", nullptr},
+};
+
+/** The row of gating key @p key, or nullptr. */
+const GatingKey *findGatingKey(std::string_view key);
+
 /** One workload family. */
 struct FamilyRow
 {
     std::string key;     ///< The spec's `family` value ("llama-train").
     std::string label;   ///< Figure-grouping label ("LLM Training").
-    std::string models;  ///< Accepted `model` values, for the docs.
+    std::string models;  ///< Its model cards' keys, for the docs.
     WorkUnit unit;       ///< Default work unit.
     std::int64_t seqLen; ///< Default seq_len; 0: none.
     std::int64_t outLen; ///< Default out_len; 0: none.
@@ -82,8 +112,8 @@ const FamilyRow &familyRow(std::string_view family);
 /** Whether @p row accepts spec key @p key (without allocating). */
 bool acceptsKey(const FamilyRow &row, std::string_view key);
 
-/** Every key @p row accepts with its doc: the shared keys, then its
- *  extras. */
+/** Every key @p row accepts with its doc: the shared keys, the
+ *  gating keys, then its extras. */
 std::vector<SpecKey> specKeys(const FamilyRow &row);
 
 /** Check the family-independent fields, fill the family defaults

@@ -50,7 +50,7 @@ struct ScenarioSpec
     bool parSet = false;
     Parallelism par;
 
-    /** Work-unit name ("iteration", "token", "request", "image");
+    /** Work-unit key (a kWorkUnits key, models/workload.h);
      *  empty = family default (validateScenario fills). */
     std::string unit;
 
@@ -58,9 +58,9 @@ struct ScenarioSpec
      *  by key. */
     std::vector<std::pair<std::string, std::int64_t>> extra;
 
-    /** Gating-parameter overrides ("logic_off", "sram_sleep",
-     *  "sram_off", "delay_scale"), sorted by key. Applied on top of
-     *  whatever base GatingParams a grid sweeps. */
+    /** Gating-parameter overrides (models::kGatingKeys keys),
+     *  sorted by key. Applied on top of whatever base GatingParams a
+     *  grid sweeps. */
     std::vector<std::pair<std::string, double>> gating;
 
     /** Value of an extra key, or @p fallback when absent. */

@@ -166,19 +166,6 @@ canonicalDouble(double v)
     return buf;
 }
 
-bool
-isGatingKey(string_view key)
-{
-    return key == "logic_off" || key == "sram_sleep" ||
-           key == "sram_off" || key == "delay_scale";
-}
-
-bool
-isStringKey(string_view key)
-{
-    return key == "family" || key == "model" || key == "unit";
-}
-
 /** One `key = value` line; both views point into the spec text. */
 struct Entry
 {
@@ -330,16 +317,15 @@ expandSection(const Section &section, const Entry *entries,
     std::vector<std::pair<std::string, double>> gating;
     string_view model, unit;
     for (const Entry *e = entries; e != end; ++e) {
-        if (isStringKey(e->key)) {
-            if (e->key == "model")
-                model = e->value;
-            else if (e->key == "unit")
-                unit = e->value;
-        } else if (isGatingKey(e->key)) {
+        if (e->key == "model") {
+            model = e->value;
+        } else if (e->key == "unit") {
+            unit = e->value;
+        } else if (findGatingKey(e->key)) {
             gating.emplace_back(
                 str(e->key),
                 parseDoubleValue(e->key, e->value, source, e->line));
-        } else {
+        } else if (e->key != "family") {
             axes.push_back(
                 {e->key, parseIntValues(e->key, e->value, source,
                                         e->line),

@@ -105,17 +105,7 @@ allWorkloads()
 std::string
 workUnitName(WorkUnit unit)
 {
-    switch (unit) {
-      case WorkUnit::Iteration:
-        return "Iter";
-      case WorkUnit::Token:
-        return "Token";
-      case WorkUnit::Request:
-        return "Request";
-      case WorkUnit::Image:
-        return "Image";
-    }
-    throw LogicError("unknown unit");
+    return kWorkUnits[static_cast<std::size_t>(unit)].label;
 }
 
 const std::shared_ptr<const ScenarioSpec> &

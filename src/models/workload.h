@@ -5,7 +5,8 @@
  * once into a shared ScenarioSpec (builtinScenario), and from there it
  * replays through the same family table as any user spec: the
  * simulator's entry points take only specs. The Workload enum names a
- * row of the table; nothing downstream branches on it.
+ * row of the table; nothing downstream branches on it. kWorkUnits
+ * holds each work unit's spec key and figure label.
  */
 
 #ifndef REGATE_MODELS_WORKLOAD_H
@@ -45,6 +46,19 @@ enum class WorkloadFamily {
 /** How one run is normalized in Fig. 2 (J/iter, J/token, ...). */
 enum class WorkUnit { Iteration, Token, Request, Image };
 
+/** A work unit's spec `unit` value and its figure label. */
+struct WorkUnitRow
+{
+    const char *key;
+    const char *label;
+};
+
+/** Every work unit's spellings, indexed by WorkUnit. */
+inline constexpr WorkUnitRow kWorkUnits[] = {
+    {"iteration", "Iter"}, {"token", "Token"},
+    {"request", "Request"}, {"image", "Image"},
+};
+
 /** Pod/batch configuration for one run. */
 struct RunSetup
 {
@@ -72,6 +86,7 @@ constexpr std::int64_t kDecodeOutLen = 512;
 /** All 17 workloads in paper order. */
 const std::vector<Workload> &allWorkloads();
 
+/** Figure label of @p unit. */
 std::string workUnitName(WorkUnit unit);
 
 /**

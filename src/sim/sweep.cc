@@ -115,19 +115,15 @@ void
 applyScenarioGating(arch::GatingParams *params,
                     const models::ScenarioSpec &spec)
 {
-    auto ratios = params->ratios();
     for (const auto &[key, value] : spec.gating) {
-        if (key == "logic_off")
-            ratios.logicOff = value;
-        else if (key == "sram_sleep")
-            ratios.sramSleep = value;
-        else if (key == "sram_off")
-            ratios.sramOff = value;
-    }
-    params->setRatios(ratios);
-    for (const auto &[key, value] : spec.gating) {
-        if (key == "delay_scale")
+        const auto *gating = models::findGatingKey(key);
+        if (gating && gating->ratio) {
+            auto ratios = params->ratios();
+            ratios.*gating->ratio = value;
+            params->setRatios(ratios);
+        } else if (gating) {
             params->setDelayScale(value);
+        }
     }
 }
 

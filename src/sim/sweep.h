@@ -54,9 +54,9 @@ struct SweepCase
 };
 
 /**
- * Overlay a scenario's gating overrides (logic_off, sram_sleep,
- * sram_off, delay_scale) onto @p params; keys the spec does not set
- * keep their values from @p params.
+ * Overlay a scenario's gating overrides onto @p params as their
+ * models::kGatingKeys rows say; keys the spec does not set keep their
+ * values from @p params.
  */
 void applyScenarioGating(arch::GatingParams *params,
                          const models::ScenarioSpec &spec);

@@ -38,7 +38,8 @@ class VerdictTest(unittest.TestCase):
         cls.bound = {name: bound for name, _, bound in metrics}
 
     def label(self, pairs, better="lower", metric="cpu_s"):
-        return ab_perfbench.classify(pairs, better, self.bound[metric])
+        return ab_perfbench.classify(pairs, better,
+                                     self.bound[metric]).label
 
     def test_gain_needs_nine_tenths_of_the_pairs(self):
         parent = parent_runs(1.0, 0.001)

@@ -79,8 +79,8 @@ TEST(Diffusion, GligenHasConvsAndGatedAttention)
 
 TEST(Diffusion, ComputeBound)
 {
-    for (auto m : {DiffusionModel::DiTXL, DiffusionModel::GLIGEN}) {
-        auto g = diffusionInference(m, 64, {1, 1, 1});
+    for (auto build : {ditInference, gligenInference}) {
+        auto g = build(64, {1, 1, 1});
         EXPECT_GT(g.totalFlops() / g.totalHbmBytes(), 50.0)
             << g.name;
     }

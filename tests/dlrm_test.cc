@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/error.h"
@@ -20,19 +23,29 @@ namespace {
 using graph::CollKind;
 using graph::OpKind;
 
+/** The card whose spec `model` key is @p key. */
+const DlrmConfig &
+card(std::string_view key)
+{
+    for (const auto &c : dlrmConfigs())
+        if (c.key == key)
+            return c;
+    throw std::out_of_range(std::string(key));
+}
+
 TEST(Dlrm, ConfigsMatchTable1Sizes)
 {
     // Table 1's three sizes, in order: embedding storage in GB.
-    const std::pair<DlrmModel, double> sizes[] = {
-        {DlrmModel::S, 20.0}, {DlrmModel::M, 45.0}, {DlrmModel::L, 98.0}};
+    const std::pair<const char *, double> sizes[] = {
+        {"s", 20.0}, {"m", 45.0}, {"l", 98.0}};
     for (auto [model, gb] : sizes)
-        EXPECT_NEAR(dlrmConfig(model).tableBytes / 1e9, gb, 0.1)
-            << dlrmConfig(model).name;
+        EXPECT_NEAR(card(model).tableBytes / 1e9, gb, 0.1)
+            << card(model).name;
 }
 
 TEST(Dlrm, GraphHasAllStages)
 {
-    auto g = dlrmInference(dlrmConfig(DlrmModel::M), 4096, 8);
+    auto g = dlrmInference(card("m"), 4096, 8);
     g.validate();
     bool has_embedding = false, has_alltoall = false,
          has_interaction = false;
@@ -52,7 +65,7 @@ TEST(Dlrm, GraphHasAllStages)
 
 TEST(Dlrm, SingleChipHasNoAllToAll)
 {
-    auto g = dlrmInference(dlrmConfig(DlrmModel::S), 1024, 1);
+    auto g = dlrmInference(card("s"), 1024, 1);
     for (const auto &op : g.blocks[0].ops)
         EXPECT_NE(op.kind, OpKind::Collective);
 }
@@ -62,22 +75,22 @@ TEST(Dlrm, LowArithmeticIntensityRelativeToPrefill)
     // DLRM is memory/network-bound (§3): its arithmetic intensity is
     // at least an order of magnitude below a compute-bound LLM
     // prefill graph's.
-    auto g = dlrmInference(dlrmConfig(DlrmModel::L), 4096, 8);
+    auto g = dlrmInference(card("l"), 4096, 8);
     double dlrm_intensity = g.totalFlops() / g.totalHbmBytes();
     EXPECT_LT(dlrm_intensity, 300.0);
 }
 
 TEST(Dlrm, AllToAllScalesWithBatchAndDim)
 {
-    auto small = dlrmInference(dlrmConfig(DlrmModel::S), 1024, 8);
-    auto big = dlrmInference(dlrmConfig(DlrmModel::L), 4096, 8);
+    auto small = dlrmInference(card("s"), 1024, 8);
+    auto big = dlrmInference(card("l"), 4096, 8);
     EXPECT_GT(big.totalCollectiveBytes(),
               4.0 * small.totalCollectiveBytes());
 }
 
 TEST(Dlrm, EmbeddingLookupsCoverGlobalBatch)
 {
-    const auto &cfg = dlrmConfig(DlrmModel::M);
+    const auto &cfg = card("m");
     auto g = dlrmInference(cfg, 4096, 8);
     for (const auto &op : g.blocks[0].ops) {
         if (op.kind != OpKind::Embedding)
@@ -90,7 +103,7 @@ TEST(Dlrm, EmbeddingLookupsCoverGlobalBatch)
 
 TEST(Dlrm, GemmRowsAreLocalBatch)
 {
-    auto g = dlrmInference(dlrmConfig(DlrmModel::S), 4096, 8);
+    auto g = dlrmInference(card("s"), 4096, 8);
     for (const auto &op : g.blocks[0].ops) {
         if (op.kind == OpKind::MatMul)
             EXPECT_EQ(op.m, 512);  // 4096 / 8 chips.
@@ -99,7 +112,7 @@ TEST(Dlrm, GemmRowsAreLocalBatch)
 
 TEST(Dlrm, RejectsBadChips)
 {
-    EXPECT_THROW(dlrmInference(dlrmConfig(DlrmModel::S), 1024, 0),
+    EXPECT_THROW(dlrmInference(card("s"), 1024, 0),
                  ConfigError);
 }
 

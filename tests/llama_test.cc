@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <string_view>
+
 #include "common/error.h"
 
 #include "models/llama.h"
@@ -17,28 +21,38 @@ namespace {
 
 using graph::OpKind;
 
+/** The card whose spec `model` key is @p key. */
+const LlamaConfig &
+card(std::string_view key)
+{
+    for (const auto &c : llamaConfigs())
+        if (c.key == key)
+            return c;
+    throw std::out_of_range(std::string(key));
+}
+
 TEST(Llama, ParameterCountsMatchModelCards)
 {
     // Within 10% of the nominal sizes (embeddings/rounding differ).
-    EXPECT_NEAR(llamaConfig(LlamaModel::L8B).params() / 1e9, 8.0, 0.8);
-    EXPECT_NEAR(llamaConfig(LlamaModel::L13B).params() / 1e9, 13.0,
+    EXPECT_NEAR(card("8b").params() / 1e9, 8.0, 0.8);
+    EXPECT_NEAR(card("13b").params() / 1e9, 13.0,
                 1.3);
-    EXPECT_NEAR(llamaConfig(LlamaModel::L70B).params() / 1e9, 70.0,
+    EXPECT_NEAR(card("70b").params() / 1e9, 70.0,
                 7.0);
-    EXPECT_NEAR(llamaConfig(LlamaModel::L405B).params() / 1e9, 405.0,
+    EXPECT_NEAR(card("405b").params() / 1e9, 405.0,
                 40.0);
 }
 
 TEST(Llama, KvCacheBytes)
 {
     // 70B GQA: 8 KV heads x 128 dims x 80 layers x 2 (K,V) x 2 B.
-    EXPECT_DOUBLE_EQ(llamaConfig(LlamaModel::L70B).kvBytesPerToken(),
+    EXPECT_DOUBLE_EQ(card("70b").kvBytesPerToken(),
                      2.0 * 80 * 8 * 128 * 2);
 }
 
 TEST(Llama, PrefillGraphStructure)
 {
-    const auto &cfg = llamaConfig(LlamaModel::L8B);
+    const auto &cfg = card("8b");
     auto g = llamaPrefill(cfg, 4, 4096, {1, 2, 1});
     g.validate();
     // Layer block repeats `layers` times.
@@ -52,7 +66,7 @@ TEST(Llama, PrefillGraphStructure)
 
 TEST(Llama, NoCollectivesWithoutTp)
 {
-    auto g = llamaPrefill(llamaConfig(LlamaModel::L8B), 4, 4096,
+    auto g = llamaPrefill(card("8b"), 4, 4096,
                           {1, 1, 1});
     for (const auto &op : g.blocks[0].ops)
         EXPECT_NE(op.kind, OpKind::Collective) << op.name;
@@ -60,7 +74,7 @@ TEST(Llama, NoCollectivesWithoutTp)
 
 TEST(Llama, PrefillIsComputeBound)
 {
-    auto g = llamaPrefill(llamaConfig(LlamaModel::L8B), 4, 4096,
+    auto g = llamaPrefill(card("8b"), 4, 4096,
                           {1, 1, 1});
     // Arithmetic intensity (FLOPs per HBM byte) should be high.
     EXPECT_GT(g.totalFlops() / g.totalHbmBytes(), 100.0);
@@ -68,21 +82,21 @@ TEST(Llama, PrefillIsComputeBound)
 
 TEST(Llama, DecodeIsMemoryBound)
 {
-    auto g = llamaDecode(llamaConfig(LlamaModel::L8B), 4, 4096, 512,
+    auto g = llamaDecode(card("8b"), 4, 4096, 512,
                          {1, 1, 1});
     EXPECT_LT(g.totalFlops() / g.totalHbmBytes(), 10.0);
 }
 
 TEST(Llama, DecodeRepeatsPerToken)
 {
-    const auto &cfg = llamaConfig(LlamaModel::L13B);
+    const auto &cfg = card("13b");
     auto g = llamaDecode(cfg, 4, 4096, 512, {1, 1, 1});
     EXPECT_EQ(g.blocks[0].repeat, 512u * 40u);
 }
 
 TEST(Llama, DecodeGemmsHaveSmallM)
 {
-    auto g = llamaDecode(llamaConfig(LlamaModel::L8B), 4, 4096, 512,
+    auto g = llamaDecode(card("8b"), 4, 4096, 512,
                          {1, 1, 1});
     for (const auto &op : g.blocks[0].ops) {
         if (op.kind == OpKind::MatMul && op.name == "qkv_proj")
@@ -92,7 +106,7 @@ TEST(Llama, DecodeGemmsHaveSmallM)
 
 TEST(Llama, TensorParallelismShrinksPerChipWork)
 {
-    const auto &cfg = llamaConfig(LlamaModel::L70B);
+    const auto &cfg = card("70b");
     auto tp1 = llamaPrefill(cfg, 8, 4096, {1, 1, 1});
     auto tp8 = llamaPrefill(cfg, 8, 4096, {1, 8, 1});
     EXPECT_GT(tp1.totalFlops(), 4.0 * tp8.totalFlops());
@@ -100,7 +114,7 @@ TEST(Llama, TensorParallelismShrinksPerChipWork)
 
 TEST(Llama, DataParallelismShardsBatch)
 {
-    const auto &cfg = llamaConfig(LlamaModel::L8B);
+    const auto &cfg = card("8b");
     auto dp1 = llamaPrefill(cfg, 8, 4096, {1, 1, 1});
     auto dp4 = llamaPrefill(cfg, 8, 4096, {4, 1, 1});
     EXPECT_NEAR(dp1.totalFlops() / dp4.totalFlops(), 4.0, 0.5);
@@ -108,7 +122,7 @@ TEST(Llama, DataParallelismShardsBatch)
 
 TEST(Llama, TrainingCostsRoughlyThreeForwardPasses)
 {
-    const auto &cfg = llamaConfig(LlamaModel::L8B);
+    const auto &cfg = card("8b");
     auto fwd = llamaPrefill(cfg, 32, 4096, {1, 1, 1});
     auto train = llamaTraining(cfg, 32, 4096, {1, 1, 1});
     EXPECT_NEAR(train.totalFlops() / fwd.totalFlops(), 3.0, 0.3);
@@ -116,7 +130,7 @@ TEST(Llama, TrainingCostsRoughlyThreeForwardPasses)
 
 TEST(Llama, TrainingWithDpHasGradAllReduce)
 {
-    const auto &cfg = llamaConfig(LlamaModel::L8B);
+    const auto &cfg = card("8b");
     auto g = llamaTraining(cfg, 32, 4096, {2, 1, 1});
     bool found = false;
     for (const auto &b : g.blocks)
@@ -127,7 +141,7 @@ TEST(Llama, TrainingWithDpHasGradAllReduce)
 
 TEST(Llama, PipelineAddsP2pBlock)
 {
-    const auto &cfg = llamaConfig(LlamaModel::L70B);
+    const auto &cfg = card("70b");
     auto g = llamaPrefill(cfg, 8, 4096, {1, 1, 2});
     bool found = false;
     for (const auto &b : g.blocks)
@@ -140,7 +154,7 @@ TEST(Llama, PipelineAddsP2pBlock)
 TEST(Llama, RejectsOverpartitionedBatch)
 {
     EXPECT_THROW(
-        llamaPrefill(llamaConfig(LlamaModel::L8B), 2, 4096, {4, 1, 1}),
+        llamaPrefill(card("8b"), 2, 4096, {4, 1, 1}),
         ConfigError);
 }
 

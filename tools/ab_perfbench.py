@@ -6,11 +6,14 @@ Usage:
     tools/ab_perfbench.py [--parent REF] [--pairs N] [--seed S]
                           [--seconds T] [--workload W ...]
 
-Puts REF (default HEAD) in a temporary directory with `git archive`,
-then runs `perfbench/run.py --trace 0` on the parent and on the working
-tree in N alternating pairs: the parent runs first in even pairs, the
-working tree first in odd ones. Each checkout builds into its own
-`.bench_build`. Every run is printed as it finishes; then, for each
+Exports REF (default HEAD) with `git archive` and the working tree's
+tracked and untracked-unignored files side by side, as `parent` and
+`change` in one temporary directory, so that neither side's build or
+runs differ from the other's by where they lie. Then runs
+`perfbench/run.py --trace 0` in each in N alternating pairs: the
+parent runs first in even pairs, the working tree first in odd ones.
+Each export builds into its own `.bench_build`. Every run is printed
+as it finishes; then, for each
 end-to-end metric BENCHMARK.json declares and each workload, each
 side's median and quartiles, the change's median relative to the
 parent's, and the pairs the change won (ties count for neither).
@@ -38,7 +41,9 @@ last stdout line (one JSON object).
 
 import argparse
 import json
+import collections
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -71,6 +76,21 @@ def export_parent(ref, dest):
     return tree
 
 
+def export_worktree(dest):
+    """The working tree's tracked and untracked-unignored files, copied
+    into dest/change; a tracked file deleted in the tree is left out."""
+    tree = os.path.join(dest, "change")
+    names = subprocess.run(
+        ["git", "-C", ROOT, "ls-files", "-z", "--cached", "--others",
+         "--exclude-standard"], capture_output=True, check=True).stdout
+    for name in filter(None, names.decode().split("\0")):
+        src, dst = os.path.join(ROOT, name), os.path.join(tree, name)
+        if os.path.isfile(src):
+            os.makedirs(os.path.dirname(dst), exist_ok=True)
+            shutil.copy2(src, dst)
+    return tree
+
+
 def run_bench(tree, workload, seed, seconds):
     """run.py's result object for one workload in `tree`."""
     env = {k: v for k, v in os.environ.items()
@@ -95,39 +115,41 @@ def quartiles(values):
     return q1, q3
 
 
+# One metric x workload row: its label and what the label rests on.
+Row = collections.namedtuple(
+    "Row", "label wins parent_median parent_q change_median change_q")
+
+
 def classify(pairs, better, bound):
-    """The label of one metric x workload row (see the module doc);
-    pairs holds (parent, change) values."""
-    parent = [p for p, _ in pairs]
-    sign = 1 if better == "lower" else -1
-    wins = sum(1 for p, c in pairs if sign * (p - c) > 0)
-    pm = statistics.median(parent)
-    cm = statistics.median(c for _, c in pairs)
-    pq1, pq3 = quartiles(parent)
-    if wins >= 0.9 * len(pairs) and sign * (pm - cm) > pq3 - pq1:
-        return "gain"
-    if sign * (cm - pm) > bound * abs(pm):
-        return "regression"
-    if pq3 - pq1 > bound * abs(pm):
-        return "unresolved"
-    return "-"
-
-
-def summarize(metric, better, bound, workload, pairs):
-    """One report line for `metric` on `workload`, and its label."""
+    """The Row of one metric x workload (see the module doc for the
+    labels); pairs holds (parent, change) values."""
     parent = [p for p, _ in pairs]
     change = [c for _, c in pairs]
     sign = 1 if better == "lower" else -1
     wins = sum(1 for p, c in pairs if sign * (p - c) > 0)
     pm, cm = statistics.median(parent), statistics.median(change)
     pq1, pq3 = quartiles(parent)
-    cq1, cq3 = quartiles(change)
-    label = classify(pairs, better, bound)
+    if wins >= 0.9 * len(pairs) and sign * (pm - cm) > pq3 - pq1:
+        label = "gain"
+    elif sign * (cm - pm) > bound * abs(pm):
+        label = "regression"
+    elif pq3 - pq1 > bound * abs(pm):
+        label = "unresolved"
+    else:
+        label = "-"
+    return Row(label, wins, pm, (pq1, pq3), cm, quartiles(change))
+
+
+def summarize(metric, workload, pairs, row):
+    """One report line for `metric` on `workload` from its Row."""
+    pm, cm = row.parent_median, row.change_median
     ratio = f"{cm / pm - 1:+.1%}" if pm else "n/a"
     return (f"{metric:<12} {workload:<13} "
-            f"parent {pm:.6f} [{pq1:.6f}, {pq3:.6f}]  "
-            f"change {cm:.6f} [{cq1:.6f}, {cq3:.6f}]  {ratio:>7}  "
-            f"wins {wins}/{len(pairs)}  {label}"), label
+            f"parent {pm:.6f} [{row.parent_q[0]:.6f}, "
+            f"{row.parent_q[1]:.6f}]  "
+            f"change {cm:.6f} [{row.change_q[0]:.6f}, "
+            f"{row.change_q[1]:.6f}]  {ratio:>7}  "
+            f"wins {row.wins}/{len(pairs)}  {row.label}")
 
 
 def main():
@@ -143,7 +165,8 @@ def main():
 
     results = {w: [] for w in workloads}  # (parent, change) result pairs
     with tempfile.TemporaryDirectory() as tmp:
-        trees = {"parent": export_parent(args.parent, tmp), "change": ROOT}
+        trees = {"parent": export_parent(args.parent, tmp),
+                 "change": export_worktree(tmp)}
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else \
                 ("change", "parent")
@@ -172,9 +195,9 @@ def main():
             if not pairs:
                 print(f"{metric:<12} {w:<13} no correct pair")
                 continue
-            line, label = summarize(metric, better, bound, w, pairs)
-            print(line)
-            if label == "regression":
+            row = classify(pairs, better, bound)
+            print(summarize(metric, w, pairs, row))
+            if row.label == "regression":
                 regressions.append(f"{metric} on {w}")
     incorrect = sum(1 for w in workloads for p, c in results[w]
                     if not (p["correct"] and c["correct"]))
