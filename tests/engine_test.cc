@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the workload engine: policy evaluation on hand-built
- * graphs with known structure, the op records' order and sharing, and
+ * graphs with known structure and, bit for bit, against a per-policy
+ * reference on every paper workload, the op records' order and sharing, and
  * execute()'s burst-shape composition against the general timeline
  * algebra on every paper workload and example spec.
  */
@@ -9,16 +10,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "common/checked.h"
 #include "compiler/compiler.h"
+#include "core/gating_engine.h"
 #include "ici/topology.h"
 #include "models/registry.h"
 #include "models/spec.h"
 #include "models/workload.h"
+#include "sa/sa_analytical.h"
 #include "sim/engine.h"
 
 namespace regate {
@@ -266,6 +271,154 @@ TEST(Engine, EvaluateGatedEqualsEvaluateAndLeavesTheRun)
     EXPECT_EQ(gated[2].sramSetpmPairs,
               ex.run.policies[static_cast<std::size_t>(Policy::Full)]
                   .sramSetpmPairs);
+}
+
+/**
+ * One design's evaluation over @p run, written out per policy from the
+ * building blocks: one core::evaluateTimeline walk per unit, the SA
+ * PE-level split from sa::saStaticEnergyGated, SRAM by used capacity,
+ * Other never gated, the wake-up cycles charged at the post-gating
+ * average static power, and the peak over the op records. Only the
+ * wake-up cycles themselves come from the engine (@p overhead).
+ */
+PolicyResult
+referencePolicy(const Engine &engine, const WorkloadRun &run,
+                Policy policy, Cycles overhead)
+{
+    const auto &power = engine.powerModel();
+    const auto &params = engine.params();
+    const double tau = engine.config().cycleTime();
+    const LeakFactors leak = leakFactors(policy, params.ratios());
+    const std::array<Component, 4> units = {
+        Component::Sa, Component::Vu, Component::Hbm, Component::Ici};
+    const std::array<core::UnitSpec, 4> specs = {{
+        {arch::GatedUnit::SaFull, power.staticPower(Component::Sa), tau},
+        {arch::GatedUnit::Vu, power.staticPower(Component::Vu), tau},
+        {arch::GatedUnit::Hbm, power.hbmStaticPower(), tau},
+        {arch::GatedUnit::Ici, power.iciStaticPower(), tau},
+    }};
+
+    PolicyResult res;
+    res.policy = policy;
+    energy::EnergyBreakdown e;
+    for (std::size_t i = 0; i < units.size(); ++i) {
+        core::GatingMode mode =
+            policy == Policy::NoPG ? core::GatingMode::None
+            : policy == Policy::Ideal ? core::GatingMode::Ideal
+            : units[i] == Component::Vu && policy == Policy::Full
+                ? core::GatingMode::SwExact
+                : core::GatingMode::HwDetect;
+        auto r = core::evaluateTimeline(run.timeline[units[i]], specs[i],
+                                        mode, params);
+        e.staticJ[units[i]] = r.staticEnergy;
+        if (mode == core::GatingMode::SwExact)
+            res.vuGateEvents = r.gateEvents;
+    }
+    if (policy == Policy::HW || policy == Policy::Full ||
+        policy == Policy::Ideal) {
+        double flat = power.staticPower(Component::Sa) * tau *
+                      static_cast<double>(
+                          run.timeline[Component::Sa].activeCycles());
+        double gated = sa::saStaticEnergyGated(
+            run.saStats, power.peStaticPower(), tau,
+            sa::kWOnPowerFraction, leak.logic);
+        if (gated < flat)
+            e.staticJ[Component::Sa] += gated - flat;
+    }
+    double used = run.sramUsedIntegral;
+    double unused = static_cast<double>(run.cycles) - used;
+    e.staticJ[Component::Sram] = power.staticPower(Component::Sram) *
+                                 tau * (used + leak.sram * unused);
+    e.staticJ[Component::Other] = power.staticPower(Component::Other) *
+                                  tau * static_cast<double>(run.cycles);
+    e.dynamicJ = power.dynamicEnergy(run.work);
+
+    res.overheadCycles = overhead;
+    res.perfOverhead = run.cycles > 0
+                           ? static_cast<double>(overhead) /
+                                 static_cast<double>(run.cycles)
+                           : 0.0;
+    res.seconds = static_cast<double>(run.cycles + overhead) * tau;
+    if (overhead > 0 && run.cycles > 0) {
+        double avg_static_w =
+            e.staticJ.sum() / (static_cast<double>(run.cycles) * tau);
+        e.staticJ[Component::Other] +=
+            avg_static_w * static_cast<double>(overhead) * tau;
+    }
+    res.energy = e;
+    res.avgPowerW = e.busyTotal() / res.seconds;
+
+    double peak = 0;
+    for (const auto &rec : run.opRecords) {
+        double dur_s = static_cast<double>(rec.duration) * tau;
+        double p_static = 0;
+        for (auto c : units) {
+            double f = rec.activeFrac[c];
+            p_static += power.staticPower(c) * (f + (1.0 - f) * leak.logic);
+        }
+        p_static += power.staticPower(Component::Sram) *
+                    (rec.sramUsedFrac +
+                     (1.0 - rec.sramUsedFrac) * leak.sram);
+        p_static += power.staticPower(Component::Other);
+        peak = std::max(peak, p_static + rec.dynamicJ / dur_s);
+    }
+    res.peakPowerW = peak;
+    return res;
+}
+
+TEST(Engine, EvaluateGatedMatchesPerPolicyReference)
+{
+    // Every paper workload on NPU-D under a grid of delay scales and
+    // leakage ratios; one sram_sleep value equals one sram_off value,
+    // so Full's leak factors sometimes coincide with Base/HW's.
+    std::vector<arch::GatingParams> grid;
+    for (double scale : {0.5, 1.0, 4.0})
+        for (double logic_off : {0.03, 0.0})
+            for (double sram_sleep : {0.25, 0.002})
+                for (double sram_off : {0.002, 0.1}) {
+                    arch::GatingParams params(
+                        arch::LeakageRatios{logic_off, sram_sleep, sram_off});
+                    params.setDelayScale(scale);
+                    grid.push_back(params);
+                }
+    ASSERT_EQ(grid.size(), 24u);
+
+    const auto gen = NpuGeneration::D;
+    const auto &cfg = arch::npuConfig(gen);
+    std::size_t checked = 0;
+    for (auto w : models::allWorkloads()) {
+        const auto &spec = *builtinScenario(w);
+        SCOPED_TRACE(spec.name);
+        auto setup = models::defaultScenarioSetup(spec, gen);
+        auto compiled = compiler::compileGraph(
+            models::buildScenarioGraph(spec, setup), cfg);
+        Execution ex = Engine(cfg).execute(compiled.graph, setup.chips);
+        Engine plain(cfg);
+        for (auto p : {Policy::NoPG, Policy::Ideal}) {
+            SCOPED_TRACE(policyName(p));
+            expectResultsEqual(ex.run.result(p),
+                               referencePolicy(plain, ex.run, p, 0));
+        }
+        const auto pairs =
+            ex.run.policies[static_cast<std::size_t>(Policy::Full)]
+                .sramSetpmPairs;
+        for (std::size_t g = 0; g < grid.size(); ++g) {
+            Engine engine(cfg, grid[g]);
+            GatedResults gated = engine.evaluateGated(ex.run, ex.blocks);
+            for (std::size_t i = 0; i < gated.size(); ++i) {
+                Policy p = kGatedPolicies[i];
+                SCOPED_TRACE(testing::Message()
+                             << policyName(p) << " params " << g);
+                PolicyResult want = referencePolicy(
+                    engine, ex.run, p, gated[i].overheadCycles);
+                if (p == Policy::Full)
+                    want.sramSetpmPairs = pairs;
+                expectResultsEqual(gated[i], want);
+                ++checked;
+            }
+        }
+    }
+    EXPECT_EQ(checked, 17u * 24u * 3u);
 }
 
 TEST(Engine, UnevaluatedResultIsALogicError)
