@@ -2,7 +2,7 @@
  * @file
  * Fig. 16: simulator validation. The paper validates its simulator
  * against real TPUv4 chips (R^2 > 0.97). No TPUs exist here, so the
- * substitution (DESIGN.md) validates the analytical tile model
+ * substitution (bench/README.md) validates the analytical tile model
  * against the cycle-accurate systolic-array simulator over random
  * operator shapes, and whole-model op durations against a second,
  * independent simulation, reporting the same R^2 metric.

@@ -23,6 +23,7 @@
 #ifndef REGATE_CORE_GATING_ENGINE_H
 #define REGATE_CORE_GATING_ENGINE_H
 
+#include <cstddef>
 #include <cstdint>
 
 #include "arch/gating_params.h"
@@ -33,6 +34,9 @@ namespace core {
 
 /** How a unit's idleness is exploited. */
 enum class GatingMode { None, HwDetect, SwExact, Ideal };
+
+/** Number of GatingMode values. */
+constexpr std::size_t kNumGatingModes = 4;
 
 /** Static description of the unit being gated. */
 struct UnitSpec

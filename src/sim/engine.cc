@@ -1,6 +1,7 @@
 #include "sim/engine.h"
 
 #include <algorithm>
+#include <span>
 
 #include "common/checked.h"
 #include "common/error.h"
@@ -20,6 +21,189 @@ namespace {
 /** The units with activity timelines; SRAM and Other have none. */
 constexpr std::array<Component, 4> kGated = {
     Component::Sa, Component::Vu, Component::Hbm, Component::Ici};
+
+/** How @p policy exploits the idleness of timeline unit @p c. */
+GatingMode
+gatingMode(Policy policy, Component c)
+{
+    if (policy == Policy::NoPG)
+        return GatingMode::None;
+    if (policy == Policy::Ideal)
+        return GatingMode::Ideal;
+    if (c == Component::Vu && policy == Policy::Full)
+        return GatingMode::SwExact;
+    return GatingMode::HwDetect;
+}
+
+/**
+ * Evaluate @p policies over @p run under @p engine's power model and
+ * gating params, out[i] for policies[i], each charged its @p overheads
+ * wake-up cycles. What the designs share is computed once: each
+ * (unit, GatingMode) timeline walk and each logic leak's PE-level SA
+ * split, which @p shared keeps and may already hold for these params,
+ * the dynamic energy, and one pass over the op records for the peak
+ * power of every distinct LeakFactors. Sets every field but
+ * sramSetpmPairs and reads no policy result of @p run.
+ */
+void
+evaluatePolicies(const Engine &engine, const WorkloadRun &run,
+                 std::span<const Policy> policies,
+                 const std::array<Cycles, kNumPolicies> &overheads,
+                 SharedEvaluation &shared, std::span<PolicyResult> out)
+{
+    const energy::PowerModel &power = engine.powerModel();
+    const arch::GatingParams &params = engine.params();
+    const double tau = engine.config().cycleTime();
+    const std::size_t n = policies.size();
+    std::array<LeakFactors, kNumPolicies> leak;
+    for (std::size_t i = 0; i < n; ++i)
+        leak[i] = leakFactors(policies[i], params.ratios());
+
+    // ---- SA, VU, HBM, ICI: one timeline walk per (unit, mode) ----
+    const std::array<core::UnitSpec, kGated.size()> specs = {{
+        {GatedUnit::SaFull, power.staticPower(Component::Sa), tau},
+        {GatedUnit::Vu, power.staticPower(Component::Vu), tau},
+        {GatedUnit::Hbm, power.hbmStaticPower(), tau},
+        {GatedUnit::Ici, power.iciStaticPower(), tau},
+    }};
+    auto walk = [&](std::size_t u, GatingMode mode)
+        -> const core::GatingResult & {
+        auto &w = shared.walks[u][static_cast<std::size_t>(mode)];
+        if (!w) {
+            w = core::evaluateTimeline(run.timeline[kGated[u]], specs[u],
+                                       mode, params);
+        }
+        return *w;
+    };
+
+    // PE-level SA gating (HW and up) replaces the flat active-period
+    // energy with the PE-granularity split from the analytical SA
+    // model, once per logic leak. The per-SA analytical totals already
+    // cover all PEs of one array; numSa arrays ran the serial tile
+    // stream in parallel, so PE-cycle totals are unchanged.
+    // A run sees at most two logic leaks (logic_off and Ideal's 0).
+    auto saSplit = [&](double logic_leak) {
+        auto &splits = shared.saSplits;
+        std::size_t k = 0;
+        while (k < shared.numSaSplits && splits[k].first != logic_leak)
+            ++k;
+        if (k == shared.numSaSplits) {
+            splits[k] = {logic_leak,
+                         sa::saStaticEnergyGated(
+                             run.saStats, power.peStaticPower(), tau,
+                             sa::kWOnPowerFraction, logic_leak)};
+            ++shared.numSaSplits;
+        }
+        return splits[k].second;
+    };
+    const double sa_flat =
+        power.staticPower(Component::Sa) * tau *
+        static_cast<double>(run.timeline[Component::Sa].activeCycles());
+
+    // ---- Dynamic energy (identical across policies) ----
+    const auto dynamic = power.dynamicEnergy(run.work);
+
+    for (std::size_t i = 0; i < n; ++i) {
+        const Policy policy = policies[i];
+        PolicyResult &res = out[i];
+        res.policy = policy;
+        energy::EnergyBreakdown e;
+        res.vuGateEvents = 0;
+        for (std::size_t u = 0; u < kGated.size(); ++u) {
+            GatingMode mode = gatingMode(policy, kGated[u]);
+            const core::GatingResult &r = walk(u, mode);
+            e.staticJ[kGated[u]] = r.staticEnergy;
+            if (mode == GatingMode::SwExact)  // Full's setpm-gated VU.
+                res.vuGateEvents = r.gateEvents;
+        }
+
+        if (policy == Policy::HW || policy == Policy::Full ||
+            policy == Policy::Ideal) {
+            double gated = saSplit(leak[i].logic);
+            if (gated < sa_flat)
+                e.staticJ[Component::Sa] += gated - sa_flat;
+        }
+
+        // ---- SRAM: capacity-based (§4.1) ----
+        {
+            double p_sram = power.staticPower(Component::Sram);
+            double used = run.sramUsedIntegral;
+            double unused = static_cast<double>(run.cycles) - used;
+            e.staticJ[Component::Sram] =
+                p_sram * tau * (used + leak[i].sram * unused);
+        }
+
+        // ---- Other: never gated ----
+        e.staticJ[Component::Other] =
+            power.staticPower(Component::Other) * tau *
+            static_cast<double>(run.cycles);
+
+        e.dynamicJ = dynamic;
+
+        // ---- Performance overhead ----
+        res.overheadCycles = overheads[static_cast<std::size_t>(policy)];
+        res.perfOverhead =
+            run.cycles > 0 ? static_cast<double>(res.overheadCycles) /
+                                 static_cast<double>(run.cycles)
+                           : 0.0;
+        res.seconds = static_cast<double>(checkedAdd(
+                          run.cycles, res.overheadCycles,
+                          "run cycle count with wake-up overhead")) *
+                      tau;
+        // The chip burns (policy-reduced) static power during the
+        // extra cycles; charge it at the post-gating average static
+        // power.
+        if (res.overheadCycles > 0 && run.cycles > 0) {
+            double avg_static_w = e.staticJ.sum() /
+                                  (static_cast<double>(run.cycles) * tau);
+            e.staticJ[Component::Other] +=
+                avg_static_w * static_cast<double>(res.overheadCycles) *
+                tau;
+        }
+
+        res.energy = e;
+        res.avgPowerW = e.busyTotal() / res.seconds;
+    }
+
+    // ---- Peak power: most power-hungry operator (Fig. 18) ----
+    // One pass over the records, computing the peak of each distinct
+    // pair of leak factors (peak_of[i]: the first policy with
+    // policies[i]'s); everything but the record's own fractions is
+    // fixed per pair.
+    std::array<std::size_t, kNumPolicies> peak_of;
+    for (std::size_t i = 0; i < n; ++i) {
+        std::size_t j = 0;
+        while (j < i && !(leak[j].logic == leak[i].logic &&
+                          leak[j].sram == leak[i].sram))
+            ++j;
+        peak_of[i] = j;
+    }
+    std::array<double, kGated.size()> p_logic;
+    for (std::size_t u = 0; u < kGated.size(); ++u)
+        p_logic[u] = power.staticPower(kGated[u]);
+    const double p_sram = power.staticPower(Component::Sram);
+    const double p_other = power.staticPower(Component::Other);
+    std::array<double, kNumPolicies> peak{};
+    for (const auto &rec : run.opRecords) {
+        double dur_s = static_cast<double>(rec.duration) * tau;
+        double p_dynamic = rec.dynamicJ / dur_s;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (peak_of[i] != i)
+                continue;
+            double p_static = 0;
+            for (std::size_t u = 0; u < kGated.size(); ++u) {
+                double f = rec.activeFrac[kGated[u]];
+                p_static += p_logic[u] * (f + (1.0 - f) * leak[i].logic);
+            }
+            p_static += p_sram * (rec.sramUsedFrac +
+                                  (1.0 - rec.sramUsedFrac) * leak[i].sram);
+            p_static += p_other;
+            peak[i] = std::max(peak[i], p_static + p_dynamic);
+        }
+    }
+    for (std::size_t i = 0; i < n; ++i)
+        out[i].peakPowerW = peak[peak_of[i]];
+}
 
 }  // namespace
 
@@ -245,23 +429,37 @@ Engine::execute(const graph::OperatorGraph &graph, int pod_chips) const
     run.seconds = static_cast<double>(run.cycles) * cfg_.cycleTime();
     // Neither reads a gating parameter, and neither has a wake-up
     // overhead (wakeOverheads charges Base/HW/Full only).
-    for (auto p : {Policy::NoPG, Policy::Ideal})
-        evaluatePolicy(run, p, 0, run.policies[static_cast<std::size_t>(p)]);
+    constexpr std::array<Policy, 2> ungated = {Policy::NoPG, Policy::Ideal};
+    std::array<PolicyResult, ungated.size()> results;
+    SharedEvaluation shared;
+    evaluatePolicies(*this, run, ungated, {}, shared, results);
+    for (std::size_t i = 0; i < ungated.size(); ++i)
+        run.policies[static_cast<std::size_t>(ungated[i])] = results[i];
     return exec;
 }
 
 GatedResults
 Engine::evaluateGated(const WorkloadRun &run,
-                      const std::vector<Execution::Block> &blocks) const
+                      const std::vector<Execution::Block> &blocks,
+                      GatedMemo *memo) const
 {
-    auto overheads = wakeOverheads(blocks);
-    GatedResults out;
-    for (std::size_t i = 0; i < out.size(); ++i) {
-        auto slot = static_cast<std::size_t>(kGatedPolicies[i]);
-        // Full's slot carries the execution's SRAM setpm pairs.
-        out[i] = run.policies[slot];
-        evaluatePolicy(run, kGatedPolicies[i], overheads[slot], out[i]);
+    GatedMemo local;
+    GatedMemo &m = memo ? *memo : local;
+    const double scale = params_.delayScale();
+    const double logic_off = params_.ratios().logicOff;
+    if (m.run != &run || m.blocks != &blocks || m.cfg != &cfg_ ||
+        m.delayScale != scale || m.logicOff != logic_off) {
+        auto overheads = wakeOverheads(blocks);
+        m = GatedMemo{&run, &blocks, &cfg_, scale, logic_off, overheads, {}};
     }
+    GatedResults out;
+    // Full's slot carries the execution's SRAM setpm pairs.
+    for (std::size_t i = 0; i < out.size(); ++i)
+        out[i].sramSetpmPairs =
+            run.policies[static_cast<std::size_t>(kGatedPolicies[i])]
+                .sramSetpmPairs;
+    evaluatePolicies(*this, run, kGatedPolicies, m.overheads, m.shared,
+                     out);
     return out;
 }
 
@@ -371,120 +569,6 @@ Engine::wakeOverheads(const std::vector<Execution::Block> &blocks) const
         }
     }
     return overheads;
-}
-
-void
-Engine::evaluatePolicy(const WorkloadRun &run, Policy policy,
-                       Cycles overhead, PolicyResult &res) const
-{
-    res.policy = policy;
-    const double tau = cfg_.cycleTime();
-    const LeakFactors leak = leakFactors(policy, params_.ratios());
-
-    auto modeFor = [&](Component c) -> GatingMode {
-        if (policy == Policy::NoPG)
-            return GatingMode::None;
-        if (policy == Policy::Ideal)
-            return GatingMode::Ideal;
-        if (c == Component::Vu && policy == Policy::Full)
-            return GatingMode::SwExact;
-        return GatingMode::HwDetect;
-    };
-
-    // ---- SA, VU, HBM, ICI: one timeline walk each ----
-    const std::array<core::UnitSpec, kGated.size()> specs = {{
-        {GatedUnit::SaFull, power_.staticPower(Component::Sa), tau},
-        {GatedUnit::Vu, power_.staticPower(Component::Vu), tau},
-        {GatedUnit::Hbm, power_.hbmStaticPower(), tau},
-        {GatedUnit::Ici, power_.iciStaticPower(), tau},
-    }};
-    energy::EnergyBreakdown e;
-    for (std::size_t i = 0; i < kGated.size(); ++i) {
-        const Component c = kGated[i];
-        auto r = core::evaluateTimeline(run.timeline[c], specs[i],
-                                        modeFor(c), params_);
-        e.staticJ[c] = r.staticEnergy;
-        if (c == Component::Vu && policy == Policy::Full)
-            res.vuGateEvents = r.gateEvents;
-    }
-
-    // PE-level SA gating (HW and up) replaces the flat active-period
-    // energy with the PE-granularity split from the analytical SA
-    // model. The per-SA analytical totals already cover all PEs of
-    // one array; numSa arrays ran the serial tile stream in parallel,
-    // so PE-cycle totals are unchanged.
-    if (policy == Policy::HW || policy == Policy::Full ||
-        policy == Policy::Ideal) {
-        double flat = power_.staticPower(Component::Sa) * tau *
-                      static_cast<double>(
-                          run.timeline[Component::Sa].activeCycles());
-        double gated = sa::saStaticEnergyGated(
-            run.saStats, power_.peStaticPower(), tau,
-            sa::kWOnPowerFraction, leak.logic);
-        if (gated < flat)
-            e.staticJ[Component::Sa] += gated - flat;
-    }
-
-    // ---- SRAM: capacity-based (§4.1) ----
-    {
-        double p_sram = power_.staticPower(Component::Sram);
-        double used = run.sramUsedIntegral;
-        double unused = static_cast<double>(run.cycles) - used;
-        e.staticJ[Component::Sram] =
-            p_sram * tau * (used + leak.sram * unused);
-    }
-
-    // ---- Other: never gated ----
-    e.staticJ[Component::Other] = power_.staticPower(Component::Other) *
-                                  tau *
-                                  static_cast<double>(run.cycles);
-
-    // ---- Dynamic energy (identical across policies) ----
-    e.dynamicJ = power_.dynamicEnergy(run.work);
-
-    // ---- Performance overhead ----
-    res.overheadCycles = overhead;
-    res.perfOverhead =
-        run.cycles > 0 ? static_cast<double>(res.overheadCycles) /
-                             static_cast<double>(run.cycles)
-                       : 0.0;
-    res.seconds = static_cast<double>(checkedAdd(
-                      run.cycles, res.overheadCycles,
-                      "run cycle count with wake-up overhead")) *
-                  tau;
-    // The chip burns (policy-reduced) static power during the extra
-    // cycles; charge it at the post-gating average static power.
-    if (res.overheadCycles > 0 && run.cycles > 0) {
-        double avg_static_w =
-            e.staticJ.sum() / (static_cast<double>(run.cycles) * tau);
-        e.staticJ[Component::Other] +=
-            avg_static_w * static_cast<double>(res.overheadCycles) * tau;
-    }
-
-    res.energy = e;
-    res.avgPowerW = e.busyTotal() / res.seconds;
-
-    // ---- Peak power: most power-hungry operator (Fig. 18) ----
-    // Everything but the record's own fractions is fixed per policy.
-    std::array<double, kGated.size()> p_logic;
-    for (std::size_t i = 0; i < kGated.size(); ++i)
-        p_logic[i] = power_.staticPower(kGated[i]);
-    const double p_sram = power_.staticPower(Component::Sram);
-    const double p_other = power_.staticPower(Component::Other);
-    double peak = 0;
-    for (const auto &rec : run.opRecords) {
-        double dur_s = static_cast<double>(rec.duration) * tau;
-        double p_static = 0;
-        for (std::size_t i = 0; i < kGated.size(); ++i) {
-            double f = rec.activeFrac[kGated[i]];
-            p_static += p_logic[i] * (f + (1.0 - f) * leak.logic);
-        }
-        p_static += p_sram * (rec.sramUsedFrac +
-                              (1.0 - rec.sramUsedFrac) * leak.sram);
-        p_static += p_other;
-        peak = std::max(peak, p_static + rec.dynamicJ / dur_s);
-    }
-    res.peakPowerW = peak;
 }
 
 }  // namespace sim

@@ -13,6 +13,12 @@
  *   ICI       | none | HwDetect    | HwDetect    | HwDetect    | Ideal
  *   SRAM      | none | sleep unused| sleep unused| off unused  | zero
  *   Other     | never gated (§3)
+ *
+ * The three ReGate designs share their HwDetect walks: SA, HBM and ICI
+ * gate the same way under all three, and the VU under Base and HW, so
+ * evaluating them together walks five timelines, not twelve. They
+ * differ only in the SA PE-level split, the SRAM state, Full's
+ * setpm-gated VU and the wake-up overheads.
  */
 
 #ifndef REGATE_SIM_ENGINE_H
@@ -20,11 +26,14 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/gating_params.h"
 #include "arch/npu_config.h"
+#include "core/gating_engine.h"
 #include "energy/energy_breakdown.h"
 #include "energy/power_model.h"
 #include "graph/graph.h"
@@ -165,6 +174,42 @@ struct Execution
     std::vector<Block> blocks;
 };
 
+/**
+ * What the designs evaluated over one run share, as far as computed:
+ * each unit's timeline walk per core::GatingMode, and the PE-level SA
+ * split per logic leak. Walks read the delay scale and the logic leak
+ * of the gating params; the split reads the logic leak.
+ */
+struct SharedEvaluation
+{
+    std::array<std::array<std::optional<core::GatingResult>,
+                          core::kNumGatingModes>,
+               4>
+        walks;  ///< By unit (SA, VU, HBM, ICI), then mode.
+    /** (logic leak, SA static energy) pairs, numSaSplits of them. */
+    std::array<std::pair<double, double>, kNumPolicies> saSplits;
+    std::size_t numSaSplits = 0;
+};
+
+/**
+ * The parts of one execution's Base/HW/Full evaluation that read only
+ * the delay scale and the logic leak of the gating params: the
+ * SharedEvaluation and the wake-up overheads. Engine::evaluateGated
+ * fills it and, called again for the same execution and generation
+ * under params with the same delay scale and logic leak, reuses it; a
+ * sweep keeps one per execution. Empty until first used.
+ */
+struct GatedMemo
+{
+    const WorkloadRun *run = nullptr;  ///< Null: holds nothing.
+    const std::vector<Execution::Block> *blocks = nullptr;
+    const arch::NpuConfig *cfg = nullptr;
+    double delayScale = 0;
+    double logicOff = 0;
+    std::array<Cycles, kNumPolicies> overheads{};
+    SharedEvaluation shared;
+};
+
 /** The engine. */
 class Engine
 {
@@ -190,12 +235,16 @@ class Engine
 
     /**
      * Charge the wake-up overheads of @p blocks and evaluate
-     * ReGate-Base/HW/Full over @p run (an Execution's) under this
-     * engine's gating params, leaving @p run as it is.
+     * ReGate-Base/HW/Full together over @p run (an Execution's) under
+     * this engine's gating params, leaving @p run as it is: the three
+     * share each HwDetect timeline walk, the dynamic energy and one
+     * pass over the op records. With @p memo, reuses what an earlier
+     * call for the same execution left there under the same delay
+     * scale and logic leak, and leaves this call's parts there.
      */
-    GatedResults evaluateGated(
-        const WorkloadRun &run,
-        const std::vector<Execution::Block> &blocks) const;
+    GatedResults evaluateGated(const WorkloadRun &run,
+                               const std::vector<Execution::Block> &blocks,
+                               GatedMemo *memo = nullptr) const;
 
     /** @p ex's run with Base/HW/Full evaluated into it (Engine::run). */
     WorkloadRun evaluate(Execution ex) const;
@@ -211,14 +260,6 @@ class Engine
     /** Wake-up cycles each policy adds over the whole run. */
     std::array<Cycles, kNumPolicies> wakeOverheads(
         const std::vector<Execution::Block> &blocks) const;
-
-    /**
-     * Evaluate @p policy over @p run into @p res, adding @p overhead
-     * wake-up cycles. Reads no policy result of @p run, so @p res may
-     * be one of its slots.
-     */
-    void evaluatePolicy(const WorkloadRun &run, Policy policy,
-                        Cycles overhead, PolicyResult &res) const;
 
     const arch::NpuConfig &cfg_;
     arch::GatingParams params_;

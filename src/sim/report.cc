@@ -137,12 +137,12 @@ executeCase(const models::ScenarioSpec &spec, arch::NpuGeneration gen,
 GatedResults
 evaluateCase(const models::ScenarioSpec &spec, arch::NpuGeneration gen,
              const arch::GatingParams &params, const WorkloadRun &run,
-             const std::vector<Execution::Block> &blocks)
+             const std::vector<Execution::Block> &blocks, GatedMemo *memo)
 {
     obs::TraceRecorder::Span span("engine.evaluate", "sim");
     try {
         return Engine(arch::npuConfig(gen), params)
-            .evaluateGated(run, blocks);
+            .evaluateGated(run, blocks, memo);
     } catch (const OverflowError &e) {
         throw inCase(e, spec, gen);
     }

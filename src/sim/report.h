@@ -140,14 +140,16 @@ Execution executeCase(const models::ScenarioSpec &spec,
 
 /**
  * Evaluate Base/HW/Full of @p spec's executed @p run on @p gen under
- * @p params (Engine::evaluateGated), naming the scenario and the
- * generation in an OverflowError as executeCase does.
+ * @p params (Engine::evaluateGated, reusing and refilling @p memo),
+ * naming the scenario and the generation in an OverflowError as
+ * executeCase does.
  */
 GatedResults evaluateCase(const models::ScenarioSpec &spec,
                           arch::NpuGeneration gen,
                           const arch::GatingParams &params,
                           const WorkloadRun &run,
-                          const std::vector<Execution::Block> &blocks);
+                          const std::vector<Execution::Block> &blocks,
+                          GatedMemo *memo = nullptr);
 
 /**
  * The report of @p spec over the executed @p run, whose Base/HW/Full

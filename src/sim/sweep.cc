@@ -117,11 +117,13 @@ applyScenarioGating(arch::GatingParams *params,
 {
     for (const auto &[key, value] : spec.gating) {
         const auto *gating = models::findGatingKey(key);
-        if (gating && gating->ratio) {
+        REGATE_CHECK(gating, "scenario '", spec.name,
+                     "': unknown gating key '", key, "'");
+        if (gating->ratio) {
             auto ratios = params->ratios();
             ratios.*gating->ratio = value;
             params->setRatios(ratios);
-        } else if (gating) {
+        } else {
             params->setDelayScale(value);
         }
     }
@@ -189,8 +191,11 @@ SweepRunner::run(const std::vector<SweepCase> &cases)
         });
 
     // One task per group: build, compile and execute once, then
-    // evaluate every case under its own gating params. Every report of
-    // the group shares the one run; the blocks die with the task.
+    // evaluate every case under its own gating params. A case whose
+    // params equal the previous case's reuses its results; one whose
+    // delay scale and logic leak do reuses its walks and wake-up
+    // overheads (GatedMemo). Every report of the group shares the one
+    // run; the blocks die with the task.
     std::vector<WorkloadReport> out(cases.size());
     std::size_t groups = group_start.size() - 1;
     parallelFor(workersFor(cases.size()), groups, [&](std::size_t g) {
@@ -199,12 +204,15 @@ SweepRunner::run(const std::vector<SweepCase> &cases)
         const ExecutionKey &key = keys[order[first]];
         Execution ex = executeCase(*key.spec, key.gen, key.setup);
         auto run = std::make_shared<const WorkloadRun>(std::move(ex.run));
+        GatedMemo memo;
+        GatedResults gated;
         for (std::size_t m = first; m < last; ++m) {
             const SweepCase &c = cases[order[m]];
-            out[order[m]] = makeReport(
-                c.scenario, c.gen, key.setup, c.params, run,
-                evaluateCase(*c.scenario, c.gen, c.params, *run,
-                             ex.blocks));
+            if (m == first || c.params != cases[order[m - 1]].params)
+                gated = evaluateCase(*c.scenario, c.gen, c.params, *run,
+                                     ex.blocks, &memo);
+            out[order[m]] = makeReport(c.scenario, c.gen, key.setup,
+                                       c.params, run, gated);
         }
     });
     return out;

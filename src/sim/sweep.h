@@ -10,7 +10,10 @@
  * executes each group once and evaluates that execution under every
  * point's own gating params; the group's reports share its one run
  * and each owns only its ReGate-Base/HW/Full results, so a gating
- * variant costs one evaluation and no copy of the run. search()
+ * variant costs one evaluation and no copy of the run. A point whose
+ * gating params equal those of the group's point before it costs no
+ * evaluation, and one that shares its delay scale and logic leak
+ * reuses its timeline walks (GatedMemo). search()
  * groups the points of one scenario identity and runs one SLO search
  * over each group (searchSameIdentity). Groups share nothing, so the
  * results are bitwise identical to the serial path, which simulates
@@ -56,7 +59,8 @@ struct SweepCase
 /**
  * Overlay a scenario's gating overrides onto @p params as their
  * models::kGatingKeys rows say; keys the spec does not set keep their
- * values from @p params.
+ * values from @p params. A key with no row is a ConfigError with
+ * models::validateScenario's message.
  */
 void applyScenarioGating(arch::GatingParams *params,
                          const models::ScenarioSpec &spec);
@@ -112,7 +116,11 @@ class SweepRunner
      * resolved setup share one execution, whose run their reports
      * point at (WorkloadReport::execution() is one object), and
      * differ only in its evaluation (their gating params) and in
-     * their report identity.
+     * their report identity. In input order within such a group, a
+     * case whose params equal the previous case's copies its
+     * Base/HW/Full results rather than evaluating them again, and the
+     * group's GatedMemo carries timeline walks and wake-up overheads
+     * from one evaluation to the next.
      */
     std::vector<WorkloadReport> run(const std::vector<SweepCase> &cases);
 

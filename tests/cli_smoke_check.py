@@ -46,7 +46,11 @@ Checks:
     stderr, and the others besides fig02 exit 0;
 15. every binary's no-argument stdout hashes (SHA-256) to its
     paper_suite entry in perfbench/digests.json, which the benchmark
-    checks its runs against.
+    checks its runs against;
+16. fig17 --spec on the benchmark's gating_sweep and moe_sweep specs
+    at SWEEP_SEEDS (generated by perfbench/specgen.py) prints stdout
+    that hashes to that workload's entry for the seed in
+    perfbench/digests.json.
 """
 
 import argparse
@@ -96,9 +100,14 @@ SUBSET_AXIS.update(dict.fromkeys(
 LIST_GENERATORS_GOLDEN = (Path(__file__).resolve().parent / "golden" /
                           "list_generators.txt")
 
-# The benchmark's recorded stdout digests; check 15 only reads them.
-DIGESTS = (Path(__file__).resolve().parent.parent / "perfbench" /
-           "digests.json")
+# The benchmark's recorded stdout digests and its spec generator;
+# checks 15 and 16 only read them.
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+DIGESTS = PERFBENCH / "digests.json"
+
+# Check 16's sweep workloads and seeds.
+SWEEPS = ("gating_sweep", "moe_sweep")
+SWEEP_SEEDS = (5, 17)
 
 # table4's paper column for the one workload whose NPU-D HBM fit grows
 # the pod (64 -> 128 chips): the column keeps the Table 4 anchor.
@@ -250,7 +259,8 @@ def check_all(binary, suite_spec, specs, trace_check):
                f"{name}: no-argument run failed", proc)
         default_out[name] = proc.stdout
 
-    recorded = json.loads(DIGESTS.read_text())["paper_suite"]
+    digests = json.loads(DIGESTS.read_text())
+    recorded = digests["paper_suite"]
     expect(sorted(recorded) == sorted(GRID + NO_GRID),
            f"{DIGESTS.name}: paper_suite lists {sorted(recorded)}")
     for name in GRID + NO_GRID:
@@ -258,6 +268,20 @@ def check_all(binary, suite_spec, specs, trace_check):
         expect(got == recorded.get(name),
                f"{name}: stdout digest {got[:16]} is not its "
                f"{DIGESTS.name} paper_suite entry")
+
+    sys.path.insert(0, str(PERFBENCH))
+    sys.dont_write_bytecode = True  # Leave perfbench/ as it is.
+    import specgen
+    for workload in SWEEPS:
+        for seed in SWEEP_SEEDS:
+            spec = Path(workdir) / f"{workload}-{seed}.spec"
+            spec.write_text(specgen.spec_text(workload, seed))
+            proc = run([binary("fig17_energy_savings"), "--spec", spec])
+            got = hashlib.sha256(proc.stdout).hexdigest()
+            expect(proc.returncode == 0 and
+                   got == digests[workload].get(str(seed)),
+                   f"fig17 --spec {spec.name}: stdout digest {got[:16]} "
+                   f"is not its {DIGESTS.name} {workload} entry", proc)
 
     families = LIST_GENERATORS_GOLDEN.read_bytes()
     for name in GRID:

@@ -402,9 +402,14 @@ TEST(Engine, EvaluateGatedMatchesPerPolicyReference)
         const auto pairs =
             ex.run.policies[static_cast<std::size_t>(Policy::Full)]
                 .sramSetpmPairs;
+        // In grid order one memo reuses walks across the runs of
+        // params that share the delay scale and logic leak.
+        GatedMemo memo;
         for (std::size_t g = 0; g < grid.size(); ++g) {
             Engine engine(cfg, grid[g]);
             GatedResults gated = engine.evaluateGated(ex.run, ex.blocks);
+            GatedResults memoized =
+                engine.evaluateGated(ex.run, ex.blocks, &memo);
             for (std::size_t i = 0; i < gated.size(); ++i) {
                 Policy p = kGatedPolicies[i];
                 SCOPED_TRACE(testing::Message()
@@ -414,11 +419,57 @@ TEST(Engine, EvaluateGatedMatchesPerPolicyReference)
                 if (p == Policy::Full)
                     want.sramSetpmPairs = pairs;
                 expectResultsEqual(gated[i], want);
+                expectResultsEqual(memoized[i], want);
                 ++checked;
             }
         }
     }
     EXPECT_EQ(checked, 17u * 24u * 3u);
+}
+
+TEST(Engine, GatedMemoIsReusedOnlyForItsExecutionAndInputs)
+{
+    const auto &cfg = arch::npuConfig(NpuGeneration::D);
+    Execution a = Engine(cfg).execute(gemmNormGraph(3), 1);
+    Execution b = Engine(cfg).execute(gemmNormGraph(5), 1);
+    arch::GatingParams base;
+    arch::GatingParams sram(arch::LeakageRatios{0.03, 0.5, 0.1});
+    arch::GatingParams logic(arch::LeakageRatios{0.1, 0.25, 0.002});
+    arch::GatingParams delay;
+    delay.setDelayScale(3);
+
+    // Alternating executions and params through one memo: each call
+    // equals a fresh evaluation.
+    GatedMemo memo;
+    for (const auto *params : {&base, &sram, &logic, &delay, &base})
+        for (const Execution *ex : {&a, &a, &b}) {
+            Engine engine(cfg, *params);
+            GatedResults fresh = engine.evaluateGated(ex->run, ex->blocks);
+            GatedResults memoized =
+                engine.evaluateGated(ex->run, ex->blocks, &memo);
+            for (std::size_t i = 0; i < fresh.size(); ++i)
+                expectResultsEqual(memoized[i], fresh[i]);
+            EXPECT_EQ(memo.run, &ex->run);
+            EXPECT_EQ(memo.delayScale, params->delayScale());
+            EXPECT_EQ(memo.logicOff, params->ratios().logicOff);
+        }
+
+    // The memo's walks are what a call with the same delay scale and
+    // logic leak reads: a value planted in Base's SA walk comes back
+    // under other SRAM ratios, and not under another delay scale.
+    Engine(cfg, base).evaluateGated(a.run, a.blocks, &memo);
+    auto &sa_walk = memo.shared.walks[0][static_cast<std::size_t>(
+        core::GatingMode::HwDetect)];
+    ASSERT_TRUE(sa_walk);
+    sa_walk->staticEnergy = -1;
+    EXPECT_EQ(Engine(cfg, sram)
+                  .evaluateGated(a.run, a.blocks, &memo)[0]
+                  .energy.staticJ[Component::Sa],
+              -1.0);
+    EXPECT_GT(Engine(cfg, delay)
+                  .evaluateGated(a.run, a.blocks, &memo)[0]
+                  .energy.staticJ[Component::Sa],
+              0.0);
 }
 
 TEST(Engine, UnevaluatedResultIsALogicError)

@@ -232,6 +232,24 @@ TEST(Scenario, ValidationRejectsAnUnknownGatingKey)
     }
 }
 
+TEST(Scenario, ScenarioCaseRejectsAnUnknownGatingKey)
+{
+    // An override with no gating-key row must not run as the base
+    // params: the case fails with validation's message.
+    ScenarioSpec spec = *builtinScenario(Workload::DlrmS);
+    spec.name = "coded";
+    spec.gating.emplace_back("logic_of", 0.5);
+    try {
+        scenarioCase(std::make_shared<const ScenarioSpec>(spec),
+                     NpuGeneration::D);
+        FAIL() << "expected ConfigError";
+    } catch (const ConfigError &e) {
+        EXPECT_STREQ(e.what(),
+                     "config error: scenario 'coded': unknown gating "
+                     "key 'logic_of'");
+    }
+}
+
 TEST(Scenario, MoeScenarioRunsWithoutAnEnumValue)
 {
     auto file = models::parseSpecText(

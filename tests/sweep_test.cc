@@ -3,7 +3,8 @@
  * Tests for the parallel sweep subsystem: the worker count,
  * deterministic ordered fan-out and its error propagation, parallel
  * vs serial sweep equivalence (bitwise) over built-in rows and user
- * specs, including cases that share one execution, the SLO search
+ * specs, including cases that share one execution and cases that
+ * repeat the previous case's gating params, the SLO search
  * against its serial reference at any thread count (per-case and
  * per-identity errors, gating variants sharing one selection), the
  * rejection of a case without a scenario, the automatic runner
@@ -303,6 +304,59 @@ TEST(SweepRunner, SpecGatingOverridesShareOneExecutionBitwise)
     ASSERT_EQ(moe_d, 5u) << "the MoE chips values no longer share one "
                             "NPU-D setup";
     expectRunMatchesSerial(grid);
+}
+
+TEST(SweepRunner, RepeatedGatingParamsReuseTheirResultsBitwise)
+{
+    // Two executions whose cases, in input order, repeat the previous
+    // case's params (a a), alternate (a b a) and return to an earlier
+    // setting (b b a), interleaved across the two groups; plus spec
+    // cases that differ only in name and gating keys, one of whose
+    // overrides equal the defaults of the case before it.
+    // Some neighbours share only the delay scale and logic leak (c
+    // with a, d with b), or only the delay scale (e with b).
+    arch::GatingParams a;
+    arch::GatingParams b(arch::LeakageRatios{0.1, 0.4, 0.05});
+    b.setDelayScale(2);
+    arch::GatingParams c(arch::LeakageRatios{0.03, 0.4, 0.05});
+    arch::GatingParams d(arch::LeakageRatios{0.1, 0.25, 0.002});
+    d.setDelayScale(2);
+    arch::GatingParams e(arch::LeakageRatios{0.03, 0.4, 0.05});
+    e.setDelayScale(2);
+    std::vector<SweepCase> grid;
+    for (const auto *params :
+         {&a, &a, &b, &a, &b, &b, &a, &c, &c, &d, &b, &e, &a}) {
+        auto part = scenarioGrid(rows({Workload::DlrmS, Workload::DiTXL}),
+                                 {arch::NpuGeneration::D}, *params);
+        grid.insert(grid.end(), part.begin(), part.end());
+    }
+    auto spec = models::parseSpecText(
+        "@regate-spec v1\n"
+        "[scenario x]\nfamily = dlrm\nmodel = m\nbatch = 256\n"
+        "chips = 4\n"
+        "[scenario y]\nfamily = dlrm\nmodel = m\nbatch = 256\n"
+        "chips = 4\ndelay_scale = 1\n"
+        "[scenario z]\nfamily = dlrm\nmodel = m\nbatch = 256\n"
+        "chips = 4\nlogic_off = 0.1\n"
+        "[scenario w]\nfamily = dlrm\nmodel = m\nbatch = 256\n"
+        "chips = 4\nlogic_off = 0.1\n");
+    auto coded = scenarioGrid(spec.scenarios, {arch::NpuGeneration::D});
+    ASSERT_TRUE(coded[0].params == coded[1].params);
+    ASSERT_TRUE(coded[1].params != coded[2].params);
+    ASSERT_TRUE(coded[2].params == coded[3].params);
+    grid.insert(grid.end(), coded.begin(), coded.end());
+    ASSERT_EQ(grid.size(), 30u);
+    expectRunMatchesSerial(grid);
+
+    // Each report keeps its own identity and params.
+    auto reports = SweepRunner(1).run(grid);
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        SCOPED_TRACE(testing::Message() << "case " << i);
+        EXPECT_EQ(reports[i].scenario, grid[i].scenario);
+        EXPECT_TRUE(reports[i].gatingParams() == grid[i].params);
+    }
+    EXPECT_NE(reports[0].result(Policy::Base).overheadCycles,
+              reports[4].result(Policy::Base).overheadCycles);
 }
 
 TEST(SweepRunner, SearchRecordsPerCaseErrors)
