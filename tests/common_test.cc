@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <sstream>
@@ -235,6 +236,36 @@ TEST(Table, Formatting)
                 << printfString("v=%a", v);
         }
     }
+
+    // Just on each side of each rounding tie (k + 0.5) / 10^p, where
+    // |v| * 10^p lands within a few ulps of .5 and one rounding of the
+    // product can flip the printed digit.
+    Prng ties(29);
+    for (int p = 0; p <= 6; ++p) {
+        double scale = std::pow(10.0, p);
+        for (int i = 0; i < 300; ++i) {
+            // Small, mid-sized and past-2^50 multiples; k = 0 first.
+            std::uint64_t span = i < 100   ? 100
+                                 : i < 200 ? std::uint64_t{1} << 20
+                                           : std::uint64_t{4} << 50;
+            double k = i == 0 ? 0.0
+                              : static_cast<double>(ties.uniform(0, span));
+            double tie = (k + 0.5) / scale;
+            for (double v : {std::nextafter(tie, 0.0), tie,
+                             std::nextafter(tie, 1e300)}) {
+                for (double s : {v, -v}) {
+                    EXPECT_EQ(TablePrinter::fmt(s, p),
+                              printfString("%.*f", p, s))
+                        << printfString("v=%a p=%d", s, p);
+                }
+            }
+        }
+    }
+    // Negatives that round to zero keep their sign.
+    EXPECT_EQ(TablePrinter::fmt(-std::nextafter(0.05, 0.0), 1), "-0.0");
+    EXPECT_EQ(TablePrinter::fmt(-0.04, 1), "-0.0");
+    EXPECT_EQ(TablePrinter::fmt(-std::nextafter(0.5, 0.0), 0), "-0");
+    EXPECT_EQ(TablePrinter::pct(-0.0004, 1), "-0.0%");
 
     // The whole number, where a 64-byte buffer kept 63 characters.
     std::string big = TablePrinter::fmt(1e300, 2);

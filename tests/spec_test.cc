@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <utility>
 
@@ -569,6 +571,77 @@ TEST(SpecParser, GatingSweepCanonicalRoundTrip)
     EXPECT_EQ(canonicalSpecText(second.scenarios), dump);
     EXPECT_EQ(second.scenarios[749]->name, "g149-DiT-XL");
     EXPECT_EQ(second.scenarios[749]->gating.size(), 4u);
+}
+
+TEST(SpecParser, NumbersParseAsStrtollAndStrtodDo)
+{
+    // Inputs at the edges of the number fast paths: each parses to
+    // the value strtoll or strtod gives, or fails with the message
+    // they lead to.
+    const std::string a = "@regate-spec v1\n[scenario a]\nfamily = dlrm\n"
+                          "model = s\nchips = 1\n";
+    const std::string p = "config error: spec.txt:";
+    auto batch_of = [&](const std::string &value) {
+        return parseSpecText(a + "batch = " + value + "\n")
+            .scenarios.at(0)
+            ->batch;
+    };
+    EXPECT_EQ(batch_of("+4096"), 4096);
+    EXPECT_EQ(batch_of("007"), 7);
+    EXPECT_EQ(batch_of("9223372036854775807"), INT64_MAX);
+    // Signed range ends and steps: 1, 2, 4, 8.
+    EXPECT_EQ(parseSpecText(a + "batch = 1..+8:*+2\n").scenarios.size(),
+              4u);
+    const std::string want =
+        "' (want an integer, a comma list, or lo..hi:*K / lo..hi:+K)";
+    for (const char *bad : {"9223372036854775808", "-9223372036854775809",
+                            "1_0", "0x10", "-", "--5", "5-"})
+        EXPECT_EQ(errorOf(a + "batch = " + bad + "\n"),
+                  p + "6: malformed value for 'batch': '" + bad + want);
+    // Negative values parse; validation then names them.
+    const std::string required =
+        p + "2: config error: scenario 'a': batch is required (>= 1; got ";
+    EXPECT_EQ(errorOf(a + "batch = -0\n"), required + "0)");
+    EXPECT_EQ(errorOf(a + "batch = -12\n"), required + "-12)");
+    EXPECT_EQ(errorOf(a + "batch = -9223372036854775808\n"),
+              required + "-9223372036854775808)");
+
+    const std::string g = a + "batch = 8\n";
+    auto gating_of = [&](const std::string &key, const std::string &value) {
+        auto file = parseSpecText(g + key + " = " + value + "\n");
+        return file.scenarios.at(0)->gating.at(0).second;
+    };
+    // Bit for bit, so that -0.0 differs from 0.0.
+    auto same = [](double x, double y) {
+        return std::bit_cast<std::uint64_t>(x) ==
+               std::bit_cast<std::uint64_t>(y);
+    };
+    const std::pair<const char *, double> ratios[] = {
+        {"0.1", 0x1.999999999999ap-4},
+        {"-0.0", -0x0p+0},
+        {"0.30000000000000004", 0x1.3333333333334p-2},
+        {"0.123456789012345", 0x1.f9add3746f62ep-4},
+        {"0.1234567890123456", 0x1.f9add3746f659p-4},
+        {"0.12345678901234567", 0x1.f9add3746f65ep-4},
+        {"0.999999999999999", 0x1.ffffffffffff7p-1},
+        {"0.0000000000000000000000001", 0x1.ef2d0f5da7dd9p-84},
+        {"1.", 0x1p+0},
+        {".5", 0x1p-1},
+        {"5e-1", 0x1p-1},
+        {"+0x1p-4", 0x1p-4},
+    };
+    for (const auto &[text, value] : ratios)
+        EXPECT_TRUE(same(gating_of("logic_off", text), value)) << text;
+    EXPECT_TRUE(same(gating_of("delay_scale", "1E2"), 0x1.9p+6));
+    EXPECT_TRUE(same(gating_of("delay_scale", "2.675"),
+                     0x1.5666666666666p+1));
+    EXPECT_TRUE(same(gating_of("delay_scale", "1000000000000000"),
+                     0x1.c6bf52634p+49));
+    // Out of range (ERANGE) and non-finite values are rejected.
+    for (const char *bad : {"1e-310", "1e-400", "inf", "nan", "1e", "."})
+        EXPECT_EQ(errorOf(g + "logic_off = " + bad + "\n"),
+                  p + "7: malformed value for 'logic_off': '" + bad +
+                      "' (want a single finite number)");
 }
 
 TEST(SpecParser, MissingFileNamed)
