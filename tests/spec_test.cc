@@ -414,6 +414,45 @@ TEST(SpecParser, ErrorMessagesExact)
         EXPECT_EQ(errorOf(text), message) << "spec:\n" << text;
 }
 
+TEST(SpecParser, LayoutErrorsWinOverValueErrors)
+{
+    // Every section is cut before a value error is reported: a layout
+    // error anywhere wins, and of the value errors the first one does.
+    const std::string h = "@regate-spec v1\n";
+    const std::string bad = "[scenario a]\nfamily = dlrm\nmodel = s\n"
+                            "batch = x\nchips = 1\n";
+    const std::string p = "config error: spec.txt:";
+    EXPECT_EQ(errorOf(h + bad + "[scenario b]\nfamily dlrm\n"),
+              p + "8: malformed line 'family dlrm' (want 'key = value')");
+    EXPECT_EQ(errorOf(h + bad + "[scenario a]\nfamily = dlrm\n"),
+              p + "7: duplicate scenario section 'a'");
+    EXPECT_EQ(errorOf(h + bad + "[scenario b]\n"),
+              p + "7: scenario 'b' is empty");
+    EXPECT_EQ(errorOf(h + "[scenario a]\nfamily = quantum\n"
+                          "[scenario b]\n[scenario c]\nfamily = dlrm\n"),
+              p + "4: scenario 'b' is empty");
+    EXPECT_EQ(errorOf(h + "[scenario a]\nfamily = dlrm\nwarp = 1\n"
+                          "[scenario b]\nfamily = dlrm\nfamily = s\n"),
+              p + "7: duplicate key 'family' in scenario 'b' (first "
+                  "set on line 6)");
+    EXPECT_EQ(errorOf(h + "[scenario a]\nfamily = dlrm\nmodel = xxl\n"
+                          "batch = 1\nchips = 1\nunit\n"),
+              p + "7: malformed line 'unit' (want 'key = value')");
+    EXPECT_EQ(errorOf(h + bad + "[scenario b]\nfamily = dlrm\n"
+                          "model = s\nbatch = 1\nchips = y\n"),
+              p + "5: malformed value for 'batch': 'x' (want an "
+                  "integer, a comma list, or lo..hi:*K / lo..hi:+K)");
+    // The scenario cap is a value error too.
+    const std::string big = "family = dlrm\nmodel = s\n"
+                            "batch = 1..3000:+1\nchips = 1\n";
+    EXPECT_EQ(errorOf(h + "[scenario a]\n" + big + "[scenario b]\n" +
+                      big + "[scenario c]\nwarp\n"),
+              p + "13: malformed line 'warp' (want 'key = value')");
+    EXPECT_EQ(errorOf(h + "[scenario a]\n" + big + "[scenario b]\n" +
+                      big + "[scenario c]\nfamily = dlrm\nwarp = 1\n"),
+              p + "7: spec expands to more than 4096 scenarios");
+}
+
 TEST(SpecParser, DuplicateMessagesNameBothLines)
 {
     EXPECT_EQ(errorOf("@regate-spec v1\n[scenario a]\nfamily = dlrm\n"
