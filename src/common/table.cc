@@ -4,7 +4,10 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <limits>
+#include <optional>
 #include <string_view>
 
 #include "common/error.h"
@@ -69,11 +72,12 @@ TablePrinter::print(std::ostream &os) const
     std::string out;
     out.reserve(line_len * (rows_.size() + 2));
 
+    // Headers and rows (addRow pads them) have a cell per column.
     auto append_line = [&](const std::vector<std::string> &cells,
                            bool numeric_align) {
         out += '|';
         for (std::size_t i = 0; i < headers_.size(); ++i) {
-            const std::string &cell = i < cells.size() ? cells[i] : "";
+            const std::string &cell = cells[i];
             std::size_t pad = widths[i] - cell.size();
             bool right = numeric_align && looksNumeric(cell);
             out += ' ';
@@ -117,6 +121,30 @@ constexpr std::size_t kMaxFixedChars =
     1 + (std::numeric_limits<double>::max_exponent10 + 1) + 1 +
     TablePrinter::kMaxPrecision;
 
+// 10^p for the precisions roundedDigits takes; each is exact.
+constexpr double kPow10[] = {1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6};
+
+// |v| * 10^p rounded to an integer the way printf rounds the exact |v|
+// to p places, when one double product decides it. The product,
+// rounded once, is within half an ulp of the exact one, so when its
+// fraction is further than an ulp from .5 both round the same way.
+// Nothing for p > 6, near .5, past 2^50 (where an ulp is a quarter
+// or more) and for NaN and infinities.
+std::optional<std::uint64_t>
+roundedDigits(double v, int precision)
+{
+    if (precision >= static_cast<int>(std::size(kPow10)))
+        return std::nullopt;
+    double scaled = std::fabs(v) * kPow10[precision];
+    if (!(scaled < 0x1p50))
+        return std::nullopt;
+    double whole = std::floor(scaled);
+    double frac = scaled - whole;  // Exact.
+    if (!(std::fabs(frac - 0.5) > scaled * 0x1p-52))
+        return std::nullopt;
+    return static_cast<std::uint64_t>(whole) + (frac > 0.5);
+}
+
 // @p v with @p precision digits after the point, as printf's "%.*f"
 // prints it (exact value, ties to even), followed by @p suffix.
 std::string
@@ -126,9 +154,30 @@ fixed(double v, int precision, std::string_view suffix)
                   "table precision ", precision, " outside [0, ",
                   TablePrinter::kMaxPrecision, "]");
     char buf[kMaxFixedChars];
-    auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v,
-                                   std::chars_format::fixed, precision);
-    REGATE_ASSERT(ec == std::errc(), "fixed-format buffer too small");
+    char *end = buf;
+    if (auto n = roundedDigits(v, precision)) {
+        // n's digits, at least p + 1 of them so that a fraction has a
+        // leading "0.", with the point p places from the right.
+        auto p = static_cast<std::ptrdiff_t>(precision);
+        char digits[24];
+        char *first = digits + p + 1;
+        char *last = std::to_chars(first, std::end(digits), *n).ptr;
+        while (last - first < p + 1)
+            *--first = '0';
+        if (std::signbit(v))
+            *end++ = '-';
+        end = std::copy(first, last - p, end);
+        if (p > 0) {
+            *end++ = '.';
+            end = std::copy(last - p, last, end);
+        }
+    } else {
+        auto [last, ec] = std::to_chars(buf, buf + sizeof(buf), v,
+                                        std::chars_format::fixed,
+                                        precision);
+        REGATE_ASSERT(ec == std::errc(), "fixed-format buffer too small");
+        end = last;
+    }
     std::string out(buf, end);
     out += suffix;
     return out;

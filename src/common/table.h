@@ -44,7 +44,13 @@ class TablePrinter
 
     /**
      * Format a double with @p precision digits after the point,
-     * byte for byte as printf's "%.*f".
+     * byte for byte as printf's "%.*f" (the exact value, ties to
+     * even). For precision <= 6 and |v| * 10^precision below 2^50,
+     * the product is rounded to an integer and printed with a point;
+     * this is exact unless the product's fraction lies within an ulp
+     * of .5, where its one rounding could flip the digit. Those
+     * values, NaN, infinities and the rest go through
+     * std::to_chars's exact fixed format.
      */
     static std::string fmt(double v, int precision = 2);
 

@@ -70,10 +70,11 @@ template <typename Rows>
 const auto &
 modelCard(const Rows &rows, const char *family, const ScenarioSpec &spec)
 {
+    for (const auto &row : rows)
+        if (row.key == spec.model)
+            return row;
     std::string want;
     for (std::size_t i = 0, n = std::size(rows); i < n; ++i) {
-        if (rows[i].key == spec.model)
-            return rows[i];
         if (i > 0)
             want += i + 1 < n ? ", " : n > 2 ? ", or " : " or ";
         want += rows[i].key;
@@ -228,25 +229,6 @@ buildDiffusion(const ScenarioSpec &spec, const RunSetup &setup)
     return diffusionCard(spec).build(setup.batch, setup.par);
 }
 
-/** The keys every family accepts besides the gating keys, in
- *  documented order. */
-constexpr struct
-{
-    const char *key;
-    const char *doc;  ///< `model`'s and `unit`'s end with their values.
-} kSharedKeys[] = {
-    {"family", "workload family (this generator)"},
-    {"model", "model size: "},
-    {"batch", "global batch size (required; int list/range ok)"},
-    {"chips", "pod size (required; int list/range ok)"},
-    {"seq_len", "input sequence length (family default if unset)"},
-    {"out_len", "generated length (family default if unset)"},
-    {"dp", "data-parallel replicas (with tp/pp: chips = dp*tp*pp)"},
-    {"tp", "tensor-parallel shards"},
-    {"pp", "pipeline-parallel stages"},
-    {"unit", "work unit: "},
-};
-
 }  // namespace
 
 const std::vector<FamilyRow> &
@@ -308,14 +290,24 @@ familyRow(std::string_view family)
     return *row;
 }
 
-bool
-acceptsKey(const FamilyRow &row, std::string_view key)
+KeyRef
+resolveKey(std::string_view key, const FamilyRow *row)
 {
-    auto named = [&](const auto &k) { return k.key == key; };
-    return std::any_of(std::begin(kSharedKeys), std::end(kSharedKeys),
-                       named) ||
-           findGatingKey(key) ||
-           std::any_of(row.extras.begin(), row.extras.end(), named);
+    auto find = [&](KeyRef::Kind kind, const auto &rows) {
+        std::size_t i = 0;
+        for (const auto &r : rows) {
+            if (r.key == key)
+                return KeyRef{kind, static_cast<std::uint8_t>(i)};
+            ++i;
+        }
+        return KeyRef{};
+    };
+    KeyRef ref = find(KeyRef::Kind::Shared, kSharedKeys);
+    if (ref.kind == KeyRef::Kind::Unknown)
+        ref = find(KeyRef::Kind::Gating, kGatingKeys);
+    if (ref.kind == KeyRef::Kind::Unknown && row)
+        ref = find(KeyRef::Kind::Extra, row->extras);
+    return ref;
 }
 
 std::vector<SpecKey>
@@ -324,14 +316,14 @@ specKeys(const FamilyRow &row)
     std::vector<SpecKey> keys;
     for (const auto &shared : kSharedKeys) {
         std::string doc = shared.doc;
-        if (shared.key == std::string_view("model"))
+        if (shared.key == "model")
             doc += row.models;
-        else if (shared.key == std::string_view("unit"))
+        else if (shared.key == "unit")
             doc += keysDoc(kWorkUnits);
-        keys.push_back({shared.key, std::move(doc)});
+        keys.push_back({std::string(shared.key), std::move(doc)});
     }
     for (const auto &gating : kGatingKeys)
-        keys.push_back({gating.key, gating.doc});
+        keys.push_back({std::string(gating.key), gating.doc});
     keys.insert(keys.end(), row.extras.begin(), row.extras.end());
     return keys;
 }

@@ -11,10 +11,12 @@
  * spec's `family` key. Adding a family means adding a row in
  * models/generators.cc; no figure binary changes.
  *
- * The rest of the spec vocabulary is one table each too: a family's
- * `model` values are its model cards' keys (models/generators.cc),
- * `unit` values are kWorkUnits' (models/workload.h), and the gating
- * overrides are kGatingKeys below.
+ * The rest of the spec vocabulary is one table each too: the keys
+ * every family accepts are kSharedKeys below, a family's `model`
+ * values are its model cards' keys (models/generators.cc), `unit`
+ * values are kWorkUnits' (models/workload.h), and the gating
+ * overrides are kGatingKeys below. The parser resolves each key once
+ * against these (resolveKey).
  *
  * The 17 paper workloads are built-in spec rows (models/workload.h)
  * replayed through the same table as any user spec: there is one
@@ -25,6 +27,7 @@
 #define REGATE_MODELS_REGISTRY_H
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -50,7 +53,7 @@ struct SpecKey
 /** One gating-override spec key: a §6.5 sensitivity parameter. */
 struct GatingKey
 {
-    const char *key;
+    std::string_view key;
     const char *doc;
     /** The leakage ratio it sets, in [0, 1]; null: the delay scale,
      *  which scales every Table-3 delay and BET. */
@@ -70,6 +73,40 @@ inline constexpr GatingKey kGatingKeys[] = {
 
 /** The row of gating key @p key, or nullptr. */
 const GatingKey *findGatingKey(std::string_view key);
+
+/** The keys every family accepts besides the gating keys; each names
+ *  its row of kSharedKeys. */
+enum class SharedKey : std::uint8_t
+{
+    Family, Model, Batch, Chips, SeqLen, OutLen, Dp, Tp, Pp, Unit
+};
+
+/** One shared spec key. */
+struct SharedKeyRow
+{
+    std::string_view key;
+    const char *doc;  ///< `model`'s and `unit`'s end with their values.
+};
+
+/** Every shared key, indexed by SharedKey: the documented order, and
+ *  the order models::canonicalSpecText writes them in. */
+inline constexpr SharedKeyRow kSharedKeys[] = {
+    {"family", "workload family (this generator)"},
+    {"model", "model size: "},
+    {"batch", "global batch size (required; int list/range ok)"},
+    {"chips", "pod size (required; int list/range ok)"},
+    {"seq_len", "input sequence length (family default if unset)"},
+    {"out_len", "generated length (family default if unset)"},
+    {"dp", "data-parallel replicas (with tp/pp: chips = dp*tp*pp)"},
+    {"tp", "tensor-parallel shards"},
+    {"pp", "pipeline-parallel stages"},
+    {"unit", "work unit: "},
+};
+static_assert(std::size(kSharedKeys) ==
+                      static_cast<std::size_t>(SharedKey::Unit) + 1 &&
+                  kSharedKeys[static_cast<std::size_t>(SharedKey::Unit)]
+                          .key == "unit",
+              "kSharedKeys has one row per SharedKey, in its order");
 
 /** One workload family. */
 struct FamilyRow
@@ -109,8 +146,22 @@ std::string unknownFamilyMessage(std::string_view family);
 /** The row of @p family; ConfigError when there is none. */
 const FamilyRow &familyRow(std::string_view family);
 
-/** Whether @p row accepts spec key @p key (without allocating). */
-bool acceptsKey(const FamilyRow &row, std::string_view key);
+/** A spec key resolved against the one key table: a kSharedKeys
+ *  row, a kGatingKeys row or an entry of a family's extras. */
+struct KeyRef
+{
+    enum class Kind : std::uint8_t { Unknown, Shared, Gating, Extra };
+    Kind kind = Kind::Unknown;
+    /** The row in kSharedKeys, kGatingKeys or FamilyRow::extras. */
+    std::uint8_t index = 0;
+
+    bool operator==(const KeyRef &) const = default;
+};
+
+/** @p key resolved against the shared and gating keys, then, given
+ *  @p row, its extras (without allocating); Kind::Unknown when none
+ *  has it. */
+KeyRef resolveKey(std::string_view key, const FamilyRow *row = nullptr);
 
 /** Every key @p row accepts with its doc: the shared keys, the
  *  gating keys, then its extras. */

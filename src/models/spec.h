@@ -26,10 +26,24 @@
  * leakage ratio outside [0, 1] and a delay_scale whose scaled
  * Table-3 cycle counts overflow.
  *
- * The parser makes one pass over the text, keeping lines, keys and
- * values as views into it, and then parses each value once while it
+ * parseSpecFile reads a regular file into one buffer of its size
+ * (anything else, such as a pipe, in chunks to its end); a file that
+ * opens but cannot be read, such as a directory, is a ConfigError
+ * naming the path. The parser makes one pass over the text, keeping
+ * lines, keys and values as views into it, and resolves each key once
+ * against the key table (models/registry.h: kSharedKeys, kGatingKeys,
+ * then the family's extras). It then parses each value once while it
  * expands the sections in order. Every section is cut before any is
  * expanded, so a layout error anywhere wins over a value error.
+ *
+ * Numbers are read as strtoll and strtod read them, with exact fast
+ * paths for the common forms: an integer `[-]digits` goes through
+ * std::from_chars, and a decimal `[-]digits[.digits]` with at most 15
+ * significant digits and 22 after the point is its digits divided by
+ * an exact power of ten (Clinger's fast path, correctly rounded as
+ * strtod is). Everything else — a '+' sign, an exponent, hex, inf and
+ * nan, longer decimals — falls back to strtoll/strtod, which decide
+ * what is accepted.
  *
  * The canonical dump (defaults filled, keys in fixed order)
  * round-trips through the parser to identical scenarios, so textual

@@ -10,6 +10,8 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <string>
 #include <utility>
 
@@ -692,6 +694,45 @@ TEST(SpecParser, MissingFileNamed)
         EXPECT_NE(std::string(e.what()).find(
                       "/nonexistent/regate.spec"),
                   std::string::npos);
+    }
+}
+
+TEST(SpecParser, UnreadableFileNamed)
+{
+    // A directory opens but cannot be read: that is the error, not
+    // an empty spec.
+    std::string dir = ::testing::TempDir();
+    try {
+        parseSpecFile(dir);
+        FAIL() << "expected ConfigError";
+    } catch (const ConfigError &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "config error: cannot read spec file " + dir);
+    }
+    // An empty regular file reads, and is an empty spec.
+    std::string empty = dir + "regate_empty.spec";
+    std::ofstream(empty).close();
+    try {
+        parseSpecFile(empty);
+        FAIL() << "expected ConfigError";
+    } catch (const ConfigError &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "config error: " + empty +
+                      ":1: expected '@regate-spec v1' header in an "
+                      "empty spec");
+    }
+    std::remove(empty.c_str());
+    // A file whose size fstat cannot tell (procfs says 0) still reads
+    // to its end.
+    try {
+        parseSpecFile("/proc/self/status");
+        FAIL() << "expected ConfigError";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "/proc/self/status:1: expected '@regate-spec v1' "
+                      "header, got 'Name:"),
+                  std::string::npos)
+            << e.what();
     }
 }
 
