@@ -62,15 +62,6 @@ anchorSetup(const FamilyRow &row, const ScenarioSpec &spec)
 
 }  // namespace
 
-const GatingKey *
-findGatingKey(std::string_view key)
-{
-    for (const auto &row : kGatingKeys)
-        if (row.key == key)
-            return &row;
-    return nullptr;
-}
-
 void
 validateScenario(ScenarioSpec &spec)
 {
@@ -92,19 +83,21 @@ validateScenario(ScenarioSpec &spec)
             ") != tp*dp*pp (", spec.par.tp, "*", spec.par.dp, "*",
             spec.par.pp, " = ", spec.par.chips(), ")");
     }
-    for (const auto &[key, value] : spec.gating) {
-        const auto *gating = findGatingKey(key);
-        REGATE_CHECK(gating, "scenario '", spec.name,
-                     "': unknown gating key '", key, "'");
+    for (std::size_t i = 0; i < kNumGatingKeys; ++i) {
+        if (!spec.gating[i])
+            continue;
+        const double value = *spec.gating[i];
+        const auto &key = kGatingKeys[i].key;
+        const bool is_ratio = kGatingKeys[i].ratio;
         REGATE_CHECK(std::isfinite(value) && value >= 0, "scenario '",
                      spec.name, "': bad ", key, " value");
-        REGATE_CHECK(gating->ratio || value > 0, "scenario '",
-                     spec.name, "': ", key, " must be > 0");
+        REGATE_CHECK(is_ratio || value > 0, "scenario '", spec.name, "': ",
+                     key, " must be > 0");
         // A leakage ratio is a fraction of the active static power.
-        REGATE_CHECK(!gating->ratio || value <= 1, "scenario '",
+        REGATE_CHECK(!is_ratio || value <= 1, "scenario '",
                      spec.name, "': ", key, " = ", value,
                      " is not a leakage ratio in [0, 1]");
-        REGATE_CHECK(gating->ratio ||
+        REGATE_CHECK(is_ratio ||
                          arch::GatingParams::delayScaleFits(value),
                      "scenario '", spec.name, "': ", key, " = ", value,
                      " overflows the scaled Table-3 cycle counts");

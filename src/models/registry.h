@@ -16,7 +16,9 @@
  * values are its model cards' keys (models/generators.cc), `unit`
  * values are kWorkUnits' (models/workload.h), and the gating
  * overrides are kGatingKeys below. The parser resolves each key once
- * against these (resolveKey).
+ * against these (resolveKey), and a scenario stores each gating
+ * override in its row's slot, so nothing looks a gating key up by
+ * name after the parse.
  *
  * The 17 paper workloads are built-in spec rows (models/workload.h)
  * replayed through the same table as any user spec: there is one
@@ -60,7 +62,9 @@ struct GatingKey
     double arch::LeakageRatios::*ratio;
 };
 
-/** Every gating-override key, in documented order. */
+/** Every gating-override key, in documented order: the order of
+ *  ScenarioSpec::gating's slots, of their checks and of their
+ *  canonical dump. */
 inline constexpr GatingKey kGatingKeys[] = {
     {"logic_off", "gated-logic leakage ratio override",
      &arch::LeakageRatios::logicOff},
@@ -70,9 +74,8 @@ inline constexpr GatingKey kGatingKeys[] = {
      &arch::LeakageRatios::sramOff},
     {"delay_scale", "gating delay/BET scale override", nullptr},
 };
-
-/** The row of gating key @p key, or nullptr. */
-const GatingKey *findGatingKey(std::string_view key);
+static_assert(std::size(kGatingKeys) == kNumGatingKeys,
+              "ScenarioSpec::gating has one slot per kGatingKeys row");
 
 /** The keys every family accepts besides the gating keys; each names
  *  its row of kSharedKeys. */

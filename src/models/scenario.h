@@ -17,7 +17,10 @@
 #ifndef REGATE_MODELS_SCENARIO_H
 #define REGATE_MODELS_SCENARIO_H
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,6 +33,10 @@ namespace models {
 /** Largest pod a spec may ask for or an HBM refit may grow to; also
  *  the bound on each of dp, tp and pp. */
 constexpr int kMaxChips = 1 << 24;
+
+/** Rows of models::kGatingKeys (registry.h), one gating-override
+ *  slot each. */
+constexpr std::size_t kNumGatingKeys = 4;
 
 struct ScenarioSpec
 {
@@ -58,10 +65,10 @@ struct ScenarioSpec
      *  by key. */
     std::vector<std::pair<std::string, std::int64_t>> extra;
 
-    /** Gating-parameter overrides (models::kGatingKeys keys),
-     *  sorted by key. Applied on top of whatever base GatingParams a
-     *  grid sweeps. */
-    std::vector<std::pair<std::string, double>> gating;
+    /** Gating-parameter overrides, indexed by models::kGatingKeys
+     *  row; an empty slot keeps the value of whatever base
+     *  GatingParams a grid sweeps. */
+    std::array<std::optional<double>, kNumGatingKeys> gating{};
 
     /** Value of an extra key, or @p fallback when absent. */
     std::int64_t extraOr(const std::string &key,

@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <cerrno>
 #include <charconv>
 #include <cmath>
@@ -258,18 +257,6 @@ struct Section
     std::vector<Entry> entries;
 };
 
-/** The rows of kGatingKeys in key order, the order of
- *  ScenarioSpec::gating. */
-constexpr auto kGatingKeyOrder = [] {
-    std::array<std::uint8_t, std::size(kGatingKeys)> order{};
-    for (std::size_t i = 0; i < order.size(); ++i)
-        order[i] = static_cast<std::uint8_t>(i);
-    std::sort(order.begin(), order.end(), [](auto a, auto b) {
-        return kGatingKeys[a].key < kGatingKeys[b].key;
-    });
-    return order;
-}();
-
 /** Work space of expandSection, kept from one section to the next so
  *  that its vectors keep their capacity. */
 struct Scratch
@@ -334,17 +321,12 @@ expandSection(const Section &section, const std::string &source,
     auto &picked = scratch.picked;
     axes.clear();
     values.clear();
-    constexpr std::size_t kGatingRows = std::size(kGatingKeys);
-    double gating_value[kGatingRows];
-    bool gating_set[kGatingRows] = {};
-    std::size_t gating_count = 0;
+    decltype(ScenarioSpec::gating) gating{};
     string_view model, unit;
     for (const Entry *e = entries; e != end; ++e) {
         if (e->ref.kind == Kind::Gating) {
-            gating_value[e->ref.index] =
+            gating[e->ref.index] =
                 parseDoubleValue(e->key, e->value, source, e->line);
-            gating_set[e->ref.index] = true;
-            ++gating_count;
             continue;
         }
         if (e->ref.kind == Kind::Shared) {
@@ -360,12 +342,6 @@ expandSection(const Section &section, const std::string &source,
         parseIntValues(e->key, e->value, source, e->line, &values);
         axes.push_back({e, first, values.size() - first});
     }
-    std::vector<std::pair<std::string, double>> gating;
-    gating.reserve(gating_count);
-    for (std::uint8_t row : kGatingKeyOrder)
-        if (gating_set[row])
-            gating.emplace_back(kGatingKeys[row].key, gating_value[row]);
-
     std::size_t combos = 1;
     for (const auto &axis : axes) {
         combos *= axis.count;
@@ -382,11 +358,7 @@ expandSection(const Section &section, const std::string &source,
         spec.family = family_name;
         spec.model = model;
         spec.unit = unit;
-        // The last combination takes the list; the others copy it.
-        if (combo + 1 < combos)
-            spec.gating = gating;
-        else
-            spec.gating = std::move(gating);
+        spec.gating = gating;
 
         // Walk the odometer (last axis fastest) and assign.
         std::size_t rest = combo;
@@ -514,8 +486,10 @@ canonicalSpecText(
         put(SharedKey::Unit, spec->unit);
         for (const auto &[key, value] : spec->extra)
             out += key + " = " + std::to_string(value) + "\n";
-        for (const auto &[key, value] : spec->gating)
-            out += key + " = " + canonicalDouble(value) + "\n";
+        for (std::size_t i = 0; i < kNumGatingKeys; ++i)
+            if (spec->gating[i])
+                ((out += kGatingKeys[i].key) += " = ") +=
+                    canonicalDouble(*spec->gating[i]) + "\n";
     }
     return out;
 }

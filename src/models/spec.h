@@ -22,9 +22,12 @@
  * distribution, `chips != tp*dp*pp`, empty or duplicate sections —
  * is a ConfigError naming the offending file:line.
  *
- * Gating keys take one finite number each; validateScenario rejects a
- * leakage ratio outside [0, 1] and a delay_scale whose scaled
- * Table-3 cycle counts overflow.
+ * Gating keys take one finite number each, stored in the slot of
+ * ScenarioSpec::gating their kGatingKeys row names. validateScenario
+ * checks the slots in row order (logic_off, sram_sleep, sram_off,
+ * delay_scale), so the first bad one in that order is the error; it
+ * rejects a leakage ratio outside [0, 1] and a delay_scale whose
+ * scaled Table-3 cycle counts overflow.
  *
  * parseSpecFile reads a regular file into one buffer of its size
  * (anything else, such as a pipe, in chunks to its end); a file that
@@ -45,7 +48,8 @@
  * nan, longer decimals — falls back to strtoll/strtod, which decide
  * what is accepted.
  *
- * The canonical dump (defaults filled, keys in fixed order)
+ * The canonical dump (defaults filled, keys in fixed order: the
+ * shared keys, the extras by key, then the gating keys in row order)
  * round-trips through the parser to identical scenarios, so textual
  * variants of the same scenarios share one canonical text.
  */

@@ -123,7 +123,9 @@ builtinScenarioOf(const ScenarioSpec &spec)
     // always mean a custom scenario, even if the spec happens to
     // reproduce a paper configuration: the overrides are part of its
     // identity and its grid rows must keep the scenario's own name.
-    if (spec.parSet || !spec.extra.empty() || !spec.gating.empty())
+    bool overridden = std::ranges::any_of(
+        spec.gating, [](const auto &slot) { return slot.has_value(); });
+    if (spec.parSet || !spec.extra.empty() || overridden)
         return nullptr;
     for (const auto &b : builtinScenarios()) {
         if (spec.family == b->family && spec.model == b->model &&

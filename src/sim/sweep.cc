@@ -109,25 +109,29 @@ groupCases(std::size_t n, Before before)
     return {std::move(order), std::move(group_start)};
 }
 
-}  // namespace
-
+/**
+ * Overlay @p spec's gating overrides onto @p params: each set slot
+ * replaces the parameter its models::kGatingKeys row names, and an
+ * empty slot keeps the value in @p params.
+ */
 void
 applyScenarioGating(arch::GatingParams *params,
                     const models::ScenarioSpec &spec)
 {
-    for (const auto &[key, value] : spec.gating) {
-        const auto *gating = models::findGatingKey(key);
-        REGATE_CHECK(gating, "scenario '", spec.name,
-                     "': unknown gating key '", key, "'");
-        if (gating->ratio) {
-            auto ratios = params->ratios();
-            ratios.*gating->ratio = value;
-            params->setRatios(ratios);
-        } else {
-            params->setDelayScale(value);
-        }
+    auto ratios = params->ratios();
+    for (std::size_t i = 0; i < models::kNumGatingKeys; ++i) {
+        const auto &value = spec.gating[i];
+        if (!value)
+            continue;
+        if (auto ratio = models::kGatingKeys[i].ratio)
+            ratios.*ratio = *value;
+        else
+            params->setDelayScale(*value);
     }
+    params->setRatios(ratios);
 }
+
+}  // namespace
 
 SweepCase
 scenarioCase(std::shared_ptr<const models::ScenarioSpec> spec,

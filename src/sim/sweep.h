@@ -57,19 +57,13 @@ struct SweepCase
 };
 
 /**
- * Overlay a scenario's gating overrides onto @p params as their
- * models::kGatingKeys rows say; keys the spec does not set keep their
- * values from @p params. A key with no row is a ConfigError with
- * models::validateScenario's message.
- */
-void applyScenarioGating(arch::GatingParams *params,
-                         const models::ScenarioSpec &spec);
-
-/**
- * One grid point for @p spec on @p gen: @p params plus the spec's
- * gating overrides. A spec that duplicates a paper workload runs as
- * its built-in row (models::builtinScenarioOf), canonical name
- * included.
+ * One grid point for @p spec on @p gen: @p params with the spec's
+ * gating overrides laid over them (each set models::kGatingKeys slot
+ * replaces its parameter; empty slots keep @p params' value). This is
+ * the only way a spec's overrides reach a case: simulateScenario,
+ * findBestSetup and hand-built SweepCases run under the params they
+ * are given. A spec that duplicates a paper workload runs as its
+ * built-in row (models::builtinScenarioOf), canonical name included.
  */
 SweepCase scenarioCase(std::shared_ptr<const models::ScenarioSpec> spec,
                        arch::NpuGeneration gen,

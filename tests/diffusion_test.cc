@@ -27,8 +27,9 @@ TEST(Diffusion, DitHeadSizeIs72)
             EXPECT_EQ(op.k, 72);
             found = true;
         }
-        if (op.name == "attn.value")
+        if (op.name == "attn.value") {
             EXPECT_EQ(op.n, 72);
+        }
     }
     EXPECT_TRUE(found);
 }

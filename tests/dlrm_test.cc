@@ -105,8 +105,9 @@ TEST(Dlrm, GemmRowsAreLocalBatch)
 {
     auto g = dlrmInference(card("s"), 4096, 8);
     for (const auto &op : g.blocks[0].ops) {
-        if (op.kind == OpKind::MatMul)
+        if (op.kind == OpKind::MatMul) {
             EXPECT_EQ(op.m, 512);  // 4096 / 8 chips.
+        }
     }
 }
 

@@ -99,8 +99,9 @@ TEST(Llama, DecodeGemmsHaveSmallM)
     auto g = llamaDecode(card("8b"), 4, 4096, 512,
                          {1, 1, 1});
     for (const auto &op : g.blocks[0].ops) {
-        if (op.kind == OpKind::MatMul && op.name == "qkv_proj")
+        if (op.kind == OpKind::MatMul && op.name == "qkv_proj") {
             EXPECT_EQ(op.m, 4);  // batch only; §3's VU-mapping driver.
+        }
     }
 }
 

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -128,7 +129,7 @@ TEST(Scenario, SpecThatDiffersFromEveryRowStaysCustom)
     par.parSet = true;
     par.par = models::scenarioSetup(row).par;
     variant("extra").extra.emplace_back("experts", 8);
-    variant("gating").gating.emplace_back("logic_off", 0.2);
+    variant("gating").gating[0] = 0.2;  // logic_off
     variant("unit").unit = "request";
     variant("batch").batch = row.batch / 2;
     for (const auto &[what, spec] : variants) {
@@ -195,58 +196,54 @@ TEST(Scenario, WorkloadForwardsEqualTheirSpecCalls)
 
 TEST(Scenario, GatingOverridesOverlayTheBaseParams)
 {
-    ScenarioSpec spec = *builtinScenario(Workload::DiTXL);
-    spec.gating.emplace_back("delay_scale", 2.0);
-    spec.gating.emplace_back("sram_sleep", 0.5);
-    std::sort(spec.gating.begin(), spec.gating.end());
-    models::validateScenario(spec);
+    // Slots in kGatingKeys' row order.
+    ASSERT_EQ(models::kGatingKeys[0].key, "logic_off");
+    ASSERT_EQ(models::kGatingKeys[1].key, "sram_sleep");
+    ASSERT_EQ(models::kGatingKeys[2].key, "sram_off");
+    ASSERT_EQ(models::kGatingKeys[3].key, "delay_scale");
+    const std::optional<double> no;
+    const decltype(ScenarioSpec::gating) overrides[] = {
+        {no, no, no, no},
+        {0.2, no, no, no},
+        {no, 0.5, no, no},
+        {no, no, 0.01, no},
+        {no, no, no, 2.0},
+        {no, 0.5, no, 2.0},
+        {0.2, 0.5, 0.01, 2.0},
+    };
+    // The paper's params, and a non-default base as fig21 and fig22
+    // pass one (so {no, no, 0.01, no} sets only sram_off over delay
+    // scale 3 and logic_off 0.1).
+    arch::GatingParams paper;
+    arch::GatingParams sens;
+    sens.setDelayScale(3.0);
+    auto ratios = sens.ratios();
+    ratios.logicOff = 0.1;
+    sens.setRatios(ratios);
 
-    auto c = scenarioCase(
-        std::make_shared<const ScenarioSpec>(spec),
-        NpuGeneration::D);
-    // Overrides keep the case custom, not the DiT-XL row, and ride in
-    // the case's params; keys the spec does not set keep the base.
-    ASSERT_TRUE(c.scenario);
-    EXPECT_NE(c.scenario, builtinScenario(Workload::DiTXL));
-    arch::GatingParams base;
-    EXPECT_DOUBLE_EQ(c.params.ratios().sramSleep, 0.5);
-    EXPECT_DOUBLE_EQ(c.params.ratios().logicOff,
-                     base.ratios().logicOff);
-    EXPECT_DOUBLE_EQ(c.params.delayScale(), 2.0);
-}
-
-TEST(Scenario, ValidationRejectsAnUnknownGatingKey)
-{
-    // A spec built in code skips the parser's key check; validation
-    // still names the key.
-    ScenarioSpec spec = *builtinScenario(Workload::DlrmS);
-    spec.name = "coded";
-    spec.gating.emplace_back("x", 0.5);
-    try {
-        models::validateScenario(spec);
-        FAIL() << "expected ConfigError";
-    } catch (const ConfigError &e) {
-        EXPECT_STREQ(e.what(),
-                     "config error: scenario 'coded': unknown gating "
-                     "key 'x'");
-    }
-}
-
-TEST(Scenario, ScenarioCaseRejectsAnUnknownGatingKey)
-{
-    // An override with no gating-key row must not run as the base
-    // params: the case fails with validation's message.
-    ScenarioSpec spec = *builtinScenario(Workload::DlrmS);
-    spec.name = "coded";
-    spec.gating.emplace_back("logic_of", 0.5);
-    try {
-        scenarioCase(std::make_shared<const ScenarioSpec>(spec),
-                     NpuGeneration::D);
-        FAIL() << "expected ConfigError";
-    } catch (const ConfigError &e) {
-        EXPECT_STREQ(e.what(),
-                     "config error: scenario 'coded': unknown gating "
-                     "key 'logic_of'");
+    const auto &row = builtinScenario(Workload::DiTXL);
+    for (const auto &base : {paper, sens}) {
+        for (const auto &gating : overrides) {
+            ScenarioSpec spec = *row;
+            spec.gating = gating;
+            models::validateScenario(spec);
+            auto c = scenarioCase(
+                std::make_shared<const ScenarioSpec>(spec),
+                NpuGeneration::D, base);
+            // Overrides keep the case custom, not the DiT-XL row, and
+            // ride in the case's params: a set slot replaces the
+            // base's value, an empty one keeps it.
+            bool custom = gating != decltype(ScenarioSpec::gating){};
+            ASSERT_TRUE(c.scenario);
+            EXPECT_EQ(c.scenario != row, custom);
+            const auto &b = base.ratios();
+            const auto &r = c.params.ratios();
+            EXPECT_EQ(r.logicOff, gating[0].value_or(b.logicOff));
+            EXPECT_EQ(r.sramSleep, gating[1].value_or(b.sramSleep));
+            EXPECT_EQ(r.sramOff, gating[2].value_or(b.sramOff));
+            EXPECT_EQ(c.params.delayScale(),
+                      gating[3].value_or(base.delayScale()));
+        }
     }
 }
 

@@ -8,14 +8,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "common/error.h"
+#include "common/prng.h"
+#include "models/registry.h"
 #include "models/spec.h"
 
 namespace regate {
@@ -237,6 +246,9 @@ TEST(SpecParser, CanonicalRoundTrip)
         "tp = 8\n"
         "pp = 1\n"
         "sram_sleep = 0.25\n"
+        "delay_scale = 2\n"
+        "sram_off = 0.125\n"
+        "logic_off = 0.5\n"
         "\n"
         "[scenario plain]\n"
         "family = diffusion\n"
@@ -245,6 +257,15 @@ TEST(SpecParser, CanonicalRoundTrip)
         "chips = 64\n");
     auto first_text = canonicalSpecText(first.scenarios);
     auto second = parseSpecText(first_text);
+
+    // The gating keys follow the other keys in kGatingKeys' row
+    // order, whatever order the spec set them in.
+    EXPECT_NE(first_text.find("experts = 8\ntop_k = 2\n"
+                              "logic_off = 0.5\nsram_sleep = 0.25\n"
+                              "sram_off = 0.125\ndelay_scale = 2\n"
+                              "\n[scenario mix@batch=32]"),
+              std::string::npos)
+        << first_text;
 
     // Reparsing the canonical dump yields identical scenarios and an
     // identical dump — textual variants of the same scenarios share
@@ -387,6 +408,14 @@ TEST(SpecParser, ErrorMessagesExact)
          p + "2: config error: scenario 'a': delay_scale must be > 0"},
         {a + "batch = 1\nchips = 1\nlogic_off = -0.5\n",
          p + "2: config error: scenario 'a': bad logic_off value"},
+        // Bad gating values are checked in kGatingKeys' row order
+        // (logic_off, sram_sleep, sram_off, delay_scale), not in line
+        // or key order.
+        {a + "batch = 1\nchips = 1\ndelay_scale = 0\nlogic_off = -0.5\n",
+         p + "2: config error: scenario 'a': bad logic_off value"},
+        {a + "batch = 1\nchips = 1\ndelay_scale = 0\nsram_off = 2\n",
+         p + "2: config error: scenario 'a': sram_off = 2 is not a "
+             "leakage ratio in [0, 1]"},
         {h + "[scenario a]\nfamily = dlrm\nmodel = a=b\nbatch = 1\n"
              "chips = 1\n",
          p + "2: config error: scenario 'a': unknown dlrm model 'a=b' "
@@ -566,9 +595,9 @@ TEST(SpecParser, ExpansionNames)
     EXPECT_EQ(file.scenarios[2]->name, "t@chips=1");
     EXPECT_EQ(file.scenarios[3]->name, "t@chips=4");
     EXPECT_EQ(file.scenarios[4]->name, "t@chips=7");
-    ASSERT_EQ(file.scenarios[0]->gating.size(), 1u);
-    EXPECT_EQ(file.scenarios[0]->gating[0].first, "logic_off");
-    EXPECT_EQ(file.scenarios[0]->gating[0].second, 0.1);
+    const decltype(ScenarioSpec::gating) logic_off = {0.1, {}, {}, {}};
+    EXPECT_EQ(file.scenarios[0]->gating, logic_off);
+    EXPECT_EQ(file.scenarios[2]->gating, decltype(logic_off){});
 }
 
 TEST(SpecParser, GatingSweepCanonicalRoundTrip)
@@ -611,7 +640,8 @@ TEST(SpecParser, GatingSweepCanonicalRoundTrip)
     ASSERT_EQ(second.scenarios.size(), 750u);
     EXPECT_EQ(canonicalSpecText(second.scenarios), dump);
     EXPECT_EQ(second.scenarios[749]->name, "g149-DiT-XL");
-    EXPECT_EQ(second.scenarios[749]->gating.size(), 4u);
+    for (const auto &slot : second.scenarios[749]->gating)
+        EXPECT_TRUE(slot.has_value());
 }
 
 TEST(SpecParser, NumbersParseAsStrtollAndStrtodDo)
@@ -650,7 +680,7 @@ TEST(SpecParser, NumbersParseAsStrtollAndStrtodDo)
     const std::string g = a + "batch = 8\n";
     auto gating_of = [&](const std::string &key, const std::string &value) {
         auto file = parseSpecText(g + key + " = " + value + "\n");
-        return file.scenarios.at(0)->gating.at(0).second;
+        return file.scenarios.at(0)->gating[resolveKey(key).index].value();
     };
     // Bit for bit, so that -0.0 differs from 0.0.
     auto same = [](double x, double y) {
@@ -734,6 +764,163 @@ TEST(SpecParser, UnreadableFileNamed)
                   std::string::npos)
             << e.what();
     }
+}
+
+
+/** Every example spec's text, in file-name order. */
+std::vector<std::string>
+exampleSpecTexts()
+{
+    std::vector<std::filesystem::path> paths;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(REGATE_SPEC_DIR))
+        if (entry.path().extension() == ".spec")
+            paths.push_back(entry.path());
+    std::sort(paths.begin(), paths.end());
+    std::vector<std::string> texts;
+    for (const auto &path : paths) {
+        std::ifstream in(path);
+        std::ostringstream text;
+        text << in.rdbuf();
+        texts.push_back(text.str());
+    }
+    return texts;
+}
+
+/** @p text with one to four seeded mutations: byte edits, dropped or
+ *  duplicated lines, and inserted `key = value` lines. */
+std::string
+mutateSpec(std::string text, Prng &rng)
+{
+    static const std::vector<std::string> keys = [] {
+        std::vector<std::string> k;
+        for (const auto &row : kSharedKeys)
+            k.emplace_back(row.key);
+        for (const auto &row : kGatingKeys)
+            k.emplace_back(row.key);
+        for (const auto &family : familyTable())
+            for (const auto &extra : family.extras)
+                k.push_back(extra.key);
+        k.push_back("bogus");
+        return k;
+    }();
+    static const char *const values[] = {
+        "nan", "-nan", "inf", "1e999", "-1e999", "1e-310", "0", "-0",
+        "1", "-1", "0.5", "1.5", "2", "1e15", "0x10", "+4",
+        "9223372036854775807", "-9223372036854775808",
+        "9223372036854775808", "16777216", "16777217", "4294967297",
+        "8..1:*2", "1..8:*2", "1..9:+4", "9..1:+1", "0..4:*2", "1..8:*",
+        "1..8:+0", "4,8", "4,,8", ",", "2..2:+1", "llama-train", "moe",
+        "dlrm", "diffusion", "8b", "405b", "s", "dit-xl", "token",
+        "request", "bogus"};
+    static const char bytes[] = "0123456789 \t\n#[]=,.:*+-_@eax";
+
+    auto lineStarts = [&] {
+        std::vector<std::size_t> starts{0};
+        for (std::size_t i = 0; i < text.size(); ++i)
+            if (text[i] == '\n' && i + 1 < text.size())
+                starts.push_back(i + 1);
+        return starts;
+    };
+    // The whole line at @p start, newline included.
+    auto lineAt = [&](std::size_t start) {
+        std::size_t end = text.find('\n', start);
+        return end == std::string::npos ? text.size() - start
+                                        : end + 1 - start;
+    };
+    for (auto n = rng.uniform(1, 4); n-- > 0;) {
+        auto starts = lineStarts();
+        std::size_t start = starts[rng.uniform(0, starts.size() - 1)];
+        std::size_t at =
+            text.empty() ? 0 : rng.uniform(0, text.size() - 1);
+        char byte = bytes[rng.uniform(0, std::size(bytes) - 2)];
+        switch (rng.uniform(0, 5)) {
+          case 0:  // Overwrite a byte.
+            if (!text.empty())
+                text[at] = byte;
+            break;
+          case 1:  // Insert a byte.
+            text.insert(at, 1, byte);
+            break;
+          case 2:  // Delete a byte.
+            if (!text.empty())
+                text.erase(at, 1);
+            break;
+          case 3:  // Drop a line.
+            text.erase(start, lineAt(start));
+            break;
+          case 4: {  // Duplicate a line somewhere.
+            std::string line = text.substr(start, lineAt(start));
+            if (!line.empty() && line.back() != '\n')
+                line += '\n';
+            starts = lineStarts();
+            text.insert(starts[rng.uniform(0, starts.size() - 1)], line);
+            break;
+          }
+          default:  // Insert a `key = value` line.
+            text.insert(start,
+                        keys[rng.uniform(0, keys.size() - 1)] + " = " +
+                            values[rng.uniform(0, std::size(values) - 1)] +
+                            "\n");
+            break;
+        }
+    }
+    return text;
+}
+
+TEST(SpecParser, MutatedExampleSpecsParseOrFailNamed)
+{
+    // Every mutation of an example spec either parses, and its
+    // canonical dump reparses to the same dump, or is a ConfigError
+    // naming the source and a line of the text.
+    auto seeds = exampleSpecTexts();
+    ASSERT_FALSE(seeds.empty());
+    Prng rng(20261019);
+    constexpr int kInputs = 10000;
+    int parsed = 0, failed = 0;
+    std::vector<std::string> bad;
+    for (int i = 0; i < kInputs; ++i) {
+        std::string text =
+            mutateSpec(seeds[rng.uniform(0, seeds.size() - 1)], rng);
+        try {
+            auto first = parseSpecText(text, "fuzz.spec").scenarios;
+            auto dump = canonicalSpecText(first);
+            auto second = parseSpecText(dump).scenarios;
+            bool same = canonicalSpecText(second) == dump &&
+                        second.size() == first.size();
+            for (std::size_t s = 0; same && s < first.size(); ++s)
+                same = second[s]->gating == first[s]->gating;
+            if (!same)
+                bad.push_back("dump does not round-trip:\n" + text);
+            ++parsed;
+        } catch (const ConfigError &e) {
+            ++failed;
+            // "config error: fuzz.spec:LINE: ", LINE a line of the
+            // text or the one after its last newline.
+            const std::string what = e.what();
+            const std::string_view prefix = "config error: fuzz.spec:";
+            const char *end = what.data() + what.size();
+            const char *at = what.data() + std::min(prefix.size(),
+                                                    what.size());
+            long line = 0;
+            auto [stop, ec] = std::from_chars(at, end, line);
+            auto lines = std::count(text.begin(), text.end(), '\n') + 1;
+            if (!what.starts_with(prefix) || ec != std::errc() ||
+                !std::string_view(stop, end - stop).starts_with(": ") ||
+                line < 1 || line > lines)
+                bad.push_back("unnamed error '" + what + "':\n" + text);
+        } catch (const std::exception &e) {
+            bad.push_back(std::string("not a ConfigError: ") + e.what() +
+                          ":\n" + text);
+        }
+    }
+    std::printf("%d mutations: %d parsed, %d failed\n", kInputs, parsed,
+                failed);
+    EXPECT_TRUE(bad.empty()) << bad.size() << " bad inputs; first:\n"
+                             << (bad.empty() ? "" : bad.front());
+    // Both outcomes are exercised, not only the header check.
+    EXPECT_GT(parsed, kInputs / 10);
+    EXPECT_GT(failed, kInputs / 10);
 }
 
 }  // namespace
