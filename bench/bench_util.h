@@ -19,6 +19,14 @@
  * (models::builtinScenario) by default, the `--spec` file's scenarios
  * otherwise. Spec scenarios that duplicate a paper workload become its
  * row, so either way a binary renders only from the spec.
+ *
+ * runGrid keeps every report, and so every execution's run (timelines
+ * and op records), until the binary drops the vector. mapGrid instead
+ * reduces each report to what the binary prints, on the worker that
+ * made it, so an execution's run dies with its sweep group; its map
+ * runs on several workers at once and must touch no shared state.
+ * fig17, the spec-sweep binary, uses mapGrid; the other grids are at
+ * most a few hundred cases and keep their reports.
  */
 
 #ifndef REGATE_BENCH_BENCH_UTIL_H
@@ -29,6 +37,8 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -172,23 +182,43 @@ traceGridDone(const char *kind, std::uint64_t sweep_start,
 }  // namespace detail
 
 /**
- * Run the binary's sweep grid in process, traced under --trace-out. A
- * case that cannot be simulated (a ConfigError) ends the binary with
- * exit 1 and the message on stderr.
+ * Run the binary's sweep grid in process, traced under --trace-out,
+ * and return @p map(report) for every case, index-aligned with
+ * @p grid. @p map runs on the worker that made the report, as soon as
+ * it is made, possibly on several workers at once; the report (and,
+ * once its group is done, its execution's run) dies when @p map
+ * returns unless the value keeps it. A case that cannot be simulated
+ * (a ConfigError) ends the binary with exit 1 and the message on
+ * stderr.
  */
-inline std::vector<sim::WorkloadReport>
-runGrid(const std::vector<sim::SweepCase> &grid)
+template <typename Map>
+auto
+mapGrid(const std::vector<sim::SweepCase> &grid, Map map)
 {
+    using Value =
+        std::decay_t<std::invoke_result_t<Map &, sim::WorkloadReport &&>>;
     auto sweep_start = obs::TraceRecorder::instance().nowUs();
-    std::vector<sim::WorkloadReport> results;
+    std::vector<Value> values(grid.size());
     try {
-        results = sim::SweepRunner().run(grid);
+        sim::SweepRunner().run(
+            grid, [&](std::size_t i, sim::WorkloadReport &&report) {
+                values[i] = map(std::move(report));
+            });
     } catch (const ConfigError &e) {
         std::cerr << "error: " << e.what() << "\n";
         std::exit(1);
     }
     detail::traceGridDone("grid.run", sweep_start, grid.size());
-    return results;
+    return values;
+}
+
+/** mapGrid keeping every report (and so every execution's run). */
+inline std::vector<sim::WorkloadReport>
+runGrid(const std::vector<sim::SweepCase> &grid)
+{
+    return mapGrid(grid, [](sim::WorkloadReport &&report) {
+        return std::move(report);
+    });
 }
 
 /** SLO-search counterpart of runGrid (the fig02/table4 path). */
@@ -232,17 +262,19 @@ simulateAll(const std::vector<ScenarioPtr> &axis,
 }
 
 /**
- * Walk simulateAll results in consumption order: returns the report
- * at @p idx and advances it, checking the report really is the
- * (scenario, gen) the caller's loop expects — so a consumption loop
- * that falls out of step with the grid's axis-major order fails
- * loudly instead of silently showing another case's numbers.
+ * Walk simulateAll results (or mapGrid values that carry their case's
+ * `scenario` and `gen`) in consumption order: returns the entry at
+ * @p idx and advances it, checking it really is the (scenario, gen)
+ * the caller's loop expects — so a consumption loop that falls out of
+ * step with the grid's axis-major order fails loudly instead of
+ * silently showing another case's numbers.
  */
-inline const sim::WorkloadReport &
-reportFor(const std::vector<sim::WorkloadReport> &reports,
-          std::size_t &idx, const ScenarioPtr &s, arch::NpuGeneration gen)
+template <typename Reports>
+auto &
+reportFor(Reports &reports, std::size_t &idx, const ScenarioPtr &s,
+          arch::NpuGeneration gen)
 {
-    const auto &rep = reports.at(idx++);
+    auto &rep = reports.at(idx++);
     REGATE_CHECK(rep.scenario == s && rep.gen == gen,
                  "report order mismatch at index ", idx - 1,
                  ": expected ", s->name, "/", arch::generationName(gen),

@@ -262,6 +262,15 @@ ActivityTimeline::append(ActivityTimeline &&next)
 }
 
 void
+ActivityTimeline::clear()
+{
+    span_ = active_ = 0;
+    activations_ = 0;
+    gaps_.clear();
+    leadingIdle_ = trailingIdle_ = 0;
+}
+
+void
 ActivityTimeline::appendBursts(Cycles span, Cycles active,
                                std::uint64_t bursts)
 {

@@ -26,10 +26,13 @@
  * gap survives the seam unchanged and the append costs at most two
  * O(log G) gap insertions plus O(1) bookkeeping, not an O(G) merge.
  *
- * A block timeline is then scaled and handed over without a copy:
- * repeat() is repeated() in place, and append() of an rvalue takes the
- * appended timeline's storage when this one is still empty (trimmed to
- * its size, so a stored run timeline keeps no spare capacity).
+ * A block timeline is then scaled in place (repeat() is repeated()
+ * without a copy) and appended to its run. clear() empties a timeline
+ * but keeps its gap storage, so one timeline, reserve()d for the
+ * largest block, composes block after block without growing again.
+ * append() to an empty timeline stores the gaps at exactly their
+ * size, copied or (from an rvalue) taken over and trimmed, so a stored
+ * run timeline starts with no spare capacity.
  */
 
 #ifndef REGATE_CORE_ACTIVITY_H
@@ -111,6 +114,16 @@ class ActivityTimeline
      * when this timeline is empty instead of copying it.
      */
     void append(ActivityTimeline &&next);
+
+    /** *this = ActivityTimeline(), keeping the gap storage. */
+    void clear();
+
+    /**
+     * Make room for @p groups gap groups. A shape's appendBursts adds
+     * at most two and repeat() at most one, so 2n + 1 groups hold a
+     * block of n shapes, repeated.
+     */
+    void reserve(std::size_t groups) { gaps_.reserve(groups); }
 
     /**
      * append(fromBursts(span, active, bursts)), in place: at most two

@@ -75,7 +75,7 @@ emitLayer(std::vector<Operator> &ops, const LlamaConfig &cfg,
     const double act_bytes =
         static_cast<double>(b_local) * s * h * kBf16;
 
-    auto add = [&ops](Operator op) {
+    auto add = [&ops](Operator &op) {
         op.validate();
         ops.push_back(std::move(op));
     };
@@ -245,17 +245,22 @@ maybeAddPipelineBlock(OperatorGraph &g, const LlamaConfig &cfg,
     op.collBytes =
         static_cast<double>(b_local) * s * cfg.hidden * kBf16;
     op.validate();
-    blk.ops.push_back(op);
+    blk.ops.push_back(std::move(op));
     g.blocks.push_back(std::move(blk));
 }
 
+/**
+ * The per-replica batch. A ConfigError names @p card and @p phase
+ * when data parallelism leaves a replica no request; the name is only
+ * built then.
+ */
 std::int64_t
 localBatch(std::int64_t batch, const Parallelism &par,
-           const std::string &what)
+           const std::string &card, const char *phase)
 {
     par.validate();
     std::int64_t b = batch / par.dp;
-    REGATE_CHECK(b >= 1, what, ": batch ", batch,
+    REGATE_CHECK(b >= 1, card, " ", phase, ": batch ", batch,
                  " too small for dp=", par.dp);
     return b;
 }
@@ -266,7 +271,7 @@ graph::OperatorGraph
 llamaPrefill(const LlamaConfig &cfg, std::int64_t batch,
              std::int64_t seq_len, const Parallelism &par)
 {
-    std::int64_t b_local = localBatch(batch, par, cfg.name + " prefill");
+    std::int64_t b_local = localBatch(batch, par, cfg.name, "prefill");
     OperatorGraph g;
     g.name = cfg.name + "-prefill";
 
@@ -289,7 +294,7 @@ llamaPrefill(const LlamaConfig &cfg, std::int64_t batch,
     op.n = std::max<std::int64_t>(1, cfg.vocab / par.tp);
     op.hbmReadBytes = static_cast<double>(op.k) * op.n * kBf16;
     op.validate();
-    head.ops.push_back(op);
+    head.ops.push_back(std::move(op));
     g.blocks.push_back(std::move(head));
 
     maybeAddPipelineBlock(g, cfg, b_local, seq_len, par);
@@ -303,7 +308,7 @@ llamaDecode(const LlamaConfig &cfg, std::int64_t batch,
             const Parallelism &par)
 {
     REGATE_CHECK(out_len >= 1, "decode needs at least one output token");
-    std::int64_t b_local = localBatch(batch, par, cfg.name + " decode");
+    std::int64_t b_local = localBatch(batch, par, cfg.name, "decode");
     std::int64_t ctx = in_len + out_len / 2;
 
     OperatorGraph g;
@@ -328,7 +333,7 @@ llamaDecode(const LlamaConfig &cfg, std::int64_t batch,
     op.n = std::max<std::int64_t>(1, cfg.vocab / par.tp);
     op.hbmReadBytes = static_cast<double>(op.k) * op.n * kBf16;
     op.validate();
-    head.ops.push_back(op);
+    head.ops.push_back(std::move(op));
     g.blocks.push_back(std::move(head));
 
     maybeAddPipelineBlock(g, cfg, b_local, 1, par);
@@ -340,7 +345,7 @@ graph::OperatorGraph
 llamaTraining(const LlamaConfig &cfg, std::int64_t batch,
               std::int64_t seq_len, const Parallelism &par)
 {
-    std::int64_t b_local = localBatch(batch, par, cfg.name + " training");
+    std::int64_t b_local = localBatch(batch, par, cfg.name, "training");
     OperatorGraph g;
     g.name = cfg.name + "-training";
 
@@ -369,7 +374,7 @@ llamaTraining(const LlamaConfig &cfg, std::int64_t batch,
         op.hbmReadBytes = params_local * 4.0 * 4;
         op.hbmWriteBytes = params_local * 4.0 * 3;
         op.validate();
-        opt.ops.push_back(op);
+        opt.ops.push_back(std::move(op));
     }
     // Data-parallel gradient AllReduce.
     if (par.dp > 1) {
@@ -379,7 +384,7 @@ llamaTraining(const LlamaConfig &cfg, std::int64_t batch,
         op.coll = CollKind::AllReduce;
         op.collBytes = params_local * kBf16;
         op.validate();
-        opt.ops.push_back(op);
+        opt.ops.push_back(std::move(op));
     }
     g.blocks.push_back(std::move(opt));
 

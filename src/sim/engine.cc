@@ -321,6 +321,10 @@ Engine::execute(const graph::OperatorGraph &graph, int pod_chips) const
                ex.bottleneck == Component::Sa;
     };
 
+    // One block's timelines, cleared per block but keeping their gap
+    // storage, which is sized once for the largest block.
+    arch::ComponentMap<ActivityTimeline> block_tl;
+
     for (const auto &block : graph.blocks) {
         Execution::Block &eb = exec.blocks.emplace_back();
         eb.repeat = block.repeat;
@@ -338,7 +342,10 @@ Engine::execute(const graph::OperatorGraph &graph, int pod_chips) const
             eb.usage[c].reserve(uses[c]);
         eb.vuStallActivations.reserve(stalls);
 
-        arch::ComponentMap<ActivityTimeline> block_tl;
+        for (auto c : kGated) {
+            block_tl[c].clear();
+            block_tl[c].reserve(2 * exs.size() + 1);
+        }
         energy::WorkCounters block_work;
         sa::SaTileStats block_sa;
         double block_sram_integral = 0;
@@ -412,7 +419,7 @@ Engine::execute(const graph::OperatorGraph &graph, int pod_chips) const
         }
         for (auto c : kGated) {
             block_tl[c].repeat(block.repeat);
-            run.timeline[c].append(std::move(block_tl[c]));
+            run.timeline[c].append(block_tl[c]);
         }
         double rep = static_cast<double>(block.repeat);
         run.work.macs += block_work.macs * rep;

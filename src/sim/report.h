@@ -11,7 +11,13 @@
  * (SweepRunner::run, the SLO search): a report shares its execution's
  * run (timelines, totals, op records, NoPG and Ideal) with every other
  * report of that execution and owns only its own ReGate-Base/HW/Full
- * results, so a gating variant costs one evaluation and no copy.
+ * results, so a gating variant costs one evaluation and no copy. The
+ * run dies with the last report (or sweep task) that points at it: a
+ * sweep whose visitor keeps no report (SweepRunner::run(cases, visit))
+ * frees each run when its group is done, while one that collects its
+ * reports keeps every run until they are dropped. A report is
+ * immutable, so reports of one run may be read from several threads
+ * at once, as concurrent sweep visits do.
  */
 
 #ifndef REGATE_SIM_REPORT_H

@@ -180,8 +180,9 @@ SweepRunner::workersFor(std::size_t cases) const
     return automatic_ && cases < kMinParallelCases ? 1 : threads_;
 }
 
-std::vector<WorkloadReport>
-SweepRunner::run(const std::vector<SweepCase> &cases)
+void
+SweepRunner::run(const std::vector<SweepCase> &cases,
+                 const SweepVisitor &visit)
 {
     requireScenarios(cases);
     // Group the cases that share one execution.
@@ -199,8 +200,8 @@ SweepRunner::run(const std::vector<SweepCase> &cases)
     // params equal the previous case's reuses its results; one whose
     // delay scale and logic leak do reuses its walks and wake-up
     // overheads (GatedMemo). Every report of the group shares the one
-    // run; the blocks die with the task.
-    std::vector<WorkloadReport> out(cases.size());
+    // run, which dies with the task unless the visitor keeps a report;
+    // the blocks die with the task.
     std::size_t groups = group_start.size() - 1;
     parallelFor(workersFor(cases.size()), groups, [&](std::size_t g) {
         std::size_t first = group_start[g];
@@ -215,9 +216,18 @@ SweepRunner::run(const std::vector<SweepCase> &cases)
             if (m == first || c.params != cases[order[m - 1]].params)
                 gated = evaluateCase(*c.scenario, c.gen, c.params, *run,
                                      ex.blocks, &memo);
-            out[order[m]] = makeReport(c.scenario, c.gen, key.setup,
-                                       c.params, run, gated);
+            visit(order[m], makeReport(c.scenario, c.gen, key.setup,
+                                       c.params, run, gated));
         }
+    });
+}
+
+std::vector<WorkloadReport>
+SweepRunner::run(const std::vector<SweepCase> &cases)
+{
+    std::vector<WorkloadReport> out(cases.size());
+    run(cases, [&out](std::size_t i, WorkloadReport &&report) {
+        out[i] = std::move(report);
     });
     return out;
 }

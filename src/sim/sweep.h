@@ -13,20 +13,26 @@
  * variant costs one evaluation and no copy of the run. A point whose
  * gating params equal those of the group's point before it costs no
  * evaluation, and one that shares its delay scale and logic leak
- * reuses its timeline walks (GatedMemo). search()
- * groups the points of one scenario identity and runs one SLO search
- * over each group (searchSameIdentity). Groups share nothing, so the
- * results are bitwise identical to the serial path, which simulates
- * every point from scratch. Each parallel sweep starts its workers
- * and joins them before it returns (parallelFor), so a runner holds no
- * thread between sweeps. Unless told a worker count, the runner keeps
- * a small sweep (SweepRunner::kMinParallelCases) on the calling thread.
+ * reuses its timeline walks (GatedMemo). run(cases, visit) hands each
+ * report to the caller's visitor on the worker that made it, as soon
+ * as it is made, so a caller that keeps only what it reads of a report
+ * frees a group's run when the group's task ends; run(cases) keeps
+ * every report, and with it every run, until the caller drops them.
+ * search() groups the points of one scenario identity and runs one SLO
+ * search over each group (searchSameIdentity). Groups share nothing,
+ * so the results are bitwise identical to the serial path, which
+ * simulates every point from scratch. Each parallel sweep starts its
+ * workers and joins them before it returns (parallelFor), so a runner
+ * holds no thread between sweeps. Unless told a worker count, the
+ * runner keeps a small sweep (SweepRunner::kMinParallelCases) on the
+ * calling thread.
  */
 
 #ifndef REGATE_SIM_SWEEP_H
 #define REGATE_SIM_SWEEP_H
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -76,6 +82,14 @@ std::vector<SweepCase> scenarioGrid(
     const std::vector<arch::NpuGeneration> &gens,
     const arch::GatingParams &params = {});
 
+/**
+ * Receives case @p i's report from SweepRunner::run(cases, visit), on
+ * the worker that made it. Several workers may call it at once, each
+ * with a different case.
+ */
+using SweepVisitor =
+    std::function<void(std::size_t i, WorkloadReport &&report)>;
+
 /** The runner: a worker count, reusable for any number of sweeps. */
 class SweepRunner
 {
@@ -104,17 +118,32 @@ class SweepRunner
     explicit SweepRunner(unsigned threads = 0);
 
     /**
-     * Simulate every case; results are index-aligned with @p cases. A
-     * case without a scenario is a LogicError naming its index.
+     * Simulate every case and call @p visit(i, report) exactly once
+     * for each case i, on the worker that simulated it: concurrently
+     * from several workers, in no set order across groups, and in
+     * input order within a group. A case without a scenario is a
+     * LogicError naming its index, raised before any case runs.
      * Cases that build the same graph on the same generation and
-     * resolved setup share one execution, whose run their reports
-     * point at (WorkloadReport::execution() is one object), and
-     * differ only in its evaluation (their gating params) and in
-     * their report identity. In input order within such a group, a
-     * case whose params equal the previous case's copies its
+     * resolved setup form a group and share one execution, whose run
+     * their reports point at (WorkloadReport::execution() is one
+     * object); they differ only in its evaluation (their gating
+     * params) and in their report identity. In input order within a
+     * group, a case whose params equal the previous case's copies its
      * Base/HW/Full results rather than evaluating them again, and the
      * group's GatedMemo carries timeline walks and wake-up overheads
-     * from one evaluation to the next.
+     * from one evaluation to the next. The group's run lives as long
+     * as a report of it does: a visitor that keeps no report lets it
+     * die when the group's last case has been visited. If a case
+     * fails (or @p visit throws), no new group starts, and once the
+     * running ones end the exception of the first failing group in
+     * execution-key order is rethrown, whatever the worker count.
+     */
+    void run(const std::vector<SweepCase> &cases, const SweepVisitor &visit);
+
+    /**
+     * run(cases, visit) keeping every report: results are
+     * index-aligned with @p cases, and every run lives until the last
+     * report of it is dropped.
      */
     std::vector<WorkloadReport> run(const std::vector<SweepCase> &cases);
 

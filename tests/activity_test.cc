@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the compressed activity timelines: construction, gap
- * multisets, concatenation with seam merging (copy and move), and
- * repetition (copy and in place).
+ * multisets, concatenation with seam merging (copy and move),
+ * repetition (copy and in place), and reuse of a cleared timeline.
  */
 
 #include <gtest/gtest.h>
@@ -231,6 +231,30 @@ TEST(Activity, MoveAppendEqualsCopyAppend)
         EXPECT_TRUE(moved == copied);
         moved.checkInvariants();
     }
+}
+
+TEST(Activity, ClearedTimelineComposesAsANewOne)
+{
+    const auto a = ActivityTimeline::fromIntervals(16, {{5, 7}});
+    const auto b = ActivityTimeline::fromIntervals(12, {{0, 2}, {8, 9}});
+    auto reused = a;
+    reused.appendBursts(40, 9, 3);
+    reused.clear();
+    EXPECT_TRUE(reused == ActivityTimeline());
+    ActivityTimeline fresh;
+    for (auto *t : {&reused, &fresh}) {
+        t->appendBursts(30, 7, 2);
+        t->append(b);
+        t->repeat(3);
+    }
+    EXPECT_TRUE(reused == fresh);
+    reused.checkInvariants();
+
+    // Appending to an empty timeline copies the gaps exactly.
+    ActivityTimeline run;
+    run.append(reused);
+    EXPECT_TRUE(run == reused);
+    EXPECT_EQ(run.gaps().capacity(), run.gaps().size());
 }
 
 }  // namespace

@@ -154,9 +154,25 @@ TEST(Llama, PipelineAddsP2pBlock)
 
 TEST(Llama, RejectsOverpartitionedBatch)
 {
-    EXPECT_THROW(
-        llamaPrefill(card("8b"), 2, 4096, {4, 1, 1}),
-        ConfigError);
+    const Parallelism dp4{4, 1, 1};
+    auto errorOf = [](auto build) -> std::string {
+        try {
+            build();
+        } catch (const ConfigError &e) {
+            return e.what();
+        }
+        return "no ConfigError";
+    };
+    EXPECT_EQ(errorOf([&] { llamaPrefill(card("8b"), 2, 4096, dp4); }),
+              "config error: Llama3-8B prefill: batch 2 too small for "
+              "dp=4");
+    EXPECT_EQ(errorOf([&] { llamaDecode(card("70b"), 3, 512, 8, dp4); }),
+              "config error: Llama3-70B decode: batch 3 too small for "
+              "dp=4");
+    EXPECT_EQ(
+        errorOf([&] { llamaTraining(card("405b"), 1, 4096, dp4); }),
+        "config error: Llama3.1-405B training: batch 1 too small for "
+        "dp=4");
 }
 
 }  // namespace

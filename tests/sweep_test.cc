@@ -4,7 +4,9 @@
  * deterministic ordered fan-out and its error propagation, parallel
  * vs serial sweep equivalence (bitwise) over built-in rows and user
  * specs, including cases that share one execution and cases that
- * repeat the previous case's gating params, the SLO search
+ * repeat the previous case's gating params, for the collected sweep
+ * and the visitor that sees each report once (its order within a
+ * group and the error it rethrows), the SLO search
  * against its serial reference at any thread count (per-case and
  * per-identity errors, gating variants sharing one selection), the
  * rejection of a case without a scenario, the automatic runner
@@ -21,6 +23,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <mutex>
 #include <string>
 #include <thread>
 
@@ -187,25 +190,57 @@ expectRunsIdentical(const WorkloadReport &a, const WorkloadReport &b)
     }
 }
 
-/** runSerial vs run at 1 and 4 threads, report by report. */
+/**
+ * The reports run(@p grid, visit) hands its visitor on @p threads
+ * workers, index-aligned, after checking that every case was visited
+ * exactly once.
+ */
+std::vector<WorkloadReport>
+visitAll(const std::vector<SweepCase> &grid, unsigned threads)
+{
+    std::vector<WorkloadReport> out(grid.size());
+    std::vector<std::atomic<int>> visits(grid.size());
+    SweepRunner(threads).run(grid, [&](std::size_t i,
+                                       WorkloadReport &&report) {
+        if (i >= grid.size()) {
+            ADD_FAILURE() << "visited case " << i << " of "
+                          << grid.size();
+            return;
+        }
+        ++visits[i];
+        out[i] = std::move(report);
+    });
+    for (std::size_t i = 0; i < grid.size(); ++i)
+        EXPECT_EQ(visits[i].load(), 1) << "case " << i;
+    return out;
+}
+
+/**
+ * runSerial vs run and run with a visitor at 1 and 4 threads, report
+ * by report.
+ */
 void
 expectRunMatchesSerial(const std::vector<SweepCase> &grid)
 {
     auto serial = SweepRunner::runSerial(grid);
     for (unsigned threads : {1u, 4u}) {
         SweepRunner runner(threads);
-        auto grouped = runner.run(grid);
-        ASSERT_EQ(serial.size(), grouped.size());
-        for (std::size_t i = 0; i < serial.size(); ++i) {
-            SCOPED_TRACE(testing::Message() << "case " << i
-                                            << " threads=" << threads);
-            EXPECT_EQ(serial[i].scenario, grouped[i].scenario);
-            EXPECT_EQ(serial[i].gen, grouped[i].gen);
-            EXPECT_TRUE(serial[i].setup == grouped[i].setup);
-            EXPECT_EQ(serial[i].units, grouped[i].units);
-            EXPECT_TRUE(serial[i].gatingParams() ==
-                        grouped[i].gatingParams());
-            expectRunsIdentical(serial[i], grouped[i]);
+        for (bool visitor : {false, true}) {
+            auto grouped =
+                visitor ? visitAll(grid, threads) : runner.run(grid);
+            ASSERT_EQ(serial.size(), grouped.size());
+            for (std::size_t i = 0; i < serial.size(); ++i) {
+                SCOPED_TRACE(testing::Message()
+                             << "case " << i << " threads=" << threads
+                             << " visitor=" << visitor);
+                EXPECT_EQ(serial[i].scenario, grouped[i].scenario);
+                EXPECT_EQ(serial[i].gen, grouped[i].gen);
+                EXPECT_TRUE(serial[i].setup == grouped[i].setup);
+                EXPECT_EQ(serial[i].units, grouped[i].units);
+                EXPECT_TRUE(serial[i].gatingParams() ==
+                            grouped[i].gatingParams());
+                expectRunsIdentical(serial[i], grouped[i]);
+            }
         }
     }
 }
@@ -357,6 +392,80 @@ TEST(SweepRunner, RepeatedGatingParamsReuseTheirResultsBitwise)
     }
     EXPECT_NE(reports[0].result(Policy::Base).overheadCycles,
               reports[4].result(Policy::Base).overheadCycles);
+}
+
+TEST(SweepRunner, VisitorSeesEachGroupInInputOrder)
+{
+    // Three workloads' delay variants, interleaved: three groups of
+    // five cases each.
+    std::vector<SweepCase> grid;
+    for (double scale : {1.0, 1.5, 2.0, 3.0, 4.0}) {
+        arch::GatingParams params;
+        params.setDelayScale(scale);
+        auto part = scenarioGrid(
+            rows({Workload::DlrmS, Workload::DiTXL, Workload::Decode8B}),
+            {arch::NpuGeneration::D}, params);
+        grid.insert(grid.end(), part.begin(), part.end());
+    }
+    for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(testing::Message() << "threads=" << threads);
+        std::mutex mu;
+        std::vector<std::vector<std::size_t>> seen(3);
+        SweepRunner(threads).run(
+            grid, [&](std::size_t i, WorkloadReport &&report) {
+                EXPECT_EQ(report.scenario, grid[i].scenario);
+                std::lock_guard<std::mutex> lock(mu);
+                seen[i % 3].push_back(i);
+            });
+        for (std::size_t w = 0; w < 3; ++w) {
+            ASSERT_EQ(seen[w].size(), 5u);
+            for (std::size_t k = 0; k < 5; ++k)
+                EXPECT_EQ(seen[w][k], w + 3 * k);
+        }
+    }
+}
+
+TEST(SweepRunner, VisitorRethrowsTheFirstFailingGroup)
+{
+    // Two scenarios whose counts overflow, spread among good cases.
+    // Groups run in execution-key order, where seq_len 2^31 comes
+    // before 1e12, so its error wins whatever the input order and
+    // the worker count, as it does in run().
+    auto spec = models::parseSpecText(
+        "@regate-spec v1\n"
+        "[scenario seq-1e12]\nfamily = llama-prefill\nmodel = 8b\n"
+        "batch = 8\nchips = 8\nseq_len = 1000000000000\n"
+        "[scenario seq-2-31]\nfamily = llama-prefill\nmodel = 8b\n"
+        "batch = 8\nchips = 8\nseq_len = 2147483648\n");
+    auto grid = scenarioGrid(rows({Workload::DlrmS, Workload::DiTXL}),
+                             {arch::NpuGeneration::D});
+    auto bad = scenarioGrid(spec.scenarios, {arch::NpuGeneration::D});
+    grid.insert(grid.begin() + 1, bad.begin(), bad.end());
+    auto more = scenarioGrid(rows({Workload::Decode8B}),
+                             {arch::NpuGeneration::C,
+                              arch::NpuGeneration::D});
+    grid.insert(grid.end(), more.begin(), more.end());
+    ASSERT_EQ(grid.size(), 6u);
+
+    auto errorOf = [](auto sweep) -> std::string {
+        try {
+            sweep();
+        } catch (const ConfigError &e) {
+            return e.what();
+        }
+        return "no ConfigError";
+    };
+    for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(testing::Message() << "threads=" << threads);
+        SweepRunner runner(threads);
+        std::string collected = errorOf([&] { runner.run(grid); });
+        std::string visited = errorOf([&] {
+            runner.run(grid, [](std::size_t, WorkloadReport &&) {});
+        });
+        EXPECT_EQ(visited, collected);
+        EXPECT_NE(visited.find("scenario 'seq-2-31'"), std::string::npos)
+            << visited;
+    }
 }
 
 TEST(SweepRunner, SearchRecordsPerCaseErrors)
