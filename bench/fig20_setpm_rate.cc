@@ -33,8 +33,8 @@ main(int argc, char **argv)
                          static_cast<double>(full.vuGateEvents) /
                          cycles * 1000.0;
         double sram_rate =
-            2.0 * static_cast<double>(full.sramSetpmPairs) / cycles *
-            1000.0;
+            2.0 * static_cast<double>(rep.execution().sramSetpmPairs) /
+            cycles * 1000.0;
         t.addRow({s->name,
                   TablePrinter::fmt(vu_rate, 3),
                   TablePrinter::fmt(sram_rate, 4)});

@@ -180,7 +180,7 @@ ActivityTimeline::mergeGaps(const std::vector<GapGroup> &other,
     }
 
     std::vector<GapGroup> merged;
-    merged.reserve(gaps_.size() + other.size());
+    merged.reserve(gaps_.size() + other.size() + 1);
     auto push = [&merged](Cycles length, std::uint64_t count) {
         if (count == 0)
             return;

@@ -176,7 +176,8 @@ class ActivityTimeline
 
     /**
      * Ordered-merge @p other into gaps_, dropping one gap of
-     * @p skip_length from @p other (its seam-side gap). O(G).
+     * @p skip_length from @p other (its seam-side gap), with room left
+     * for the seam gap that append() inserts next. O(G).
      */
     void mergeGaps(const std::vector<GapGroup> &other, Cycles skip_length);
 

@@ -17,6 +17,14 @@ constexpr double kOpsSoftmax = 6;
 constexpr double kOpsNorm = 8;
 constexpr double kOpsGelu = 4;
 
+/** Validate @p op and move it onto @p ops. */
+void
+add(std::vector<Operator> &ops, Operator &&op)
+{
+    op.validate();
+    ops.push_back(std::move(op));
+}
+
 /** Attention over @p tokens tokens with @p heads heads of @p hd dims. */
 void
 emitAttention(std::vector<Operator> &ops, const std::string &prefix,
@@ -26,18 +34,13 @@ emitAttention(std::vector<Operator> &ops, const std::string &prefix,
     std::int64_t model_dim = heads * hd;
     double act = static_cast<double>(b) * tokens * model_dim * kBf16;
 
-    auto add = [&ops](Operator op) {
-        op.validate();
-        ops.push_back(std::move(op));
-    };
-
     Operator norm;
     norm.kind = OpKind::Normalization;
     norm.name = prefix + ".norm";
     norm.vuOps = static_cast<double>(b) * tokens * model_dim * kOpsNorm;
     norm.hbmReadBytes = act;
     norm.hbmWriteBytes = act;
-    add(norm);
+    add(ops, std::move(norm));
 
     Operator qkv;
     qkv.kind = OpKind::MatMul;
@@ -47,7 +50,7 @@ emitAttention(std::vector<Operator> &ops, const std::string &prefix,
     qkv.n = 3 * model_dim;
     qkv.hbmReadBytes =
         act + static_cast<double>(qkv.k) * qkv.n * kBf16;
-    add(qkv);
+    add(ops, std::move(qkv));
 
     Operator scores;
     scores.kind = OpKind::MatMul;
@@ -56,14 +59,14 @@ emitAttention(std::vector<Operator> &ops, const std::string &prefix,
     scores.m = tokens;
     scores.k = hd;   // Head size < SA width -> spatial underutil.
     scores.n = tokens;
-    add(scores);
+    add(ops, std::move(scores));
 
     Operator soft;
     soft.kind = OpKind::Softmax;
     soft.name = prefix + ".softmax";
     soft.vuOps = static_cast<double>(b) * heads * tokens * tokens *
                  kOpsSoftmax;
-    add(soft);
+    add(ops, std::move(soft));
 
     Operator value;
     value.kind = OpKind::MatMul;
@@ -72,7 +75,7 @@ emitAttention(std::vector<Operator> &ops, const std::string &prefix,
     value.m = tokens;
     value.k = tokens;
     value.n = hd;    // Small N -> column gating opportunity.
-    add(value);
+    add(ops, std::move(value));
 
     Operator out;
     out.kind = OpKind::MatMul;
@@ -82,7 +85,7 @@ emitAttention(std::vector<Operator> &ops, const std::string &prefix,
     out.n = model_dim;
     out.hbmReadBytes = static_cast<double>(out.k) * out.n * kBf16;
     out.hbmWriteBytes = act;
-    add(out);
+    add(ops, std::move(out));
 }
 
 /** Transformer MLP with expansion factor 4 and GELU. */
@@ -99,15 +102,13 @@ emitMlp(std::vector<Operator> &ops, const std::string &prefix,
     up.k = dim;
     up.n = 4 * dim;
     up.hbmReadBytes = act + static_cast<double>(up.k) * up.n * kBf16;
-    up.validate();
-    ops.push_back(up);
+    add(ops, std::move(up));
 
     Operator gelu;
     gelu.kind = OpKind::Elementwise;
     gelu.name = prefix + ".mlp.gelu";
     gelu.vuOps = static_cast<double>(b) * tokens * 4 * dim * kOpsGelu;
-    gelu.validate();
-    ops.push_back(gelu);
+    add(ops, std::move(gelu));
 
     Operator down;
     down.kind = OpKind::MatMul;
@@ -117,8 +118,7 @@ emitMlp(std::vector<Operator> &ops, const std::string &prefix,
     down.n = dim;
     down.hbmReadBytes = static_cast<double>(down.k) * down.n * kBf16;
     down.hbmWriteBytes = act;
-    down.validate();
-    ops.push_back(down);
+    add(ops, std::move(down));
 }
 
 /** 3x3 conv lowered to im2col GEMM. */
@@ -138,15 +138,13 @@ emitConv(std::vector<Operator> &ops, const std::string &prefix,
         static_cast<double>(b) * res * res * cin * kBf16;
     conv.hbmWriteBytes = static_cast<double>(b) * res * res * cout *
                          kBf16;
-    conv.validate();
-    ops.push_back(conv);
+    add(ops, std::move(conv));
 
     Operator act;
     act.kind = OpKind::Elementwise;
     act.name = prefix + ".silu";
     act.vuOps = static_cast<double>(b) * res * res * cout * kOpsGelu;
-    act.validate();
-    ops.push_back(act);
+    add(ops, std::move(act));
 }
 
 std::int64_t

@@ -18,21 +18,105 @@ using core::GatingMode;
 
 namespace {
 
-/** The units with activity timelines; SRAM and Other have none. */
-constexpr std::array<Component, 4> kGated = {
-    Component::Sa, Component::Vu, Component::Hbm, Component::Ici};
-
-/** How @p policy exploits the idleness of timeline unit @p c. */
-GatingMode
-gatingMode(Policy policy, Component c)
+/** A unit with an activity timeline; SRAM and Other have none. */
+struct Unit
 {
-    if (policy == Policy::NoPG)
-        return GatingMode::None;
-    if (policy == Policy::Ideal)
-        return GatingMode::Ideal;
-    if (c == Component::Vu && policy == Policy::Full)
-        return GatingMode::SwExact;
-    return GatingMode::HwDetect;
+    Component component;
+    GatedUnit walked;  ///< Whose BET and detection window apply.
+};
+
+/** The timeline units, in SharedEvaluation::walks order. */
+constexpr std::array<Unit, 4> kUnits = {{{Component::Sa, GatedUnit::SaFull},
+                                        {Component::Vu, GatedUnit::Vu},
+                                        {Component::Hbm, GatedUnit::Hbm},
+                                        {Component::Ici, GatedUnit::Ici}}};
+
+/** When a gated gap before a unit's use exposes its wake-up (§6.4). */
+enum class Wake { Never, Always, IfBottleneck };
+
+/** How one design treats one kUnits row. */
+struct UnitDesign
+{
+    GatingMode mode;
+    Wake wake;
+    GatedUnit wakeDelay;  ///< Whose on/off delay an exposed wake costs.
+};
+
+/** One §6.1 design: everything the engine does differently for it. */
+struct Design
+{
+    Policy policy;
+    const char *name;
+    std::array<UnitDesign, kUnits.size()> units;
+    bool saPeSplit;  ///< SA static energy split at PE level (§4.2).
+    /** Residual leaks of idle logic and unused SRAM; fixedLeak if null. */
+    double arch::LeakageRatios::*logicLeak;
+    double arch::LeakageRatios::*sramLeak;
+    double fixedLeak;
+    double vuStallShare;  ///< Of stallsSa ops' VU wakes, stalling the SA.
+};
+
+/** Whether @p ex's VU wakes can stall the SA: it is SA-bound, VU too. */
+bool
+stallsSa(const OpExecution &ex)
+{
+    return ex.active[Component::Sa] > 0 && ex.active[Component::Vu] > 0 &&
+           ex.bottleneck == Component::Sa;
+}
+
+/**
+ * The five designs, one row per Policy in enum order (§4, §6.1). HW
+ * and Full overlap the SA's diagonal wake and expose one PE delay;
+ * Full pre-wakes the VU with setpm (§4.3) and powers unused SRAM off.
+ * Base's idle detection gates the VU between the bursts that drain SA
+ * output tiles, so 15% of those wakes stall the SA (the output queue
+ * absorbs the rest, §6.4).
+ */
+constexpr std::array<Design, kNumPolicies> kDesigns = [] {
+    using enum GatingMode;
+    using enum Wake;
+    using enum GatedUnit;
+    using R = arch::LeakageRatios;
+    return std::array<Design, kNumPolicies>{{
+        {Policy::NoPG, "NoPG",
+         {{{None, Never, SaFull}, {None, Never, Vu}, {None, Never, Hbm},
+           {None, Never, Ici}}},
+         false, nullptr, nullptr, 1, 0},
+        {Policy::Base, "ReGate-Base",
+         {{{HwDetect, Always, SaFull}, {HwDetect, IfBottleneck, Vu},
+           {HwDetect, IfBottleneck, Hbm}, {HwDetect, Always, Ici}}},
+         false, &R::logicOff, &R::sramSleep, 0, 0.15},
+        {Policy::HW, "ReGate-HW",
+         {{{HwDetect, Always, SaPe}, {HwDetect, IfBottleneck, Vu},
+           {HwDetect, IfBottleneck, Hbm}, {HwDetect, Always, Ici}}},
+         true, &R::logicOff, &R::sramSleep, 0, 0},
+        {Policy::Full, "ReGate-Full",
+         {{{HwDetect, Always, SaPe}, {SwExact, Never, Vu},
+           {HwDetect, IfBottleneck, Hbm}, {HwDetect, Always, Ici}}},
+         true, &R::logicOff, &R::sramOff, 0, 0},
+        {Policy::Ideal, "Ideal",
+         {{{Ideal, Never, SaFull}, {Ideal, Never, Vu}, {Ideal, Never, Hbm},
+           {Ideal, Never, Ici}}},
+         true, nullptr, nullptr, 0, 0},
+    }};
+}();
+
+static_assert(
+    [] {
+        for (std::size_t i = 0; i < kDesigns.size(); ++i)
+            if (kDesigns[i].policy != static_cast<Policy>(i))
+                return false;
+        return true;
+    }(),
+    "kDesigns holds one row per Policy, in enum order");
+
+/** @p p's kDesigns row. */
+const Design &
+design(Policy p)
+{
+    auto i = static_cast<std::size_t>(p);
+    REGATE_ASSERT(i < kDesigns.size(), "unknown Policy");
+    return kDesigns[i];
 }
 
 /**
@@ -42,8 +126,8 @@ gatingMode(Policy policy, Component c)
  * (unit, GatingMode) timeline walk and each logic leak's PE-level SA
  * split, which @p shared keeps and may already hold for these params,
  * the dynamic energy, and one pass over the op records for the peak
- * power of every distinct LeakFactors. Sets every field but
- * sramSetpmPairs and reads no policy result of @p run.
+ * power of every distinct LeakFactors. Reads no policy result of
+ * @p run.
  */
 void
 evaluatePolicies(const Engine &engine, const WorkloadRun &run,
@@ -60,18 +144,15 @@ evaluatePolicies(const Engine &engine, const WorkloadRun &run,
         leak[i] = leakFactors(policies[i], params.ratios());
 
     // ---- SA, VU, HBM, ICI: one timeline walk per (unit, mode) ----
-    const std::array<core::UnitSpec, kGated.size()> specs = {{
-        {GatedUnit::SaFull, power.staticPower(Component::Sa), tau},
-        {GatedUnit::Vu, power.staticPower(Component::Vu), tau},
-        {GatedUnit::Hbm, power.hbmStaticPower(), tau},
-        {GatedUnit::Ici, power.iciStaticPower(), tau},
-    }};
     auto walk = [&](std::size_t u, GatingMode mode)
         -> const core::GatingResult & {
         auto &w = shared.walks[u][static_cast<std::size_t>(mode)];
         if (!w) {
-            w = core::evaluateTimeline(run.timeline[kGated[u]], specs[u],
-                                       mode, params);
+            const Unit &unit = kUnits[u];
+            w = core::evaluateTimeline(
+                run.timeline[unit.component],
+                {unit.walked, power.staticPower(unit.component), tau}, mode,
+                params);
         }
         return *w;
     };
@@ -100,48 +181,44 @@ evaluatePolicies(const Engine &engine, const WorkloadRun &run,
         power.staticPower(Component::Sa) * tau *
         static_cast<double>(run.timeline[Component::Sa].activeCycles());
 
+    const double p_sram = power.staticPower(Component::Sram);
+    const double p_other = power.staticPower(Component::Other);
+    const double used = run.sramUsedIntegral;
+    const double unused = static_cast<double>(run.cycles) - used;
+
     // ---- Dynamic energy (identical across policies) ----
     const auto dynamic = power.dynamicEnergy(run.work);
 
     for (std::size_t i = 0; i < n; ++i) {
-        const Policy policy = policies[i];
+        const Design &d = design(policies[i]);
         PolicyResult &res = out[i];
-        res.policy = policy;
+        res.policy = d.policy;
         energy::EnergyBreakdown e;
         res.vuGateEvents = 0;
-        for (std::size_t u = 0; u < kGated.size(); ++u) {
-            GatingMode mode = gatingMode(policy, kGated[u]);
+        for (std::size_t u = 0; u < kUnits.size(); ++u) {
+            GatingMode mode = d.units[u].mode;
             const core::GatingResult &r = walk(u, mode);
-            e.staticJ[kGated[u]] = r.staticEnergy;
+            e.staticJ[kUnits[u].component] = r.staticEnergy;
             if (mode == GatingMode::SwExact)  // Full's setpm-gated VU.
                 res.vuGateEvents = r.gateEvents;
         }
 
-        if (policy == Policy::HW || policy == Policy::Full ||
-            policy == Policy::Ideal) {
+        if (d.saPeSplit) {
             double gated = saSplit(leak[i].logic);
             if (gated < sa_flat)
                 e.staticJ[Component::Sa] += gated - sa_flat;
         }
 
-        // ---- SRAM: capacity-based (§4.1) ----
-        {
-            double p_sram = power.staticPower(Component::Sram);
-            double used = run.sramUsedIntegral;
-            double unused = static_cast<double>(run.cycles) - used;
-            e.staticJ[Component::Sram] =
-                p_sram * tau * (used + leak[i].sram * unused);
-        }
-
-        // ---- Other: never gated ----
+        // ---- SRAM: capacity-based (§4.1); Other: never gated ----
+        e.staticJ[Component::Sram] =
+            p_sram * tau * (used + leak[i].sram * unused);
         e.staticJ[Component::Other] =
-            power.staticPower(Component::Other) * tau *
-            static_cast<double>(run.cycles);
+            p_other * tau * static_cast<double>(run.cycles);
 
         e.dynamicJ = dynamic;
 
         // ---- Performance overhead ----
-        res.overheadCycles = overheads[static_cast<std::size_t>(policy)];
+        res.overheadCycles = overheads[static_cast<std::size_t>(d.policy)];
         res.perfOverhead =
             run.cycles > 0 ? static_cast<double>(res.overheadCycles) /
                                  static_cast<double>(run.cycles)
@@ -178,11 +255,9 @@ evaluatePolicies(const Engine &engine, const WorkloadRun &run,
             ++j;
         peak_of[i] = j;
     }
-    std::array<double, kGated.size()> p_logic;
-    for (std::size_t u = 0; u < kGated.size(); ++u)
-        p_logic[u] = power.staticPower(kGated[u]);
-    const double p_sram = power.staticPower(Component::Sram);
-    const double p_other = power.staticPower(Component::Other);
+    std::array<double, kUnits.size()> p_logic;
+    for (std::size_t u = 0; u < kUnits.size(); ++u)
+        p_logic[u] = power.staticPower(kUnits[u].component);
     std::array<double, kNumPolicies> peak{};
     for (const auto &rec : run.opRecords) {
         double dur_s = static_cast<double>(rec.duration) * tau;
@@ -191,8 +266,8 @@ evaluatePolicies(const Engine &engine, const WorkloadRun &run,
             if (peak_of[i] != i)
                 continue;
             double p_static = 0;
-            for (std::size_t u = 0; u < kGated.size(); ++u) {
-                double f = rec.activeFrac[kGated[u]];
+            for (std::size_t u = 0; u < kUnits.size(); ++u) {
+                double f = rec.activeFrac[kUnits[u].component];
                 p_static += p_logic[u] * (f + (1.0 - f) * leak[i].logic);
             }
             p_static += p_sram * (rec.sramUsedFrac +
@@ -205,50 +280,96 @@ evaluatePolicies(const Engine &engine, const WorkloadRun &run,
         out[i].peakPowerW = peak[peak_of[i]];
 }
 
+/** Wake-up cycles each design adds over the run of @p blocks. */
+std::array<Cycles, kNumPolicies>
+wakeOverheads(const arch::GatingParams &params,
+              const std::vector<Execution::Block> &blocks)
+{
+    std::array<Cycles, kNumPolicies> overheads{};
+    for (const auto &block : blocks) {
+        std::array<Cycles, kNumPolicies> block_ov{};
+        auto charge = [&](Policy p, Cycles d) {
+            auto &ov = block_ov[static_cast<std::size_t>(p)];
+            ov = checkedAdd(ov, d, "wake-up overhead cycle count");
+        };
+
+        for (Policy p : kGatedPolicies) {
+            const double share = design(p).vuStallShare;
+            if (share == 0)
+                continue;
+            for (std::uint64_t activations : block.vuStallActivations) {
+                double stalls =
+                    static_cast<double>(activations) *
+                    static_cast<double>(params.onOffDelay(GatedUnit::Vu)) *
+                    share;
+                charge(p, checkedCount(stalls, "wake-up stall cycle count"));
+            }
+        }
+
+        // Idle gaps between uses (wrapping around between block
+        // repeats) that the idle detection would have gated before
+        // the next use.
+        for (std::size_t u = 0; u < kUnits.size(); ++u) {
+            const Component c = kUnits[u].component;
+            const auto &uses = block.usage[c];
+            if (uses.empty())
+                continue;
+            Cycles window = params.detectionWindow(kUnits[u].walked);
+            for (std::size_t i = 0; i < uses.size(); ++i) {
+                Cycles gap = i == 0 ? block.duration - uses.back().end +
+                                          uses[0].start
+                                    : uses[i].start - uses[i - 1].end;
+                if (gap < window)
+                    continue;
+                for (Policy p : kGatedPolicies) {
+                    const UnitDesign &d = design(p).units[u];
+                    if (d.wake == Wake::Always ||
+                        (d.wake == Wake::IfBottleneck &&
+                         uses[i].bottleneck == c))
+                        charge(p, params.onOffDelay(d.wakeDelay));
+                }
+            }
+        }
+
+        for (std::size_t p = 0; p < kNumPolicies; ++p) {
+            overheads[p] = checkedAdd(
+                overheads[p],
+                checkedMul(block_ov[p], block.repeat,
+                           "wake-up overhead cycle count"),
+                "wake-up overhead cycle count");
+        }
+    }
+    return overheads;
+}
+
 }  // namespace
 
 const std::array<Policy, kNumPolicies> &
 allPolicies()
 {
-    static const std::array<Policy, kNumPolicies> all = {
-        Policy::NoPG, Policy::Base, Policy::HW, Policy::Full,
-        Policy::Ideal};
+    static constexpr auto all = [] {
+        std::array<Policy, kNumPolicies> out{};
+        for (std::size_t i = 0; i < out.size(); ++i)
+            out[i] = kDesigns[i].policy;
+        return out;
+    }();
     return all;
 }
 
 std::string
 policyName(Policy p)
 {
-    switch (p) {
-      case Policy::NoPG:
-        return "NoPG";
-      case Policy::Base:
-        return "ReGate-Base";
-      case Policy::HW:
-        return "ReGate-HW";
-      case Policy::Full:
-        return "ReGate-Full";
-      case Policy::Ideal:
-        return "Ideal";
-    }
-    throw LogicError("unknown Policy");
+    return design(p).name;
 }
 
 LeakFactors
 leakFactors(Policy p, const arch::LeakageRatios &ratios)
 {
-    switch (p) {
-      case Policy::NoPG:
-        return {1.0, 1.0};
-      case Policy::Base:
-      case Policy::HW:
-        return {ratios.logicOff, ratios.sramSleep};
-      case Policy::Full:
-        return {ratios.logicOff, ratios.sramOff};
-      case Policy::Ideal:
-        return {0.0, 0.0};
-    }
-    throw LogicError("unknown Policy");
+    const Design &d = design(p);
+    auto leak = [&](double arch::LeakageRatios::*ratio) {
+        return ratio ? ratios.*ratio : d.fixedLeak;
+    };
+    return {leak(d.logicLeak), leak(d.sramLeak)};
 }
 
 double
@@ -313,14 +434,6 @@ Engine::execute(const graph::OperatorGraph &graph, int pod_chips) const
     std::vector<OpExecution> exs;
     exs.reserve(max_block_ops);
 
-    // The VU wake-ups of an SA-bound op can stall the SA pipeline
-    // under ReGate-Base (see wakeOverheads).
-    auto stallsSa = [](const OpExecution &ex) {
-        return ex.active[Component::Sa] > 0 &&
-               ex.active[Component::Vu] > 0 &&
-               ex.bottleneck == Component::Sa;
-    };
-
     // One block's timelines, cleared per block but keeping their gap
     // storage, which is sized once for the largest block.
     arch::ComponentMap<ActivityTimeline> block_tl;
@@ -334,18 +447,17 @@ Engine::execute(const graph::OperatorGraph &graph, int pod_chips) const
         std::size_t stalls = 0;
         for (const auto &op : block.ops) {
             const OpExecution &ex = exs.emplace_back(op_sim.simulate(op));
-            for (auto c : kGated)
-                uses[c] += ex.active[c] > 0;
+            for (const Unit &u : kUnits)
+                uses[u.component] += ex.active[u.component] > 0;
             stalls += stallsSa(ex);
         }
-        for (auto c : kGated)
-            eb.usage[c].reserve(uses[c]);
+        for (const Unit &u : kUnits) {
+            eb.usage[u.component].reserve(uses[u.component]);
+            block_tl[u.component].clear();
+            block_tl[u.component].reserve(2 * exs.size() + 1);
+        }
         eb.vuStallActivations.reserve(stalls);
 
-        for (auto c : kGated) {
-            block_tl[c].clear();
-            block_tl[c].reserve(2 * exs.size() + 1);
-        }
         energy::WorkCounters block_work;
         sa::SaTileStats block_sa;
         double block_sram_integral = 0;
@@ -365,7 +477,8 @@ Engine::execute(const graph::OperatorGraph &graph, int pod_chips) const
                         shape.bursts[Component::Vu]));
             }
 
-            for (auto c : kGated) {
+            for (const Unit &u : kUnits) {
+                Component c = u.component;
                 block_tl[c].appendBursts(shape.span, shape.active[c],
                                          shape.bursts[c]);
                 if (ex.active[c] > 0) {
@@ -417,9 +530,9 @@ Engine::execute(const graph::OperatorGraph &graph, int pod_chips) const
         } catch (const OverflowError &e) {
             throw e.within("block '" + block.name + "'");
         }
-        for (auto c : kGated) {
-            block_tl[c].repeat(block.repeat);
-            run.timeline[c].append(block_tl[c]);
+        for (const Unit &u : kUnits) {
+            block_tl[u.component].repeat(block.repeat);
+            run.timeline[u.component].append(block_tl[u.component]);
         }
         double rep = static_cast<double>(block.repeat);
         run.work.macs += block_work.macs * rep;
@@ -429,14 +542,13 @@ Engine::execute(const graph::OperatorGraph &graph, int pod_chips) const
         run.work.iciBytes += block_work.iciBytes * rep;
         run.sramUsedIntegral += block_sram_integral * rep;
 
-        // SRAM resize setpm pairs (Full only; reported in Fig. 20).
-        run.policies[static_cast<std::size_t>(Policy::Full)]
-            .sramSetpmPairs += sram_resizes * block.repeat;
+        run.sramSetpmPairs += sram_resizes * block.repeat;
     }
     run.seconds = static_cast<double>(run.cycles) * cfg_.cycleTime();
-    // Neither reads a gating parameter, and neither has a wake-up
-    // overhead (wakeOverheads charges Base/HW/Full only).
-    constexpr std::array<Policy, 2> ungated = {Policy::NoPG, Policy::Ideal};
+    // The designs outside kGatedPolicies read no gating parameter.
+    std::array<Policy, kNumPolicies - kGatedPolicies.size()> ungated;
+    std::ranges::set_difference(allPolicies(), kGatedPolicies,
+                                ungated.begin());
     std::array<PolicyResult, ungated.size()> results;
     SharedEvaluation shared;
     evaluatePolicies(*this, run, ungated, {}, shared, results);
@@ -456,15 +568,10 @@ Engine::evaluateGated(const WorkloadRun &run,
     const double logic_off = params_.ratios().logicOff;
     if (m.run != &run || m.blocks != &blocks || m.cfg != &cfg_ ||
         m.delayScale != scale || m.logicOff != logic_off) {
-        auto overheads = wakeOverheads(blocks);
+        auto overheads = wakeOverheads(params_, blocks);
         m = GatedMemo{&run, &blocks, &cfg_, scale, logic_off, overheads, {}};
     }
     GatedResults out;
-    // Full's slot carries the execution's SRAM setpm pairs.
-    for (std::size_t i = 0; i < out.size(); ++i)
-        out[i].sramSetpmPairs =
-            run.policies[static_cast<std::size_t>(kGatedPolicies[i])]
-                .sramSetpmPairs;
     evaluatePolicies(*this, run, kGatedPolicies, m.overheads, m.shared,
                      out);
     return out;
@@ -478,104 +585,6 @@ Engine::evaluate(Execution ex) const
         ex.run.policies[static_cast<std::size_t>(kGatedPolicies[i])] =
             gated[i];
     return std::move(ex.run);
-}
-
-std::array<Cycles, kNumPolicies>
-Engine::wakeOverheads(const std::vector<Execution::Block> &blocks) const
-{
-    std::array<Cycles, kNumPolicies> overheads{};
-    for (const auto &block : blocks) {
-        std::array<Cycles, kNumPolicies> block_ov{};
-        auto charge = [&](Policy p, Cycles d) {
-            auto &ov = block_ov[static_cast<std::size_t>(p)];
-            ov = checkedAdd(ov, d, "wake-up overhead cycle count");
-        };
-
-        // ReGate-Base cannot hide the per-burst VU wake-ups that
-        // drain SA output tiles (§6.4): with the idle-detection FSM
-        // gating the VU between bursts, a fraction of the 2-cycle
-        // wakes stalls the SA pipeline (the output queue absorbs the
-        // rest). ReGate-HW/Full pre-wake via the dataflow / setpm and
-        // expose nothing.
-        constexpr double kVuStallShare = 0.15;
-        for (std::uint64_t activations : block.vuStallActivations) {
-            double stalls =
-                static_cast<double>(activations) *
-                static_cast<double>(params_.onOffDelay(GatedUnit::Vu)) *
-                kVuStallShare;
-            charge(Policy::Base,
-                   checkedCount(stalls, "wake-up stall cycle count"));
-        }
-
-        // Inter-use wake overhead per policy: count idle gaps (with
-        // wrap-around between block repeats) that the hardware
-        // idle-detection would have gated before the next use.
-        for (auto c : kGated) {
-            const auto &uses = block.usage[c];
-            if (uses.empty())
-                continue;
-            GatedUnit unit = c == Component::Sa ? GatedUnit::SaFull
-                             : c == Component::Vu ? GatedUnit::Vu
-                             : c == Component::Hbm ? GatedUnit::Hbm
-                                                   : GatedUnit::Ici;
-            Cycles window = params_.detectionWindow(unit);
-            for (std::size_t i = 0; i < uses.size(); ++i) {
-                Cycles gap = i == 0 ? block.duration - uses.back().end +
-                                          uses[0].start
-                                    : uses[i].start - uses[i - 1].end;
-                if (gap < window)
-                    continue;
-                bool is_bottleneck = uses[i].bottleneck == c;
-                switch (c) {
-                  case Component::Sa:
-                    // Base pays the full-SA wake; HW/Full overlap the
-                    // diagonal wake and expose one PE delay (§6.4).
-                    charge(Policy::Base,
-                           params_.onOffDelay(GatedUnit::SaFull));
-                    charge(Policy::HW,
-                           params_.onOffDelay(GatedUnit::SaPe));
-                    charge(Policy::Full,
-                           params_.onOffDelay(GatedUnit::SaPe));
-                    break;
-                  case Component::Vu:
-                    // Exposed only when the VU gates the op; Full
-                    // pre-wakes via setpm (§4.3).
-                    if (is_bottleneck) {
-                        charge(Policy::Base,
-                               params_.onOffDelay(GatedUnit::Vu));
-                        charge(Policy::HW,
-                               params_.onOffDelay(GatedUnit::Vu));
-                    }
-                    break;
-                  case Component::Hbm:
-                    if (is_bottleneck) {
-                        for (Policy p : {Policy::Base, Policy::HW,
-                                         Policy::Full}) {
-                            charge(p,
-                                   params_.onOffDelay(GatedUnit::Hbm));
-                        }
-                    }
-                    break;
-                  case Component::Ici:
-                    for (Policy p :
-                         {Policy::Base, Policy::HW, Policy::Full})
-                        charge(p, params_.onOffDelay(GatedUnit::Ici));
-                    break;
-                  default:
-                    break;
-                }
-            }
-        }
-
-        for (std::size_t p = 0; p < kNumPolicies; ++p) {
-            overheads[p] = checkedAdd(
-                overheads[p],
-                checkedMul(block_ov[p], block.repeat,
-                           "wake-up overhead cycle count"),
-                "wake-up overhead cycle count");
-        }
-    }
-    return overheads;
 }
 
 }  // namespace sim

@@ -5,14 +5,10 @@
  * evaluates the five §6.1 designs — NoPG, ReGate-Base, ReGate-HW,
  * ReGate-Full, Ideal — on the same execution.
  *
- * Policy -> mechanism mapping (§4):
- *   component | NoPG | Base        | HW          | Full        | Ideal
- *   SA        | none | HwDetect    | HwDetect+PE | HwDetect+PE | Ideal+PE
- *   VU        | none | HwDetect    | HwDetect    | SwExact     | Ideal
- *   HBM       | none | HwDetect    | HwDetect    | HwDetect    | Ideal
- *   ICI       | none | HwDetect    | HwDetect    | HwDetect    | Ideal
- *   SRAM      | none | sleep unused| sleep unused| off unused  | zero
- *   Other     | never gated (§3)
+ * What each design does with each unit (§4) is one row of kDesigns in
+ * engine.cc: the GatingMode of SA/VU/HBM/ICI, the PE-level SA split,
+ * the logic and SRAM residual leaks, and which wake-ups it exposes
+ * (§6.4). Other is never gated (§3).
  *
  * The three ReGate designs share their HwDetect walks: SA, HBM and ICI
  * gate the same way under all three, and the VU under Base and HW, so
@@ -55,9 +51,7 @@ std::string policyName(Policy p);
 
 /**
  * Residual leakage, as a fraction of active static power, that a
- * policy leaves in idle logic (SA/VU/HBM/ICI) and in unused SRAM:
- * none gated under NoPG, drowsy SRAM under Base/HW, SRAM off under
- * Full, and no leakage at all under Ideal.
+ * policy leaves in idle logic (SA/VU/HBM/ICI) and in unused SRAM.
  */
 struct LeakFactors
 {
@@ -94,7 +88,6 @@ struct PolicyResult
     double avgPowerW = 0;
     double peakPowerW = 0;       ///< Most power-hungry operator.
     std::uint64_t vuGateEvents = 0;   ///< Gated VU intervals.
-    std::uint64_t sramSetpmPairs = 0; ///< SRAM resize setpm pairs.
 };
 
 /** The policies whose evaluation reads the gating params. */
@@ -120,6 +113,8 @@ struct WorkloadRun
     energy::WorkCounters work;
     sa::SaTileStats saStats;
     double sramUsedIntegral = 0;  ///< Sum over time of used fraction.
+    /** SRAM resize setpm pairs, executed under ReGate-Full (Fig. 20). */
+    std::uint64_t sramSetpmPairs = 0;
     /** One record per operator of the executed graph, in block order. */
     std::vector<OpRecord> opRecords;
     std::array<PolicyResult, kNumPolicies> policies;
@@ -140,9 +135,8 @@ struct WorkloadRun
 /**
  * A graph's execution: everything of a run that no GatingParams value
  * changes. `run` holds the timelines, the op records (one per graph
- * operator, in block order), work/SA/SRAM totals, ReGate-Full's SRAM
- * setpm pairs (in its otherwise unevaluated slot) and the NoPG and
- * Ideal results, which read no gating parameter (NoPG gates nothing,
+ * operator, in block order), work/SA/SRAM totals, the SRAM setpm pairs
+ * and the NoPG and Ideal results, which read no gating parameter (NoPG gates nothing,
  * Ideal gates every idle cycle for free: no overhead, leak factors
  * fixed at 1 and 0). Base/HW/Full stay unevaluated, so reading them off
  * `run` is a LogicError; `blocks` keeps what their wake-up overheads
@@ -257,10 +251,6 @@ class Engine
     const arch::NpuConfig &config() const { return cfg_; }
 
   private:
-    /** Wake-up cycles each policy adds over the whole run. */
-    std::array<Cycles, kNumPolicies> wakeOverheads(
-        const std::vector<Execution::Block> &blocks) const;
-
     const arch::NpuConfig &cfg_;
     arch::GatingParams params_;
     energy::PowerModel power_;

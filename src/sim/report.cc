@@ -50,14 +50,14 @@ WorkloadReport::execution() const
 const PolicyResult &
 WorkloadReport::result(Policy p) const
 {
-    if (p == Policy::NoPG || p == Policy::Ideal)
-        return execution().result(p);
-    const PolicyResult &res =
-        gated_[static_cast<std::size_t>(p) -
-               static_cast<std::size_t>(Policy::Base)];
-    REGATE_ASSERT(res.policy == p, policyName(p),
-                  " was not evaluated on this report");
-    return res;
+    for (std::size_t i = 0; i < kGatedPolicies.size(); ++i) {
+        if (kGatedPolicies[i] == p) {
+            REGATE_ASSERT(gated_[i].policy == p, policyName(p),
+                          " was not evaluated on this report");
+            return gated_[i];
+        }
+    }
+    return execution().result(p);
 }
 
 double

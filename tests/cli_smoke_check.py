@@ -26,8 +26,10 @@ Checks:
    than its data parallelism;
 9. fig02 on a spec that fits NPU-D but has no candidate setup on NPU-A
    prints an error row for A, renders B..D, and exits 1;
-10. fig17 and fig21 on the example spec with gating overrides print
-    the same bytes with REGATE_THREADS=1 and 4;
+10. fig17, fig19, fig21 and fig22 on the example spec with gating
+    overrides print the same bytes with REGATE_THREADS=1 and 4 (fig19
+    and fig22 print the wake-up overheads a sweep group's GatedMemo
+    carries from case to case);
 11. fig17 and fig19 exit 1 with a `--spec: file:line` message on
     gating values the model cannot represent: a leakage ratio above 1
     and a delay scale whose scaled cycle counts overflow;
@@ -378,7 +380,8 @@ def check_all(binary, suite_spec, specs, trace_check):
                    "scenario and the operator", proc)
 
     gating_spec = suite_spec.parent / "gating_overrides.spec"
-    for name in ("fig17_energy_savings", "fig21_sens_leakage"):
+    for name in ("fig17_energy_savings", "fig19_perf_overhead",
+                 "fig21_sens_leakage", "fig22_sens_delay"):
         one = run([binary(name), "--spec", gating_spec], threads=1)
         four = run([binary(name), "--spec", gating_spec], threads=4)
         expect(one.returncode == 0 and four.returncode == 0,

@@ -5,7 +5,8 @@
  * that count allocations and track the live heap bytes and their
  * peak, which is why it is a test executable of its own.
  *
- * Pins that execute's allocation count does not grow with the number
+ * Pins that appending a timeline with gaps allocates once, that
+ * execute's allocation count does not grow with the number
  * of operators in a block, identical or of distinct shapes (records,
  * usage lists and block timelines are each sized once), that a sweep's
  * gating variants of one execution allocate nothing per variant
@@ -26,6 +27,7 @@
 #include <new>
 
 #include "compiler/compiler.h"
+#include "core/activity.h"
 #include "models/registry.h"
 #include "models/workload.h"
 #include "sim/engine.h"
@@ -147,6 +149,22 @@ distinctOpsGraph(std::size_t ops)
         op.hbmReadBytes = 2e6 + 1.5e5 * static_cast<double>(i);
     }
     return g;
+}
+
+TEST(EngineAllocations, AppendOfATimelineWithGapsAllocatesOnce)
+{
+    // Gap groups {3 x 2}, one trailing, then {2 x 2}, one leading: the
+    // merge keeps both groups, and the seam gap (3 + 2) is a new
+    // length that needs a slot of its own.
+    auto a = core::ActivityTimeline::fromIntervals(8, {{0, 1}, {4, 5}});
+    auto b = core::ActivityTimeline::fromIntervals(6, {{2, 3}, {5, 6}});
+    ASSERT_EQ(a.gaps().size(), 1u);
+    ASSERT_EQ(b.gaps().size(), 1u);
+    std::size_t before = g_allocs.load();
+    a.append(b);
+    EXPECT_EQ(g_allocs.load() - before, 1u);
+    EXPECT_EQ(a.gaps().size(), 3u);
+    a.checkInvariants();
 }
 
 TEST(EngineAllocations, DoNotGrowWithOpsPerBlock)

@@ -248,7 +248,6 @@ expectResultsEqual(const PolicyResult &a, const PolicyResult &b)
     EXPECT_EQ(a.avgPowerW, b.avgPowerW);
     EXPECT_EQ(a.peakPowerW, b.peakPowerW);
     EXPECT_EQ(a.vuGateEvents, b.vuGateEvents);
-    EXPECT_EQ(a.sramSetpmPairs, b.sramSetpmPairs);
 }
 
 TEST(Engine, EvaluateGatedEqualsEvaluateAndLeavesTheRun)
@@ -268,9 +267,7 @@ TEST(Engine, EvaluateGatedEqualsEvaluateAndLeavesTheRun)
         EXPECT_EQ(gated[i].policy, p);
         expectResultsEqual(gated[i], run.result(p));
     }
-    EXPECT_EQ(gated[2].sramSetpmPairs,
-              ex.run.policies[static_cast<std::size_t>(Policy::Full)]
-                  .sramSetpmPairs);
+    EXPECT_EQ(run.sramSetpmPairs, ex.run.sramSetpmPairs);
 }
 
 /**
@@ -486,9 +483,6 @@ TEST(Engine, EvaluateGatedMatchesPerPolicyReference)
                 referencePolicy(plain, ex.run, p,
                                 referenceOverhead({}, ex.blocks, p)));
         }
-        const auto pairs =
-            ex.run.policies[static_cast<std::size_t>(Policy::Full)]
-                .sramSetpmPairs;
         // In grid order one memo reuses walks across the runs of
         // params that share the delay scale and logic leak.
         GatedMemo memo;
@@ -504,8 +498,6 @@ TEST(Engine, EvaluateGatedMatchesPerPolicyReference)
                 PolicyResult want = referencePolicy(
                     engine, ex.run, p,
                     referenceOverhead(grid[g], ex.blocks, p));
-                if (p == Policy::Full)
-                    want.sramSetpmPairs = pairs;
                 expectResultsEqual(gated[i], want);
                 expectResultsEqual(memoized[i], want);
                 ++checked;

@@ -55,6 +55,7 @@ expectReportsIdentical(const WorkloadReport &a, const WorkloadReport &b)
     EXPECT_EQ(0,
               std::memcmp(&ra.saStats, &rb.saStats, sizeof(ra.saStats)));
     EXPECT_EQ(ra.sramUsedIntegral, rb.sramUsedIntegral);
+    EXPECT_EQ(ra.sramSetpmPairs, rb.sramSetpmPairs);
     ASSERT_EQ(a.opRecords().size(), b.opRecords().size());
     for (std::size_t i = 0; i < a.opRecords().size(); ++i) {
         const auto &oa = a.opRecords()[i];
@@ -79,7 +80,6 @@ expectReportsIdentical(const WorkloadReport &a, const WorkloadReport &b)
         EXPECT_EQ(pa.avgPowerW, pb.avgPowerW);
         EXPECT_EQ(pa.peakPowerW, pb.peakPowerW);
         EXPECT_EQ(pa.vuGateEvents, pb.vuGateEvents);
-        EXPECT_EQ(pa.sramSetpmPairs, pb.sramSetpmPairs);
     }
 }
 

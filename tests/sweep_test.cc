@@ -157,6 +157,7 @@ expectRunsIdentical(const WorkloadReport &a, const WorkloadReport &b)
 {
     EXPECT_EQ(a.cycles(), b.cycles());
     EXPECT_EQ(a.seconds(), b.seconds());
+    EXPECT_EQ(a.execution().sramSetpmPairs, b.execution().sramSetpmPairs);
     EXPECT_EQ(a.execution().sramUsedIntegral,
               b.execution().sramUsedIntegral);
     for (auto c : arch::kAllComponents)
@@ -183,7 +184,6 @@ expectRunsIdentical(const WorkloadReport &a, const WorkloadReport &b)
         EXPECT_EQ(ra.avgPowerW, rb.avgPowerW);
         EXPECT_EQ(ra.peakPowerW, rb.peakPowerW);
         EXPECT_EQ(ra.vuGateEvents, rb.vuGateEvents);
-        EXPECT_EQ(ra.sramSetpmPairs, rb.sramSetpmPairs);
         EXPECT_EQ(0, std::memcmp(&ra.energy, &rb.energy,
                                  sizeof(ra.energy)))
             << "energy breakdown mismatch for " << policyName(p);
