@@ -157,7 +157,7 @@ evaluatePolicies(const Engine &engine, const WorkloadRun &run,
         return *w;
     };
 
-    // PE-level SA gating (HW and up) replaces the flat active-period
+    // PE-level SA gating (saPeSplit) replaces the flat active-period
     // energy with the PE-granularity split from the analytical SA
     // model, once per logic leak. The per-SA analytical totals already
     // cover all PEs of one array; numSa arrays ran the serial tile
@@ -370,6 +370,21 @@ leakFactors(Policy p, const arch::LeakageRatios &ratios)
         return ratio ? ratios.*ratio : d.fixedLeak;
     };
     return {leak(d.logicLeak), leak(d.sramLeak)};
+}
+
+double
+idleStaticPower(const energy::PowerModel &power,
+                const arch::GatingParams &params, Policy policy)
+{
+    // "Other" (management, control) stays powered even on an idle
+    // chip (§3); everything else gates according to the policy.
+    double logic = 0;
+    for (const Unit &u : kUnits)
+        logic += power.staticPower(u.component);
+    auto leak = leakFactors(policy, params.ratios());
+    return power.staticPower(Component::Other) +
+           (logic * leak.logic +
+            power.staticPower(Component::Sram) * leak.sram);
 }
 
 double

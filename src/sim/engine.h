@@ -61,6 +61,10 @@ struct LeakFactors
 
 LeakFactors leakFactors(Policy p, const arch::LeakageRatios &ratios);
 
+/** Idle power of a jobless chip under a policy (used by Fig. 24). */
+double idleStaticPower(const energy::PowerModel &power,
+                       const arch::GatingParams &params, Policy policy);
+
 /**
  * Per-operator record kept for figure generation. A run's records
  * follow the compiled graph in block order: record i is the i-th
@@ -136,13 +140,14 @@ struct WorkloadRun
  * A graph's execution: everything of a run that no GatingParams value
  * changes. `run` holds the timelines, the op records (one per graph
  * operator, in block order), work/SA/SRAM totals, the SRAM setpm pairs
- * and the NoPG and Ideal results, which read no gating parameter (NoPG gates nothing,
- * Ideal gates every idle cycle for free: no overhead, leak factors
- * fixed at 1 and 0). Base/HW/Full stay unevaluated, so reading them off
- * `run` is a LogicError; `blocks` keeps what their wake-up overheads
- * are charged from. One execution can be evaluated under any number of
- * gating params (Engine::evaluateGated) without copying `run`, and
- * reports share `run` alone: the blocks die with the execution.
+ * and the NoPG and Ideal results, which read no gating parameter
+ * (NoPG gates nothing, Ideal gates every idle cycle for free: no
+ * overhead, leak factors fixed at 1 and 0). Base/HW/Full stay
+ * unevaluated, so reading them off `run` is a LogicError; `blocks`
+ * keeps what their wake-up overheads are charged from. One execution
+ * can be evaluated under any number of gating params
+ * (Engine::evaluateGated) without copying `run`, and reports share
+ * `run` alone: the blocks die with the execution.
  */
 struct Execution
 {

@@ -9,8 +9,6 @@
 namespace regate {
 namespace sim {
 
-using arch::Component;
-
 namespace {
 
 /** @p e prefixed with the case it occurred in. */
@@ -23,22 +21,6 @@ inCase(const OverflowError &e, const models::ScenarioSpec &spec,
 }
 
 }  // namespace
-
-double
-idleStaticPower(const energy::PowerModel &power,
-                const arch::GatingParams &params, Policy policy)
-{
-    // "Other" (management, control) stays powered even on an idle
-    // chip (§3); everything else gates according to the policy.
-    double logic = power.staticPower(Component::Sa) +
-                   power.staticPower(Component::Vu) +
-                   power.staticPower(Component::Hbm) +
-                   power.staticPower(Component::Ici);
-    auto leak = leakFactors(policy, params.ratios());
-    return power.staticPower(Component::Other) +
-           (logic * leak.logic +
-            power.staticPower(Component::Sram) * leak.sram);
-}
 
 const WorkloadRun &
 WorkloadReport::execution() const

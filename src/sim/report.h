@@ -170,10 +170,6 @@ WorkloadReport makeReport(std::shared_ptr<const models::ScenarioSpec> spec,
                           std::shared_ptr<const WorkloadRun> run,
                           const GatedResults &gated);
 
-/** Idle power of a jobless chip under a policy (used by Fig. 24). */
-double idleStaticPower(const energy::PowerModel &power,
-                       const arch::GatingParams &params, Policy policy);
-
 // Kept only because perfbench/layer_trace.cc calls them; they go when
 // that tracer becomes a driver over library spans (ROADMAP, "One
 // benchmark").
