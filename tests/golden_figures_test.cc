@@ -1,10 +1,11 @@
 /**
  * @file
  * Golden-figure regression harness: renders downsized fig03 / fig21 /
- * table3 configurations to canonical CSV at full double precision and
- * byte-compares against checked-in golden files, so cache or
- * parallelism changes can never silently drift the paper's reproduced
- * numbers — any change in any digit of any cell fails here.
+ * table3 configurations and the A..E area/power model to canonical CSV
+ * at full double precision and byte-compares against checked-in golden
+ * files, so cache or parallelism changes can never silently drift the
+ * paper's reproduced numbers — any change in any digit of any cell
+ * fails here.
  *
  * The goldens live in tests/golden/ (REGATE_GOLDEN_DIR, injected by
  * CMake). To regenerate after an *intentional* model change:
@@ -21,6 +22,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "carbon/carbon_model.h"
 #include "compiler/compiler.h"
@@ -162,6 +164,57 @@ renderTable3()
             << params.onOffDelay(u) << ',' << params.breakEven(u)
             << ',' << params.detectionWindow(u) << ',' << num(p)
             << ',' << num(e_tr) << '\n';
+    }
+    return out.str();
+}
+
+/**
+ * The area/power model of every generation A..E: each component's
+ * area and static power, the gating overhead, the per-instance static
+ * power of a PE, an SA, a VU and an SRAM segment, and the dynamic
+ * energy of one unit of each WorkCounters field. This pins every
+ * per-node constant (16, 7 and 4 nm) at full precision.
+ */
+std::string
+renderPowerModel()
+{
+    std::ostringstream out;
+    out << "gen,quantity,value\n";
+    for (auto gen : arch::allGenerations()) {
+        const auto &cfg = arch::npuConfig(gen);
+        energy::PowerModel power(cfg);
+        const auto &area = power.areaModel();
+        const std::string g = arch::generationName(gen);
+        auto row = [&](const std::string &what, double v) {
+            out << g << ',' << what << ',' << num(v) << '\n';
+        };
+        for (auto c : arch::kAllComponents) {
+            row("area_mm2_" + arch::componentName(c),
+                area.baseline().mm2[c]);
+            row("static_w_" + arch::componentName(c),
+                power.staticPower(c));
+        }
+        row("gating_overhead_mm2", area.gatingOverheadMm2());
+        row("pe_static_w", power.peStaticPower());
+        row("sa_static_w", power.saStaticPower());
+        row("vu_static_w", power.vuStaticPower());
+        row("sram_segment_static_w", power.sramSegmentStaticPower());
+        const std::pair<const char *, double energy::WorkCounters::*>
+            fields[] = {{"macs", &energy::WorkCounters::macs},
+                        {"vu_ops", &energy::WorkCounters::vuOps},
+                        {"sram_bytes", &energy::WorkCounters::sramBytes},
+                        {"hbm_bytes", &energy::WorkCounters::hbmBytes},
+                        {"ici_bytes", &energy::WorkCounters::iciBytes}};
+        for (const auto &[name, field] : fields) {
+            energy::WorkCounters work;
+            work.*field = 1;
+            auto e = power.dynamicEnergy(work);
+            for (auto c : arch::kAllComponents)
+                if (e[c] != 0)
+                    row(std::string("dynamic_j_") + name + "_" +
+                            arch::componentName(c),
+                        e[c]);
+        }
     }
     return out.str();
 }
@@ -359,6 +412,11 @@ TEST(GoldenFigures, Fig21LeakageSensitivitySmall)
 TEST(GoldenFigures, Table3DelaysAndBets)
 {
     checkGolden("table3_delays_bets.csv", renderTable3());
+}
+
+TEST(GoldenFigures, PowerModelAllGenerations)
+{
+    checkGolden("power_model_generations.csv", renderPowerModel());
 }
 
 TEST(GoldenFigures, Fig04SaTemporalUtilSmall)
