@@ -29,7 +29,7 @@ main(int argc, char **argv)
                                 : std::string("N/A");
     });
     row("Technology", [](const arch::NpuConfig &c) {
-        return arch::techNodeName(c.node);
+        return std::string(arch::techParams(c.node).name);
     });
     row("Frequency (MHz)", [](const arch::NpuConfig &c) {
         return TablePrinter::fmt(c.frequencyHz / 1e6, 0);

@@ -22,25 +22,6 @@ main(int argc, char **argv)
     energy::PowerModel power(cfg);
     arch::GatingParams params;
 
-    auto unit_power = [&](arch::GatedUnit u) {
-        switch (u) {
-          case arch::GatedUnit::SaPe:
-            return power.peStaticPower();
-          case arch::GatedUnit::SaFull:
-            return power.saStaticPower();
-          case arch::GatedUnit::Vu:
-            return power.vuStaticPower();
-          case arch::GatedUnit::Hbm:
-            return power.hbmStaticPower();
-          case arch::GatedUnit::Ici:
-            return power.iciStaticPower();
-          case arch::GatedUnit::SramSleep:
-          case arch::GatedUnit::SramOff:
-            return power.sramSegmentStaticPower();
-        }
-        return 0.0;
-    };
-
     TablePrinter t({"Unit", "On/Off Delay (cyc)", "BET (cyc)",
                     "HW window (cyc)", "Unit static (W)",
                     "Transition energy (nJ)"});
@@ -48,7 +29,7 @@ main(int argc, char **argv)
                    arch::GatedUnit::Vu, arch::GatedUnit::Hbm,
                    arch::GatedUnit::Ici, arch::GatedUnit::SramSleep,
                    arch::GatedUnit::SramOff}) {
-        double p = unit_power(u);
+        double p = power.unitStaticPower(u);
         double e_tr = core::transitionEnergy(
             p, params.breakEven(u), params.onOffDelay(u),
             params.gatedLeakage(u), cfg.cycleTime());

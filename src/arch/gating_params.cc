@@ -8,45 +8,49 @@
 namespace regate {
 namespace arch {
 
-std::string
-gatedUnitName(GatedUnit unit)
-{
-    switch (unit) {
-      case GatedUnit::SaPe:
-        return "SA (PE)";
-      case GatedUnit::SaFull:
-        return "SA (full)";
-      case GatedUnit::Vu:
-        return "VU";
-      case GatedUnit::Hbm:
-        return "HBM";
-      case GatedUnit::Ici:
-        return "ICI";
-      case GatedUnit::SramSleep:
-        return "SRAM (sleep)";
-      case GatedUnit::SramOff:
-        return "SRAM (off)";
-    }
-    throw LogicError("unknown GatedUnit");
-}
-
 namespace {
 
-// Table 3 of the paper: power on/off delay and break-even time, cycles.
-const std::array<UnitGatingParams, 7> kTable3 = {{
-    /* SaPe      */ {1, 47},
-    /* SaFull    */ {10, 469},
-    /* Vu        */ {2, 32},
-    /* Hbm       */ {60, 412},
-    /* Ici       */ {60, 459},
-    /* SramSleep */ {4, 41},
-    /* SramOff   */ {10, 82},
+/** One row of the gated-unit table. */
+struct UnitRow
+{
+    GatedUnit unit;
+    const char *name;
+    Cycles onOffDelay;  ///< Power on/off delay, cycles. Paper: Table 3.
+    Cycles breakEven;   ///< Break-even time (BET), cycles. Paper: Table 3.
+    /** The ratio left leaking when gated. Paper: §6.1's settings. */
+    double LeakageRatios::*gatedLeak;
+};
+
+/**
+ * The gated-unit table, one row per GatedUnit in enum order: the
+ * synthesized prototype's delays and BETs (Table 3); logic leaks
+ * logicOff when gated, SRAM its sleep or off ratio (§6.1).
+ */
+constexpr std::array<UnitRow, 7> kUnits = {{
+    {GatedUnit::SaPe, "SA (PE)", 1, 47, &LeakageRatios::logicOff},
+    {GatedUnit::SaFull, "SA (full)", 10, 469, &LeakageRatios::logicOff},
+    {GatedUnit::Vu, "VU", 2, 32, &LeakageRatios::logicOff},
+    {GatedUnit::Hbm, "HBM", 60, 412, &LeakageRatios::logicOff},
+    {GatedUnit::Ici, "ICI", 60, 459, &LeakageRatios::logicOff},
+    {GatedUnit::SramSleep, "SRAM (sleep)", 4, 41, &LeakageRatios::sramSleep},
+    {GatedUnit::SramOff, "SRAM (off)", 10, 82, &LeakageRatios::sramOff},
 }};
 
-const UnitGatingParams &
-table3(GatedUnit unit)
+static_assert(
+    [] {
+        for (std::size_t i = 0; i < kUnits.size(); ++i)
+            if (kUnits[i].unit != static_cast<GatedUnit>(i))
+                return false;
+        return true;
+    }(),
+    "kUnits must hold one row per GatedUnit, in enum order");
+
+const UnitRow &
+row(GatedUnit unit)
 {
-    return kTable3[static_cast<std::size_t>(unit)];
+    auto i = static_cast<std::size_t>(unit);
+    REGATE_ASSERT(i < kUnits.size(), "GatedUnit out of range");
+    return kUnits[i];
 }
 
 Cycles
@@ -59,16 +63,22 @@ scaleCycles(Cycles c, double s)
 
 }  // namespace
 
+std::string
+gatedUnitName(GatedUnit unit)
+{
+    return row(unit).name;
+}
+
 Cycles
 GatingParams::onOffDelay(GatedUnit unit) const
 {
-    return scaleCycles(table3(unit).onOffDelay, delayScale_);
+    return scaleCycles(row(unit).onOffDelay, delayScale_);
 }
 
 Cycles
 GatingParams::breakEven(GatedUnit unit) const
 {
-    return scaleCycles(table3(unit).breakEven, delayScale_);
+    return scaleCycles(row(unit).breakEven, delayScale_);
 }
 
 Cycles
@@ -81,14 +91,7 @@ GatingParams::detectionWindow(GatedUnit unit) const
 double
 GatingParams::gatedLeakage(GatedUnit unit) const
 {
-    switch (unit) {
-      case GatedUnit::SramSleep:
-        return ratios_.sramSleep;
-      case GatedUnit::SramOff:
-        return ratios_.sramOff;
-      default:
-        return ratios_.logicOff;
-    }
+    return ratios_.*row(unit).gatedLeak;
 }
 
 bool
@@ -97,7 +100,7 @@ GatingParams::delayScaleFits(double scale)
     // The largest Table-3 entry bounds every scaled cycle count; 2^64
     // is the first double past the range of Cycles.
     Cycles largest = 0;
-    for (const auto &unit : kTable3)
+    for (const auto &unit : kUnits)
         largest = std::max({largest, unit.onOffDelay, unit.breakEven});
     return scale > 0.0 &&
            static_cast<double>(largest) * scale < 0x1p64;

@@ -34,13 +34,6 @@ enum class GatedUnit {
 /** Printable unit name. */
 std::string gatedUnitName(GatedUnit unit);
 
-/** Per-unit circuit timing from the synthesized prototype (Table 3). */
-struct UnitGatingParams
-{
-    Cycles onOffDelay;   ///< Power on/off delay, cycles.
-    Cycles breakEven;    ///< Break-even time (BET), cycles.
-};
-
 /**
  * Leakage power in low-power states, expressed as a fraction of the
  * active-state static power. Defaults are the paper's §6.1 settings;

@@ -34,21 +34,6 @@ struct AreaBreakdown
     }
 };
 
-/**
- * Area overheads of the ReGate power-gating logic (§4.4). Fractions
- * are relative to the area of the block they are attached to, except
- * where noted.
- */
-struct GatingAreaOverheads
-{
-    double perPe = 0.0636;       ///< Gating transistors per PE (6.36%).
-    double saControl = 0.00001;  ///< Row/col control logic per SA.
-    double perVu = 0.034;        ///< Per-VU gating + idle FSM.
-    double sramPerSegment = 0.11;   ///< Sleep/off support per SRAM mm^2.
-    double hbmIdleDetect = 0.0;  ///< Idle detection reuses ctrl logic.
-    double iciIdleDetect = 0.0;  ///< Whole-IP gating, negligible.
-};
-
 /** Parametric area model for one NPU chip. */
 class AreaModel
 {

@@ -6,7 +6,6 @@ namespace regate {
 namespace energy {
 
 using arch::Component;
-using arch::TechNode;
 
 WorkCounters &
 WorkCounters::operator+=(const WorkCounters &o)
@@ -21,42 +20,14 @@ WorkCounters::operator+=(const WorkCounters &o)
 
 namespace {
 
-// Leakage densities (W/mm^2) for the PHY-heavy interface blocks,
-// calibrated so HBM lands at ~13% and ICI at ~7-11% of chip static
-// power on NPU-D, inside the §3 bands (9.0%-22.4% and 5.3%-12.0%).
-double
-hbmPhyLeakDensity(TechNode node)
-{
-    switch (node) {
-      case TechNode::N16:
-        return 0.60;
-      case TechNode::N7:
-        return 0.98;
-      case TechNode::N4:
-        return 1.14;
-    }
-    throw LogicError("unknown TechNode");
-}
-
-double
-iciPhyLeakDensity(TechNode node)
-{
-    switch (node) {
-      case TechNode::N16:
-        return 0.32;
-      case TechNode::N7:
-        return 0.43;
-      case TechNode::N4:
-        return 0.43;
-    }
-    throw LogicError("unknown TechNode");
-}
-
-// "Other" static power as a fraction of chip static power (§3 band:
-// 39.1%-45.8%).
+// "Other" static power as a fraction of chip static power. Calibrated:
+// the middle of the §3 band (39.1%-45.8%), which
+// PowerModel.StaticSharesWithinPaperBands checks on NPU-D.
 constexpr double kOtherStaticShare = 0.42;
 
-// Control/clock-distribution dynamic overhead attributed to Other.
+// Control/clock-distribution dynamic overhead attributed to Other, as
+// a fraction of the modeled components' dynamic energy. Repo choice:
+// McPAT-style clock and control overhead; no band checks it.
 constexpr double kOtherDynamicFactor = 0.20;
 
 }  // namespace
@@ -72,9 +43,9 @@ PowerModel::PowerModel(const arch::NpuConfig &cfg)
     staticW_[Component::Sram] =
         mm2[Component::Sram] * tech.leakageDensitySram;
     staticW_[Component::Hbm] =
-        mm2[Component::Hbm] * hbmPhyLeakDensity(cfg.node);
+        mm2[Component::Hbm] * tech.hbmPhyLeakDensity;
     staticW_[Component::Ici] =
-        mm2[Component::Ici] * iciPhyLeakDensity(cfg.node);
+        mm2[Component::Ici] * tech.iciPhyLeakDensity;
 
     double subtotal = staticW_[Component::Sa] + staticW_[Component::Vu] +
                       staticW_[Component::Sram] +
@@ -121,15 +92,24 @@ PowerModel::sramSegmentStaticPower() const
 }
 
 double
-PowerModel::hbmStaticPower() const
+PowerModel::unitStaticPower(arch::GatedUnit unit) const
 {
-    return staticW_[Component::Hbm];
-}
-
-double
-PowerModel::iciStaticPower() const
-{
-    return staticW_[Component::Ici];
+    switch (unit) {
+      case arch::GatedUnit::SaPe:
+        return peStaticPower();
+      case arch::GatedUnit::SaFull:
+        return saStaticPower();
+      case arch::GatedUnit::Vu:
+        return vuStaticPower();
+      case arch::GatedUnit::Hbm:
+        return staticW_[Component::Hbm];
+      case arch::GatedUnit::Ici:
+        return staticW_[Component::Ici];
+      case arch::GatedUnit::SramSleep:
+      case arch::GatedUnit::SramOff:
+        return sramSegmentStaticPower();
+    }
+    throw LogicError("unknown GatedUnit");
 }
 
 arch::ComponentMap<double>

@@ -16,6 +16,7 @@
 #define REGATE_ENERGY_POWER_MODEL_H
 
 #include "arch/component.h"
+#include "arch/gating_params.h"
 #include "arch/npu_config.h"
 #include "energy/area_model.h"
 
@@ -55,8 +56,19 @@ class PowerModel
     double peStaticPower() const;
     double vuStaticPower() const;
     double sramSegmentStaticPower() const;
-    double hbmStaticPower() const;
-    double iciStaticPower() const;
+
+    /**
+     * Static power of one instance of a gated unit, watts: the PE, SA,
+     * VU or SRAM segment above, or the whole HBM or ICI block. Table 3
+     * derives each unit's transition energy from it.
+     */
+    double unitStaticPower(arch::GatedUnit unit) const;
+
+    // Forwards to staticPower(Hbm) and staticPower(Ici), kept only
+    // because perfbench/layer_trace.cc calls them. They go with that
+    // tracer (ROADMAP item 6).
+    double hbmStaticPower() const { return staticW_[arch::Component::Hbm]; }
+    double iciStaticPower() const { return staticW_[arch::Component::Ici]; }
 
     /** Dynamic energy for a batch of work, joules, per component. */
     arch::ComponentMap<double>

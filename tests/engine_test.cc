@@ -376,8 +376,8 @@ referencePolicy(const Engine &engine, const WorkloadRun &run,
     const std::array<core::UnitSpec, 4> specs = {{
         {arch::GatedUnit::SaFull, power.staticPower(Component::Sa), tau},
         {arch::GatedUnit::Vu, power.staticPower(Component::Vu), tau},
-        {arch::GatedUnit::Hbm, power.hbmStaticPower(), tau},
-        {arch::GatedUnit::Ici, power.iciStaticPower(), tau},
+        {arch::GatedUnit::Hbm, power.staticPower(Component::Hbm), tau},
+        {arch::GatedUnit::Ici, power.staticPower(Component::Ici), tau},
     }};
 
     PolicyResult res;

@@ -135,28 +135,7 @@ renderTable3()
                    arch::GatedUnit::Vu, arch::GatedUnit::Hbm,
                    arch::GatedUnit::Ici, arch::GatedUnit::SramSleep,
                    arch::GatedUnit::SramOff}) {
-        double p = 0;
-        switch (u) {
-          case arch::GatedUnit::SaPe:
-            p = power.peStaticPower();
-            break;
-          case arch::GatedUnit::SaFull:
-            p = power.saStaticPower();
-            break;
-          case arch::GatedUnit::Vu:
-            p = power.vuStaticPower();
-            break;
-          case arch::GatedUnit::Hbm:
-            p = power.hbmStaticPower();
-            break;
-          case arch::GatedUnit::Ici:
-            p = power.iciStaticPower();
-            break;
-          case arch::GatedUnit::SramSleep:
-          case arch::GatedUnit::SramOff:
-            p = power.sramSegmentStaticPower();
-            break;
-        }
+        double p = power.unitStaticPower(u);
         double e_tr = core::transitionEnergy(
             p, params.breakEven(u), params.onOffDelay(u),
             params.gatedLeakage(u), cfg.cycleTime());
