@@ -332,13 +332,6 @@ sensitivityWorkloads()
             builtinScenario(Workload::DiTXL)};
 }
 
-/** Short generation label ("A".."E"). */
-inline std::string
-genLabel(arch::NpuGeneration gen)
-{
-    return arch::generationName(gen);
-}
-
 }  // namespace bench
 }  // namespace regate
 

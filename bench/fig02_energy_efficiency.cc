@@ -42,12 +42,12 @@ main(int argc, char **argv)
                 const auto &res = results.at(idx++);
                 if (bench::searchFailed(res, *s, gen)) {
                     failed = true;
-                    t.addRow({s->name, bench::genLabel(gen), "-", "-",
+                    t.addRow({s->name, arch::generationName(gen), "-", "-",
                               "error", unit});
                     continue;
                 }
                 t.addRow({s->name,
-                          bench::genLabel(gen),
+                          arch::generationName(gen),
                           std::to_string(res.setup.chips),
                           TablePrinter::fmt(res.sloRatio, 0) + "x",
                           TablePrinter::eng(res.energyPerUnit, 3),

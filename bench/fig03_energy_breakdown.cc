@@ -38,7 +38,7 @@ main(int argc, char **argv)
             auto pct = [&](double j) {
                 return TablePrinter::pct(j * busy_scale, 1);
             };
-            t.addRow({s->name, bench::genLabel(gen),
+            t.addRow({s->name, arch::generationName(gen),
                       TablePrinter::pct(
                           rep.idleShare(sim::Policy::NoPG), 1),
                       pct(e.dynamicJ[Component::Sa]),

@@ -28,7 +28,7 @@ main(int argc, char **argv)
             auto sav = [&](Policy p) {
                 return TablePrinter::pct(rep.savingVsNoPg(p), 1);
             };
-            t.addRow({bench::genLabel(gen), sav(Policy::Base),
+            t.addRow({arch::generationName(gen), sav(Policy::Base),
                       sav(Policy::HW), sav(Policy::Full),
                       sav(Policy::Ideal)});
         }

@@ -87,7 +87,11 @@ double saStaticEnergyGated(const SaTileStats &stats, double pe_static_w,
                            double cycle_time, double w_on_fraction,
                            double off_leakage);
 
-/** Fraction of PE static power consumed in W_on mode. */
+/**
+ * Fraction of PE static power consumed in W_on mode. Repo choice: the
+ * weight register's share of a PE (bf16 MAC + 3 registers); the paper
+ * gives no value and no band checks it.
+ */
 constexpr double kWOnPowerFraction = 0.15;
 
 }  // namespace sa

@@ -70,7 +70,8 @@ stallsSa(const OpExecution &ex)
  * Full pre-wakes the VU with setpm (§4.3) and powers unused SRAM off.
  * Base's idle detection gates the VU between the bursts that drain SA
  * output tiles, so 15% of those wakes stall the SA (the output queue
- * absorbs the rest, §6.4).
+ * absorbs the rest, §6.4). The 15% is a repo choice, not a paper value:
+ * it sets Base's VU stall overhead in fig19.
  */
 constexpr std::array<Design, kNumPolicies> kDesigns = [] {
     using enum GatingMode;

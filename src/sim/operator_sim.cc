@@ -136,6 +136,10 @@ try {
                                 static_cast<double>(cfg_.sramBytes));
 
     // ---- Activity burst shapes ----
+    // Repo choices, not paper values: HBM streams (and a VU that
+    // follows them) run as one burst per 4 MiB chunk, a tiled MatMul's
+    // VU as one burst per tile, and the SA and ICI as one burst per
+    // operator. They shape the idle gaps that gating sees.
     std::uint64_t chunks = std::max<std::uint64_t>(
         1, static_cast<std::uint64_t>(hbm_bytes / (4 << 20)));
     OpBursts &shape = ex.timeline;

@@ -32,7 +32,10 @@
 namespace regate {
 namespace sim {
 
-/** Datacenter accounting constants (§3). */
+/**
+ * Datacenter accounting constants (§3). Both are the paper's §6.6
+ * carbon settings: 60% datacenter utilization [84] and a PUE of 1.1.
+ */
 struct FleetParams
 {
     double dutyCycle = 0.6;  ///< Fraction of wall time running jobs.
