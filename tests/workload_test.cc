@@ -132,6 +132,37 @@ TEST(Workload, ForwardsReadTheRow)
     EXPECT_EQ(familyOf(Workload::Gligen), WorkloadFamily::StableDiffusion);
 }
 
+TEST(Workload, EnumeratorsNameTheirRows)
+{
+    // The layer tracer's enum indexes the suite by position: each
+    // enumerator must stay on the row of its canonical name.
+    const std::pair<Workload, const char *> expected[] = {
+        {Workload::Train8B, "Llama3-8B-Train"},
+        {Workload::Train13B, "Llama2-13B-Train"},
+        {Workload::Train70B, "Llama3-70B-Train"},
+        {Workload::Train405B, "Llama3.1-405B-Train"},
+        {Workload::Prefill8B, "Llama3-8B-Prefill"},
+        {Workload::Prefill13B, "Llama2-13B-Prefill"},
+        {Workload::Prefill70B, "Llama3-70B-Prefill"},
+        {Workload::Prefill405B, "Llama3.1-405B-Prefill"},
+        {Workload::Decode8B, "Llama3-8B-Decode"},
+        {Workload::Decode13B, "Llama2-13B-Decode"},
+        {Workload::Decode70B, "Llama3-70B-Decode"},
+        {Workload::Decode405B, "Llama3.1-405B-Decode"},
+        {Workload::DlrmS, "DLRM-S"},
+        {Workload::DlrmM, "DLRM-M"},
+        {Workload::DlrmL, "DLRM-L"},
+        {Workload::DiTXL, "DiT-XL"},
+        {Workload::Gligen, "GLIGEN"},
+    };
+    ASSERT_EQ(allWorkloads().size(), std::size(expected));
+    for (std::size_t i = 0; i < std::size(expected); ++i) {
+        auto [w, name] = expected[i];
+        EXPECT_EQ(allWorkloads()[i], w) << name;
+        EXPECT_EQ(workloadName(w), name);
+    }
+}
+
 TEST(Workload, ModelStateBytesSensible)
 {
     // Decode state includes the KV cache: bigger than prefill state.
