@@ -16,7 +16,8 @@
  * and the rest of the artifact first), 2 = usage error.
  *
  * A binary's axis is a list of scenario specs: built-in paper rows
- * (models::builtinScenario) by default, the `--spec` file's scenarios
+ * (models::paperSuite, or rows picked by name with
+ * models::builtinScenario) by default, the `--spec` file's scenarios
  * otherwise. Spec scenarios that duplicate a paper workload become its
  * row, so either way a binary renders only from the spec.
  *
@@ -231,16 +232,6 @@ searchGrid(const std::vector<sim::SweepCase> &grid)
     return results;
 }
 
-/** All 17 paper workloads, in paper (family) order. */
-inline std::vector<ScenarioPtr>
-paperSuite()
-{
-    std::vector<ScenarioPtr> axis;
-    for (auto w : models::allWorkloads())
-        axis.push_back(models::builtinScenario(w));
-    return axis;
-}
-
 /**
  * The binary's scenario axis: @p defaults, or the `--spec` file's
  * scenarios under `--spec FILE`.
@@ -324,12 +315,10 @@ inline std::vector<ScenarioPtr>
 sensitivityWorkloads()
 {
     using models::builtinScenario;
-    using models::Workload;
-    return {builtinScenario(Workload::Train405B),
-            builtinScenario(Workload::Prefill405B),
-            builtinScenario(Workload::Decode405B),
-            builtinScenario(Workload::DlrmL),
-            builtinScenario(Workload::DiTXL)};
+    return {builtinScenario("Llama3.1-405B-Train"),
+            builtinScenario("Llama3.1-405B-Prefill"),
+            builtinScenario("Llama3.1-405B-Decode"),
+            builtinScenario("DLRM-L"), builtinScenario("DiT-XL")};
 }
 
 }  // namespace bench

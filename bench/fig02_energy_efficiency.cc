@@ -22,7 +22,7 @@ main(int argc, char **argv)
     // family exactly as the serial loop produced it. The axis is the
     // 17 paper workloads (already in family order), or the scenarios
     // of a `--spec` file.
-    auto axis = bench::workloadAxis(bench::paperSuite());
+    auto axis = bench::workloadAxis(models::paperSuite());
     auto grid = sim::scenarioGrid(axis, bench::paperGenerations());
     auto results = bench::searchGrid(grid);
 

@@ -22,7 +22,7 @@ main(int argc, char **argv)
                     "Dyn ICI", "Sta ICI", "Dyn HBM", "Sta HBM",
                     "Dyn Oth", "Sta Oth", "StaticShareBusy"});
 
-    auto axis = bench::workloadAxis(bench::paperSuite());
+    auto axis = bench::workloadAxis(models::paperSuite());
     auto reports = bench::simulateAll(axis, bench::paperGenerations());
     std::size_t idx = 0;
     for (const auto &s : axis) {

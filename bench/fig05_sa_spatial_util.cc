@@ -13,7 +13,7 @@ main(int argc, char **argv)
     bench::banner("Figure 5", "SA spatial utilization (achieved/peak FLOPs while active)");
 
     TablePrinter t({"Workload", "A", "B", "C", "D"});
-    auto axis = bench::workloadAxis(bench::paperSuite());
+    auto axis = bench::workloadAxis(models::paperSuite());
     auto reports = bench::simulateAll(axis, bench::paperGenerations());
     std::size_t idx = 0;
     for (const auto &s : axis) {

@@ -19,7 +19,7 @@ main(int argc, char **argv)
 
     TablePrinter t({"Workload", "p10 (MB)", "p25", "p50", "p75",
                     "p90", "p100", "<=8MB", "<=128MB"});
-    auto axis = bench::workloadAxis(bench::paperSuite());
+    auto axis = bench::workloadAxis(models::paperSuite());
     auto reports =
         bench::simulateAll(axis, {arch::NpuGeneration::D});
     std::size_t idx = 0;

@@ -85,12 +85,11 @@ main(int argc, char **argv)
     // determinism check: two independent simulations of the same
     // cases, each fanned out by a sweep runner, must agree op for op.
     using models::builtinScenario;
-    using models::Workload;
     auto axis = bench::workloadAxis(
-        {builtinScenario(Workload::Prefill13B),
-         builtinScenario(Workload::Decode13B),
-         builtinScenario(Workload::Prefill70B),
-         builtinScenario(Workload::Decode70B)});
+        {builtinScenario("Llama2-13B-Prefill"),
+         builtinScenario("Llama2-13B-Decode"),
+         builtinScenario("Llama3-70B-Prefill"),
+         builtinScenario("Llama3-70B-Decode")});
     auto grid = sim::scenarioGrid(axis, {arch::NpuGeneration::D});
     auto first = bench::runGrid(grid);
     auto second = bench::runGrid(grid);

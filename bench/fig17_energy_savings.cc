@@ -37,7 +37,7 @@ main(int argc, char **argv)
     TablePrinter t({"Workload", "Base", "HW", "Full", "Ideal",
                     "Full:SA", "Full:VU", "Full:SRAM", "Full:ICI",
                     "Full:HBM"});
-    auto axis = bench::workloadAxis(bench::paperSuite());
+    auto axis = bench::workloadAxis(models::paperSuite());
     auto rows = bench::mapGrid(
         sim::scenarioGrid(axis, {arch::NpuGeneration::D}),
         [](const sim::WorkloadReport &rep) {

@@ -19,7 +19,7 @@ main(int argc, char **argv)
     TablePrinter t({"Workload", "NoPG avg", "Base avg", "HW avg",
                     "Full avg", "Ideal avg", "NoPG peak",
                     "Full peak"});
-    auto axis = bench::workloadAxis(bench::paperSuite());
+    auto axis = bench::workloadAxis(models::paperSuite());
     auto reports =
         bench::simulateAll(axis, {arch::NpuGeneration::D});
     std::size_t idx = 0;

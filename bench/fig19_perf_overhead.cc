@@ -19,7 +19,7 @@ main(int argc, char **argv)
     TablePrinter t(
         {"Workload", "ReGate-Base", "ReGate-HW", "ReGate-Full"});
     double worst_base = 0, worst_full = 0;
-    auto axis = bench::workloadAxis(bench::paperSuite());
+    auto axis = bench::workloadAxis(models::paperSuite());
     auto reports =
         bench::simulateAll(axis, {arch::NpuGeneration::D});
     std::size_t idx = 0;

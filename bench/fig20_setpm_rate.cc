@@ -19,7 +19,7 @@ main(int argc, char **argv)
                   "NPU-D)");
 
     TablePrinter t({"Workload", "VU setpm/1Kcyc", "SRAM setpm/1Kcyc"});
-    auto axis = bench::workloadAxis(bench::paperSuite());
+    auto axis = bench::workloadAxis(models::paperSuite());
     auto reports =
         bench::simulateAll(axis, {arch::NpuGeneration::D});
     std::size_t idx = 0;

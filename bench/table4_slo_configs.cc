@@ -22,7 +22,7 @@ main(int argc, char **argv)
                     "J/unit (NoPG)"});
     // SLO-search every workload with the sweep runner, one task per
     // workload; results come back in workload order.
-    auto axis = bench::workloadAxis(bench::paperSuite());
+    auto axis = bench::workloadAxis(models::paperSuite());
     auto grid = sim::scenarioGrid(axis, {arch::NpuGeneration::D});
     auto results = bench::searchGrid(grid);
     std::size_t idx = 0;

@@ -17,7 +17,7 @@ main()
     using namespace regate;
     using sim::Policy;
 
-    auto scenario = models::builtinScenario(models::Workload::DlrmL);
+    auto scenario = models::builtinScenario("DLRM-L");
     auto rep = sim::simulateScenario(scenario, arch::NpuGeneration::D);
     carbon::CarbonParams params;
 

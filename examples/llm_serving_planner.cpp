@@ -22,9 +22,8 @@ main()
               << "SLO: 5x the NPU-D default-config latency (paper "
                  "§3)\n\n";
 
-    for (auto workload : {models::Workload::Prefill70B,
-                          models::Workload::Decode70B}) {
-        const auto &scenario = models::builtinScenario(workload);
+    for (auto name : {"Llama3-70B-Prefill", "Llama3-70B-Decode"}) {
+        const auto &scenario = models::builtinScenario(name);
         std::cout << "== " << scenario->name
                   << " ==\n";
         TablePrinter t({"Gen", "Chips", "Batch", "SLO", "mJ/token "

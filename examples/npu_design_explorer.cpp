@@ -41,7 +41,7 @@ main()
     designs.push_back(future);
 
     const auto &scenario =
-        models::builtinScenario(models::Workload::Decode405B);
+        models::builtinScenario("Llama3.1-405B-Decode");
     auto setup = models::scenarioSetup(*scenario);
 
     std::cout << "Design explorer: " << scenario->name << ", "

@@ -22,7 +22,7 @@ main()
     // 1. Pick a scenario and a chip generation. The built-in rows
     //    cover the paper's whole Table 1 suite; a spec file
     //    (models/spec.h) describes any other scenario.
-    auto scenario = models::builtinScenario(models::Workload::Decode70B);
+    auto scenario = models::builtinScenario("Llama3-70B-Decode");
     auto gen = arch::NpuGeneration::D;
 
     // 2. Simulate. This builds the per-chip operator graph, runs the

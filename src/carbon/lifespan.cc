@@ -27,7 +27,8 @@ annualEfficiencyFactor(std::shared_ptr<const models::ScenarioSpec> spec)
 double
 annualEfficiencyFactor(models::Workload workload)
 {
-    return annualEfficiencyFactor(models::builtinScenario(workload));
+    return annualEfficiencyFactor(
+        models::paperSuite()[static_cast<std::size_t>(workload)]);
 }
 
 LifespanAnalysis

@@ -56,11 +56,10 @@ LifespanAnalysis analyzeLifespan(const sim::WorkloadReport &rep,
                                  int horizon_years = 10,
                                  const CarbonParams &params = {});
 
-// Kept only because perfbench/layer_trace.cc calls it; it goes when
-// that tracer becomes a driver over library spans (ROADMAP, "One
-// benchmark").
+// Kept only because perfbench/layer_trace.cc calls it. It goes with
+// that tracer (ROADMAP item 6).
 
-/** annualEfficiencyFactor of models::builtinScenario(@p workload). */
+/** annualEfficiencyFactor of @p workload's models::paperSuite() row. */
 double annualEfficiencyFactor(models::Workload workload);
 
 }  // namespace carbon

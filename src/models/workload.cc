@@ -1,106 +1,24 @@
 #include "models/workload.h"
 
 #include <algorithm>
-#include <array>
 #include <iterator>
 
 #include "common/error.h"
 #include "models/registry.h"
+#include "models/spec.h"
 
 namespace regate {
 namespace models {
 
 namespace {
 
-/** One paper workload: Table 1's identity at Table 4's NPU-D setup. */
-struct BuiltinRow
-{
-    Workload workload;
-    const char *name;    ///< Display name.
-    const char *family;  ///< Family key.
-    const char *model;   ///< Model key within the family.
-    int chips;
-    std::int64_t batch;
-};
+constexpr const char *kPaperSuiteFile = "examples/specs/paper_suite.spec";
 
-/** The paper's workload table, in Workload (paper) order. */
-constexpr BuiltinRow kRows[] = {
-    {Workload::Train8B, "Llama3-8B-Train", "llama-train", "8b", 4, 32},
-    {Workload::Train13B, "Llama2-13B-Train", "llama-train", "13b", 4, 32},
-    {Workload::Train70B, "Llama3-70B-Train", "llama-train", "70b", 8, 32},
-    {Workload::Train405B, "Llama3.1-405B-Train", "llama-train", "405b",
-     16, 32},
-    {Workload::Prefill8B, "Llama3-8B-Prefill", "llama-prefill", "8b", 1,
-     4},
-    {Workload::Prefill13B, "Llama2-13B-Prefill", "llama-prefill", "13b",
-     1, 4},
-    {Workload::Prefill70B, "Llama3-70B-Prefill", "llama-prefill", "70b",
-     4096, 8192},
-    {Workload::Prefill405B, "Llama3.1-405B-Prefill", "llama-prefill",
-     "405b", 256, 64},
-    {Workload::Decode8B, "Llama3-8B-Decode", "llama-decode", "8b", 1, 8},
-    {Workload::Decode13B, "Llama2-13B-Decode", "llama-decode", "13b", 1,
-     4},
-    {Workload::Decode70B, "Llama3-70B-Decode", "llama-decode", "70b", 128,
-     4096},
-    {Workload::Decode405B, "Llama3.1-405B-Decode", "llama-decode", "405b",
-     64, 2048},
-    {Workload::DlrmS, "DLRM-S", "dlrm", "s", 8, 4096},
-    {Workload::DlrmM, "DLRM-M", "dlrm", "m", 8, 4096},
-    {Workload::DlrmL, "DLRM-L", "dlrm", "l", 8, 4096},
-    {Workload::DiTXL, "DiT-XL", "diffusion", "dit-xl", 64, 8192},
-    {Workload::Gligen, "GLIGEN", "diffusion", "gligen", 64, 256},
-};
-constexpr std::size_t kNumRows = std::size(kRows);
-static_assert(
-    [] {
-        for (std::size_t i = 0; i < kNumRows; ++i)
-            if (static_cast<std::size_t>(kRows[i].workload) != i)
-                return false;
-        return true;
-    }(),
-    "kRows must list the workloads in enum order");
-
-/** Family key of each WorkloadFamily, in enum order. */
-constexpr const char *kFamilyKeys[] = {
-    "llama-train", "llama-prefill", "llama-decode", "dlrm", "diffusion",
-};
-
-/** The rows, validated once into shared specs. */
-const std::array<std::shared_ptr<const ScenarioSpec>, kNumRows> &
-builtinScenarios()
-{
-    static const auto specs = [] {
-        std::array<std::shared_ptr<const ScenarioSpec>, kNumRows> out;
-        for (std::size_t i = 0; i < kNumRows; ++i) {
-            const auto &row = kRows[i];
-            ScenarioSpec s;
-            s.name = row.name;
-            s.family = row.family;
-            s.model = row.model;
-            s.chips = row.chips;
-            s.batch = row.batch;
-            validateScenario(s);
-            out[i] = std::make_shared<const ScenarioSpec>(std::move(s));
-        }
-        return out;
-    }();
-    return specs;
-}
+// kPaperSuiteText: that file, which CMake copies into a raw string
+// literal at configure time.
+#include "paper_suite_spec.inc"
 
 }  // namespace
-
-const std::vector<Workload> &
-allWorkloads()
-{
-    static const std::vector<Workload> all = [] {
-        std::vector<Workload> out;
-        for (const auto &row : kRows)
-            out.push_back(row.workload);
-        return out;
-    }();
-    return all;
-}
 
 std::string
 workUnitName(WorkUnit unit)
@@ -108,12 +26,39 @@ workUnitName(WorkUnit unit)
     return kWorkUnits[static_cast<std::size_t>(unit)].label;
 }
 
-const std::shared_ptr<const ScenarioSpec> &
-builtinScenario(Workload w)
+const std::vector<std::shared_ptr<const ScenarioSpec>> &
+paperSuite()
 {
-    auto index = static_cast<std::size_t>(w);
-    REGATE_CHECK(index < kNumRows, "unknown workload");
-    return builtinScenarios()[index];
+    static const auto rows = [] {
+        std::vector<std::shared_ptr<const ScenarioSpec>> out;
+        try {
+            out = parseSpecText(kPaperSuiteText, kPaperSuiteFile).scenarios;
+        } catch (const ConfigError &e) {
+            throw LogicError(std::string("built-in paper suite: ") +
+                             e.what());
+        }
+        REGATE_ASSERT(out.size() == 17, "built-in paper suite ",
+                      kPaperSuiteFile, " gives ", out.size(),
+                      " scenarios, not 17");
+        return out;
+    }();
+    return rows;
+}
+
+const std::shared_ptr<const ScenarioSpec> &
+builtinScenario(std::string_view name)
+{
+    const auto &rows = paperSuite();
+    auto it = std::ranges::find(rows, name, [](const auto &row) {
+        return std::string_view(row->name);
+    });
+    if (it != rows.end())
+        return *it;
+    std::string known;
+    for (const auto &row : rows)
+        known += known.empty() ? row->name : ", " + row->name;
+    throw ConfigError("unknown paper workload '" + std::string(name) +
+                      "' (built-in: " + known + ")");
 }
 
 std::shared_ptr<const ScenarioSpec>
@@ -127,7 +72,7 @@ builtinScenarioOf(const ScenarioSpec &spec)
         spec.gating, [](const auto &slot) { return slot.has_value(); });
     if (spec.parSet || !spec.extra.empty() || overridden)
         return nullptr;
-    for (const auto &b : builtinScenarios()) {
+    for (const auto &b : paperSuite()) {
         if (spec.family == b->family && spec.model == b->model &&
             spec.batch == b->batch && spec.chips == b->chips &&
             spec.seqLen == b->seqLen && spec.outLen == b->outLen &&
@@ -137,16 +82,45 @@ builtinScenarioOf(const ScenarioSpec &spec)
     return nullptr;
 }
 
+// ---- Kept only because perfbench/layer_trace.cc calls them ----
+
+namespace {
+
+/** Family key of each WorkloadFamily, in enum order. */
+constexpr const char *kFamilyKeys[] = {
+    "llama-train", "llama-prefill", "llama-decode", "dlrm", "diffusion",
+};
+
+const ScenarioSpec &
+row(Workload w)
+{
+    return *paperSuite()[static_cast<std::size_t>(w)];
+}
+
+}  // namespace
+
+const std::vector<Workload> &
+allWorkloads()
+{
+    static const std::vector<Workload> all = [] {
+        std::vector<Workload> out;
+        for (std::size_t i = 0; i < paperSuite().size(); ++i)
+            out.push_back(static_cast<Workload>(i));
+        return out;
+    }();
+    return all;
+}
+
 std::string
 workloadName(Workload w)
 {
-    return builtinScenario(w)->name;
+    return row(w).name;
 }
 
 WorkloadFamily
 familyOf(Workload w)
 {
-    const auto &key = builtinScenario(w)->family;
+    const auto &key = row(w).family;
     auto it = std::find(std::begin(kFamilyKeys), std::end(kFamilyKeys), key);
     return static_cast<WorkloadFamily>(it - std::begin(kFamilyKeys));
 }
@@ -162,19 +136,19 @@ workloadFamilyName(WorkloadFamily family)
 WorkUnit
 workUnitOf(Workload w)
 {
-    return scenarioWorkUnit(*builtinScenario(w));
+    return scenarioWorkUnit(row(w));
 }
 
 RunSetup
 defaultSetup(Workload w, arch::NpuGeneration gen)
 {
-    return defaultScenarioSetup(*builtinScenario(w), gen);
+    return defaultScenarioSetup(row(w), gen);
 }
 
 graph::OperatorGraph
 buildGraph(Workload w, const RunSetup &setup)
 {
-    return buildScenarioGraph(*builtinScenario(w), setup);
+    return buildScenarioGraph(row(w), setup);
 }
 
 }  // namespace models

@@ -1,12 +1,11 @@
 /**
  * @file
- * The paper's workload table (Table 1's 17 instances at their Table 4
- * NPU-D chips/batch) as built-in scenario rows. Each row is validated
- * once into a shared ScenarioSpec (builtinScenario), and from there it
- * replays through the same family table as any user spec: the
- * simulator's entry points take only specs. The Workload enum names a
- * row of the table; nothing downstream branches on it. kWorkUnits
- * holds each work unit's spec key and figure label.
+ * The paper's workload suite (Table 1's 17 instances at their Table 4
+ * NPU-D chips/batch) as built-in scenario rows: the sections of
+ * examples/specs/paper_suite.spec, compiled into the library. A row
+ * replays through the same family table as any user spec, and is
+ * looked up by its canonical name. kWorkUnits holds each work unit's
+ * spec key and figure label.
  */
 
 #ifndef REGATE_MODELS_WORKLOAD_H
@@ -15,6 +14,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "arch/npu_config.h"
@@ -24,24 +24,6 @@
 
 namespace regate {
 namespace models {
-
-/** All workload instances evaluated in the paper. */
-enum class Workload {
-    Train8B, Train13B, Train70B, Train405B,
-    Prefill8B, Prefill13B, Prefill70B, Prefill405B,
-    Decode8B, Decode13B, Decode70B, Decode405B,
-    DlrmS, DlrmM, DlrmL,
-    DiTXL, Gligen,
-};
-
-/** Workload families for grouping in figures. */
-enum class WorkloadFamily {
-    LlmTraining,
-    LlmPrefill,
-    LlmDecode,
-    DlrmInference,
-    StableDiffusion,
-};
 
 /** How one run is normalized in Fig. 2 (J/iter, J/token, ...). */
 enum class WorkUnit { Iteration, Token, Request, Image };
@@ -83,18 +65,21 @@ struct RunSetup
 constexpr std::int64_t kPrefillSeqLen = 4096;
 constexpr std::int64_t kDecodeOutLen = 512;
 
-/** All 17 workloads in paper order. */
-const std::vector<Workload> &allWorkloads();
-
 /** Figure label of @p unit. */
 std::string workUnitName(WorkUnit unit);
 
 /**
- * The built-in scenario of a paper workload: its table row (canonical
- * name, family and model keys, Table 4 chips/batch), validated with
- * defaults filled. One shared spec per row for the whole process.
+ * The 17 rows in paper order: examples/specs/paper_suite.spec, parsed
+ * on the first call into one shared, validated spec per section.
  */
-const std::shared_ptr<const ScenarioSpec> &builtinScenario(Workload w);
+const std::vector<std::shared_ptr<const ScenarioSpec>> &paperSuite();
+
+/**
+ * The paperSuite() row named @p name ("DLRM-S", "Llama3-70B-Decode");
+ * a ConfigError naming it and listing the 17 names otherwise.
+ */
+const std::shared_ptr<const ScenarioSpec> &builtinScenario(
+    std::string_view name);
 
 /**
  * The built-in row @p spec duplicates, or null. Everything that builds
@@ -107,9 +92,24 @@ const std::shared_ptr<const ScenarioSpec> &builtinScenario(Workload w);
 std::shared_ptr<const ScenarioSpec> builtinScenarioOf(
     const ScenarioSpec &spec);
 
-// Workload-keyed forwards through builtinScenario(w), kept only because
-// perfbench/layer_trace.cc calls them. They go when that tracer becomes
-// a driver over library spans (ROADMAP, "One benchmark").
+// ---- Kept only because perfbench/layer_trace.cc calls them ----
+// This block and the Workload forwards in sim/ and carbon/ go with
+// that tracer (ROADMAP item 6). A Workload indexes paperSuite();
+// workload_test pins each enumerator to its row's name.
+
+enum class Workload {
+    Train8B, Train13B, Train70B, Train405B,
+    Prefill8B, Prefill13B, Prefill70B, Prefill405B,
+    Decode8B, Decode13B, Decode70B, Decode405B,
+    DlrmS, DlrmM, DlrmL,
+    DiTXL, Gligen,
+};
+
+enum class WorkloadFamily {
+    LlmTraining, LlmPrefill, LlmDecode, DlrmInference, StableDiffusion,
+};
+
+const std::vector<Workload> &allWorkloads();
 std::string workloadName(Workload w);
 WorkloadFamily familyOf(Workload w);
 std::string workloadFamilyName(WorkloadFamily family);

@@ -175,8 +175,9 @@ simulateWorkload(models::Workload workload, arch::NpuGeneration gen,
                  const arch::GatingParams &params,
                  const models::RunSetup *setup_override)
 {
-    auto rep = simulateScenario(models::builtinScenario(workload), gen,
-                                params, setup_override);
+    auto rep = simulateScenario(
+        models::paperSuite()[static_cast<std::size_t>(workload)], gen,
+        params, setup_override);
     rep.workload = workload;
     return rep;
 }

@@ -51,7 +51,8 @@ struct WorkloadReport
      */
     std::shared_ptr<const models::ScenarioSpec> scenario;
 
-    /** Label set only by the simulateWorkload forward; never read. */
+    /** Label set only by the simulateWorkload forward, for
+     *  perfbench/layer_trace.cc; nothing in the library reads it. */
     models::Workload workload{};
     arch::NpuGeneration gen{};
     models::RunSetup setup;
@@ -173,14 +174,14 @@ WorkloadReport makeReport(std::shared_ptr<const models::ScenarioSpec> spec,
                           std::shared_ptr<const WorkloadRun> run,
                           const GatedResults &gated);
 
-// Kept only because perfbench/layer_trace.cc calls them; they go when
-// that tracer becomes a driver over library spans (ROADMAP, "One
-// benchmark").
+// Kept only because perfbench/layer_trace.cc calls them. They go with
+// that tracer (ROADMAP item 6).
 
 /** A no-op. */
 void clearSharedCaches();
 
-/** simulateScenario of models::builtinScenario(@p workload), labeled. */
+/** simulateScenario of @p workload's models::paperSuite() row,
+ *  labeled. */
 WorkloadReport simulateWorkload(models::Workload workload,
                                 arch::NpuGeneration gen,
                                 const arch::GatingParams &params = {},

@@ -314,21 +314,25 @@ SloResult
 findBestSetup(models::Workload workload, arch::NpuGeneration gen,
               const arch::GatingParams &params)
 {
-    return findBestSetup(models::builtinScenario(workload), gen, params);
+    return findBestSetup(
+        models::paperSuite()[static_cast<std::size_t>(workload)], gen,
+        params);
 }
 
 SloResult
 findBestSetupSerial(models::Workload workload, arch::NpuGeneration gen,
                     const arch::GatingParams &params)
 {
-    return findBestSetupSerial(models::builtinScenario(workload), gen,
-                               params);
+    return findBestSetupSerial(
+        models::paperSuite()[static_cast<std::size_t>(workload)], gen,
+        params);
 }
 
 std::vector<models::RunSetup>
 candidateSetups(models::Workload workload, arch::NpuGeneration gen)
 {
-    return candidateSetups(*models::builtinScenario(workload), gen);
+    return candidateSetups(
+        *models::paperSuite()[static_cast<std::size_t>(workload)], gen);
 }
 
 }  // namespace sim

@@ -94,10 +94,9 @@ std::vector<SloResult> searchSameIdentity(
 std::vector<models::RunSetup> candidateSetups(
     const models::ScenarioSpec &spec, arch::NpuGeneration gen);
 
-// Workload-keyed forwards through models::builtinScenario, kept only
-// because perfbench/layer_trace.cc calls them. They go when that
-// tracer becomes a driver over library spans (ROADMAP, "One
-// benchmark").
+// Workload-keyed forwards through the models::paperSuite() rows, kept
+// only because perfbench/layer_trace.cc calls them. They go with that
+// tracer (ROADMAP item 6).
 SloResult findBestSetup(models::Workload workload,
                         arch::NpuGeneration gen,
                         const arch::GatingParams &params = {});

@@ -276,7 +276,8 @@ makeGrid(const std::vector<models::Workload> &workloads,
     for (auto w : workloads) {
         for (auto gen : gens) {
             SweepCase c;
-            c.scenario = models::builtinScenario(w);
+            c.scenario =
+                models::paperSuite()[static_cast<std::size_t>(w)];
             c.workload = w;
             c.gen = gen;
             c.params = params;

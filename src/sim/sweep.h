@@ -52,7 +52,8 @@ struct SweepCase
      */
     std::shared_ptr<const models::ScenarioSpec> scenario;
 
-    /** Label set only by the makeGrid forward; never read. */
+    /** Label set only by the makeGrid forward, for
+     *  perfbench/layer_trace.cc; nothing in the library reads it. */
     models::Workload workload{};
     arch::NpuGeneration gen{};
     arch::GatingParams params;
@@ -175,12 +176,11 @@ class SweepRunner
     bool automatic_;  ///< No worker count given.
 };
 
-// Kept only because perfbench/layer_trace.cc calls it; it goes when
-// that tracer becomes a driver over library spans (ROADMAP, "One
-// benchmark").
+// Kept only because perfbench/layer_trace.cc calls it. It goes with
+// that tracer (ROADMAP item 6).
 
 /**
- * Dense (workloads x generations) grid of the built-in rows,
+ * Dense (workloads x generations) grid of the paperSuite() rows,
  * workload-major, each case labeled with its workload.
  */
 std::vector<SweepCase> makeGrid(

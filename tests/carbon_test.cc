@@ -18,12 +18,11 @@ namespace {
 
 using arch::NpuGeneration;
 using models::builtinScenario;
-using models::Workload;
 using sim::Policy;
 
 TEST(Carbon, OperationalCarbonPositive)
 {
-    auto rep = sim::simulateScenario(builtinScenario(Workload::DlrmL),
+    auto rep = sim::simulateScenario(builtinScenario("DLRM-L"),
                                      NpuGeneration::D);
     EXPECT_GT(operationalCarbonPerRun(rep, Policy::NoPG), 0.0);
     EXPECT_GT(operationalCarbonPerUnit(rep, Policy::NoPG), 0.0);
@@ -33,7 +32,7 @@ TEST(Carbon, ReductionExceedsBusySavings)
 {
     // Fig. 24: carbon reductions (31%-63%) are much higher than the
     // energy savings because idle chips are almost pure static power.
-    auto rep = sim::simulateScenario(builtinScenario(Workload::Prefill405B),
+    auto rep = sim::simulateScenario(builtinScenario("Llama3.1-405B-Prefill"),
                                      NpuGeneration::D);
     double busy_saving = rep.savingVsNoPg(Policy::Full);
     double carbon_red =
@@ -45,7 +44,7 @@ TEST(Carbon, ReductionExceedsBusySavings)
 
 TEST(Carbon, ReductionOrderingAcrossPolicies)
 {
-    auto rep = sim::simulateScenario(builtinScenario(Workload::DiTXL),
+    auto rep = sim::simulateScenario(builtinScenario("DiT-XL"),
                                      NpuGeneration::D);
     double base = operationalCarbonReduction(rep, Policy::Base);
     double full = operationalCarbonReduction(rep, Policy::Full);
@@ -57,14 +56,14 @@ TEST(Carbon, ReductionOrderingAcrossPolicies)
 
 TEST(Carbon, AnnualEfficiencyFactorInRange)
 {
-    double f = annualEfficiencyFactor(builtinScenario(Workload::Prefill8B));
+    double f = annualEfficiencyFactor(builtinScenario("Llama3-8B-Prefill"));
     EXPECT_GT(f, 0.5);
     EXPECT_LT(f, 1.0);
 }
 
 TEST(Lifespan, EmbodiedAmortizesWithLongerLife)
 {
-    auto rep = sim::simulateScenario(builtinScenario(Workload::DlrmL),
+    auto rep = sim::simulateScenario(builtinScenario("DLRM-L"),
                                      NpuGeneration::D);
     auto an = analyzeLifespan(rep, Policy::NoPG, 0.9);
     ASSERT_EQ(an.points.size(), 10u);
@@ -79,7 +78,7 @@ TEST(Lifespan, EmbodiedAmortizesWithLongerLife)
 
 TEST(Lifespan, OptimumIsInterior)
 {
-    auto rep = sim::simulateScenario(builtinScenario(Workload::Train405B),
+    auto rep = sim::simulateScenario(builtinScenario("Llama3.1-405B-Train"),
                                      NpuGeneration::D);
     auto an = analyzeLifespan(rep, Policy::NoPG, 0.85);
     EXPECT_GE(an.optimalYears, 1);
@@ -90,19 +89,18 @@ TEST(Lifespan, GatingExtendsOptimalLifespan)
 {
     // Fig. 25: ReGate shifts the optimum to longer lifespans (or at
     // least never shortens it) because the operational term shrinks.
-    for (auto w : {Workload::Train405B, Workload::DlrmL,
-                   Workload::DiTXL}) {
-        auto rep = sim::simulateScenario(builtinScenario(w), NpuGeneration::D);
+    for (auto name : {"Llama3.1-405B-Train", "DLRM-L", "DiT-XL"}) {
+        auto rep =
+            sim::simulateScenario(builtinScenario(name), NpuGeneration::D);
         auto nopg = analyzeLifespan(rep, Policy::NoPG, 0.85);
         auto full = analyzeLifespan(rep, Policy::Full, 0.85);
-        EXPECT_GE(full.optimalYears, nopg.optimalYears)
-            << models::workloadName(w);
+        EXPECT_GE(full.optimalYears, nopg.optimalYears) << name;
     }
 }
 
 TEST(Lifespan, TotalIsSumOfParts)
 {
-    auto rep = sim::simulateScenario(builtinScenario(Workload::DlrmS),
+    auto rep = sim::simulateScenario(builtinScenario("DLRM-S"),
                                      NpuGeneration::D);
     auto an = analyzeLifespan(rep, Policy::Full, 0.9, 5);
     for (const auto &pt : an.points) {
@@ -114,7 +112,7 @@ TEST(Lifespan, TotalIsSumOfParts)
 
 TEST(Lifespan, Validation)
 {
-    auto rep = sim::simulateScenario(builtinScenario(Workload::DlrmS),
+    auto rep = sim::simulateScenario(builtinScenario("DLRM-S"),
                                      NpuGeneration::D);
     EXPECT_THROW(analyzeLifespan(rep, Policy::NoPG, 1.5),
                  ConfigError);

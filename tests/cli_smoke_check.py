@@ -90,13 +90,14 @@ SUITE_AXIS = (
 # Binaries whose default axis is a subset of the paper workloads, with
 # the paper_suite.spec sections of that axis in its order.
 SUBSET_AXIS = {
-    "fig16_validation": ("Prefill-13B", "Decode-13B", "Prefill-70B",
-                         "Decode-70B"),
+    "fig16_validation": ("Llama2-13B-Prefill", "Llama2-13B-Decode",
+                         "Llama3-70B-Prefill", "Llama3-70B-Decode"),
 }
 SUBSET_AXIS.update(dict.fromkeys(
     ("fig21_sens_leakage", "fig22_sens_delay", "fig23_generations",
      "fig24_carbon_reduction", "fig25_lifespan"),
-    ("Train-405B", "Prefill-405B", "Decode-405B", "DLRM-L", "DiT-XL")))
+    ("Llama3.1-405B-Train", "Llama3.1-405B-Prefill", "Llama3.1-405B-Decode",
+     "DLRM-L", "DiT-XL")))
 
 # What every grid binary's --list-generators prints.
 LIST_GENERATORS_GOLDEN = (Path(__file__).resolve().parent / "golden" /

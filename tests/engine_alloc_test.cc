@@ -196,7 +196,7 @@ std::vector<SweepCase>
 gatingVariants(std::size_t n)
 {
     std::vector<SweepCase> grid;
-    auto spec = models::builtinScenario(models::Workload::DlrmL);
+    auto spec = models::builtinScenario("DLRM-L");
     for (std::size_t i = 0; i < n; ++i) {
         arch::GatingParams params;
         params.setDelayScale(1.0 + 0.25 * static_cast<double>(i));
@@ -232,7 +232,7 @@ std::vector<SweepCase>
 distinctExecutions(std::size_t n)
 {
     std::vector<SweepCase> grid;
-    const auto &row = *models::builtinScenario(models::Workload::Prefill8B);
+    const auto &row = *models::builtinScenario("Llama3-8B-Prefill");
     for (std::size_t i = 0; i < n; ++i) {
         auto spec = std::make_shared<models::ScenarioSpec>(row);
         spec->name = "prefill-" + std::to_string(i);
@@ -291,10 +291,10 @@ TEST(EngineAllocations, PeakHeapOfAVisitorSweepDoesNotGrowWithExecutions)
 TEST(EngineAllocations, MeanPerExecuteOverThePaperGrid)
 {
     std::size_t cases = 0, allocs = 0, ops = 0;
-    for (auto w : models::allWorkloads()) {
+    for (const auto &row : models::paperSuite()) {
         for (auto gen : {NpuGeneration::A, NpuGeneration::B,
                          NpuGeneration::C, NpuGeneration::D}) {
-            const auto &spec = *models::builtinScenario(w);
+            const auto &spec = *row;
             const auto &cfg = arch::npuConfig(gen);
             auto setup = models::defaultScenarioSetup(spec, gen);
             auto compiled = compiler::compileGraph(

@@ -468,8 +468,8 @@ TEST(Engine, EvaluateGatedMatchesPerPolicyReference)
     const auto gen = NpuGeneration::D;
     const auto &cfg = arch::npuConfig(gen);
     std::size_t checked = 0, charged = 0;
-    for (auto w : models::allWorkloads()) {
-        const auto &spec = *builtinScenario(w);
+    for (const auto &row : models::paperSuite()) {
+        const auto &spec = *row;
         SCOPED_TRACE(spec.name);
         auto setup = models::defaultScenarioSetup(spec, gen);
         auto compiled = compiler::compileGraph(
@@ -567,8 +567,8 @@ TEST(Engine, RecordIIsTheGraphsIthOpInBlockOrder)
 {
     const auto gen = NpuGeneration::D;
     const auto &cfg = arch::npuConfig(gen);
-    for (auto w : {models::Workload::Decode70B, models::Workload::DlrmS}) {
-        const auto &spec = *builtinScenario(w);
+    for (auto name : {"Llama3-70B-Decode", "DLRM-S"}) {
+        const auto &spec = *builtinScenario(name);
         auto setup = models::defaultScenarioSetup(spec, gen);
         auto compiled = compiler::compileGraph(
             models::buildScenarioGraph(spec, setup), cfg);
@@ -658,18 +658,17 @@ expectGeneralComposition(const graph::OperatorGraph &graph,
 
 TEST(Engine, ExecuteMatchesGeneralComposition)
 {
-    for (auto w : models::allWorkloads()) {
+    for (const auto &row : models::paperSuite()) {
         for (auto gen : {NpuGeneration::A, NpuGeneration::B,
                          NpuGeneration::C, NpuGeneration::D}) {
-            const auto &spec = *builtinScenario(w);
+            const auto &spec = *row;
             auto setup = models::defaultScenarioSetup(spec, gen);
             auto compiled = compiler::compileGraph(
                 models::buildScenarioGraph(spec, setup),
                 arch::npuConfig(gen));
             expectGeneralComposition(
                 compiled.graph, gen, setup.chips,
-                models::workloadName(w) + " on " +
-                    arch::generationName(gen));
+                spec.name + " on " + arch::generationName(gen));
         }
     }
 
@@ -677,7 +676,7 @@ TEST(Engine, ExecuteMatchesGeneralComposition)
     // times, so repeated() runs its seam arithmetic at large counts on
     // real operator shapes, not only on the default repeats.
     {
-        const auto &spec = *builtinScenario(models::Workload::Decode70B);
+        const auto &spec = *builtinScenario("Llama3-70B-Decode");
         auto setup = models::defaultScenarioSetup(spec, NpuGeneration::D);
         auto compiled = compiler::compileGraph(
             models::buildScenarioGraph(spec, setup),

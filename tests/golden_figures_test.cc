@@ -67,15 +67,15 @@ renderFig03Small()
     out << "workload,idle_share,dyn_sa,sta_sa,dyn_vu,sta_vu,"
            "dyn_sram,sta_sram,dyn_ici,sta_ici,dyn_hbm,sta_hbm,"
            "dyn_oth,sta_oth,static_share_busy\n";
-    for (auto w :
-         {models::Workload::Prefill8B, models::Workload::Decode8B,
-          models::Workload::DlrmS, models::Workload::DiTXL}) {
-        auto rep = simulateScenario(builtinScenario(w), arch::NpuGeneration::D);
+    for (auto name : {"Llama3-8B-Prefill", "Llama3-8B-Decode", "DLRM-S",
+                      "DiT-XL"}) {
+        auto rep =
+            simulateScenario(builtinScenario(name), arch::NpuGeneration::D);
         const auto &e = rep.result(Policy::NoPG).energy;
         double total =
             rep.podTotalEnergy(Policy::NoPG) / rep.setup.chips;
         const double pue = FleetParams{}.pue;
-        out << models::workloadName(w) << ','
+        out << name << ','
             << num(rep.idleShare(Policy::NoPG));
         for (auto c : {Component::Sa, Component::Vu, Component::Sram,
                        Component::Ici, Component::Hbm,
@@ -100,17 +100,16 @@ renderFig21Small()
     std::ostringstream out;
     out << "workload,logic_off,sram_sleep,sram_off,"
            "sav_base,sav_hw,sav_full\n";
-    for (auto w :
-         {models::Workload::DlrmL, models::Workload::DiTXL}) {
+    for (auto name : {"DLRM-L", "DiT-XL"}) {
         for (const auto &s : settings) {
             arch::LeakageRatios r;
             r.logicOff = s[0];
             r.sramSleep = s[1];
             r.sramOff = s[2];
-            auto rep = simulateScenario(builtinScenario(w),
+            auto rep = simulateScenario(builtinScenario(name),
                                         arch::NpuGeneration::D,
                                         arch::GatingParams(r));
-            out << models::workloadName(w) << ',' << num(s[0]) << ','
+            out << name << ',' << num(s[0]) << ','
                 << num(s[1]) << ',' << num(s[2]) << ','
                 << num(rep.savingVsNoPg(Policy::Base)) << ','
                 << num(rep.savingVsNoPg(Policy::HW)) << ','
@@ -207,13 +206,12 @@ renderFig04Small()
 {
     std::ostringstream out;
     out << "workload,gen,sa_temporal_util\n";
-    for (auto w :
-         {models::Workload::Prefill8B, models::Workload::Decode8B,
-          models::Workload::DlrmS, models::Workload::DiTXL}) {
+    for (auto name : {"Llama3-8B-Prefill", "Llama3-8B-Decode", "DLRM-S",
+                      "DiT-XL"}) {
         for (auto gen :
              {arch::NpuGeneration::B, arch::NpuGeneration::D}) {
-            auto rep = simulateScenario(builtinScenario(w), gen);
-            out << models::workloadName(w) << ','
+            auto rep = simulateScenario(builtinScenario(name), gen);
+            out << name << ','
                 << arch::generationName(gen) << ','
                 << num(rep.temporalUtil(Component::Sa)) << '\n';
         }
@@ -231,11 +229,10 @@ renderFig18Small()
     std::ostringstream out;
     out << "workload,avg_nopg,avg_base,avg_hw,avg_full,avg_ideal,"
            "peak_nopg,peak_full\n";
-    for (auto w : {models::Workload::Prefill8B,
-                   models::Workload::DlrmS,
-                   models::Workload::DiTXL}) {
-        auto rep = simulateScenario(builtinScenario(w), arch::NpuGeneration::D);
-        out << models::workloadName(w);
+    for (auto name : {"Llama3-8B-Prefill", "DLRM-S", "DiT-XL"}) {
+        auto rep =
+            simulateScenario(builtinScenario(name), arch::NpuGeneration::D);
+        out << name;
         for (auto p : allPolicies())
             out << ',' << num(rep.result(p).avgPowerW);
         out << ',' << num(rep.result(Policy::NoPG).peakPowerW)
@@ -256,11 +253,10 @@ renderFig24Small()
     std::ostringstream out;
     out << "workload,red_base,red_hw,red_full,red_ideal,"
            "busy_saving_full\n";
-    for (auto w : {models::Workload::Prefill8B,
-                   models::Workload::DlrmS,
-                   models::Workload::DiTXL}) {
-        auto rep = simulateScenario(builtinScenario(w), arch::NpuGeneration::D);
-        out << models::workloadName(w);
+    for (auto name : {"Llama3-8B-Prefill", "DLRM-S", "DiT-XL"}) {
+        auto rep =
+            simulateScenario(builtinScenario(name), arch::NpuGeneration::D);
+        out << name;
         for (auto p : {Policy::Base, Policy::HW, Policy::Full,
                        Policy::Ideal}) {
             out << ','

@@ -19,7 +19,6 @@ namespace {
 using arch::Component;
 using arch::NpuGeneration;
 using models::builtinScenario;
-using models::Workload;
 using sim::Policy;
 
 TEST(Integration, AverageFullSavingsNearPaper)
@@ -27,8 +26,8 @@ TEST(Integration, AverageFullSavingsNearPaper)
     // Paper: 15.5% average energy saving across the suite (Fig. 17).
     // Our substrate differs; require the suite average in 10%-30%.
     std::vector<double> savings;
-    for (auto w : models::allWorkloads()) {
-        auto rep = sim::simulateScenario(builtinScenario(w), NpuGeneration::D);
+    for (const auto &row : models::paperSuite()) {
+        auto rep = sim::simulateScenario(row, NpuGeneration::D);
         savings.push_back(rep.savingVsNoPg(Policy::Full));
     }
     double avg = stats::mean(savings);
@@ -39,7 +38,7 @@ TEST(Integration, AverageFullSavingsNearPaper)
 TEST(Integration, CompilerAnnotationsReachEngine)
 {
     const auto &cfg = arch::npuConfig(NpuGeneration::D);
-    const auto &spec = *builtinScenario(Workload::Decode8B);
+    const auto &spec = *builtinScenario("Llama3-8B-Decode");
     auto setup = models::scenarioSetup(spec);
     auto raw = models::buildScenarioGraph(spec, setup);
     auto compiled = compiler::compileGraph(raw, cfg);
@@ -57,7 +56,7 @@ TEST(Integration, CompilerAnnotationsReachEngine)
 TEST(Integration, FusionReducesEnergy)
 {
     const auto &cfg = arch::npuConfig(NpuGeneration::D);
-    const auto &spec = *builtinScenario(Workload::Prefill8B);
+    const auto &spec = *builtinScenario("Llama3-8B-Prefill");
     auto setup = models::scenarioSetup(spec);
     auto raw = models::buildScenarioGraph(spec, setup);
 
@@ -77,7 +76,7 @@ TEST(Integration, GenerationSweepRunsEverywhere)
     // Fig. 23: every generation, including the projected NPU-E, runs
     // and saves energy under ReGate-Full.
     for (auto gen : arch::allGenerations()) {
-        auto rep = sim::simulateScenario(builtinScenario(Workload::DlrmL), gen);
+        auto rep = sim::simulateScenario(builtinScenario("DLRM-L"), gen);
         EXPECT_GT(rep.savingVsNoPg(Policy::Full), 0.05)
             << arch::npuConfig(gen).name;
     }
@@ -87,9 +86,9 @@ TEST(Integration, NpuELargerUnitsSaveMoreOnDecode)
 {
     // §6.5: NPU-E's larger SAs/SRAM are *less* utilized by decode,
     // so gating saves relatively more than on NPU-D.
-    auto d = sim::simulateScenario(builtinScenario(Workload::Decode405B),
+    auto d = sim::simulateScenario(builtinScenario("Llama3.1-405B-Decode"),
                                    NpuGeneration::D);
-    auto e = sim::simulateScenario(builtinScenario(Workload::Decode405B),
+    auto e = sim::simulateScenario(builtinScenario("Llama3.1-405B-Decode"),
                                    NpuGeneration::E);
     EXPECT_GT(e.savingVsNoPg(Policy::Full),
               d.savingVsNoPg(Policy::Full) * 0.9);
@@ -99,7 +98,7 @@ TEST(Integration, LeakageSensitivityMonotonic)
 {
     // Fig. 21: savings shrink as gated-state leakage grows, but
     // ReGate-Full keeps saving even at the worst setting.
-    auto setup = models::scenarioSetup(*builtinScenario(Workload::DlrmL));
+    auto setup = models::scenarioSetup(*builtinScenario("DLRM-L"));
     double prev = 1.0;
     for (auto [logic, sleep, off] :
          {std::tuple{0.03, 0.25, 0.002}, std::tuple{0.2, 0.4, 0.1},
@@ -109,7 +108,7 @@ TEST(Integration, LeakageSensitivityMonotonic)
         r.sramSleep = sleep;
         r.sramOff = off;
         arch::GatingParams params(r);
-        auto rep = sim::simulateScenario(builtinScenario(Workload::DlrmL),
+        auto rep = sim::simulateScenario(builtinScenario("DLRM-L"),
                                          NpuGeneration::D, params,
                                          &setup);
         double saving = rep.savingVsNoPg(Policy::Full);
@@ -124,13 +123,13 @@ TEST(Integration, DelaySensitivity)
     // Fig. 22: 4x slower gating transitions reduce (but do not
     // eliminate) savings and never break the overhead bound for
     // ReGate-Full.
-    auto setup = models::scenarioSetup(*builtinScenario(Workload::Decode70B));
+    auto setup = models::scenarioSetup(*builtinScenario("Llama3-70B-Decode"));
     arch::GatingParams fast;
     arch::GatingParams slow;
     slow.setDelayScale(4.0);
-    auto f = sim::simulateScenario(builtinScenario(Workload::Decode70B),
+    auto f = sim::simulateScenario(builtinScenario("Llama3-70B-Decode"),
                                    NpuGeneration::D, fast, &setup);
-    auto s = sim::simulateScenario(builtinScenario(Workload::Decode70B),
+    auto s = sim::simulateScenario(builtinScenario("Llama3-70B-Decode"),
                                    NpuGeneration::D, slow, &setup);
     EXPECT_GE(f.savingVsNoPg(Policy::Full),
               s.savingVsNoPg(Policy::Full) - 1e-9);
@@ -142,10 +141,10 @@ TEST(Integration, CarbonHeadline)
     // Fig. 24 band: 31.1%-62.9% operational carbon reduction. Allow
     // a wider envelope for the substituted substrate.
     std::vector<double> reductions;
-    for (auto w : {Workload::Train405B, Workload::Prefill405B,
-                   Workload::Decode405B, Workload::DlrmL,
-                   Workload::DiTXL}) {
-        auto rep = sim::simulateScenario(builtinScenario(w), NpuGeneration::D);
+    for (auto name : {"Llama3.1-405B-Train", "Llama3.1-405B-Prefill",
+                      "Llama3.1-405B-Decode", "DLRM-L", "DiT-XL"}) {
+        auto rep =
+            sim::simulateScenario(builtinScenario(name), NpuGeneration::D);
         reductions.push_back(
             carbon::operationalCarbonReduction(rep, Policy::Full));
     }
@@ -160,13 +159,13 @@ TEST(Integration, SimulatorInternalValidationR2)
     // independent paths (engine op records vs a re-simulation)
     // correlate perfectly; and SA analytical matches cycle-accurate
     // elsewhere (sa_property_test).
-    auto rep = sim::simulateScenario(builtinScenario(Workload::Prefill8B),
+    auto rep = sim::simulateScenario(builtinScenario("Llama3-8B-Prefill"),
                                      NpuGeneration::D);
     std::vector<double> xs, ys;
     for (const auto &rec : rep.opRecords()) {
         xs.push_back(static_cast<double>(rec.duration));
     }
-    auto rep2 = sim::simulateScenario(builtinScenario(Workload::Prefill8B),
+    auto rep2 = sim::simulateScenario(builtinScenario("Llama3-8B-Prefill"),
                                       NpuGeneration::D);
     for (const auto &rec : rep2.opRecords())
         ys.push_back(static_cast<double>(rec.duration));

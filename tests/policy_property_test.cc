@@ -23,19 +23,19 @@ namespace {
 using arch::Component;
 using arch::NpuGeneration;
 using models::builtinScenario;
-using models::Workload;
+using ScenarioPtr = std::shared_ptr<const models::ScenarioSpec>;
 
-class WorkloadSweep : public ::testing::TestWithParam<Workload>
+class WorkloadSweep : public ::testing::TestWithParam<ScenarioPtr>
 {
   protected:
     static const WorkloadReport &
-    report(Workload w)
+    report(const ScenarioPtr &spec)
     {
-        static std::map<Workload, WorkloadReport> cache;
-        auto it = cache.find(w);
+        static std::map<ScenarioPtr, WorkloadReport> cache;
+        auto it = cache.find(spec);
         if (it == cache.end()) {
-            it = cache.emplace(w, simulateScenario(builtinScenario(w),
-                                                   NpuGeneration::D))
+            it = cache.emplace(spec, simulateScenario(spec,
+                                                      NpuGeneration::D))
                      .first;
         }
         return it->second;
@@ -121,7 +121,7 @@ TEST_P(WorkloadSweep, NoPgAndIdealReadNoGatingParams)
 {
     // NoPG gates nothing and Ideal gates every idle cycle for free,
     // so neither result may move with any gating parameter.
-    const auto &spec = *builtinScenario(GetParam());
+    const auto &spec = *GetParam();
     auto setup = models::defaultScenarioSetup(spec, NpuGeneration::D);
     const auto &cfg = arch::npuConfig(NpuGeneration::D);
     auto graph =
@@ -158,9 +158,9 @@ TEST_P(WorkloadSweep, NoPgAndIdealReadNoGatingParams)
 
 INSTANTIATE_TEST_SUITE_P(
     AllWorkloads, WorkloadSweep,
-    ::testing::ValuesIn(models::allWorkloads()),
-    [](const ::testing::TestParamInfo<Workload> &info) {
-        std::string name = models::workloadName(info.param);
+    ::testing::ValuesIn(models::paperSuite()),
+    [](const ::testing::TestParamInfo<ScenarioPtr> &info) {
+        std::string name = info.param->name;
         for (auto &ch : name) {
             if (!std::isalnum(static_cast<unsigned char>(ch)))
                 ch = '_';
@@ -172,10 +172,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(PolicyShape, DlrmSavesMost)
 {
-    auto dlrm = simulateScenario(builtinScenario(Workload::DlrmL),
+    auto dlrm = simulateScenario(builtinScenario("DLRM-L"),
                                  NpuGeneration::D);
     auto prefill =
-        simulateScenario(builtinScenario(Workload::Prefill8B),
+        simulateScenario(builtinScenario("Llama3-8B-Prefill"),
                          NpuGeneration::D);
     EXPECT_GT(dlrm.savingVsNoPg(Policy::Full),
               prefill.savingVsNoPg(Policy::Full));
@@ -183,10 +183,10 @@ TEST(PolicyShape, DlrmSavesMost)
 
 TEST(PolicyShape, PrefillSaUtilHigherThanDlrm)
 {
-    auto dlrm = simulateScenario(builtinScenario(Workload::DlrmL),
+    auto dlrm = simulateScenario(builtinScenario("DLRM-L"),
                                  NpuGeneration::D);
     auto prefill =
-        simulateScenario(builtinScenario(Workload::Prefill8B),
+        simulateScenario(builtinScenario("Llama3-8B-Prefill"),
                          NpuGeneration::D);
     EXPECT_GT(prefill.temporalUtil(Component::Sa), 0.7);
     EXPECT_LT(dlrm.temporalUtil(Component::Sa), 0.3);
@@ -194,7 +194,7 @@ TEST(PolicyShape, PrefillSaUtilHigherThanDlrm)
 
 TEST(PolicyShape, DlrmIsIciHeavy)
 {
-    auto dlrm = simulateScenario(builtinScenario(Workload::DlrmL),
+    auto dlrm = simulateScenario(builtinScenario("DLRM-L"),
                                  NpuGeneration::D);
     EXPECT_GT(dlrm.temporalUtil(Component::Ici),
               dlrm.temporalUtil(Component::Sa));
@@ -202,7 +202,7 @@ TEST(PolicyShape, DlrmIsIciHeavy)
 
 TEST(PolicyShape, DecodeMapsSmallGemmsToVu)
 {
-    auto decode = simulateScenario(builtinScenario(Workload::Decode8B),
+    auto decode = simulateScenario(builtinScenario("Llama3-8B-Decode"),
                                    NpuGeneration::D);
     // Single-chip, batch-8 decode: SA unused (Fig. 4 pattern).
     EXPECT_LT(decode.temporalUtil(Component::Sa), 0.05);
@@ -211,9 +211,9 @@ TEST(PolicyShape, DecodeMapsSmallGemmsToVu)
 
 TEST(PolicyShape, SpatialUtilPrefillVsDiffusion)
 {
-    auto prefill = simulateScenario(builtinScenario(Workload::Prefill70B),
+    auto prefill = simulateScenario(builtinScenario("Llama3-70B-Prefill"),
                                     NpuGeneration::D);
-    auto gligen = simulateScenario(builtinScenario(Workload::Gligen),
+    auto gligen = simulateScenario(builtinScenario("GLIGEN"),
                                    NpuGeneration::D);
     // Fig. 5: prefill ~0.9+, GLIGEN ~0.5 (head sizes < SA width).
     EXPECT_GT(prefill.saSpatialUtil(), 0.85);

@@ -19,7 +19,6 @@ namespace {
 
 using arch::NpuGeneration;
 using models::builtinScenario;
-using models::Workload;
 
 TEST(Report, IdlePowerOrdering)
 {
@@ -44,7 +43,7 @@ TEST(Report, IdleShareInPaperBand)
 {
     // §3: the idle portion is 17%-32% of total energy at 60% duty
     // cycle without power gating.
-    auto rep = simulateScenario(builtinScenario(Workload::Prefill8B),
+    auto rep = simulateScenario(builtinScenario("Llama3-8B-Prefill"),
                                 NpuGeneration::D);
     double share = rep.idleShare(Policy::NoPG);
     EXPECT_GE(share, 0.15);
@@ -53,7 +52,7 @@ TEST(Report, IdleShareInPaperBand)
 
 TEST(Report, TotalEnergyIncludesIdleAndPue)
 {
-    auto rep = simulateScenario(builtinScenario(Workload::DlrmS),
+    auto rep = simulateScenario(builtinScenario("DLRM-S"),
                                 NpuGeneration::D);
     FleetParams fleet;
     double busy = rep.podBusyEnergy(Policy::NoPG);
@@ -68,7 +67,7 @@ TEST(Report, TotalEnergyIncludesIdleAndPue)
 
 TEST(Report, EnergyPerUnitDecreasesWithGating)
 {
-    auto rep = simulateScenario(builtinScenario(Workload::DlrmM),
+    auto rep = simulateScenario(builtinScenario("DLRM-M"),
                                 NpuGeneration::D);
     EXPECT_LT(rep.energyPerUnit(Policy::Full),
               rep.energyPerUnit(Policy::NoPG));
@@ -77,9 +76,9 @@ TEST(Report, EnergyPerUnitDecreasesWithGating)
 TEST(Report, NewerGenerationsMoreEfficient)
 {
     // Fig. 2 trend: NPU-D beats NPU-A on energy per token.
-    auto a = simulateScenario(builtinScenario(Workload::Prefill8B),
+    auto a = simulateScenario(builtinScenario("Llama3-8B-Prefill"),
                               NpuGeneration::A);
-    auto d = simulateScenario(builtinScenario(Workload::Prefill8B),
+    auto d = simulateScenario(builtinScenario("Llama3-8B-Prefill"),
                               NpuGeneration::D);
     EXPECT_LT(d.energyPerUnit(Policy::NoPG),
               a.energyPerUnit(Policy::NoPG));
@@ -91,7 +90,7 @@ TEST(Report, SetupOverrideRespected)
     setup.chips = 1;
     setup.batch = 2;
     setup.par = {1, 1, 1};
-    auto rep = simulateScenario(builtinScenario(Workload::Prefill8B),
+    auto rep = simulateScenario(builtinScenario("Llama3-8B-Prefill"),
                                 NpuGeneration::D,
                                 {}, &setup);
     EXPECT_EQ(rep.setup.chips, 1);
@@ -100,7 +99,7 @@ TEST(Report, SetupOverrideRespected)
 
 TEST(Report, InvalidFleetParamsRejected)
 {
-    auto rep = simulateScenario(builtinScenario(Workload::DlrmS),
+    auto rep = simulateScenario(builtinScenario("DLRM-S"),
                                 NpuGeneration::D);
     FleetParams bad;
     bad.dutyCycle = 0.0;

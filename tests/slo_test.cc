@@ -13,11 +13,10 @@ namespace {
 
 using arch::NpuGeneration;
 using models::builtinScenario;
-using models::Workload;
 
 TEST(Slo, TargetIsFiveTimesDefaultLatency)
 {
-    const auto &dlrm = builtinScenario(Workload::DlrmS);
+    const auto &dlrm = builtinScenario("DLRM-S");
     auto rep = simulateScenario(dlrm, NpuGeneration::D);
     double default_spu =
         rep.result(Policy::NoPG).seconds / rep.units;
@@ -26,8 +25,9 @@ TEST(Slo, TargetIsFiveTimesDefaultLatency)
 
 TEST(Slo, CandidatesNonEmptyAndConsistent)
 {
-    for (auto w : {Workload::DlrmS, Workload::Prefill8B}) {
-        auto cands = candidateSetups(*builtinScenario(w), NpuGeneration::D);
+    for (auto name : {"DLRM-S", "Llama3-8B-Prefill"}) {
+        auto cands =
+            candidateSetups(*builtinScenario(name), NpuGeneration::D);
         EXPECT_FALSE(cands.empty());
         for (const auto &s : cands) {
             EXPECT_GE(s.chips, 1);
@@ -39,7 +39,7 @@ TEST(Slo, CandidatesNonEmptyAndConsistent)
 
 TEST(Slo, NpuDMeetsItsOwnSlo)
 {
-    const auto &dlrm = builtinScenario(Workload::DlrmS);
+    const auto &dlrm = builtinScenario("DLRM-S");
     // The SLO is defined from NPU-D's default config at 5x latency:
     // NPU-D itself must comply with ratio 1.
     auto res = findBestSetup(dlrm, NpuGeneration::D);
@@ -50,7 +50,7 @@ TEST(Slo, NpuDMeetsItsOwnSlo)
 
 TEST(Slo, PicksMostEfficientCompliant)
 {
-    const auto &dlrm = builtinScenario(Workload::DlrmS);
+    const auto &dlrm = builtinScenario("DLRM-S");
     auto res = findBestSetup(dlrm, NpuGeneration::D);
     double target = sloTargetSecondsPerUnit(dlrm);
     for (const auto &s : candidateSetups(*dlrm, NpuGeneration::D)) {
@@ -67,7 +67,7 @@ TEST(Slo, OlderGenerationMayRelax)
 {
     // NPU-A on a big model: either compliant or reports a >= 2x
     // relaxed ratio like Fig. 2's bar labels.
-    auto res = findBestSetup(builtinScenario(Workload::Prefill13B),
+    auto res = findBestSetup(builtinScenario("Llama2-13B-Prefill"),
                              NpuGeneration::A);
     EXPECT_GE(res.sloRatio, 1.0);
     EXPECT_GT(res.energyPerUnit, 0.0);

@@ -37,17 +37,15 @@ namespace regate {
 namespace sim {
 namespace {
 
-using models::Workload;
-
 using ScenarioPtr = std::shared_ptr<const models::ScenarioSpec>;
 
-/** The built-in rows of @p workloads. */
+/** The built-in rows named @p names. */
 std::vector<ScenarioPtr>
-rows(const std::vector<Workload> &workloads)
+rows(std::initializer_list<const char *> names)
 {
     std::vector<ScenarioPtr> out;
-    for (auto w : workloads)
-        out.push_back(models::builtinScenario(w));
+    for (auto name : names)
+        out.push_back(models::builtinScenario(name));
     return out;
 }
 
@@ -249,8 +247,9 @@ TEST(SweepRunner, ParallelBitwiseIdenticalToSerial)
 {
     // A small paper grid, plus the MoE example spec (spec-only,
     // no paper workload).
-    auto grid = scenarioGrid(rows({Workload::Prefill8B, Workload::Decode8B,
-                                   Workload::DlrmS, Workload::DiTXL}),
+    auto grid = scenarioGrid(rows({"Llama3-8B-Prefill",
+                                   "Llama3-8B-Decode", "DLRM-S",
+                                   "DiT-XL"}),
                              {arch::NpuGeneration::B,
                               arch::NpuGeneration::D});
     ASSERT_EQ(grid.size(), 8u);
@@ -279,9 +278,8 @@ TEST(SweepRunner, GatingOverridesShareOneExecutionBitwise)
             arch::GatingParams params(ratios);
             params.setDelayScale(scale);
             auto part = scenarioGrid(
-                rows({Workload::Train405B, Workload::Prefill405B,
-                      Workload::Decode405B, Workload::DlrmL,
-                      Workload::DiTXL}),
+                rows({"Llama3.1-405B-Train", "Llama3.1-405B-Prefill",
+                      "Llama3.1-405B-Decode", "DLRM-L", "DiT-XL"}),
                 {arch::NpuGeneration::D}, params);
             grid.insert(grid.end(), part.begin(), part.end());
         }
@@ -361,7 +359,7 @@ TEST(SweepRunner, RepeatedGatingParamsReuseTheirResultsBitwise)
     std::vector<SweepCase> grid;
     for (const auto *params :
          {&a, &a, &b, &a, &b, &b, &a, &c, &c, &d, &b, &e, &a}) {
-        auto part = scenarioGrid(rows({Workload::DlrmS, Workload::DiTXL}),
+        auto part = scenarioGrid(rows({"DLRM-S", "DiT-XL"}),
                                  {arch::NpuGeneration::D}, *params);
         grid.insert(grid.end(), part.begin(), part.end());
     }
@@ -403,7 +401,7 @@ TEST(SweepRunner, VisitorSeesEachGroupInInputOrder)
         arch::GatingParams params;
         params.setDelayScale(scale);
         auto part = scenarioGrid(
-            rows({Workload::DlrmS, Workload::DiTXL, Workload::Decode8B}),
+            rows({"DLRM-S", "DiT-XL", "Llama3-8B-Decode"}),
             {arch::NpuGeneration::D}, params);
         grid.insert(grid.end(), part.begin(), part.end());
     }
@@ -437,11 +435,11 @@ TEST(SweepRunner, VisitorRethrowsTheFirstFailingGroup)
         "batch = 8\nchips = 8\nseq_len = 1000000000000\n"
         "[scenario seq-2-31]\nfamily = llama-prefill\nmodel = 8b\n"
         "batch = 8\nchips = 8\nseq_len = 2147483648\n");
-    auto grid = scenarioGrid(rows({Workload::DlrmS, Workload::DiTXL}),
+    auto grid = scenarioGrid(rows({"DLRM-S", "DiT-XL"}),
                              {arch::NpuGeneration::D});
     auto bad = scenarioGrid(spec.scenarios, {arch::NpuGeneration::D});
     grid.insert(grid.begin() + 1, bad.begin(), bad.end());
-    auto more = scenarioGrid(rows({Workload::Decode8B}),
+    auto more = scenarioGrid(rows({"Llama3-8B-Decode"}),
                              {arch::NpuGeneration::C,
                               arch::NpuGeneration::D});
     grid.insert(grid.end(), more.begin(), more.end());
@@ -518,7 +516,7 @@ searchSerially(const SweepCase &c)
 TEST(SweepRunner, SearchMatchesSerialAtEveryThreadCount)
 {
     // Fig. 2's grid: every paper workload on NPU-A to NPU-D.
-    auto grid = scenarioGrid(rows(models::allWorkloads()),
+    auto grid = scenarioGrid(models::paperSuite(),
                              kFig2Generations);
     ASSERT_EQ(grid.size(), 68u);
     std::vector<SloResult> serial;
@@ -629,7 +627,7 @@ TEST(SweepRunner, SearchGatingOverridesShareOneSelection)
 
 TEST(SweepRunner, CaseWithoutScenarioIsALogicError)
 {
-    auto grid = scenarioGrid(rows({Workload::DlrmS}),
+    auto grid = scenarioGrid(rows({"DLRM-S"}),
                              {arch::NpuGeneration::C,
                               arch::NpuGeneration::D});
     grid.push_back(grid.front());
@@ -693,7 +691,7 @@ delayVariants(std::size_t n)
     for (std::size_t i = 0; i < n; ++i) {
         arch::GatingParams params;
         params.setDelayScale(1.0 + 0.01 * static_cast<double>(i));
-        auto part = scenarioGrid(rows({Workload::DlrmS}),
+        auto part = scenarioGrid(rows({"DLRM-S"}),
                                  {arch::NpuGeneration::D}, params);
         grid.push_back(part.front());
     }
@@ -743,7 +741,7 @@ TEST(SweepRunner, AutomaticRunnerKeepsSmallSweepsOnTheCallingThread)
     EXPECT_EQ(settledThreads(before), before);
     automatic.search(large);
     EXPECT_EQ(settledThreads(before), before);
-    auto grid = scenarioGrid(rows({Workload::DlrmS, Workload::DiTXL}),
+    auto grid = scenarioGrid(rows({"DLRM-S", "DiT-XL"}),
                              {arch::NpuGeneration::C,
                               arch::NpuGeneration::D});
     given.run(grid);

@@ -7,6 +7,7 @@
 
 #include <map>
 
+#include "common/error.h"
 #include "models/registry.h"
 #include "models/workload.h"
 
@@ -17,17 +18,17 @@ namespace {
 using arch::NpuGeneration;
 
 const ScenarioSpec &
-row(Workload w)
+row(std::string_view name)
 {
-    return *builtinScenario(w);
+    return *builtinScenario(name);
 }
 
 TEST(Workload, RegistryCoversPaperSuite)
 {
-    EXPECT_EQ(allWorkloads().size(), 17u);
+    EXPECT_EQ(paperSuite().size(), 17u);
     std::map<std::string, int> families;
-    for (auto w : allWorkloads())
-        ++families[row(w).family];
+    for (const auto &spec : paperSuite())
+        ++families[spec->family];
     EXPECT_EQ(families, (std::map<std::string, int>{{"llama-train", 4},
                                                     {"llama-prefill", 4},
                                                     {"llama-decode", 4},
@@ -37,48 +38,48 @@ TEST(Workload, RegistryCoversPaperSuite)
 
 TEST(Workload, Table4Verbatim)
 {
-    auto t = scenarioSetup(row(Workload::Train405B));
+    auto t = scenarioSetup(row("Llama3.1-405B-Train"));
     EXPECT_EQ(t.chips, 16);
     EXPECT_EQ(t.batch, 32);
 
-    auto d = scenarioSetup(row(Workload::Decode70B));
+    auto d = scenarioSetup(row("Llama3-70B-Decode"));
     EXPECT_EQ(d.chips, 128);
     EXPECT_EQ(d.batch, 4096);
 
-    auto r = scenarioSetup(row(Workload::DlrmL));
+    auto r = scenarioSetup(row("DLRM-L"));
     EXPECT_EQ(r.chips, 8);
     EXPECT_EQ(r.batch, 4096);
 
-    auto s = scenarioSetup(row(Workload::Gligen));
+    auto s = scenarioSetup(row("GLIGEN"));
     EXPECT_EQ(s.chips, 64);
     EXPECT_EQ(s.batch, 256);
 }
 
 TEST(Workload, ParallelismConsistent)
 {
-    for (auto w : allWorkloads()) {
-        auto s = scenarioSetup(row(w));
-        EXPECT_EQ(s.par.chips(), s.chips) << row(w).name;
-        EXPECT_LE(s.par.dp, s.batch) << row(w).name;
+    for (const auto &spec : paperSuite()) {
+        auto s = scenarioSetup(*spec);
+        EXPECT_EQ(s.par.chips(), s.chips) << spec->name;
+        EXPECT_LE(s.par.dp, s.batch) << spec->name;
     }
 }
 
 TEST(Workload, UnitsPerRun)
 {
-    auto units = [](Workload w) {
-        return scenarioUnitsPerRun(row(w), scenarioSetup(row(w)));
+    auto units = [](std::string_view name) {
+        return scenarioUnitsPerRun(row(name), scenarioSetup(row(name)));
     };
-    EXPECT_DOUBLE_EQ(units(Workload::Train8B), 1.0);
-    EXPECT_DOUBLE_EQ(units(Workload::Prefill8B), 4.0 * kPrefillSeqLen);
-    EXPECT_DOUBLE_EQ(units(Workload::Decode8B), 8.0 * kDecodeOutLen);
-    EXPECT_DOUBLE_EQ(units(Workload::DlrmS), 4096.0);
+    EXPECT_DOUBLE_EQ(units("Llama3-8B-Train"), 1.0);
+    EXPECT_DOUBLE_EQ(units("Llama3-8B-Prefill"), 4.0 * kPrefillSeqLen);
+    EXPECT_DOUBLE_EQ(units("Llama3-8B-Decode"), 8.0 * kDecodeOutLen);
+    EXPECT_DOUBLE_EQ(units("DLRM-S"), 4096.0);
 }
 
 TEST(Workload, DefaultSetupScalesForSmallHbm)
 {
     // 405B weights (810 GB bf16) cannot fit 16 GB NPU-A chips at the
     // Table 4 chip count: the setup must grow the pod.
-    const auto &spec = row(Workload::Prefill405B);
+    const auto &spec = row("Llama3.1-405B-Prefill");
     auto d = defaultScenarioSetup(spec, NpuGeneration::D);
     auto a = defaultScenarioSetup(spec, NpuGeneration::A);
     EXPECT_GT(a.chips, d.chips / 256 * 2);
@@ -89,31 +90,53 @@ TEST(Workload, DefaultSetupScalesForSmallHbm)
 
 TEST(Workload, BiggerHbmNeverNeedsMoreChips)
 {
-    for (auto w : allWorkloads()) {
-        auto a = defaultScenarioSetup(row(w), NpuGeneration::A);
-        auto e = defaultScenarioSetup(row(w), NpuGeneration::E);
-        EXPECT_GE(a.chips, e.chips) << row(w).name;
+    for (const auto &spec : paperSuite()) {
+        auto a = defaultScenarioSetup(*spec, NpuGeneration::A);
+        auto e = defaultScenarioSetup(*spec, NpuGeneration::E);
+        EXPECT_GE(a.chips, e.chips) << spec->name;
     }
 }
 
 TEST(Workload, BuildGraphAllWorkloads)
 {
-    for (auto w : allWorkloads()) {
-        auto g = buildScenarioGraph(row(w), scenarioSetup(row(w)));
-        EXPECT_NO_THROW(g.validate()) << row(w).name;
-        EXPECT_GT(g.opCount(), 0u) << row(w).name;
+    for (const auto &spec : paperSuite()) {
+        auto g = buildScenarioGraph(*spec, scenarioSetup(*spec));
+        EXPECT_NO_THROW(g.validate()) << spec->name;
+        EXPECT_GT(g.opCount(), 0u) << spec->name;
     }
 }
 
 TEST(Workload, NamesAndUnits)
 {
-    EXPECT_EQ(row(Workload::Prefill70B).name, "Llama3-70B-Prefill");
-    EXPECT_EQ(row(Workload::DlrmM).name, "DLRM-M");
-    EXPECT_EQ(workUnitName(scenarioWorkUnit(row(Workload::DiTXL))),
+    EXPECT_EQ(row("Llama3-70B-Prefill").name, "Llama3-70B-Prefill");
+    EXPECT_EQ(row("DLRM-M").name, "DLRM-M");
+    EXPECT_EQ(workUnitName(scenarioWorkUnit(row("DiT-XL"))),
               "Image");
-    EXPECT_EQ(workUnitName(scenarioWorkUnit(row(Workload::Train70B))),
+    EXPECT_EQ(workUnitName(scenarioWorkUnit(row("Llama3-70B-Train"))),
               "Iter");
-    EXPECT_EQ(scenarioFamilyLabel(row(Workload::Decode8B)), "LLM Decode");
+    EXPECT_EQ(scenarioFamilyLabel(row("Llama3-8B-Decode")), "LLM Decode");
+}
+
+TEST(Workload, LookupByNameReturnsTheSuiteRow)
+{
+    for (const auto &spec : paperSuite())
+        EXPECT_EQ(builtinScenario(spec->name), spec) << spec->name;
+}
+
+TEST(Workload, UnknownNameIsANamedConfigError)
+{
+    try {
+        builtinScenario("Llama3-8B");
+        FAIL() << "no ConfigError";
+    } catch (const ConfigError &e) {
+        std::string msg = e.what();
+        EXPECT_NE(msg.find("unknown paper workload 'Llama3-8B'"),
+                  std::string::npos)
+            << msg;
+        for (const auto &spec : paperSuite())
+            EXPECT_NE(msg.find(spec->name), std::string::npos)
+                << spec->name << " missing from: " << msg;
+    }
 }
 
 TEST(Workload, ForwardsReadTheRow)
@@ -121,7 +144,7 @@ TEST(Workload, ForwardsReadTheRow)
     // The Workload-keyed names the benchmark's layer tracer still
     // calls, against the spec spelling of the same row.
     for (auto w : allWorkloads()) {
-        const auto &spec = row(w);
+        const auto &spec = *paperSuite()[static_cast<std::size_t>(w)];
         EXPECT_EQ(workloadName(w), spec.name);
         EXPECT_EQ(workUnitOf(w), scenarioWorkUnit(spec)) << spec.name;
         EXPECT_EQ(workloadFamilyName(familyOf(w)),
@@ -166,10 +189,10 @@ TEST(Workload, EnumeratorsNameTheirRows)
 TEST(Workload, ModelStateBytesSensible)
 {
     // Decode state includes the KV cache: bigger than prefill state.
-    EXPECT_GT(scenarioModelStateBytes(row(Workload::Decode70B)),
-              scenarioModelStateBytes(row(Workload::Prefill70B)));
+    EXPECT_GT(scenarioModelStateBytes(row("Llama3-70B-Decode")),
+              scenarioModelStateBytes(row("Llama3-70B-Prefill")));
     // DLRM state is the embedding tables.
-    EXPECT_NEAR(scenarioModelStateBytes(row(Workload::DlrmL)), 98e9, 1e9);
+    EXPECT_NEAR(scenarioModelStateBytes(row("DLRM-L")), 98e9, 1e9);
 }
 
 }  // namespace
