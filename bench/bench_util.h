@@ -100,6 +100,38 @@ listGeneratorsAndExit()
     std::exit(0);
 }
 
+namespace detail {
+
+/**
+ * Persist the trace (no-op when off); a file that cannot be written
+ * ends the binary with exit 1 and the path on stderr.
+ */
+inline void
+flushTrace()
+{
+    try {
+        obs::TraceRecorder::instance().flush();
+    } catch (const ConfigError &e) {
+        std::cerr << "error: --trace-out: " << e.what() << "\n";
+        std::exit(1);
+    }
+}
+
+/** Record the grid span and persist the trace (no-op when off). */
+inline void
+traceGridDone(const char *kind, std::uint64_t sweep_start,
+              std::size_t cases)
+{
+    auto &trace = obs::TraceRecorder::instance();
+    if (!trace.enabled())
+        return;
+    trace.complete(kind, "sweep", sweep_start,
+                   {{"cases", std::to_string(cases)}});
+    flushTrace();
+}
+
+}  // namespace detail
+
 /**
  * Parse the shared bench CLI (see BenchCli). Call first thing in
  * main(); exits with code 2 and a usage message on a bad command
@@ -125,7 +157,7 @@ initBench(int argc, char **argv)
         } else if (arg == "--list-generators") {
             listGeneratorsAndExit();
         } else if (arg == "--trace-out") {
-            if (++i >= argc)
+            if (++i >= argc || !*argv[i])
                 usage("--trace-out needs a path");
             cli.traceOut = argv[i];
         } else {
@@ -144,8 +176,12 @@ initBench(int argc, char **argv)
             std::exit(1);
         }
     }
-    if (!cli.traceOut.empty())
+    if (!cli.traceOut.empty()) {
+        // Write the (still empty) trace now, so that an unwritable
+        // path fails before anything is simulated.
         obs::TraceRecorder::instance().start(cli.traceOut);
+        detail::flushTrace();
+    }
 }
 
 /**
@@ -164,23 +200,6 @@ initBenchNoGrid(int argc, char **argv)
               << "usage: " << argv[0] << "\n";
     std::exit(2);
 }
-
-namespace detail {
-
-/** Record the grid span and persist the trace (no-op when off). */
-inline void
-traceGridDone(const char *kind, std::uint64_t sweep_start,
-              std::size_t cases)
-{
-    auto &trace = obs::TraceRecorder::instance();
-    if (!trace.enabled())
-        return;
-    trace.complete(kind, "sweep", sweep_start,
-                   {{"cases", std::to_string(cases)}});
-    trace.flush();
-}
-
-}  // namespace detail
 
 /**
  * Run the binary's sweep grid in process, traced under --trace-out,

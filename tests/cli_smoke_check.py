@@ -52,7 +52,12 @@ Checks:
 16. fig17 --spec on the benchmark's gating_sweep and moe_sweep specs
     at SWEEP_SEEDS (generated by perfbench/specgen.py) prints stdout
     that hashes to that workload's entry for the seed in
-    perfbench/digests.json.
+    perfbench/digests.json;
+17. a grid binary (fig04) and an SLO-search binary (fig02) given a
+    --trace-out path in a missing directory exit 1, not on a signal,
+    with the path on stderr and nothing on stdout: the path is
+    checked before anything is simulated. An empty --trace-out path
+    is a usage error (check 6).
 """
 
 import argparse
@@ -126,6 +131,7 @@ REJECTED = (
     ["--worker"],
     ["--" + "metrics" + "-out", "x.json"],
     ["--bogus"],
+    ["--trace-out", ""],
 )
 
 # Parses, but fitting 64 resident experts into NPU-D's HBM grows the
@@ -457,6 +463,14 @@ def check_all(binary, suite_spec, specs, trace_check):
         proc = run([sys.executable, trace_check, *traces])
         expect(proc.returncode == 0, "trace_check rejected a "
                "--trace-out file", proc)
+
+    unwritable = Path(workdir) / "missing" / "x.json"
+    for name in ("fig04_sa_temporal_util", "fig02_energy_efficiency"):
+        proc = run([binary(name), "--trace-out", unwritable])
+        expect(proc.returncode == 1 and bytes(unwritable) in proc.stderr
+               and not proc.stdout,
+               f"{name} --trace-out into a missing directory: want exit "
+               "1 with the path on stderr before any output", proc)
 
     for name in GRID + NO_GRID:
         for flags in REJECTED:
