@@ -15,31 +15,58 @@
 namespace regate {
 
 TablePrinter::TablePrinter(std::vector<std::string> headers)
-    : headers_(std::move(headers))
+    : columns_(headers.size())
 {
-    REGATE_CHECK(!headers_.empty(), "table needs at least one column");
+    REGATE_CHECK(columns_ != 0, "table needs at least one column");
+    appendCells(headers);
+}
+
+void
+TablePrinter::appendCells(const std::vector<std::string> &cells)
+{
+    std::size_t bytes = 0;
+    for (const auto &c : cells)
+        bytes += c.size();
+    // Offsets and cell indices stay below kSeparator.
+    REGATE_CHECK(bytes < kSeparator - text_.size() &&
+                     columns_ < kSeparator - ends_.size(),
+                 "table exceeds ", kSeparator - 1, " bytes or cells");
+    for (const auto &c : cells) {
+        text_ += c;
+        ends_.push_back(static_cast<std::uint32_t>(text_.size()));
+    }
+    ends_.resize(ends_.size() + columns_ - cells.size(),
+                 static_cast<std::uint32_t>(text_.size()));
+}
+
+std::string_view
+TablePrinter::cell(std::size_t i) const
+{
+    std::uint32_t begin = i == 0 ? 0 : ends_[i - 1];
+    return {text_.data() + begin, ends_[i] - begin};
 }
 
 void
 TablePrinter::addRow(std::vector<std::string> cells)
 {
-    REGATE_CHECK(cells.size() <= headers_.size(),
+    REGATE_CHECK(cells.size() <= columns_,
                  "row has ", cells.size(), " cells but table has ",
-                 headers_.size(), " columns");
-    cells.resize(headers_.size());
-    rows_.push_back(std::move(cells));
+                 columns_, " columns");
+    auto first = static_cast<std::uint32_t>(ends_.size());
+    appendCells(cells);
+    rows_.push_back(first);
 }
 
 void
 TablePrinter::addSeparator()
 {
-    rows_.push_back({kSeparatorTag});
+    rows_.push_back(kSeparator);
 }
 
 namespace {
 
 bool
-looksNumeric(const std::string &s)
+looksNumeric(std::string_view s)
 {
     if (s.empty())
         return false;
@@ -53,39 +80,58 @@ looksNumeric(const std::string &s)
 void
 TablePrinter::print(std::ostream &os) const
 {
-    std::vector<std::size_t> widths(headers_.size());
-    for (std::size_t i = 0; i < headers_.size(); ++i)
-        widths[i] = headers_[i].size();
-    for (const auto &row : rows_) {
-        if (!row.empty() && row[0] == kSeparatorTag)
-            continue;
-        for (std::size_t i = 0; i < row.size(); ++i)
-            widths[i] = std::max(widths[i], row[i].size());
+    std::vector<std::size_t> widths(columns_);
+    auto widen = [&](std::size_t first) {
+        for (std::size_t i = 0; i < columns_; ++i)
+            widths[i] = std::max(widths[i], cell(first + i).size());
+    };
+    widen(0);
+    for (std::uint32_t first : rows_) {
+        if (first != kSeparator)
+            widen(first);
     }
 
     // Every line, cells or separator, is "|" + (w + 3) per column +
-    // "\n", so the whole table is built in one exactly sized string
-    // and written at once.
+    // "\n". Lines are gathered into a buffer of one chunk (or one
+    // line, if longer) that is written whenever the next line would
+    // not fit, so a table within a chunk is one write.
     std::size_t line_len = 2;
     for (std::size_t w : widths)
         line_len += w + 3;
-    std::string out;
-    out.reserve(line_len * (rows_.size() + 2));
+    std::string separator = "|";
+    for (std::size_t w : widths) {
+        separator.append(w + 2, '-');
+        separator += '|';
+    }
+    separator += '\n';
 
-    // Headers and rows (addRow pads them) have a cell per column.
-    auto append_line = [&](const std::vector<std::string> &cells,
-                           bool numeric_align) {
+    std::size_t chunk = std::max(kWriteChunk, line_len);
+    std::string out;
+    out.reserve(std::min(chunk, line_len * (rows_.size() + 2)));
+    auto write = [&] {
+        os.write(out.data(), static_cast<std::streamsize>(out.size()));
+        out.clear();
+    };
+    // Append the line of the row whose first cell is @p first, or a
+    // separator line for kSeparator.
+    auto append_line = [&](std::uint32_t first, bool numeric_align) {
+        if (out.size() + line_len > chunk)
+            write();
+        if (first == kSeparator) {
+            out += separator;
+            return;
+        }
         out += '|';
-        for (std::size_t i = 0; i < headers_.size(); ++i) {
-            const std::string &cell = cells[i];
-            std::size_t pad = widths[i] - cell.size();
-            bool right = numeric_align && looksNumeric(cell);
+        for (std::size_t i = 0; i < columns_; ++i) {
+            std::string_view c = cell(first + i);
+            std::size_t pad = widths[i] - c.size();
+            bool right = numeric_align && looksNumeric(c);
             out += ' ';
             if (right) {
                 out.append(pad, ' ');
-                out += cell;
+                out += c;
             } else {
-                out += cell;
+                out += c;
                 out.append(pad, ' ');
             }
             out += " |";
@@ -93,24 +139,11 @@ TablePrinter::print(std::ostream &os) const
         out += '\n';
     };
 
-    auto append_sep = [&]() {
-        out += '|';
-        for (std::size_t w : widths) {
-            out.append(w + 2, '-');
-            out += '|';
-        }
-        out += '\n';
-    };
-
-    append_line(headers_, false);
-    append_sep();
-    for (const auto &row : rows_) {
-        if (!row.empty() && row[0] == kSeparatorTag)
-            append_sep();
-        else
-            append_line(row, true);
-    }
-    os.write(out.data(), static_cast<std::streamsize>(out.size()));
+    append_line(0, false);
+    append_line(kSeparator, false);
+    for (std::uint32_t first : rows_)
+        append_line(first, true);
+    write();
 }
 
 namespace {

@@ -5,14 +5,22 @@
  * Every bench binary regenerates one of the paper's tables or figures as
  * a set of labelled rows; TablePrinter renders them with aligned columns
  * so the output can be compared side-by-side with the paper.
+ *
+ * A table keeps its cells packed: every cell's bytes in one text
+ * buffer, a 32-bit end offset per cell and, per row, the index of its
+ * first cell or a separator marker. A row costs its bytes plus four
+ * per cell, and N rows make O(log N) allocations. print writes the
+ * rendered lines in chunks of at most kWriteChunk bytes, so a
+ * sweep's table of thousands of rows is never held rendered whole.
  */
 
 #ifndef REGATE_COMMON_TABLE_H
 #define REGATE_COMMON_TABLE_H
 
-#include <initializer_list>
+#include <cstdint>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace regate {
@@ -33,11 +41,19 @@ class TablePrinter
     /** Append a horizontal separator line. */
     void addSeparator();
 
-    /** Render the table to @p os in a single write. */
+    /**
+     * Render the table to @p os: one write when it fits in
+     * kWriteChunk bytes, else whole lines in writes of at most
+     * kWriteChunk bytes (a line longer than that is a write of its
+     * own).
+     */
     void print(std::ostream &os) const;
 
-    /** Number of data rows added so far. */
+    /** Number of rows added so far, separators included. */
     std::size_t rowCount() const { return rows_.size(); }
+
+    /** Most bytes print hands @p os per write. */
+    static constexpr std::size_t kWriteChunk = 64 * 1024;
 
     /** Largest @p precision the formatters accept. */
     static constexpr int kMaxPrecision = 64;
@@ -61,10 +77,22 @@ class TablePrinter
     static std::string eng(double v, int precision = 2);
 
   private:
-    static constexpr const char *kSeparatorTag = "\x01--";
+    /** rows_ entry of a separator line. */
+    static constexpr std::uint32_t kSeparator = UINT32_MAX;
 
-    std::vector<std::string> headers_;
-    std::vector<std::vector<std::string>> rows_;
+    /** Append one row of cells; fewer than columns_ are padded empty. */
+    void appendCells(const std::vector<std::string> &cells);
+
+    /** Bytes of cell @p i. */
+    std::string_view cell(std::size_t i) const;
+
+    std::size_t columns_;
+    /** Every cell's bytes, the headers' first. */
+    std::string text_;
+    /** End offset in text_ of each cell; a row's cells are adjacent. */
+    std::vector<std::uint32_t> ends_;
+    /** Per row, the index in ends_ of its first cell, or kSeparator. */
+    std::vector<std::uint32_t> rows_;
 };
 
 }  // namespace regate

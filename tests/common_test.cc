@@ -2,15 +2,26 @@
  * @file
  * Unit tests for the common utilities: stats, table printer, PRNG,
  * units, and error macros.
+ *
+ * The global operator new/delete are replaced with malloc/free
+ * wrappers that count allocations, so that a test can pin how many a
+ * table's rows cost.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <iomanip>
 #include <limits>
+#include <new>
+#include <optional>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -19,6 +30,33 @@
 #include "common/stats.h"
 #include "common/table.h"
 #include "common/units.h"
+
+namespace {
+
+std::atomic<std::size_t> g_allocs{0};
+
+}  // namespace
+
+void *
+operator new(std::size_t n)
+{
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace regate {
 namespace {
@@ -143,6 +181,194 @@ TEST(Table, PrintsExactBytes)
               "| b     | -22.5 |      |\n"
               "|-------|-------|------|\n"
               "|    -x | n/a   |    3 |\n");
+}
+
+namespace {
+
+/** A stream buffer that keeps the bytes and the size of every write. */
+class WriteLog : public std::streambuf
+{
+  public:
+    std::string bytes;
+    std::vector<std::size_t> writes;
+
+  protected:
+    std::streamsize
+    xsputn(const char *s, std::streamsize n) override
+    {
+        bytes.append(s, static_cast<std::size_t>(n));
+        writes.push_back(static_cast<std::size_t>(n));
+        return n;
+    }
+
+    int_type
+    overflow(int_type c) override
+    {
+        if (traits_type::eq_int_type(c, traits_type::eof()))
+            return traits_type::not_eof(c);
+        char ch = traits_type::to_char_type(c);
+        return xsputn(&ch, 1) == 1 ? c : traits_type::eof();
+    }
+};
+
+/** A table row as the test holds it; nullopt is a separator. */
+using TestRow = std::optional<std::vector<std::string>>;
+
+/**
+ * The table TablePrinter should print for @p headers and @p rows,
+ * rendered a line at a time with iostream padding: widths over the
+ * headers and every row, missing cells blank, cells that start with a
+ * digit, sign or point right-aligned (headers never).
+ */
+std::string
+referenceTable(const std::vector<std::string> &headers,
+               const std::vector<TestRow> &rows)
+{
+    std::vector<std::size_t> widths;
+    for (const auto &h : headers)
+        widths.push_back(h.size());
+    for (const auto &row : rows) {
+        for (std::size_t i = 0; row && i < row->size(); ++i)
+            widths[i] = std::max(widths[i], (*row)[i].size());
+    }
+    std::ostringstream os;
+    auto line = [&](const std::vector<std::string> &cells, bool numeric) {
+        os << '|';
+        for (std::size_t i = 0; i < headers.size(); ++i) {
+            std::string cell = i < cells.size() ? cells[i] : "";
+            bool right = numeric && !cell.empty() &&
+                         std::string("0123456789+-.").find(cell[0]) !=
+                             std::string::npos;
+            os << ' ' << (right ? std::right : std::left)
+               << std::setw(static_cast<int>(widths[i])) << cell << " |";
+        }
+        os << '\n';
+    };
+    auto separator = [&] {
+        os << '|';
+        for (std::size_t w : widths)
+            os << std::string(w + 2, '-') << '|';
+        os << '\n';
+    };
+    line(headers, false);
+    separator();
+    for (const auto &row : rows) {
+        if (row)
+            line(*row, true);
+        else
+            separator();
+    }
+    return os.str();
+}
+
+}  // namespace
+
+TEST(Table, PrintsLargeTablesInBoundedWrites)
+{
+    // Separators first, consecutive and last; rows of every width,
+    // some short; numeric and text cells in every column.
+    std::vector<std::string> headers = {"name", "value", "note", "x"};
+    std::vector<TestRow> rows = {std::nullopt};
+    for (std::size_t i = 0; i < 6000; ++i) {
+        std::vector<std::string> cells = {
+            "case-" + std::to_string(i) + std::string(i % 17, 'n'),
+            (i % 3 ? "-" : "") + std::to_string(i * 37 % 1000) + ".5",
+            std::string(i % 23, 'o'),
+            i % 5 ? "+" + std::to_string(i) : ".25"};
+        cells.resize(4 - i % 4);  // Every fourth row full.
+        rows.push_back(cells);
+        if (i % 1000 == 999) {
+            rows.push_back(std::nullopt);
+            rows.push_back(std::nullopt);
+        }
+    }
+    rows.push_back(std::nullopt);
+
+    TablePrinter t(headers);
+    for (const auto &row : rows) {
+        if (row)
+            t.addRow(*row);
+        else
+            t.addSeparator();
+    }
+    EXPECT_EQ(t.rowCount(), rows.size());
+    WriteLog log;
+    std::ostream os(&log);
+    t.print(os);
+    std::string want = referenceTable(headers, rows);
+    EXPECT_EQ(log.bytes, want);
+    // Several writes, each whole lines of at most one chunk.
+    EXPECT_GE(log.writes.size(), 3u);
+    EXPECT_GT(want.size(), 2 * TablePrinter::kWriteChunk);
+    std::size_t end = 0;
+    for (std::size_t n : log.writes) {
+        EXPECT_LE(n, TablePrinter::kWriteChunk);
+        end += n;
+        EXPECT_EQ(log.bytes[end - 1], '\n') << "a write ends mid-line";
+    }
+
+    // A table within one chunk is one write.
+    TablePrinter small(headers);
+    small.addRow({"a", "1"});
+    WriteLog small_log;
+    std::ostream small_os(&small_log);
+    small.print(small_os);
+    EXPECT_EQ(small_log.writes.size(), 1u);
+    EXPECT_EQ(small_log.bytes, referenceTable(headers, {{{"a", "1"}}}));
+}
+
+TEST(Table, AnyCellTextPrintsAsARow)
+{
+    // Separators are marked apart from the cells, so no cell text,
+    // not even "\x01--", reads as one.
+    TablePrinter t({"a", "b"});
+    t.addRow({"\x01--", "x"});
+    std::ostringstream os;
+    t.print(os);
+    EXPECT_EQ(os.str(),
+              "| a   | b |\n"
+              "|-----|---|\n"
+              "| \x01-- | x |\n");
+}
+
+namespace {
+
+/**
+ * Allocations addRow and addSeparator make for @p n rows of a
+ * three-column table, every other row short, a separator after every
+ * fourth. The rows are built beforehand and moved in.
+ */
+std::size_t
+tableAllocations(std::size_t n)
+{
+    TablePrinter t({"name", "value", "note"});
+    std::vector<std::vector<std::string>> rows;
+    rows.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        if (i % 2)
+            rows.push_back({"row", "1.5"});
+        else
+            rows.push_back({"row", "1.5", "ok"});
+    }
+    std::size_t before = g_allocs.load();
+    for (std::size_t i = 0; i < n; ++i) {
+        t.addRow(std::move(rows[i]));
+        if (i % 4 == 3)
+            t.addSeparator();
+    }
+    return g_allocs.load() - before;
+}
+
+}  // namespace
+
+TEST(Table, RowsCostLogarithmicAllocations)
+{
+    // The cells' text, their end offsets and the rows each grow
+    // geometrically, so a few allocations per doubling of N.
+    for (std::size_t n : {1024u, 16384u}) {
+        std::size_t allocs = tableAllocations(n);
+        EXPECT_LE(allocs, 4u * std::bit_width(n)) << n << " rows";
+    }
 }
 
 namespace {
