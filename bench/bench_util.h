@@ -26,8 +26,9 @@
  * reduces each report to what the binary prints, on the worker that
  * made it, so an execution's run dies with its sweep group; its map
  * runs on several workers at once and must touch no shared state.
- * fig17, the spec-sweep binary, uses mapGrid; the other grids are at
- * most a few hundred cases and keep their reports.
+ * fig17, the spec-sweep binary, uses mapGrid and keeps the numbers of
+ * each row, formatting them into its table in axis order; the other
+ * grids are at most a few hundred cases and keep their reports.
  */
 
 #ifndef REGATE_BENCH_BENCH_UTIL_H
@@ -151,7 +152,7 @@ initBench(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--spec") {
-            if (++i >= argc)
+            if (++i >= argc || !*argv[i])
                 usage("--spec needs a path");
             cli.specPath = argv[i];
         } else if (arg == "--list-generators") {

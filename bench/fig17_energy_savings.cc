@@ -4,10 +4,14 @@
  * Ideal over NoPG per workload (NPU-D), with the per-component
  * breakdown of ReGate-Full's savings.
  *
- * Each case is reduced to its printed row on the worker that
- * simulated it (bench::mapGrid), so a spec sweep of thousands of
- * cases holds rows, not executions.
+ * Each case is reduced to the nine fractions its row prints on the
+ * worker that simulated it (bench::mapGrid), so a spec sweep of
+ * thousands of cases holds numbers, not executions or formatted
+ * cells; the ordered loop formats them into the table and the numbers
+ * are released before the table prints.
  */
+
+#include <array>
 
 #include "bench/bench_util.h"
 
@@ -18,8 +22,11 @@ struct Row
 {
     regate::bench::ScenarioPtr scenario;  ///< For reportFor's check.
     regate::arch::NpuGeneration gen{};
-    std::vector<std::string> cells;
-    double fullSaving = 0;  ///< Summed in axis order for the average.
+    /**
+     * Base, HW, Full and Ideal savings vs NoPG, then Full's SA, VU,
+     * SRAM, ICI and HBM savings, as fractions of NoPG's busy energy.
+     */
+    std::array<double, 9> fractions{};
 };
 
 }  // namespace
@@ -38,39 +45,39 @@ main(int argc, char **argv)
                     "Full:SA", "Full:VU", "Full:SRAM", "Full:ICI",
                     "Full:HBM"});
     auto axis = bench::workloadAxis(models::paperSuite());
-    auto rows = bench::mapGrid(
-        sim::scenarioGrid(axis, {arch::NpuGeneration::D}),
-        [](const sim::WorkloadReport &rep) {
-            double nopg = rep.result(Policy::NoPG).energy.busyTotal();
-            auto comp_saving = [&](Component c) {
-                double saved =
-                    rep.result(Policy::NoPG).energy.staticJ[c] -
-                    rep.result(Policy::Full).energy.staticJ[c];
-                return TablePrinter::pct(saved / nopg, 1);
-            };
-            double full = rep.savingVsNoPg(Policy::Full);
-            return Row{
-                rep.scenario,
-                rep.gen,
-                {rep.scenario->name,
-                 TablePrinter::pct(rep.savingVsNoPg(Policy::Base), 1),
-                 TablePrinter::pct(rep.savingVsNoPg(Policy::HW), 1),
-                 TablePrinter::pct(full, 1),
-                 TablePrinter::pct(rep.savingVsNoPg(Policy::Ideal), 1),
-                 comp_saving(Component::Sa),
-                 comp_saving(Component::Vu),
-                 comp_saving(Component::Sram),
-                 comp_saving(Component::Ici),
-                 comp_saving(Component::Hbm)},
-                full};
-        });
     double sum_full = 0;
-    std::size_t idx = 0;
-    for (const auto &s : axis) {
-        Row &row = bench::reportFor(rows, idx, s, arch::NpuGeneration::D);
-        sum_full += row.fullSaving;
-        t.addRow(std::move(row.cells));
-    }
+    {
+        auto rows = bench::mapGrid(
+            sim::scenarioGrid(axis, {arch::NpuGeneration::D}),
+            [](const sim::WorkloadReport &rep) {
+                Row row{rep.scenario, rep.gen, {}};
+                std::size_t i = 0;
+                for (auto p : {Policy::Base, Policy::HW, Policy::Full,
+                               Policy::Ideal})
+                    row.fractions[i++] = rep.savingVsNoPg(p);
+                const auto &nopg = rep.result(Policy::NoPG).energy;
+                const auto &full = rep.result(Policy::Full).energy;
+                double busy = nopg.busyTotal();
+                for (auto c : {Component::Sa, Component::Vu,
+                               Component::Sram, Component::Ici,
+                               Component::Hbm})
+                    row.fractions[i++] =
+                        (nopg.staticJ[c] - full.staticJ[c]) / busy;
+                return row;
+            });
+        std::size_t idx = 0;
+        for (const auto &s : axis) {
+            const Row &row =
+                bench::reportFor(rows, idx, s, arch::NpuGeneration::D);
+            sum_full += row.fractions[2];
+            std::vector<std::string> cells;
+            cells.reserve(1 + row.fractions.size());
+            cells.push_back(s->name);
+            for (double f : row.fractions)
+                cells.push_back(TablePrinter::pct(f, 1));
+            t.addRow(std::move(cells));
+        }
+    }  // The rows go before the table prints.
     t.print(std::cout);
     std::cout << "Suite average (Full): "
               << TablePrinter::pct(sum_full / axis.size(), 1)

@@ -20,16 +20,19 @@ Checks:
 4. fig02 exits 0 on every examples/specs/*.spec;
 5. every grid binary's --trace-out file passes trace_check.py;
 6. flags the binaries do not take (including the retired sharding,
-   worker and metrics flags) exit 2 with the usage line;
+   worker and metrics flags) and an empty --spec or --trace-out path
+   exit 2 with the usage line;
 7. the binaries without a sweep grid reject any argument with exit 2;
 8. fig02 and fig17 exit 1, naming dp, on a spec whose batch is smaller
    than its data parallelism;
 9. fig02 on a spec that fits NPU-D but has no candidate setup on NPU-A
    prints an error row for A, renders B..D, and exits 1;
 10. fig17, fig19, fig21 and fig22 on the example spec with gating
-    overrides print the same bytes with REGATE_THREADS=1 and 4 (fig19
-    and fig22 print the wake-up overheads a sweep group's GatedMemo
-    carries from case to case);
+    overrides, and fig17 on check 16's gating_sweep spec at its first
+    seed (3750 rows, a table printed in several writes), print the
+    same bytes with REGATE_THREADS=1 and 4 (fig19 and fig22 print the
+    wake-up overheads a sweep group's GatedMemo carries from case to
+    case);
 11. fig17 and fig19 exit 1 with a `--spec: file:line` message on
     gating values the model cannot represent: a leakage ratio above 1
     and a delay scale whose scaled cycle counts overflow;
@@ -131,6 +134,7 @@ REJECTED = (
     ["--worker"],
     ["--" + "metrics" + "-out", "x.json"],
     ["--bogus"],
+    ["--spec", ""],
     ["--trace-out", ""],
 )
 
@@ -281,10 +285,12 @@ def check_all(binary, suite_spec, specs, trace_check):
     sys.path.insert(0, str(PERFBENCH))
     sys.dont_write_bytecode = True  # Leave perfbench/ as it is.
     import specgen
+    sweep_specs = {}
     for workload in SWEEPS:
         for seed in SWEEP_SEEDS:
             spec = Path(workdir) / f"{workload}-{seed}.spec"
             spec.write_text(specgen.spec_text(workload, seed))
+            sweep_specs[workload, seed] = spec
             proc = run([binary("fig17_energy_savings"), "--spec", spec])
             got = hashlib.sha256(proc.stdout).hexdigest()
             expect(proc.returncode == 0 and
@@ -387,14 +393,19 @@ def check_all(binary, suite_spec, specs, trace_check):
                    "scenario and the operator", proc)
 
     gating_spec = suite_spec.parent / "gating_overrides.spec"
-    for name in ("fig17_energy_savings", "fig19_perf_overhead",
-                 "fig21_sens_leakage", "fig22_sens_delay"):
-        one = run([binary(name), "--spec", gating_spec], threads=1)
-        four = run([binary(name), "--spec", gating_spec], threads=4)
+    for name, spec in (
+            ("fig17_energy_savings", gating_spec),
+            ("fig19_perf_overhead", gating_spec),
+            ("fig21_sens_leakage", gating_spec),
+            ("fig22_sens_delay", gating_spec),
+            ("fig17_energy_savings",
+             sweep_specs["gating_sweep", SWEEP_SEEDS[0]])):
+        one = run([binary(name), "--spec", spec], threads=1)
+        four = run([binary(name), "--spec", spec], threads=4)
         expect(one.returncode == 0 and four.returncode == 0,
-               f"{name} --spec {gating_spec.name} failed", four)
+               f"{name} --spec {spec.name} failed", four)
         expect(one.stdout and one.stdout == four.stdout,
-               f"{name} --spec {gating_spec.name}: output differs "
+               f"{name} --spec {spec.name}: output differs "
                "between REGATE_THREADS=1 and 4")
 
     counts = []
