@@ -4,6 +4,8 @@
  * bench binary prints the rows/series of one paper artifact so the
  * output can be compared side by side with the paper (shape, not
  * absolute numbers; bench/README.md covers the binaries and flags).
+ * For the figures golden_figures_test pins, what the figure prints is
+ * computed in bench/figure_rows.h and the binary only formats it.
  *
  * Every binary is one in-process run. Grid binaries (those that
  * sweep scenarios x generations) take three optional flags, parsed by
@@ -26,8 +28,8 @@
  * reduces each report to what the binary prints, on the worker that
  * made it, so an execution's run dies with its sweep group; its map
  * runs on several workers at once and must touch no shared state.
- * fig17, the spec-sweep binary, uses mapGrid and keeps the numbers of
- * each row, formatting them into its table in axis order; the other
+ * fig17, the spec-sweep binary, maps each report to its row's numbers
+ * (fig17Row) and formats them into its table in axis order; the other
  * grids are at most a few hundred cases and keep their reports.
  */
 
@@ -273,19 +275,17 @@ simulateAll(const std::vector<ScenarioPtr> &axis,
 }
 
 /**
- * Walk simulateAll results (or mapGrid values that carry their case's
- * `scenario` and `gen`) in consumption order: returns the entry at
+ * Walk simulateAll results in consumption order: returns the report at
  * @p idx and advances it, checking it really is the (scenario, gen)
  * the caller's loop expects — so a consumption loop that falls out of
  * step with the grid's axis-major order fails loudly instead of
  * silently showing another case's numbers.
  */
-template <typename Reports>
-auto &
-reportFor(Reports &reports, std::size_t &idx, const ScenarioPtr &s,
-          arch::NpuGeneration gen)
+inline const sim::WorkloadReport &
+reportFor(const std::vector<sim::WorkloadReport> &reports,
+          std::size_t &idx, const ScenarioPtr &s, arch::NpuGeneration gen)
 {
-    auto &rep = reports.at(idx++);
+    const auto &rep = reports.at(idx++);
     REGATE_CHECK(rep.scenario == s && rep.gen == gen,
                  "report order mismatch at index ", idx - 1,
                  ": expected ", s->name, "/", arch::generationName(gen),
@@ -339,6 +339,37 @@ sensitivityWorkloads()
             builtinScenario("Llama3.1-405B-Prefill"),
             builtinScenario("Llama3.1-405B-Decode"),
             builtinScenario("DLRM-L"), builtinScenario("DiT-XL")};
+}
+
+/**
+ * The whole of a utilization figure (Figs. 4-6, 8 and 9): the banner,
+ * then @p metric (one of figure_rows.h's) of every scenario of the
+ * axis on NPU-A..D, one row per scenario, then @p footnote. Returns
+ * main's exit status.
+ */
+inline int
+utilizationFigure(int argc, char **argv, const char *artifact,
+                  const char *caption,
+                  double (*metric)(const sim::WorkloadReport &),
+                  const char *footnote)
+{
+    initBench(argc, argv);
+    banner(artifact, caption);
+
+    TablePrinter t({"Workload", "A", "B", "C", "D"});
+    auto axis = workloadAxis(models::paperSuite());
+    auto reports = simulateAll(axis, paperGenerations());
+    std::size_t idx = 0;
+    for (const auto &s : axis) {
+        std::vector<std::string> cells = {s->name};
+        for (auto gen : paperGenerations())
+            cells.push_back(TablePrinter::pct(
+                metric(reportFor(reports, idx, s, gen)), 1));
+        t.addRow(std::move(cells));
+    }
+    t.print(std::cout);
+    std::cout << footnote << "\n";
+    return 0;
 }
 
 }  // namespace bench

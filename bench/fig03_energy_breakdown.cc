@@ -7,13 +7,13 @@
  */
 
 #include "bench/bench_util.h"
+#include "bench/figure_rows.h"
 
 int
 main(int argc, char **argv)
 {
     using namespace regate;
     bench::initBench(argc, argv);
-    using arch::Component;
     bench::banner("Figure 3",
                   "energy consumption breakdown (NoPG, % of total)");
 
@@ -27,33 +27,12 @@ main(int argc, char **argv)
     std::size_t idx = 0;
     for (const auto &s : axis) {
         for (auto gen : bench::paperGenerations()) {
-            const auto &rep =
-                bench::reportFor(reports, idx, s, gen);
-            const auto &e =
-                rep.result(sim::Policy::NoPG).energy;
-            double total = rep.podTotalEnergy(sim::Policy::NoPG) /
-                           rep.setup.chips;
-            // The PUE applies to the busy shares too.
-            double busy_scale = sim::FleetParams{}.pue / total;
-            auto pct = [&](double j) {
-                return TablePrinter::pct(j * busy_scale, 1);
-            };
-            t.addRow({s->name, arch::generationName(gen),
-                      TablePrinter::pct(
-                          rep.idleShare(sim::Policy::NoPG), 1),
-                      pct(e.dynamicJ[Component::Sa]),
-                      pct(e.staticJ[Component::Sa]),
-                      pct(e.dynamicJ[Component::Vu]),
-                      pct(e.staticJ[Component::Vu]),
-                      pct(e.dynamicJ[Component::Sram]),
-                      pct(e.staticJ[Component::Sram]),
-                      pct(e.dynamicJ[Component::Ici]),
-                      pct(e.staticJ[Component::Ici]),
-                      pct(e.dynamicJ[Component::Hbm]),
-                      pct(e.staticJ[Component::Hbm]),
-                      pct(e.dynamicJ[Component::Other]),
-                      pct(e.staticJ[Component::Other]),
-                      TablePrinter::pct(e.staticShareBusy(), 1)});
+            std::vector<std::string> cells = {s->name,
+                                              arch::generationName(gen)};
+            for (double v :
+                 bench::fig03Row(bench::reportFor(reports, idx, s, gen)))
+                cells.push_back(TablePrinter::pct(v, 1));
+            t.addRow(std::move(cells));
         }
         t.addSeparator();
     }

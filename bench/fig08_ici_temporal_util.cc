@@ -4,27 +4,15 @@
  */
 
 #include "bench/bench_util.h"
+#include "bench/figure_rows.h"
 
 int
 main(int argc, char **argv)
 {
     using namespace regate;
-    bench::initBench(argc, argv);
-    bench::banner("Figure 8", "ICI temporal utilization");
-
-    TablePrinter t({"Workload", "A", "B", "C", "D"});
-    auto axis = bench::workloadAxis(models::paperSuite());
-    auto reports = bench::simulateAll(axis, bench::paperGenerations());
-    std::size_t idx = 0;
-    for (const auto &s : axis) {
-        std::vector<std::string> cells = {s->name};
-        for (auto gen : bench::paperGenerations()) {
-            const auto &rep = bench::reportFor(reports, idx, s, gen);
-            cells.push_back(TablePrinter::pct(rep.temporalUtil(arch::Component::Ici), 1));
-        }
-        t.addRow(cells);
-    }
-    t.print(std::cout);
-    std::cout << "Paper shape: ~0 for single-chip/diffusion, high for DLRM (AllToAll-bound), low-mid for TP LLMs\n";
-    return 0;
+    return bench::utilizationFigure(
+        argc, argv, "Figure 8", "ICI temporal utilization",
+        bench::fig08Util,
+        "Paper shape: ~0 for single-chip/diffusion, high for DLRM "
+        "(AllToAll-bound), low-mid for TP LLMs");
 }

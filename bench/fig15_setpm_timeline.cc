@@ -7,36 +7,17 @@
  */
 
 #include "bench/bench_util.h"
-#include "compiler/compiler.h"
-#include "isa/vliw_core.h"
+#include "bench/figure_rows.h"
 
 int
 main(int argc, char **argv)
 {
     using namespace regate;
-    using isa::PowerMode;
-    using isa::FuType;
     bench::initBenchNoGrid(argc, argv);
     bench::banner("Figure 15",
                   "setpm power-gating timeline on the VLIW core");
 
-    // The paper's exact program: 2 SAs, 2 VUs, 8-cycle pops,
-    // 2-cycle VU on/off delay.
-    isa::VliwCoreConfig cfg;
-    cfg.numSa = 2;
-    cfg.numVu = 2;
-    cfg.vuWakeDelay = 2;
-
-    isa::Program p;
-    p.bundle().saPop(0).saPop(1).vuOp(0).vuOp(1);
-    p.bundle().vuOp(0).vuOp(1).setpm(0b11, FuType::Vu,
-                                     PowerMode::Off);
-    p.bundle().saPop(0).saPop(1).nop(6);
-    p.bundle().setpm(0b11, FuType::Vu, PowerMode::On);
-    p.bundle().saPop(0).saPop(1).vuOp(0).vuOp(1);
-    p.bundle().vuOp(0).vuOp(1).setpm(0b11, FuType::Vu,
-                                     PowerMode::Off);
-
+    auto [cfg, p] = bench::fig15Program();
     isa::VliwCore core(cfg);
     core.run(p);
 
@@ -60,13 +41,7 @@ main(int argc, char **argv)
                  "period, zero exposed stall\n\n";
 
     // Now the compiler does it automatically on a bigger kernel.
-    compiler::KernelSpec spec;
-    spec.tiles = 16;
-    spec.popCycles = 100;
-    spec.vuOpsPerTile = 2;
-    arch::GatingParams params;
-    auto result = compiler::compileKernel(spec, cfg, params);
-
+    auto result = bench::fig15Kernel(cfg, 16, 100);
     isa::VliwCore gated(cfg);
     gated.run(result.program);
     std::cout << "Compiler-instrumented kernel (16 tiles, 100-cycle "

@@ -6,13 +6,13 @@
  */
 
 #include "bench/bench_util.h"
+#include "bench/figure_rows.h"
 
 int
 main(int argc, char **argv)
 {
     using namespace regate;
     bench::initBench(argc, argv);
-    using sim::Policy;
     bench::banner("Figure 18",
                   "average / peak power per chip (W, NPU-D)");
 
@@ -23,30 +23,19 @@ main(int argc, char **argv)
     auto reports =
         bench::simulateAll(axis, {arch::NpuGeneration::D});
     std::size_t idx = 0;
+    // Cooling-cost estimate (§6.3): $7 per chip-watt of peak power.
+    double saved = 0;
     for (const auto &s : axis) {
-        const auto &rep = bench::reportFor(
-            reports, idx, s, arch::NpuGeneration::D);
-        auto avg = [&](Policy p) {
-            return TablePrinter::fmt(rep.result(p).avgPowerW, 0);
-        };
-        t.addRow({s->name, avg(Policy::NoPG),
-                  avg(Policy::Base), avg(Policy::HW),
-                  avg(Policy::Full), avg(Policy::Ideal),
-                  TablePrinter::fmt(
-                      rep.result(Policy::NoPG).peakPowerW, 0),
-                  TablePrinter::fmt(
-                      rep.result(Policy::Full).peakPowerW, 0)});
+        auto row = bench::fig18Row(
+            bench::reportFor(reports, idx, s, arch::NpuGeneration::D));
+        std::vector<std::string> cells = {s->name};
+        for (double w : row)
+            cells.push_back(TablePrinter::fmt(w, 0));
+        t.addRow(std::move(cells));
+        saved += row[5] - row[6];  // NoPG peak - Full peak
     }
     t.print(std::cout);
 
-    // Cooling-cost estimate (§6.3): $7 per chip-watt of peak power.
-    // Reuses the reports above — the old second simulate loop was a
-    // redundant warm re-run of identical cases.
-    double saved = 0;
-    for (const auto &rep : reports) {
-        saved += rep.result(Policy::NoPG).peakPowerW -
-                 rep.result(Policy::Full).peakPowerW;
-    }
     saved /= reports.size();
     std::cout << "Average peak-power reduction: "
               << TablePrinter::fmt(saved, 1) << " W/chip -> cooling "

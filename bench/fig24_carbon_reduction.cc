@@ -6,14 +6,13 @@
  */
 
 #include "bench/bench_util.h"
-#include "carbon/carbon_model.h"
+#include "bench/figure_rows.h"
 
 int
 main(int argc, char **argv)
 {
     using namespace regate;
     bench::initBench(argc, argv);
-    using sim::Policy;
     bench::banner("Figure 24",
                   "operational carbon reduction (0.0624 kgCO2e/kWh, "
                   "60% utilization, PUE 1.1)");
@@ -25,17 +24,11 @@ main(int argc, char **argv)
         bench::simulateAll(axis, {arch::NpuGeneration::D});
     std::size_t idx = 0;
     for (const auto &s : axis) {
-        const auto &rep = bench::reportFor(
-            reports, idx, s, arch::NpuGeneration::D);
-        auto red = [&](Policy p) {
-            return TablePrinter::pct(
-                carbon::operationalCarbonReduction(rep, p), 1);
-        };
-        t.addRow({s->name, red(Policy::Base),
-                  red(Policy::HW), red(Policy::Full),
-                  red(Policy::Ideal),
-                  TablePrinter::pct(
-                      rep.savingVsNoPg(Policy::Full), 1)});
+        std::vector<std::string> cells = {s->name};
+        for (double v : bench::fig24Row(bench::reportFor(
+                 reports, idx, s, arch::NpuGeneration::D)))
+            cells.push_back(TablePrinter::pct(v, 1));
+        t.addRow(std::move(cells));
     }
     t.print(std::cout);
     std::cout << "Paper: 31.1%-62.9% operational carbon reduction "
